@@ -2,8 +2,7 @@
 
 Selection: the environment variable LIOUVILLE_DISK_NO_NUMBA=1 forces the
 fallback path (also used automatically when numba is unavailable).  Both
-implementations are importable side by side so the benchmark can compare
-them; see benchmarks/bench_kernels.py.
+implementations are importable side by side so the tests can compare them.
 
 Kernels:
   - dijkstra: single-source shortest path over a CSR graph (mesh metric)

@@ -17,8 +17,7 @@ import numpy as np
 from ._kernels import winding_batch
 from .errors import ArrangementCorrupt
 from .curves import PolyCurve, self_intersections
-
-TWO_PI = 2.0 * np.pi
+from .spectral import TWO_PI
 
 
 @dataclass

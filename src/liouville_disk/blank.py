@@ -20,8 +20,8 @@ import numpy as np
 from .arrangement import Arrangement, build_arrangement
 from .curves import PolyCurve, fillet_corners, rotation_index, self_intersections, wrap_angle
 from .errors import DecompositionCorrupt, RayCastFailed
+from .spectral import TWO_PI
 
-TWO_PI = 2.0 * np.pi
 ANGULAR_GUARD = 1e-3
 N_RAY_DIRECTIONS = 64
 EXHAUSTIVE_LIMIT = 16

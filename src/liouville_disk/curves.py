@@ -23,8 +23,8 @@ from .errors import (
     WrongArity,
 )
 from .predicates import orient2d, segment_verdict, snap
+from .spectral import TWO_PI
 
-TWO_PI = 2.0 * np.pi
 MAX_SMOOTH_TURN = 0.3
 TRANSVERSALITY_ANGLE = 0.05
 

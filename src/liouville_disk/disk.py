@@ -7,9 +7,11 @@ normalization Phi(1) = 0.  Boundary curvature, Moebius recentering, the
 conformal boundary distance, and Blaschke test fixtures live here too.
 
 Anchored traces have a power-law boundary singularity; their boundary
-polylines are built by per-cell quadrature of the boundary derivative (with
-the algebraic factor handed to weighted quadrature near the anchor) rather
+polylines are built by per-cell quadrature of the boundary derivative rather
 than through the truncated series, which would trip the resolution guard.
+Cells clear of the anchors take their Gauss nodes from shifted-grid inverse
+FFTs of lambda and rho (O(n log n) in all); the few cells beside an anchor
+hand the algebraic factor to weighted quadrature.
 """
 
 from __future__ import annotations
@@ -19,27 +21,30 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .errors import InvalidInput, NotHolomorphic, UnderResolved
 from .mesh import build_polar_mesh, shortest_path_distance
 from .spectral import (
+    BAND_LIMIT_ENERGY,
+    CELL_GAUSS_W,
+    CELL_GAUSS_X,
     TWO_PI,
     PeriodicGrid,
     SingularField,
     analyze,
+    band_limit_fraction,
     circle_trapezoid,
     conjugate_profile,
     eval_modes,
+    eval_shifted_grids,
     grid_angles,
     half_laplacian,
     hilbert,
     log_profile,
+    negative_frequency_fraction,
     resample,
+    singular_cell_integral,
 )
-
-_GL_X, _GL_W = leggauss(10)
 
 TAIL_ENERGY_LIMIT = 1e-6
 NEG_FREQ_LIMIT = 1e-6
@@ -103,30 +108,13 @@ def analytic_completion(lam) -> BoundaryTrace:
         lam = PeriodicGrid(lam)
     field = SingularField.from_grid(lam)
     smooth = field.smooth
-    c = analyze(smooth).coeffs
-    m = np.abs(np.arange(-smooth.n // 2, smooth.n // 2))
-    total = float(np.sum(np.abs(c[m > 0]) ** 2))
-    floor = smooth.n * (1e-13 * max(1.0, float(np.max(np.abs(smooth.values))))) ** 2
-    top = float(np.sum(np.abs(c[m >= 0.9 * (smooth.n // 2)]) ** 2))
-    if total > floor and top > 0.01 * total:
-        raise UnderResolved(
-            f"top decile of boundary spectrum carries {top / total:.2%} of energy"
-        )
+    frac = band_limit_fraction(smooth)
+    if frac > BAND_LIMIT_ENERGY:
+        raise UnderResolved(f"top decile of boundary spectrum carries {frac:.2%} of energy")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # guard already enforced above
         rho = hilbert(PeriodicGrid(np.real(smooth.values)))
     return BoundaryTrace(lam=field, rho_smooth=rho)
-
-
-def negative_frequency_energy(values: np.ndarray) -> float:
-    """Fraction of spectral energy in strictly negative modes."""
-    g = PeriodicGrid(values)
-    s = analyze(g)
-    total = float(np.sum(np.abs(s.coeffs) ** 2))
-    if total == 0:
-        return 0.0
-    neg = float(np.sum(np.abs(s.coeffs[s.modes < 0]) ** 2))
-    return neg / total
 
 
 @dataclass(frozen=True)
@@ -285,11 +273,10 @@ def build_phi(bt: BoundaryTrace, M: int | None = None, oversample: int = 4) -> D
     if not np.all(np.isfinite(phi)):
         raise UnderResolved("boundary derivative is non-finite on the sampling grid")
     s = analyze(PeriodicGrid(phi))
-    total = float(np.sum(np.abs(s.coeffs) ** 2))
-    neg = float(np.sum(np.abs(s.coeffs[s.modes < 0]) ** 2))
-    if neg > NEG_FREQ_LIMIT * total:
+    neg = negative_frequency_fraction(s)
+    if neg > NEG_FREQ_LIMIT:
         raise NotHolomorphic(
-            f"negative-frequency energy fraction {neg / total:.2e} of boundary derivative"
+            f"negative-frequency energy fraction {neg:.2e} of boundary derivative"
         )
     # integrate every available nonnegative mode, then truncate under the guard
     dcoef = s.coeffs[N // 2 :]  # modes 0 .. N/2 - 1
@@ -346,9 +333,7 @@ def mobius_recenter(d: DiskMap, a: complex, t: float, M: int | None = None) -> D
     w = (z - t * a) / (1 - t * np.conj(a) * z)
     vals = d(w)
     s = analyze(PeriodicGrid(vals))
-    total = float(np.sum(np.abs(s.coeffs) ** 2))
-    neg = float(np.sum(np.abs(s.coeffs[s.modes < 0]) ** 2))
-    if neg > NEG_FREQ_LIMIT * total:
+    if negative_frequency_fraction(s) > NEG_FREQ_LIMIT:
         raise NotHolomorphic("recentered map lost holomorphy (sampling artifact)")
     full = s.coeffs[N // 2 :]
     coeffs = _truncate_with_guard(full, M).copy()
@@ -416,39 +401,17 @@ def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256
 
 # --- boundary polyline export ------------------------------------------------
 
-def _complex_quad_plain(f, a: float, b: float):
-    re, _ = quad(lambda t: f(t).real, a, b, limit=200)
-    im, _ = quad(lambda t: f(t).imag, a, b, limit=200)
-    return re + 1j * im
-
-
-def _complex_quad_weighted(g, a: float, b: float, t0: float, s: float):
-    """Integral of g(t) * |2 sin((t - t0)/2)|^s with t0 an endpoint of [a, b].
-
-    g must be smooth on [a, b]; the |t - t0|^s part goes to the weighted rule
-    and the analytic remainder (sin(d/2)/(d/2))^s is folded into g.
-    """
-
-    def stable(t):
-        d = abs(t - t0)
-        ratio = 1.0 - d * d / 24.0 if d < 1e-6 else 2.0 * np.sin(d / 2.0) / d
-        return g(t) * ratio**s
-
-    wvar = (s, 0.0) if abs(a - t0) < 1e-13 else (0.0, s)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        re, _ = quad(lambda t: stable(t).real, a, b, weight="alg", wvar=wvar, limit=200)
-        im, _ = quad(lambda t: stable(t).imag, a, b, weight="alg", wvar=wvar, limit=200)
-    return re + 1j * im
-
-
 def boundary_polyline(bt_or_map, n_vertices: int = 512):
     """Vertices of the boundary image curve at the grid angles.
 
     For a DiskMap this is direct series evaluation.  For an anchored
-    BoundaryTrace the vertices come from per-cell quadrature of the boundary
-    derivative i e^{i theta} phi(theta): Gauss cells away from anchors,
-    weighted quadrature with the algebraic factor split off beside them.
+    BoundaryTrace the vertices are cumulative sums of per-cell integrals of
+    the boundary derivative i e^{i theta} phi(theta) over [theta_j, theta_j + h].
+    Cells clear of every anchor use a 10-point Gauss rule whose k-th node lies
+    on the grid shifted by a fixed delta_k, so lambda and rho come from one
+    inverse FFT per node (eval_shifted_grids) and the whole polyline costs
+    O(n log n).  Cells within 2 h of an anchor use weighted quadrature with
+    the algebraic factor split off (singular_cell_integral).
     Returns (vertices (n,2), corners dict index -> (tangent_in, tangent_out)).
     """
     if isinstance(bt_or_map, DiskMap):
@@ -469,19 +432,10 @@ def _singular_boundary_polyline(bt: BoundaryTrace, n: int):
     rho_spec = analyze(bt.rho_smooth)
     anchors = bt.anchors
 
-    def dphi(t):
-        """d Phi / d theta at scalar angle t."""
-        tt = np.array([t])
-        lam = float(np.real(eval_modes(lam_spec, tt))[0])
-        rho = float(np.real(eval_modes(rho_spec, tt))[0])
-        for t0, c in anchors:
-            lam += c * float(log_profile(tt, t0)[0])
-            rho += c * float(conjugate_profile(tt, t0)[0])
-        return 1j * np.exp(1j * t) * np.exp(lam + 1j * rho)
-
     def dphi_no_anchor_power(t, skip, side):
-        """Same, with the log part of anchor `skip` removed (power factor split
-        off); `side` picks the one-sided sawtooth branch at that anchor."""
+        """d Phi / d theta at scalar angle t with the log part of anchor `skip`
+        removed (power factor split off); `side` picks the one-sided sawtooth
+        branch at that anchor."""
         tt = np.array([t])
         lam = float(np.real(eval_modes(lam_spec, tt))[0])
         rho = float(np.real(eval_modes(rho_spec, tt))[0])
@@ -496,42 +450,37 @@ def _singular_boundary_polyline(bt: BoundaryTrace, n: int):
                 rho += c * float(conjugate_profile(tt, t0)[0])
         return 1j * np.exp(1j * t) * np.exp(lam + 1j * rho)
 
-    def anchor_near(a, b):
-        mid = 0.5 * (a + b)
-        for t0, c in anchors:
-            local = t0 + TWO_PI * np.round((mid - t0) / TWO_PI)
-            if min(abs(a - local), abs(b - local), abs(mid - local)) <= 2.0 * h + 1e-12:
-                return t0, local, c
-        return None
+    a = th
+    b = th + h
+    mid = 0.5 * (a + b)
+    # first anchor within 2 h of each cell (index, copy of its angle nearest
+    # the cell); -1 where the cell is clear of every anchor
+    near = np.full(n, -1)
+    local = np.zeros(n)
+    for i in reversed(range(len(anchors))):
+        t0 = anchors[i][0]
+        loc = t0 + TWO_PI * np.round((mid - t0) / TWO_PI)
+        dist = np.minimum(np.minimum(np.abs(a - loc), np.abs(b - loc)), np.abs(mid - loc))
+        hit = dist <= 2.0 * h + 1e-12
+        near[hit] = i
+        local[hit] = loc[hit]
 
+    regular = np.flatnonzero(near < 0)
+    offsets = 0.5 * h * (CELL_GAUSS_X + 1.0)
+    nodes = th[regular] + offsets[:, None]
+    lam = np.real(eval_shifted_grids(lam_spec, offsets, n))[:, regular]
+    rho = np.real(eval_shifted_grids(rho_spec, offsets, n))[:, regular]
+    for t0, c in anchors:
+        lam = lam + c * log_profile(nodes, t0)
+        rho = rho + c * conjugate_profile(nodes, t0)
+    vals = 1j * np.exp(1j * nodes) * np.exp(lam + 1j * rho)
     increments = np.empty(n, dtype=complex)
-    for j in range(n):
-        a, b = th[j], th[j] + h
-        hit = anchor_near(a, b)
-        if hit is None:
-            tt = 0.5 * (b - a) * (_GL_X + 1.0) + a
-            lam = np.real(eval_modes(lam_spec, tt))
-            rho = np.real(eval_modes(rho_spec, tt))
-            for t0, c in anchors:
-                lam = lam + c * log_profile(tt, t0)
-                rho = rho + c * conjugate_profile(tt, t0)
-            vals = 1j * np.exp(1j * tt) * np.exp(lam + 1j * rho)
-            increments[j] = 0.5 * (b - a) * complex(_GL_W @ vals)
-        else:
-            t0_orig, t0_local, c = hit
-            s = -c / np.pi
-            g_left = lambda t, _skip=t0_orig: dphi_no_anchor_power(t, _skip, -1)
-            g_right = lambda t, _skip=t0_orig: dphi_no_anchor_power(t, _skip, +1)
-            if a < t0_local < b:
-                increments[j] = _complex_quad_weighted(
-                    g_left, a, t0_local, t0_local, s
-                ) + _complex_quad_weighted(g_right, t0_local, b, t0_local, s)
-            elif abs(b - t0_local) < 1e-12:
-                increments[j] = _complex_quad_weighted(g_left, a, b, t0_local, s)
-            elif abs(a - t0_local) < 1e-12:
-                increments[j] = _complex_quad_weighted(g_right, a, b, t0_local, s)
-            else:
-                increments[j] = _complex_quad_plain(dphi, a, b)
+    increments[regular] = 0.5 * h * (CELL_GAUSS_W @ vals)
+
+    for j in np.flatnonzero(near >= 0):
+        t0_orig, c = anchors[near[j]]
+        g = lambda t, side, _skip=t0_orig: dphi_no_anchor_power(t, _skip, side)
+        increments[j] = singular_cell_integral(g, a[j], b[j], local[j], -c / np.pi)
 
     verts_c = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
     closure = abs(verts_c[-1] - verts_c[0])

@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import PolyCurve
-
-TWO_PI = 2.0 * np.pi
+from .spectral import TWO_PI
 
 
 def _catmull_rom_closed(ctrl, samples_per_seg=40):

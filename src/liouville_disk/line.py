@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from .errors import (
@@ -31,20 +30,22 @@ from .errors import (
     TailError,
 )
 from .spectral import (
+    CELL_GAUSS_W,
+    CELL_GAUSS_X,
     TWO_PI,
     PeriodicGrid,
     SingularField,
     analyze,
     circle_trapezoid,
     eval_modes,
+    eval_shifted_grids,
     grid_angles,
     log_profile,
+    singular_cell_integral,
     singular_half_laplacian,
 )
 
 POLE_ANGLE = -np.pi / 2
-
-_GL_X, _GL_W = leggauss(10)
 
 
 def _eval_vec(f, x: np.ndarray) -> np.ndarray:
@@ -297,9 +298,13 @@ def integrate_exp_singular(field: SingularField, extra: np.ndarray | None = None
     """Integrate extra(theta) * e^{lambda(theta)} over the circle when lambda
     carries log anchors, i.e. the integrand has integrable power-law factors.
 
-    Composite 10-point Gauss cells away from anchors; cells containing or
-    adjacent to an anchor are handed to adaptive quadrature with the
-    algebraic endpoint weight split off.
+    Composite 10-point Gauss cells [theta_j - h/2, theta_j + h/2] away from
+    anchors.  The k-th Gauss node of every cell lies on the grid shifted by
+    the same offset delta_k, so the smooth part and extra are interpolated
+    there by one inverse FFT per node (eval_shifted_grids): O(n log n) in
+    all.  extra may be sampled on a grid of another size than the field's.  Cells within 2.5 h of an anchor are handed to adaptive quadrature
+    with the algebraic endpoint weight split off (singular_cell_integral);
+    their number does not depend on n.
     """
     n = field.n
     h = TWO_PI / n
@@ -319,59 +324,32 @@ def integrate_exp_singular(field: SingularField, extra: np.ndarray | None = None
             out = out * np.real(eval_modes(extra_spec, t))
         return out
 
-    total = 0.0
-    for j in range(n):
-        lo = th[j] - h / 2
-        hi = th[j] + h / 2
-        mid = 0.5 * (lo + hi)
-        near = None
-        for t0, c in field.anchors:
-            if abs((mid - t0 + np.pi) % TWO_PI - np.pi) <= 2.5 * h:
-                near = (t0, t0 + TWO_PI * np.round((mid - t0) / TWO_PI), c)
-                break
-        if near is None:
-            tt = 0.5 * (hi - lo) * (_GL_X + 1.0) + lo
-            total += 0.5 * (hi - lo) * float(_GL_W @ integrand(tt))
-        else:
-            t0_orig, t0_local, c = near
-            smooth_eval = lambda t: float(integrand(t, skip_anchor=t0_orig)[0])
-            total += _singular_cell_integral(smooth_eval, lo, hi, t0_local, -c / np.pi)
+    lo = th - h / 2
+    hi = th + h / 2
+    mid = 0.5 * (lo + hi)
+    # index of the first anchor within 2.5 h of each cell midpoint, -1 if none
+    near = np.full(n, -1)
+    for i in reversed(range(len(field.anchors))):
+        t0 = field.anchors[i][0]
+        near[np.abs((mid - t0 + np.pi) % TWO_PI - np.pi) <= 2.5 * h] = i
+
+    regular = np.flatnonzero(near < 0)
+    offsets = 0.5 * h * CELL_GAUSS_X
+    nodes = th[regular] + offsets[:, None]
+    lam = np.real(eval_shifted_grids(spec, offsets, n))[:, regular]
+    for t0, c in field.anchors:
+        lam = lam + c * log_profile(nodes, t0)
+    vals = np.exp(lam)
+    if extra_spec is not None:
+        vals = vals * np.real(eval_shifted_grids(extra_spec, offsets, n))[:, regular]
+    total = 0.5 * h * float(np.sum(CELL_GAUSS_W @ vals))
+
+    for j in np.flatnonzero(near >= 0):
+        t0_orig, c = field.anchors[near[j]]
+        t0_local = t0_orig + TWO_PI * np.round((mid[j] - t0_orig) / TWO_PI)
+        smooth_eval = lambda t, _side, _skip=t0_orig: float(integrand(t, skip_anchor=_skip)[0])
+        total += singular_cell_integral(smooth_eval, lo[j], hi[j], t0_local, -c / np.pi)
     return total
-
-
-def _singular_cell_integral(smooth_eval, lo, hi, t0, s) -> float:
-    """Integral over [lo, hi] of smooth_eval(t) * |2 sin((t-t0)/2)|^s with the
-    algebraic singularity at t0 (s > -1) handed to the weighted quadrature."""
-
-    def raw(t):
-        d = abs(t - t0)
-        return smooth_eval(t) * (2.0 * np.sin(d / 2.0)) ** s
-
-    def stable(t):
-        # raw with |t - t0|^s divided out; the remaining (sin(d/2)/(d/2))^s
-        # factor is evaluated through its series near the anchor
-        d = abs(t - t0)
-        ratio = 1.0 - d * d / 24.0 if d < 1e-6 else 2.0 * np.sin(d / 2.0) / d
-        return smooth_eval(t) * ratio**s
-
-    def piece(a, b):
-        if b - a < 1e-15:
-            return 0.0
-        with warnings.catch_warnings():
-            # QAWS reports roundoff at tight tolerances; accuracy is tested
-            # against an independent adaptive oracle elsewhere
-            warnings.simplefilter("ignore")
-            if s == 0.0 or not (a - 1e-14 <= t0 <= b + 1e-14):
-                val, _ = quad(raw, a, b, limit=200)
-            elif abs(a - t0) < 1e-13:
-                val, _ = quad(stable, a, b, weight="alg", wvar=(s, 0.0), limit=200)
-            else:
-                val, _ = quad(stable, a, b, weight="alg", wvar=(0.0, s), limit=200)
-        return val
-
-    if lo < t0 < hi:
-        return piece(lo, t0) + piece(t0, hi)
-    return piece(lo, hi)
 
 
 @dataclass(frozen=True)

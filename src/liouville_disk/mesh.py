@@ -15,8 +15,7 @@ import numpy as np
 
 from ._kernels import dijkstra
 from .errors import InvalidInput
-
-TWO_PI = 2.0 * np.pi
+from .spectral import TWO_PI
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 
 from .errors import (
     BandLimitWarning,
@@ -40,6 +41,12 @@ from .errors import (
 TWO_PI = 2.0 * np.pi
 
 _GL_X, _GL_W = leggauss(24)
+
+# largest share of oscillatory energy the top decile of modes may carry
+BAND_LIMIT_ENERGY = 0.01
+
+# 10-point Gauss-Legendre rule on [-1, 1] for composite quadrature over grid cells
+CELL_GAUSS_X, CELL_GAUSS_W = leggauss(10)
 
 
 def _check_power_of_two(n: int) -> bool:
@@ -195,6 +202,31 @@ def eval_modes(s: SpectralRep, thetas: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.outer(thetas, m)) @ s.coeffs
 
 
+def eval_shifted_grids(s: SpectralRep, offsets, n: int | None = None) -> np.ndarray:
+    """Trigonometric interpolant on the shifted grids theta_j + delta_k.
+
+    Row k holds eval_modes(s, grid_angles(n) + offsets[k]) on an n-point grid
+    (default: the grid of s), computed as one inverse FFT of
+    u_hat(m) e^{i m delta_k} (same sign and half-period phase as
+    :func:`synthesize`): O(K n log n) for K offsets instead of O(K n^2), with
+    O(K n) temporaries.  Any n >= 1 is exact: e^{i m theta_j} depends on m
+    only through (-1)^m and m mod n, so the phased coefficients are folded
+    into the n bins m mod n before the transform (zero padding when n > s.n).
+    """
+    size = s.n if n is None else int(n)
+    if size < 1:
+        raise InvalidInput("target grid size must be positive")
+    m = s.modes
+    bins = m % size
+    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
+    shifted = (s.coeffs * (-1.0) ** m) * np.exp(1j * np.outer(offsets, m))
+    folded = np.zeros((offsets.size, size), dtype=complex)
+    for start in range(0, s.n, size):
+        # bins are distinct within a run of `size` consecutive modes
+        folded[:, bins[start : start + size]] += shifted[:, start : start + size]
+    return np.fft.ifft(folded, axis=-1) * size
+
+
 def resample(g: PeriodicGrid, n_new: int) -> PeriodicGrid:
     """Spectral resampling to a finer (or coarser band-limited) grid."""
     s = analyze(g)
@@ -212,26 +244,42 @@ def resample(g: PeriodicGrid, n_new: int) -> PeriodicGrid:
     return out
 
 
-def band_limit_guard(g: PeriodicGrid, top_fraction=0.1, energy_fraction=0.01):
-    """Warn when the top decile of the spectrum carries > 1% of the energy.
-
-    Spectral differentiation of under-resolved data is silently wrong, so
-    every multiplier operator calls this.
-    """
+def band_limit_fraction(g: PeriodicGrid, top_fraction=0.1) -> float:
+    """Share of the oscillatory spectral energy carried by the top decile of
+    modes (|m| >= (1 - top_fraction) n/2); 0 when the oscillatory part sits
+    at the rounding floor."""
     c = analyze(g).coeffs
     m = np.abs(np.arange(-g.n // 2, g.n // 2))
     cutoff = (1.0 - top_fraction) * (g.n // 2)
     total = np.sum(np.abs(c[m > 0]) ** 2)
     # ignore grids whose oscillatory part sits at the rounding floor
     if total <= g.n * (1e-13 * max(1.0, float(np.max(np.abs(g.values))))) ** 2:
-        return
+        return 0.0
     top = np.sum(np.abs(c[m >= cutoff]) ** 2)
-    if top > energy_fraction * total:
+    return float(top / total)
+
+
+def band_limit_guard(g: PeriodicGrid, top_fraction=0.1, energy_fraction=BAND_LIMIT_ENERGY):
+    """Warn when the top decile of the spectrum carries > 1% of the energy.
+
+    Spectral differentiation of under-resolved data is silently wrong, so
+    every multiplier operator calls this.
+    """
+    frac = band_limit_fraction(g, top_fraction)
+    if frac > energy_fraction:
         warnings.warn(
-            f"top {top_fraction:.0%} of spectrum carries {top / total:.2%} of energy",
+            f"top {top_fraction:.0%} of spectrum carries {frac:.2%} of energy",
             BandLimitWarning,
             stacklevel=3,
         )
+
+
+def negative_frequency_fraction(s: SpectralRep) -> float:
+    """Fraction of spectral energy in strictly negative modes (0 for zero data)."""
+    total = float(np.sum(np.abs(s.coeffs) ** 2))
+    if total == 0:
+        return 0.0
+    return float(np.sum(np.abs(s.coeffs[s.modes < 0]) ** 2)) / total
 
 
 def _apply_multiplier(g: PeriodicGrid, mult: np.ndarray) -> PeriodicGrid:
@@ -365,6 +413,69 @@ def cell_averaged_log_profile(n: int, theta0: float = 0.0) -> PeriodicGrid:
     return PeriodicGrid(vals)
 
 
+# an anchor this close to a cell edge sits on it
+_EDGE_TOL = 1e-12
+
+
+def _quad_real_or_complex(f, a: float, b: float, **kw):
+    """quad of a real- or complex-valued f; the imaginary part gets its own
+    pass only when f returned complex values."""
+    is_complex = False
+
+    def real_part(t):
+        nonlocal is_complex
+        v = f(t)
+        is_complex = is_complex or np.iscomplexobj(v)
+        return np.real(v)
+
+    re, _ = quad(real_part, a, b, limit=200, **kw)
+    if not is_complex:
+        return re
+    im, _ = quad(lambda t: np.imag(f(t)), a, b, limit=200, **kw)
+    return re + 1j * im
+
+
+def _singular_piece(g, a: float, b: float, t0: float, s: float, side: int):
+    if b - a < 1e-15:
+        return 0.0
+    at_a = abs(a - t0) < _EDGE_TOL
+    at_b = abs(b - t0) < _EDGE_TOL
+    with warnings.catch_warnings():
+        # QAWS reports roundoff at tight tolerances; accuracy is tested
+        # against independent adaptive oracles
+        warnings.simplefilter("ignore")
+        if s == 0.0 or not (at_a or at_b):
+            return _quad_real_or_complex(
+                lambda t: g(t, side) * (2.0 * np.sin(abs(t - t0) / 2.0)) ** s, a, b
+            )
+
+        def stable(t):
+            # |t - t0|^s goes to the weight; the remaining (sin(d/2)/(d/2))^s
+            # factor is evaluated through its series near the anchor
+            d = abs(t - t0)
+            ratio = 1.0 - d * d / 24.0 if d < 1e-6 else 2.0 * np.sin(d / 2.0) / d
+            return g(t, side) * ratio**s
+
+        wvar = (s, 0.0) if at_a else (0.0, s)
+        return _quad_real_or_complex(stable, a, b, weight="alg", wvar=wvar)
+
+
+def singular_cell_integral(g, lo: float, hi: float, t0: float, s: float):
+    """Integral over [lo, hi] of g(t, side) * |2 sin((t - t0)/2)|^s, s > -1.
+
+    This is the power-law factor e^{c * log_profile} of an anchor at t0 with
+    s = -c/pi.  g is smooth on each side of t0 and may be real or complex
+    valued; side is -1 left of t0 and +1 right of it, so an integrand with a
+    jump at t0 (the sawtooth conjugate of the anchor) supplies its one-sided
+    branch.  A cell split by t0 is integrated as two pieces ending at t0.  On
+    a piece ending at t0 the |t - t0|^s factor goes to QAWS (algebraic-weight
+    quadrature); a piece clear of t0 goes to plain adaptive quadrature.
+    """
+    if lo < t0 < hi:
+        return _singular_piece(g, lo, t0, t0, s, -1) + _singular_piece(g, t0, hi, t0, s, +1)
+    return _singular_piece(g, lo, hi, t0, s, -1 if hi <= t0 + _EDGE_TOL else +1)
+
+
 @dataclass(frozen=True)
 class SingularField:
     """Circle function split as a smooth grid plus log-singular anchors.
@@ -433,8 +544,6 @@ def pv_half_laplacian_circle(u, theta: float, eps_ladder=(1e-2, 5e-3, 2.5e-3)) -
     discrete convergence for rough data is unspecified).  Symmetric pairing
     around the singularity plus two Richardson stages in the excision radius.
     """
-    from scipy.integrate import quad
-
     u0 = float(u(theta))
 
     def sym(t):

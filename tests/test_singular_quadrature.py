@@ -1,0 +1,292 @@
+"""Shifted-grid FFT quadrature of anchored traces against brute force.
+
+integrate_exp_singular and the anchored boundary_polyline evaluate the
+regular Gauss cells through eval_shifted_grids.  The oracle kept here is the
+per-cell loop they replace: one eval_modes call per cell at its 10 Gauss
+nodes, and the anchor-adjacent cells handed to QAWS exactly as before.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
+
+from liouville_disk import disk, line, spectral
+from liouville_disk.disk import analytic_completion, boundary_polyline
+from liouville_disk.line import POLE_ANGLE, integrate_exp_singular
+from liouville_disk.spectral import (
+    PeriodicGrid,
+    SingularField,
+    analyze,
+    conjugate_profile,
+    eval_modes,
+    eval_shifted_grids,
+    grid_angles,
+    log_profile,
+)
+
+TWO_PI = 2 * np.pi
+GL_X, GL_W = leggauss(10)
+
+
+# --- brute-force oracle: one eval_modes call per cell --------------------------
+
+def _oracle_quad(f, a, b, **kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        re, _ = quad(lambda t: np.real(f(t)), a, b, limit=200, **kw)
+        im, _ = quad(lambda t: np.imag(f(t)), a, b, limit=200, **kw)
+    return re + 1j * im
+
+
+def _oracle_weighted(g, a, b, t0, s):
+    def stable(t):
+        d = abs(t - t0)
+        ratio = 1.0 - d * d / 24.0 if d < 1e-6 else 2.0 * np.sin(d / 2.0) / d
+        return g(t) * ratio**s
+
+    wvar = (s, 0.0) if abs(a - t0) < 1e-13 else (0.0, s)
+    return _oracle_quad(stable, a, b, weight="alg", wvar=wvar)
+
+
+def _oracle_singular_cell(g_left, g_right, full, lo, hi, t0, s):
+    if lo < t0 < hi:
+        return _oracle_weighted(g_left, lo, t0, t0, s) + _oracle_weighted(g_right, t0, hi, t0, s)
+    if abs(hi - t0) < 1e-12:
+        return _oracle_weighted(g_left, lo, hi, t0, s)
+    if abs(lo - t0) < 1e-12:
+        return _oracle_weighted(g_right, lo, hi, t0, s)
+    return _oracle_quad(full, lo, hi)
+
+
+def oracle_integrate_exp_singular(field, extra=None):
+    n = field.n
+    h = TWO_PI / n
+    th = grid_angles(n)
+    spec = analyze(field.smooth)
+    extra_spec = analyze(PeriodicGrid(extra)) if extra is not None else None
+
+    def integrand(t, skip=None):
+        t = np.atleast_1d(t)
+        lam = np.real(eval_modes(spec, t))
+        for t0, c in field.anchors:
+            if t0 != skip:
+                lam = lam + c * log_profile(t, t0)
+        out = np.exp(lam)
+        if extra_spec is not None:
+            out = out * np.real(eval_modes(extra_spec, t))
+        return out
+
+    total = 0.0
+    for j in range(n):
+        lo, hi = th[j] - h / 2, th[j] + h / 2
+        mid = 0.5 * (lo + hi)
+        near = [(t0, c) for t0, c in field.anchors
+                if abs((mid - t0 + np.pi) % TWO_PI - np.pi) <= 2.5 * h]
+        if not near:
+            tt = 0.5 * (hi - lo) * (GL_X + 1.0) + lo
+            total += 0.5 * (hi - lo) * float(GL_W @ integrand(tt))
+            continue
+        t0, c = near[0]
+        t0_local = t0 + TWO_PI * np.round((mid - t0) / TWO_PI)
+        s = -c / np.pi
+        smooth = lambda t, _t0=t0: float(integrand(t, skip=_t0)[0])
+        full = lambda t, _t0=t0_local: smooth(t) * (2.0 * np.sin(abs(t - _t0) / 2.0)) ** s
+        total += _oracle_singular_cell(smooth, smooth, full, lo, hi, t0_local, s).real
+    return total
+
+
+def oracle_polyline_vertices(bt, n):
+    th = grid_angles(n)
+    h = TWO_PI / n
+    lam_spec = analyze(bt.lam.smooth)
+    rho_spec = analyze(bt.rho_smooth)
+
+    def dphi(t, skip=None, side=+1):
+        tt = np.atleast_1d(t)
+        lam = np.real(eval_modes(lam_spec, tt))
+        rho = np.real(eval_modes(rho_spec, tt))
+        for t0, c in bt.anchors:
+            if t0 == skip:
+                phi_arg = (tt - t0) % TWO_PI
+                phi_arg = np.where((side < 0) & (phi_arg == 0.0), TWO_PI, phi_arg)
+                rho = rho + c * (np.pi - phi_arg) / TWO_PI
+            else:
+                lam = lam + c * log_profile(tt, t0)
+                rho = rho + c * conjugate_profile(tt, t0)
+        return 1j * np.exp(1j * tt) * np.exp(lam + 1j * rho)
+
+    increments = np.empty(n, dtype=complex)
+    for j in range(n):
+        a, b = th[j], th[j] + h
+        mid = 0.5 * (a + b)
+        hit = None
+        for t0, c in bt.anchors:
+            local = t0 + TWO_PI * np.round((mid - t0) / TWO_PI)
+            if min(abs(a - local), abs(b - local), abs(mid - local)) <= 2.0 * h + 1e-12:
+                hit = (t0, local, c)
+                break
+        if hit is None:
+            tt = 0.5 * (b - a) * (GL_X + 1.0) + a
+            increments[j] = 0.5 * (b - a) * complex(GL_W @ dphi(tt))
+            continue
+        t0, local, c = hit
+        increments[j] = _oracle_singular_cell(
+            lambda t, _t0=t0: complex(dphi(t, _t0, -1)[0]),
+            lambda t, _t0=t0: complex(dphi(t, _t0, +1)[0]),
+            lambda t: complex(dphi(t)[0]),
+            a, b, local, -c / np.pi,
+        )
+    verts = np.cumsum(np.concatenate([[0.0], increments]))[:-1]
+    return verts - verts[n // 2]
+
+
+# --- inputs -------------------------------------------------------------------
+
+def off_grid_angle(n):
+    # 0.37 of a cell past the grid point pi/4, the same place in its cell at
+    # every n
+    return np.pi / 4 + 0.37 * TWO_PI / n
+
+
+def two_anchor_field(n):
+    """Corner defect at the grid point -i plus a weaker anchor between grid
+    points, on a nonzero smooth part."""
+    th = grid_angles(n)
+    smooth = 0.1 * np.cos(th) - 0.05 * np.sin(2 * th) + 0.03 * np.cos(3 * th)
+    return SingularField(PeriodicGrid(smooth), ((POLE_ANGLE, 0.6 * np.pi), (off_grid_angle(n), 0.4)))
+
+
+def curvature_extra(n):
+    th = grid_angles(n)
+    return 1.0 + 0.2 * np.sin(th) - 0.1 * np.cos(2 * th)
+
+
+# --- tests --------------------------------------------------------------------
+
+def test_shifted_grids_match_eval_modes():
+    rng = np.random.default_rng(5)
+    for n in (16, 64, 256):
+        coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        s = spectral.SpectralRep(coeffs / (1.0 + np.abs(np.arange(-n // 2, n // 2))))
+        offsets = rng.uniform(-TWO_PI, TWO_PI, size=7)
+        rows = eval_shifted_grids(s, offsets)
+        assert rows.shape == (7, n)
+        th = grid_angles(n)
+        for k, delta in enumerate(offsets):
+            ref = eval_modes(s, th + delta)
+            assert np.max(np.abs(rows[k] - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("target", [8, 32, 100, 128, 512])
+def test_shifted_grids_on_another_grid_match_eval_modes(target):
+    # coarser targets fold aliased modes together, finer ones zero-pad; both
+    # must reproduce the interpolant of the 64-point data exactly
+    rng = np.random.default_rng(11)
+    n = 64
+    coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    s = spectral.SpectralRep(coeffs / (1.0 + np.abs(np.arange(-n // 2, n // 2))))
+    offsets = rng.uniform(-TWO_PI, TWO_PI, size=5)
+    rows = eval_shifted_grids(s, offsets, target)
+    assert rows.shape == (5, target)
+    th = grid_angles(target)
+    for k, delta in enumerate(offsets):
+        ref = eval_modes(s, th + delta)
+        assert np.max(np.abs(rows[k] - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_lambda_matches_per_cell_oracle(n):
+    sf = two_anchor_field(n)
+    extra = curvature_extra(n)
+    val = integrate_exp_singular(sf, extra=extra)
+    ref = oracle_integrate_exp_singular(sf, extra=extra)
+    assert abs(val - ref) < 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("n_extra", [128, 512])
+def test_lambda_with_extra_on_another_grid_matches_oracle(n_extra):
+    # extra is interpolated at the Gauss nodes whatever its own grid size
+    sf = two_anchor_field(256)
+    extra = curvature_extra(n_extra)
+    val = integrate_exp_singular(sf, extra=extra)
+    ref = oracle_integrate_exp_singular(sf, extra=extra)
+    assert abs(val - ref) < 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_polyline_matches_per_cell_oracle(n):
+    bt = analytic_completion(two_anchor_field(n))
+    verts, corners = boundary_polyline(bt, n)
+    ref = oracle_polyline_vertices(bt, n)
+    z = verts[:, 0] + 1j * verts[:, 1]
+    assert np.max(np.abs(z - ref)) < 1e-12
+    assert sorted(corners) == [n // 4, 5 * n // 8]
+
+
+@pytest.mark.parametrize("n_vertices", [128, 512])
+def test_polyline_on_another_grid_matches_per_cell_oracle(n_vertices):
+    # the vertex grid need not be the grid of the trace
+    bt = analytic_completion(two_anchor_field(256))
+    verts, _ = boundary_polyline(bt, n_vertices)
+    ref = oracle_polyline_vertices(bt, n_vertices)
+    assert verts.shape == (n_vertices, 2)
+    z = verts[:, 0] + 1j * verts[:, 1]
+    assert np.max(np.abs(z - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.3 * np.pi, 0.8 * np.pi])
+def test_lambda_with_smooth_part_matches_weighted_quadrature(beta):
+    # independent oracle: one algebraic-weight adaptive quadrature over the
+    # whole circle in d = theta - theta0, |2 sin(d/2)|^s = d^s (2pi - d)^s
+    # times a smooth factor
+    n = 256
+    coef = [(0.04, -0.03), (-0.02, 0.05), (0.03, 0.01)]
+    th = grid_angles(n)
+    vals = sum(a * np.cos(m * th) + b * np.sin(m * th) for m, (a, b) in enumerate(coef, start=1))
+    sf = SingularField(PeriodicGrid(vals), ((POLE_ANGLE, beta),))
+    s = -beta / np.pi
+
+    def smooth(d):
+        t = POLE_ANGLE + d
+        p = sum(a * np.cos(m * t) + b * np.sin(m * t) for m, (a, b) in enumerate(coef, start=1))
+        e = min(d, TWO_PI - d)
+        return np.exp(p) * (np.sinc(e / TWO_PI) / (TWO_PI - e)) ** s
+
+    ref, _ = quad(smooth, 0.0, TWO_PI, weight="alg", wvar=(s, s),
+                  epsabs=1e-13, epsrel=1e-13, limit=200)
+    val = integrate_exp_singular(sf)
+    assert abs(val - ref) < 1e-11 * abs(ref)
+
+
+def _eval_modes_calls(monkeypatch, fn):
+    calls = [0]
+    original = spectral.eval_modes
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        for mod in (spectral, line, disk):
+            mp.setattr(mod, "eval_modes", counted)
+        fn()
+    return calls[0]
+
+
+def test_point_evaluations_do_not_grow_with_n(monkeypatch):
+    # only anchor-adjacent cells evaluate point by point, and their number
+    # does not depend on n; every other cell goes through the shifted FFTs
+    def lambda_calls(n):
+        sf = two_anchor_field(n)
+        return _eval_modes_calls(monkeypatch, lambda: integrate_exp_singular(sf, curvature_extra(n)))
+
+    def polyline_calls(n):
+        bt = analytic_completion(two_anchor_field(n))
+        return _eval_modes_calls(monkeypatch, lambda: boundary_polyline(bt, n))
+
+    for count in (lambda_calls, polyline_calls):
+        small, large = count(256), count(2048)
+        assert 0 < large <= small

@@ -4,8 +4,8 @@ from boundary data, and the curve-topology machinery (rotation index, words
 of Blank, Seifert splitting) behind curvature-quantization checks.
 
 Hot kernels (pairwise segment intersection, mesh shortest paths, winding
-counts) are JIT-compiled; set LIOUVILLE_DISK_NO_NUMBA=1 to force the
-numpy/scipy fallback path.  LIOUVILLE_DISK_THREADS caps scan parallelism.
+counts) have one numpy/scipy implementation each; the package reads no
+environment variables.
 """
 
 __version__ = "0.1.0"

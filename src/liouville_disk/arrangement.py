@@ -150,17 +150,16 @@ def _trace_faces(arcs, crossings):
     return cycles
 
 
-def build_arrangement(c: PolyCurve, crossings=None) -> Arrangement:
-    """Faces of the plane minus the curve, with witnesses and the Euler check."""
-    if crossings is None:
-        crossings = self_intersections(c)
+def cut_at_crossings(c: PolyCurve, crossings):
+    """Cut the curve at its crossings.
+
+    Returns (passages, arc_pts).  passages lists (param, crossing id) in
+    curve order, each crossing twice.  arc_pts[k] is the polyline from
+    passage k to passage k + 1: it starts and ends at the crossing points,
+    with consecutive points closer than 1e-12 dropped.
+    """
     v = c.vertices
     m = c.m
-
-    if not crossings:
-        return _simple_arrangement(c)
-
-    # passages along the curve: each crossing appears twice
     passages = []
     for cid, x in enumerate(crossings):
         passages.append((x.param_first, cid))
@@ -168,8 +167,7 @@ def build_arrangement(c: PolyCurve, crossings=None) -> Arrangement:
     passages.sort()
     n_pass = len(passages)
 
-    # map each passage to its crossing node; build arcs between consecutive passages
-    arcs = []
+    arc_pts = []
     for k in range(n_pass):
         p_start, cid_start = passages[k]
         p_end, cid_end = passages[(k + 1) % n_pass]
@@ -182,10 +180,26 @@ def build_arrangement(c: PolyCurve, crossings=None) -> Arrangement:
         arr = np.asarray(pts)
         keep = np.ones(len(arr), dtype=bool)
         keep[1:] = np.hypot(*(arr[1:] - arr[:-1]).T) > 1e-12
-        arcs.append(
-            Arc(id=k, start_passage=k, end_passage=(k + 1) % n_pass,
-                start_node=cid_start, end_node=cid_end, pts=arr[keep])
-        )
+        arc_pts.append(arr[keep])
+    return passages, arc_pts
+
+
+def build_arrangement(c: PolyCurve, crossings=None) -> Arrangement:
+    """Faces of the plane minus the curve, with witnesses and the Euler check."""
+    if crossings is None:
+        crossings = self_intersections(c)
+    v = c.vertices
+
+    if not crossings:
+        return _simple_arrangement(c)
+
+    passages, arc_pts = cut_at_crossings(c, crossings)
+    n_pass = len(passages)
+    arcs = [
+        Arc(id=k, start_passage=k, end_passage=(k + 1) % n_pass,
+            start_node=passages[k][1], end_node=passages[(k + 1) % n_pass][1], pts=pts)
+        for k, pts in enumerate(arc_pts)
+    ]
 
     cycles = _trace_faces(arcs, crossings)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import Arrangement, build_arrangement
+from .arrangement import Arrangement, build_arrangement, cut_at_crossings
 from .curves import PolyCurve, fillet_corners, rotation_index, self_intersections, wrap_angle
 from .errors import DecompositionCorrupt, RayCastFailed
 from .spectral import TWO_PI
@@ -330,30 +330,9 @@ def seifert_decompose(c: PolyCurve, crossings=None):
     if not crossings:
         area_sign = 1 if _polygon_area(c.vertices) > 0 else -1
         return [(c.vertices.copy(), area_sign)]
-    v = c.vertices
-    m = c.m
-    passages = []
-    for cid, x in enumerate(crossings):
-        passages.append((x.param_first, cid))
-        passages.append((x.param_second, cid))
-    passages.sort()
-    n_pass = len(passages)
-
     # strand k runs from passage k to passage k+1
-    strands = []
-    for k in range(n_pass):
-        p_start, cid_start = passages[k]
-        p_end, cid_end = passages[(k + 1) % n_pass]
-        pts = [crossings[cid_start].point]
-        i0 = int(np.floor(p_start))
-        i1 = int(np.floor(p_end)) if p_end > p_start else int(np.floor(p_end)) + m
-        for idx in range(i0 + 1, i1 + 1):
-            pts.append(v[idx % m])
-        pts.append(crossings[cid_end].point)
-        arr = np.asarray(pts)
-        keep = np.ones(len(arr), dtype=bool)
-        keep[1:] = np.hypot(*(arr[1:] - arr[:-1]).T) > 1e-12
-        strands.append(arr[keep])
+    passages, strands = cut_at_crossings(c, crossings)
+    n_pass = len(passages)
 
     # passages of each crossing; smoothing rewires in1->out2, in2->out1
     by_crossing = {}

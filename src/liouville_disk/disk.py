@@ -16,7 +16,6 @@ hand the algebraic factor to weighted quadrature.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +30,8 @@ from .spectral import (
     TWO_PI,
     PeriodicGrid,
     SingularField,
+    _apply_multiplier,
+    _hilbert_multiplier,
     analyze,
     band_limit_fraction,
     circle_trapezoid,
@@ -39,7 +40,6 @@ from .spectral import (
     eval_shifted_grids,
     grid_angles,
     half_laplacian,
-    hilbert,
     log_profile,
     negative_frequency_fraction,
     resample,
@@ -107,13 +107,12 @@ def analytic_completion(lam) -> BoundaryTrace:
     if not isinstance(lam, (SingularField, PeriodicGrid)):
         lam = PeriodicGrid(lam)
     field = SingularField.from_grid(lam)
-    smooth = field.smooth
-    frac = band_limit_fraction(smooth)
+    smooth = PeriodicGrid(np.real(field.smooth.values))
+    s = analyze(smooth)
+    frac = band_limit_fraction(smooth, s=s)
     if frac > BAND_LIMIT_ENERGY:
         raise UnderResolved(f"top decile of boundary spectrum carries {frac:.2%} of energy")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # guard already enforced above
-        rho = hilbert(PeriodicGrid(np.real(smooth.values)))
+    rho = _apply_multiplier(smooth, _hilbert_multiplier(smooth.n), s)
     return BoundaryTrace(lam=field, rho_smooth=rho)
 
 

@@ -254,6 +254,27 @@ def line_integral(f, n: int = 4096, restrict=None, pole_value: float | None = No
     neighbors).  restrict=(a, b) integrates over x in [a, b] only, with the
     cut points located exactly on the circle.
     """
+    g, tau_ext, g_ext = circle_samples(f, n, pole_value)
+    if restrict is None:
+        return float(g.sum() * TWO_PI / n)
+
+    a, b = restrict
+    if not a < b:
+        raise InvalidInput("restrict interval must satisfy a < b")
+    # x decreases as theta increases: the window [a, b] is the arc
+    # [theta(b), theta(a)] in the unwrapped coordinate (-pi/2, 3pi/2)
+    ta, tb = angle_of_x(b), angle_of_x(a)
+    return _piecewise_linear_integral(tau_ext, g_ext, ta, tb)
+
+
+def circle_samples(f, n: int, pole_value: float | None = None):
+    """Samples g = f(Pi(theta)) / (1 + sin theta) of a line integrand on the
+    circle grid, the value at -i being pole_value or extrapolated.
+
+    Returns (g, tau_ext, g_ext): g in grid order, and the same samples
+    ordered by the unwrapped angle tau in [-pi/2, 3pi/2) with the first one
+    repeated at tau + 2 pi, ready for :func:`_piecewise_linear_integral`.
+    """
     th = grid_angles(n)
     jp = _pole_index(n)
     mask = np.arange(n) != jp
@@ -267,20 +288,11 @@ def line_integral(f, n: int = 4096, restrict=None, pole_value: float | None = No
     if not np.isfinite(g[jp]):
         raise NotIntegrable("circle-side integrand diverges at -i")
 
-    if restrict is None:
-        return float(g.sum() * TWO_PI / n)
-
-    a, b = restrict
-    if not a < b:
-        raise InvalidInput("restrict interval must satisfy a < b")
-    # x decreases as theta increases: the window [a, b] is the arc
-    # [theta(b), theta(a)] in the unwrapped coordinate (-pi/2, 3pi/2)
-    ta, tb = angle_of_x(b), angle_of_x(a)
     tau = np.where(th < POLE_ANGLE, th + TWO_PI, th)
     order = np.argsort(tau)
     tau_ext = np.concatenate([tau[order], [tau[order][0] + TWO_PI]])
     g_ext = np.concatenate([g[order], [g[order][0]]])
-    return _piecewise_linear_integral(tau_ext, g_ext, ta, tb)
+    return g, tau_ext, g_ext
 
 
 def _piecewise_linear_integral(xs, ys, a, b) -> float:

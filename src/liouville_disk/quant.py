@@ -27,18 +27,18 @@ from .errors import (
     TheoremViolation,
 )
 from .line import (
+    POLE_ANGLE,
     CurvatureData,
     LineField,
     _piecewise_linear_integral,
     angle_of_x,
     asymptotic_slope,
+    circle_samples,
     pull_back,
     stereo_project,
     transfer_equation,
 )
 from .spectral import TWO_PI, PeriodicGrid, grid_angles
-
-POLE_ANGLE = -np.pi / 2
 
 
 @dataclass(frozen=True)
@@ -194,25 +194,6 @@ class ConcentrationProfile:
         return buf.getvalue()
 
 
-def _circle_samples(density, n: int):
-    """Unwrapped circle angles and line-integrand samples for one density."""
-    th = grid_angles(n)
-    jp = n // 4
-    mask = np.arange(n) != jp
-    x = np.empty(n)
-    x[mask] = stereo_project(np.exp(1j * th[mask]))
-    g = np.empty(n)
-    g[mask] = np.asarray(density(x[mask]), dtype=float) / (1.0 + np.sin(th[mask]))
-    from .line import _fill_pole
-
-    g[jp] = _fill_pole(np.where(mask, g, 0.0), jp)
-    tau = np.where(th < POLE_ANGLE, th + TWO_PI, th)
-    order = np.argsort(tau)
-    tau_ext = np.concatenate([tau[order], [tau[order][0] + TWO_PI]])
-    g_ext = np.concatenate([g[order], [g[order][0]]])
-    return tau_ext, g_ext
-
-
 def locate_centers(density, n: int = 1 << 14, max_centers: int = 4):
     """Peaks of the measure density, found on the circle-image grid.
 
@@ -252,25 +233,15 @@ def concentration_scan(members, radii, centers=None, n: int = 1 << 16, absolute:
     of the last member's density when not supplied; the per-member argmax near
     each center must not drift beyond the finest radius (CenterUnstable).
 
-    Sampling over k is embarrassingly parallel; LIOUVILLE_DISK_THREADS caps
-    the worker count (default 1) and assembly stays in index order.
+    Every member is sampled on the n-point circle grid (line.circle_samples);
+    n must be divisible by 4 so that -i is a grid point.
     """
-    import os
-
     dens = [m.density if hasattr(m, "density") else m for m in members]
     radii = np.asarray(sorted(radii, reverse=True), dtype=float)
     if centers is None:
         centers = locate_centers(dens[-1])
     ks = list(range(len(dens)))
-
-    workers = max(1, int(os.environ.get("LIOUVILLE_DISK_THREADS", "1")))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(lambda f: _circle_samples(f, n), dens))
-    else:
-        samples = [_circle_samples(f, n) for f in dens]
+    samples = [circle_samples(f, n)[1:] for f in dens]
     profiles = []
     for center in centers:
         x_win = np.linspace(center - radii[0], center + radii[0], 2001)

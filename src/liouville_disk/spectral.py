@@ -244,11 +244,11 @@ def resample(g: PeriodicGrid, n_new: int) -> PeriodicGrid:
     return out
 
 
-def band_limit_fraction(g: PeriodicGrid, top_fraction=0.1) -> float:
+def band_limit_fraction(g: PeriodicGrid, top_fraction=0.1, s: SpectralRep | None = None) -> float:
     """Share of the oscillatory spectral energy carried by the top decile of
     modes (|m| >= (1 - top_fraction) n/2); 0 when the oscillatory part sits
-    at the rounding floor."""
-    c = analyze(g).coeffs
+    at the rounding floor.  s is analyze(g) when the caller has it already."""
+    c = (analyze(g) if s is None else s).coeffs
     m = np.abs(np.arange(-g.n // 2, g.n // 2))
     cutoff = (1.0 - top_fraction) * (g.n // 2)
     total = np.sum(np.abs(c[m > 0]) ** 2)
@@ -282,8 +282,9 @@ def negative_frequency_fraction(s: SpectralRep) -> float:
     return float(np.sum(np.abs(s.coeffs[s.modes < 0]) ** 2)) / total
 
 
-def _apply_multiplier(g: PeriodicGrid, mult: np.ndarray) -> PeriodicGrid:
-    s = analyze(g)
+def _apply_multiplier(g: PeriodicGrid, mult: np.ndarray, s: SpectralRep | None = None) -> PeriodicGrid:
+    if s is None:
+        s = analyze(g)
     out = synthesize(SpectralRep(s.coeffs * mult))
     if g.is_real and not out.is_real:
         out = PeriodicGrid(out.values.real)
@@ -297,13 +298,16 @@ def half_laplacian(g: PeriodicGrid) -> PeriodicGrid:
     return _apply_multiplier(g, np.abs(m).astype(float))
 
 
+def _hilbert_multiplier(n: int) -> np.ndarray:
+    mult = -1j * np.sign(np.arange(-n // 2, n // 2))
+    mult[0] = 0.0  # Nyquist: odd multiplier has no symmetric partner
+    return mult
+
+
 def hilbert(g: PeriodicGrid) -> PeriodicGrid:
     """Conjugation operator, multiplier -i sign(m); output has zero mean."""
     band_limit_guard(g)
-    m = np.arange(-g.n // 2, g.n // 2)
-    mult = -1j * np.sign(m)
-    mult[0] = 0.0  # Nyquist: odd multiplier has no symmetric partner
-    return _apply_multiplier(g, mult)
+    return _apply_multiplier(g, _hilbert_multiplier(g.n))
 
 
 def derivative(g: PeriodicGrid) -> PeriodicGrid:

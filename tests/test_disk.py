@@ -3,9 +3,14 @@ family against its closed Moebius form, boundary curvature, recentering,
 conformal distance on the graded mesh, and Blaschke fixtures.
 """
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+
+from liouville_disk import spectral
 
 from liouville_disk.disk import (
     BoundaryTrace,
@@ -81,6 +86,24 @@ class TestAnalyticCompletion:
         s = analyze(PeriodicGrid(pair))
         neg = np.sum(np.abs(s.coeffs[s.modes < 0]) ** 2)
         assert neg < 1e-10 * np.sum(np.abs(s.coeffs) ** 2)
+
+    def test_analyzes_the_spectrum_once(self, monkeypatch):
+        # one forward transform serves the band-limit check and the conjugate
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return original(g)
+
+        original = spectral.analyze
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("liouville_disk") and getattr(mod, "analyze", None) is original:
+                monkeypatch.setattr(mod, "analyze", counted)
+        lam = pull_back(u_bubble(2.0), 256, anchor_coeff=0.0, pole_value=-np.log(2.0)).field
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analytic_completion(lam)
+        assert calls == [256]
 
     def test_under_resolved_guard(self):
         th = grid_angles(64)

@@ -276,15 +276,6 @@ def test_blaschke_boundary_degree_measured_by_rotation_index():
     assert rotation_index(PolyCurve(verts1)).index == 1
 
 
-def test_thread_cap_does_not_change_results(monkeypatch):
-    # scans fan out over k; assembly is index-ordered regardless of workers
-    members = [bubble(mu=2.0**k) for k in range(6)]
-    base = concentration_scan(members, radii=[0.4, 0.2], centers=[0.0], n=1 << 12)[0]
-    monkeypatch.setenv("LIOUVILLE_DISK_THREADS", "4")
-    par = concentration_scan(members, radii=[0.4, 0.2], centers=[0.0], n=1 << 12)[0]
-    assert np.array_equal(base.alpha, par.alpha)
-
-
 def test_profile_csv_roundtrip():
     members = [bubble(mu=2.0**k) for k in range(4)]
     prof = concentration_scan(members, radii=[0.4, 0.2, 0.1], centers=[0.0], n=1 << 12)[0]

@@ -73,26 +73,6 @@ def _signed_area(pts: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * y2 - x2 * y))
 
 
-def _point_segment_distance(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    proj = a + t * ab
-    return float(np.hypot(*(p - proj)))
-
-
-def _min_distance_to_curve(p, vertices, skip_edge=None) -> float:
-    a = vertices
-    b = np.roll(vertices, -1, axis=0)
-    best = np.inf
-    for k in range(vertices.shape[0]):
-        if skip_edge is not None and k == skip_edge:
-            continue
-        d = _point_segment_distance(p, a[k], b[k])
-        best = min(best, d)
-    return best
-
-
 def _trace_faces(arcs, crossings):
     """Half-edge face tracing.  A half-edge is (arc_id, dir); dir +1 walks the
     arc along the curve, -1 reversed."""
@@ -287,7 +267,12 @@ def _other_strand_distance(p, vertices, host_len) -> float:
     """Distance from a curve point to the nearest strand other than its own
     immediate neighborhood."""
     a = vertices
-    b = np.roll(vertices, -1, axis=0)
-    d = np.array([_point_segment_distance(p, a[k], b[k]) for k in range(len(a))])
+    ab = np.roll(vertices, -1, axis=0) - a
+    # vecdot rounds each dot exactly as a 2-vector `@` does
+    denom = np.vecdot(ab, ab)
+    t = np.zeros_like(denom)
+    np.divide(np.vecdot(p - a, ab), denom, out=t, where=denom != 0)
+    proj = a + np.clip(t, 0.0, 1.0)[:, None] * ab
+    d = np.hypot(*(p - proj).T)
     far = d[d > 0.51 * host_len]
     return float(np.min(far)) if far.size else host_len

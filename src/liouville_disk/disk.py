@@ -11,7 +11,8 @@ polylines are built by per-cell quadrature of the boundary derivative rather
 than through the truncated series, which would trip the resolution guard.
 Cells clear of the anchors take their Gauss nodes from shifted-grid inverse
 FFTs of lambda and rho (O(n log n) in all); the few cells beside an anchor
-hand the algebraic factor to weighted quadrature.
+take a fixed Gauss-Jacobi rule whose weights carry the anchor's power-law
+factor.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .spectral import (
     _apply_multiplier,
     _hilbert_multiplier,
     analyze,
+    anchor_cell_rules,
     band_limit_fraction,
     circle_trapezoid,
     conjugate_profile,
@@ -43,7 +45,6 @@ from .spectral import (
     log_profile,
     negative_frequency_fraction,
     resample,
-    singular_cell_integral,
 )
 
 TAIL_ENERGY_LIMIT = 1e-6
@@ -409,8 +410,9 @@ def boundary_polyline(bt_or_map, n_vertices: int = 512):
     Cells clear of every anchor use a 10-point Gauss rule whose k-th node lies
     on the grid shifted by a fixed delta_k, so lambda and rho come from one
     inverse FFT per node (eval_shifted_grids) and the whole polyline costs
-    O(n log n).  Cells within 2 h of an anchor use weighted quadrature with
-    the algebraic factor split off (singular_cell_integral).
+    O(n log n).  Cells within 2 h of an anchor take the fixed rules of
+    anchor_cell_rules, whose weights carry that anchor's power-law factor;
+    lambda and rho are evaluated at all their nodes at once.
     Returns (vertices (n,2), corners dict index -> (tangent_in, tangent_out)).
     """
     if isinstance(bt_or_map, DiskMap):
@@ -431,60 +433,32 @@ def _singular_boundary_polyline(bt: BoundaryTrace, n: int):
     rho_spec = analyze(bt.rho_smooth)
     anchors = bt.anchors
 
-    def dphi_no_anchor_power(t, skip, side):
-        """d Phi / d theta at scalar angle t with the log part of anchor `skip`
-        removed (power factor split off); `side` picks the one-sided sawtooth
-        branch at that anchor."""
-        tt = np.array([t])
-        lam = float(np.real(eval_modes(lam_spec, tt))[0])
-        rho = float(np.real(eval_modes(rho_spec, tt))[0])
-        for t0, c in anchors:
-            if t0 == skip:
-                phi_arg = (t - t0) % TWO_PI
-                if side < 0 and phi_arg == 0.0:
-                    phi_arg = TWO_PI
-                rho += c * (np.pi - phi_arg) / TWO_PI
-            else:
-                lam += c * float(log_profile(tt, t0)[0])
-                rho += c * float(conjugate_profile(tt, t0)[0])
-        return 1j * np.exp(1j * t) * np.exp(lam + 1j * rho)
+    def dphi(nodes, lam, rho, owner=-1):
+        """d Phi / d theta at the nodes, leaving out the log part of anchor
+        `owner` (a rule's weights carry it); every sawtooth takes the branch
+        of the side of its anchor each node lies on."""
+        for i, (t0, c) in enumerate(anchors):
+            lam = lam + np.where(owner == i, 0.0, c * log_profile(nodes, t0))
+            rho = rho + c * conjugate_profile(nodes, t0)
+        return 1j * np.exp(1j * nodes) * np.exp(lam + 1j * rho)
 
-    a = th
-    b = th + h
-    mid = 0.5 * (a + b)
-    # first anchor within 2 h of each cell (index, copy of its angle nearest
-    # the cell); -1 where the cell is clear of every anchor
-    near = np.full(n, -1)
-    local = np.zeros(n)
-    for i in reversed(range(len(anchors))):
-        t0 = anchors[i][0]
-        loc = t0 + TWO_PI * np.round((mid - t0) / TWO_PI)
-        dist = np.minimum(np.minimum(np.abs(a - loc), np.abs(b - loc)), np.abs(mid - loc))
-        hit = dist <= 2.0 * h + 1e-12
-        near[hit] = i
-        local[hit] = loc[hit]
-
-    regular = np.flatnonzero(near < 0)
+    cell, owner, anchor_nodes, weights = anchor_cell_rules(th, anchors)
+    regular = np.setdiff1d(np.arange(n), cell)
     offsets = 0.5 * h * (CELL_GAUSS_X + 1.0)
     nodes = th[regular] + offsets[:, None]
     lam = np.real(eval_shifted_grids(lam_spec, offsets, n))[:, regular]
     rho = np.real(eval_shifted_grids(rho_spec, offsets, n))[:, regular]
-    for t0, c in anchors:
-        lam = lam + c * log_profile(nodes, t0)
-        rho = rho + c * conjugate_profile(nodes, t0)
-    vals = 1j * np.exp(1j * nodes) * np.exp(lam + 1j * rho)
-    increments = np.empty(n, dtype=complex)
-    increments[regular] = 0.5 * h * (CELL_GAUSS_W @ vals)
-
-    for j in np.flatnonzero(near >= 0):
-        t0_orig, c = anchors[near[j]]
-        g = lambda t, side, _skip=t0_orig: dphi_no_anchor_power(t, _skip, side)
-        increments[j] = singular_cell_integral(g, a[j], b[j], local[j], -c / np.pi)
+    increments = np.zeros(n, dtype=complex)
+    increments[regular] = 0.5 * h * (CELL_GAUSS_W @ dphi(nodes, lam, rho))
+    lam = np.real(eval_modes(lam_spec, anchor_nodes))
+    rho = np.real(eval_modes(rho_spec, anchor_nodes))
+    np.add.at(increments, cell, weights * dphi(anchor_nodes, lam, rho, owner))
 
     verts_c = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
     closure = abs(verts_c[-1] - verts_c[0])
     scale = max(1.0, float(np.max(np.abs(verts_c))))
-    if closure > 1e-6 * scale:
+    # a non-finite vertex fails this test too
+    if not closure <= 1e-6 * scale:
         raise UnderResolved(f"boundary curve failed to close: gap {closure:.2e}")
     verts_c = verts_c[:-1]
     # normalize Phi(1) = 0: theta = 0 sits at index n/2

@@ -36,12 +36,12 @@ from .spectral import (
     PeriodicGrid,
     SingularField,
     analyze,
+    anchor_cell_rules,
     circle_trapezoid,
     eval_modes,
     eval_shifted_grids,
     grid_angles,
     log_profile,
-    singular_cell_integral,
     singular_half_laplacian,
 )
 
@@ -314,9 +314,10 @@ def integrate_exp_singular(field: SingularField, extra: np.ndarray | None = None
     anchors.  The k-th Gauss node of every cell lies on the grid shifted by
     the same offset delta_k, so the smooth part and extra are interpolated
     there by one inverse FFT per node (eval_shifted_grids): O(n log n) in
-    all.  extra may be sampled on a grid of another size than the field's.  Cells within 2.5 h of an anchor are handed to adaptive quadrature
-    with the algebraic endpoint weight split off (singular_cell_integral);
-    their number does not depend on n.
+    all.  extra may be sampled on a grid of another size than the field's.
+    Cells within 2.5 h of an anchor take the fixed rules of
+    anchor_cell_rules, whose weights carry that anchor's power-law factor;
+    the rest of the integrand is evaluated at all their nodes at once.
     """
     n = field.n
     h = TWO_PI / n
@@ -324,44 +325,25 @@ def integrate_exp_singular(field: SingularField, extra: np.ndarray | None = None
     spec = analyze(field.smooth)
     extra_spec = analyze(PeriodicGrid(extra)) if extra is not None else None
 
-    def integrand(t, skip_anchor=None):
-        t = np.atleast_1d(t)
-        lam = np.real(eval_modes(spec, t))
-        for t0, c in field.anchors:
-            if skip_anchor is not None and t0 == skip_anchor:
-                continue
-            lam = lam + c * log_profile(t, t0)
-        out = np.exp(lam)
-        if extra_spec is not None:
-            out = out * np.real(eval_modes(extra_spec, t))
-        return out
+    def exp_lambda(nodes, lam, owner=-1):
+        # leaves out the log part of anchor `owner`, which a rule's weights carry
+        for i, (t0, c) in enumerate(field.anchors):
+            lam = lam + np.where(owner == i, 0.0, c * log_profile(nodes, t0))
+        return np.exp(lam)
 
-    lo = th - h / 2
-    hi = th + h / 2
-    mid = 0.5 * (lo + hi)
-    # index of the first anchor within 2.5 h of each cell midpoint, -1 if none
-    near = np.full(n, -1)
-    for i in reversed(range(len(field.anchors))):
-        t0 = field.anchors[i][0]
-        near[np.abs((mid - t0 + np.pi) % TWO_PI - np.pi) <= 2.5 * h] = i
-
-    regular = np.flatnonzero(near < 0)
+    cell, owner, anchor_nodes, weights = anchor_cell_rules(th - h / 2, field.anchors)
+    regular = np.setdiff1d(np.arange(n), cell)
     offsets = 0.5 * h * CELL_GAUSS_X
     nodes = th[regular] + offsets[:, None]
-    lam = np.real(eval_shifted_grids(spec, offsets, n))[:, regular]
-    for t0, c in field.anchors:
-        lam = lam + c * log_profile(nodes, t0)
-    vals = np.exp(lam)
+    vals = exp_lambda(nodes, np.real(eval_shifted_grids(spec, offsets, n))[:, regular])
     if extra_spec is not None:
         vals = vals * np.real(eval_shifted_grids(extra_spec, offsets, n))[:, regular]
     total = 0.5 * h * float(np.sum(CELL_GAUSS_W @ vals))
 
-    for j in np.flatnonzero(near >= 0):
-        t0_orig, c = field.anchors[near[j]]
-        t0_local = t0_orig + TWO_PI * np.round((mid[j] - t0_orig) / TWO_PI)
-        smooth_eval = lambda t, _side, _skip=t0_orig: float(integrand(t, skip_anchor=_skip)[0])
-        total += singular_cell_integral(smooth_eval, lo[j], hi[j], t0_local, -c / np.pi)
-    return total
+    vals = exp_lambda(anchor_nodes, np.real(eval_modes(spec, anchor_nodes)), owner)
+    if extra_spec is not None:
+        vals = vals * np.real(eval_modes(extra_spec, anchor_nodes))
+    return total + float(weights @ vals)
 
 
 @dataclass(frozen=True)

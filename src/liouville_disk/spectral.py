@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from .errors import (
     BandLimitWarning,
@@ -40,7 +42,11 @@ from .errors import (
 
 TWO_PI = 2.0 * np.pi
 
-_GL_X, _GL_W = leggauss(24)
+# points of every Gauss rule beside a log anchor (singular_cell_rule and the
+# log-profile cell integrals): 12 to 24 all agree with adaptive quadrature to
+# 1e-14; 16 leaves margin where Legendre error falls like (2 + sqrt 3)^(-2K)
+ANCHOR_RULE_POINTS = 16
+_GL_X, _GL_W = leggauss(ANCHOR_RULE_POINTS)
 
 # largest share of oscillatory energy the top decile of modes may carry
 BAND_LIMIT_ENERGY = 0.01
@@ -259,13 +265,16 @@ def band_limit_fraction(g: PeriodicGrid, top_fraction=0.1, s: SpectralRep | None
     return float(top / total)
 
 
-def band_limit_guard(g: PeriodicGrid, top_fraction=0.1, energy_fraction=BAND_LIMIT_ENERGY):
+def band_limit_guard(
+    g: PeriodicGrid, top_fraction=0.1, energy_fraction=BAND_LIMIT_ENERGY, s: SpectralRep | None = None
+):
     """Warn when the top decile of the spectrum carries > 1% of the energy.
 
     Spectral differentiation of under-resolved data is silently wrong, so
-    every multiplier operator calls this.
+    every multiplier operator calls this, passing the coefficients s =
+    analyze(g) it goes on to multiply.
     """
-    frac = band_limit_fraction(g, top_fraction)
+    frac = band_limit_fraction(g, top_fraction, s=s)
     if frac > energy_fraction:
         warnings.warn(
             f"top {top_fraction:.0%} of spectrum carries {frac:.2%} of energy",
@@ -293,9 +302,10 @@ def _apply_multiplier(g: PeriodicGrid, mult: np.ndarray, s: SpectralRep | None =
 
 def half_laplacian(g: PeriodicGrid) -> PeriodicGrid:
     """Multiplier |m|; annihilates constants and has zero mean."""
-    band_limit_guard(g)
+    s = analyze(g)
+    band_limit_guard(g, s=s)
     m = np.arange(-g.n // 2, g.n // 2)
-    return _apply_multiplier(g, np.abs(m).astype(float))
+    return _apply_multiplier(g, np.abs(m).astype(float), s)
 
 
 def _hilbert_multiplier(n: int) -> np.ndarray:
@@ -306,16 +316,18 @@ def _hilbert_multiplier(n: int) -> np.ndarray:
 
 def hilbert(g: PeriodicGrid) -> PeriodicGrid:
     """Conjugation operator, multiplier -i sign(m); output has zero mean."""
-    band_limit_guard(g)
-    return _apply_multiplier(g, _hilbert_multiplier(g.n))
+    s = analyze(g)
+    band_limit_guard(g, s=s)
+    return _apply_multiplier(g, _hilbert_multiplier(g.n), s)
 
 
 def derivative(g: PeriodicGrid) -> PeriodicGrid:
     """d/dtheta, multiplier i*m with the Nyquist mode zeroed."""
-    band_limit_guard(g)
+    s = analyze(g)
+    band_limit_guard(g, s=s)
     m = np.arange(-g.n // 2, g.n // 2).astype(float)
     m[0] = 0.0
-    return _apply_multiplier(g, 1j * m)
+    return _apply_multiplier(g, 1j * m, s)
 
 
 def poisson_extend(g: PeriodicGrid, r: float) -> PeriodicGrid:
@@ -353,12 +365,15 @@ def log_profile(thetas, theta0: float):
     """Canonical log-singular profile -(1/2pi) log(2(1 - cos(theta - theta0))).
 
     Its half-Laplacian is the distribution delta_{theta0} - 1/2pi, and its
-    Fourier coefficients are e^{-i m theta0}/(2 pi |m|).
+    Fourier coefficients are e^{-i m theta0}/(2 pi |m|).  Evaluated as
+    -(1/pi) log|2 sin(d/2)|, d = theta - theta0, which keeps full relative
+    accuracy as d -> 0 (1 - cos d cancels); +inf where d is an exact
+    multiple of 2 pi.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    d = 2.0 * (1.0 - np.cos(thetas - theta0))
+    d = np.asarray(thetas, dtype=float) - theta0
+    chord = np.where(np.remainder(d, TWO_PI) == 0.0, 0.0, np.abs(2.0 * np.sin(0.5 * d)))
     with np.errstate(divide="ignore"):
-        return -np.log(d) / TWO_PI
+        return -np.log(chord) / np.pi
 
 
 def conjugate_profile(thetas, theta0: float):
@@ -421,63 +436,74 @@ def cell_averaged_log_profile(n: int, theta0: float = 0.0) -> PeriodicGrid:
 _EDGE_TOL = 1e-12
 
 
-def _quad_real_or_complex(f, a: float, b: float, **kw):
-    """quad of a real- or complex-valued f; the imaginary part gets its own
-    pass only when f returned complex values."""
-    is_complex = False
-
-    def real_part(t):
-        nonlocal is_complex
-        v = f(t)
-        is_complex = is_complex or np.iscomplexobj(v)
-        return np.real(v)
-
-    re, _ = quad(real_part, a, b, limit=200, **kw)
-    if not is_complex:
-        return re
-    im, _ = quad(lambda t: np.imag(f(t)), a, b, limit=200, **kw)
-    return re + 1j * im
+@lru_cache(maxsize=32)
+def _jacobi_rule(s: float):
+    # Gauss-Jacobi rule for the weight (1 - x)^s on [-1, 1]; one per anchor
+    # strength, so the eigenvalue solve runs once per anchor, not per cell
+    x, w = roots_jacobi(ANCHOR_RULE_POINTS, s, 0.0)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
-def _singular_piece(g, a: float, b: float, t0: float, s: float, side: int):
-    if b - a < 1e-15:
-        return 0.0
-    at_a = abs(a - t0) < _EDGE_TOL
-    at_b = abs(b - t0) < _EDGE_TOL
-    with warnings.catch_warnings():
-        # QAWS reports roundoff at tight tolerances; accuracy is tested
-        # against independent adaptive oracles
-        warnings.simplefilter("ignore")
-        if s == 0.0 or not (at_a or at_b):
-            return _quad_real_or_complex(
-                lambda t: g(t, side) * (2.0 * np.sin(abs(t - t0) / 2.0)) ** s, a, b
-            )
-
-        def stable(t):
-            # |t - t0|^s goes to the weight; the remaining (sin(d/2)/(d/2))^s
-            # factor is evaluated through its series near the anchor
-            d = abs(t - t0)
-            ratio = 1.0 - d * d / 24.0 if d < 1e-6 else 2.0 * np.sin(d / 2.0) / d
-            return g(t, side) * ratio**s
-
-        wvar = (s, 0.0) if at_a else (0.0, s)
-        return _quad_real_or_complex(stable, a, b, weight="alg", wvar=wvar)
-
-
-def singular_cell_integral(g, lo: float, hi: float, t0: float, s: float):
-    """Integral over [lo, hi] of g(t, side) * |2 sin((t - t0)/2)|^s, s > -1.
+def singular_cell_rule(lo: float, hi: float, t0: float, s: float):
+    """Nodes and weights for the integral over [lo, hi] of
+    g(t) * |2 sin((t - t0)/2)|^s, s > -1: the integral is weights @ g(nodes).
 
     This is the power-law factor e^{c * log_profile} of an anchor at t0 with
-    s = -c/pi.  g is smooth on each side of t0 and may be real or complex
-    valued; side is -1 left of t0 and +1 right of it, so an integrand with a
-    jump at t0 (the sawtooth conjugate of the anchor) supplies its one-sided
-    branch.  A cell split by t0 is integrated as two pieces ending at t0.  On
-    a piece ending at t0 the |t - t0|^s factor goes to QAWS (algebraic-weight
-    quadrature); a piece clear of t0 goes to plain adaptive quadrature.
+    s = -c/pi.  A cell farther than half its length from t0 takes a
+    Gauss-Legendre rule times the power factor.  Otherwise the integral is
+    F(hi) - F(lo), where F(e) is the signed integral from t0 to e taken by a
+    Gauss-Jacobi rule with the |t - t0|^s factor as its weight (F = 0 for an
+    edge within 1e-12 of t0, which counts as sitting on it): a cell split by
+    t0 becomes two pieces ending at t0, and a cell just clear of it keeps its
+    accuracy.  g must therefore be smooth from t0 to either edge, except for
+    a jump at t0 itself.  Every rule has ANCHOR_RULE_POINTS points and no
+    node is t0, so an integrand with a jump at t0 (the sawtooth conjugate of
+    the anchor) is evaluated on the correct side.
     """
-    if lo < t0 < hi:
-        return _singular_piece(g, lo, t0, t0, s, -1) + _singular_piece(g, t0, hi, t0, s, +1)
-    return _singular_piece(g, lo, hi, t0, s, -1 if hi <= t0 + _EDGE_TOL else +1)
+    if max(lo - t0, t0 - hi) >= 0.5 * (hi - lo):
+        half = 0.5 * (hi - lo)
+        nodes = lo + half * (_GL_X + 1.0)
+        return nodes, half * _GL_W * np.abs(2.0 * np.sin(0.5 * (nodes - t0))) ** s
+    x, w = _jacobi_rule(s)
+    nodes, weights = [], []
+    for e, sign in ((hi, 1.0), (lo, -1.0)):
+        if abs(e - t0) <= _EDGE_TOL:
+            continue
+        half = 0.5 * abs(e - t0)
+        d = half * (1.0 - x)  # distance to t0, exact from the abscissae
+        # a node within one ulp of t0 moves off it, to the side of e
+        nodes.append(t0 + np.copysign(np.maximum(d, abs(np.spacing(t0))), e - t0))
+        # |2 sin(d/2)|^s = d^s (2 sin(d/2)/d)^s, and d^s is the Jacobi weight
+        weights.append(sign * np.sign(e - t0) * w * half ** (1.0 + s) * np.sinc(d / TWO_PI) ** s)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def anchor_cell_rules(edges: np.ndarray, anchors):
+    """singular_cell_rule for every cell [edges[j], edges[j + 1]] (the last
+    one ending at edges[0] + 2 pi) whose midpoint lies within 2.5 cell widths
+    of an anchor; a cell in range of several anchors goes to the first.
+
+    Returns four arrays over all their nodes: the cell, the anchor whose
+    power-law factor the weight carries, the node and the weight.  Their
+    number does not depend on the number of cells.
+    """
+    # neighbouring cells share each edge bit for bit: beside an anchor the
+    # integrand is too steep for two roundings of one edge to agree
+    hi = np.append(edges[1:], edges[0] + TWO_PI)
+    mid = 0.5 * (edges + hi)
+    free = np.ones(edges.size, dtype=bool)
+    # typed empty columns, so that no anchors gives four empty arrays
+    parts = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0), np.empty(0))]
+    for i, (t0, c) in enumerate(anchors):
+        local = t0 + TWO_PI * np.round((mid - t0) / TWO_PI)  # copy nearest each cell
+        hit = free & (np.abs(mid - local) <= 2.5 * (hi - edges) + 1e-12)
+        free &= ~hit
+        for j in np.flatnonzero(hit):
+            nodes, weights = singular_cell_rule(edges[j], hi[j], local[j], -c / np.pi)
+            parts.append((np.full(nodes.size, j), np.full(nodes.size, i), nodes, weights))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 @dataclass(frozen=True)

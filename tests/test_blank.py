@@ -5,7 +5,7 @@ extendability verdict on the reference and figure fixtures.
 import numpy as np
 import pytest
 
-from liouville_disk.arrangement import build_arrangement
+from liouville_disk.arrangement import _other_strand_distance, build_arrangement
 from liouville_disk.blank import (
     BlankWord,
     Letter,
@@ -64,6 +64,29 @@ class TestArrangement:
     def test_face_of_far_point_unbounded(self):
         arr = build_arrangement(limacon())
         assert not arr.face_of_point([50.0, 50.0]).bounded
+
+    def test_strand_distance_matches_per_edge_loop(self):
+        # reference: one point-to-segment projection per edge; the vectorised
+        # pass must give the same bits, since the distance places witnesses
+        def loop_distance(p, vertices, host_len):
+            d = []
+            for a, b in zip(vertices, np.roll(vertices, -1, axis=0)):
+                ab = b - a
+                denom = float(ab @ ab)
+                t = 0.0 if denom == 0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+                d.append(float(np.hypot(*(p - (a + t * ab)))))
+            d = np.array(d)
+            far = d[d > 0.51 * host_len]
+            return float(np.min(far)) if far.size else host_len
+
+        rng = np.random.default_rng(3)
+        # a random 40-gon with one repeated vertex (a zero-length edge); on
+        # its generic coordinates an elementwise dot product rounds
+        # differently from `@` for several points in a hundred
+        v = rng.normal(size=(40, 2))
+        v = np.insert(v, 5, v[5], axis=0)
+        for p in rng.uniform(-2.0, 2.0, size=(300, 2)):
+            assert _other_strand_distance(p, v, 0.01) == loop_distance(p, v, 0.01)
 
 
 class TestBlankWord:

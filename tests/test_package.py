@@ -1,7 +1,10 @@
-"""Package-wide checks: one code path per kernel and no runtime options.
+"""Package-wide checks: one code path per kernel, one quadrature path and
+no runtime options.
 
-The package must run without numba and read no environment variables, so
-a second kernel implementation or a new knob cannot come back unnoticed.
+The package must run without numba, read no environment variables and call
+adaptive quadrature only in its documented oracles, so a second kernel
+implementation, a second quadrature path or a new knob cannot come back
+unnoticed.
 """
 
 import ast
@@ -52,3 +55,45 @@ def test_kernels_expose_one_function_per_kernel():
         if callable(obj) and not name.startswith("_") and obj.__module__ == _kernels.__name__
     )
     assert public == ["dijkstra", "segment_hits", "winding_batch"]
+
+
+# the documented cross-validation oracles; production quadrature uses fixed rules
+QUAD_ORACLES = {"pv_half_laplacian_circle", "pv_half_laplacian_line"}
+
+
+def quad_calls(tree):
+    """(line, enclosing function names) of every call to scipy.integrate.quad."""
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate"
+        for alias in node.names
+        if alias.name == "quad"
+    }
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id in aliases) or (
+                isinstance(f, ast.Attribute) and f.attr == "quad"
+            ):
+                yield node.lineno, scope
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return list(visit(tree, ()))
+
+
+def test_quad_is_called_only_by_the_pv_oracles():
+    offenders = []
+    found = set()
+    for name, tree in module_trees():
+        for lineno, scope in quad_calls(tree):
+            hits = QUAD_ORACLES.intersection(scope)
+            found |= hits
+            if not hits:
+                offenders.append(f"{name}:{lineno} in {'.'.join(scope) or '<module>'}")
+    assert offenders == []
+    assert found == QUAD_ORACLES

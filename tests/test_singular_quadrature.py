@@ -1,12 +1,16 @@
-"""Shifted-grid FFT quadrature of anchored traces against brute force.
+"""Quadrature of anchored traces against brute force and closed forms.
 
 integrate_exp_singular and the anchored boundary_polyline evaluate the
-regular Gauss cells through eval_shifted_grids.  The oracle kept here is the
-per-cell loop they replace: one eval_modes call per cell at its 10 Gauss
-nodes, and the anchor-adjacent cells handed to QAWS exactly as before.
+regular Gauss cells through eval_shifted_grids, and the anchor-adjacent cells
+through the fixed Gauss-Jacobi rules of spectral.singular_cell_rule.  The
+oracle kept here is a per-cell loop: one eval_modes call per cell at its 10
+Gauss nodes, and each anchor-adjacent cell handed to adaptive QUADPACK
+quadrature (QAWS, with the algebraic endpoint weight split off).  A pure
+anchor has closed forms for both Lambda and the boundary curve.
 """
 
 import warnings
+from math import gamma
 
 import numpy as np
 import pytest
@@ -261,6 +265,74 @@ def test_lambda_with_smooth_part_matches_weighted_quadrature(beta):
     assert abs(val - ref) < 1e-11 * abs(ref)
 
 
+def pure_anchor_lambda(s):
+    """Integral of |2 sin(d/2)|^s over the circle."""
+    return TWO_PI * gamma(1 + s) / gamma(1 + s / 2) ** 2
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+@pytest.mark.parametrize("beta", [0.05 * np.pi, 0.5 * np.pi, 0.95 * np.pi])
+def test_pure_anchor_lambda_matches_closed_form(beta, n):
+    ref = pure_anchor_lambda(-beta / np.pi)
+    sf = SingularField(PeriodicGrid(np.zeros(n)), ((POLE_ANGLE, beta),))
+    assert abs(integrate_exp_singular(sf) - ref) < 1e-13 * ref
+
+
+def pure_anchor_curve(thetas, t0, s):
+    """Closed-form boundary curve of a pure anchor, normalized at theta = 0.
+
+    lambda + i rho = s log(1 - z/z0), so Phi(z) = -z0 (1 - z/z0)^(1+s)/(1+s),
+    with 1 - e^{id} = |2 sin(d/2)| e^{i(d - pi sign d)/2} for |d| < pi; d is
+    formed without adding pi, which would round away an anchor's distance to
+    a nearby grid angle.
+    """
+    def phi(theta):
+        d = np.asarray(theta, dtype=float) - t0
+        d = np.where(d > np.pi, d - TWO_PI, np.where(d < -np.pi, d + TWO_PI, d))
+        w = np.abs(2 * np.sin(d / 2)) ** (1 + s) * np.exp(0.5j * (1 + s) * (d - np.pi * np.sign(d)))
+        return -np.exp(1j * t0) * w / (1 + s)
+
+    return phi(thetas) - phi(0.0)
+
+
+# anchor offsets from the grid point -pi/2, in cells: on a grid point (the
+# edge of a polyline cell), a hair off it, inside, a hair off the edge of a
+# line cell (half a cell), and a hair before the next grid point
+ANCHOR_OFFSETS = [0.0, 1e-9, 0.01, 0.37, 0.5 - 1e-9, 1 - 1e-9]
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("offset", ANCHOR_OFFSETS)
+@pytest.mark.parametrize("beta", [0.5 * np.pi, 0.95 * np.pi, -0.5 * np.pi])
+def test_anchor_off_the_grid_matches_closed_forms(beta, offset, n):
+    # an anchor near, but not on, a cell edge leaves a piece too short, or a
+    # neighbouring cell too close, for plain Gauss-Legendre or an adaptive
+    # rule at its default tolerance
+    t0 = POLE_ANGLE + offset * TWO_PI / n
+    s = -beta / np.pi
+    sf = SingularField(PeriodicGrid(np.zeros(n)), ((t0, beta),))
+    ref = pure_anchor_lambda(s)
+    assert abs(integrate_exp_singular(sf) - ref) < 1e-13 * ref
+    verts, _ = boundary_polyline(analytic_completion(sf), n)
+    z = verts[:, 0] + 1j * verts[:, 1]
+    assert np.max(np.abs(z - pure_anchor_curve(grid_angles(n), t0, s))) < 1e-12
+
+
+@pytest.mark.parametrize("delta", [1.2e-12, -1.5e-12])
+def test_strong_anchor_just_past_the_edge_tolerance(delta):
+    # at s = -0.999 the Jacobi node nearest the anchor sits 4e-6 of the piece
+    # length from it, below one ulp of the angle for a piece this short: the
+    # node must still land on its own side of the sawtooth jump
+    n = 256
+    t0 = grid_angles(n)[n // 4] + delta
+    beta = 0.999 * np.pi
+    sf = SingularField(PeriodicGrid(np.zeros(n)), ((t0, beta),))
+    verts, _ = boundary_polyline(analytic_completion(sf), n)
+    z = verts[:, 0] + 1j * verts[:, 1]
+    ref = pure_anchor_curve(grid_angles(n), t0, -beta / np.pi)
+    assert np.max(np.abs(z - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
 def _eval_modes_calls(monkeypatch, fn):
     calls = [0]
     original = spectral.eval_modes
@@ -277,8 +349,9 @@ def _eval_modes_calls(monkeypatch, fn):
 
 
 def test_point_evaluations_do_not_grow_with_n(monkeypatch):
-    # only anchor-adjacent cells evaluate point by point, and their number
-    # does not depend on n; every other cell goes through the shifted FFTs
+    # the nodes of all anchor-adjacent cells go through one eval_modes call
+    # per interpolated function (lambda and extra, or lambda and rho) at any
+    # n; every other cell goes through the shifted FFTs
     def lambda_calls(n):
         sf = two_anchor_field(n)
         return _eval_modes_calls(monkeypatch, lambda: integrate_exp_singular(sf, curvature_extra(n)))
@@ -288,5 +361,4 @@ def test_point_evaluations_do_not_grow_with_n(monkeypatch):
         return _eval_modes_calls(monkeypatch, lambda: boundary_polyline(bt, n))
 
     for count in (lambda_calls, polyline_calls):
-        small, large = count(256), count(2048)
-        assert 0 < large <= small
+        assert count(256) == count(2048) == 2

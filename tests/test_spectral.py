@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from liouville_disk.errors import InvalidInput, InvalidRadius, NotSolvable
+from liouville_disk import spectral
+from liouville_disk.errors import BandLimitWarning, InvalidInput, InvalidRadius, NotSolvable
 from liouville_disk.spectral import (
     PeriodicGrid,
     SingularField,
@@ -308,6 +309,37 @@ class TestSingularField:
         rough = PeriodicGrid(np.cos(31 * th))
         with pytest.warns(UserWarning, match="spectrum"):
             band_limit_guard(rough)
+
+
+@pytest.mark.parametrize("op", [half_laplacian, hilbert, derivative])
+def test_multiplier_operator_transforms_once(monkeypatch, op):
+    # the band-limit guard reads the coefficients the multiplier is applied to
+    calls = []
+    original = spectral.analyze
+    monkeypatch.setattr(spectral, "analyze", lambda g: calls.append(g) or original(g))
+    op(random_bandlimited(64, seed=3))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("op", [half_laplacian, hilbert, derivative])
+def test_band_limit_warning_points_at_the_caller(op):
+    rough = PeriodicGrid(np.cos(31 * grid_angles(64)))
+    with pytest.warns(BandLimitWarning, match="spectrum") as record:
+        op(rough)
+    assert record[0].filename == __file__
+
+
+@pytest.mark.parametrize("d", [1e-3, 1e-5, 1e-7])
+def test_log_profile_keeps_relative_accuracy_near_the_anchor(d):
+    # series of -(1/pi) log(2 sin(d/2)); 1 - cos d cancels at small d
+    ref = -(np.log(d) - d * d / 24.0) / np.pi
+    assert abs(log_profile(d, 0.0) - ref) <= 1e-14 * abs(ref)
+
+
+def test_log_profile_is_infinite_on_the_anchor():
+    th = np.array([0.0, TWO_PI, -TWO_PI, 2 * TWO_PI])
+    assert np.all(log_profile(th, 0.0) == np.inf)
+    assert np.isfinite(log_profile(1e-9, 0.0))
 
 
 def test_pv_circle_oracle_agrees_with_multiplier_route():

@@ -81,12 +81,6 @@ class PolyCurve:
         e = self.edge_vectors()
         return np.hypot(e[:, 0], e[:, 1])
 
-    def point_at(self, param: float) -> np.ndarray:
-        """Point at curve parameter i + t (edge index plus fraction)."""
-        i = int(np.floor(param)) % self.m
-        t = param - np.floor(param)
-        return (1 - t) * self.vertices[i] + t * self.vertices[(i + 1) % self.m]
-
     def to_json(self) -> dict:
         obj = {
             "vertices": [[float(x), float(y)] for x, y in self.vertices],

@@ -13,6 +13,11 @@ Cells clear of the anchors take their Gauss nodes from shifted-grid inverse
 FFTs of lambda and rho (O(n log n) in all); the few cells beside an anchor
 take a fixed Gauss-Jacobi rule whose weights carry the anchor's power-law
 factor.
+
+|Phi'| is only ever needed on uniform polar rings: the 64 x 256 lattice of
+the immersion certificate and the edge-midpoint rings of the distance mesh.
+Each ring is one coefficient fold plus one inverse FFT (_abs_on_rings), so
+series orders of 10^5 stay cheap.
 """
 
 from __future__ import annotations
@@ -81,21 +86,10 @@ class BoundaryTrace:
             vals += c * conjugate_profile(th, t0)
         return vals
 
-    def rho_at(self, thetas) -> np.ndarray:
-        out = np.real(eval_modes(analyze(self.rho_smooth), thetas))
-        for t0, c in self.anchors:
-            out = out + c * conjugate_profile(thetas, t0)
-        return out
-
     def phi_grid(self) -> np.ndarray:
         """Boundary derivative samples e^{lambda + i rho} (non-finite at anchors)."""
         with np.errstate(over="ignore", invalid="ignore"):
             return np.exp(self.lambda_grid() + 1j * self.rho_grid())
-
-    def phi_at(self, thetas) -> np.ndarray:
-        lam = np.real(self.lam.evaluate(thetas))
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(lam + 1j * self.rho_at(thetas))
 
 
 def analytic_completion(lam) -> BoundaryTrace:
@@ -151,9 +145,6 @@ class DiskMap:
     def derivative(self, z):
         return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.deriv_coeffs)
 
-    def boundary_values(self, n: int) -> np.ndarray:
-        return self(np.exp(1j * grid_angles(n)))
-
     def to_json(self) -> dict:
         return {
             "coeffs": [[z.real, z.imag] for z in self.coeffs],
@@ -166,51 +157,36 @@ class DiskMap:
         return make_disk_map(c, normalized_at_one=bool(obj.get("normalized_at_one", True)))
 
 
-def _abs_eval_grouped(dcoef: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """|series| at many points; uniform polar rings go through coefficient
-    folding + FFT so very high orders stay cheap."""
-    pts = np.asarray(pts, dtype=complex).ravel()
-    M = dcoef.size
-    if M * pts.size <= (1 << 22):
-        return np.abs(np.polynomial.polynomial.polyval(pts, dcoef))
-    trim = int(np.max(np.nonzero(np.abs(dcoef) > 0)[0])) + 1 if np.any(dcoef) else 1
-    dcoef = dcoef[:trim]
-    M = trim
-    out = np.empty(pts.size)
-    r_all = np.abs(pts)
-    key = np.round(r_all, 12)
-    ks = np.arange(M)
-    for rv in np.unique(key):
-        idx = np.nonzero(key == rv)[0]
-        r = float(r_all[idx[0]])
-        ang = np.angle(pts[idx])
-        m = idx.size
-        order = np.argsort(ang)
-        ang_s = ang[order]
-        step = TWO_PI / m
-        uniform = m >= 4 and np.max(np.abs(np.diff(ang_s) - step)) < 1e-9
+def _abs_on_rings(coef: np.ndarray, centers, n: int) -> np.ndarray:
+    """|sum_k coef_k (c e^{i theta_j})^k| on the ring of each center c at the
+    n grid angles theta_j = -pi + 2 pi j / n, as a (len(centers), n) array.
+
+    Since e^{i k theta_j} = (-1)^k e^{2 pi i jk/n}, the coefficients times
+    (-c)^k fold into n bins and one inverse FFT per ring gives all n values,
+    so very high series orders stay cheap.  Rings are taken one at a time, never as a
+    (rings x order) array.
+    """
+    nz = np.flatnonzero(coef)
+    coef = coef[: nz[-1] + 1 if nz.size else 1]
+    out = np.empty((len(centers), n))
+    for i, c in enumerate(centers):
+        r = abs(c)
         # inner rings: powers below e^-50 contribute nothing measurable
-        kcut = M if r >= 1.0 - 1e-15 else (1 if r == 0.0 else min(M, int(-50.0 / np.log(r)) + 1))
-        kk = ks[:kcut]
+        kcut = coef.size if r >= 1.0 - 1e-15 else (1 if r == 0.0 else min(coef.size, int(-50.0 / np.log(r)) + 1))
+        k = np.arange(kcut)
+        # (-c)^k as an exact sign, |c|^k and e^{ik arg c}, which is 1 on real rings
         with np.errstate(under="ignore"):
-            ck = dcoef[:kcut] * np.power(r, kk)
-        if not uniform:
-            out[idx] = np.abs(np.polynomial.polynomial.polyval(np.exp(1j * ang), ck))
-            continue
-        theta0 = float(ang_s[0])
-        ck = ck * np.exp(1j * theta0 * kk)
-        pad = (-kcut) % m
-        folded = np.concatenate([ck, np.zeros(pad, dtype=complex)]).reshape(-1, m).sum(axis=0)
-        out[idx[order]] = np.abs(np.fft.ifft(folded) * m)
+            terms = coef[:kcut] * np.where(k & 1, -1.0, 1.0) * np.power(r, k)
+        terms *= np.exp(1j * np.angle(c) * k)
+        folded = np.zeros(-(-kcut // n) * n, dtype=complex)
+        folded[:kcut] = terms
+        out[i] = np.abs(np.fft.ifft(folded.reshape(-1, n).sum(axis=0)) * n)
     return out
 
 
 def _lattice_min_deriv(coeffs: np.ndarray):
     dcoef = coeffs[1:] * np.arange(1, coeffs.size)
-    radii = np.linspace(0.0, 1.0, 64)
-    th = TWO_PI * np.arange(256) / 256 - np.pi
-    z = np.outer(radii, np.exp(1j * th)).ravel()
-    vals = _abs_eval_grouped(dcoef, z)
+    vals = _abs_on_rings(dcoef, np.linspace(0.0, 1.0, 64), 256)
     return float(np.min(vals)), float(np.max(vals))
 
 
@@ -372,19 +348,14 @@ def _mesh_cache(n_boundary: int):
     return build_polar_mesh(n_boundary)
 
 
-def deriv_abs(d: DiskMap, pts: np.ndarray) -> np.ndarray:
-    """|Phi'| at many points; point sets lying on uniform polar rings (like the
-    mesh edge midpoints) are evaluated by coefficient folding + FFT, which
-    stays cheap for the very high series orders of concentrating maps."""
-    return _abs_eval_grouped(d.deriv_coeffs, np.asarray(pts, dtype=complex))
-
-
 def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256) -> float:
     """Shortest-path length between boundary points in the metric |Phi'| |dz|.
 
     Graded polar triangulation with boundary spacing 2*pi/n, edge weight
     |Phi'(midpoint)| times edge length, nonnegative-weights shortest path.
-    Truncated series are finite on the closed disk, so no puncture is needed.
+    |Phi'| is evaluated once per undirected edge, ring by ring on the mesh's
+    midpoint rings, so the weights are exactly symmetric.  Truncated series
+    are finite on the closed disk, so no puncture is needed.
     """
     p, q = complex(p), complex(q)
     for z in (p, q):
@@ -393,9 +364,8 @@ def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256
     if abs(p - q) < 1e-12:
         raise InvalidInput("endpoints must be distinct")
     mesh = _mesh_cache(n_boundary)
-    src = np.repeat(np.arange(mesh.n_nodes), np.diff(mesh.indptr))
-    mids = 0.5 * (mesh.nodes[src] + mesh.nodes[mesh.indices])
-    weights = deriv_abs(d, mids) * mesh.edge_lengths
+    speed = _abs_on_rings(d.deriv_coeffs, mesh.mid_centers, n_boundary).ravel()[mesh.edge_ring]
+    weights = speed * mesh.edge_lengths
     return shortest_path_distance(mesh, weights, mesh.boundary_node(p), mesh.boundary_node(q))
 
 

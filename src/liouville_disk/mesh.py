@@ -4,7 +4,9 @@ The mesh carries the pulled-back boundary metric |Phi'| |dz|: edge weights
 are |Phi'(midpoint)| times Euclidean edge length, and distances between
 boundary points are Dijkstra shortest paths.  Ring spacing starts at the
 boundary grid spacing 2*pi/n and grows inward by a fixed ratio, so the
-metric-graph error is O(h) with a bounded node count.
+metric-graph error is O(h) with a bounded node count.  The mesh lists its
+edge midpoints as uniform polar rings, one per edge family, so a metric that
+is cheap to evaluate ring by ring needs one value per undirected edge.
 """
 
 from __future__ import annotations
@@ -15,17 +17,25 @@ import numpy as np
 
 from ._kernels import dijkstra
 from .errors import InvalidInput
-from .spectral import TWO_PI
+from .spectral import TWO_PI, grid_angles
 
 
 @dataclass(frozen=True)
 class PolarMesh:
-    """Nodes (complex, inside the closed disk), CSR adjacency, boundary ring."""
+    """Nodes (complex, inside the closed disk), CSR adjacency, boundary ring.
+
+    Every edge midpoint lies on a uniform polar ring: undirected edge j of
+    family f has its midpoint at mid_centers[f] * e^{i theta_j}, theta_j =
+    -pi + 2 pi j / n_boundary, and edge_ring holds f * n_boundary + j for
+    each directed CSR edge (both directions of an edge share it).
+    """
 
     nodes: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     edge_lengths: np.ndarray
+    mid_centers: np.ndarray
+    edge_ring: np.ndarray
     n_boundary: int
     h_boundary: float
 
@@ -45,7 +55,8 @@ def build_polar_mesh(n_boundary: int, grading: float = 1.15) -> PolarMesh:
     (h = 2*pi/n), a center node, ring/radial/diagonal connectivity."""
     if n_boundary < 8:
         raise InvalidInput("mesh needs at least 8 boundary nodes")
-    h = TWO_PI / n_boundary
+    n = n_boundary
+    h = TWO_PI / n
     radii = [1.0]
     step = h
     while radii[-1] - step > 0.75 * step:
@@ -53,32 +64,42 @@ def build_polar_mesh(n_boundary: int, grading: float = 1.15) -> PolarMesh:
         step *= grading
     radii = np.asarray(radii)
     n_rings = radii.size
-    thetas = TWO_PI * np.arange(n_boundary) / n_boundary - np.pi
+    thetas = grid_angles(n)
 
     # node layout: ring-major, then the center node last
     nodes = np.concatenate(
         [r * np.exp(1j * thetas) for r in radii] + [np.zeros(1, dtype=complex)]
     )
-    center = n_rings * n_boundary
+    center = n_rings * n
 
-    pairs = []
-    for k in range(n_rings):
-        base = k * n_boundary
-        for j in range(n_boundary):
-            u = base + j
-            pairs.append((u, base + (j + 1) % n_boundary))
-            if k + 1 < n_rings:
-                inner = (k + 1) * n_boundary
-                pairs.append((u, inner + j))
-                pairs.append((u, inner + (j + 1) % n_boundary))
-                pairs.append((u, inner + (j - 1) % n_boundary))
-            else:
-                pairs.append((u, center))
-    pairs = np.asarray(pairs, dtype=np.int64)
+    # edge families, each one edge per angle j: ring edges, then radial, +diagonal
+    # and -diagonal edges to the next ring inward, then edges to the center
+    j = np.arange(n)
+    ring = np.arange(n_rings)[:, None] * n
+    outer, inner = ring[:-1], ring[1:]
+    turn = np.exp(1j * h)
+    u = np.concatenate([ring + j, outer + j, outer + j, outer + j, ring[-1:] + j])
+    v = np.concatenate([
+        ring + (j + 1) % n,
+        inner + j,
+        inner + (j + 1) % n,
+        inner + (j - 1) % n,
+        np.full((1, n), center),
+    ])
+    r_out, r_in = radii[:-1], radii[1:]
+    mid_centers = np.concatenate([
+        0.5 * radii * (1.0 + turn),
+        0.5 * (r_out + r_in),
+        0.5 * (r_out + r_in * turn),
+        0.5 * (r_out + r_in * np.conj(turn)),
+        [0.5 * radii[-1]],
+    ])
+    u, v = u.ravel(), v.ravel()
+    ring_point = np.arange(u.size)
 
     # symmetrize to a directed CSR
-    u = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    v = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    u, v = np.concatenate([u, v]), np.concatenate([v, u])
+    ring_point = np.concatenate([ring_point, ring_point])
     order = np.lexsort((v, u))
     u, v = u[order], v[order]
     n_nodes = nodes.size
@@ -89,19 +110,21 @@ def build_polar_mesh(n_boundary: int, grading: float = 1.15) -> PolarMesh:
         indptr=indptr,
         indices=v,
         edge_lengths=lengths,
-        n_boundary=n_boundary,
+        mid_centers=mid_centers,
+        edge_ring=ring_point[order],
+        n_boundary=n,
         h_boundary=h,
     )
 
 
 def metric_weights(mesh: PolarMesh, speed) -> np.ndarray:
-    """Edge weights speed(midpoint) * length for a conformal factor speed(z)."""
-    src = np.repeat(np.arange(mesh.n_nodes), np.diff(mesh.indptr))
-    mids = 0.5 * (mesh.nodes[src] + mesh.nodes[mesh.indices])
+    """Edge weights speed(midpoint) * length for a conformal factor speed(z),
+    evaluated once per undirected edge on the midpoint rings."""
+    mids = np.outer(mesh.mid_centers, np.exp(1j * grid_angles(mesh.n_boundary))).ravel()
     sp = np.asarray(speed(mids), dtype=float)
     if np.any(sp < 0) or not np.all(np.isfinite(sp)):
         raise InvalidInput("conformal speed must be finite and nonnegative")
-    return sp * mesh.edge_lengths
+    return sp[mesh.edge_ring] * mesh.edge_lengths
 
 
 def shortest_path_distance(mesh: PolarMesh, weights: np.ndarray, a: int, b: int) -> float:

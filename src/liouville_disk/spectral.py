@@ -432,10 +432,6 @@ def cell_averaged_log_profile(n: int, theta0: float = 0.0) -> PeriodicGrid:
     return PeriodicGrid(vals)
 
 
-# an anchor this close to a cell edge sits on it
-_EDGE_TOL = 1e-12
-
-
 @lru_cache(maxsize=32)
 def _jacobi_rule(s: float):
     # Gauss-Jacobi rule for the weight (1 - x)^s on [-1, 1]; one per anchor
@@ -454,8 +450,9 @@ def singular_cell_rule(lo: float, hi: float, t0: float, s: float):
     s = -c/pi.  A cell farther than half its length from t0 takes a
     Gauss-Legendre rule times the power factor.  Otherwise the integral is
     F(hi) - F(lo), where F(e) is the signed integral from t0 to e taken by a
-    Gauss-Jacobi rule with the |t - t0|^s factor as its weight (F = 0 for an
-    edge within 1e-12 of t0, which counts as sitting on it): a cell split by
+    Gauss-Jacobi rule with the |t - t0|^s factor as its weight (F = 0 only
+    for an edge exactly at t0; a piece however short keeps its d^(1+s)
+    share, which is large for s near -1): a cell split by
     t0 becomes two pieces ending at t0, and a cell just clear of it keeps its
     accuracy.  g must therefore be smooth from t0 to either edge, except for
     a jump at t0 itself.  Every rule has ANCHOR_RULE_POINTS points and no
@@ -469,7 +466,7 @@ def singular_cell_rule(lo: float, hi: float, t0: float, s: float):
     x, w = _jacobi_rule(s)
     nodes, weights = [], []
     for e, sign in ((hi, 1.0), (lo, -1.0)):
-        if abs(e - t0) <= _EDGE_TOL:
+        if e == t0:
             continue
         half = 0.5 * abs(e - t0)
         d = half * (1.0 - x)  # distance to t0, exact from the abscissae

@@ -5,12 +5,13 @@ conformal distance on the graded mesh, and Blaschke fixtures.
 
 import sys
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from liouville_disk import spectral
+from liouville_disk import disk, spectral
 
 from liouville_disk.disk import (
     BoundaryTrace,
@@ -27,6 +28,7 @@ from liouville_disk.disk import (
 )
 from liouville_disk.errors import InvalidInput, NotHolomorphic, UnderResolved
 from liouville_disk.line import pull_back
+from liouville_disk.mesh import build_polar_mesh, shortest_path_distance
 from liouville_disk.spectral import (
     PeriodicGrid,
     SingularField,
@@ -310,6 +312,94 @@ class TestConformalDistance:
             dbc = conformal_distance(d, b, c)
             dac = conformal_distance(d, a, c)
             assert dac <= dab + dbc + 2 * h
+
+
+@lru_cache(maxsize=None)
+def bubble_map(mu):
+    # series order about 20 mu, as quant.Bubble.disk_map picks it
+    n = max(256, 1 << int(np.ceil(np.log2(20 * mu))))
+    return build_phi(bubble_trace(mu, n=n, x0=0.1))
+
+
+def horner_abs(coef, z):
+    """Per-point oracle for |sum_k coef_k z^k|."""
+    return np.abs(np.polynomial.polynomial.polyval(z, coef))
+
+
+def directed_midpoints(mesh):
+    src = np.repeat(np.arange(mesh.n_nodes), np.diff(mesh.indptr))
+    return 0.5 * (mesh.nodes[src] + mesh.nodes[mesh.indices])
+
+
+def ring_points(mesh):
+    return np.outer(mesh.mid_centers, np.exp(1j * grid_angles(mesh.n_boundary)))
+
+
+class TestRingEvaluation:
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_family_centres_give_every_edge_midpoint(self, n):
+        mesh = build_polar_mesh(n)
+        mids = directed_midpoints(mesh)
+        assert np.max(np.abs(ring_points(mesh).ravel()[mesh.edge_ring] - mids)) <= 1e-15
+        # both directions of every undirected edge share one ring point
+        assert np.array_equal(np.bincount(mesh.edge_ring), np.full(mesh.mid_centers.size * n, 2))
+
+    @pytest.mark.parametrize("mu", [1.0, 16.0, 4096.0])
+    def test_rings_match_horner(self, mu):
+        dcoef = bubble_map(mu).deriv_coeffs
+        mesh = build_polar_mesh(64)
+        vals = disk._abs_on_rings(dcoef, mesh.mid_centers, 64)
+        ref = horner_abs(dcoef, ring_points(mesh))
+        assert np.all(np.abs(vals - ref) <= 1e-9 * np.max(ref, axis=1, keepdims=True))
+
+    def test_lattice_matches_horner(self):
+        dcoef = bubble_map(16.0).deriv_coeffs
+        radii = np.linspace(0.0, 1.0, 64)
+        vals = disk._abs_on_rings(dcoef, radii, 256)
+        ref = horner_abs(dcoef, np.outer(radii, np.exp(1j * grid_angles(256))))
+        assert np.all(np.abs(vals - ref) <= 1e-12 * np.max(ref, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("mu", [16.0, 4096.0])
+    def test_distance_matches_horner_weighted_dijkstra(self, mu):
+        d = bubble_map(mu)
+        mesh = build_polar_mesh(64)
+        weights = horner_abs(d.deriv_coeffs, directed_midpoints(mesh)) * mesh.edge_lengths
+        for p, q in [(1.0, -1.0), (1j, np.exp(0.3j))]:
+            ref = shortest_path_distance(mesh, weights, mesh.boundary_node(p), mesh.boundary_node(q))
+            assert abs(conformal_distance(d, p, q, n_boundary=64) - ref) <= 1e-7 * ref
+
+    def test_weights_are_exactly_symmetric(self, monkeypatch):
+        seen = []
+
+        def recorded(mesh, weights, a, b):
+            seen.append((mesh, weights))
+            return shortest_path_distance(mesh, weights, a, b)
+
+        monkeypatch.setattr(disk, "shortest_path_distance", recorded)
+        d = bubble_map(4096.0)
+        pq = conformal_distance(d, 1.0, -1.0)
+        qp = conformal_distance(d, -1.0, 1.0)
+        mesh, w = seen[0]
+        src = np.repeat(np.arange(mesh.n_nodes), np.diff(mesh.indptr))
+        forward = dict(zip(zip(src.tolist(), mesh.indices.tolist()), w.tolist()))
+        assert all(forward[v, u] == wt for (u, v), wt in forward.items())
+        # Dijkstra sums a path in opposite orders, so D(p, q) and D(q, p) may
+        # differ in the last bits only
+        assert abs(pq - qp) <= 1e-14 * pq
+
+    @pytest.mark.parametrize("make, immersed", [
+        (lambda: build_phi(analytic_completion(PeriodicGrid.zeros(256))), True),
+        (lambda: bubble_map(1.0), True),
+        (lambda: bubble_map(16.0), True),
+        (lambda: bubble_map(4096.0), True),
+        (lambda: mobius_recenter(build_phi(bubble_trace(4.0)), 1j, 0.5), True),
+        (lambda: blaschke_fixture([0.0]), True),
+        (lambda: blaschke_fixture([0.5]), True),
+        (lambda: blaschke_fixture([0.0, 0.0]), False),
+        (lambda: blaschke_fixture([0.3, -0.3]), False),
+    ])
+    def test_immersion_verdicts(self, make, immersed):
+        assert make().immersed is immersed
 
 
 class TestBoundaryPolyline:

@@ -1,17 +1,20 @@
-"""Package-wide checks: one code path per kernel, one quadrature path and
-no runtime options.
+"""Package-wide checks: one code path per kernel, one quadrature path,
+one series-evaluation path per use and no runtime options.
 
-The package must run without numba, read no environment variables and call
-adaptive quadrature only in its documented oracles, so a second kernel
-implementation, a second quadrature path or a new knob cannot come back
+The package must run without numba, read no environment variables, call
+adaptive quadrature only in its documented oracles and evaluate |Phi'| on
+rings only through the folded FFT, so a second kernel implementation, a
+second quadrature path, a per-point fallback or a new knob cannot come back
 unnoticed.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import liouville_disk
-from liouville_disk import _kernels
+from liouville_disk import _kernels, disk, quant
 
 PACKAGE_DIR = Path(liouville_disk.__file__).parent
 
@@ -97,3 +100,46 @@ def test_quad_is_called_only_by_the_pv_oracles():
                 offenders.append(f"{name}:{lineno} in {'.'.join(scope) or '<module>'}")
     assert offenders == []
     assert found == QUAD_ORACLES
+
+
+# point evaluation of a series: the map, its derivative and the corner
+# tangent fit; |Phi'| on rings (certificate lattice, distance mesh) is folded
+POLYVAL_CALLERS = {"DiskMap.__call__", "DiskMap.derivative", "_one_sided_tangent"}
+
+
+def polyval_scopes(tree):
+    """Enclosing class and function names, joined, of every polyval call."""
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "polyval") or (
+                isinstance(f, ast.Name) and f.id == "polyval"
+            ):
+                yield ".".join(scope)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return list(visit(tree, ()))
+
+
+def test_polyval_is_called_only_for_point_evaluation():
+    path = PACKAGE_DIR / "disk.py"
+    scopes = polyval_scopes(ast.parse(path.read_text(), filename=str(path)))
+    assert set(scopes) == POLYVAL_CALLERS
+
+
+def test_conformal_distance_makes_no_polyval_call(monkeypatch):
+    d = quant.bubble(mu=2048.0, x0=0.1).disk_map()
+    calls = [0]
+    original = np.polynomial.polynomial.polyval
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyval", counted)
+    assert disk.conformal_distance(d, 1.0, -1.0) > 0
+    assert calls[0] == 0

@@ -318,14 +318,17 @@ def test_anchor_off_the_grid_matches_closed_forms(beta, offset, n):
     assert np.max(np.abs(z - pure_anchor_curve(grid_angles(n), t0, s))) < 1e-12
 
 
-@pytest.mark.parametrize("delta", [1.2e-12, -1.5e-12])
-def test_strong_anchor_just_past_the_edge_tolerance(delta):
-    # at s = -0.999 the Jacobi node nearest the anchor sits 4e-6 of the piece
+@pytest.mark.parametrize("delta", [1e-14, 1e-13, -1e-13, 5e-13, 1.2e-12, -1.5e-12])
+@pytest.mark.parametrize("beta", [0.5 * np.pi, 0.95 * np.pi, 0.999 * np.pi])
+def test_anchor_a_hair_off_a_grid_angle(beta, delta):
+    # the piece between the grid angle and the anchor is only |delta| long,
+    # but it carries about |delta|^(1+s)/(1+s) of the cell, which is large for
+    # s near -1: dropping it puts the vertex at the corner itself.  At
+    # s = -0.999 the Jacobi node nearest the anchor sits 4e-6 of the piece
     # length from it, below one ulp of the angle for a piece this short: the
     # node must still land on its own side of the sawtooth jump
     n = 256
     t0 = grid_angles(n)[n // 4] + delta
-    beta = 0.999 * np.pi
     sf = SingularField(PeriodicGrid(np.zeros(n)), ((t0, beta),))
     verts, _ = boundary_polyline(analytic_completion(sf), n)
     z = verts[:, 0] + 1j * verts[:, 1]

@@ -2,7 +2,8 @@
 
 Kernels:
   - dijkstra: single-source shortest path over a CSR graph (mesh metric)
-  - segment_hits: all-pairs proper intersections among polyline edges
+  - segment_hits: proper intersections among polyline edges, candidate
+    pairs from a sort-and-sweep on x-intervals
   - winding_batch: winding numbers of a closed polyline around query points
 """
 
@@ -22,39 +23,63 @@ def dijkstra(indptr, indices, weights, source: int, n: int) -> np.ndarray:
     return cs_dijkstra(mat, directed=True, indices=source)
 
 
-def segment_hits(a: np.ndarray, b: np.ndarray, skip_neighbors: int = 1, eps: float = 0.0):
+_PAIR_BUDGET = 2_000_000  # candidate pairs per array pass
+
+
+def _candidate_pairs(a: np.ndarray, b: np.ndarray):
+    """Sort-and-sweep broadphase: every pair of segments a[k] -> b[k] whose
+    closed x-intervals overlap, each pair once with i < j.
+
+    Edges are sorted by x-min; the partners of an edge are the edges after it
+    whose x-min is at most its x-max (one searchsorted).  Yields (i, j) index
+    arrays in chunks of at most _PAIR_BUDGET pairs (one edge's run may exceed
+    it), so dense inputs keep a bounded working set.
+    """
+    lo = np.minimum(a[:, 0], b[:, 0])
+    hi = np.maximum(a[:, 0], b[:, 0])
+    order = np.argsort(lo, kind="stable")
+    lo_sorted = lo[order]
+    end = np.searchsorted(lo_sorted, hi[order], side="right")
+    counts = np.maximum(end - np.arange(1, order.size + 1), 0)
+    cum = np.cumsum(counts)
+    p0 = 0
+    while p0 < order.size:
+        done = cum[p0 - 1] if p0 else 0
+        p1 = max(int(np.searchsorted(cum, done + _PAIR_BUDGET, side="right")), p0 + 1)
+        cnt = counts[p0:p1]
+        first = np.repeat(np.arange(p0, p1), cnt)
+        # partner q runs over first + 1, first + 2, ... within each edge's run
+        step = np.arange(first.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        u, v = order[first], order[first + 1 + step]
+        yield np.minimum(u, v), np.maximum(u, v)
+        p0 = p1
+
+
+def segment_hits(a: np.ndarray, b: np.ndarray, skip_neighbors: int = 1):
     """Proper pairwise intersections among segments a[k] -> b[k].
 
-    Edges whose cyclic index distance is <= skip_neighbors are not tested
-    (adjacent edges of a closed polyline share a vertex).  Returns
-    (i, j, s, t, suspect): parameters s on edge i, t on edge j, and a flag
-    marking near-degenerate pairs that need exact re-evaluation.
+    Candidate pairs come from the x-interval sweep; edges whose cyclic index
+    distance is <= skip_neighbors are not tested (adjacent edges of a closed
+    polyline share a vertex), nor are pairs whose y-intervals miss.  Returns
+    (i, j, s, t, suspect) sorted by (i, j): parameters s on edge i, t on edge
+    j, and a flag marking near-degenerate pairs that need exact re-evaluation.
     """
     ax = np.ascontiguousarray(a[:, 0], dtype=np.float64)
     ay = np.ascontiguousarray(a[:, 1], dtype=np.float64)
     bx = np.ascontiguousarray(b[:, 0], dtype=np.float64)
     by = np.ascontiguousarray(b[:, 1], dtype=np.float64)
     n = ax.size
+    ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
     res_i, res_j, res_s, res_t, res_f = [], [], [], [], []
-    chunk = max(1, 2_000_000 // max(n, 1))
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        ii = np.arange(i0, i1)[:, None]
-        jj = np.arange(n)[None, :]
-        gap = np.minimum(np.abs(jj - ii), n - np.abs(jj - ii))
-        mask = (jj > ii) & (gap > skip_neighbors)
-        aix, aiy = ax[i0:i1, None], ay[i0:i1, None]
-        bix, biy = bx[i0:i1, None], by[i0:i1, None]
-        mask &= ~(
-            (np.maximum(ax, bx)[None, :] < np.minimum(aix, bix) - eps)
-            | (np.minimum(ax, bx)[None, :] > np.maximum(aix, bix) + eps)
-            | (np.maximum(ay, by)[None, :] < np.minimum(aiy, biy) - eps)
-            | (np.minimum(ay, by)[None, :] > np.maximum(aiy, biy) + eps)
-        )
+    for i, j in _candidate_pairs(a, b):
+        gap = np.minimum(j - i, n - (j - i))
+        mask = (gap > skip_neighbors) & ~((yhi[j] < ylo[i]) | (ylo[j] > yhi[i]))
+        i, j = i[mask], j[mask]
+        aix, aiy, bix, biy = ax[i], ay[i], bx[i], by[i]
         rx, ry = bix - aix, biy - aiy
-        sx, sy = (bx - ax)[None, :], (by - ay)[None, :]
+        sx, sy = bx[j] - ax[j], by[j] - ay[j]
         denom = rx * sy - ry * sx
-        qpx, qpy = ax[None, :] - aix, ay[None, :] - aiy
+        qpx, qpy = ax[j] - aix, ay[j] - aiy
         num_s = qpx * sy - qpy * sx
         num_t = qpx * ry - qpy * rx
         scale = (np.abs(rx) + np.abs(ry)) * (np.abs(sx) + np.abs(sy)) + 1e-300
@@ -68,29 +93,20 @@ def segment_hits(a: np.ndarray, b: np.ndarray, skip_neighbors: int = 1, eps: flo
             (s < margin) | (s > 1 - margin) | (t < margin) | (t > 1 - margin)
         )
         clean = inside & ~suspect_hit
-        sus = mask & (small | suspect_hit)
-        keep = mask & clean
-        for arr_mask, flag in ((keep, 0), (sus, 1)):
-            wi, wj = np.nonzero(arr_mask)
-            res_i.append(ii[wi, 0])
-            res_j.append(jj[0, wj])
-            if flag == 0:
-                res_s.append(s[wi, wj])
-                res_t.append(t[wi, wj])
-            else:
-                res_s.append(np.full(wi.size, -1.0))
-                res_t.append(np.full(wi.size, -1.0))
-            res_f.append(np.full(wi.size, flag, dtype=np.uint8))
-    cat = lambda parts, dt: (
-        np.concatenate(parts).astype(dt) if parts else np.empty(0, dtype=dt)
-    )
-    return (
-        cat(res_i, np.int64),
-        cat(res_j, np.int64),
-        cat(res_s, np.float64),
-        cat(res_t, np.float64),
-        cat(res_f, np.uint8),
-    )
+        sus = small | suspect_hit
+        hit = clean | sus
+        res_i.append(i[hit])
+        res_j.append(j[hit])
+        res_s.append(np.where(sus, -1.0, s)[hit])
+        res_t.append(np.where(sus, -1.0, t)[hit])
+        res_f.append(sus[hit].astype(np.uint8))
+    if not res_i:
+        return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0),
+                np.empty(0), np.empty(0, np.uint8))
+    i, j = np.concatenate(res_i).astype(np.int64), np.concatenate(res_j).astype(np.int64)
+    order = np.lexsort((j, i))
+    return (i[order], j[order], np.concatenate(res_s)[order],
+            np.concatenate(res_t)[order], np.concatenate(res_f)[order])
 
 
 def winding_batch(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:

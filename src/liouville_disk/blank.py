@@ -3,12 +3,14 @@ splitting, and the extendability verdict for closed curves.
 
 Each bounded face of the arrangement sends a ray from its witness point to
 the unbounded region; every transversal hit of the curve contributes a
-letter (face name, index from the face end, sign).  The sign convention is
-the determinant [ray direction | curve direction]: positive means the curve
-crosses from the right and reads '+'.  Reading the letters in curve order
-gives the cyclic word; full contraction (no minus left) together with a
-positive rotation index is the necessary pair of conditions for the curve
-to bound an immersion of the disk.
+letter (face name, index from the face end, sign).  All 64 candidate
+directions of a face are cast together, as one (directions x edges) array
+pass, and the admissible one with the fewest hits is read.  The sign
+convention is the determinant [ray direction | curve direction]: positive
+means the curve crosses from the right and reads '+'.  Reading the letters
+in curve order gives the cyclic word; full contraction (no minus left)
+together with a positive rotation index is the necessary pair of conditions
+for the curve to bound an immersion of the disk.
 """
 
 from __future__ import annotations
@@ -103,57 +105,76 @@ class WordRecord:
     points: list  # hit points, aligned with word.letters
 
 
-def _ray_curve_hits(origin, direction, vertices, span: float):
-    """Crossings of the ray [origin, origin + span*direction] with curve edges.
-    Returns (ok, hits); ok is False when any hit is non-generic."""
-    a = vertices
-    b = np.roll(vertices, -1, axis=0)
-    ex = b - a
-    ox, oy = origin
-    ux, uy = direction
+@dataclass
+class _RayFan:
+    """Rays from one origin in every candidate direction, cast as one
+    (directions x edges) array pass; row d belongs to direction d."""
+
+    admissible: np.ndarray  # no guard point within the angular guard ahead
+    ok: np.ndarray  # no hit grazes an edge endpoint or is near-tangential
+    hit: np.ndarray  # hit[d, k]: the ray crosses edge k
+    r: np.ndarray  # ray parameter of each candidate crossing
+    t: np.ndarray  # edge parameter
+    det: np.ndarray  # [ray direction | unit edge direction]
+
+    def hits(self, d: int) -> list:
+        """(ray_param, edge_index, edge_t, sign) of direction d, sorted."""
+        return sorted(
+            (float(self.r[d, k]), int(k), float(self.t[d, k]), 1 if self.det[d, k] > 0 else -1)
+            for k in np.nonzero(self.hit[d])[0]
+        )
+
+
+def _ray_directions(seed: int) -> np.ndarray:
+    """The N_RAY_DIRECTIONS unit vectors, rotated by a seed-derived offset."""
+    rng = np.random.default_rng(seed)
+    offset = rng.uniform(0.0, TWO_PI / N_RAY_DIRECTIONS)
+    dirs = []
+    for d_idx in range(N_RAY_DIRECTIONS):
+        ang = offset + TWO_PI * d_idx / N_RAY_DIRECTIONS
+        dirs.append([np.cos(ang), np.sin(ang)])
+    return np.asarray(dirs)
+
+
+def _cast_fan(origin, dirs, vertices, span: float, guard_points) -> _RayFan:
+    """Crossings of the rays [origin, origin + span * u], u in dirs, with the
+    edges of the closed polyline, and which directions keep the angular guard
+    off every guard point ahead of the origin."""
+    ux, uy = dirs[:, :1], dirs[:, 1:]
+    to_guard = guard_points - origin
+    norms = np.hypot(to_guard[:, 0], to_guard[:, 1])
+    apart = norms > 1e-12
+    to_guard = to_guard[apart] / norms[apart, None]
+    cross = ux * to_guard[:, 1] - uy * to_guard[:, 0]
+    dot = ux * to_guard[:, 0] + uy * to_guard[:, 1]
+    admissible = ~np.any((np.abs(cross) < ANGULAR_GUARD) & (dot > 0), axis=1)
+
+    ex = np.roll(vertices, -1, axis=0) - vertices
     denom = ux * ex[:, 1] - uy * ex[:, 0]
-    rel = a - origin
+    rel = vertices - origin
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_param = (rel[:, 0] * ex[:, 1] - rel[:, 1] * ex[:, 0]) / denom
-        t_param = (rel[:, 0] * uy - rel[:, 1] * ux) / denom
-    hits = []
+        r = (rel[:, 0] * ex[:, 1] - rel[:, 1] * ex[:, 0]) / denom
+        t = (rel[:, 0] * uy - rel[:, 1] * ux) / denom
     margin = 1e-9
-    for k in range(len(a)):
-        if abs(denom[k]) < 1e-12:
-            continue
-        r, t = r_param[k], t_param[k]
-        if r <= margin or r >= span:
-            continue
-        if t < -margin or t > 1 + margin:
-            continue
-        if t < 1e-6 or t > 1 - 1e-6:
-            return False, []  # grazes an edge endpoint
-        edge_dir = ex[k] / np.hypot(*ex[k])
-        det = ux * edge_dir[1] - uy * edge_dir[0]
-        if abs(det) < np.sin(0.05):
-            return False, []  # near-tangential hit
-        hits.append((float(r), int(k), float(t), 1 if det > 0 else -1))
-    hits.sort()
-    return True, hits
-
-
-def _direction_admissible(origin, direction, guard_points):
-    """Reject directions passing within the angular guard of a marked point."""
-    rel = guard_points - origin
-    norms = np.hypot(rel[:, 0], rel[:, 1])
-    ok = norms > 1e-12
-    rel = rel[ok] / norms[ok, None]
-    cross = direction[0] * rel[:, 1] - direction[1] * rel[:, 0]
-    dot = direction[0] * rel[:, 0] + direction[1] * rel[:, 1]
-    return not np.any((np.abs(cross) < ANGULAR_GUARD) & (dot > 0))
+    hit = (
+        (np.abs(denom) >= 1e-12)
+        & (r > margin) & (r < span)
+        & (t >= -margin) & (t <= 1 + margin)
+    )
+    edge_dir = ex / np.hypot(ex[:, 0], ex[:, 1])[:, None]
+    det = ux * edge_dir[:, 1] - uy * edge_dir[:, 0]
+    grazes = (t < 1e-6) | (t > 1 - 1e-6)
+    ok = ~np.any(hit & (grazes | (np.abs(det) < np.sin(0.05))), axis=1)
+    return _RayFan(admissible, ok, hit, r, t, det)
 
 
 def blank_word(c: PolyCurve, arr: Arrangement | None = None, seed: int = 0) -> WordRecord:
     """Word of Blank for a curve in generic position.
 
-    Per bounded face, 64 candidate ray directions (rotated by a seed-derived
-    offset) are tried in order; the admissible one with the fewest crossings
-    wins, deterministically by face id then direction index.
+    Per bounded face, all 64 candidate ray directions (rotated by a
+    seed-derived offset) are cast at once; a direction counts when it is
+    admissible, none of its hits is non-generic, and it hits the curve.  The
+    one with the fewest hits wins, the lowest direction index breaking ties.
     """
     if arr is None:
         arr = build_arrangement(c)
@@ -165,29 +186,22 @@ def blank_word(c: PolyCurve, arr: Arrangement | None = None, seed: int = 0) -> W
         if c.corners
         else [v] + [x.point[None, :] for x in arr.crossings]
     )
-    rng = np.random.default_rng(seed)
-    offset = rng.uniform(0.0, TWO_PI / N_RAY_DIRECTIONS)
+    dirs = _ray_directions(seed)
 
     rays = {}
     letters = []
     for face in arr.bounded_faces:
-        best = None
-        for d_idx in range(N_RAY_DIRECTIONS):
-            ang = offset + TWO_PI * d_idx / N_RAY_DIRECTIONS
-            u = np.array([np.cos(ang), np.sin(ang)])
-            if not _direction_admissible(face.witness, u, guard_points):
-                continue
-            ok, hits = _ray_curve_hits(face.witness, u, v, span)
-            if not ok or not hits:
-                continue
-            if best is None or len(hits) < len(best[1]):
-                best = (u, hits)
-        if best is None:
+        fan = _cast_fan(face.witness, dirs, v, span, guard_points)
+        n_hits = fan.hit.sum(axis=1)
+        usable = fan.admissible & fan.ok & (n_hits > 0)
+        if not usable.any():
             raise RayCastFailed(
                 f"no admissible escape ray among {N_RAY_DIRECTIONS} directions "
                 f"for face {face.id}"
             )
-        u, hits = best
+        d = int(np.argmin(np.where(usable, n_hits, n_hits.max() + 1)))
+        u = dirs[d]
+        hits = fan.hits(d)
         rays[face.id] = RayRecord(face=face.id, origin=face.witness, direction=u, hits=hits)
         for index, (r, k, t, sign) in enumerate(hits):
             letters.append((k + t, Letter(face.id, index, sign), face.witness + r * u))
@@ -391,7 +405,7 @@ class ExtendabilityReport:
     word: BlankWord
     word_contracts: bool
     contraction: ContractionResult
-    gluing: dict | None  # piece indices r_j and the identity check
+    gluing: dict | None  # piece indices r_j and the identity check, or {"error": reason}
 
     def to_json(self) -> dict:
         out = {
@@ -430,8 +444,8 @@ def extendability_check(c: PolyCurve, seed: int = 0) -> ExtendabilityReport:
                 "identity_holds": total == rep.index,
                 "identity_value": total,
             }
-        except Exception:  # the report is advisory; the verdict stands
-            gluing = None
+        except Exception as exc:  # the report is advisory; the verdict stands
+            gluing = {"error": f"{type(exc).__name__}: {exc}"}
     return ExtendabilityReport(
         index=rep.index,
         index_ok=rep.index >= 1,

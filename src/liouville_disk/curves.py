@@ -138,21 +138,20 @@ def rotation_index(c: PolyCurve, guard: float = 0.05) -> RotationReport:
     """
     ang = c.edge_angles()
     m = c.m
-    total = 0.0
+    terms = wrap_angle(ang - np.roll(ang, 1))
     exterior = {}
-    for k in range(m):
+    for k in sorted(c.corners):
         prev_dir = ang[(k - 1) % m]
         next_dir = ang[k]
-        if k in c.corners:
-            rec = c.corners[k]
-            tin, tout = rec if rec is not None else (prev_dir, next_dir)
-            eps = float(wrap_angle(tout - tin))
-            if abs(abs(eps) - np.pi) < 1e-9:
-                eps = _tie_break_pi(c, k, tin)
-            exterior[k] = eps
-            total += wrap_angle(tin - prev_dir) + eps + wrap_angle(next_dir - tout)
-        else:
-            total += wrap_angle(next_dir - prev_dir)
+        rec = c.corners[k]
+        tin, tout = rec if rec is not None else (prev_dir, next_dir)
+        eps = float(wrap_angle(tout - tin))
+        if abs(abs(eps) - np.pi) < 1e-9:
+            eps = _tie_break_pi(c, k, tin)
+        exterior[k] = eps
+        terms[k] = wrap_angle(tin - prev_dir) + eps + wrap_angle(next_dir - tout)
+    # left-to-right accumulation, as a running sum would add them
+    total = float(np.add.accumulate(terms)[-1])
     value = total / TWO_PI
     nearest = round(value)
     if abs(value - nearest) >= guard:

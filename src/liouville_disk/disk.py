@@ -354,7 +354,8 @@ def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256
     Graded polar triangulation with boundary spacing 2*pi/n, edge weight
     |Phi'(midpoint)| times edge length, nonnegative-weights shortest path.
     |Phi'| is evaluated once per undirected edge, ring by ring on the mesh's
-    midpoint rings, so the weights are exactly symmetric.  Truncated series
+    midpoint rings, so the weights are exactly symmetric, and so is the
+    distance: D(p, q) == D(q, p) bit for bit.  Truncated series
     are finite on the closed disk, so no puncture is needed.
     """
     p, q = complex(p), complex(q)

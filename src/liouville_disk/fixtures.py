@@ -145,21 +145,25 @@ def fseifert(n: int = 2048) -> PolyCurve:
 
 def _two_polyline_intersections(A: np.ndarray, B: np.ndarray):
     """Proper intersections between closed polylines A and B:
-    (edge_a, s, edge_b, t, point) tuples."""
+    (edge_a, s, edge_b, t, point) tuples in row-major (edge_a, edge_b) order,
+    from one (edges of A) x (edges of B) array pass per block of A's edges."""
     a0, a1 = A, np.roll(A, -1, axis=0)
     b0, b1 = B, np.roll(B, -1, axis=0)
     r = a1 - a0
     s = b1 - b0
     out = []
-    for i in range(len(A)):
-        denom = r[i, 0] * s[:, 1] - r[i, 1] * s[:, 0]
-        rel = b0 - a0[i]
+    rows = max(1, (1 << 16) // len(B))  # ~64 k pairs a block keeps temporaries small
+    for i0 in range(0, len(A), rows):
+        ri = r[i0 : i0 + rows, None, :]
+        denom = ri[..., 0] * s[:, 1] - ri[..., 1] * s[:, 0]
+        rel = b0 - a0[i0 : i0 + rows, None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = (rel[:, 0] * s[:, 1] - rel[:, 1] * s[:, 0]) / denom
-            v = (rel[:, 0] * r[i, 1] - rel[:, 1] * r[i, 0]) / denom
+            u = (rel[..., 0] * s[:, 1] - rel[..., 1] * s[:, 0]) / denom
+            v = (rel[..., 0] * ri[..., 1] - rel[..., 1] * ri[..., 0]) / denom
         hit = (np.abs(denom) > 1e-12) & (u > 1e-9) & (u < 1 - 1e-9) & (v > 1e-9) & (v < 1 - 1e-9)
-        for j in np.nonzero(hit)[0]:
-            out.append((i, float(u[j]), int(j), float(v[j]), a0[i] + u[j] * r[i]))
+        for di, j in zip(*np.nonzero(hit)):
+            i = i0 + int(di)
+            out.append((i, float(u[di, j]), int(j), float(v[di, j]), a0[i] + u[di, j] * r[i]))
     return out
 
 

@@ -117,16 +117,11 @@ def build_polar_mesh(n_boundary: int, grading: float = 1.15) -> PolarMesh:
     )
 
 
-def metric_weights(mesh: PolarMesh, speed) -> np.ndarray:
-    """Edge weights speed(midpoint) * length for a conformal factor speed(z),
-    evaluated once per undirected edge on the midpoint rings."""
-    mids = np.outer(mesh.mid_centers, np.exp(1j * grid_angles(mesh.n_boundary))).ravel()
-    sp = np.asarray(speed(mids), dtype=float)
-    if np.any(sp < 0) or not np.all(np.isfinite(sp)):
-        raise InvalidInput("conformal speed must be finite and nonnegative")
-    return sp[mesh.edge_ring] * mesh.edge_lengths
-
-
 def shortest_path_distance(mesh: PolarMesh, weights: np.ndarray, a: int, b: int) -> float:
+    """Metric distance between nodes a and b.  The search always starts at
+    the lower index, so the distance is symmetric bit for bit: Dijkstra adds
+    the weights along a path from its source, and a sum taken from the other
+    end can round differently."""
+    a, b = min(a, b), max(a, b)
     dist = dijkstra(mesh.indptr, mesh.indices, weights, a, mesh.n_nodes)
     return float(dist[b])

@@ -2,11 +2,16 @@
 extendability verdict on the reference and figure fixtures.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from liouville_disk import blank
 from liouville_disk.arrangement import _other_strand_distance, build_arrangement
 from liouville_disk.blank import (
+    ANGULAR_GUARD,
+    N_RAY_DIRECTIONS,
     BlankWord,
     Letter,
     blank_word,
@@ -17,6 +22,7 @@ from liouville_disk.blank import (
 from liouville_disk.curves import PolyCurve, rotation_index
 from liouville_disk.disk import analytic_completion, boundary_polyline, build_phi
 from liouville_disk.fixtures import (
+    FIXTURES,
     circle,
     fblank_first,
     fblank_second,
@@ -87,6 +93,171 @@ class TestArrangement:
         v = np.insert(v, 5, v[5], axis=0)
         for p in rng.uniform(-2.0, 2.0, size=(300, 2)):
             assert _other_strand_distance(p, v, 0.01) == loop_distance(p, v, 0.01)
+
+
+def loop_ray_curve_hits(origin, direction, vertices, span):
+    """Reference: one ray, one edge at a time.  Returns (ok, hits); ok is
+    False when any hit grazes an edge endpoint or is near-tangential."""
+    a = vertices
+    ex = np.roll(vertices, -1, axis=0) - a
+    ux, uy = direction
+    denom = ux * ex[:, 1] - uy * ex[:, 0]
+    rel = a - origin
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_param = (rel[:, 0] * ex[:, 1] - rel[:, 1] * ex[:, 0]) / denom
+        t_param = (rel[:, 0] * uy - rel[:, 1] * ux) / denom
+    hits = []
+    margin = 1e-9
+    for k, (dk, r, t) in enumerate(zip(denom.tolist(), r_param.tolist(), t_param.tolist())):
+        if abs(dk) < 1e-12:
+            continue
+        if r <= margin or r >= span:
+            continue
+        if t < -margin or t > 1 + margin:
+            continue
+        if t < 1e-6 or t > 1 - 1e-6:
+            return False, []
+        edge_dir = ex[k] / np.hypot(*ex[k])
+        det = ux * edge_dir[1] - uy * edge_dir[0]
+        if abs(det) < np.sin(0.05):
+            return False, []
+        hits.append((float(r), int(k), float(t), 1 if det > 0 else -1))
+    hits.sort()
+    return True, hits
+
+
+def loop_direction_admissible(origin, direction, guard_points):
+    """Reference: does the direction keep the angular guard off every
+    marked point ahead of the origin?"""
+    rel = guard_points - origin
+    norms = np.hypot(rel[:, 0], rel[:, 1])
+    ok = norms > 1e-12
+    rel = rel[ok] / norms[ok, None]
+    cross = direction[0] * rel[:, 1] - direction[1] * rel[:, 0]
+    dot = direction[0] * rel[:, 0] + direction[1] * rel[:, 1]
+    return not np.any((np.abs(cross) < ANGULAR_GUARD) & (dot > 0))
+
+
+def ray_setup(c, arr):
+    v = c.vertices
+    span = 3.0 * max(2.0 * float(np.max(np.hypot(*(v - v.mean(axis=0)).T))), 1.0)
+    marked = [v] + [x.point[None, :] for x in arr.crossings]
+    if c.corners:
+        marked.append(v[sorted(c.corners)])
+    return span, np.vstack(marked)
+
+
+def loop_blank_word(c, arr, seed):
+    """Reference word: the 64 directions of each face tried one by one, the
+    first admissible one with the fewest hits kept."""
+    span, guard_points = ray_setup(c, arr)
+    rng = np.random.default_rng(seed)
+    offset = rng.uniform(0.0, 2 * np.pi / N_RAY_DIRECTIONS)
+    rays, letters = {}, []
+    for face in arr.bounded_faces:
+        best = None
+        for d_idx in range(N_RAY_DIRECTIONS):
+            ang = offset + 2 * np.pi * d_idx / N_RAY_DIRECTIONS
+            u = np.array([np.cos(ang), np.sin(ang)])
+            if not loop_direction_admissible(face.witness, u, guard_points):
+                continue
+            ok, hits = loop_ray_curve_hits(face.witness, u, c.vertices, span)
+            if ok and hits and (best is None or len(hits) < len(best[1])):
+                best = (u, hits)
+        u, hits = best
+        rays[face.id] = (u, hits)
+        for index, (r, k, t, sign) in enumerate(hits):
+            letters.append((k + t, Letter(face.id, index, sign), face.witness + r * u))
+    letters.sort(key=lambda item: item[0])
+    return letters, rays
+
+
+@lru_cache(maxsize=None)
+def ray_cases():
+    """Every fixture in generic position and ten glued curves, with their
+    arrangements (tangent-touch needs a jitter first)."""
+    cases = [(name, make()) for name, make in FIXTURES.items() if name != "tangent-touch"]
+    for seed in range(10):
+        c, _ = glued_positive_loops(2 + seed % 7, seed=seed, n_per=(32, 48, 64, 128)[seed % 4])
+        cases.append((f"glued-{seed}", c))
+    return tuple((name, c, build_arrangement(c)) for name, c in cases)
+
+
+class TestRayFan:
+    """The (directions x edges) pass against the per-direction edge loop."""
+
+    def test_every_direction_matches_the_loop(self):
+        n_dirs = 0
+        for name, c, arr in ray_cases():
+            span, guard_points = ray_setup(c, arr)
+            dirs = blank._ray_directions(seed=7)
+            for face in arr.bounded_faces:
+                fan = blank._cast_fan(face.witness, dirs, c.vertices, span, guard_points)
+                for d, u in enumerate(dirs):
+                    adm = loop_direction_admissible(face.witness, u, guard_points)
+                    ok, hits = loop_ray_curve_hits(face.witness, u, c.vertices, span)
+                    assert bool(fan.admissible[d]) == adm, (name, face.id, d)
+                    assert bool(fan.ok[d]) == ok, (name, face.id, d)
+                    if ok:
+                        assert fan.hits(d) == hits, (name, face.id, d)
+                    n_dirs += 1
+        assert n_dirs > 40 * N_RAY_DIRECTIONS
+
+    def test_thresholds_match_the_loop(self):
+        # one edge PQ crosses ray 0 at angle alpha and edge parameter t; the
+        # third vertex sits far ahead on the ray, so the ray ends inside the
+        # triangle and PQ is its only possible hit.  The cases straddle the
+        # graze, margin, tangency and span thresholds (the span one exactly).
+        dirs = blank._ray_directions(seed=7)
+        u = dirs[0]
+        origin = np.array([0.3, -0.2])
+        cases = [(a, t) for a in (0.7, -2.1) for t in
+                 (-1e-9 - 1e-12, -1e-9 + 1e-12, 1e-6 - 1e-12, 1e-6 + 1e-12, 0.5,
+                  1 - 1e-6 - 1e-12, 1 - 1e-6 + 1e-12, 1 + 1e-9 - 1e-12, 1 + 1e-9 + 1e-12)]
+        cases += [(s * (0.05 + k * 1e-17), 0.37) for s in (1, -1) for k in range(-40, 41)]
+        cases += [(s * (np.pi - 0.05) + k * 1e-12, 0.37) for s in (1, -1) for k in (-3, 3)]
+        n_ok = set()
+        for alpha, t in cases:
+            e = np.array([np.cos(alpha) * u[0] - np.sin(alpha) * u[1],
+                          np.sin(alpha) * u[0] + np.cos(alpha) * u[1]])
+            p = origin + 1.5 * u - t * 0.4 * e
+            vertices = np.array([p, p + 0.4 * e, origin + 40.0 * u])
+            _, far = loop_ray_curve_hits(origin, u, vertices, 3.0)
+            at_hit = [far[0][0]] if far else []  # a ray ending exactly at its hit
+            for span in [1.5 - 1e-12, 1.5 + 1e-12, 3.0] + at_hit:
+                fan = blank._cast_fan(origin, dirs, vertices, span, vertices)
+                ok, hits = loop_ray_curve_hits(origin, u, vertices, span)
+                assert bool(fan.ok[0]) == ok, (alpha, t, span)
+                if ok:
+                    assert fan.hits(0) == hits, (alpha, t, span)
+                n_ok.add((ok, len(hits)))
+        assert n_ok == {(True, 0), (True, 1), (False, 0)}
+
+    def test_rejections_are_exercised(self):
+        # the cases must include directions the guards reject, or the
+        # comparison above would not test them
+        rejected = {"admissible": 0, "ok": 0}
+        for _name, c, arr in ray_cases():
+            span, guard_points = ray_setup(c, arr)
+            for face in arr.bounded_faces:
+                fan = blank._cast_fan(face.witness, blank._ray_directions(7), c.vertices, span,
+                                      guard_points)
+                rejected["admissible"] += int((~fan.admissible).sum())
+                rejected["ok"] += int((~fan.ok).sum())
+        assert min(rejected.values()) > 0
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_blank_word_matches_the_loop(self, seed):
+        for name, c, arr in ray_cases():
+            rec = blank_word(c, arr, seed=seed)
+            letters, rays = loop_blank_word(c, arr, seed)
+            assert rec.word.letters == tuple(l for _, l, _ in letters), name
+            assert rec.positions == [p for p, _, _ in letters], name
+            assert all(np.array_equal(a, b) for a, b in zip(rec.points, [pt for *_, pt in letters]))
+            assert set(rec.rays) == set(rays)
+            for fid, (u, hits) in rays.items():
+                assert np.array_equal(rec.rays[fid].direction, u), (name, fid)
+                assert rec.rays[fid].hits == hits, (name, fid)
 
 
 class TestBlankWord:
@@ -267,6 +438,15 @@ class TestExtendability:
         # corners are flattened before the word is built
         rep = extendability_check(marked_square(), seed=5)
         assert rep.index_ok and rep.word_contracts
+
+    def test_gluing_failure_keeps_its_reason(self, monkeypatch):
+        def broken(*_args):
+            raise KeyError("letter 3")
+
+        monkeypatch.setattr(blank, "_gluing_indices", broken)
+        rep = extendability_check(fblank_first(), seed=7)
+        assert rep.index_ok and rep.word_contracts  # the verdict stands
+        assert rep.to_json()["gluing"] == {"error": "KeyError: 'letter 3'"}
 
     def test_glued_loops_all_positive_words(self):
         for seed in (3, 4, 5):

@@ -7,6 +7,7 @@ import pytest
 
 from liouville_disk.curves import (
     PolyCurve,
+    _tie_break_pi,
     corner_angle_check,
     fillet_corners,
     jitter,
@@ -14,6 +15,7 @@ from liouville_disk.curves import (
     self_intersections,
     wrap_angle,
 )
+from liouville_disk.disk import analytic_completion, boundary_polyline
 from liouville_disk.errors import (
     InvalidInput,
     NotGenericPosition,
@@ -27,6 +29,7 @@ from liouville_disk.fixtures import (
     marked_square,
     tangent_touch,
 )
+from liouville_disk.spectral import PeriodicGrid, SingularField
 
 TWO_PI = 2 * np.pi
 
@@ -241,3 +244,65 @@ def test_polycurve_rejects_sharp_unmarked():
     pts += [[x, 0.3] for x in np.linspace(1, 0, 5)]
     with pytest.raises(InvalidInput):
         PolyCurve(np.asarray(pts))
+
+
+def loop_turning(c):
+    """Reference: the turning sum vertex by vertex, corners in place."""
+    ang = c.edge_angles()
+    m = c.m
+    total = 0.0
+    exterior = {}
+    for k in range(m):
+        prev_dir = ang[(k - 1) % m]
+        next_dir = ang[k]
+        if k in c.corners:
+            rec = c.corners[k]
+            tin, tout = rec if rec is not None else (prev_dir, next_dir)
+            eps = float(wrap_angle(tout - tin))
+            if abs(abs(eps) - np.pi) < 1e-9:
+                eps = _tie_break_pi(c, k, tin)
+            exterior[k] = eps
+            total += wrap_angle(tin - prev_dir) + eps + wrap_angle(next_dir - tout)
+        else:
+            total += wrap_angle(next_dir - prev_dir)
+    return float(total), exterior
+
+
+def singular_corner_curve(beta, n, smooth):
+    th = 2 * np.pi * np.arange(n) / n - np.pi
+    sf = SingularField(PeriodicGrid(smooth * np.cos(2 * th)), ((-np.pi / 2, beta),))
+    verts, corners = boundary_polyline(analytic_completion(sf), n)
+    return PolyCurve(verts, corners=corners)
+
+
+def turning_cases():
+    yield "square", marked_square()
+    yield "one-corner", one_corner_square()
+    yield "slit-up", slit_curve(up=True)
+    yield "slit-down", slit_curve(up=False)
+    yield "fseifert", fseifert()
+    for name, c in (("circle", circle(96)), ("limacon", limacon(256)),
+                    ("figure-eight", figure_eight(256))):
+        yield name, c
+        for seed in range(3):
+            yield f"{name}-jitter{seed}", jitter(c, seed, 0.05 * float(np.min(c.edge_lengths())))
+    for k, beta in enumerate(np.pi * np.array([0.05, 0.5, 0.95, -0.5])):
+        yield f"corner-{beta:.3f}", singular_corner_curve(beta, 128, 0.05 * (k % 2))
+    # corners listed out of order, one with a recorded tangent and a zero
+    # exterior angle
+    c = circle(64)
+    yield "circle-marked", PolyCurve(c.vertices, corners={40: (0.3, 0.3), 7: None})
+
+
+class TestRotationIndexOracle:
+    def test_total_turning_bit_for_bit(self):
+        n_corners = 0
+        for name, c in turning_cases():
+            total, exterior = loop_turning(c)
+            rep = rotation_index(c)
+            assert rep.total_turning == total, name
+            assert rep.exterior_angles == exterior, name
+            assert list(rep.exterior_angles) == sorted(exterior), name
+            assert rep.index == round(total / TWO_PI), name
+            n_corners += len(exterior)
+        assert n_corners >= 12

@@ -7,7 +7,8 @@ import heapq
 import numpy as np
 
 from liouville_disk import _kernels as K
-from liouville_disk.mesh import build_polar_mesh, metric_weights, shortest_path_distance
+from liouville_disk.fixtures import FIXTURES
+from liouville_disk.mesh import build_polar_mesh, shortest_path_distance
 from liouville_disk.predicates import orient2d
 
 
@@ -44,25 +45,40 @@ def heap_dijkstra(indptr, indices, weights, source, n):
     return np.array(dist)
 
 
-def proper_crossings(pts, skip_neighbors=1):
-    """{(i, j): (s, t)} for edges pts[k] -> pts[k+1] of the closed polyline
-    that cross at interior points, decided by orient2d pair by pair."""
+def on_segment(p, q, r):
+    """r, collinear with p and q, lies on the closed segment pq."""
+    return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
+
+
+def oracle_pairs(pts, skip_neighbors=1):
+    """({(i, j): (s, t)}, {(i, j)}) for edges pts[k] -> pts[k+1] of the closed
+    polyline: pairs that cross at interior points, and pairs that meet
+    otherwise (touch, share a point or overlap), decided by orient2d pair by
+    pair.  Pairs whose closed bounding boxes miss cannot meet and are not
+    asked."""
     n = len(pts)
-    edges = [(pts[k], pts[(k + 1) % n]) for k in range(n)]
-    out = {}
+    ends = np.roll(pts, -1, axis=0)
+    lo, hi = np.minimum(pts, ends), np.maximum(pts, ends)
+    proper, touching = {}, set()
     for i in range(n):
-        p1, p2 = edges[i]
-        for j in range(i + 1, n):
+        p1, p2 = pts[i], ends[i]
+        boxes_meet = np.all((lo[i + 1 :] <= hi[i]) & (lo[i] <= hi[i + 1 :]), axis=1)
+        for j in (np.nonzero(boxes_meet)[0] + i + 1).tolist():
             if min(j - i, n - (j - i)) <= skip_neighbors:
                 continue
-            q1, q2 = edges[j]
-            if (orient2d(q1, q2, p1) * orient2d(q1, q2, p2) < 0
-                    and orient2d(p1, p2, q1) * orient2d(p1, p2, q2) < 0):
+            q1, q2 = pts[j], ends[j]
+            o1, o2 = orient2d(q1, q2, p1), orient2d(q1, q2, p2)
+            o3, o4 = orient2d(p1, p2, q1), orient2d(p1, p2, q2)
+            if o1 * o2 < 0 and o3 * o4 < 0:
                 r, d, q = p2 - p1, q2 - q1, q1 - p1
                 denom = r[0] * d[1] - r[1] * d[0]
-                out[(i, j)] = ((q[0] * d[1] - q[1] * d[0]) / denom,
-                               (q[0] * r[1] - q[1] * r[0]) / denom)
-    return out
+                proper[(i, j)] = ((q[0] * d[1] - q[1] * d[0]) / denom,
+                                  (q[0] * r[1] - q[1] * r[0]) / denom)
+            elif ((o1 == 0 and on_segment(q1, q2, p1)) or (o2 == 0 and on_segment(q1, q2, p2))
+                    or (o3 == 0 and on_segment(p1, p2, q1)) or (o4 == 0 and on_segment(p1, p2, q2))):
+                touching.add((i, j))
+    return proper, touching
 
 
 def crossing_number_winding(p, poly):
@@ -102,6 +118,34 @@ class TestDijkstraParity:
         assert d[1] == 1.0 and np.isinf(d[2])
 
 
+def grid_polyline(n, seed):
+    """Random closed polyline on the 1/8 grid: collinear overlaps, shared
+    vertices, T-touches and zero-length edges all occur."""
+    return np.random.default_rng(seed).integers(0, 9, size=(n, 2)) / 8.0
+
+
+def check_against_oracle(pts, skip_neighbors=1):
+    """segment_hits on the closed polyline pts agrees with the orient2d
+    oracle; returns the number of proper crossings."""
+    ref, touching = oracle_pairs(pts, skip_neighbors)
+    i, j, s, t, suspect = K.segment_hits(pts, np.roll(pts, -1, axis=0), skip_neighbors)
+    keys = list(zip(i.tolist(), j.tolist()))
+    assert keys == sorted(set(keys))  # each pair once, sorted by (i, j)
+    clean = {(a, b): (u, v) for (a, b), u, v, f in zip(keys, s, t, suspect) if not f}
+    flagged = {key for key, f in zip(keys, suspect) if f}
+    # clean pairs are proper crossings; suspect pairs await exact re-evaluation,
+    # and every pair that meets without crossing properly must be among them
+    assert set(clean) <= set(ref)
+    assert set(ref) <= set(clean) | flagged
+    assert touching <= flagged
+    for key, (u, v) in clean.items():
+        assert abs(u - ref[key][0]) < 1e-9 and abs(v - ref[key][1]) < 1e-9
+    for a, b in flagged:
+        assert min(b - a, len(pts) - (b - a)) > skip_neighbors
+    assert np.all(s[suspect == 1] == -1.0) and np.all(t[suspect == 1] == -1.0)
+    return len(ref)
+
+
 class TestSegmentHitsParity:
     def test_same_pairs_as_orient2d_oracle(self):
         curves = [
@@ -109,19 +153,58 @@ class TestSegmentHitsParity:
             seeded_curve(2.0, 0.05),  # three inner loops
             np.random.default_rng(11).normal(size=(120, 2)),  # random polygon
         ]
-        total = 0
-        for pts in curves:
-            ref = proper_crossings(pts)
-            i, j, s, t, suspect = K.segment_hits(pts, np.roll(pts, -1, axis=0))
-            clean = {(a, b): (u, v) for a, b, u, v, f in zip(i, j, s, t, suspect) if not f}
-            flagged = {(a, b) for a, b, f in zip(i, j, suspect) if f}
-            # clean pairs are proper crossings; suspect pairs await exact re-evaluation
-            assert set(clean) <= set(ref)
-            assert set(ref) <= set(clean) | flagged
-            for key, (u, v) in clean.items():
-                assert abs(u - ref[key][0]) < 1e-9 and abs(v - ref[key][1]) < 1e-9
-            total += len(ref)
+        total = sum(check_against_oracle(pts) for pts in curves)
         assert total > 100
+
+    def test_random_polylines(self):
+        rng = np.random.default_rng(12)
+        total = 0
+        for k in range(20):
+            pts = rng.normal(size=(int(rng.integers(4, 90)), 2))
+            total += check_against_oracle(pts, skip_neighbors=k % 3)
+        assert total > 1000
+
+    def test_degenerate_grid_polylines(self):
+        # collinear overlaps and touches must come back flagged, never lost
+        n_touching = 0
+        for seed in range(20):
+            pts = grid_polyline(60, seed)
+            check_against_oracle(pts)
+            n_touching += len(oracle_pairs(pts)[1])
+        assert n_touching > 1000
+
+    def test_fixtures(self):
+        found = {name: check_against_oracle(make().vertices) for name, make in FIXTURES.items()}
+        assert found["circle"] == 0 and found["limacon"] == 1 and found["double-pocket"] > 2
+
+    def test_chunked_sweep_gives_the_same_hits(self, monkeypatch):
+        pts = grid_polyline(80, 3)
+        b = np.roll(pts, -1, axis=0)
+        whole = K.segment_hits(pts, b)
+        monkeypatch.setattr(K, "_PAIR_BUDGET", 7)
+        chunked = K.segment_hits(pts, b)
+        for x, y in zip(whole, chunked):
+            assert np.array_equal(x, y)
+
+    def test_sweep_lists_exactly_the_x_overlapping_pairs(self):
+        pts = grid_polyline(50, 4)
+        b = np.roll(pts, -1, axis=0)
+        got = sorted(
+            (int(i), int(j)) for ci, cj in K._candidate_pairs(pts, b) for i, j in zip(ci, cj)
+        )
+        lo, hi = np.minimum(pts[:, 0], b[:, 0]), np.maximum(pts[:, 0], b[:, 0])
+        ref = [
+            (i, j) for i in range(50) for j in range(i + 1, 50)
+            if lo[j] <= hi[i] and lo[i] <= hi[j]
+        ]
+        assert got == ref
+
+    def test_broadphase_is_near_linear_on_the_large_fixtures(self):
+        # all pairs would be E^2 / 2: 2.1 M for fseifert, 8.6 M for double-pocket
+        for name in ("fseifert", "double-pocket"):
+            v = FIXTURES[name]().vertices
+            n_pairs = sum(i.size for i, _ in K._candidate_pairs(v, np.roll(v, -1, axis=0)))
+            assert n_pairs < 20 * len(v)
 
 
 class TestWindingParity:
@@ -147,7 +230,7 @@ class TestMesh:
         mesh = build_polar_mesh(128)
         j = mesh.boundary_node(1.0)
         assert abs(mesh.nodes[j] - 1.0) < 1e-12
-        weights = metric_weights(mesh, lambda z: np.ones(z.shape))
+        weights = mesh.edge_lengths  # unit speed
         d = shortest_path_distance(mesh, weights, mesh.boundary_node(1.0), mesh.boundary_node(-1.0))
         assert abs(d - 2.0) <= 2 * (2 * np.pi / 128)
 

@@ -3,9 +3,9 @@ its circle pullback with a point defect at -i, holomorphic disk maps built
 from boundary data, and the curve-topology machinery (rotation index, words
 of Blank, Seifert splitting) behind curvature-quantization checks.
 
-Hot kernels (pairwise segment intersection, mesh shortest paths, winding
-counts) have one numpy/scipy implementation each; the package reads no
-environment variables.
+Hot kernels (segment intersection by a sort-and-sweep broadphase on
+x-intervals, mesh shortest paths, winding counts) have one numpy/scipy
+implementation each; the package reads no environment variables.
 """
 
 __version__ = "0.1.0"

@@ -15,18 +15,27 @@ for the curve to bound an immersion of the disk.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import Arrangement, build_arrangement, cut_at_crossings
-from .curves import PolyCurve, fillet_corners, rotation_index, self_intersections, wrap_angle
-from .errors import DecompositionCorrupt, RayCastFailed
+from .arrangement import Arrangement, _signed_area, build_arrangement, cut_at_crossings
+from .curves import (
+    PolyCurve,
+    fillet_corners,
+    rotation_index,
+    self_intersections,
+    turn_blend,
+    wrap_angle,
+)
+from .errors import DecompositionCorrupt, InvalidInput, RayCastFailed
 from .spectral import TWO_PI
 
 ANGULAR_GUARD = 1e-3
 N_RAY_DIRECTIONS = 64
 EXHAUSTIVE_LIMIT = 16
+_LETTER = re.compile(r"(\D)([0-9]+)([+-])")
 
 
 @dataclass(frozen=True)
@@ -80,12 +89,21 @@ class BlankWord:
         }
 
     @classmethod
+    def from_json(cls, obj: dict) -> "BlankWord":
+        """Inverse of :meth:`to_json`; the canonical form is recomputed."""
+        return cls.parse(" ".join(f"{face}{index}{sign}" for face, index, sign in obj["letters"]))
+
+    @classmethod
     def parse(cls, text: str) -> "BlankWord":
+        """Read whitespace-separated letters such as 'a0- b12+': a one-character
+        face, a nonnegative integer index, then + or -."""
         letters = []
         for tok in text.split():
-            face = tok[0]
-            sign = 1 if tok[-1] == "+" else -1
-            letters.append(Letter(face, int(tok[1:-1]), sign))
+            m = _LETTER.fullmatch(tok)
+            if m is None:
+                raise InvalidInput(f"letter {tok!r} is not a face, an index and a sign + or -")
+            face, index, sign = m.groups()
+            letters.append(Letter(face, int(index), 1 if sign == "+" else -1))
         return cls(tuple(letters))
 
 
@@ -325,11 +343,7 @@ def _round_junction(pts_in, pts_out):
     trim = 0.4 * min(la, lb)
     p0 = corner + (a - corner) * (trim / la)
     p2 = corner + (b - corner) * (trim / lb)
-    ang = abs(wrap_angle(np.arctan2(*(b - corner)[::-1]) - np.arctan2(*(corner - a)[::-1])))
-    n_pts = max(int(np.ceil(ang / 0.2)) + 2, 4)
-    t = np.linspace(0.0, 1.0, n_pts)[:, None]
-    blend = (1 - t) ** 2 * p0 + 2 * t * (1 - t) * corner + t**2 * p2
-    return blend
+    return turn_blend(p0, corner, p2, 0.2)
 
 
 def seifert_decompose(c: PolyCurve, crossings=None):
@@ -342,7 +356,7 @@ def seifert_decompose(c: PolyCurve, crossings=None):
     if crossings is None:
         crossings = self_intersections(c)
     if not crossings:
-        area_sign = 1 if _polygon_area(c.vertices) > 0 else -1
+        area_sign = 1 if _signed_area(c.vertices) > 0 else -1
         return [(c.vertices.copy(), area_sign)]
     # strand k runs from passage k to passage k+1
     passages, strands = cut_at_crossings(c, crossings)
@@ -379,7 +393,7 @@ def seifert_decompose(c: PolyCurve, crossings=None):
         piece = np.vstack(pts_parts)
         d = np.hypot(*np.diff(np.vstack([piece, piece[:1]]), axis=0).T)
         piece = piece[np.concatenate([[True], d[:-1] > 1e-12])]
-        orient = 1 if _polygon_area(piece) > 0 else -1
+        orient = 1 if _signed_area(piece) > 0 else -1
         pieces.append((piece, orient))
 
     total = sum(o for _, o in pieces)
@@ -389,11 +403,6 @@ def seifert_decompose(c: PolyCurve, crossings=None):
             f"signed orientations sum to {total}, rotation index is {idx}"
         )
     return pieces
-
-
-def _polygon_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 # --- extendability -----------------------------------------------------------

@@ -174,10 +174,7 @@ def cmd_contract(args):
     if args.word:
         w = BlankWord.parse(args.word)
     else:
-        obj = _read_json(args.infile)
-        from .blank import Letter
-
-        w = BlankWord(tuple(Letter(f, int(i), 1 if s == "+" else -1) for f, i, s in obj["letters"]))
+        w = BlankWord.from_json(_read_json(args.infile))
     res = contract(w)
     print(f"contracts: {res.contracted} ({res.order})")
     for step in res.steps:

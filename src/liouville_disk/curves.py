@@ -255,6 +255,16 @@ def corner_angle_check(c: PolyCurve) -> float:
     return float(TWO_PI * rep.index - eps)
 
 
+def turn_blend(p_in, corner, p_out, max_turn: float) -> np.ndarray:
+    """Quadratic Bezier from p_in to p_out with control point corner,
+    endpoints included: one point per max_turn radians of the turn from
+    corner - p_in to p_out - corner, plus two, and at least four."""
+    turn = abs(wrap_angle(np.arctan2(*(p_out - corner)[::-1]) - np.arctan2(*(corner - p_in)[::-1])))
+    n_pts = max(int(np.ceil(turn / max_turn)) + 2, 4)
+    t = np.linspace(0.0, 1.0, n_pts)[:, None]
+    return (1 - t) ** 2 * p_in + 2 * t * (1 - t) * corner + t**2 * p_out
+
+
 def _bezier_blend(p0, p1, p2, n_pts):
     """Quadratic Bezier through control points; tangents run p0->p1 and p1->p2."""
     t = np.linspace(0.0, 1.0, n_pts)[1:-1, None]

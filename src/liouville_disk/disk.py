@@ -7,12 +7,9 @@ normalization Phi(1) = 0.  Boundary curvature, Moebius recentering, the
 conformal boundary distance, and Blaschke test fixtures live here too.
 
 Anchored traces have a power-law boundary singularity; their boundary
-polylines are built by per-cell quadrature of the boundary derivative rather
-than through the truncated series, which would trip the resolution guard.
-Cells clear of the anchors take their Gauss nodes from shifted-grid inverse
-FFTs of lambda and rho (O(n log n) in all); the few cells beside an anchor
-take a fixed Gauss-Jacobi rule whose weights carry the anchor's power-law
-factor.
+polylines are built by per-cell quadrature of the boundary derivative
+(spectral.singular_cell_integrals) rather than through the truncated series,
+which would trip the resolution guard.
 
 |Phi'| is only ever needed on uniform polar rings: the 64 x 256 lattice of
 the immersion certificate and the edge-midpoint rings of the distance mesh.
@@ -31,25 +28,21 @@ from .errors import InvalidInput, NotHolomorphic, UnderResolved
 from .mesh import build_polar_mesh, shortest_path_distance
 from .spectral import (
     BAND_LIMIT_ENERGY,
-    CELL_GAUSS_W,
-    CELL_GAUSS_X,
     TWO_PI,
     PeriodicGrid,
     SingularField,
     _apply_multiplier,
     _hilbert_multiplier,
     analyze,
-    anchor_cell_rules,
     band_limit_fraction,
     circle_trapezoid,
     conjugate_profile,
-    eval_modes,
-    eval_shifted_grids,
     grid_angles,
-    half_laplacian,
     log_profile,
     negative_frequency_fraction,
     resample,
+    singular_cell_integrals,
+    singular_half_laplacian,
 )
 
 TAIL_ENERGY_LIMIT = 1e-6
@@ -60,9 +53,9 @@ NEG_FREQ_LIMIT = 1e-6
 class BoundaryTrace:
     """Boundary data lambda together with its harmonic conjugate.
 
-    rho_smooth is the Hilbert transform of the smooth part; each anchor
-    contributes its closed-form sawtooth conjugate on evaluation.  The
-    boundary derivative of the map is phi = e^{lambda + i rho}.
+    The smooth part of lam is real.  rho_smooth is its Hilbert transform;
+    each anchor contributes its closed-form sawtooth conjugate on evaluation.
+    The boundary derivative of the map is phi = e^{lambda + i rho}.
     """
 
     lam: SingularField
@@ -102,7 +95,9 @@ def analytic_completion(lam) -> BoundaryTrace:
     if not isinstance(lam, (SingularField, PeriodicGrid)):
         lam = PeriodicGrid(lam)
     field = SingularField.from_grid(lam)
-    smooth = PeriodicGrid(np.real(field.smooth.values))
+    if not field.smooth.is_real:
+        field = SingularField(PeriodicGrid(np.real(field.smooth.values)), field.anchors)
+    smooth = field.smooth
     s = analyze(smooth)
     frac = band_limit_fraction(smooth, s=s)
     if frac > BAND_LIMIT_ENERGY:
@@ -239,7 +234,7 @@ def build_phi(bt: BoundaryTrace, M: int | None = None, oversample: int = 4) -> D
     M = M if M is not None else n // 2
     N = oversample * n
     th = grid_angles(N)
-    lam = np.real(resample(PeriodicGrid(np.real(bt.lam.smooth.values)), N).values)
+    lam = np.real(resample(bt.lam.smooth, N).values)
     rho = np.real(resample(bt.rho_smooth, N).values)
     for t0, c in bt.anchors:
         lam = lam + c * log_profile(th, t0)
@@ -270,11 +265,10 @@ def boundary_curvature(bt: BoundaryTrace) -> PeriodicGrid:
     anchor's sawtooth contributes the constant -c/2pi.  At anchor grid points
     with positive coefficient the curvature vanishes (the speed blows up).
     """
-    smooth = PeriodicGrid(np.real(bt.lam.smooth.values))
-    dtheta_rho = half_laplacian(smooth).values - sum(c for _, c in bt.anchors) / TWO_PI
+    dtheta_rho, _ = singular_half_laplacian(bt.lam)
     lam = bt.lambda_grid()
     with np.errstate(over="ignore", invalid="ignore"):
-        kappa = np.exp(-lam) * (dtheta_rho + 1.0)
+        kappa = np.exp(-lam) * (dtheta_rho.values + 1.0)
     kappa = np.where(np.isfinite(kappa), kappa, 0.0)
     return PeriodicGrid(kappa)
 
@@ -285,9 +279,8 @@ def curvature_mass(bt: BoundaryTrace) -> float:
     By construction kappa e^lambda = d rho/d theta + 1, a smooth grid even
     in the anchored case, so the trapezoid rule applies directly.
     """
-    smooth = PeriodicGrid(np.real(bt.lam.smooth.values))
-    integrand = half_laplacian(smooth).values - sum(c for _, c in bt.anchors) / TWO_PI + 1.0
-    return float(circle_trapezoid(PeriodicGrid(integrand)))
+    dtheta_rho, _ = singular_half_laplacian(bt.lam)
+    return float(circle_trapezoid(dtheta_rho + 1.0))
 
 
 def mobius_recenter(d: DiskMap, a: complex, t: float, M: int | None = None) -> DiskMap:
@@ -376,14 +369,9 @@ def boundary_polyline(bt_or_map, n_vertices: int = 512):
     """Vertices of the boundary image curve at the grid angles.
 
     For a DiskMap this is direct series evaluation.  For an anchored
-    BoundaryTrace the vertices are cumulative sums of per-cell integrals of
-    the boundary derivative i e^{i theta} phi(theta) over [theta_j, theta_j + h].
-    Cells clear of every anchor use a 10-point Gauss rule whose k-th node lies
-    on the grid shifted by a fixed delta_k, so lambda and rho come from one
-    inverse FFT per node (eval_shifted_grids) and the whole polyline costs
-    O(n log n).  Cells within 2 h of an anchor take the fixed rules of
-    anchor_cell_rules, whose weights carry that anchor's power-law factor;
-    lambda and rho are evaluated at all their nodes at once.
+    BoundaryTrace the vertices are cumulative sums of the integrals of the
+    boundary derivative i e^{i theta} phi(theta) over the grid cells
+    [theta_j, theta_j + h], taken by spectral.singular_cell_integrals.
     Returns (vertices (n,2), corners dict index -> (tangent_in, tangent_out)).
     """
     if isinstance(bt_or_map, DiskMap):
@@ -400,31 +388,16 @@ def boundary_polyline(bt_or_map, n_vertices: int = 512):
 def _singular_boundary_polyline(bt: BoundaryTrace, n: int):
     th = grid_angles(n)
     h = TWO_PI / n
-    lam_spec = analyze(bt.lam.smooth)
-    rho_spec = analyze(bt.rho_smooth)
     anchors = bt.anchors
 
-    def dphi(nodes, lam, rho, owner=-1):
-        """d Phi / d theta at the nodes, leaving out the log part of anchor
-        `owner` (a rule's weights carry it); every sawtooth takes the branch
-        of the side of its anchor each node lies on."""
-        for i, (t0, c) in enumerate(anchors):
-            lam = lam + np.where(owner == i, 0.0, c * log_profile(nodes, t0))
+    def dphi(nodes, lam, rho):
+        # every sawtooth takes the branch of the side of its anchor each node lies on
+        for t0, c in anchors:
             rho = rho + c * conjugate_profile(nodes, t0)
         return 1j * np.exp(1j * nodes) * np.exp(lam + 1j * rho)
 
-    cell, owner, anchor_nodes, weights = anchor_cell_rules(th, anchors)
-    regular = np.setdiff1d(np.arange(n), cell)
-    offsets = 0.5 * h * (CELL_GAUSS_X + 1.0)
-    nodes = th[regular] + offsets[:, None]
-    lam = np.real(eval_shifted_grids(lam_spec, offsets, n))[:, regular]
-    rho = np.real(eval_shifted_grids(rho_spec, offsets, n))[:, regular]
-    increments = np.zeros(n, dtype=complex)
-    increments[regular] = 0.5 * h * (CELL_GAUSS_W @ dphi(nodes, lam, rho))
-    lam = np.real(eval_modes(lam_spec, anchor_nodes))
-    rho = np.real(eval_modes(rho_spec, anchor_nodes))
-    np.add.at(increments, cell, weights * dphi(anchor_nodes, lam, rho, owner))
-
+    specs = (analyze(bt.lam.smooth), analyze(bt.rho_smooth))
+    increments = singular_cell_integrals(n, anchors, specs, dphi)
     verts_c = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
     closure = abs(verts_c[-1] - verts_c[0])
     scale = max(1.0, float(np.max(np.abs(verts_c))))

@@ -9,28 +9,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import PolyCurve
+from .curves import PolyCurve, turn_blend
 from .spectral import TWO_PI
 
 
 def _catmull_rom_closed(ctrl, samples_per_seg=40):
+    """Closed uniform Catmull-Rom spline through ctrl, samples_per_seg points
+    per segment: axis 0 runs over segments, axis 1 over the samples."""
     ctrl = np.asarray(ctrl, dtype=float)
-    m = len(ctrl)
-    pts = []
-    for i in range(m):
-        p0, p1, p2, p3 = ctrl[(i - 1) % m], ctrl[i], ctrl[(i + 1) % m], ctrl[(i + 2) % m]
-        for t in np.linspace(0, 1, samples_per_seg, endpoint=False):
-            t2, t3 = t * t, t * t * t
-            pts.append(
-                0.5
-                * (
-                    2 * p1
-                    + (-p0 + p2) * t
-                    + (2 * p0 - 5 * p1 + 4 * p2 - p3) * t2
-                    + (-p0 + 3 * p1 - 3 * p2 + p3) * t3
-                )
-            )
-    return np.asarray(pts)
+    p0, p1, p2, p3 = (np.roll(ctrl, -k, axis=0)[:, None, :] for k in (-1, 0, 1, 2))
+    t = np.linspace(0, 1, samples_per_seg, endpoint=False)[:, None]
+    t2, t3 = t * t, t * t * t
+    pts = 0.5 * (
+        2 * p1
+        + (-p0 + p2) * t
+        + (2 * p0 - 5 * p1 + 4 * p2 - p3) * t2
+        + (-p0 + 3 * p1 - 3 * p2 + p3) * t3
+    )
+    return pts.reshape(-1, 2)
 
 
 def _resample_arclength(pts, n):
@@ -167,23 +163,6 @@ def _two_polyline_intersections(A: np.ndarray, B: np.ndarray):
     return out
 
 
-def _blend(p_in, corner, p_out, max_turn=0.08):
-    ang = abs(
-        np.angle(
-            np.exp(
-                1j
-                * (
-                    np.arctan2(*(p_out - corner)[::-1])
-                    - np.arctan2(*(corner - p_in)[::-1])
-                )
-            )
-        )
-    )
-    n_pts = max(int(np.ceil(ang / max_turn)) + 2, 4)
-    t = np.linspace(0.0, 1.0, n_pts)[:, None]
-    return (1 - t) ** 2 * p_in + 2 * t * (1 - t) * corner + t**2 * p_out
-
-
 def splice_curves(chain: np.ndarray, B: np.ndarray, d_trim: float) -> np.ndarray:
     """Orientation-coherent splice of closed polyline B into closed polyline
     chain at the upper of their intersection points (rounded apart so both
@@ -210,7 +189,7 @@ def splice_curves(chain: np.ndarray, B: np.ndarray, d_trim: float) -> np.ndarray
         ke = q + 1
         while np.hypot(*(spliced[ke] - p)) < d_trim:
             ke += 1
-        blend = _blend(spliced[kb], p, spliced[ke])
+        blend = turn_blend(spliced[kb], p, spliced[ke], 0.08)
         spliced = np.vstack([spliced[: kb + 1], blend, spliced[ke:]])
     d = np.hypot(*np.diff(np.vstack([spliced, spliced[:1]]), axis=0).T)
     return spliced[np.concatenate([[True], d[:-1] > 1e-9])]

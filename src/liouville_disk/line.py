@@ -30,18 +30,14 @@ from .errors import (
     TailError,
 )
 from .spectral import (
-    CELL_GAUSS_W,
-    CELL_GAUSS_X,
     TWO_PI,
     PeriodicGrid,
     SingularField,
     analyze,
-    anchor_cell_rules,
     circle_trapezoid,
-    eval_modes,
-    eval_shifted_grids,
     grid_angles,
     log_profile,
+    singular_cell_integrals,
     singular_half_laplacian,
 )
 
@@ -310,40 +306,17 @@ def integrate_exp_singular(field: SingularField, extra: np.ndarray | None = None
     """Integrate extra(theta) * e^{lambda(theta)} over the circle when lambda
     carries log anchors, i.e. the integrand has integrable power-law factors.
 
-    Composite 10-point Gauss cells [theta_j - h/2, theta_j + h/2] away from
-    anchors.  The k-th Gauss node of every cell lies on the grid shifted by
-    the same offset delta_k, so the smooth part and extra are interpolated
-    there by one inverse FFT per node (eval_shifted_grids): O(n log n) in
-    all.  extra may be sampled on a grid of another size than the field's.
-    Cells within 2.5 h of an anchor take the fixed rules of
-    anchor_cell_rules, whose weights carry that anchor's power-law factor;
-    the rest of the integrand is evaluated at all their nodes at once.
+    The sum of the cell integrals of spectral.singular_cell_integrals; extra
+    may be sampled on a grid of another size than the field's.
     """
-    n = field.n
-    h = TWO_PI / n
-    th = grid_angles(n)
-    spec = analyze(field.smooth)
-    extra_spec = analyze(PeriodicGrid(extra)) if extra is not None else None
+    specs = [analyze(field.smooth)]
+    if extra is not None:
+        specs.append(analyze(PeriodicGrid(extra)))
 
-    def exp_lambda(nodes, lam, owner=-1):
-        # leaves out the log part of anchor `owner`, which a rule's weights carry
-        for i, (t0, c) in enumerate(field.anchors):
-            lam = lam + np.where(owner == i, 0.0, c * log_profile(nodes, t0))
-        return np.exp(lam)
+    def integrand(nodes, lam, extra_values=1.0):
+        return np.exp(lam) * extra_values
 
-    cell, owner, anchor_nodes, weights = anchor_cell_rules(th - h / 2, field.anchors)
-    regular = np.setdiff1d(np.arange(n), cell)
-    offsets = 0.5 * h * CELL_GAUSS_X
-    nodes = th[regular] + offsets[:, None]
-    vals = exp_lambda(nodes, np.real(eval_shifted_grids(spec, offsets, n))[:, regular])
-    if extra_spec is not None:
-        vals = vals * np.real(eval_shifted_grids(extra_spec, offsets, n))[:, regular]
-    total = 0.5 * h * float(np.sum(CELL_GAUSS_W @ vals))
-
-    vals = exp_lambda(anchor_nodes, np.real(eval_modes(spec, anchor_nodes)), owner)
-    if extra_spec is not None:
-        vals = vals * np.real(eval_modes(extra_spec, anchor_nodes))
-    return total + float(weights @ vals)
+    return float(np.sum(singular_cell_integrals(field.n, field.anchors, specs, integrand).real))
 
 
 @dataclass(frozen=True)

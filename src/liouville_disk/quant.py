@@ -38,7 +38,7 @@ from .line import (
     stereo_project,
     transfer_equation,
 )
-from .spectral import TWO_PI, PeriodicGrid, grid_angles
+from .spectral import TWO_PI, PeriodicGrid, SingularField, grid_angles
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,6 @@ class Bubble:
         return out
 
     def pull_back(self, n: int) -> LineField:
-        from .spectral import SingularField
-
         return LineField(SingularField(PeriodicGrid(self.lambda_at(grid_angles(n)))))
 
     def lambda_bar(self, n: int = 1024) -> float:

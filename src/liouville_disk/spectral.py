@@ -477,30 +477,51 @@ def singular_cell_rule(lo: float, hi: float, t0: float, s: float):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def anchor_cell_rules(edges: np.ndarray, anchors):
-    """singular_cell_rule for every cell [edges[j], edges[j + 1]] (the last
-    one ending at edges[0] + 2 pi) whose midpoint lies within 2.5 cell widths
-    of an anchor; a cell in range of several anchors goes to the first.
+def singular_cell_integrals(n: int, anchors, specs, integrand) -> np.ndarray:
+    """Integrals over the n grid cells [theta_j, theta_j + 2 pi/n] of
+    integrand(nodes, lam, *rest), where lam is the real interpolant of
+    specs[0] plus c * log_profile of every anchor (theta0, c) and rest are
+    the real interpolants of the other specs.
 
-    Returns four arrays over all their nodes: the cell, the anchor whose
-    power-law factor the weight carries, the node and the weight.  Their
-    number does not depend on the number of cells.
+    A cell whose midpoint lies within 2.5 cell widths of an anchor takes the
+    singular_cell_rule of the first such anchor; its weights carry that
+    anchor's power-law factor, so lam leaves out its log part there.  All
+    these nodes go through one eval_modes call per spec, however large n.
+    Every other cell takes a 10-point Gauss rule whose k-th node lies on the
+    grid shifted by a fixed delta_k: one inverse FFT per node and spec
+    (eval_shifted_grids), O(n log n) in all.
     """
+    th = grid_angles(n)
+    h = TWO_PI / n
     # neighbouring cells share each edge bit for bit: beside an anchor the
     # integrand is too steep for two roundings of one edge to agree
-    hi = np.append(edges[1:], edges[0] + TWO_PI)
-    mid = 0.5 * (edges + hi)
-    free = np.ones(edges.size, dtype=bool)
+    hi = np.append(th[1:], th[0] + TWO_PI)
+    mid = 0.5 * (th + hi)
+    regular = np.ones(n, dtype=bool)
     # typed empty columns, so that no anchors gives four empty arrays
     parts = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0), np.empty(0))]
     for i, (t0, c) in enumerate(anchors):
         local = t0 + TWO_PI * np.round((mid - t0) / TWO_PI)  # copy nearest each cell
-        hit = free & (np.abs(mid - local) <= 2.5 * (hi - edges) + 1e-12)
-        free &= ~hit
+        hit = regular & (np.abs(mid - local) <= 2.5 * (hi - th) + 1e-12)
+        regular &= ~hit
         for j in np.flatnonzero(hit):
-            nodes, weights = singular_cell_rule(edges[j], hi[j], local[j], -c / np.pi)
+            nodes, weights = singular_cell_rule(th[j], hi[j], local[j], -c / np.pi)
             parts.append((np.full(nodes.size, j), np.full(nodes.size, i), nodes, weights))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    cell, owner, nodes, weights = (np.concatenate(column) for column in zip(*parts))
+
+    def values(at, rows, owner):
+        lam = rows[0]
+        for i, (t0, c) in enumerate(anchors):
+            lam = lam + np.where(owner == i, 0.0, c * log_profile(at, t0))
+        return integrand(at, lam, *rows[1:])
+
+    offsets = 0.5 * h * (CELL_GAUSS_X + 1.0)
+    rows = [np.real(eval_shifted_grids(s, offsets, n))[:, regular] for s in specs]
+    out = np.zeros(n, dtype=complex)
+    out[regular] = 0.5 * h * (CELL_GAUSS_W @ values(th[regular] + offsets[:, None], rows, -1))
+    rows = [np.real(eval_modes(s, nodes)) for s in specs]
+    np.add.at(out, cell, weights * values(nodes, rows, owner))
+    return out
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from liouville_disk.blank import (
 )
 from liouville_disk.curves import PolyCurve, rotation_index
 from liouville_disk.disk import analytic_completion, boundary_polyline, build_phi
+from liouville_disk.errors import InvalidInput
 from liouville_disk.fixtures import (
     FIXTURES,
     circle,
@@ -460,5 +461,24 @@ def test_word_json_roundtrip():
     rec = blank_word(fblank_first(), seed=7)
     obj = rec.word.to_json()
     assert obj["canonical"] == PAPER_WORD.canonical()
-    back = BlankWord(tuple(Letter(f, i, 1 if s == "+" else -1) for f, i, s in obj["letters"]))
-    assert back.canonical() == rec.word.canonical()
+    assert BlankWord.from_json(obj) == rec.word
+
+
+def test_parse_reads_multi_digit_indices():
+    w = BlankWord.parse("a10+ b0- a2+")
+    assert w.letters == (Letter("a", 10, 1), Letter("b", 0, -1), Letter("a", 2, 1))
+    assert BlankWord.parse(str(w)) == w
+
+
+@pytest.mark.parametrize("text", ["a10 b0+", "a0", "a+", "ab0+", "a0*", "a-1+", "10+", "a0+-"])
+def test_parse_rejects_malformed_letters(text):
+    # a token without a sign used to become a minus letter with its last
+    # index digit dropped
+    with pytest.raises(InvalidInput):
+        BlankWord.parse(text)
+
+
+@pytest.mark.parametrize("letter", [["a", 0, "*"], ["a", 1.5, "+"], ["ab", 0, "+"], ["a", -1, "-"]])
+def test_from_json_rejects_malformed_letters(letter):
+    with pytest.raises(InvalidInput):
+        BlankWord.from_json({"letters": [["b", 0, "+"], letter]})

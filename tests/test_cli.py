@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 
+from liouville_disk.blank import BlankWord
 from liouville_disk.cli import main
 from liouville_disk.spectral import PeriodicGrid, grid_angles
 
@@ -83,6 +84,19 @@ class TestCurveCommands:
         assert "contracts: True" in capsys.readouterr().out
         assert main(["contract", "--word", "a0+ b0-"]) == 0
         assert "contracts: False" in capsys.readouterr().out
+
+    def test_contract_rejects_a_letter_without_sign(self, capsys):
+        assert main(["contract", "--word", "a10 b0+"]) == 1
+        out, err = capsys.readouterr()
+        assert "contracts" not in out and "input error" in err
+
+    def test_contract_reads_a_word_file(self, tmp_path, capsys):
+        path = tmp_path / "word.json"
+        path.write_text(json.dumps(BlankWord.parse("a0- b1+ c0+ a1+ b0+").to_json()))
+        assert main(["contract", "--in", str(path)]) == 0
+        assert "contracts: True" in capsys.readouterr().out
+        path.write_text(json.dumps({"letters": [["a", 0, "+"], ["b", 0, "*"]]}))
+        assert main(["contract", "--in", str(path)]) == 1
 
     def test_seifert_on_fixture(self, tmp_path, capsys):
         assert main(["fixtures", "fseifert", "--out-dir", str(tmp_path)]) == 0

@@ -21,7 +21,10 @@ from liouville_disk.errors import (
     NotGenericPosition,
     WrongArity,
 )
+from liouville_disk import fixtures
 from liouville_disk.fixtures import (
+    _catmull_rom_closed,
+    _curl_double_loop,
     circle,
     figure_eight,
     fseifert,
@@ -306,3 +309,40 @@ class TestRotationIndexOracle:
             assert rep.index == round(total / TWO_PI), name
             n_corners += len(exterior)
         assert n_corners >= 12
+
+
+def catmull_rom_loop(ctrl, samples_per_seg=40):
+    """Oracle: the closed Catmull-Rom spline one sample at a time."""
+    ctrl = np.asarray(ctrl, dtype=float)
+    m = len(ctrl)
+    pts = []
+    for i in range(m):
+        p0, p1, p2, p3 = ctrl[(i - 1) % m], ctrl[i], ctrl[(i + 1) % m], ctrl[(i + 2) % m]
+        for t in np.linspace(0, 1, samples_per_seg, endpoint=False):
+            t2, t3 = t * t, t * t * t
+            pts.append(
+                0.5
+                * (
+                    2 * p1
+                    + (-p0 + p2) * t
+                    + (2 * p0 - 5 * p1 + 4 * p2 - p3) * t2
+                    + (-p0 + 3 * p1 - 3 * p2 + p3) * t3
+                )
+            )
+    return np.asarray(pts)
+
+
+@pytest.mark.parametrize("samples_per_seg", [1, 7, 40])
+def test_catmull_rom_matches_the_loop(samples_per_seg):
+    rng = np.random.default_rng(3)
+    for m in (3, 4, 61):
+        ctrl = rng.normal(size=(m, 2))
+        out = _catmull_rom_closed(ctrl, samples_per_seg)
+        assert np.array_equal(out, catmull_rom_loop(ctrl, samples_per_seg))
+
+
+def test_curl_double_loop_matches_the_loop_spline(monkeypatch):
+    # the fixture's own control polygon, resampled as the fixture does
+    out = _curl_double_loop(150.0, 2048)
+    monkeypatch.setattr(fixtures, "_catmull_rom_closed", catmull_rom_loop)
+    assert np.array_equal(out, _curl_double_loop(150.0, 2048))

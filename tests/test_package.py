@@ -2,9 +2,11 @@
 one series-evaluation path per use and no runtime options.
 
 The package must run without numba, read no environment variables, call
-adaptive quadrature only in its documented oracles and evaluate |Phi'| on
-rings only through the folded FFT, so a second kernel implementation, a
-second quadrature path, a per-point fallback or a new knob cannot come back
+adaptive quadrature only in its documented oracles, assemble anchored cell
+quadrature only in spectral.singular_cell_integrals, evaluate |Phi'| on
+rings only through the folded FFT and import nothing it does not use, so a
+second kernel implementation, a second quadrature path, a per-point
+fallback, a new knob or the leftovers of a removed path cannot come back
 unnoticed.
 """
 
@@ -49,6 +51,35 @@ def test_no_module_reads_the_environment():
                 if any(a.name in ("environ", "environb", "getenv") for a in node.names):
                     offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
+
+
+def unused_module_imports(tree):
+    """Names bound by the module's top-level imports that it never loads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {lineno})" for name, lineno in bound.items() if name not in used)
+
+
+def test_no_module_has_an_unused_import():
+    # the package __init__ imports only to re-export
+    offenders = {
+        name: unused
+        for name, tree in module_trees()
+        if name != "__init__.py" and (unused := unused_module_imports(tree))
+    }
+    assert offenders == {}
+
+
+def test_unused_import_check_sees_a_leftover():
+    tree = ast.parse("import numpy as np\nfrom .spectral import eval_modes, grid_angles\ngrid_angles(8)\n")
+    assert unused_module_imports(tree) == ["eval_modes (line 2)", "np (line 1)"]
 
 
 def test_kernels_expose_one_function_per_kernel():
@@ -102,21 +133,17 @@ def test_quad_is_called_only_by_the_pv_oracles():
     assert found == QUAD_ORACLES
 
 
-# point evaluation of a series: the map, its derivative and the corner
-# tangent fit; |Phi'| on rings (certificate lattice, distance mesh) is folded
-POLYVAL_CALLERS = {"DiskMap.__call__", "DiskMap.derivative", "_one_sided_tangent"}
-
-
-def polyval_scopes(tree):
-    """Enclosing class and function names, joined, of every polyval call."""
+def call_scopes(tree, names):
+    """Enclosing class and function names, joined, of every call to one of
+    names, whether called bare or as an attribute."""
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = scope + (node.name,)
         if isinstance(node, ast.Call):
             f = node.func
-            if (isinstance(f, ast.Attribute) and f.attr == "polyval") or (
-                isinstance(f, ast.Name) and f.id == "polyval"
+            if (isinstance(f, ast.Name) and f.id in names) or (
+                isinstance(f, ast.Attribute) and f.attr in names
             ):
                 yield ".".join(scope)
         for child in ast.iter_child_nodes(node):
@@ -125,9 +152,25 @@ def polyval_scopes(tree):
     return list(visit(tree, ()))
 
 
+def test_anchored_cell_quadrature_has_one_home():
+    # the fixed rules beside anchors and the shifted-grid Gauss cells are
+    # assembled in one function, which line and disk both call
+    callers = {
+        f"{name[:-3]}.{scope}"
+        for name, tree in module_trees()
+        for scope in call_scopes(tree, {"singular_cell_rule", "eval_shifted_grids"})
+    }
+    assert callers == {"spectral.singular_cell_integrals"}
+
+
+# point evaluation of a series: the map, its derivative and the corner
+# tangent fit; |Phi'| on rings (certificate lattice, distance mesh) is folded
+POLYVAL_CALLERS = {"DiskMap.__call__", "DiskMap.derivative", "_one_sided_tangent"}
+
+
 def test_polyval_is_called_only_for_point_evaluation():
     path = PACKAGE_DIR / "disk.py"
-    scopes = polyval_scopes(ast.parse(path.read_text(), filename=str(path)))
+    scopes = call_scopes(ast.parse(path.read_text(), filename=str(path)), {"polyval"})
     assert set(scopes) == POLYVAL_CALLERS
 
 

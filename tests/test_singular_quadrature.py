@@ -1,12 +1,13 @@
 """Quadrature of anchored traces against brute force and closed forms.
 
-integrate_exp_singular and the anchored boundary_polyline evaluate the
-regular Gauss cells through eval_shifted_grids, and the anchor-adjacent cells
-through the fixed Gauss-Jacobi rules of spectral.singular_cell_rule.  The
-oracle kept here is a per-cell loop: one eval_modes call per cell at its 10
-Gauss nodes, and each anchor-adjacent cell handed to adaptive QUADPACK
-quadrature (QAWS, with the algebraic endpoint weight split off).  A pure
-anchor has closed forms for both Lambda and the boundary curve.
+integrate_exp_singular and the anchored boundary_polyline both sum the cell
+integrals of spectral.singular_cell_integrals: regular Gauss cells through
+eval_shifted_grids, anchor-adjacent cells through the fixed Gauss-Jacobi
+rules of spectral.singular_cell_rule.  The oracles kept here are per-cell
+loops: one eval_modes call per cell at its 10 Gauss nodes, and each
+anchor-adjacent cell handed to adaptive QUADPACK quadrature (QAWS, with the
+algebraic endpoint weight split off).  A pure anchor has closed forms for
+both Lambda and the boundary curve.
 """
 
 import warnings
@@ -17,7 +18,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from liouville_disk import disk, line, spectral
+from liouville_disk import spectral
 from liouville_disk.disk import analytic_completion, boundary_polyline
 from liouville_disk.line import POLE_ANGLE, integrate_exp_singular
 from liouville_disk.spectral import (
@@ -345,8 +346,7 @@ def _eval_modes_calls(monkeypatch, fn):
         return original(*args, **kwargs)
 
     with monkeypatch.context() as mp:
-        for mod in (spectral, line, disk):
-            mp.setattr(mod, "eval_modes", counted)
+        mp.setattr(spectral, "eval_modes", counted)
         fn()
     return calls[0]
 

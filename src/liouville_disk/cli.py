@@ -18,7 +18,7 @@ from . import __version__
 from .blank import BlankWord, blank_word, contract, extendability_check, seifert_decompose
 from .curves import PolyCurve, rotation_index
 from .disk import analytic_completion, boundary_curvature, curvature_mass
-from .errors import GuardError, InputError, LiouvilleDiskError, TheoremViolation
+from .errors import GuardError, InputError, InvalidInput, LiouvilleDiskError, TheoremViolation
 from .fixtures import FIXTURES
 from .quant import (
     bubble,
@@ -173,8 +173,10 @@ def cmd_blank_word(args):
 def cmd_contract(args):
     if args.word:
         w = BlankWord.parse(args.word)
-    else:
+    elif args.infile:
         w = BlankWord.from_json(_read_json(args.infile))
+    else:
+        raise InvalidInput("contract needs a word: pass --word or --in")
     res = contract(w)
     print(f"contracts: {res.contracted} ({res.order})")
     for step in res.steps:

@@ -428,12 +428,17 @@ def pv_half_laplacian_line(u, x: float, eps_ladder=(1e-2, 5e-3, 2.5e-3), tail_to
     def sym(t):
         return (2.0 * ux - float(u(x + t)) - float(u(x - t))) / (t * t)
 
-    vals = []
-    for e in eps_ladder:
-        v, err = quad(sym, e, np.inf, limit=400, epsabs=1e-11, epsrel=1e-11)
+    def integral(a, b):
+        v, err = quad(sym, a, b, limit=400, epsabs=1e-11, epsrel=1e-11)
         if not np.isfinite(v):
             raise TailError("quadrature failed to converge", bound=err)
-        vals.append(v / np.pi)
+        return v
+
+    # one tail integral from the smallest radius; each larger radius drops
+    # the short strip up to it
+    e_min = min(eps_ladder)
+    tail = integral(e_min, np.inf)
+    vals = [(tail - (integral(e_min, e) if e > e_min else 0.0)) / np.pi for e in eps_ladder]
     r1a = 2 * vals[1] - vals[0]
     r1b = 2 * vals[2] - vals[1]
     return (8 * r1b - r1a) / 7.0

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -202,10 +202,22 @@ def synthesize(s: SpectralRep) -> PeriodicGrid:
 
 
 def eval_modes(s: SpectralRep, thetas: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolation: sum of u_hat(m) e^{i m theta}."""
+    """Trigonometric interpolation: sum of u_hat(m) e^{i m theta}.
+
+    The modes are split as m = -n/2 + b q + r with b = 2^(bit_length(n) // 2),
+    about sqrt(n) and a divisor of n, so e^{i m theta} is
+    e^{i (b q - n/2) theta} e^{i r theta}.  Each node costs b + n/b complex
+    exponentials and its share of one (nodes x n/b) @ (n/b x b) matmul, with
+    O(nodes (b + n/b)) temporaries instead of the full nodes x n matrix.  The
+    -n/2 offset stays inside the coarse table: a separate e^{-i n theta/2}
+    factor loses accuracy.
+    """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    m = s.modes
-    return np.exp(1j * np.outer(thetas, m)) @ s.coeffs
+    n = s.n
+    b = 1 << (n.bit_length() // 2)
+    lo = np.exp(1j * np.outer(thetas, np.arange(b)))
+    hi = np.exp(1j * np.outer(thetas, np.arange(-n // 2, n // 2, b)))
+    return ((hi @ s.coeffs.reshape(-1, b)) * lo).sum(axis=1)
 
 
 def eval_shifted_grids(s: SpectralRep, offsets, n: int | None = None) -> np.ndarray:
@@ -559,10 +571,15 @@ class SingularField:
             return g
         return cls(g, ())
 
+    @cached_property
+    def _spectrum(self) -> SpectralRep:
+        """Coefficients of the smooth part, transformed once per field."""
+        return analyze(self.smooth)
+
     def evaluate(self, thetas) -> np.ndarray:
         """Value at arbitrary angles; smooth part by trigonometric interpolation."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        out = eval_modes(analyze(self.smooth), thetas)
+        out = eval_modes(self._spectrum, thetas)
         if self.smooth.is_real:
             out = out.real
         for theta0, c in self.anchors:

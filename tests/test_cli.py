@@ -90,6 +90,12 @@ class TestCurveCommands:
         out, err = capsys.readouterr()
         assert "contracts" not in out and "input error" in err
 
+    def test_contract_without_a_word_is_an_input_error(self, capsys):
+        assert main(["contract"]) == 1
+        out, err = capsys.readouterr()
+        assert "contracts" not in out
+        assert "input error" in err and "--word" in err and "--in" in err
+
     def test_contract_reads_a_word_file(self, tmp_path, capsys):
         path = tmp_path / "word.json"
         path.write_text(json.dumps(BlankWord.parse("a0- b1+ c0+ a1+ b0+").to_json()))

@@ -2,6 +2,8 @@
 fundamental-solution coefficients against quadrature and closed-form oracles.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from scipy.integrate import quad
 
 from liouville_disk import spectral
 from liouville_disk.errors import BandLimitWarning, InvalidInput, InvalidRadius, NotSolvable
+from liouville_disk.line import LineField
 from liouville_disk.spectral import (
     PeriodicGrid,
     SingularField,
@@ -298,6 +301,19 @@ class TestSingularField:
         expect = np.cos(th) + 2.0 * log_profile(th, 0.5)
         assert np.max(np.abs(sf.evaluate(th) - expect)) < 1e-10
 
+    def test_evaluate_transforms_once_per_field(self, monkeypatch):
+        calls = []
+        original = spectral.analyze
+        monkeypatch.setattr(spectral, "analyze", lambda g: calls.append(g.n) or original(g))
+        sf = SingularField(PeriodicGrid.from_function(np.cos, 128), ((0.5, 2.0),))
+        before = LineField(sf).to_json()
+        for t in (np.array([0.3, 1.1]), 0.3, 1.1):
+            sf.evaluate(t)
+        assert calls == [128]
+        # the cached coefficients are no field: equality and JSON ignore them
+        assert sf == SingularField(sf.smooth, sf.anchors)
+        assert LineField(sf).to_json() == before
+
     def test_close_anchors_warn(self):
         n = 64
         h = TWO_PI / n
@@ -364,3 +380,77 @@ def test_eval_modes_interpolates():
     # reference: explicit mode sum
     ref = sum(s[m] * np.exp(1j * m * th) for m in range(-32, 32))
     assert np.max(np.abs(direct - ref)) < 1e-12
+
+
+# --- eval_modes against the direct mode sum ---------------------------------
+
+
+def direct_mode_sum(s, thetas):
+    """The full (nodes x n) exponential matrix times the coefficients."""
+    return np.exp(1j * np.outer(thetas, s.modes)) @ s.coeffs
+
+
+def longdouble_mode_sum(s, thetas, block=64):
+    """The same sum with phases, exponentials and products in clongdouble."""
+    m = s.modes.astype(np.longdouble)
+    c = s.coeffs.astype(np.clongdouble)
+    out = np.empty(thetas.size, dtype=np.clongdouble)
+    for i in range(0, thetas.size, block):
+        t = thetas[i : i + block].astype(np.longdouble)
+        out[i : i + block] = np.exp(1j * np.outer(t, m)) @ c
+    return out
+
+
+def random_spectrum(n, seed):
+    rng = np.random.default_rng(seed)
+    return SpectralRep(rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+EVAL_SIZES = (8, 16, 64, 512, 2048, 8192)
+
+
+@pytest.mark.parametrize("n", EVAL_SIZES)
+@pytest.mark.parametrize("nodes", [0, 1, 96, 4096])
+def test_eval_modes_matches_the_exact_mode_sum(n, nodes):
+    s = random_spectrum(n, seed=n + nodes)
+    th = np.random.default_rng(nodes).uniform(-np.pi / 2 - 0.1, 1.5 * np.pi, nodes)
+    got = eval_modes(s, th)
+    assert got.shape == (nodes,) and got.dtype == complex
+    tol = 1e-13 * np.sum(np.abs(s.coeffs))
+    # the long-double oracle on at most 256 of the nodes keeps the test fast
+    pick = slice(None, None, max(1, nodes // 256))
+    assert np.all(np.abs(got[pick] - longdouble_mode_sum(s, th[pick])) <= tol)
+    for i in range(0, nodes, 256):
+        assert np.all(np.abs(got[i : i + 256] - direct_mode_sum(s, th[i : i + 256])) <= tol)
+
+
+@pytest.mark.parametrize("n", EVAL_SIZES)
+def test_eval_modes_far_from_the_base_period(n):
+    s = random_spectrum(n, seed=n)
+    th = np.array([20 * np.pi, -20 * np.pi, 20 * np.pi + 0.3, -20 * np.pi - 1.7])
+    got = eval_modes(s, th)
+    # any double evaluation rounds the phases m theta, by up to |m theta| ulp,
+    # so the bound of the base period [-pi/2 - 0.1, 3 pi/2] grows with |theta|:
+    # at n = 8192 the direct sum misses the unscaled bound here (1.4e-13)
+    tol = 1e-13 * np.sum(np.abs(s.coeffs)) * np.abs(th) / (1.5 * np.pi)
+    assert np.all(np.abs(got - longdouble_mode_sum(s, th)) <= tol)
+
+
+def test_eval_modes_takes_a_scalar():
+    s = random_spectrum(64, seed=5)
+    got = eval_modes(s, 0.7)
+    assert got.shape == (1,)
+    assert got[0] == eval_modes(s, np.array([0.7]))[0]
+
+
+def test_eval_modes_memory_grows_with_sqrt_n():
+    # the full 256 x 8192 complex exponential matrix alone is 32 MB
+    s = random_spectrum(8192, seed=3)
+    th = np.random.default_rng(3).uniform(-np.pi, np.pi, 256)
+    tracemalloc.start()
+    try:
+        eval_modes(s, th)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

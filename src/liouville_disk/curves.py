@@ -27,6 +27,7 @@ from .spectral import TWO_PI
 
 MAX_SMOOTH_TURN = 0.3
 TRANSVERSALITY_ANGLE = 0.05
+FILLET_SPAN = 4  # edges on each side of a corner that fillet_corners rounds
 
 
 def wrap_angle(x):
@@ -181,10 +182,11 @@ class Crossing:
         return self.j + self.t
 
 
-def self_intersections(c: PolyCurve, eta_t: float = TRANSVERSALITY_ANGLE):
+def self_intersections(c: PolyCurve):
     """All pairwise edge crossings, with parameters, crossing angle, and order
-    along the curve.  Near-tangential crossings, endpoint touches, and
-    crossings within two edges of a corner raise NotGenericPosition."""
+    along the curve.  Crossings at an angle below TRANSVERSALITY_ANGLE,
+    endpoint touches, and crossings within two edges of a corner raise
+    NotGenericPosition."""
     v = c.vertices
     a = v
     b = np.roll(v, -1, axis=0)
@@ -204,9 +206,9 @@ def self_intersections(c: PolyCurve, eta_t: float = TRANSVERSALITY_ANGLE):
             _, s, t = verdict
         cross_angle = abs(wrap_angle(ang[j] - ang[i]))
         cross_angle = min(cross_angle, np.pi - cross_angle)
-        if cross_angle < eta_t:
+        if cross_angle < TRANSVERSALITY_ANGLE:
             raise NotGenericPosition(
-                f"crossing of edges {i}, {j} at angle {cross_angle:.4f} < {eta_t}"
+                f"crossing of edges {i}, {j} at angle {cross_angle:.4f} < {TRANSVERSALITY_ANGLE}"
             )
         for corner in c.corners:
             d = min(
@@ -271,8 +273,8 @@ def _bezier_blend(p0, p1, p2, n_pts):
     return (1 - t) ** 2 * p0 + 2 * t * (1 - t) * p1 + t**2 * p2
 
 
-def fillet_corners(c: PolyCurve, span: int = 4) -> PolyCurve:
-    """Round every corner over `span` edges on each side with a Bezier blend.
+def fillet_corners(c: PolyCurve) -> PolyCurve:
+    """Round every corner over FILLET_SPAN edges on each side with a Bezier blend.
 
     Total turning across the blend equals the corner's exterior angle, so the
     rotation index is preserved; words of Blank are built on the flattened
@@ -285,9 +287,9 @@ def fillet_corners(c: PolyCurve, span: int = 4) -> PolyCurve:
     keep = np.ones(m, dtype=bool)
     inserts = {}  # vertex index after which blended points follow
     for k in sorted(c.corners):
-        # trim points: span edges back and forward from the corner
-        a_idx = (k - span) % m
-        b_idx = (k + span) % m
+        # trim points: FILLET_SPAN edges back and forward from the corner
+        a_idx = (k - FILLET_SPAN) % m
+        b_idx = (k + FILLET_SPAN) % m
         p0 = c.vertices[a_idx]
         p2 = c.vertices[b_idx]
         rec = c.corners[k]
@@ -308,7 +310,7 @@ def fillet_corners(c: PolyCurve, span: int = 4) -> PolyCurve:
             p1 = c.vertices[k]
         eps = abs(float(wrap_angle(np.arctan2(*(p2 - p1)[::-1]) - np.arctan2(*(p1 - p0)[::-1]))))
         n_pts = max(int(np.ceil(eps / 0.2)) + 2, 4)
-        for d in range(span):
+        for d in range(FILLET_SPAN):
             keep[(k - 1 - d) % m] = False  # drop points strictly between a_idx and corner
             keep[(k + d) % m if d > 0 else k] = False
         keep[a_idx] = True

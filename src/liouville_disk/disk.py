@@ -31,6 +31,7 @@ from .spectral import (
     TWO_PI,
     PeriodicGrid,
     SingularField,
+    ValueEquality,
     _apply_multiplier,
     _hilbert_multiplier,
     analyze,
@@ -106,8 +107,8 @@ def analytic_completion(lam) -> BoundaryTrace:
     return BoundaryTrace(lam=field, rho_smooth=rho)
 
 
-@dataclass(frozen=True)
-class DiskMap:
+@dataclass(frozen=True, eq=False)
+class DiskMap(ValueEquality):
     """Power-series map of the closed unit disk.
 
     coeffs are ascending powers; deriv evaluation uses the differentiated

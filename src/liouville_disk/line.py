@@ -11,15 +11,19 @@ pullback
 
 carry the equation over with an exact Dirac defect (2*pi - Lambda) at -i,
 where Lambda is the total curvature integral on the line.
+
+Every sampler of a line function on the n-point circle grid reads the one
+cached chart of that grid, circle_chart(n).
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     FitWarning,
@@ -89,14 +93,52 @@ def _pole_index(n: int) -> int:
     return n // 4
 
 
-def _fill_pole(values: np.ndarray, j: int) -> float:
-    """Polynomial extrapolation to a single grid point from 4 symmetric
+CircleChart = namedtuple("CircleChart", "thetas pole off_pole x sin tau")
+
+
+@lru_cache(maxsize=8)
+def circle_chart(n: int) -> CircleChart:
+    """The n-point circle grid seen from the line, cached; n % 4 == 0.
+
+    Read-only fields: thetas, the grid angles; pole, the index of -i; off_pole,
+    the mask of the other n - 1 points; x and sin, Pi(theta_j) and
+    sin(theta_j) there in grid order; tau, the angles unwrapped to
+    [-pi/2, 3pi/2) in rising order, which is the rotation of the grid that
+    starts at index pole, closed by the first one plus 2 pi.
+    """
+    th = grid_angles(n)
+    jp = _pole_index(n)
+    off = np.arange(n) != jp
+    # unwrapped by index: for some n that are not powers of two the rounded
+    # angle at j = n/4 falls just below -pi/2
+    tau = _close_period(th, jp)
+    tau[n - jp :] += TWO_PI
+    chart = CircleChart(th, jp, off, stereo_project(np.exp(1j * th[off])), np.sin(th[off]), tau)
+    for a in (th, off, chart.x, chart.sin, tau):
+        a.setflags(write=False)
+    return chart
+
+
+def _close_period(values, start: int) -> np.ndarray:
+    """values rotated to begin at index start, closed by repeating the first
+    one: the order _piecewise_linear_integral takes, once the last angle is
+    moved on by a period."""
+    return np.concatenate([values[start:], values[: start + 1]])
+
+
+def _with_pole(chart: CircleChart, off_values, pole_value: float | None) -> np.ndarray:
+    """Grid samples from their values off the pole.  The pole takes pole_value,
+    or else the value there of the degree-7 polynomial through its 4
     neighbors on each side."""
-    n = values.size
-    offs = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
-    ys = values[(j + offs) % n]
-    coef = np.polynomial.polynomial.polyfit(offs.astype(float), ys, 7)
-    return float(np.polynomial.polynomial.polyval(0.0, coef))
+    n = chart.thetas.size
+    out = np.zeros(n)
+    out[chart.off_pole] = off_values
+    if pole_value is None:
+        offs = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
+        coef = np.polynomial.polynomial.polyfit(offs.astype(float), out[(chart.pole + offs) % n], 7)
+        pole_value = float(np.polynomial.polynomial.polyval(0.0, coef))
+    out[chart.pole] = pole_value
+    return out
 
 
 @dataclass(frozen=True)
@@ -162,13 +204,8 @@ class CurvatureData:
 
     @classmethod
     def from_evaluator(cls, K, n: int, kappa_bound: float | None = None) -> "CurvatureData":
-        th = grid_angles(n)
-        jp = _pole_index(n)
-        mask = np.arange(n) != jp
-        x = stereo_project(np.exp(1j * th[mask]))
-        vals = np.empty(n)
-        vals[mask] = _eval_vec(K, x)
-        vals[jp] = _fill_pole(np.where(mask, vals, 0.0), jp)
+        chart = circle_chart(n)
+        vals = _with_pole(chart, _eval_vec(K, chart.x), None)
         g = PeriodicGrid(vals)
         bound = kappa_bound if kappa_bound is not None else float(np.max(np.abs(vals)))
         return cls(g, bound)
@@ -178,17 +215,22 @@ class CurvatureData:
         return cls(PeriodicGrid(np.full(n, float(value))), abs(float(value)))
 
 
-def asymptotic_slope(u, window=(1e2, 1e4), npts=64, warn_resid=0.1):
+# asymptotic_slope fits TAIL_POINTS samples of each tail over TAIL_WINDOW
+# and warns above a residual of TAIL_RESIDUAL
+TAIL_WINDOW = (1e2, 1e4)
+TAIL_POINTS = 64
+TAIL_RESIDUAL = 0.1
+
+
+def asymptotic_slope(u):
     """Least-squares slope of u(x) against -log(1+|x|) over the far field.
 
     For solutions the slope estimates Lambda/pi.  The additive constant in
     the representation formula is estimated jointly and discarded, so the
     estimate does not depend on it.
     """
-    xs = np.concatenate([
-        np.geomspace(window[0], window[1], npts),
-        -np.geomspace(window[0], window[1], npts),
-    ])
+    tail = np.geomspace(*TAIL_WINDOW, TAIL_POINTS)
+    xs = np.concatenate([tail, -tail])
     ys = _eval_vec(u, xs)
     X = -np.log1p(np.abs(xs))
     A = np.column_stack([X, np.ones_like(X)])
@@ -197,13 +239,13 @@ def asymptotic_slope(u, window=(1e2, 1e4), npts=64, warn_resid=0.1):
     resid = float(np.max(np.abs(A @ coef - ys)))
     # each tail should drift monotonically when the slope is meaningful
     monotone = True
-    for side in (ys[:npts], ys[npts:]):
+    for side in (ys[:TAIL_POINTS], ys[TAIL_POINTS:]):
         d = np.diff(side)
         if not (np.all(d <= 1e-9) or np.all(d >= -1e-9)):
             monotone = False
     if slope > 0.2 and not monotone:
         warnings.warn(f"non-monotone tail, residual {resid:.3g}", FitWarning, stacklevel=2)
-    elif resid > warn_resid:
+    elif resid > TAIL_RESIDUAL:
         warnings.warn(f"tail fit residual {resid:.3g}", FitWarning, stacklevel=2)
     return slope
 
@@ -216,13 +258,9 @@ def pull_back(u, n: int, anchor_coeff: float | None = None, pole_value: float | 
     cannot resolve finer).  pole_value, when given, is the exact limit of
     lambda at -i, bypassing extrapolation.
     """
-    th = grid_angles(n)
-    jp = _pole_index(n)
-    mask = np.arange(n) != jp
-    x = stereo_project(np.exp(1j * th[mask]))
-    lam = np.empty(n)
-    lam[mask] = _eval_vec(u, x) - np.log1p(np.sin(th[mask]))
-    if not np.all(np.isfinite(lam[mask])):
+    chart = circle_chart(n)
+    lam = _eval_vec(u, chart.x) - np.log1p(chart.sin)
+    if not np.all(np.isfinite(lam)):
         raise InvalidInput("non-finite lambda samples away from -i")
 
     if anchor_coeff is None:
@@ -234,9 +272,8 @@ def pull_back(u, n: int, anchor_coeff: float | None = None, pole_value: float | 
         beta = float(anchor_coeff)
 
     if beta != 0.0:
-        lam[mask] -= beta * log_profile(th[mask], POLE_ANGLE)
-    lam[jp] = pole_value if pole_value is not None else _fill_pole(np.where(mask, lam, 0.0), jp)
-    smooth = PeriodicGrid(lam)
+        lam -= beta * log_profile(chart.thetas[chart.off_pole], POLE_ANGLE)
+    smooth = PeriodicGrid(_with_pole(chart, lam, pole_value))
     anchors = ((POLE_ANGLE, beta),) if beta != 0.0 else ()
     return LineField(SingularField(smooth, anchors))
 
@@ -268,27 +305,18 @@ def circle_samples(f, n: int, pole_value: float | None = None):
     circle grid, the value at -i being pole_value or extrapolated.
 
     Returns (g, tau_ext, g_ext): g in grid order, and the same samples
-    ordered by the unwrapped angle tau in [-pi/2, 3pi/2) with the first one
-    repeated at tau + 2 pi, ready for :func:`_piecewise_linear_integral`.
+    ordered by the unwrapped angle tau in [-pi/2, 3pi/2) (the rotation of the
+    grid that starts at the pole) with the first one repeated at tau + 2 pi,
+    ready for :func:`_piecewise_linear_integral`.
     """
-    th = grid_angles(n)
-    jp = _pole_index(n)
-    mask = np.arange(n) != jp
-    x = np.empty(n)
-    x[mask] = stereo_project(np.exp(1j * th[mask]))
-    g = np.empty(n)
-    g[mask] = _eval_vec(f, x[mask]) / (1.0 + np.sin(th[mask]))
-    if not np.all(np.isfinite(g[mask])):
+    chart = circle_chart(n)
+    g = _eval_vec(f, chart.x) / (1.0 + chart.sin)
+    if not np.all(np.isfinite(g)):
         raise NotIntegrable("circle-side integrand is non-finite away from -i")
-    g[jp] = pole_value if pole_value is not None else _fill_pole(np.where(mask, g, 0.0), jp)
-    if not np.isfinite(g[jp]):
+    g = _with_pole(chart, g, pole_value)
+    if not np.isfinite(g[chart.pole]):
         raise NotIntegrable("circle-side integrand diverges at -i")
-
-    tau = np.where(th < POLE_ANGLE, th + TWO_PI, th)
-    order = np.argsort(tau)
-    tau_ext = np.concatenate([tau[order], [tau[order][0] + TWO_PI]])
-    g_ext = np.concatenate([g[order], [g[order][0]]])
-    return g, tau_ext, g_ext
+    return g, chart.tau, _close_period(g, chart.pole)
 
 
 def _piecewise_linear_integral(xs, ys, a, b) -> float:
@@ -427,6 +455,9 @@ def pv_half_laplacian_line(u, x: float, eps_ladder=(1e-2, 5e-3, 2.5e-3), tail_to
 
     def sym(t):
         return (2.0 * ux - float(u(x + t)) - float(u(x - t))) / (t * t)
+
+    # imported here: scipy.integrate costs ~0.25 s of import and only the oracles use it
+    from scipy.integrate import quad
 
     def integral(a, b):
         v, err = quad(sym, a, b, limit=400, epsabs=1e-11, epsrel=1e-11)

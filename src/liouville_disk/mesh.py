@@ -19,6 +19,9 @@ from ._kernels import dijkstra
 from .errors import InvalidInput
 from .spectral import TWO_PI, grid_angles
 
+# ratio by which the ring spacing grows from the boundary inward
+MESH_GRADING = 1.15
+
 
 @dataclass(frozen=True)
 class PolarMesh:
@@ -50,9 +53,10 @@ class PolarMesh:
         return j
 
 
-def build_polar_mesh(n_boundary: int, grading: float = 1.15) -> PolarMesh:
+def build_polar_mesh(n_boundary: int) -> PolarMesh:
     """Rings at radii 1 = r_0 > r_1 > ... with spacing h, h*g, h*g^2, ...
-    (h = 2*pi/n), a center node, ring/radial/diagonal connectivity."""
+    (h = 2*pi/n, g = MESH_GRADING), a center node, ring/radial/diagonal
+    connectivity."""
     if n_boundary < 8:
         raise InvalidInput("mesh needs at least 8 boundary nodes")
     n = n_boundary
@@ -61,7 +65,7 @@ def build_polar_mesh(n_boundary: int, grading: float = 1.15) -> PolarMesh:
     step = h
     while radii[-1] - step > 0.75 * step:
         radii.append(radii[-1] - step)
-        step *= grading
+        step *= MESH_GRADING
     radii = np.asarray(radii)
     n_rings = radii.size
     thetas = grid_angles(n)

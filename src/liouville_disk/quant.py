@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .disk import DiskMap, analytic_completion, build_phi, conformal_distance, mobius_recenter
 from .errors import (
@@ -30,15 +29,19 @@ from .line import (
     POLE_ANGLE,
     CurvatureData,
     LineField,
+    _close_period,
     _piecewise_linear_integral,
     angle_of_x,
     asymptotic_slope,
+    circle_chart,
     circle_samples,
     pull_back,
-    stereo_project,
     transfer_equation,
 )
 from .spectral import TWO_PI, PeriodicGrid, SingularField, grid_angles
+
+CENTER_GRID_N = 1 << 14  # grid on which locate_centers samples the density
+MAX_CENTERS = 4
 
 
 @dataclass(frozen=True)
@@ -192,35 +195,37 @@ class ConcentrationProfile:
         return buf.getvalue()
 
 
-def locate_centers(density, n: int = 1 << 14, max_centers: int = 4):
+def _cyclic_peaks(vals: np.ndarray) -> np.ndarray:
+    """Ascending indices of the local maxima of the cyclic sequence vals that
+    reach 0.25 max(vals).  A maximum is a run of equal samples between two
+    smaller ones; a run i..j (j >= i, counted across the seam) reports
+    sample (i + j) // 2 mod len(vals), SciPy's flat-top rule."""
+    m = vals.size
+    prev = np.roll(vals, 1)
+    start = np.flatnonzero(vals != prev)  # first sample of each run
+    if not start.size:
+        return start
+    end = np.append(start[1:], start[0] + m) - 1  # its last sample, unwrapped
+    top = vals[start]
+    peak = (prev[start] < top) & (vals[(end + 1) % m] < top) & (top >= 0.25 * float(np.max(vals)))
+    return np.sort((start[peak] + end[peak]) // 2 % m)
+
+
+def locate_centers(density):
     """Peaks of the measure density, found on the circle-image grid.
 
-    The grid is cyclic (its seam sits at x = -1), so peaks are collected from
-    two rolled copies and deduplicated."""
-    th = grid_angles(n)
-    jp = n // 4
-    mask = np.arange(n) != jp
-    x = stereo_project(np.exp(1j * th[mask]))
+    The density is sampled at the line points of the CENTER_GRID_N-point
+    circle chart, a cyclic sequence with its seam at x = -1; the highest
+    MAX_CENTERS of its _cyclic_peaks (ties in grid order), or its argmax
+    when it has none, are returned in ascending x.
+    """
+    x = circle_chart(CENTER_GRID_N).x
     vals = np.asarray(density(x), dtype=float)
-    m = vals.size
-    found = {}
-    for shift in (0, m // 2):
-        rolled = np.roll(vals, shift)
-        peaks, _ = find_peaks(rolled, height=0.25 * float(np.max(vals)))
-        for p in peaks:
-            orig = (p - shift) % m
-            found[orig] = vals[orig]
-    if not found:
-        found[int(np.argmax(vals))] = float(np.max(vals))
-    ranked = sorted(found, key=lambda p: -found[p])
-    centers = []
-    for p in ranked:
-        xp = float(x[p])
-        if all(abs(xp - c) > 1e-6 for c in centers):
-            centers.append(xp)
-        if len(centers) >= max_centers:
-            break
-    return sorted(centers)
+    peaks = _cyclic_peaks(vals)
+    if not peaks.size:
+        peaks = [int(np.argmax(vals))]
+    ranked = sorted(peaks, key=lambda p: -vals[p])[:MAX_CENTERS]
+    return sorted(float(x[p]) for p in ranked)
 
 
 def concentration_scan(members, radii, centers=None, n: int = 1 << 16, absolute: bool = False):
@@ -231,7 +236,7 @@ def concentration_scan(members, radii, centers=None, n: int = 1 << 16, absolute:
     of the last member's density when not supplied; the per-member argmax near
     each center must not drift beyond the finest radius (CenterUnstable).
 
-    Every member is sampled on the n-point circle grid (line.circle_samples);
+    Every member is sampled on the n-point circle chart (line.circle_samples);
     n must be divisible by 4 so that -i is a grid point.
     """
     dens = [m.density if hasattr(m, "density") else m for m in members]
@@ -243,6 +248,7 @@ def concentration_scan(members, radii, centers=None, n: int = 1 << 16, absolute:
     profiles = []
     for center in centers:
         x_win = np.linspace(center - radii[0], center + radii[0], 2001)
+        arcs = [(angle_of_x(center + r), angle_of_x(center - r)) for r in radii]
         alpha = np.empty((radii.size, len(dens)))
         for j, (tau, g) in enumerate(samples):
             # drift check: the density peak near this center stays put over k
@@ -251,8 +257,7 @@ def concentration_scan(members, radii, centers=None, n: int = 1 << 16, absolute:
                 raise CenterUnstable(
                     f"member {j}: peak at {xloc:.4g} drifted from center {center:.4g}"
                 )
-            for i, r in enumerate(radii):
-                ta, tb = angle_of_x(center + r), angle_of_x(center - r)
+            for i, (ta, tb) in enumerate(arcs):
                 alpha[i, j] = _piecewise_linear_integral(tau, g, ta, tb)
         profiles.append(
             ConcentrationProfile(center=center, radii=radii, ks=ks, alpha=alpha, absolute=absolute)
@@ -354,14 +359,13 @@ def circle_concentration_scan(lambda_grids, kappa_grids, center_angle: float, ar
     nk = len(lambda_grids)
     alpha = np.empty((radii.size, nk))
     for j, (lam, kap) in enumerate(zip(lambda_grids, kappa_grids)):
-        n = lam.n
-        th = grid_angles(n)
         g = np.asarray(kap.values, dtype=float) * np.exp(np.real(lam.values))
-        # unwrap around the center so each arc is an interval
-        tau = np.mod(th - center_angle + np.pi, TWO_PI) - np.pi
-        order = np.argsort(tau)
-        tau_ext = np.concatenate([tau[order], [tau[order][0] + TWO_PI]])
-        g_ext = np.concatenate([g[order], [g[order][0]]])
+        # unwrap around the center so each arc is an interval; the centred
+        # angles rise cyclically from the smallest
+        tau = np.mod(grid_angles(lam.n) - center_angle + np.pi, TWO_PI) - np.pi
+        start = int(np.argmin(tau))
+        tau_ext, g_ext = _close_period(tau, start), _close_period(g, start)
+        tau_ext[-1] += TWO_PI
         for i, r in enumerate(radii):
             alpha[i, j] = _piecewise_linear_integral(tau_ext, g_ext, -r, r)
     return ConcentrationProfile(

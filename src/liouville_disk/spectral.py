@@ -24,12 +24,11 @@ Dirac-minus-mean pair, never a finite difference of the singularity.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from .errors import (
@@ -48,8 +47,10 @@ TWO_PI = 2.0 * np.pi
 ANCHOR_RULE_POINTS = 16
 _GL_X, _GL_W = leggauss(ANCHOR_RULE_POINTS)
 
-# largest share of oscillatory energy the top decile of modes may carry
+# largest share of oscillatory energy the top decile (|m| >= 0.9 n/2) may carry
 BAND_LIMIT_ENERGY = 0.01
+BAND_LIMIT_TOP = 0.1
+GREEN_MEAN_TOL = 1e-8  # largest |mean(f)| that green_convolve accepts
 
 # 10-point Gauss-Legendre rule on [-1, 1] for composite quadrature over grid cells
 CELL_GAUSS_X, CELL_GAUSS_W = leggauss(10)
@@ -64,8 +65,35 @@ def grid_angles(n: int) -> np.ndarray:
     return TWO_PI * np.arange(n) / n - np.pi
 
 
-@dataclass(frozen=True)
-class PeriodicGrid:
+class ValueEquality:
+    """== and hash() by value for frozen dataclasses (eq=False) with read-only
+    array fields, whose generated methods raise on arrays.  Arrays match by
+    dtype kind and np.array_equal and hash by the bytes of their float64 or
+    complex128 values plus 0.0, so -0.0 hashes as 0.0.  Only dataclass fields
+    count, not cached properties."""
+
+    def _fields(self):
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            a.dtype.kind == b.dtype.kind and np.array_equal(a, b)
+            if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._fields(), other._fields())
+        )
+
+    def __hash__(self):
+        return hash(tuple(
+            (v.dtype.kind, (v.astype(complex if v.dtype.kind == "c" else float) + 0.0).tobytes())
+            if isinstance(v, np.ndarray) else v
+            for v in self._fields()
+        ))
+
+
+@dataclass(frozen=True, eq=False)
+class PeriodicGrid(ValueEquality):
     """Samples of a 2*pi-periodic function at n uniform angles.
 
     n must be a power of two, at least 8.  Values may be real or complex but
@@ -147,8 +175,8 @@ class PeriodicGrid:
         return cls(arr)
 
 
-@dataclass(frozen=True)
-class SpectralRep:
+@dataclass(frozen=True, eq=False)
+class SpectralRep(ValueEquality):
     """Fourier coefficients u_hat(m), m = -n/2 .. n/2-1 ascending."""
 
     coeffs: np.ndarray
@@ -262,13 +290,13 @@ def resample(g: PeriodicGrid, n_new: int) -> PeriodicGrid:
     return out
 
 
-def band_limit_fraction(g: PeriodicGrid, top_fraction=0.1, s: SpectralRep | None = None) -> float:
+def band_limit_fraction(g: PeriodicGrid, s: SpectralRep | None = None) -> float:
     """Share of the oscillatory spectral energy carried by the top decile of
-    modes (|m| >= (1 - top_fraction) n/2); 0 when the oscillatory part sits
+    modes (|m| >= (1 - BAND_LIMIT_TOP) n/2); 0 when the oscillatory part sits
     at the rounding floor.  s is analyze(g) when the caller has it already."""
     c = (analyze(g) if s is None else s).coeffs
     m = np.abs(np.arange(-g.n // 2, g.n // 2))
-    cutoff = (1.0 - top_fraction) * (g.n // 2)
+    cutoff = (1.0 - BAND_LIMIT_TOP) * (g.n // 2)
     total = np.sum(np.abs(c[m > 0]) ** 2)
     # ignore grids whose oscillatory part sits at the rounding floor
     if total <= g.n * (1e-13 * max(1.0, float(np.max(np.abs(g.values))))) ** 2:
@@ -277,19 +305,18 @@ def band_limit_fraction(g: PeriodicGrid, top_fraction=0.1, s: SpectralRep | None
     return float(top / total)
 
 
-def band_limit_guard(
-    g: PeriodicGrid, top_fraction=0.1, energy_fraction=BAND_LIMIT_ENERGY, s: SpectralRep | None = None
-):
-    """Warn when the top decile of the spectrum carries > 1% of the energy.
+def band_limit_guard(g: PeriodicGrid, s: SpectralRep | None = None):
+    """Warn when the top decile of the spectrum carries more than
+    BAND_LIMIT_ENERGY (1%) of the energy.
 
     Spectral differentiation of under-resolved data is silently wrong, so
     every multiplier operator calls this, passing the coefficients s =
     analyze(g) it goes on to multiply.
     """
-    frac = band_limit_fraction(g, top_fraction, s=s)
-    if frac > energy_fraction:
+    frac = band_limit_fraction(g, s=s)
+    if frac > BAND_LIMIT_ENERGY:
         warnings.warn(
-            f"top {top_fraction:.0%} of spectrum carries {frac:.2%} of energy",
+            f"top {BAND_LIMIT_TOP:.0%} of spectrum carries {frac:.2%} of energy",
             BandLimitWarning,
             stacklevel=3,
         )
@@ -350,15 +377,15 @@ def poisson_extend(g: PeriodicGrid, r: float) -> PeriodicGrid:
     return _apply_multiplier(g, np.power(float(r), np.abs(m)) if r > 0 else (np.abs(m) == 0).astype(float))
 
 
-def green_convolve(f: PeriodicGrid, mean_tol: float = 1e-8) -> PeriodicGrid:
+def green_convolve(f: PeriodicGrid) -> PeriodicGrid:
     """Solve the half-Laplacian equation on the zero-mean subspace.
 
     Coefficient division u_hat(m) = f_hat(m)/|m| with u_hat(0) = 0; requires
-    mean(f) = 0 to tolerance (solvability).
+    |mean(f)| <= GREEN_MEAN_TOL (solvability).
     """
     mbar = abs(complex(f.mean()))
-    if mbar > mean_tol:
-        raise NotSolvable(f"|mean(f)| = {mbar:.3e} exceeds {mean_tol:.1e}")
+    if mbar > GREEN_MEAN_TOL:
+        raise NotSolvable(f"|mean(f)| = {mbar:.3e} exceeds {GREEN_MEAN_TOL:.1e}")
     m = np.arange(-f.n // 2, f.n // 2).astype(float)
     inv = np.zeros_like(m)
     nz = m != 0
@@ -536,8 +563,8 @@ def singular_cell_integrals(n: int, anchors, specs, integrand) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SingularField:
+@dataclass(frozen=True, eq=False)
+class SingularField(ValueEquality):
     """Circle function split as a smooth grid plus log-singular anchors.
 
     anchors is a tuple of (theta0, coefficient) pairs; evaluation away from
@@ -609,6 +636,9 @@ def pv_half_laplacian_circle(u, theta: float, eps_ladder=(1e-2, 5e-3, 2.5e-3)) -
     discrete convergence for rough data is unspecified).  Symmetric pairing
     around the singularity plus two Richardson stages in the excision radius.
     """
+    # imported here: scipy.integrate costs ~0.25 s of import and only the oracles use it
+    from scipy.integrate import quad
+
     u0 = float(u(theta))
 
     def sym(t):

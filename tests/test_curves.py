@@ -346,3 +346,49 @@ def test_curl_double_loop_matches_the_loop_spline(monkeypatch):
     out = _curl_double_loop(150.0, 2048)
     monkeypatch.setattr(fixtures, "_catmull_rom_closed", catmull_rom_loop)
     assert np.array_equal(out, _curl_double_loop(150.0, 2048))
+
+
+def block_two_polyline_intersections(A, B):
+    """The former fixture intersection pass: every (edge of A) x (edge of B)
+    pair, one array pass per block of A's edges."""
+    a0, a1 = A, np.roll(A, -1, axis=0)
+    b0, b1 = B, np.roll(B, -1, axis=0)
+    r = a1 - a0
+    s = b1 - b0
+    out = []
+    rows = max(1, (1 << 16) // len(B))
+    for i0 in range(0, len(A), rows):
+        ri = r[i0 : i0 + rows, None, :]
+        denom = ri[..., 0] * s[:, 1] - ri[..., 1] * s[:, 0]
+        rel = b0 - a0[i0 : i0 + rows, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = (rel[..., 0] * s[:, 1] - rel[..., 1] * s[:, 0]) / denom
+            v = (rel[..., 0] * ri[..., 1] - rel[..., 1] * ri[..., 0]) / denom
+        hit = (np.abs(denom) > 1e-12) & (u > 1e-9) & (u < 1 - 1e-9) & (v > 1e-9) & (v < 1 - 1e-9)
+        for di, j in zip(*np.nonzero(hit)):
+            i = i0 + int(di)
+            out.append((i, float(u[di, j]), int(j), float(v[di, j]), a0[i] + u[di, j] * r[i]))
+    return out
+
+
+def test_fixture_intersections_match_the_all_pairs_pass(monkeypatch):
+    # every splice of the glued loops and of double-pocket: the sweep finds
+    # the same hits, bit for bit and in the same order
+    swept = fixtures._two_polyline_intersections
+    calls = []
+
+    def checked(A, B):
+        hits = swept(A, B)
+        expect = block_two_polyline_intersections(A, B)
+        assert [h[:4] for h in hits] == [h[:4] for h in expect]
+        assert all(h[4].tobytes() == e[4].tobytes() for h, e in zip(hits, expect))
+        calls.append(len(hits))
+        return hits
+
+    monkeypatch.setattr(fixtures, "_two_polyline_intersections", checked)
+    for m in range(2, 9):
+        for n_per in (32, 128):
+            fixtures.glued_positive_loops(m, seed=m, n_per=n_per)
+    fixtures.double_pocket()
+    assert len(calls) == 2 * sum(m - 1 for m in range(2, 9)) + 1
+    assert min(calls) >= 2

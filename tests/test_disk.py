@@ -458,3 +458,12 @@ def test_disk_map_json_roundtrip():
 def test_make_disk_map_rejects_bad_normalization():
     with pytest.raises(InvalidInput):
         make_disk_map(np.array([1.0, 1.0]), normalized_at_one=True)
+
+
+def test_disk_maps_compare_and_hash_by_value():
+    a, b = blaschke_fixture([0.3, -0.3]), blaschke_fixture([0.3, -0.3])
+    assert a is not b and a.coeffs is not b.coeffs
+    assert a == b and hash(a) == hash(b)
+    assert a != blaschke_fixture([0.3, -0.2])
+    assert a != DiskMap(a.coeffs, a.immersed, a.min_deriv, normalized_at_one=True)
+    assert len({a, b, make_disk_map(np.array([0.0, 1.0]), normalized_at_one=False)}) == 2

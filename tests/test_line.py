@@ -12,10 +12,13 @@ from liouville_disk.errors import (
     SingularMismatch,
 )
 from liouville_disk.line import (
+    POLE_ANGLE,
     CurvatureData,
     LineField,
     angle_of_x,
     asymptotic_slope,
+    circle_chart,
+    circle_samples,
     integrate_exp_singular,
     line_integral,
     pull_back,
@@ -265,3 +268,38 @@ def test_linefield_json_roundtrip():
     lf2 = LineField.from_json(lf.to_json())
     assert np.max(np.abs(lf2.lambda_grid() - lf.lambda_grid())) < 1e-15
     assert lf2.beta == lf.beta
+
+
+class TestCircleChart:
+    def test_arrays_are_read_only(self):
+        chart = circle_chart(64)
+        for name in ("thetas", "off_pole", "x", "sin", "tau"):
+            arr = getattr(chart, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+        assert chart.pole == 16 and chart.x.size == chart.sin.size == 63
+
+    def test_one_chart_per_grid_size(self):
+        assert circle_chart(256) is circle_chart(256)
+
+    def test_grid_size_must_put_the_pole_on_the_grid(self):
+        with pytest.raises(InvalidInput):
+            circle_chart(10)
+
+    @pytest.mark.parametrize("n", [8, 12, 64, 65536])
+    def test_circle_samples_order_is_the_argsort_of_the_unwrapped_angle(self, n):
+        g, tau_ext, g_ext = circle_samples(u_bubble(3.0, x0=0.4), n)
+        th = grid_angles(n)
+        tau = np.where(th < POLE_ANGLE, th + TWO_PI, th)
+        order = np.argsort(tau)
+        assert np.array_equal(tau_ext, np.concatenate([tau[order], [tau[order][0] + TWO_PI]]))
+        assert np.array_equal(g_ext, np.concatenate([g[order], [g[order][0]]]))
+
+    def test_unwrapped_angles_rise_for_every_grid_size(self):
+        # for some n (44, 60, ...) the rounded angle at the pole index lies
+        # just below -pi/2; the chart unwraps by index, so tau still rises
+        for n in range(8, 1024, 4):
+            _, tau_ext, _ = circle_samples(np.ones_like, n, pole_value=0.5)
+            assert np.all(np.diff(tau_ext) > 0), n
+            assert tau_ext[-1] - tau_ext[0] == pytest.approx(TWO_PI, abs=1e-14)

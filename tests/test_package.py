@@ -3,7 +3,8 @@ one series-evaluation path per use and no runtime options.
 
 The package must run without numba, read no environment variables, call
 adaptive quadrature only in its documented oracles, assemble anchored cell
-quadrature only in spectral.singular_cell_integrals, evaluate |Phi'| on
+quadrature only in spectral.singular_cell_integrals, place the circle grid
+on the line only in line.circle_chart, evaluate |Phi'| on
 rings only through the folded FFT and import nothing it does not use, so a
 second kernel implementation, a second quadrature path, a per-point
 fallback, a new knob or the leftovers of a removed path cannot come back
@@ -11,6 +12,9 @@ unnoticed.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +84,25 @@ def test_no_module_has_an_unused_import():
 def test_unused_import_check_sees_a_leftover():
     tree = ast.parse("import numpy as np\nfrom .spectral import eval_modes, grid_angles\ngrid_angles(8)\n")
     assert unused_module_imports(tree) == ["eval_modes (line 2)", "np (line 1)"]
+
+
+def test_import_loads_neither_scipy_signal_nor_scipy_integrate():
+    # scipy.integrate is imported inside the PV oracles and no module needs
+    # scipy.signal, so importing the package loads neither
+    code = (
+        "import sys, liouville_disk; "
+        "print([m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules])"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_kernels_expose_one_function_per_kernel():
@@ -161,6 +184,16 @@ def test_anchored_cell_quadrature_has_one_home():
         for scope in call_scopes(tree, {"singular_cell_rule", "eval_shifted_grids"})
     }
     assert callers == {"spectral.singular_cell_integrals"}
+
+
+def test_the_circle_chart_alone_places_the_grid_on_the_line():
+    # the pole index and Pi(theta_j) of the grid are computed once per n
+    callers = {
+        f"{name[:-3]}.{scope}"
+        for name, tree in module_trees()
+        for scope in call_scopes(tree, {"_pole_index", "stereo_project"})
+    }
+    assert callers == {"line.circle_chart"}
 
 
 # point evaluation of a series: the map, its derivative and the corner

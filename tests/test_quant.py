@@ -4,11 +4,16 @@ classification, recentering sequences, pinching, and the total-curvature audit.
 
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
 from liouville_disk.disk import boundary_curvature, analytic_completion
 from liouville_disk.errors import CenterUnstable, InvalidInput, TheoremViolation
+from liouville_disk.line import _piecewise_linear_integral, circle_chart
 from liouville_disk.quant import (
+    CENTER_GRID_N,
+    MAX_CENTERS,
     BubbleParams,
+    _cyclic_peaks,
     bubble,
     circle_concentration_scan,
     classify_case,
@@ -20,7 +25,7 @@ from liouville_disk.quant import (
     recentered_lambda_sequence,
     verify_solution,
 )
-from liouville_disk.spectral import grid_angles
+from liouville_disk.spectral import PeriodicGrid, grid_angles
 
 TWO_PI = 2 * np.pi
 
@@ -105,6 +110,118 @@ class TestConcentrationScan:
         members = [bubble(mu=32.0, x0=0.3 * k) for k in range(5)]
         with pytest.raises(CenterUnstable):
             concentration_scan(members, radii=[0.4, 0.2, 0.1], centers=[0.0], n=1 << 12)
+
+
+def two_roll_peaks(vals):
+    """The former peak search of locate_centers: scipy's find_peaks on the
+    samples and on a copy rolled by half, each peak mapped back."""
+    m = vals.size
+    found = set()
+    for shift in (0, m // 2):
+        peaks, _ = find_peaks(np.roll(vals, shift), height=0.25 * float(np.max(vals)))
+        found.update(int((p - shift) % m) for p in peaks)
+    return sorted(found)
+
+
+def bubble_sum(mus, x0s):
+    parts = [bubble(mu=mu, x0=x0) for mu, x0 in zip(mus, x0s)]
+    return lambda x: sum(b.density(x) for b in parts)
+
+
+def random_density(seed):
+    # one to three bubbles; every third density is rounded, which makes
+    # flat tops of several samples
+    rng = np.random.default_rng(seed)
+    k = 1 + seed % 3
+    f = bubble_sum(2.0 ** rng.uniform(0, 8, size=k), rng.uniform(-3, 3, size=k))
+    if seed % 3 == 2:
+        return lambda x: np.round(f(x), 1)
+    return f
+
+
+def crafted(kind):
+    v = np.zeros(64)
+    v[10] = 4.0
+    if kind == "even-top":
+        v[30:34] = 2.0
+    elif kind == "odd-top":
+        v[30:35] = 2.0
+    elif kind == "even-top-across-seam":
+        v[[62, 63, 0, 1]] = 2.0
+    elif kind == "odd-top-across-seam":
+        v[[63, 0, 1]] = 2.0
+    elif kind == "top-at-a-quarter":
+        v[40], v[50] = 1.0, np.nextafter(1.0, 0.0)
+    return v
+
+
+class TestPeakSearch:
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            ("even-top", [10, 31]),
+            ("odd-top", [10, 32]),
+            ("even-top-across-seam", [10, 63]),
+            ("odd-top-across-seam", [0, 10]),
+            ("top-at-a-quarter", [10, 40]),
+        ],
+    )
+    def test_crafted_tops_match_find_peaks(self, kind, expected):
+        v = crafted(kind)
+        assert _cyclic_peaks(v).tolist() == two_roll_peaks(v) == expected
+
+    def test_densities_match_find_peaks(self):
+        x = circle_chart(CENTER_GRID_N).x
+        densities = [bubble(mu=mu, x0=x0).density for mu in (1.0, 64.0, 4096.0) for x0 in (-1.0, 0.0, 1.5)]
+        densities += [bubble_sum((40.0, 40.0), (-1.0, 1.0)), bubble_sum((8.0, 300.0, 20.0), (-2.0, 0.1, 2.5))]
+        densities += [random_density(seed) for seed in range(60)]
+        for f in densities:
+            vals = np.asarray(f(x), dtype=float)
+            assert _cyclic_peaks(vals).tolist() == two_roll_peaks(vals)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5, 8, 11])
+    def test_centers_are_the_highest_peaks(self, seed):
+        f = random_density(seed)
+        x = circle_chart(CENTER_GRID_N).x
+        vals = np.asarray(f(x), dtype=float)
+        peaks = two_roll_peaks(vals) or [int(np.argmax(vals))]
+        top = sorted(peaks, key=lambda p: -vals[p])[:MAX_CENTERS]
+        assert locate_centers(f) == sorted(float(x[p]) for p in top)
+
+    def test_constant_density_falls_back_to_the_argmax(self):
+        x = circle_chart(CENTER_GRID_N).x
+        assert locate_centers(np.ones_like) == [float(x[0])]
+
+
+def argsort_circle_scan(lambda_grids, kappa_grids, center_angle, arc_radii):
+    """The former circle_concentration_scan, ordering by an argsort."""
+    radii = np.asarray(sorted(arc_radii, reverse=True), dtype=float)
+    alpha = np.empty((radii.size, len(lambda_grids)))
+    for j, (lam, kap) in enumerate(zip(lambda_grids, kappa_grids)):
+        th = grid_angles(lam.n)
+        g = np.asarray(kap.values, dtype=float) * np.exp(np.real(lam.values))
+        tau = np.mod(th - center_angle + np.pi, TWO_PI) - np.pi
+        order = np.argsort(tau)
+        tau_ext = np.concatenate([tau[order], [tau[order][0] + TWO_PI]])
+        g_ext = np.concatenate([g[order], [g[order][0]]])
+        for i, r in enumerate(radii):
+            alpha[i, j] = _piecewise_linear_integral(tau_ext, g_ext, -r, r)
+    return alpha
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize(
+    "center", [np.pi, -np.pi, "grid", 0.1234, -np.pi / 2, np.nextafter(np.pi, 0.0)]
+)
+def test_circle_scan_order_is_the_argsort_of_the_centred_angle(n, center):
+    if center == "grid":
+        center = float(grid_angles(n)[5])
+    th = grid_angles(n)
+    lams = [PeriodicGrid(0.3 * k * np.cos(th - 0.2 * k)) for k in range(3)]
+    kaps = [PeriodicGrid(1.0 + 0.1 * np.sin(2 * th + k)) for k in range(3)]
+    radii = [1.0, 0.4, 0.1, 0.5 * TWO_PI / n]
+    prof = circle_concentration_scan(lams, kaps, center, radii)
+    assert np.array_equal(prof.alpha, argsort_circle_scan(lams, kaps, center, radii))
 
 
 class TestDetectBlowup:

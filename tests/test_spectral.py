@@ -327,6 +327,31 @@ class TestSingularField:
             band_limit_guard(rough)
 
 
+def value_cases():
+    """(a, b, c): a and b equal but distinct objects, c unequal to both."""
+    th = grid_angles(64)
+    v = np.cos(th) + 0.5 * np.sin(3 * th)
+    sf = SingularField(PeriodicGrid(v), ((0.5, 2.0),))
+    sf.evaluate(0.3)  # caches the spectrum on one side only
+    return [
+        (PeriodicGrid(v), PeriodicGrid(v.copy()), PeriodicGrid(v + 1e-15)),
+        (PeriodicGrid(np.zeros(8)), PeriodicGrid(-np.zeros(8)), PeriodicGrid(np.zeros(8, dtype=complex))),
+        (analyze(PeriodicGrid(v)), analyze(PeriodicGrid(v.copy())), analyze(PeriodicGrid(np.sin(th)))),
+        (sf, SingularField(PeriodicGrid(v.copy()), ((0.5, 2.0),)), SingularField(PeriodicGrid(v), ((0.5, 2.5),))),
+        (sf, SingularField(PeriodicGrid(v.copy()), ((0.5, 2.0),)), SingularField(PeriodicGrid(-v), ((0.5, 2.0),))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_equal_values_compare_and_hash_alike(case):
+    a, b, c = value_cases()[case]
+    assert a is not b and a == b and not (a != b)
+    assert hash(a) == hash(b)
+    assert a != c and b != c
+    assert len({a, b, c}) == 2
+    assert a != a.__class__.__name__
+
+
 @pytest.mark.parametrize("op", [half_laplacian, hilbert, derivative])
 def test_multiplier_operator_transforms_once(monkeypatch, op):
     # the band-limit guard reads the coefficients the multiplier is applied to

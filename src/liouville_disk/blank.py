@@ -154,11 +154,35 @@ def _ray_directions(seed: int) -> np.ndarray:
     return np.asarray(dirs)
 
 
-def _cast_fan(origin, dirs, vertices, span: float, guard_points) -> _RayFan:
-    """Crossings of the rays [origin, origin + span * u], u in dirs, with the
-    edges of the closed polyline, and which directions keep the angular guard
-    off every guard point ahead of the origin."""
+@dataclass(frozen=True)
+class _EdgeFan:
+    """The (directions x edges) arrays of a ray fan that do not depend on its
+    origin, computed once per curve and direction set."""
+
+    dirs: np.ndarray
+    vertices: np.ndarray
+    ex: np.ndarray  # edge vectors
+    denom: np.ndarray  # [ray direction | edge vector]
+    det: np.ndarray  # [ray direction | unit edge direction]
+    transversal: np.ndarray  # the direction is not parallel to the edge
+    tangent: np.ndarray  # the ray meets the edge within 0.05 rad of tangency
+
+
+def _edge_fan(dirs, vertices) -> _EdgeFan:
     ux, uy = dirs[:, :1], dirs[:, 1:]
+    ex = np.roll(vertices, -1, axis=0) - vertices
+    denom = ux * ex[:, 1] - uy * ex[:, 0]
+    edge_dir = ex / np.hypot(ex[:, 0], ex[:, 1])[:, None]
+    det = ux * edge_dir[:, 1] - uy * edge_dir[:, 0]
+    return _EdgeFan(dirs, vertices, ex, denom, det, np.abs(denom) >= 1e-12,
+                    np.abs(det) < np.sin(0.05))
+
+
+def _cast_fan(origin, fan: _EdgeFan, span: float, guard_points) -> _RayFan:
+    """Crossings of the rays [origin, origin + span * u], u in fan.dirs, with
+    the edges of the closed polyline fan.vertices, and which directions keep
+    the angular guard off every guard point ahead of the origin."""
+    ux, uy = fan.dirs[:, :1], fan.dirs[:, 1:]
     to_guard = guard_points - origin
     norms = np.hypot(to_guard[:, 0], to_guard[:, 1])
     apart = norms > 1e-12
@@ -167,23 +191,20 @@ def _cast_fan(origin, dirs, vertices, span: float, guard_points) -> _RayFan:
     dot = ux * to_guard[:, 0] + uy * to_guard[:, 1]
     admissible = ~np.any((np.abs(cross) < ANGULAR_GUARD) & (dot > 0), axis=1)
 
-    ex = np.roll(vertices, -1, axis=0) - vertices
-    denom = ux * ex[:, 1] - uy * ex[:, 0]
-    rel = vertices - origin
+    ex, denom = fan.ex, fan.denom
+    rel = fan.vertices - origin
     with np.errstate(divide="ignore", invalid="ignore"):
         r = (rel[:, 0] * ex[:, 1] - rel[:, 1] * ex[:, 0]) / denom
         t = (rel[:, 0] * uy - rel[:, 1] * ux) / denom
     margin = 1e-9
     hit = (
-        (np.abs(denom) >= 1e-12)
+        fan.transversal
         & (r > margin) & (r < span)
         & (t >= -margin) & (t <= 1 + margin)
     )
-    edge_dir = ex / np.hypot(ex[:, 0], ex[:, 1])[:, None]
-    det = ux * edge_dir[:, 1] - uy * edge_dir[:, 0]
     grazes = (t < 1e-6) | (t > 1 - 1e-6)
-    ok = ~np.any(hit & (grazes | (np.abs(det) < np.sin(0.05))), axis=1)
-    return _RayFan(admissible, ok, hit, r, t, det)
+    ok = ~np.any(hit & (grazes | fan.tangent), axis=1)
+    return _RayFan(admissible, ok, hit, r, t, fan.det)
 
 
 def blank_word(c: PolyCurve, arr: Arrangement | None = None, seed: int = 0) -> WordRecord:
@@ -205,11 +226,12 @@ def blank_word(c: PolyCurve, arr: Arrangement | None = None, seed: int = 0) -> W
         else [v] + [x.point[None, :] for x in arr.crossings]
     )
     dirs = _ray_directions(seed)
+    edges = _edge_fan(dirs, v)
 
     rays = {}
     letters = []
     for face in arr.bounded_faces:
-        fan = _cast_fan(face.witness, dirs, v, span, guard_points)
+        fan = _cast_fan(face.witness, edges, span, guard_points)
         n_hits = fan.hit.sum(axis=1)
         usable = fan.admissible & fan.ok & (n_hits > 0)
         if not usable.any():

@@ -12,9 +12,10 @@ polylines are built by per-cell quadrature of the boundary derivative
 which would trip the resolution guard.
 
 |Phi'| is only ever needed on uniform polar rings: the 64 x 256 lattice of
-the immersion certificate and the edge-midpoint rings of the distance mesh.
-Each ring is one coefficient fold plus one inverse FFT (_abs_on_rings), so
-series orders of 10^5 stay cheap.
+the immersion certificate, the edge-midpoint rings of the distance mesh and
+the unit circle of the recentered boundary moduli.  All rings of a call fold
+the coefficients at once, through one matrix product, and share one batched
+inverse FFT (_abs_on_rings), so series orders of 10^5 stay cheap.
 """
 
 from __future__ import annotations
@@ -159,25 +160,28 @@ def _abs_on_rings(coef: np.ndarray, centers, n: int) -> np.ndarray:
 
     Since e^{i k theta_j} = (-1)^k e^{2 pi i jk/n}, the coefficients times
     (-c)^k fold into n bins and one inverse FFT per ring gives all n values,
-    so very high series orders stay cheap.  Rings are taken one at a time, never as a
+    so very high series orders stay cheap.  All rings fold at once: with
+    k = q n + b and the coefficients as a (Q x n) block A[q, b] = coef_k,
+    the bins of ring i are P[i, b] (V @ A)[i, b] with P[i, b] = (-c_i)^b and
+    V[i, q] = (-c_i)^(qn), and one batched inverse FFT takes every ring.
+    Powers of -c are an exact sign times |c|^k and e^{ik arg c}, which is 1
+    on real rings.  Temporaries are O(rings (n + Q) + order), never a
     (rings x order) array.
     """
     nz = np.flatnonzero(coef)
-    coef = coef[: nz[-1] + 1 if nz.size else 1]
-    out = np.empty((len(centers), n))
-    for i, c in enumerate(centers):
-        r = abs(c)
-        # inner rings: powers below e^-50 contribute nothing measurable
-        kcut = coef.size if r >= 1.0 - 1e-15 else (1 if r == 0.0 else min(coef.size, int(-50.0 / np.log(r)) + 1))
-        k = np.arange(kcut)
-        # (-c)^k as an exact sign, |c|^k and e^{ik arg c}, which is 1 on real rings
+    size = nz[-1] + 1 if nz.size else 1
+    q_count = -(-size // n)
+    block = np.zeros(q_count * n, dtype=complex)
+    block[:size] = coef[:size]
+    c = np.asarray(centers, dtype=complex)[:, None]
+    r, arg = np.abs(c), np.angle(c)
+
+    def powers(k):  # (-c)^k for every center, k a row of exponents
         with np.errstate(under="ignore"):
-            terms = coef[:kcut] * np.where(k & 1, -1.0, 1.0) * np.power(r, k)
-        terms *= np.exp(1j * np.angle(c) * k)
-        folded = np.zeros(-(-kcut // n) * n, dtype=complex)
-        folded[:kcut] = terms
-        out[i] = np.abs(np.fft.ifft(folded.reshape(-1, n).sum(axis=0)) * n)
-    return out
+            return np.where(k & 1, -1.0, 1.0) * np.power(r, k) * np.exp(1j * arg * k)
+
+    folded = powers(np.arange(n)) * (powers(n * np.arange(q_count)) @ block.reshape(q_count, n))
+    return np.abs(np.fft.ifft(folded, axis=-1) * n)
 
 
 def _lattice_min_deriv(coeffs: np.ndarray):
@@ -189,17 +193,20 @@ def _lattice_min_deriv(coeffs: np.ndarray):
 def make_disk_map(coeffs, normalized_at_one: bool = True) -> DiskMap:
     """Validate and certify a coefficient vector as a DiskMap.
 
-    Pads the series by a factor of two so the stored vector always satisfies
-    the tail-energy invariant (the spectral constructors enforce the guard on
-    the discarded modes before truncating), checks the Phi(1) = 0
-    normalization when tagged, and evaluates the immersion certificate on the
-    64 x 256 polar test lattice.
+    Stores the series up to its last nonzero coefficient, padded with zeros
+    to twice that length (at least 64), so the stored vector always
+    satisfies the tail-energy invariant (the spectral constructors enforce
+    the guard on the discarded modes before truncating) and a stored vector
+    is stored unchanged.  Checks the Phi(1) = 0 normalization when tagged,
+    and evaluates the immersion certificate on the 64 x 256 polar test
+    lattice.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.size < 2:
         raise InvalidInput("a disk map needs at least two coefficients")
-    pad = max(2 * c.size, 64)
-    c = np.concatenate([c, np.zeros(pad - c.size, dtype=complex)])
+    nz = np.flatnonzero(c)
+    size = nz[-1] + 1 if nz.size else 0
+    c = np.concatenate([c[:size], np.zeros(max(2 * size, 64) - size, dtype=complex)])
     total = float(np.sum(np.abs(c) ** 2))
     if total == 0:
         raise InvalidInput("zero map")
@@ -234,14 +241,14 @@ def build_phi(bt: BoundaryTrace, M: int | None = None, oversample: int = 4) -> D
     n = bt.n
     M = M if M is not None else n // 2
     N = oversample * n
-    th = grid_angles(N)
-    lam = np.real(resample(bt.lam.smooth, N).values)
-    rho = np.real(resample(bt.rho_smooth, N).values)
+    # lambda + i rho on the fine grid, its smooth parts in one resample
+    smooth = np.real(bt.lam.smooth.values) + 1j * np.real(bt.rho_smooth.values)
+    w = resample(PeriodicGrid(smooth), N).values
+    th = grid_angles(N) if bt.anchors else None
     for t0, c in bt.anchors:
-        lam = lam + c * log_profile(th, t0)
-        rho = rho + c * conjugate_profile(th, t0)
+        w = w + c * log_profile(th, t0) + 1j * (c * conjugate_profile(th, t0))
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.exp(lam + 1j * rho)
+        phi = np.exp(w)
     if not np.all(np.isfinite(phi)):
         raise UnderResolved("boundary derivative is non-finite on the sampling grid")
     s = analyze(PeriodicGrid(phi))

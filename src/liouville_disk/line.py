@@ -320,13 +320,18 @@ def circle_samples(f, n: int, pole_value: float | None = None):
 
 
 def _piecewise_linear_integral(xs, ys, a, b) -> float:
-    """Integral over [a, b] of the piecewise-linear interpolant through (xs, ys)."""
+    """Integral over [a, b] of the piecewise-linear interpolant through
+    (xs, ys), xs ascending.  The samples strictly inside the window are a
+    slice found by two binary searches, and only the two ends are
+    interpolated, so a call costs O(log n + window)."""
     a = max(a, xs[0])
     b = min(b, xs[-1])
     if b <= a:
         return 0.0
-    grid = np.concatenate([[a], xs[(xs > a) & (xs < b)], [b]])
-    vals = np.interp(grid, xs, ys)
+    lo, hi = np.searchsorted(xs, a, side="right"), np.searchsorted(xs, b, side="left")
+    ya, yb = np.interp((a, b), xs, ys)
+    grid = np.concatenate([[a], xs[lo:hi], [b]])
+    vals = np.concatenate([[ya], ys[lo:hi], [yb]])
     return float(np.trapezoid(vals, grid))
 
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk import DiskMap, analytic_completion, build_phi, conformal_distance, mobius_recenter
+from .disk import (
+    DiskMap,
+    _abs_on_rings,
+    analytic_completion,
+    build_phi,
+    conformal_distance,
+    mobius_recenter,
+)
 from .errors import (
     CenterUnstable,
     InconclusiveLimit,
@@ -374,12 +381,12 @@ def circle_concentration_scan(lambda_grids, kappa_grids, center_angle: float, ar
 
 
 def recentered_lambda_sequence(d: DiskMap, a: complex, ts, n: int = 1024):
-    """Boundary moduli log|(Phi o f_t)'| for a recentering ladder t -> 1."""
+    """Boundary moduli log|(Phi o f_t)'| for a recentering ladder t -> 1,
+    with |(Phi o f_t)'| on the n grid angles folded into one inverse FFT."""
     out = []
-    z = np.exp(1j * grid_angles(n))
     for t in ts:
         dt = mobius_recenter(d, a, t, M=max(d.coeffs.size - 1, 2 * n))
-        out.append(PeriodicGrid(np.log(np.abs(dt.derivative(z)))))
+        out.append(PeriodicGrid(np.log(_abs_on_rings(dt.deriv_coeffs, [1.0], n)[0])))
     return out
 
 

@@ -211,19 +211,20 @@ def analyze(g: PeriodicGrid) -> SpectralRep:
     """Forward transform of a grid to Fourier coefficients.
 
     The half-period offset of the grid shows up as an alternating phase:
-    e^{-i m theta_j} = (-1)^m e^{-2 pi i m j / n}.
+    e^{-i m theta_j} = (-1)^m e^{-2 pi i m j / n}.  As n/2 is even, the odd
+    modes sit at the odd positions of the ascending coefficient vector, so
+    the phase is a sign flip of every second entry.
     """
-    n = g.n
-    m = np.arange(-n // 2, n // 2)
-    c = np.fft.fftshift(np.fft.fft(g.values)) / n
-    return SpectralRep(c * (-1.0) ** m)
+    c = np.fft.fftshift(np.fft.fft(g.values)) / g.n
+    c[1::2] *= -1
+    return SpectralRep(c)
 
 
 def synthesize(s: SpectralRep) -> PeriodicGrid:
     """Inverse of :func:`analyze`; returns a real grid when symmetry allows."""
-    n = s.n
-    m = np.arange(-n // 2, n // 2)
-    vals = np.fft.ifft(np.fft.ifftshift(s.coeffs * (-1.0) ** m)) * n
+    c = np.fft.ifftshift(s.coeffs)  # a new array, position k holding mode k mod n
+    c[1::2] *= -1
+    vals = np.fft.ifft(c) * s.n
     if np.max(np.abs(vals.imag)) <= 1e-12 * max(1.0, np.max(np.abs(vals.real))):
         vals = vals.real
     return PeriodicGrid(vals)
@@ -274,14 +275,21 @@ def eval_shifted_grids(s: SpectralRep, offsets, n: int | None = None) -> np.ndar
 
 
 def resample(g: PeriodicGrid, n_new: int) -> PeriodicGrid:
-    """Spectral resampling to a finer (or coarser band-limited) grid."""
-    s = analyze(g)
+    """Spectral resampling to a finer (or coarser band-limited) grid.
+
+    Refining splits the Nyquist coefficient evenly over the modes -n/2 and
+    n/2, so a real grid stays real and resampling a complex grid resamples
+    its real and imaginary parts apart.
+    """
     n = g.n
     if n_new == n:
         return g
-    c = np.zeros(n_new, dtype=complex)
+    s = analyze(g)
     if n_new > n:
-        c[n_new // 2 - n // 2 : n_new // 2 + n // 2] = s.coeffs
+        lo, hi = n_new // 2 - n // 2, n_new // 2 + n // 2
+        c = np.zeros(n_new, dtype=complex)
+        c[lo:hi] = s.coeffs
+        c[lo] = c[hi] = 0.5 * s.coeffs[0]
     else:
         c = s.coeffs[n // 2 - n_new // 2 : n // 2 + n_new // 2]
     out = synthesize(SpectralRep(c))
@@ -324,10 +332,11 @@ def band_limit_guard(g: PeriodicGrid, s: SpectralRep | None = None):
 
 def negative_frequency_fraction(s: SpectralRep) -> float:
     """Fraction of spectral energy in strictly negative modes (0 for zero data)."""
-    total = float(np.sum(np.abs(s.coeffs) ** 2))
+    energy = np.abs(s.coeffs) ** 2
+    total = float(np.sum(energy))
     if total == 0:
         return 0.0
-    return float(np.sum(np.abs(s.coeffs[s.modes < 0]) ** 2)) / total
+    return float(np.sum(energy[: s.n // 2])) / total  # modes -n/2 .. -1
 
 
 def _apply_multiplier(g: PeriodicGrid, mult: np.ndarray, s: SpectralRep | None = None) -> PeriodicGrid:

@@ -192,8 +192,9 @@ class TestRayFan:
         for name, c, arr in ray_cases():
             span, guard_points = ray_setup(c, arr)
             dirs = blank._ray_directions(seed=7)
+            edges = blank._edge_fan(dirs, c.vertices)
             for face in arr.bounded_faces:
-                fan = blank._cast_fan(face.witness, dirs, c.vertices, span, guard_points)
+                fan = blank._cast_fan(face.witness, edges, span, guard_points)
                 for d, u in enumerate(dirs):
                     adm = loop_direction_admissible(face.witness, u, guard_points)
                     ok, hits = loop_ray_curve_hits(face.witness, u, c.vertices, span)
@@ -226,7 +227,7 @@ class TestRayFan:
             _, far = loop_ray_curve_hits(origin, u, vertices, 3.0)
             at_hit = [far[0][0]] if far else []  # a ray ending exactly at its hit
             for span in [1.5 - 1e-12, 1.5 + 1e-12, 3.0] + at_hit:
-                fan = blank._cast_fan(origin, dirs, vertices, span, vertices)
+                fan = blank._cast_fan(origin, blank._edge_fan(dirs, vertices), span, vertices)
                 ok, hits = loop_ray_curve_hits(origin, u, vertices, span)
                 assert bool(fan.ok[0]) == ok, (alpha, t, span)
                 if ok:
@@ -240,9 +241,9 @@ class TestRayFan:
         rejected = {"admissible": 0, "ok": 0}
         for _name, c, arr in ray_cases():
             span, guard_points = ray_setup(c, arr)
+            edges = blank._edge_fan(blank._ray_directions(7), c.vertices)
             for face in arr.bounded_faces:
-                fan = blank._cast_fan(face.witness, blank._ray_directions(7), c.vertices, span,
-                                      guard_points)
+                fan = blank._cast_fan(face.witness, edges, span, guard_points)
                 rejected["admissible"] += int((~fan.admissible).sum())
                 rejected["ok"] += int((~fan.ok).sum())
         assert min(rejected.values()) > 0

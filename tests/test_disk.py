@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from liouville_disk import disk, spectral
+from liouville_disk import disk, quant, spectral
 
 from liouville_disk.disk import (
     BoundaryTrace,
@@ -408,6 +408,55 @@ class TestRingEvaluation:
         assert make().immersed is immersed
 
 
+@lru_cache(maxsize=None)
+def exact_bubble(mu, x0):
+    """Phi' = C (1 - q z)^-2 for the map quant.Bubble.disk_map builds, with
+    A = 1 + mu - i mu x0, B = i (mu - 1) - mu x0, q = -B/A, C = 4 mu/|A|^2:
+    Phi_k = C q^(k-1) for k >= 1 and Phi_0 = -C/(1 - q), so Phi(1) = 0."""
+    a = 1 + mu - 1j * mu * x0
+    b = 1j * (mu - 1) - mu * x0
+    return quant.bubble(mu=mu, x0=x0).disk_map(), -b / a, 4 * mu / abs(a) ** 2
+
+
+LADDER = [(mu, x0) for mu in (1.0, 16.0, 256.0, 4096.0) for x0 in (0.0, 0.3, -0.3, 0.45)]
+
+
+class TestExactBubbleMaps:
+    @pytest.mark.parametrize("mu, x0", LADDER)
+    def test_coefficients(self, mu, x0):
+        d, q, C = exact_bubble(mu, x0)
+        k = np.arange(d.coeffs.size)
+        exact = C * q ** np.maximum(k - 1, 0)
+        exact[0] = -C / (1 - q)
+        # the series stops at order n/2, where |q|^(n/2) is at most ~3e-12
+        assert np.max(np.abs(d.coeffs - exact)) <= 1e-11 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("mu, x0", LADDER)
+    def test_immersion_certificate(self, mu, x0):
+        d, q, C = exact_bubble(mu, x0)
+        z = np.outer(np.linspace(0.0, 1.0, 64), np.exp(1j * grid_angles(256)))
+        exact = np.min(C / np.abs(1 - q * z) ** 2)
+        assert d.immersed
+        # the derivative multiplies the truncated tail by its order k, and
+        # the minimum sits ~mu^2 below the peak of |Phi'|: 3.4e-7 at mu = 4096, x0 = 0.45
+        assert abs(d.min_deriv - exact) <= 1e-6 * exact
+
+    @pytest.mark.parametrize("mu, x0", LADDER)
+    def test_conformal_distance(self, mu, x0):
+        d, q, C = exact_bubble(mu, x0)
+        mesh = build_polar_mesh(256)
+        weights = C / np.abs(1 - q * directed_midpoints(mesh)) ** 2 * mesh.edge_lengths
+        ref = shortest_path_distance(mesh, weights, mesh.boundary_node(1.0), mesh.boundary_node(-1.0))
+        assert abs(conformal_distance(d, 1.0, -1.0) - ref) <= 1e-7 * ref
+
+    @pytest.mark.parametrize("mu, x0", [(mu, x0) for mu, x0 in LADDER if mu <= 16.0])
+    def test_recentering_at_zero_gives_the_exact_moduli(self, mu, x0):
+        d, q, C = exact_bubble(mu, x0)
+        [lam] = quant.recentered_lambda_sequence(d, 1j, [0.0], n=256)
+        z = np.exp(1j * grid_angles(256))
+        assert np.max(np.abs(lam.values - (np.log(C) - 2 * np.log(np.abs(1 - q * z))))) <= 1e-8
+
+
 class TestBoundaryPolyline:
     def test_flat_polyline_is_shifted_circle(self):
         d = build_phi(analytic_completion(PeriodicGrid.zeros(128)))
@@ -453,6 +502,27 @@ def test_disk_map_json_roundtrip():
     d2 = DiskMap.from_json(d.to_json())
     z = np.exp(1j * np.linspace(-np.pi, np.pi, 33))
     assert np.max(np.abs(d2(z) - d(z))) < 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: quant.bubble(mu=4.0).disk_map(),
+    lambda: blaschke_fixture([0.3, -0.3]),
+    lambda: make_disk_map(np.array([-1.0, 1.0, 0.0, 0.0])),
+])
+def test_stored_disk_maps_are_fixed_points_of_the_json_round_trip(make):
+    d = make()
+    once = DiskMap.from_json(d.to_json())
+    twice = DiskMap.from_json(once.to_json())
+    assert once == d and twice == d
+    padded = np.concatenate([d.coeffs, np.zeros(100)])
+    assert make_disk_map(padded, normalized_at_one=d.normalized_at_one) == d
+
+
+def test_make_disk_map_pads_to_twice_the_last_nonzero_order():
+    assert make_disk_map(np.r_[-1.0, 1.0, np.zeros(500)]).coeffs.size == 64
+    c = np.zeros(100, dtype=complex)
+    c[[0, 70]] = -1.0, 1.0
+    assert make_disk_map(c).coeffs.size == 142
 
 
 def test_make_disk_map_rejects_bad_normalization():

@@ -6,6 +6,7 @@ transferred-equation residual, and the PV oracle against the circle route.
 import numpy as np
 import pytest
 
+from liouville_disk import quant
 from liouville_disk.errors import (
     InvalidInput,
     PoleOfProjection,
@@ -13,6 +14,7 @@ from liouville_disk.errors import (
 )
 from liouville_disk.line import (
     POLE_ANGLE,
+    _piecewise_linear_integral,
     CurvatureData,
     LineField,
     angle_of_x,
@@ -303,3 +305,55 @@ class TestCircleChart:
             _, tau_ext, _ = circle_samples(np.ones_like, n, pole_value=0.5)
             assert np.all(np.diff(tau_ext) > 0), n
             assert tau_ext[-1] - tau_ext[0] == pytest.approx(TWO_PI, abs=1e-14)
+
+
+def mask_interp_integral(xs, ys, a, b):
+    """The former _piecewise_linear_integral: a mask over all angles and
+    np.interp at every grid point of the window."""
+    a = max(a, xs[0])
+    b = min(b, xs[-1])
+    if b <= a:
+        return 0.0
+    grid = np.concatenate([[a], xs[(xs > a) & (xs < b)], [b]])
+    vals = np.interp(grid, xs, ys)
+    return float(np.trapezoid(vals, grid))
+
+
+class TestPiecewiseLinearIntegral:
+    def windows(self, xs, rng):
+        """Ends inside cells, on knots, beyond either end, empty and reversed."""
+        inside = rng.uniform(xs[0], xs[-1], size=(40, 2))
+        knots = xs[rng.integers(0, xs.size, size=(20, 2))]
+        mixed = np.column_stack([xs[rng.integers(0, xs.size, size=20)],
+                                 rng.uniform(xs[0] - 1, xs[-1] + 1, size=20)])
+        edges = [(xs[0] - 5, xs[-1] + 5), (xs[0], xs[-1]), (xs[3], xs[3]),
+                 (xs[4], xs[3]), (xs[-1], xs[-1] + 1), (xs[0] - 1, xs[0]),
+                 (xs[2], np.nextafter(xs[2], np.inf)), (np.nextafter(xs[2], -np.inf), xs[2])]
+        return [tuple(w) for w in np.vstack([inside, knots, mixed])] + edges
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_mask_and_interp_version(self, seed):
+        rng = np.random.default_rng(seed)
+        xs = np.cumsum(rng.uniform(1e-3, 1.0, size=200))
+        ys = rng.standard_normal(200)
+        for a, b in self.windows(xs, rng):
+            assert _piecewise_linear_integral(xs, ys, a, b) == mask_interp_integral(xs, ys, a, b)
+
+    @pytest.mark.parametrize("n", [8, 64, 65536])
+    def test_matches_on_circle_windows(self, n):
+        _, tau_ext, g_ext = circle_samples(u_bubble(300.0, x0=0.2), n)
+        rng = np.random.default_rng(n)
+        windows = self.windows(tau_ext, rng)
+        windows += [(angle_of_x(0.2 + r), angle_of_x(0.2 - r)) for r in (0.4, 0.05, 1e-6)]
+        for a, b in windows:
+            assert _piecewise_linear_integral(tau_ext, g_ext, a, b) == mask_interp_integral(
+                tau_ext, g_ext, a, b
+            )
+
+    def test_scan_alpha_tables_are_unchanged(self, monkeypatch):
+        members = [quant.bubble(mu=2.0**k, x0=-0.37) for k in range(8)]
+        radii = [0.4, 0.2, 0.1, 0.05]
+        [prof] = quant.concentration_scan(members, radii=radii, centers=[-0.37], n=1 << 14)
+        monkeypatch.setattr(quant, "_piecewise_linear_integral", mask_interp_integral)
+        [ref] = quant.concentration_scan(members, radii=radii, centers=[-0.37], n=1 << 14)
+        assert np.array_equal(prof.alpha, ref.alpha)

@@ -29,6 +29,7 @@ from liouville_disk.spectral import (
     hilbert,
     log_profile,
     poisson_extend,
+    resample,
     singular_half_laplacian,
     synthesize,
 )
@@ -143,6 +144,65 @@ class TestAnalyzeSynthesize:
         s = analyze(g)
         s2 = SpectralRep.from_json(s.to_json())
         assert np.max(np.abs(s2.coeffs - s.coeffs)) < 1e-15
+
+
+def power_phase_analyze(g):
+    """analyze with the half-period phase as a (-1.0)**m power array."""
+    n = g.n
+    m = np.arange(-n // 2, n // 2)
+    return np.fft.fftshift(np.fft.fft(g.values)) / n * (-1.0) ** m
+
+
+def power_phase_synthesize(s):
+    """synthesize before its real-part test, with the (-1.0)**m power array."""
+    m = s.modes
+    return np.fft.ifft(np.fft.ifftshift(s.coeffs * (-1.0) ** m)) * s.n
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_signs_by_slicing_equal_the_power_phase(n, complex_):
+    # equal value for value; a -0.0 that the power array's factor +1 turned
+    # into +0.0 may keep its sign
+    for seed in range(5):
+        g = random_bandlimited(n, seed=seed, kmax=n // 2 - 1, complex_=complex_)
+        s = analyze(g)
+        assert np.array_equal(s.coeffs, power_phase_analyze(g))
+        vals = power_phase_synthesize(s)
+        assert np.array_equal(synthesize(s).values, vals.real if g.is_real else vals)
+
+
+class TestResample:
+    def nyquist_grid(self, n, seed):
+        # real, with every mode up to and including a Nyquist mode near 1
+        rng = np.random.default_rng(seed)
+        return PeriodicGrid(rng.standard_normal(n) + (-1.0) ** np.arange(n))
+
+    @pytest.mark.parametrize("n, n_new", [(8, 32), (64, 256), (256, 1024)])
+    def test_refining_a_real_grid_with_a_nyquist_mode_stays_real(self, n, n_new):
+        g = self.nyquist_grid(n, seed=n)
+        assert abs(analyze(g)[-n // 2]) > 0.1
+        fine = resample(g, n_new)
+        assert fine.is_real
+        # the fine grid holds the coarse samples
+        assert np.max(np.abs(fine.values[:: n_new // n] - g.values)) < 1e-13
+
+    @pytest.mark.parametrize("n, n_new", [(8, 32), (64, 256), (256, 1024)])
+    def test_the_nyquist_mode_becomes_a_cosine(self, n, n_new):
+        th = grid_angles(n_new)
+        fine = resample(PeriodicGrid(np.cos(n // 2 * grid_angles(n))), n_new)
+        assert np.max(np.abs(fine.values - np.cos(n // 2 * th))) < 1e-13
+
+    @pytest.mark.parametrize("n, n_new", [(8, 32), (64, 256), (256, 1024)])
+    def test_linear_over_real_and_imaginary_parts(self, n, n_new):
+        a, b = self.nyquist_grid(n, seed=1), self.nyquist_grid(n, seed=2)
+        both = resample(PeriodicGrid(a.values + 1j * b.values), n_new).values
+        apart = resample(a, n_new).values + 1j * resample(b, n_new).values
+        assert np.max(np.abs(both - apart)) < 1e-13
+
+    def test_same_size_is_the_identity(self):
+        g = self.nyquist_grid(64, seed=0)
+        assert resample(g, 64) is g
 
 
 class TestHalfLaplacian:

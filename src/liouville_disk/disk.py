@@ -11,11 +11,13 @@ polylines are built by per-cell quadrature of the boundary derivative
 (spectral.singular_cell_integrals) rather than through the truncated series,
 which would trip the resolution guard.
 
-|Phi'| is only ever needed on uniform polar rings: the 64 x 256 lattice of
-the immersion certificate, the edge-midpoint rings of the distance mesh and
-the unit circle of the recentered boundary moduli.  All rings of a call fold
-the coefficients at once, through one matrix product, and share one batched
-inverse FFT (_abs_on_rings), so series orders of 10^5 stay cheap.
+Inside the disk |Phi'| is only needed on uniform polar rings: the 64 x 256
+lattice of the immersion certificate and the edge-midpoint rings of the
+distance mesh.  All rings of a call fold the coefficients at once, through
+one matrix product, and share one batched inverse FFT (_abs_on_rings), so
+series orders of 10^5 stay cheap.  The recentered boundary moduli of
+quant.recentered_lambda_sequence take Phi' at off-grid points of the unit
+circle instead, through spectral.eval_modes.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .spectral import (
     grid_angles,
     log_profile,
     negative_frequency_fraction,
-    resample,
     singular_cell_integrals,
     singular_half_laplacian,
 )
@@ -229,22 +230,28 @@ def _truncate_with_guard(full_coeffs: np.ndarray, M: int) -> np.ndarray:
     return full_coeffs[: M + 1]
 
 
-def build_phi(bt: BoundaryTrace, M: int | None = None, oversample: int = 4) -> DiskMap:
+def build_phi(bt: BoundaryTrace, M: int | None = None) -> DiskMap:
     """Integrate the boundary derivative into the disk map.
 
-    phi = e^{lambda + i rho} is exponentiated on an oversampled boundary grid
-    (composition and exponentiation alias otherwise), its nonnegative modes
-    become the derivative coefficients, and term-by-term integration with the
-    constant fixed by Phi(1) = 0 gives the map.  Raises NotHolomorphic when
-    phi has significant negative-frequency energy.
+    phi = e^{lambda + i rho} is exponentiated on the trace's own n-point
+    grid, its nonnegative modes become the derivative coefficients, and
+    term-by-term integration with the constant fixed by Phi(1) = 0 gives the
+    map, truncated to order M (default n/2) under the tail guard.
+
+    The grid needs no oversampling.  On n points, modes n/2 .. n-1 of phi
+    fold onto the negative frequencies -n/2 .. -1, which the
+    negative-frequency guard measures; only modes >= n fold onto kept
+    coefficients, and those are smaller than the tail above order n/4 that
+    the truncation guard already bounds.  So a finer grid changes nothing
+    above the truncation floor.  The tail guard runs first: an
+    under-resolved holomorphic map raises UnderResolved, and NotHolomorphic
+    is left to phi with significant negative-frequency energy on a resolved
+    grid.
     """
     n = bt.n
     M = M if M is not None else n // 2
-    N = oversample * n
-    # lambda + i rho on the fine grid, its smooth parts in one resample
-    smooth = np.real(bt.lam.smooth.values) + 1j * np.real(bt.rho_smooth.values)
-    w = resample(PeriodicGrid(smooth), N).values
-    th = grid_angles(N) if bt.anchors else None
+    w = np.real(bt.lam.smooth.values) + 1j * np.real(bt.rho_smooth.values)
+    th = grid_angles(n) if bt.anchors else None
     for t0, c in bt.anchors:
         w = w + c * log_profile(th, t0) + 1j * (c * conjugate_profile(th, t0))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -252,16 +259,15 @@ def build_phi(bt: BoundaryTrace, M: int | None = None, oversample: int = 4) -> D
     if not np.all(np.isfinite(phi)):
         raise UnderResolved("boundary derivative is non-finite on the sampling grid")
     s = analyze(PeriodicGrid(phi))
+    # integrate every available nonnegative mode, then truncate under the guard
+    full = np.zeros(n // 2 + 1, dtype=complex)
+    full[1:] = s.coeffs[n // 2 :] / np.arange(1, n // 2 + 1)  # modes 0 .. n/2 - 1
+    coeffs = _truncate_with_guard(full, M).copy()
     neg = negative_frequency_fraction(s)
     if neg > NEG_FREQ_LIMIT:
         raise NotHolomorphic(
             f"negative-frequency energy fraction {neg:.2e} of boundary derivative"
         )
-    # integrate every available nonnegative mode, then truncate under the guard
-    dcoef = s.coeffs[N // 2 :]  # modes 0 .. N/2 - 1
-    full = np.zeros(N // 2 + 1, dtype=complex)
-    full[1:] = dcoef / np.arange(1, N // 2 + 1)
-    coeffs = _truncate_with_guard(full, M).copy()
     coeffs[0] = -np.sum(coeffs[1:])
     return make_disk_map(coeffs)
 
@@ -291,6 +297,16 @@ def curvature_mass(bt: BoundaryTrace) -> float:
     return float(circle_trapezoid(dtheta_rho + 1.0))
 
 
+def _check_recentering(a: complex, t: float):
+    """Raise InvalidInput unless f(z) = (z - t a)/(1 - t conj(a) z) is a disk
+    automorphism that recenters towards the boundary point a: |a| = 1 and
+    0 <= t < 1."""
+    if abs(abs(a) - 1.0) > 1e-9:
+        raise InvalidInput("recentering point must lie on the unit circle")
+    if not 0.0 <= t < 1.0:
+        raise InvalidInput("t must lie in [0, 1)")
+
+
 def mobius_recenter(d: DiskMap, a: complex, t: float, M: int | None = None) -> DiskMap:
     """Precompose with the disk automorphism f(z) = (z - t a)/(1 - t conj(a) z).
 
@@ -299,10 +315,7 @@ def mobius_recenter(d: DiskMap, a: complex, t: float, M: int | None = None) -> D
     series order) raises UnderResolved.
     """
     a = complex(a)
-    if abs(abs(a) - 1.0) > 1e-9:
-        raise InvalidInput("recentering point must lie on the unit circle")
-    if not 0.0 <= t < 1.0:
-        raise InvalidInput("t must lie in [0, 1)")
+    _check_recentering(a, t)
     M = M if M is not None else max(d.coeffs.size - 1, 256)
     N = 1 << int(np.ceil(np.log2(8 * M)))
     th = grid_angles(N)

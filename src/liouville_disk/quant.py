@@ -19,11 +19,10 @@ import numpy as np
 
 from .disk import (
     DiskMap,
-    _abs_on_rings,
+    _check_recentering,
     analytic_completion,
     build_phi,
     conformal_distance,
-    mobius_recenter,
 )
 from .errors import (
     CenterUnstable,
@@ -45,7 +44,7 @@ from .line import (
     pull_back,
     transfer_equation,
 )
-from .spectral import TWO_PI, PeriodicGrid, SingularField, grid_angles
+from .spectral import TWO_PI, PeriodicGrid, SingularField, SpectralRep, eval_modes, grid_angles
 
 CENTER_GRID_N = 1 << 14  # grid on which locate_centers samples the density
 MAX_CENTERS = 4
@@ -381,12 +380,33 @@ def circle_concentration_scan(lambda_grids, kappa_grids, center_angle: float, ar
 
 
 def recentered_lambda_sequence(d: DiskMap, a: complex, ts, n: int = 1024):
-    """Boundary moduli log|(Phi o f_t)'| for a recentering ladder t -> 1,
-    with |(Phi o f_t)'| on the n grid angles folded into one inverse FFT."""
+    """Boundary moduli log|(Phi o f_t)'| on the n grid angles for a
+    recentering ladder t -> 1, with f_t(z) = (z - t a)/(1 - t conj(a) z).
+
+    By the chain rule log|(Phi o f_t)'(z)| = log|Phi'(f_t(z))| + log|f_t'(z)|,
+    with f_t'(z) = (1 - t^2)/(1 - t conj(a) z)^2.  f_t maps the unit circle
+    onto itself, so Phi' is the trigonometric sum of its coefficients (modes
+    0 .. size - 1 of a SpectralRep of length max(8, 2^ceil(log2 2 size)))
+    at the angles of the n points f_t(z_j): one spectral.eval_modes call per
+    t.  No recentered series is built or truncated, so the moduli carry only
+    the error of Phi' itself, whatever t and the series order.
+    """
+    a = complex(a)
+    dcoef = np.trim_zeros(d.deriv_coeffs, "b")
+    size = max(dcoef.size, 1)
+    length = max(8, 1 << (2 * size - 1).bit_length())
+    coeffs = np.zeros(length, dtype=complex)
+    coeffs[length // 2 : length // 2 + dcoef.size] = dcoef
+    deriv = SpectralRep(coeffs)
+    z = np.exp(1j * grid_angles(n))
     out = []
     for t in ts:
-        dt = mobius_recenter(d, a, t, M=max(d.coeffs.size - 1, 2 * n))
-        out.append(PeriodicGrid(np.log(_abs_on_rings(dt.deriv_coeffs, [1.0], n)[0])))
+        t = float(t)
+        _check_recentering(a, t)
+        den = 1.0 - t * np.conj(a) * z
+        w = (z - t * a) / den
+        speed = np.abs(eval_modes(deriv, np.angle(w)))
+        out.append(PeriodicGrid(np.log(speed) + np.log1p(-t * t) - 2.0 * np.log(np.abs(den))))
     return out
 
 

@@ -266,7 +266,9 @@ def eval_shifted_grids(s: SpectralRep, offsets, n: int | None = None) -> np.ndar
     m = s.modes
     bins = m % size
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    shifted = (s.coeffs * (-1.0) ** m) * np.exp(1j * np.outer(offsets, m))
+    signed = s.coeffs.copy()
+    signed[1::2] *= -1  # (-1)^m: odd modes sit at odd positions, as in analyze
+    shifted = signed * np.exp(1j * np.outer(offsets, m))
     folded = np.zeros((offsets.size, size), dtype=complex)
     for start in range(0, s.n, size):
         # bins are distinct within a run of `size` consecutive modes
@@ -279,7 +281,9 @@ def resample(g: PeriodicGrid, n_new: int) -> PeriodicGrid:
 
     Refining splits the Nyquist coefficient evenly over the modes -n/2 and
     n/2, so a real grid stays real and resampling a complex grid resamples
-    its real and imaginary parts apart.
+    its real and imaginary parts apart.  Coarsening keeps the modes below
+    n_new/2 in modulus and folds the pair +-n_new/2, which coincide on the
+    coarse grid, into its one Nyquist coefficient.
     """
     n = g.n
     if n_new == n:
@@ -291,7 +295,8 @@ def resample(g: PeriodicGrid, n_new: int) -> PeriodicGrid:
         c[lo:hi] = s.coeffs
         c[lo] = c[hi] = 0.5 * s.coeffs[0]
     else:
-        c = s.coeffs[n // 2 - n_new // 2 : n // 2 + n_new // 2]
+        c = s.coeffs[n // 2 - n_new // 2 : n // 2 + n_new // 2].copy()
+        c[0] += s.coeffs[n // 2 + n_new // 2]
     out = synthesize(SpectralRep(c))
     if g.is_real and not out.is_real:
         out = PeriodicGrid(out.values.real)

@@ -27,7 +27,7 @@ from liouville_disk.disk import (
     mobius_recenter,
 )
 from liouville_disk.errors import InvalidInput, NotHolomorphic, UnderResolved
-from liouville_disk.line import pull_back
+from liouville_disk.line import pull_back, stereo_inverse
 from liouville_disk.mesh import build_polar_mesh, shortest_path_distance
 from liouville_disk.spectral import (
     PeriodicGrid,
@@ -169,6 +169,13 @@ class TestBuildPhi:
     def test_normalization(self):
         d = build_phi(bubble_trace(2.0))
         assert abs(d(1.0)) < 1e-10
+
+    @pytest.mark.parametrize("mu, n", [(64.0, 256), (256.0, 512), (4096.0, 4096)])
+    def test_under_resolved_bubble_is_not_called_non_holomorphic(self, mu, n):
+        # phi's modes above n/2 fold onto negative frequencies of the n-point
+        # grid; the tail guard runs first, so the verdict names the cause
+        with pytest.raises(UnderResolved):
+            build_phi(bubble_trace(mu, n=n))
 
 
 class TestBoundaryCurvature:
@@ -455,6 +462,45 @@ class TestExactBubbleMaps:
         [lam] = quant.recentered_lambda_sequence(d, 1j, [0.0], n=256)
         z = np.exp(1j * grid_angles(256))
         assert np.max(np.abs(lam.values - (np.log(C) - 2 * np.log(np.abs(1 - q * z))))) <= 1e-8
+
+    @staticmethod
+    def recentering_errors(mu, x0, a, ts, n=256):
+        """Largest deviation of recentered_lambda_sequence from the exact
+        moduli log C - 2 log|1 - q f_t(z)| + log|f_t'(z)|, one per t."""
+        d, q, C = exact_bubble(mu, x0)
+        z = np.exp(1j * grid_angles(n))
+        errs = []
+        for t, lam in zip(ts, quant.recentered_lambda_sequence(d, a, ts, n=n)):
+            den = 1 - t * np.conj(a) * z
+            f = (z - t * a) / den
+            exact = np.log(C) - 2 * np.log(np.abs(1 - q * f)) + np.log(1 - t * t) - 2 * np.log(np.abs(den))
+            errs.append(float(np.max(np.abs(lam.values - exact))))
+        return errs
+
+    @pytest.mark.parametrize("toward", ["i", "centre"])
+    @pytest.mark.parametrize("mu, x0", [(mu, x0) for mu, x0 in LADDER if mu <= 256.0])
+    def test_recentering_gives_the_exact_moduli(self, mu, x0, toward):
+        # the chain rule adds nothing to the map's own error, which does not
+        # depend on t: 1.3e-9 at mu = 16 and 2.3e-8 at mu = 256 (x0 = 0.45)
+        a = 1j if toward == "i" else complex(stereo_inverse(x0))
+        at_zero, *errs = self.recentering_errors(mu, x0, a, [0.0, 0.25, 0.5, 0.9])
+        assert all(e <= 2 * at_zero + 1e-12 for e in errs)
+        if mu <= 16.0:
+            assert max(errs) <= 1e-8
+
+    def test_recentering_needs_no_longer_series(self):
+        # f_t stretches the boundary near a by (1 + t)/(1 - t), so a recentered
+        # series needs ~3x the map's order; one of the map's own order misses
+        # these moduli by 3.1e-6
+        [err] = self.recentering_errors(16.0, -0.3, complex(stereo_inverse(-0.3)), [0.5])
+        assert err <= 1e-9
+
+    def test_recentering_a_series_of_order_131073(self):
+        d, _, _ = exact_bubble(4096.0, -0.3)
+        assert d.order == 131073
+        at_zero, *errs = self.recentering_errors(4096.0, -0.3, complex(stereo_inverse(-0.3)), [0.0, 0.25, 0.5, 0.9])
+        assert all(e <= 2 * at_zero + 1e-12 for e in errs)
+        assert max(errs) <= 1e-7
 
 
 class TestBoundaryPolyline:

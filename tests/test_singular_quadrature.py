@@ -185,6 +185,22 @@ def test_shifted_grids_match_eval_modes():
             assert np.max(np.abs(rows[k] - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("target", [8, 100, 512])
+def test_shifted_grids_flip_the_signs_of_the_odd_modes_exactly(target):
+    # (-1)^m is a sign flip, so the phased coefficients match the power form
+    # bit for bit and the anchored quadrature does not move
+    rng = np.random.default_rng(13)
+    n = 64
+    s = spectral.SpectralRep(rng.normal(size=n) + 1j * rng.normal(size=n))
+    offsets = rng.uniform(-TWO_PI, TWO_PI, size=3)
+    m = s.modes
+    shifted = (s.coeffs * (-1.0) ** m) * np.exp(1j * np.outer(offsets, m))
+    folded = np.zeros((offsets.size, target), dtype=complex)
+    for start in range(0, n, target):
+        folded[:, m[start : start + target] % target] += shifted[:, start : start + target]
+    assert np.array_equal(eval_shifted_grids(s, offsets, target), np.fft.ifft(folded, axis=-1) * target)
+
+
 @pytest.mark.parametrize("target", [8, 32, 100, 128, 512])
 def test_shifted_grids_on_another_grid_match_eval_modes(target):
     # coarser targets fold aliased modes together, finer ones zero-pad; both

@@ -200,6 +200,20 @@ class TestResample:
         apart = resample(a, n_new).values + 1j * resample(b, n_new).values
         assert np.max(np.abs(both - apart)) < 1e-13
 
+    def test_coarsening_keeps_the_whole_nyquist_mode(self):
+        # cos(4 theta) is the Nyquist mode of the 8-point grid, where it
+        # samples to +-1; the modes +-4 both land in its one coefficient
+        coarse = resample(PeriodicGrid(np.cos(4 * grid_angles(16))), 8)
+        assert np.max(np.abs(coarse.values - np.cos(4 * grid_angles(8)))) < 1e-14
+
+    @pytest.mark.parametrize("n, n_new", [(32, 8), (256, 64)])
+    def test_coarsening_a_band_limited_grid_keeps_its_samples(self, n, n_new):
+        th = grid_angles(n_new)
+        g = PeriodicGrid.from_function(lambda t: 1.0 + np.sin(3 * t) + np.cos(n_new // 2 * t), n)
+        coarse = resample(g, n_new)
+        assert coarse.is_real
+        assert np.max(np.abs(coarse.values - (1.0 + np.sin(3 * th) + np.cos(n_new // 2 * th)))) < 1e-13
+
     def test_same_size_is_the_identity(self):
         g = self.nyquist_grid(64, seed=0)
         assert resample(g, 64) is g

@@ -34,7 +34,7 @@ from .spectral import TWO_PI
 
 ANGULAR_GUARD = 1e-3
 N_RAY_DIRECTIONS = 64
-EXHAUSTIVE_LIMIT = 16
+EXHAUSTIVE_LIMIT = 16  # unused by contract; the benchmark tracer reads it
 _LETTER = re.compile(r"(\D)([0-9]+)([+-])")
 
 
@@ -270,34 +270,31 @@ class ContractionResult:
     contracted: bool
     steps: list
     final: BlankWord
-    order: str  # "leftmost" or "exhaustive"
+    order = "leftmost"  # the one contraction order, named in CLI and JSON outputs
 
     @property
     def n_pieces(self) -> int:
         return len(self.steps) + 1
 
 
-def _contraction_moves(letters):
-    """All admissible (minus_pos, plus_pos) pairs: a minus letter and a
-    same-face plus letter with no other minus cyclically between them."""
+def _first_move(letters):
+    """The leftmost minus letter p with an admissible partner and its nearest
+    one q walking backward: a same-face plus letter with no minus letter
+    cyclically between them.  None when no move is left."""
     n = len(letters)
-    moves = []
     for p in range(n):
         if letters[p].sign > 0:
             continue
         q = (p - 1) % n
-        while q != p:
-            if letters[q].sign < 0:
-                break
+        while q != p and letters[q].sign > 0:
             if letters[q].face == letters[p].face:
-                moves.append((p, q))
+                return p, q
             q = (q - 1) % n
-    return moves
+    return None
 
 
 def _apply_move(letters, p, q):
     """Delete the closed cyclic interval [q .. p] (walking forward from q to p)."""
-    n = len(letters)
     if q <= p:
         removed = letters[q : p + 1]
         rest = letters[:q] + letters[p + 1 :]
@@ -308,48 +305,29 @@ def _apply_move(letters, p, q):
 
 
 def contract(word: BlankWord) -> ContractionResult:
-    """Greedy leftmost-first contraction with an exhaustive fallback.
+    """Greedy contraction: the word contracts when no minus letter is left.
 
-    The deterministic order scans minus letters from the canonical start and
-    pairs each with the nearest admissible plus letter walking backward.  If
-    it gets stuck and the word has at most 16 letters, all contraction orders
-    are searched before declaring the word non-contractible (the greedy order
-    is not known to be confluent).
+    A move deletes the cyclic interval [q .. p], p a minus letter and q a
+    plus letter of the same face with no minus letter between them.  Each
+    step scans from position 0 of the current word for the leftmost minus
+    letter that has a move and pairs it with the nearest such plus letter.
+
+    The greedy verdict is exact.  The moves of any full contraction S delete
+    arcs of the original cyclic word that are laminar (nested or disjoint),
+    and every minus letter is the right end of exactly one arc.  S pairs the
+    greedy p with some q', and the greedy q lies in [q' .. p].  No minus
+    letter lies between q and p, so no arc of S ends there and none starts
+    at q.  Replacing S's arc [q' .. p] by [q .. p] keeps S a full
+    contraction, so nearest-plus moves never lose one, in any order of the
+    minus letters.
     """
     letters = tuple(word.letters)
     steps = []
-    while True:
-        if all(l.sign > 0 for l in letters):
-            return ContractionResult(True, steps, BlankWord(letters), "leftmost")
-        moves = _contraction_moves(letters)
-        if not moves:
-            break
-        # leftmost minus, then nearest plus walking backward
-        p, q = min(moves, key=lambda pq: (pq[0], (pq[0] - pq[1]) % max(len(letters), 1)))
+    while (move := _first_move(letters)) is not None:
+        p, q = move
         removed, letters = _apply_move(letters, p, q)
         steps.append(ContractionStep(p, q, removed, letters))
-    if len(word) <= EXHAUSTIVE_LIMIT:
-        found = _contract_exhaustive(tuple(word.letters), [], set())
-        if found is not None:
-            return ContractionResult(True, found, BlankWord(()), "exhaustive")
-    return ContractionResult(False, steps, BlankWord(letters), "leftmost")
-
-
-def _contract_exhaustive(letters, steps, seen):
-    if all(l.sign > 0 for l in letters):
-        return steps
-    key = BlankWord(letters).canonical()
-    if key in seen:
-        return None
-    seen.add(key)
-    for p, q in _contraction_moves(letters):
-        removed, rest = _apply_move(letters, p, q)
-        found = _contract_exhaustive(
-            rest, steps + [ContractionStep(p, q, removed, rest)], seen
-        )
-        if found is not None:
-            return found
-    return None
+    return ContractionResult(all(l.sign > 0 for l in letters), steps, BlankWord(letters))
 
 
 # --- Seifert decomposition ---------------------------------------------------
@@ -466,7 +444,7 @@ def extendability_check(c: PolyCurve, seed: int = 0) -> ExtendabilityReport:
     rec = blank_word(work, arr, seed=seed)
     res = contract(rec.word)
     gluing = None
-    if res.contracted and res.order == "leftmost" and res.steps:
+    if res.contracted and res.steps:
         try:
             r_pieces = _gluing_indices(work, rec, res)
             total = sum(r_pieces) - (len(r_pieces) - 1)

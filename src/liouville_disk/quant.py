@@ -128,41 +128,6 @@ def bubble(params: BubbleParams | None = None, mu: float = 1.0, x0: float = 0.0)
     return Bubble(params if params is not None else BubbleParams(mu, x0))
 
 
-def line_field_from_json(obj: dict, n: int = 512) -> LineField:
-    """Ingest a line-side function: {"kind": "bubble", "mu", "x0"} |
-    {"kind": "grid", ...} | {"kind": "expr-table", "x": [...], "u": [...]}
-    with monotone x (interpolated inside the table, log-slope tail outside).
-    """
-    kind = obj.get("kind", "grid")
-    if kind == "grid":
-        return LineField.from_json(obj)
-    if kind == "bubble":
-        return bubble(mu=float(obj["mu"]), x0=float(obj.get("x0", 0.0))).pull_back(n)
-    if kind == "expr-table":
-        xs = np.asarray(obj["x"], dtype=float)
-        us = np.asarray(obj["u"], dtype=float)
-        if xs.ndim != 1 or xs.shape != us.shape or np.any(np.diff(xs) <= 0):
-            raise InvalidInput("expr-table needs monotone x aligned with u")
-        # tails: continue linearly in log(1+|x|) from the table's end slopes
-        def tail_slope(x0, x1, u0, u1):
-            return (u1 - u0) / (np.log1p(abs(x1)) - np.log1p(abs(x0)))
-
-        s_lo = tail_slope(xs[1], xs[0], us[1], us[0])
-        s_hi = tail_slope(xs[-2], xs[-1], us[-2], us[-1])
-
-        def u(x):
-            x = np.asarray(x, dtype=float)
-            out = np.interp(x, xs, us)
-            lo = x < xs[0]
-            hi = x > xs[-1]
-            out = np.where(lo, us[0] + s_lo * (np.log1p(np.abs(x)) - np.log1p(abs(xs[0]))), out)
-            out = np.where(hi, us[-1] + s_hi * (np.log1p(np.abs(x)) - np.log1p(abs(xs[-1]))), out)
-            return out
-
-        return pull_back(u, n)
-    raise InvalidInput(f"unknown line-field kind {kind!r}")
-
-
 def verify_solution(u, K, n: int = 512, anchor_coeff=None, pole_value=None):
     """Residual report for a claimed solution: routes through the circle
     pullback and the transferred equation; Lambda and the defect 2*pi - Lambda

@@ -276,33 +276,6 @@ def eval_shifted_grids(s: SpectralRep, offsets, n: int | None = None) -> np.ndar
     return np.fft.ifft(folded, axis=-1) * size
 
 
-def resample(g: PeriodicGrid, n_new: int) -> PeriodicGrid:
-    """Spectral resampling to a finer (or coarser band-limited) grid.
-
-    Refining splits the Nyquist coefficient evenly over the modes -n/2 and
-    n/2, so a real grid stays real and resampling a complex grid resamples
-    its real and imaginary parts apart.  Coarsening keeps the modes below
-    n_new/2 in modulus and folds the pair +-n_new/2, which coincide on the
-    coarse grid, into its one Nyquist coefficient.
-    """
-    n = g.n
-    if n_new == n:
-        return g
-    s = analyze(g)
-    if n_new > n:
-        lo, hi = n_new // 2 - n // 2, n_new // 2 + n // 2
-        c = np.zeros(n_new, dtype=complex)
-        c[lo:hi] = s.coeffs
-        c[lo] = c[hi] = 0.5 * s.coeffs[0]
-    else:
-        c = s.coeffs[n // 2 - n_new // 2 : n // 2 + n_new // 2].copy()
-        c[0] += s.coeffs[n // 2 + n_new // 2]
-    out = synthesize(SpectralRep(c))
-    if g.is_real and not out.is_real:
-        out = PeriodicGrid(out.values.real)
-    return out
-
-
 def band_limit_fraction(g: PeriodicGrid, s: SpectralRep | None = None) -> float:
     """Share of the oscillatory spectral energy carried by the top decile of
     modes (|m| >= (1 - BAND_LIMIT_TOP) n/2); 0 when the oscillatory part sits

@@ -13,7 +13,9 @@ from liouville_disk.blank import (
     ANGULAR_GUARD,
     N_RAY_DIRECTIONS,
     BlankWord,
+    ContractionStep,
     Letter,
+    _apply_move,
     blank_word,
     contract,
     extendability_check,
@@ -25,6 +27,7 @@ from liouville_disk.errors import InvalidInput
 from liouville_disk.fixtures import (
     FIXTURES,
     circle,
+    double_pocket,
     fblank_first,
     fblank_second,
     figure_eight,
@@ -299,6 +302,96 @@ class TestBlankWord:
             assert sorted(idxs) == list(range(len(idxs)))
 
 
+def _contraction_moves(letters):
+    """All admissible (minus_pos, plus_pos) pairs: a minus letter and a
+    same-face plus letter with no other minus cyclically between them."""
+    n = len(letters)
+    moves = []
+    for p in range(n):
+        if letters[p].sign > 0:
+            continue
+        q = (p - 1) % n
+        while q != p:
+            if letters[q].sign < 0:
+                break
+            if letters[q].face == letters[p].face:
+                moves.append((p, q))
+            q = (q - 1) % n
+    return moves
+
+
+def _contract_exhaustive(letters, steps, seen):
+    """Oracle: every order of moves, depth first, with the words already seen
+    (up to rotation and renaming) pruned; the steps of a full contraction,
+    or None."""
+    if all(l.sign > 0 for l in letters):
+        return steps
+    key = BlankWord(letters).canonical()
+    if key in seen:
+        return None
+    seen.add(key)
+    for p, q in _contraction_moves(letters):
+        removed, rest = _apply_move(letters, p, q)
+        found = _contract_exhaustive(
+            rest, steps + [ContractionStep(p, q, removed, rest)], seen
+        )
+        if found is not None:
+            return found
+    return None
+
+
+def interval_dp_contracts(letters):
+    """Oracle: O(L^3) interval DP on the doubled word.  good[i][j] holds when
+    every minus letter p of w[i:j] is the right end of an arc [q .. p] inside
+    it, q a plus letter of the same face; the word contracts when some cyclic
+    cut s gives good[s][s + L]."""
+    n = len(letters)
+    w = letters + letters
+    good = [[i == j for j in range(2 * n + 1)] for i in range(2 * n + 1)]
+    for length in range(1, n + 1):
+        for i in range(2 * n - length + 1):
+            j = i + length
+            last = w[j - 1]
+            if last.sign > 0:
+                good[i][j] = good[i][j - 1]
+            else:
+                good[i][j] = any(
+                    w[q].sign > 0 and w[q].face == last.face and good[i][q] and good[q + 1][j - 1]
+                    for q in range(i, j - 1)
+                )
+    return n == 0 or any(good[s][s + n] for s in range(n))
+
+
+def indexed(faces_signs):
+    """Letters with each face's indices numbered in order of appearance."""
+    count = {}
+    letters = []
+    for face, sign in faces_signs:
+        letters.append(Letter(face, count.get(face, 0), sign))
+        count[face] = count.get(face, 0) + 1
+    return tuple(letters)
+
+
+def random_letters(rng, n):
+    faces = "abc"[: int(rng.integers(1, 4))]
+    return indexed((faces[rng.integers(0, len(faces))], 1 if rng.random() < 0.6 else -1)
+                   for _ in range(n))
+
+
+def inverse_move_letters(rng, n_blocks):
+    """A contractible word built by inverse moves: from 0-3 plus letters,
+    each block f+ (0-2 plus letters) f- goes into a random gap, so deleting
+    the blocks in reverse order contracts the word."""
+    faces = "abcd"
+    word = [(faces[rng.integers(0, 4)], 1) for _ in range(rng.integers(0, 4))]
+    for _ in range(n_blocks):
+        f = faces[rng.integers(0, 4)]
+        inner = [(faces[rng.integers(0, 4)], 1) for _ in range(rng.integers(0, 3))]
+        at = int(rng.integers(0, len(word) + 1))
+        word[at:at] = [(f, 1)] + inner + [(f, -1)]
+    return indexed(word)
+
+
 class TestContract:
     def test_paper_word_contracts_with_stated_step(self):
         res = contract(PAPER_WORD)
@@ -338,6 +431,99 @@ class TestContract:
             perm[a], perm[b] = perm[b], perm[a]
             renamed = BlankWord(tuple(Letter(perm[l.face], l.index, l.sign) for l in letters))
             assert contract(renamed).contracted == base
+
+    def test_final_word_keeps_the_uncovered_plus_letters(self):
+        res = contract(PAPER_WORD)
+        assert res.final == BlankWord(res.steps[-1].word_after) == BlankWord.parse("b1+ c0+")
+        stuck = contract(INFINITY_WORD)
+        assert stuck.final == INFINITY_WORD and not stuck.steps
+        assert res.order == stuck.order == "leftmost"
+
+    def test_a_move_may_wrap_around_the_end_of_the_word(self):
+        # the minus letter at position 0 finds its partner by walking back
+        # across the end of the word, so the deleted arc wraps
+        res = contract(BlankWord.parse("a0- b0+ a1+"))
+        assert res.contracted and len(res.steps) == 1
+        st = res.steps[0]
+        assert (st.minus_pos, st.plus_pos) == (0, 2)
+        assert st.removed == (Letter("a", 1, 1), Letter("a", 0, -1))
+        assert res.final == BlankWord.parse("b0+")
+
+    def test_the_scan_skips_a_minus_letter_without_a_partner(self):
+        # b0- meets a1- walking back before any b plus letter; the scan moves
+        # on to a1-, whose move leaves b0- stranded
+        word = BlankWord.parse("b0- a0+ a1-")
+        assert blank._first_move(word.letters) == (2, 1)
+        res = contract(word)
+        assert not res.contracted
+        assert [(st.minus_pos, st.plus_pos) for st in res.steps] == [(2, 1)]
+        assert res.final == BlankWord.parse("b0-")
+        assert blank._first_move(res.final.letters) is None
+
+    def test_first_move_is_the_leftmost_nearest_move(self):
+        # the scan picks the move that the minimum over every admissible move
+        # picks: the leftmost minus letter, then the nearest plus walking back
+        rng = np.random.default_rng(16)
+        for _ in range(500):
+            letters = random_letters(rng, int(rng.integers(1, 20)))
+            moves = _contraction_moves(letters)
+            nearest = min(moves, key=lambda pq: (pq[0], (pq[0] - pq[1]) % len(letters)), default=None)
+            assert blank._first_move(letters) == nearest, letters
+
+    def test_each_step_deletes_one_arc(self):
+        # [q .. p] runs from a plus letter to a same-face minus letter, the
+        # only minus letter it holds
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            word = random_letters(rng, int(rng.integers(2, 30)))
+            for st in contract(BlankWord(word)).steps:
+                n, arc = len(word), st.removed
+                assert arc == tuple(word[(st.plus_pos + k) % n] for k in range(len(arc)))
+                assert (st.plus_pos + len(arc) - 1) % n == st.minus_pos
+                assert arc[0].face == arc[-1].face and arc[-1].sign < 0
+                assert all(l.sign > 0 for l in arc[:-1])
+                assert len(st.word_after) == n - len(arc)
+                word = st.word_after
+
+    def test_greedy_matches_the_exhaustive_search_up_to_11_letters(self):
+        rng = np.random.default_rng(12)
+        verdicts = []
+        for _ in range(2000):
+            letters = random_letters(rng, int(rng.integers(1, 12)))
+            greedy = contract(BlankWord(letters)).contracted
+            assert greedy == (_contract_exhaustive(letters, [], set()) is not None), letters
+            verdicts.append(greedy)
+        assert 0.2 < np.mean(verdicts) < 0.8
+
+    def test_greedy_matches_the_interval_dp_from_12_to_40_letters(self):
+        rng = np.random.default_rng(13)
+        verdicts = []
+        for _ in range(300):
+            letters = random_letters(rng, int(rng.integers(12, 41)))
+            greedy = contract(BlankWord(letters)).contracted
+            assert greedy == interval_dp_contracts(letters), letters
+            verdicts.append(greedy)
+        assert 0.05 < np.mean(verdicts) < 0.95
+
+    def test_the_oracles_agree(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            letters = random_letters(rng, int(rng.integers(1, 10)))
+            assert interval_dp_contracts(letters) == (
+                _contract_exhaustive(letters, [], set()) is not None), letters
+
+    def test_words_built_by_inverse_moves_contract(self):
+        rng = np.random.default_rng(15)
+        lengths = []
+        for _ in range(300):
+            letters = inverse_move_letters(rng, int(rng.integers(1, 15)))
+            res = contract(BlankWord(letters))
+            assert res.contracted, letters
+            # each move deletes exactly one minus letter
+            assert len(res.steps) == sum(l.sign < 0 for l in letters)
+            assert all(l.sign > 0 for l in res.final.letters)
+            lengths.append(len(letters))
+        assert max(lengths) >= 50
 
     def test_canonical_equality_across_rotation_renaming(self):
         w = PAPER_WORD
@@ -435,6 +621,16 @@ class TestExtendability:
         assert rep.gluing["identity_value"] == 2
         pieces = seifert_decompose(c)
         assert sum(o for _, o in pieces) == 2
+
+    @pytest.mark.parametrize("curve, seed", [(fblank_first, 3), (fseifert, 7), (double_pocket, 5)])
+    def test_every_contraction_gets_the_gluing_report(self, curve, seed):
+        # the report does not depend on the contraction order: every
+        # contractible word with a step glues its pieces back to the index
+        rep = extendability_check(curve(), seed=seed)
+        assert rep.word_contracts and rep.contraction.steps
+        assert rep.gluing is not None and rep.gluing["identity_holds"]
+        assert len(rep.gluing["piece_indices"]) == rep.contraction.n_pieces
+        assert rep.to_json()["contraction_order"] == "leftmost"
 
     def test_marked_square_passes(self):
         # corners are flattened before the word is built

@@ -74,16 +74,16 @@ class TestCurveCommands:
         )
         assert code == 0
         text = capsys.readouterr().out
-        assert "contracts: True" in text
+        assert "contracts: True (leftmost)" in text
         assert "remove [" in text  # trace printed as indented steps
         obj = json.loads(out.read_text())
-        assert obj["contracts"] is True
+        assert obj["contracts"] is True and obj["order"] == "leftmost"
 
     def test_contract_inline_word(self, capsys):
         assert main(["contract", "--word", "a0- b1+ c0+ a1+ b0+"]) == 0
-        assert "contracts: True" in capsys.readouterr().out
+        assert "contracts: True (leftmost)" in capsys.readouterr().out
         assert main(["contract", "--word", "a0+ b0-"]) == 0
-        assert "contracts: False" in capsys.readouterr().out
+        assert "contracts: False (leftmost)" in capsys.readouterr().out
 
     def test_contract_rejects_a_letter_without_sign(self, capsys):
         assert main(["contract", "--word", "a10 b0+"]) == 1

@@ -5,6 +5,7 @@ against closed-form and dense-sampling oracles.
 import numpy as np
 import pytest
 
+from liouville_disk.blank import extendability_check
 from liouville_disk.curves import (
     PolyCurve,
     _tie_break_pi,
@@ -74,10 +75,18 @@ class TestRotationIndex:
         for eps in rep.exterior_angles.values():
             assert abs(eps - np.pi / 2) < 1e-12
 
-    def test_invariance_under_relabeling_rigid_motion_scaling(self):
+    @pytest.mark.parametrize("name, index", [
+        ("circle", 1), ("limacon", 2), ("figure-eight", 0), ("fblank-1", 1),
+        ("fblank-2", 0), ("fseifert", 1), ("double-pocket", 2),
+    ])
+    def test_invariance_under_relabeling_rigid_motion_scaling(self, name, index):
+        # a similarity and a cyclic re-indexing keep the rotation index and
+        # the extendability verdict at every ray seed; reversal negates the index
+        base = fixtures.FIXTURES[name]()
+        assert not base.corners
+        verdicts = {seed: extendability_check(base, seed=seed).word_contracts for seed in (5, 7)}
         rng = np.random.default_rng(0)
-        base = limacon()
-        for _ in range(50):
+        for trial in range(50):
             shift = int(rng.integers(0, base.m))
             rot = rng.uniform(0, TWO_PI)
             scale = np.exp(rng.uniform(-1, 1))
@@ -85,7 +94,12 @@ class TestRotationIndex:
             R = np.array([[np.cos(rot), -np.sin(rot)], [np.sin(rot), np.cos(rot)]])
             v = np.roll(base.vertices, shift, axis=0)
             v = scale * (v @ R.T) + off
-            assert rotation_index(PolyCurve(v)).index == 2
+            assert rotation_index(PolyCurve(v)).index == index
+            assert rotation_index(PolyCurve(v[::-1])).index == -index
+            if trial < 3:
+                for seed, contracts in verdicts.items():
+                    rep = extendability_check(PolyCurve(v), seed=seed)
+                    assert (rep.index, rep.word_contracts) == (index, contracts), (trial, seed)
 
     def test_jitter_invariance_50_trials(self):
         cases = [(circle(256), 1), (limacon(), 2), (figure_eight(), 0)]

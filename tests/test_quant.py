@@ -40,6 +40,12 @@ class TestBubble:
         lam = b.lambda_at(grid_angles(256))
         assert np.max(np.abs(lam)) < 1e-13
 
+    @pytest.mark.parametrize("mu, x0", [(2.0, 0.5), (0.5, -1.0)])
+    def test_pull_back_reproduces_u_on_the_line(self, mu, x0):
+        b = bubble(mu=mu, x0=x0)
+        xs = np.array([-3.0, -1.0, 0.0, 0.5, 3.0])
+        assert np.max(np.abs(b.pull_back(256).u_at(xs) - b.u(xs))) < 1e-9
+
     def test_mass_closed_form(self):
         from liouville_disk.line import line_integral
 
@@ -344,39 +350,6 @@ class TestLambdaAudit:
         rep = lambda_audit([decoy])
         assert len(rep.included) == 0
         assert "excluded" in rep.entries[0].note or "failed" in rep.entries[0].note
-
-
-class TestLineFieldIngestion:
-    def test_bubble_kind(self):
-        from liouville_disk.quant import line_field_from_json
-
-        lf = line_field_from_json({"kind": "bubble", "mu": 2.0, "x0": 0.5}, n=256)
-        b = bubble(mu=2.0, x0=0.5)
-        xs = np.array([-1.0, 0.5, 3.0])
-        assert np.max(np.abs(lf.u_at(xs) - b.u(xs))) < 1e-9
-
-    def test_grid_kind_roundtrip(self):
-        from liouville_disk.quant import line_field_from_json
-
-        lf = bubble(mu=2.0).pull_back(128)
-        lf2 = line_field_from_json(lf.to_json())
-        assert np.max(np.abs(lf2.lambda_grid() - lf.lambda_grid())) < 1e-15
-
-    def test_expr_table_kind(self):
-        from liouville_disk.quant import line_field_from_json
-
-        b = bubble(mu=1.0)
-        xs = np.concatenate([-np.geomspace(1e4, 1e-3, 400), [0.0], np.geomspace(1e-3, 1e4, 400)])
-        obj = {"kind": "expr-table", "x": xs.tolist(), "u": b.u(xs).tolist()}
-        lf = line_field_from_json(obj, n=256)
-        probe = np.array([-2.0, 0.0, 1.0, 7.0])
-        assert np.max(np.abs(lf.u_at(probe) - b.u(probe))) < 1e-3
-
-    def test_expr_table_requires_monotone_x(self):
-        from liouville_disk.quant import line_field_from_json
-
-        with pytest.raises(InvalidInput):
-            line_field_from_json({"kind": "expr-table", "x": [0, 2, 1], "u": [0, 0, 0]})
 
 
 def test_blaschke_boundary_degree_measured_by_rotation_index():

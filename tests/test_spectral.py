@@ -29,7 +29,6 @@ from liouville_disk.spectral import (
     hilbert,
     log_profile,
     poisson_extend,
-    resample,
     singular_half_laplacian,
     synthesize,
 )
@@ -170,53 +169,6 @@ def test_signs_by_slicing_equal_the_power_phase(n, complex_):
         assert np.array_equal(s.coeffs, power_phase_analyze(g))
         vals = power_phase_synthesize(s)
         assert np.array_equal(synthesize(s).values, vals.real if g.is_real else vals)
-
-
-class TestResample:
-    def nyquist_grid(self, n, seed):
-        # real, with every mode up to and including a Nyquist mode near 1
-        rng = np.random.default_rng(seed)
-        return PeriodicGrid(rng.standard_normal(n) + (-1.0) ** np.arange(n))
-
-    @pytest.mark.parametrize("n, n_new", [(8, 32), (64, 256), (256, 1024)])
-    def test_refining_a_real_grid_with_a_nyquist_mode_stays_real(self, n, n_new):
-        g = self.nyquist_grid(n, seed=n)
-        assert abs(analyze(g)[-n // 2]) > 0.1
-        fine = resample(g, n_new)
-        assert fine.is_real
-        # the fine grid holds the coarse samples
-        assert np.max(np.abs(fine.values[:: n_new // n] - g.values)) < 1e-13
-
-    @pytest.mark.parametrize("n, n_new", [(8, 32), (64, 256), (256, 1024)])
-    def test_the_nyquist_mode_becomes_a_cosine(self, n, n_new):
-        th = grid_angles(n_new)
-        fine = resample(PeriodicGrid(np.cos(n // 2 * grid_angles(n))), n_new)
-        assert np.max(np.abs(fine.values - np.cos(n // 2 * th))) < 1e-13
-
-    @pytest.mark.parametrize("n, n_new", [(8, 32), (64, 256), (256, 1024)])
-    def test_linear_over_real_and_imaginary_parts(self, n, n_new):
-        a, b = self.nyquist_grid(n, seed=1), self.nyquist_grid(n, seed=2)
-        both = resample(PeriodicGrid(a.values + 1j * b.values), n_new).values
-        apart = resample(a, n_new).values + 1j * resample(b, n_new).values
-        assert np.max(np.abs(both - apart)) < 1e-13
-
-    def test_coarsening_keeps_the_whole_nyquist_mode(self):
-        # cos(4 theta) is the Nyquist mode of the 8-point grid, where it
-        # samples to +-1; the modes +-4 both land in its one coefficient
-        coarse = resample(PeriodicGrid(np.cos(4 * grid_angles(16))), 8)
-        assert np.max(np.abs(coarse.values - np.cos(4 * grid_angles(8)))) < 1e-14
-
-    @pytest.mark.parametrize("n, n_new", [(32, 8), (256, 64)])
-    def test_coarsening_a_band_limited_grid_keeps_its_samples(self, n, n_new):
-        th = grid_angles(n_new)
-        g = PeriodicGrid.from_function(lambda t: 1.0 + np.sin(3 * t) + np.cos(n_new // 2 * t), n)
-        coarse = resample(g, n_new)
-        assert coarse.is_real
-        assert np.max(np.abs(coarse.values - (1.0 + np.sin(3 * th) + np.cos(n_new // 2 * th)))) < 1e-13
-
-    def test_same_size_is_the_identity(self):
-        g = self.nyquist_grid(64, seed=0)
-        assert resample(g, 64) is g
 
 
 class TestHalfLaplacian:

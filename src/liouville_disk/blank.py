@@ -4,8 +4,12 @@ splitting, and the extendability verdict for closed curves.
 Each bounded face of the arrangement sends a ray from its witness point to
 the unbounded region; every transversal hit of the curve contributes a
 letter (face name, index from the face end, sign).  All 64 candidate
-directions of a face are cast together, as one (directions x edges) array
-pass, and the admissible one with the fewest hits is read.  The sign
+directions of a face are cast together and the admissible one with the
+fewest hits is read.  An angular broadphase sends each edge only to the
+directions inside its angular sweep seen from the witness (padded for the
+edge-parameter margin and rounding), and each guard point to the one
+direction its angular guard window can hold, so a face costs
+O(edges + guard points + candidate pairs).  The sign
 convention is the determinant [ray direction | curve direction]: positive
 means the curve crosses from the right and reads '+'.  Reading the letters
 in curve order gives the cyclic word; full contraction (no minus left)
@@ -125,21 +129,24 @@ class WordRecord:
 
 @dataclass
 class _RayFan:
-    """Rays from one origin in every candidate direction, cast as one
-    (directions x edges) array pass; row d belongs to direction d."""
+    """Rays from one origin in every candidate direction: per direction its
+    guard verdicts and hit count, and the hits as flat (direction, edge)
+    pairs."""
 
     admissible: np.ndarray  # no guard point within the angular guard ahead
     ok: np.ndarray  # no hit grazes an edge endpoint or is near-tangential
-    hit: np.ndarray  # hit[d, k]: the ray crosses edge k
-    r: np.ndarray  # ray parameter of each candidate crossing
+    n_hits: np.ndarray  # hits per direction
+    d: np.ndarray  # direction index of each hit
+    k: np.ndarray  # edge index
+    r: np.ndarray  # ray parameter
     t: np.ndarray  # edge parameter
     det: np.ndarray  # [ray direction | unit edge direction]
 
     def hits(self, d: int) -> list:
         """(ray_param, edge_index, edge_t, sign) of direction d, sorted."""
         return sorted(
-            (float(self.r[d, k]), int(k), float(self.t[d, k]), 1 if self.det[d, k] > 0 else -1)
-            for k in np.nonzero(self.hit[d])[0]
+            (float(self.r[i]), int(self.k[i]), float(self.t[i]), 1 if self.det[i] > 0 else -1)
+            for i in np.nonzero(self.d == d)[0]
         )
 
 
@@ -147,64 +154,116 @@ def _ray_directions(seed: int) -> np.ndarray:
     """The N_RAY_DIRECTIONS unit vectors, rotated by a seed-derived offset."""
     rng = np.random.default_rng(seed)
     offset = rng.uniform(0.0, TWO_PI / N_RAY_DIRECTIONS)
-    dirs = []
-    for d_idx in range(N_RAY_DIRECTIONS):
-        ang = offset + TWO_PI * d_idx / N_RAY_DIRECTIONS
-        dirs.append([np.cos(ang), np.sin(ang)])
-    return np.asarray(dirs)
+    ang = offset + TWO_PI * np.arange(N_RAY_DIRECTIONS) / N_RAY_DIRECTIONS
+    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
 @dataclass(frozen=True)
 class _EdgeFan:
-    """The (directions x edges) arrays of a ray fan that do not depend on its
-    origin, computed once per curve and direction set."""
+    """What a ray fan needs that does not depend on its origin: the uniform
+    direction grid and the edges of the closed polyline, once per curve."""
 
-    dirs: np.ndarray
+    dirs: np.ndarray  # direction d points at offset + d * TWO_PI / N_RAY_DIRECTIONS
+    offset: float
     vertices: np.ndarray
     ex: np.ndarray  # edge vectors
-    denom: np.ndarray  # [ray direction | edge vector]
-    det: np.ndarray  # [ray direction | unit edge direction]
-    transversal: np.ndarray  # the direction is not parallel to the edge
-    tangent: np.ndarray  # the ray meets the edge within 0.05 rad of tangency
+    length: np.ndarray  # edge lengths
 
 
 def _edge_fan(dirs, vertices) -> _EdgeFan:
-    ux, uy = dirs[:, :1], dirs[:, 1:]
     ex = np.roll(vertices, -1, axis=0) - vertices
-    denom = ux * ex[:, 1] - uy * ex[:, 0]
-    edge_dir = ex / np.hypot(ex[:, 0], ex[:, 1])[:, None]
-    det = ux * edge_dir[:, 1] - uy * edge_dir[:, 0]
-    return _EdgeFan(dirs, vertices, ex, denom, det, np.abs(denom) >= 1e-12,
-                    np.abs(det) < np.sin(0.05))
+    return _EdgeFan(dirs, float(np.arctan2(dirs[0, 1], dirs[0, 0])), vertices, ex,
+                    np.hypot(ex[:, 0], ex[:, 1]))
+
+
+def _grid_span(offset, lo, hi):
+    """First index and count of the grid directions whose angle lies in
+    [lo, hi] modulo TWO_PI; the first index is not yet reduced mod N."""
+    step = TWO_PI / N_RAY_DIRECTIONS
+    first = np.ceil((lo - offset) / step)
+    return first.astype(np.int64), (np.floor((hi - offset) / step) - first + 1).astype(np.int64)
 
 
 def _cast_fan(origin, fan: _EdgeFan, span: float, guard_points) -> _RayFan:
     """Crossings of the rays [origin, origin + span * u], u in fan.dirs, with
     the edges of the closed polyline fan.vertices, and which directions keep
-    the angular guard off every guard point ahead of the origin."""
-    ux, uy = fan.dirs[:, :1], fan.dirs[:, 1:]
-    to_guard = guard_points - origin
-    norms = np.hypot(to_guard[:, 0], to_guard[:, 1])
-    apart = norms > 1e-12
-    to_guard = to_guard[apart] / norms[apart, None]
-    cross = ux * to_guard[:, 1] - uy * to_guard[:, 0]
-    dot = ux * to_guard[:, 0] + uy * to_guard[:, 1]
-    admissible = ~np.any((np.abs(cross) < ANGULAR_GUARD) & (dot > 0), axis=1)
+    the angular guard off every guard point ahead of the origin.
 
-    ex, denom = fan.ex, fan.denom
-    rel = fan.vertices - origin
+    An angular broadphase picks the candidate (direction, edge) pairs: the
+    directions whose angle lies in the edge's angular sweep seen from the
+    origin, padded so that no pair the exact test would keep is missed.  The
+    exact test then runs on the candidates only, with the same elementwise
+    formulas as a full (directions x edges) pass, so every kept hit has the
+    same bits; a face costs O(edges + guard points + candidate pairs).
+    """
+    n_dirs = N_RAY_DIRECTIONS
+    relx = fan.vertices[:, 0] - origin[0]
+    rely = fan.vertices[:, 1] - origin[1]
+    ang = np.arctan2(rely, relx)
+    rho = np.hypot(relx, rely)
+    sweep = np.concatenate([ang[1:], ang[:1]]) - ang
+    sweep -= TWO_PI * np.rint(sweep / TWO_PI)
+    # The t margin of 1e-9 lengthens edge k by 1e-9 |e_k| at each end, and a
+    # segment of length L with an end at distance rho subtends at most
+    # asin(L / rho) <= (pi / 2) L / rho from the origin; 4e-9 |e_k| / rho
+    # covers that with room for the rounding of t.  The vertex differences
+    # round by about eps * scale, which 1e-12 * scale / rho covers, and 1e-9
+    # absorbs the rounding of arctan2, of the grid and of the ray vectors.
+    # Once the padded sweep reaches pi the origin is near or on the edge
+    # (a zero rho gives inf or nan), and the edge is a candidate everywhere.
+    scale = max(float(np.max(np.abs(fan.vertices))), float(np.max(np.abs(origin))))
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = (rel[:, 0] * ex[:, 1] - rel[:, 1] * ex[:, 0]) / denom
-        t = (rel[:, 0] * uy - rel[:, 1] * ux) / denom
+        pad = (4e-9 * fan.length + 1e-12 * scale) / np.minimum(
+            rho, np.concatenate([rho[1:], rho[:1]])) + 1e-9
+        width = np.abs(sweep) + 2 * pad
+        lo = ang + np.minimum(sweep, 0.0) - pad
+        first, count = _grid_span(fan.offset, lo, lo + width)
+    wide = ~(width < np.pi)
+    first[wide] = 0
+    count[wide] = n_dirs
+    k = np.repeat(np.arange(len(count)), count)
+    start = np.cumsum(count) - count  # where each edge's run of pairs begins
+    d = (first[k] + np.arange(len(k)) - start[k]) % n_dirs
+
+    ux, uy = fan.dirs[d, 0], fan.dirs[d, 1]
+    ex, ey = fan.ex[k, 0], fan.ex[k, 1]
+    rx, ry = relx[k], rely[k]
+    denom = ux * ey - uy * ex
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (rx * ey - ry * ex) / denom
+        t = (rx * uy - ry * ux) / denom
     margin = 1e-9
-    hit = (
-        fan.transversal
+    hit = np.flatnonzero(
+        (np.abs(denom) >= 1e-12)
         & (r > margin) & (r < span)
         & (t >= -margin) & (t <= 1 + margin)
     )
-    grazes = (t < 1e-6) | (t > 1 - 1e-6)
-    ok = ~np.any(hit & (grazes | fan.tangent), axis=1)
-    return _RayFan(admissible, ok, hit, r, t, fan.det)
+    d, k, r, t = d[hit], k[hit], r[hit], t[hit]
+    det = ux[hit] * (ey[hit] / fan.length[k]) - uy[hit] * (ex[hit] / fan.length[k])
+    bad = (t < 1e-6) | (t > 1 - 1e-6) | (np.abs(det) < np.sin(0.05))
+    ok = np.bincount(d[bad], minlength=n_dirs) == 0
+
+    # A guard point blocks direction u when |[u | g]| < ANGULAR_GUARD with
+    # g ahead, i.e. when their angles differ by less than asin(ANGULAR_GUARD);
+    # that window, padded by 1e-9 for rounding, is far narrower than the grid
+    # step, so it holds at most one grid direction, the only one tested.
+    gx = guard_points[:, 0] - origin[0]
+    gy = guard_points[:, 1] - origin[1]
+    g_ang = np.arctan2(gy, gx)
+    window = np.arcsin(ANGULAR_GUARD) + 1e-9
+    g_first, g_count = _grid_span(fan.offset, g_ang - window, g_ang + window)
+    near = np.flatnonzero(g_count > 0)
+    norms = np.hypot(gx[near], gy[near])
+    apart = norms > 1e-12
+    near, norms = near[apart], norms[apart]
+    gx, gy = gx[near] / norms, gy[near] / norms
+    g_d = g_first[near] % n_dirs
+    ux, uy = fan.dirs[g_d, 0], fan.dirs[g_d, 1]
+    cross = ux * gy - uy * gx
+    dot = ux * gx + uy * gy
+    admissible = np.bincount(g_d[(np.abs(cross) < ANGULAR_GUARD) & (dot > 0)],
+                             minlength=n_dirs) == 0
+    return _RayFan(admissible, ok, np.bincount(d, minlength=n_dirs), d, k, r, t, det)
 
 
 def blank_word(c: PolyCurve, arr: Arrangement | None = None, seed: int = 0) -> WordRecord:
@@ -232,7 +291,7 @@ def blank_word(c: PolyCurve, arr: Arrangement | None = None, seed: int = 0) -> W
     letters = []
     for face in arr.bounded_faces:
         fan = _cast_fan(face.witness, edges, span, guard_points)
-        n_hits = fan.hit.sum(axis=1)
+        n_hits = fan.n_hits
         usable = fan.admissible & fan.ok & (n_hits > 0)
         if not usable.any():
             raise RayCastFailed(

@@ -2,6 +2,8 @@
 extendability verdict on the reference and figure fixtures.
 """
 
+import dataclasses
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +25,7 @@ from liouville_disk.blank import (
 )
 from liouville_disk.curves import PolyCurve, rotation_index
 from liouville_disk.disk import analytic_completion, boundary_polyline, build_phi
-from liouville_disk.errors import InvalidInput
+from liouville_disk.errors import InvalidInput, RayCastFailed
 from liouville_disk.fixtures import (
     FIXTURES,
     circle,
@@ -187,8 +189,32 @@ def ray_cases():
     return tuple((name, c, build_arrangement(c)) for name, c in cases)
 
 
+def fan_matches_loop(origin, vertices, guard_points, seed, span=10.0):
+    """Cast the fan and compare every direction with the loop references;
+    returns the fan."""
+    dirs = blank._ray_directions(seed)
+    fan = blank._cast_fan(origin, blank._edge_fan(dirs, vertices), span, guard_points)
+    for d, u in enumerate(dirs):
+        assert bool(fan.admissible[d]) == loop_direction_admissible(origin, u, guard_points), d
+        ok, hits = loop_ray_curve_hits(origin, u, vertices, span)
+        assert bool(fan.ok[d]) == ok, d
+        if ok:
+            assert fan.hits(d) == hits, d
+            assert fan.n_hits[d] == len(hits), d
+    return fan
+
+
+def seed_with_offset_below(bound):
+    """The first ray seed whose direction 0 lies within `bound` of angle 0."""
+    for seed in range(100_000):
+        u = blank._ray_directions(seed)[0]
+        if np.arctan2(u[1], u[0]) < bound:
+            return seed
+    raise AssertionError("no such seed")
+
+
 class TestRayFan:
-    """The (directions x edges) pass against the per-direction edge loop."""
+    """The ray fan against the per-direction edge loop."""
 
     def test_every_direction_matches_the_loop(self):
         n_dirs = 0
@@ -264,6 +290,85 @@ class TestRayFan:
                 assert np.array_equal(rec.rays[fid].direction, u), (name, fid)
                 assert rec.rays[fid].hits == hits, (name, fid)
 
+    @pytest.mark.parametrize("h", [0.0, 1e-10, -1e-10, 3e-9])
+    def test_origin_on_or_near_an_edge(self, h):
+        # an edge within 1e-10 of the origin subtends nearly pi and goes to
+        # every direction; off the edge some rays hit it with a ray parameter
+        # above the margin (at 1e-10 only the nearly parallel ones)
+        v = limacon(96).vertices
+        near = 0
+        for k in (0, 17, 50):
+            e = v[k + 1] - v[k]
+            origin = v[k] + 0.37 * e + h * np.array([-e[1], e[0]]) / np.hypot(*e)
+            fan = fan_matches_loop(origin, v, v, seed=3)
+            near += int(np.sum((fan.k == k) & fan.ok[fan.d]))
+        assert (near > 0) == (h != 0.0)
+
+    def test_origin_on_a_vertex(self):
+        v = limacon(96).vertices
+        for k in (0, 5, 60):
+            fan = fan_matches_loop(v[k].copy(), v, v, seed=5)
+            assert fan.n_hits.sum() > 0
+
+    @pytest.mark.parametrize("arc", [(0.7, 0.85, 1.0, 1.15, 1.3), (0.7, 0.85, 0.95, 1.05, 1.15, 1.3)])
+    def test_edges_across_the_branch_cut(self, arc):
+        # seen from the origin, edge 2 of the arc (angles in units of pi) runs
+        # across angle +-pi, in the first arc from a vertex on the cut itself
+        # (arctan2 gives +pi there); it spans three grid steps, so some
+        # direction hits it
+        origin = np.array([0.25, -0.5])
+        ang = np.pi * np.array(arc + (1.6, 0.3))
+        radius = np.r_[np.ones(len(arc)), 2.0, 2.0]
+        v = origin + radius[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+        if 1.0 in arc:
+            v[2] = origin + [-1.0, 0.0]
+        for seed in (0, 7, 11):
+            fan = fan_matches_loop(origin, v, v[[0, len(arc) - 1]], seed)
+            assert np.any((fan.k == 2) & fan.ok[fan.d])
+
+    def test_hits_across_the_direction_wrap(self):
+        # one edge spans the angles of directions 63 and 0
+        step = 2 * np.pi / N_RAY_DIRECTIONS
+        origin = np.array([-0.1, 0.2])
+        for seed in (0, 7, 11):
+            u0 = blank._ray_directions(seed)[0]
+            a0 = np.arctan2(u0[1], u0[0])
+            ends = np.array([a0 - step - 0.02, a0 + 0.02])
+            far = np.array([a0 + 0.5 * np.pi, a0 - 0.5 * np.pi - step])
+            v = origin + np.column_stack([np.cos(np.r_[ends, far]), np.sin(np.r_[ends, far])])
+            fan = fan_matches_loop(origin, v, v[2:], seed)
+            assert fan.hits(63) and fan.hits(0)
+            assert {h[1] for h in fan.hits(63)} == {h[1] for h in fan.hits(0)} == {0}
+
+    @pytest.mark.parametrize("f", [0.5, 1 - 1e-6, 1 + 1e-6, 1.5])
+    def test_guard_window_across_the_branch_cut(self, f):
+        # direction 32 sits just past -pi; a guard point f windows short of it
+        # lies across the cut, just short of +pi, and blocks it when f < 1
+        seed = seed_with_offset_below(2e-4)
+        u = blank._ray_directions(seed)[32]
+        ang = np.arctan2(u[1], u[0]) - f * np.arcsin(ANGULAR_GUARD)
+        assert ang < -np.pi
+        origin = np.array([0.3, 0.1])
+        guards = origin + np.array([[np.cos(ang), np.sin(ang)], [1.0, 0.5]])
+        v = origin + np.array([[-2.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-2.0, 1.0]])
+        fan = fan_matches_loop(origin, v, guards, seed)
+        assert fan.admissible[32] == (f > 1)
+
+
+def test_cast_fan_memory_is_linear_in_edges():
+    # one (64 x E) float array on double-pocket (E = 4145) is 2.1 MB
+    c = double_pocket()
+    arr = build_arrangement(c)
+    span, guard_points = ray_setup(c, arr)
+    edges = blank._edge_fan(blank._ray_directions(3), c.vertices)
+    tracemalloc.start()
+    try:
+        blank._cast_fan(arr.bounded_faces[0].witness, edges, span, guard_points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
 
 class TestBlankWord:
     def test_circle_single_positive_letter(self):
@@ -290,6 +395,17 @@ class TestBlankWord:
         b = blank_word(c, seed=3)
         assert str(a.word) == str(b.word)
         assert a.positions == b.positions
+
+    def test_no_admissible_direction_raises(self):
+        # from the centre of a 8192-gon the vertices are 7.7e-4 rad apart,
+        # closer than the angular guard, so every direction is blocked
+        c = circle(8192)
+        arr = build_arrangement(c)
+        (face,) = arr.bounded_faces
+        centred = dataclasses.replace(face, witness=np.zeros(2))
+        arr = dataclasses.replace(arr, faces=[centred if f is face else f for f in arr.faces])
+        with pytest.raises(RayCastFailed, match="face a"):
+            blank_word(c, arr, seed=7)
 
     def test_indices_consecutive_per_ray(self):
         rec = blank_word(fblank_first(), seed=7)

@@ -116,8 +116,8 @@ def winding_batch(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     vx = np.ascontiguousarray(vertices[:, 0], dtype=np.float64)
     vy = np.ascontiguousarray(vertices[:, 1], dtype=np.float64)
     x0, y0 = vx[None, :], vy[None, :]
-    x1 = np.roll(vx, -1)[None, :]
-    y1 = np.roll(vy, -1)[None, :]
+    x1 = np.concatenate([vx[1:], vx[:1]])[None, :]
+    y1 = np.concatenate([vy[1:], vy[:1]])[None, :]
     x, y = px[:, None], py[:, None]
     left = (x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)
     up = (y0 <= y) & (y1 > y) & (left > 0)

@@ -69,7 +69,7 @@ class Arrangement:
 
 def _signed_area(pts: np.ndarray) -> float:
     x, y = pts[:, 0], pts[:, 1]
-    x2, y2 = np.roll(x, -1), np.roll(y, -1)
+    x2, y2 = np.concatenate([x[1:], x[:1]]), np.concatenate([y[1:], y[:1]])
     return 0.5 * float(np.sum(x * y2 - x2 * y))
 
 
@@ -247,15 +247,16 @@ def _simple_arrangement(c: PolyCurve) -> Arrangement:
 def _find_witness(walk: np.ndarray, curve_vertices: np.ndarray) -> np.ndarray:
     """Interior point of a face: offset left from a long boundary segment,
     verified by the winding number of the face walk."""
-    seg = np.roll(walk, -1, axis=0) - walk
+    seg = np.concatenate([walk[1:], walk[:1]]) - walk
     lengths = np.hypot(seg[:, 0], seg[:, 1])
     order = np.argsort(-lengths)
+    strands = _strands(curve_vertices)
     for k in order[: min(40, len(order))]:
         if lengths[k] < 1e-12:
             continue
         mid = walk[k] + 0.5 * seg[k]
         normal = np.array([-seg[k, 1], seg[k, 0]]) / lengths[k]  # left of the walk
-        clearance = _other_strand_distance(mid, curve_vertices, lengths[k])
+        clearance = _other_strand_distance(mid, strands, lengths[k])
         delta = 0.3 * min(clearance, lengths[k])
         cand = mid + delta * normal
         if winding_batch(cand[None, :], walk)[0] == 1:
@@ -263,13 +264,18 @@ def _find_witness(walk: np.ndarray, curve_vertices: np.ndarray) -> np.ndarray:
     raise ArrangementCorrupt("no witness point found for a bounded face")
 
 
-def _other_strand_distance(p, vertices, host_len) -> float:
-    """Distance from a curve point to the nearest strand other than its own
-    immediate neighborhood."""
-    a = vertices
-    ab = np.roll(vertices, -1, axis=0) - a
+def _strands(vertices):
+    """Edges of a closed polyline as (start points, edge vectors, squared
+    lengths), the data _other_strand_distance reads."""
+    ab = np.concatenate([vertices[1:], vertices[:1]]) - vertices
     # vecdot rounds each dot exactly as a 2-vector `@` does
-    denom = np.vecdot(ab, ab)
+    return vertices, ab, np.vecdot(ab, ab)
+
+
+def _other_strand_distance(p, strands, host_len) -> float:
+    """Distance from a curve point to the nearest strand other than its own
+    immediate neighborhood; strands is _strands of the curve."""
+    a, ab, denom = strands
     t = np.zeros_like(denom)
     np.divide(np.vecdot(p - a, ab), denom, out=t, where=denom != 0)
     proj = a + np.clip(t, 0.0, 1.0)[:, None] * ab

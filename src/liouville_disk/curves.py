@@ -72,7 +72,8 @@ class PolyCurve:
         return self.vertices.shape[0]
 
     def edge_vectors(self) -> np.ndarray:
-        return np.roll(self.vertices, -1, axis=0) - self.vertices
+        v = self.vertices
+        return np.concatenate([v[1:], v[:1]]) - v
 
     def edge_angles(self) -> np.ndarray:
         e = self.edge_vectors()

@@ -15,9 +15,13 @@ Inside the disk |Phi'| is only needed on uniform polar rings: the 64 x 256
 lattice of the immersion certificate and the edge-midpoint rings of the
 distance mesh.  All rings of a call fold the coefficients at once, through
 one matrix product, and share one batched inverse FFT (_abs_on_rings), so
-series orders of 10^5 stay cheap.  The recentered boundary moduli of
-quant.recentered_lambda_sequence take Phi' at off-grid points of the unit
-circle instead, through spectral.eval_modes.
+series orders of 10^5 stay cheap.  The powers of the ring centers that the
+fold multiplies by belong to the ring geometry, not to the series
+(RingPowers): the certificate lattice holds one table and each cached
+distance mesh holds another, so a call of either geometry computes powers
+only for a series longer than any before it.  The recentered boundary
+moduli of quant.recentered_lambda_sequence take Phi' at off-grid points of
+the unit circle instead, through spectral.eval_modes.
 """
 
 from __future__ import annotations
@@ -155,39 +159,70 @@ class DiskMap(ValueEquality):
         return make_disk_map(c, normalized_at_one=bool(obj.get("normalized_at_one", True)))
 
 
-def _abs_on_rings(coef: np.ndarray, centers, n: int) -> np.ndarray:
-    """|sum_k coef_k (c e^{i theta_j})^k| on the ring of each center c at the
-    n grid angles theta_j = -pi + 2 pi j / n, as a (len(centers), n) array.
+class RingPowers:
+    """Power tables of one ring geometry: rings of the given centers c_i, each
+    sampled at the n grid angles.  P[i, b] = (-c_i)^b for b < n is built
+    once; V[i, q] = (-c_i)^(qn) grows to the most columns any series has
+    asked for.  Entry (i, q) does not depend on how many columns there are,
+    so a slice of a grown table is bit for bit the table built to that size.
+    Powers of -c are an exact sign times |c|^k and e^{ik arg c}, which is 1
+    on real rings.
+    """
+
+    def __init__(self, centers, n: int):
+        c = np.asarray(centers, dtype=complex)[:, None]
+        self.n = n
+        self._r, self._arg = np.abs(c), np.angle(c)
+        self.P = self._powers(np.arange(n))
+        self._V = self._powers(np.zeros(0, dtype=int))
+
+    def _powers(self, k):  # (-c)^k for every center, k a row of exponents
+        with np.errstate(under="ignore"):
+            return np.where(k & 1, -1.0, 1.0) * np.power(self._r, k) * np.exp(1j * self._arg * k)
+
+    def V(self, q_count: int) -> np.ndarray:
+        have = self._V.shape[1]
+        if q_count > have:
+            grown = self._powers(self.n * np.arange(have, q_count))
+            self._V = np.concatenate([self._V, grown], axis=1)
+        # contiguous, as a table built to q_count columns would be
+        return np.ascontiguousarray(self._V[:, :q_count])
+
+
+def _abs_on_rings(coef: np.ndarray, rings: RingPowers) -> np.ndarray:
+    """|sum_k coef_k (c e^{i theta_j})^k| on the ring of each center c of
+    rings at its n grid angles theta_j = -pi + 2 pi j / n, as a
+    (len(centers), n) array.
 
     Since e^{i k theta_j} = (-1)^k e^{2 pi i jk/n}, the coefficients times
     (-c)^k fold into n bins and one inverse FFT per ring gives all n values,
     so very high series orders stay cheap.  All rings fold at once: with
     k = q n + b and the coefficients as a (Q x n) block A[q, b] = coef_k,
-    the bins of ring i are P[i, b] (V @ A)[i, b] with P[i, b] = (-c_i)^b and
-    V[i, q] = (-c_i)^(qn), and one batched inverse FFT takes every ring.
-    Powers of -c are an exact sign times |c|^k and e^{ik arg c}, which is 1
-    on real rings.  Temporaries are O(rings (n + Q) + order), never a
-    (rings x order) array.
+    the bins of ring i are P[i, b] (V @ A)[i, b], and one batched inverse
+    FFT takes every ring.  P and V come from the tables of the geometry
+    (the certificate lattice, or the distance mesh of conformal_distance),
+    so a call computes no powers unless its Q is the largest yet.
+    Temporaries are O(rings (n + Q) + order), never a (rings x order) array.
     """
+    n = rings.n
     nz = np.flatnonzero(coef)
     size = nz[-1] + 1 if nz.size else 1
     q_count = -(-size // n)
     block = np.zeros(q_count * n, dtype=complex)
     block[:size] = coef[:size]
-    c = np.asarray(centers, dtype=complex)[:, None]
-    r, arg = np.abs(c), np.angle(c)
-
-    def powers(k):  # (-c)^k for every center, k a row of exponents
-        with np.errstate(under="ignore"):
-            return np.where(k & 1, -1.0, 1.0) * np.power(r, k) * np.exp(1j * arg * k)
-
-    folded = powers(np.arange(n)) * (powers(n * np.arange(q_count)) @ block.reshape(q_count, n))
+    folded = rings.P * (rings.V(q_count) @ block.reshape(q_count, n))
     return np.abs(np.fft.ifft(folded, axis=-1) * n)
+
+
+@lru_cache(maxsize=1)
+def _lattice_rings() -> RingPowers:
+    """The 64 x 256 polar test lattice of the immersion certificate."""
+    return RingPowers(np.linspace(0.0, 1.0, 64), 256)
 
 
 def _lattice_min_deriv(coeffs: np.ndarray):
     dcoef = coeffs[1:] * np.arange(1, coeffs.size)
-    vals = _abs_on_rings(dcoef, np.linspace(0.0, 1.0, 64), 256)
+    vals = _abs_on_rings(dcoef, _lattice_rings())
     return float(np.min(vals)), float(np.max(vals))
 
 
@@ -359,7 +394,10 @@ def blaschke_fixture(zeros, phase: float = 0.0) -> DiskMap:
 
 @lru_cache(maxsize=8)
 def _mesh_cache(n_boundary: int):
-    return build_polar_mesh(n_boundary)
+    """The distance mesh of n_boundary points with the power tables of its
+    edge-midpoint rings."""
+    mesh = build_polar_mesh(n_boundary)
+    return mesh, RingPowers(mesh.mid_centers, n_boundary)
 
 
 def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256) -> float:
@@ -378,8 +416,8 @@ def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256
             raise InvalidInput("distance endpoints must lie on the unit circle")
     if abs(p - q) < 1e-12:
         raise InvalidInput("endpoints must be distinct")
-    mesh = _mesh_cache(n_boundary)
-    speed = _abs_on_rings(d.deriv_coeffs, mesh.mid_centers, n_boundary).ravel()[mesh.edge_ring]
+    mesh, rings = _mesh_cache(n_boundary)
+    speed = _abs_on_rings(d.deriv_coeffs, rings).ravel()[mesh.edge_ring]
     weights = speed * mesh.edge_lengths
     return shortest_path_distance(mesh, weights, mesh.boundary_node(p), mesh.boundary_node(q))
 

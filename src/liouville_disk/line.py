@@ -126,6 +126,17 @@ def _close_period(values, start: int) -> np.ndarray:
     return np.concatenate([values[start:], values[: start + 1]])
 
 
+# offsets from the pole of the samples that fix the value there
+POLE_NEIGHBORS = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
+
+
+def _pole_fit(neighbors) -> float:
+    """Value at offset 0 of the degree-7 polynomial through the samples at
+    offsets POLE_NEIGHBORS from the pole."""
+    coef = np.polynomial.polynomial.polyfit(POLE_NEIGHBORS.astype(float), neighbors, 7)
+    return float(np.polynomial.polynomial.polyval(0.0, coef))
+
+
 def _with_pole(chart: CircleChart, off_values, pole_value: float | None) -> np.ndarray:
     """Grid samples from their values off the pole.  The pole takes pole_value,
     or else the value there of the degree-7 polynomial through its 4
@@ -134,9 +145,7 @@ def _with_pole(chart: CircleChart, off_values, pole_value: float | None) -> np.n
     out = np.zeros(n)
     out[chart.off_pole] = off_values
     if pole_value is None:
-        offs = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
-        coef = np.polynomial.polynomial.polyfit(offs.astype(float), out[(chart.pole + offs) % n], 7)
-        pole_value = float(np.polynomial.polynomial.polyval(0.0, coef))
+        pole_value = _pole_fit(out[(chart.pole + POLE_NEIGHBORS) % n])
     out[chart.pole] = pole_value
     return out
 
@@ -287,8 +296,8 @@ def line_integral(f, n: int = 4096, restrict=None, pole_value: float | None = No
     neighbors).  restrict=(a, b) integrates over x in [a, b] only, with the
     cut points located exactly on the circle.
     """
-    g, tau_ext, g_ext = circle_samples(f, n, pole_value)
     if restrict is None:
+        g, _, _ = circle_samples(f, n, pole_value)
         return float(g.sum() * TWO_PI / n)
 
     a, b = restrict
@@ -297,7 +306,21 @@ def line_integral(f, n: int = 4096, restrict=None, pole_value: float | None = No
     # x decreases as theta increases: the window [a, b] is the arc
     # [theta(b), theta(a)] in the unwrapped coordinate (-pi/2, 3pi/2)
     ta, tb = angle_of_x(b), angle_of_x(a)
-    return _piecewise_linear_integral(tau_ext, g_ext, ta, tb)
+    return _piecewise_linear_integral(*window_samples(f, n, ta, tb, pole_value), ta, tb)
+
+
+def _integrand(f, x, sin) -> np.ndarray:
+    """g = f(x) / (1 + sin theta) at chart points off the pole, all of them
+    checked to be finite."""
+    g = _eval_vec(f, x) / (1.0 + sin)
+    if not np.all(np.isfinite(g)):
+        raise NotIntegrable("circle-side integrand is non-finite away from -i")
+    return g
+
+
+def _check_pole(g) -> None:
+    if not np.isfinite(g):
+        raise NotIntegrable("circle-side integrand diverges at -i")
 
 
 def circle_samples(f, n: int, pole_value: float | None = None):
@@ -310,13 +333,54 @@ def circle_samples(f, n: int, pole_value: float | None = None):
     ready for :func:`_piecewise_linear_integral`.
     """
     chart = circle_chart(n)
-    g = _eval_vec(f, chart.x) / (1.0 + chart.sin)
-    if not np.all(np.isfinite(g)):
-        raise NotIntegrable("circle-side integrand is non-finite away from -i")
-    g = _with_pole(chart, g, pole_value)
-    if not np.isfinite(g[chart.pole]):
-        raise NotIntegrable("circle-side integrand diverges at -i")
+    g = _with_pole(chart, _integrand(f, chart.x, chart.sin), pole_value)
+    _check_pole(g[chart.pole])
     return g, chart.tau, _close_period(g, chart.pole)
+
+
+def window_samples(f, n: int, ta: float, tb: float, pole_value: float | None = None):
+    """The samples (tau, g) of circle_samples(f, n)[1:] that an integral over
+    the arc [ta, tb] of the unwrapped angle reads, and only those.
+
+    They are the slice of circle_chart(n).tau from the last angle at or below
+    ta to the first at or above tb: every angle inside the arc and one
+    neighbour beyond each end.  _piecewise_linear_integral over [ta, tb], or
+    over any arc inside it, gives on the slice the same bits as on the whole
+    circle.  f is evaluated at the slice's points only, and each of its
+    samples is checked as circle_samples checks it.  A slice that reaches
+    the pole (either end of tau) takes pole_value there, or else the
+    _with_pole rule applied to f at the pole's 8 neighbours.
+    """
+    chart = circle_chart(n)
+    lo = min(max(int(np.searchsorted(chart.tau, ta, side="right")) - 1, 0), n - 1)
+    hi = max(min(int(np.searchsorted(chart.tau, tb, side="left")), n), lo + 1)
+    # tau[k], 0 < k < n, is chart point (pole - 1 + k) mod (n - 1)
+    k0, k1 = max(lo, 1), min(hi, n - 1)
+    start = (chart.pole - 1 + k0) % (n - 1)
+    stop = start + k1 - k0 + 1
+    g = _integrand(f, _cyclic_slice(chart.x, start, stop), _cyclic_slice(chart.sin, start, stop))
+    if lo == 0 or hi == n:
+        if pole_value is None:
+            # as in _with_pole, the pole itself (its own neighbour on grids
+            # of fewer than 9 points) enters the fit as 0
+            near = (chart.pole + POLE_NEIGHBORS) % n
+            off = near != chart.pole
+            at = near[off] - (near[off] > chart.pole)  # their chart points
+            fit_values = np.zeros(near.size)
+            fit_values[off] = _integrand(f, chart.x[at], chart.sin[at])
+            pole_value = _pole_fit(fit_values)
+        pole_value = float(pole_value)
+        _check_pole(pole_value)
+        g = np.concatenate([[pole_value] * (lo == 0), g, [pole_value] * (hi == n)])
+    return chart.tau[lo : hi + 1], g
+
+
+def _cyclic_slice(values: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """values[start:stop] read cyclically; 0 <= start < len(values) and
+    stop - start <= len(values)."""
+    if stop <= values.size:
+        return values[start:stop]
+    return np.concatenate([values[start:], values[: stop - values.size]])
 
 
 def _piecewise_linear_integral(xs, ys, a, b) -> float:

@@ -35,14 +35,13 @@ from .line import (
     POLE_ANGLE,
     CurvatureData,
     LineField,
-    _close_period,
     _piecewise_linear_integral,
     angle_of_x,
     asymptotic_slope,
     circle_chart,
-    circle_samples,
     pull_back,
     transfer_equation,
+    window_samples,
 )
 from .spectral import TWO_PI, PeriodicGrid, SingularField, SpectralRep, eval_modes, grid_angles
 
@@ -207,23 +206,30 @@ def concentration_scan(members, radii, centers=None, n: int = 1 << 16, absolute:
     of the last member's density when not supplied; the per-member argmax near
     each center must not drift beyond the finest radius (CenterUnstable).
 
-    Every member is sampled on the n-point circle chart (line.circle_samples);
-    n must be divisible by 4 so that -i is a grid point.
+    Each member is sampled once per center, on the n-point circle chart
+    (n divisible by 4, so that -i is a grid point) and only on the arc of
+    the widest radius: line.window_samples evaluates the density there, one
+    chart point beyond each end included, and raises NotIntegrable if any
+    of those samples is non-finite.  Every radius integrates that slice, so
+    alpha is bit for bit what the whole-circle samples give.
     """
     dens = [m.density if hasattr(m, "density") else m for m in members]
     radii = np.asarray(sorted(radii, reverse=True), dtype=float)
     if centers is None:
         centers = locate_centers(dens[-1])
     ks = list(range(len(dens)))
-    samples = [circle_samples(f, n)[1:] for f in dens]
     profiles = []
     for center in centers:
         x_win = np.linspace(center - radii[0], center + radii[0], 2001)
         arcs = [(angle_of_x(center + r), angle_of_x(center - r)) for r in radii]
+        # the hull of the arcs, in case rounding puts an end of a narrower one
+        # outside the widest
+        widest = (min(ta for ta, _ in arcs), max(tb for _, tb in arcs))
         alpha = np.empty((radii.size, len(dens)))
-        for j, (tau, g) in enumerate(samples):
+        for j, f in enumerate(dens):
+            tau, g = window_samples(f, n, *widest)
             # drift check: the density peak near this center stays put over k
-            xloc = float(x_win[np.argmax(dens[j](x_win))])
+            xloc = float(x_win[np.argmax(f(x_win))])
             if abs(xloc - center) > max(radii[-1], 0.05 * radii[0]):
                 raise CenterUnstable(
                     f"member {j}: peak at {xloc:.4g} drifted from center {center:.4g}"
@@ -321,27 +327,6 @@ def classify_case(
                     f"case-1 interior mass {mass:.6f} at {center!r} is not pi"
                 )
     return SequenceReport(lambda_bars=lb, case=case, blowup_points=dict(blowup))
-
-
-def circle_concentration_scan(lambda_grids, kappa_grids, center_angle: float, arc_radii):
-    """Circle-side alpha(r, k): curvature mass on shrinking arcs around a
-    boundary angle (used for recentering sequences on the disk side)."""
-    radii = np.asarray(sorted(arc_radii, reverse=True), dtype=float)
-    nk = len(lambda_grids)
-    alpha = np.empty((radii.size, nk))
-    for j, (lam, kap) in enumerate(zip(lambda_grids, kappa_grids)):
-        g = np.asarray(kap.values, dtype=float) * np.exp(np.real(lam.values))
-        # unwrap around the center so each arc is an interval; the centred
-        # angles rise cyclically from the smallest
-        tau = np.mod(grid_angles(lam.n) - center_angle + np.pi, TWO_PI) - np.pi
-        start = int(np.argmin(tau))
-        tau_ext, g_ext = _close_period(tau, start), _close_period(g, start)
-        tau_ext[-1] += TWO_PI
-        for i, r in enumerate(radii):
-            alpha[i, j] = _piecewise_linear_integral(tau_ext, g_ext, -r, r)
-    return ConcentrationProfile(
-        center=center_angle, radii=radii, ks=list(range(nk)), alpha=alpha
-    )
 
 
 def recentered_lambda_sequence(d: DiskMap, a: complex, ts, n: int = 1024):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from liouville_disk import blank
-from liouville_disk.arrangement import _other_strand_distance, build_arrangement
+from liouville_disk.arrangement import _other_strand_distance, _strands, build_arrangement
 from liouville_disk.blank import (
     ANGULAR_GUARD,
     N_RAY_DIRECTIONS,
@@ -98,7 +98,7 @@ class TestArrangement:
         v = rng.normal(size=(40, 2))
         v = np.insert(v, 5, v[5], axis=0)
         for p in rng.uniform(-2.0, 2.0, size=(300, 2)):
-            assert _other_strand_distance(p, v, 0.01) == loop_distance(p, v, 0.01)
+            assert _other_strand_distance(p, _strands(v), 0.01) == loop_distance(p, v, 0.01)
 
 
 def loop_ray_curve_hits(origin, direction, vertices, span):

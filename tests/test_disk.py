@@ -363,14 +363,14 @@ class TestRingEvaluation:
     def test_rings_match_horner(self, mu):
         dcoef = bubble_map(mu).deriv_coeffs
         mesh = build_polar_mesh(64)
-        vals = disk._abs_on_rings(dcoef, mesh.mid_centers, 64)
+        vals = disk._abs_on_rings(dcoef, disk.RingPowers(mesh.mid_centers, 64))
         ref = horner_abs(dcoef, ring_points(mesh))
         assert np.all(np.abs(vals - ref) <= 1e-9 * np.max(ref, axis=1, keepdims=True))
 
     def test_lattice_matches_horner(self):
         dcoef = bubble_map(16.0).deriv_coeffs
         radii = np.linspace(0.0, 1.0, 64)
-        vals = disk._abs_on_rings(dcoef, radii, 256)
+        vals = disk._abs_on_rings(dcoef, disk.RingPowers(radii, 256))
         ref = horner_abs(dcoef, np.outer(radii, np.exp(1j * grid_angles(256))))
         assert np.all(np.abs(vals - ref) <= 1e-12 * np.max(ref, axis=1, keepdims=True))
 
@@ -399,6 +399,41 @@ class TestRingEvaluation:
         forward = dict(zip(zip(src.tolist(), mesh.indices.tolist()), w.tolist()))
         assert all(forward[v, u] == wt for (u, v), wt in forward.items())
         assert pq == qp
+
+    @pytest.mark.parametrize("first", ["small", "large"])
+    def test_cached_tables_equal_fresh_ones(self, first):
+        # V is grown to the largest Q seen and sliced: over a Q ladder, in
+        # either order, the cached tables must give what fresh tables give
+        rng = np.random.default_rng(7)
+        geometries = [(np.linspace(0.0, 1.0, 64), 256),
+                      (build_polar_mesh(64).mid_centers, 64),
+                      (0.9 * np.exp(1j * rng.uniform(-np.pi, np.pi, 5)), 32)]
+        for centers, n in geometries:
+            ladder = [1, 2, 5, 17, 64]  # Q = ceil(size / n)
+            if first == "large":
+                ladder = ladder[::-1]
+            cached = disk.RingPowers(centers, n)
+            for q in ladder + ladder[::-1]:
+                size = (q - 1) * n + int(rng.integers(1, n + 1))
+                coef = rng.normal(size=size) + 1j * rng.normal(size=size)
+                fresh = disk._abs_on_rings(coef, disk.RingPowers(centers, n))
+                assert np.array_equal(disk._abs_on_rings(coef, cached), fresh)
+
+    def test_one_table_per_geometry(self):
+        disk._lattice_rings.cache_clear()
+        disk._mesh_cache.cache_clear()
+        for mu in (1.0, 16.0, 4096.0, 16.0):
+            d = make_disk_map(bubble_map(mu).coeffs)
+            conformal_distance(d, 1.0, -1.0, n_boundary=64)
+            conformal_distance(d, 1j, -1.0, n_boundary=64)
+        assert disk._lattice_rings.cache_info().currsize == 1
+        assert disk._mesh_cache.cache_info().currsize == 1
+        lattice = disk._lattice_rings()
+        _, rings = disk._mesh_cache(64)
+        # grown to the largest Q, not kept once per size
+        top = np.flatnonzero(bubble_map(4096.0).deriv_coeffs)[-1] + 1  # trailing zeros fold nowhere
+        assert lattice._V.shape == (64, -(-top // 256))
+        assert rings._V.shape == (rings.P.shape[0], -(-top // 64))
 
     @pytest.mark.parametrize("make, immersed", [
         (lambda: build_phi(analytic_completion(PeriodicGrid.zeros(256))), True),

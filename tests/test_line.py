@@ -9,6 +9,7 @@ import pytest
 from liouville_disk import quant
 from liouville_disk.errors import (
     InvalidInput,
+    NotIntegrable,
     PoleOfProjection,
     SingularMismatch,
 )
@@ -28,6 +29,7 @@ from liouville_disk.line import (
     stereo_inverse,
     stereo_project,
     transfer_equation,
+    window_samples,
 )
 from liouville_disk.spectral import (
     PeriodicGrid,
@@ -142,6 +144,59 @@ class TestLineIntegral:
         mu, r = 16.0, 0.3
         val = line_integral(lambda x: np.exp(u_bubble(mu)(x)), n=8192, restrict=(-r, r))
         assert abs(val - 4 * np.arctan(mu * r)) < 1e-5
+
+
+class TestWindowedLineIntegral:
+    """line_integral(restrict=...) samples only the window; the oracle is the
+    whole-circle route, circle_samples and _piecewise_linear_integral."""
+
+    @staticmethod
+    def full_circle(f, n, a, b, pole_value=None):
+        _, tau, g = circle_samples(f, n, pole_value)
+        return _piecewise_linear_integral(tau, g, angle_of_x(b), angle_of_x(a))
+
+    @pytest.mark.parametrize("n", [1 << 12, 1 << 14])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_full_circle_route(self, n, seed):
+        rng = np.random.default_rng([seed, n])
+        f = u_bubble(float(np.exp(rng.uniform(-1, 4))), x0=float(rng.uniform(-3, 3)))
+        density = lambda x: np.exp(f(x))  # noqa: E731
+        centers = rng.uniform(-5, 5, size=8)
+        radii = np.exp(rng.uniform(np.log(1e-4), np.log(1e3), size=8))
+        windows = [(c - r, c + r) for c, r in zip(centers, radii)]
+        windows += [(-1e3, 1e3), (-1e5, -1.0), (1.0, 1e5), (-1.0 - 1e-9, -1.0 + 1e-9)]
+        for a, b in windows:
+            for pv in (None, 0.7):
+                got = line_integral(density, n=n, restrict=(a, b), pole_value=pv)
+                assert got == self.full_circle(density, n, a, b, pv), (a, b, pv)
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 64])
+    def test_small_grids_through_the_pole(self, n):
+        # at n = 4 the pole is one of its own 8 fit neighbours
+        f = lambda x: 1.0 / (1.0 + np.asarray(x) ** 2) ** 0.8  # noqa: E731
+        for a, b in [(-1e6, 1e6), (-3.0, 1e6), (-1e6, 0.5), (2.0, 1e6)]:
+            assert line_integral(f, n=n, restrict=(a, b)) == self.full_circle(f, n, a, b)
+
+    def test_window_slice_brackets_the_arc(self):
+        n = 1 << 12
+        tau, g = window_samples(np.ones_like, n, 0.25, 0.5)
+        assert tau[0] <= 0.25 < tau[1] and tau[-2] < 0.5 <= tau[-1]
+        assert g.size == tau.size
+
+    def test_non_finite_inside_the_window_is_rejected(self):
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x > 0.2, np.nan, 1.0 / (1.0 + x**2))
+
+        with pytest.raises(NotIntegrable):
+            line_integral(f, n=4096, restrict=(0.0, 1.0))
+        # samples outside the window enter no integral and are not read
+        assert line_integral(f, n=4096, restrict=(-1.0, 0.0)) == pytest.approx(np.pi / 4, abs=1e-6)
+
+    def test_divergence_at_the_pole_is_rejected(self):
+        f = lambda x: 1.0 / (1.0 + np.asarray(x) ** 2)  # noqa: E731
+        with pytest.raises(NotIntegrable):
+            line_integral(f, n=4096, restrict=(-1e6, 1e6), pole_value=np.inf)
 
 
 class TestTransferEquation:

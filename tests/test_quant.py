@@ -7,15 +7,20 @@ import pytest
 from scipy.signal import find_peaks
 
 from liouville_disk.disk import boundary_curvature, analytic_completion
-from liouville_disk.errors import CenterUnstable, InvalidInput, TheoremViolation
-from liouville_disk.line import _piecewise_linear_integral, circle_chart
+from liouville_disk.errors import CenterUnstable, InvalidInput, NotIntegrable, TheoremViolation
+from liouville_disk.line import (
+    _piecewise_linear_integral,
+    angle_of_x,
+    circle_chart,
+    circle_samples,
+    window_samples,
+)
 from liouville_disk.quant import (
     CENTER_GRID_N,
     MAX_CENTERS,
     BubbleParams,
     _cyclic_peaks,
     bubble,
-    circle_concentration_scan,
     classify_case,
     concentration_scan,
     detect_blowup,
@@ -200,7 +205,8 @@ class TestPeakSearch:
 
 
 def argsort_circle_scan(lambda_grids, kappa_grids, center_angle, arc_radii):
-    """The former circle_concentration_scan, ordering by an argsort."""
+    """Circle-side alpha(r, k): the curvature mass kappa e^lambda on arcs of
+    the given radii around a boundary angle, one column per grid pair."""
     radii = np.asarray(sorted(arc_radii, reverse=True), dtype=float)
     alpha = np.empty((radii.size, len(lambda_grids)))
     for j, (lam, kap) in enumerate(zip(lambda_grids, kappa_grids)):
@@ -215,19 +221,58 @@ def argsort_circle_scan(lambda_grids, kappa_grids, center_angle, arc_radii):
     return alpha
 
 
-@pytest.mark.parametrize("n", [64, 256])
-@pytest.mark.parametrize(
-    "center", [np.pi, -np.pi, "grid", 0.1234, -np.pi / 2, np.nextafter(np.pi, 0.0)]
-)
-def test_circle_scan_order_is_the_argsort_of_the_centred_angle(n, center):
-    if center == "grid":
-        center = float(grid_angles(n)[5])
-    th = grid_angles(n)
-    lams = [PeriodicGrid(0.3 * k * np.cos(th - 0.2 * k)) for k in range(3)]
-    kaps = [PeriodicGrid(1.0 + 0.1 * np.sin(2 * th + k)) for k in range(3)]
-    radii = [1.0, 0.4, 0.1, 0.5 * TWO_PI / n]
-    prof = circle_concentration_scan(lams, kaps, center, radii)
-    assert np.array_equal(prof.alpha, argsort_circle_scan(lams, kaps, center, radii))
+def full_circle_scan(members, radii, center, n):
+    """alpha(r, k) from the samples of the whole circle (circle_samples),
+    as concentration_scan took them before it sampled only the window."""
+    radii = sorted(radii, reverse=True)
+    alpha = np.empty((len(radii), len(members)))
+    for j, m in enumerate(members):
+        _, tau, g = circle_samples(m.density, n)
+        for i, r in enumerate(radii):
+            alpha[i, j] = _piecewise_linear_integral(
+                tau, g, angle_of_x(center + r), angle_of_x(center - r)
+            )
+    return alpha
+
+
+class TestWindowedScan:
+    @pytest.mark.parametrize("n", [1 << 12, 1 << 14])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_full_circle_route(self, n, seed):
+        rng = np.random.default_rng([seed, n])
+        center = float(rng.uniform(-2.0, 2.0))
+        members = [bubble(mu=2.0**k, x0=center) for k in range(6)]
+        radii = np.sort(rng.uniform(1e-3, 1.5, size=5))[::-1]
+        [prof] = concentration_scan(members, radii=radii, centers=[center], n=n)
+        assert np.array_equal(prof.alpha, full_circle_scan(members, radii, center, n))
+
+    @pytest.mark.parametrize("n", [1 << 12, 1 << 14])
+    @pytest.mark.parametrize("center", [-4500.0, 4800.0])
+    def test_windows_through_the_pole(self, n, center):
+        # at |x| > n / pi the arc of radius 1e3 ends within a cell of -i, so
+        # the slice holds the pole sample, extrapolated from its neighbours
+        members = [bubble(mu=mu, x0=center) for mu in (1e-3, 1e-2, 0.1, 1.0)]
+        radii = [1e3, 300.0, 50.0, 1.0]
+        chart = circle_chart(n)
+        tau, _ = window_samples(members[0].density, n, angle_of_x(center + 1e3),
+                                angle_of_x(center - 1e3))
+        assert tau[0] == chart.tau[0] or tau[-1] == chart.tau[-1]
+        [prof] = concentration_scan(members, radii=radii, centers=[center], n=n)
+        assert np.array_equal(prof.alpha, full_circle_scan(members, radii, center, n))
+
+    def test_non_finite_density_in_the_window_is_rejected(self):
+        def member(mu):
+            b = bubble(mu=mu)
+
+            def density(x):
+                x = np.asarray(x, dtype=float)
+                return np.where(np.abs(x - 0.15) < 0.01, np.nan, b.density(x))
+
+            return density
+
+        with pytest.raises(NotIntegrable):
+            concentration_scan([member(2.0**k) for k in range(4)], radii=[0.4, 0.2, 0.1],
+                               centers=[0.0], n=1 << 12)
 
 
 class TestDetectBlowup:
@@ -297,10 +342,10 @@ class TestClassifyCase:
         for lam in lams:
             bt = analytic_completion(lam)
             kappas.append(boundary_curvature(bt))
-        prof = circle_concentration_scan(lams, kappas, np.pi / 2, [0.4, 0.2, 0.1])
+        alpha = argsort_circle_scan(lams, kappas, np.pi / 2, [0.4, 0.2, 0.1])
         # curvature mass 2*pi concentrates at the preimage angle pi/2
-        assert prof.alpha[-1, -1] > 0.9 * TWO_PI
-        rep = classify_case(bars, {np.pi / 2: float(prof.alpha[-1, -1])})
+        assert alpha[-1, -1] > 0.9 * TWO_PI
+        rep = classify_case(bars, {np.pi / 2: float(alpha[-1, -1])})
         assert rep.case == 2
 
     def test_conservation_under_recentering(self):

@@ -45,6 +45,9 @@ from .line import (
 )
 from .spectral import TWO_PI, PeriodicGrid, SingularField, SpectralRep, eval_modes, grid_angles
 
+# pi/2 - float(pi/2): the rounding of the float pi/2, added back to offsets
+_HALF_PI_LO = 6.123233995736766e-17
+
 CENTER_GRID_N = 1 << 14  # grid on which locate_centers samples the density
 MAX_CENTERS = 4
 
@@ -89,21 +92,28 @@ class Bubble:
         return 4.0 * np.arctan(self.mu * r)
 
     def lambda_at(self, thetas):
-        """Stable pullback: in the chart q = tan((theta + pi/2)/2) = 1/Pi the
-        value at the pole is exact (-log mu), with the direct formula away
-        from q's own pole at theta = pi/2."""
+        """Stable pullback at angles in [-pi, pi], in two real charts.
+
+        Near the south pole, |t| < pi/2 for the offset t = theta + pi/2, the
+        chart q = tan(t/2) = 1/Pi gives the pole value exactly (-log mu).
+        Elsewhere Pi = tan(s/2) with s = pi/2 - theta, which equals
+        Re z/(1 + Im z) for z = e^{i theta} with no complex exponential.  On
+        [-pi, pi] neither offset needs wrapping: t >= pi lies in the far chart
+        either way, and tan(s/2) has period 2 pi in s.  Both offsets carry
+        the digits of pi/2 that the float pi/2 drops.
+        """
         thetas = np.asarray(thetas, dtype=float)
         out = np.empty_like(thetas)
-        t = np.mod(thetas - POLE_ANGLE + np.pi, TWO_PI) - np.pi  # offset from -pi/2
+        log_mu = np.log(self.mu)
+        t = thetas - POLE_ANGLE
         near_pole = np.abs(t) < np.pi / 2
-        q = np.tan(t[near_pole] / 2.0)
-        out[near_pole] = np.log(self.mu) + np.log(
+        q = np.tan((t[near_pole] + _HALF_PI_LO) / 2.0)
+        out[near_pole] = log_mu + np.log(
             (1 + q**2) / (q**2 + self.mu**2 * (1 - self.x0 * q) ** 2)
         )
         far = ~near_pole
-        z = np.exp(1j * thetas[far])
-        Pi = np.real(z) / (1 + np.imag(z))
-        out[far] = np.log(self.mu) + np.log(
+        Pi = np.tan((np.pi / 2 - thetas[far] + _HALF_PI_LO) / 2.0)
+        out[far] = log_mu + np.log(
             (1 + Pi**2) / (1 + self.mu**2 * (Pi - self.x0) ** 2)
         )
         return out

@@ -8,7 +8,15 @@ Fourier convention: u_hat(m) = (1/2pi) \\int u(theta) e^{-i m theta} dtheta,
 for m = -n/2 .. n/2-1.  With this normalization Parseval reads
 mean(|u|^2) = sum |u_hat(m)|^2.
 
-Operators are diagonal in this basis:
+A real grid has a Hermitian spectrum, u_hat(-m) = conj u_hat(m), so real
+grids go through real-input transforms: analyze takes modes 0 .. n/2 from
+np.fft.rfft and mirrors them, and the multiplier operators return
+np.fft.irfft of modes 0 .. n/2, half the work of a complex transform.
+Complex grids take np.fft.fft and np.fft.ifft.
+
+Operators are diagonal in this basis, and every multiplier is Hermitian,
+mult(-m) = conj mult(m) with a real Nyquist entry, so that real data stay
+real and the half spectrum of a real grid determines the result:
 
     half-Laplacian      |m|
     Hilbert transform   -i sign(m)      (Nyquist mode zeroed: odd multiplier)
@@ -29,7 +37,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .errors import (
     BandLimitWarning,
@@ -214,10 +221,20 @@ def analyze(g: PeriodicGrid) -> SpectralRep:
     e^{-i m theta_j} = (-1)^m e^{-2 pi i m j / n}.  As n/2 is even, the odd
     modes sit at the odd positions of the ascending coefficient vector, so
     the phase is a sign flip of every second entry.
+
+    A real grid takes np.fft.rfft for modes 0 .. n/2, and the negative modes
+    are their conjugates, so its spectrum is Hermitian bit for bit, with real
+    mean and Nyquist coefficients.  A complex grid takes np.fft.fft.
     """
-    c = np.fft.fftshift(np.fft.fft(g.values)) / g.n
-    c[1::2] *= -1
-    return SpectralRep(c)
+    if not g.is_real:
+        c = np.fft.fftshift(np.fft.fft(g.values, norm="forward"))
+        c[1::2] *= -1
+        return SpectralRep(c)
+    half = np.fft.rfft(g.values, norm="forward")  # modes 0 .. n/2
+    half[1::2] *= -1
+    half.imag[[0, -1]] = 0.0
+    # ascending: Nyquist (mode -n/2 = n/2), modes -(n/2 - 1) .. -1, modes 0 .. n/2 - 1
+    return SpectralRep(np.concatenate((half[-1:], np.conj(half[-2:0:-1]), half[:-1])))
 
 
 def synthesize(s: SpectralRep) -> PeriodicGrid:
@@ -318,12 +335,25 @@ def negative_frequency_fraction(s: SpectralRep) -> float:
 
 
 def _apply_multiplier(g: PeriodicGrid, mult: np.ndarray, s: SpectralRep | None = None) -> PeriodicGrid:
+    """The grid whose coefficients are mult(m) u_hat(m); s is analyze(g)
+    when the caller has it already.
+
+    mult must be Hermitian, mult(-m) = conj mult(m) with a real Nyquist
+    entry mult(-n/2).  A real grid then has a real image, computed from
+    modes 0 .. n/2 alone by np.fft.irfft: the same operator as the real part
+    of the full complex inverse transform.  A complex grid takes the full
+    product through :func:`synthesize`.
+    """
     if s is None:
         s = analyze(g)
-    out = synthesize(SpectralRep(s.coeffs * mult))
-    if g.is_real and not out.is_real:
-        out = PeriodicGrid(out.values.real)
-    return out
+    if not g.is_real:
+        return synthesize(SpectralRep(s.coeffs * mult))
+    n = g.n
+    half = np.empty(n // 2 + 1, dtype=complex)  # modes 0 .. n/2
+    np.multiply(s.coeffs[n // 2 :], mult[n // 2 :], out=half[:-1])
+    half[-1] = s.coeffs[0] * mult[0]
+    half[1::2] *= -1
+    return PeriodicGrid(np.fft.irfft(half, n, norm="forward"))
 
 
 def half_laplacian(g: PeriodicGrid) -> PeriodicGrid:
@@ -460,9 +490,19 @@ def cell_averaged_log_profile(n: int, theta0: float = 0.0) -> PeriodicGrid:
 
 @lru_cache(maxsize=32)
 def _jacobi_rule(s: float):
-    # Gauss-Jacobi rule for the weight (1 - x)^s on [-1, 1]; one per anchor
-    # strength, so the eigenvalue solve runs once per anchor, not per cell
-    x, w = roots_jacobi(ANCHOR_RULE_POINTS, s, 0.0)
+    # Gauss-Jacobi rule for the weight (1 - x)^s on [-1, 1] by Golub-Welsch:
+    # the nodes are the eigenvalues of the Jacobi matrix of the orthonormal
+    # polynomials, the weights mu0 times the squared first eigenvector
+    # components, with mu0 = 2^(s+1)/(s+1) the integral of the weight.  One
+    # rule per anchor strength, so the eigenvalue solve runs once per anchor
+    k = np.arange(1, ANCHOR_RULE_POINTS)
+    diag = np.empty(ANCHOR_RULE_POINTS)
+    diag[0] = -s / (s + 2.0)
+    j = 2.0 * k + s  # 2k + alpha + beta with alpha = s, beta = 0
+    diag[1:] = -s * s / (j * (j + 2.0))
+    off = 2.0 * k * (k + s) / (j * np.sqrt((j + 1.0) * (j - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 ** (s + 1.0) / (s + 1.0) * vec[0] ** 2
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

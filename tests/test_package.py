@@ -86,12 +86,13 @@ def test_unused_import_check_sees_a_leftover():
     assert unused_module_imports(tree) == ["eval_modes (line 2)", "np (line 1)"]
 
 
-def test_import_loads_neither_scipy_signal_nor_scipy_integrate():
-    # scipy.integrate is imported inside the PV oracles and no module needs
-    # scipy.signal, so importing the package loads neither
+def test_import_loads_no_scipy_signal_integrate_or_special():
+    # scipy.integrate is imported inside the PV oracles, no module needs
+    # scipy.signal, and the Gauss-Jacobi rule is built by Golub-Welsch rather
+    # than scipy.special.roots_jacobi, so importing the package loads none
     code = (
         "import sys, liouville_disk; "
-        "print([m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules])"
+        "print([m for m in ('scipy.signal', 'scipy.integrate', 'scipy.special') if m in sys.modules])"
     )
     path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(

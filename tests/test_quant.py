@@ -68,6 +68,46 @@ class TestBubble:
             BubbleParams(mu=-1.0)
 
 
+def lambda_reference(mpmath, mu, x0, theta):
+    """The pullback at the float angle theta, to 40 digits: the line
+    coordinate is Re z/(1 + Im z) for z = e^{i theta}."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(theta)
+        x = mpmath.cos(t) / (1 + mpmath.sin(t))
+        return mpmath.log(mu) + mpmath.log((1 + x**2) / (1 + mu**2 * (x - x0) ** 2))
+
+
+@pytest.mark.parametrize("mu", [1.0, 8.0, 2048.0, 4096.0])
+def test_lambda_at_matches_a_40_digit_reference(mu):
+    # Grid angles at n = 65536 (the 32 nearest the peak and a seeded sample)
+    # and off-grid angles beside the chart switches |t| = pi/2 (theta = 0,
+    # +-pi) and the north pole.  The error is at most 2e-14 plus what one
+    # rounding of theta itself moves the value by, eps |theta lambda'(theta)|:
+    # on the flanks of a mu = 4096 peak that is ~1e-12, and rounding the line
+    # coordinate once, correctly, already errs by 2e-13 there
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(int(mu))
+    th = grid_angles(65536)
+    tiny = [0.0, 1e-15, -1e-15, 1e-9, -1e-9, 1e-4, -1e-4]
+    off_grid = np.concatenate([[d, np.pi - abs(d), -np.pi + abs(d), np.pi / 2 + d] for d in tiny])
+    for x0 in [*rng.uniform(-0.5, 0.5, 2), -0.5, 0.5]:
+        b = bubble(mu=mu, x0=float(x0))
+        peak = np.pi / 2 - 2 * np.arctan(x0)
+        near_peak = np.argsort(np.abs(th - peak))[:32]
+        idx = np.union1d(near_peak, rng.choice(th.size, 48, replace=False))
+        idx = idx[th[idx] != -np.pi / 2]
+        at = np.concatenate([th[idx], off_grid])
+        got = np.concatenate([b.lambda_at(th)[idx], b.lambda_at(off_grid)])
+        # lambda'(theta) = -x + mu^2 (x - x0)(1 + x^2)/(1 + mu^2 (x - x0)^2)
+        x = np.cos(at) / (1 + np.sin(at))
+        slope = -x + mu**2 * (x - x0) * (1 + x**2) / (1 + mu**2 * (x - x0) ** 2)
+        exact = np.array([float(lambda_reference(mpmath, mu, x0, theta)) for theta in at])
+        err = np.abs(got - exact)
+        assert np.all(err <= 2e-14 + eps * np.abs(at * slope)), (mu, x0, at[np.argmax(err)], err.max())
+        assert b.lambda_at(np.array([-np.pi / 2]))[0] == -np.log(mu)
+
+
 class TestVerifySolution:
     def test_standard_bubble(self):
         b = bubble(mu=1.0)

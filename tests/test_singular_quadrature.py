@@ -381,3 +381,19 @@ def test_point_evaluations_do_not_grow_with_n(monkeypatch):
 
     for count in (lambda_calls, polyline_calls):
         assert count(256) == count(2048) == 2
+
+
+@pytest.mark.parametrize("s", np.linspace(-0.95, 3.0, 17))
+def test_golub_welsch_rule_matches_roots_jacobi(s):
+    # the rule beside an anchor is built by Golub-Welsch; scipy.special is
+    # imported here only, as the oracle
+    from scipy.special import roots_jacobi
+
+    x, w = spectral._jacobi_rule(float(s))
+    ref_x, ref_w = roots_jacobi(spectral.ANCHOR_RULE_POINTS, s, 0.0)
+    assert np.max(np.abs(x - ref_x)) <= 1e-14
+    assert np.max(np.abs(w - ref_w) / ref_w) <= 1e-12
+    # exact for (1 - x)^k, k < 2 * points: the integral of (1 - x)^(s + k)
+    k = np.arange(2 * spectral.ANCHOR_RULE_POINTS)
+    exact = 2.0 ** (s + k + 1) / (s + k + 1)
+    assert np.max(np.abs(w @ (1.0 - x[:, None]) ** k / exact - 1.0)) <= 1e-13

@@ -2,7 +2,10 @@
 fundamental-solution coefficients against quadrature and closed-form oracles.
 """
 
+import ast
+import inspect
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -146,10 +149,22 @@ class TestAnalyzeSynthesize:
 
 
 def power_phase_analyze(g):
-    """analyze with the half-period phase as a (-1.0)**m power array."""
+    """analyze with the half-period phase as a (-1.0)**m power array.
+
+    A complex grid takes the full FFT.  A real grid takes the spectrum that
+    analyze builds, modes 0 .. n/2 of np.fft.rfft with real mean and Nyquist
+    entries, mirrored by conjugation, so that the comparison checks the sign
+    flip and not which transform produced the spectrum (the agreement of the
+    two transforms is test_real_analyze_matches_the_complex_fft)."""
     n = g.n
     m = np.arange(-n // 2, n // 2)
-    return np.fft.fftshift(np.fft.fft(g.values)) / n * (-1.0) ** m
+    if not g.is_real:
+        return np.fft.fftshift(np.fft.fft(g.values)) / n * (-1.0) ** m
+    half = np.fft.rfft(g.values) / n
+    half.imag[[0, -1]] = 0.0
+    c = half[np.abs(m)]
+    c[m < 0] = np.conj(c[m < 0])
+    return c * (-1.0) ** m
 
 
 def power_phase_synthesize(s):
@@ -169,6 +184,83 @@ def test_signs_by_slicing_equal_the_power_phase(n, complex_):
         assert np.array_equal(s.coeffs, power_phase_analyze(g))
         vals = power_phase_synthesize(s)
         assert np.array_equal(synthesize(s).values, vals.real if g.is_real else vals)
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024, 65536])
+def test_real_analyze_matches_the_complex_fft(n):
+    # the rfft route of a real grid against the complex route of the same
+    # samples, and its spectrum is Hermitian bit for bit
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        v = np.random.default_rng(seed).normal(size=n)
+        c = analyze(PeriodicGrid(v)).coeffs
+        full = analyze(PeriodicGrid(v.astype(complex))).coeffs
+        assert np.max(np.abs(c - full)) <= 4 * eps * np.max(np.abs(full))
+        assert np.array_equal(c[1 : n // 2], np.conj(c[: n // 2 : -1]))  # c(-m) = conj c(m)
+        assert c[0].imag == 0.0 and c[n // 2].imag == 0.0  # Nyquist and mean
+
+
+def operator_multipliers(n, r=0.7):
+    """The five operators with their multipliers, written out from the
+    module docstring."""
+    m = np.arange(-n // 2, n // 2).astype(float)
+    odd = m.copy()
+    odd[0] = 0.0  # Nyquist zeroed
+    inv = np.zeros(n)
+    inv[m != 0] = 1.0 / np.abs(m[m != 0])
+    return [
+        (half_laplacian, np.abs(m)),
+        (hilbert, -1j * np.sign(odd)),
+        (derivative, 1j * odd),
+        (lambda g: poisson_extend(g, r), r ** np.abs(m)),
+        (green_convolve, inv),
+    ]
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_real_multipliers_match_the_complex_inverse(n):
+    # irfft of modes 0 .. n/2 against the real part of the full complex
+    # inverse transform of the product, within rounding, on white noise so
+    # that every mode up to the Nyquist mode takes part
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        g = PeriodicGrid(np.random.default_rng(seed).normal(size=n))
+        g = g - g.mean()  # green_convolve needs zero mean
+        c = analyze(g).coeffs
+        for op, mult in operator_multipliers(n):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BandLimitWarning)
+                out = op(g)
+            expect = power_phase_synthesize(SpectralRep(c * mult)).real
+            assert out.is_real
+            assert np.max(np.abs(out.values - expect)) <= 8 * eps * np.sum(np.abs(c * mult))
+
+
+def test_every_module_multiplier_is_hermitian(monkeypatch):
+    # the irfft route is the operator only for mult(-m) = conj mult(m) with a
+    # real Nyquist entry.  The five operators are every call site in the
+    # module (disk.analytic_completion reuses the Hilbert multiplier)
+    tree = ast.parse(inspect.getsource(spectral))
+    sites = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_apply_multiplier"
+    ]
+    n = 64
+    ops = operator_multipliers(n)
+    assert len(sites) == len(ops)
+    seen = []
+    original = spectral._apply_multiplier
+    monkeypatch.setattr(
+        spectral, "_apply_multiplier",
+        lambda g, mult, s=None: seen.append(np.asarray(mult)) or original(g, mult, s),
+    )
+    g = random_bandlimited(n, seed=1)
+    g = g - g.mean()
+    for op, expect in ops:
+        op(g)
+        assert np.array_equal(seen[-1], expect)
+        assert np.array_equal(seen[-1][1 : n // 2], np.conj(seen[-1][: n // 2 : -1]))
+        assert np.imag(seen[-1][0]) == 0.0
 
 
 class TestHalfLaplacian:

@@ -63,7 +63,6 @@ from .blank import (  # noqa: F401
 )
 from .quant import (  # noqa: F401
     Bubble,
-    BubbleParams,
     bubble,
     classify_case,
     concentration_scan,

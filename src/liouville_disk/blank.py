@@ -281,8 +281,6 @@ def blank_word(c: PolyCurve, arr: Arrangement | None = None, seed: int = 0) -> W
     span = 3.0 * max(diameter, 1.0)
     guard_points = np.vstack(
         [v] + [x.point[None, :] for x in arr.crossings] + [v[sorted(c.corners)]]
-        if c.corners
-        else [v] + [x.point[None, :] for x in arr.crossings]
     )
     dirs = _ray_directions(seed)
     edges = _edge_fan(dirs, v)
@@ -498,7 +496,7 @@ def extendability_check(c: PolyCurve, seed: int = 0) -> ExtendabilityReport:
     deleted curve stretch closed up along its escape segment.
     """
     rep = rotation_index(c)
-    work = fillet_corners(c) if c.corners else c
+    work = fillet_corners(c)
     arr = build_arrangement(work)
     rec = blank_word(work, arr, seed=seed)
     res = contract(rec.word)

@@ -20,6 +20,7 @@ from .curves import PolyCurve, rotation_index
 from .disk import analytic_completion, boundary_curvature, curvature_mass
 from .errors import GuardError, InputError, InvalidInput, LiouvilleDiskError, TheoremViolation
 from .fixtures import FIXTURES
+from .line import LineField
 from .quant import (
     bubble,
     classify_case,
@@ -67,10 +68,7 @@ def _load_grid(path) -> PeriodicGrid:
 
 
 def _load_field(path) -> SingularField:
-    obj = _read_json(path)
-    grid = PeriodicGrid.from_json(obj)
-    anchors = tuple((float(t), float(c)) for t, c in obj.get("anchors", []))
-    return SingularField(grid, anchors)
+    return LineField.from_json(_read_json(path)).field
 
 
 def _load_curve(path) -> PolyCurve:
@@ -82,13 +80,17 @@ def _parse_floats(text):
 
 
 def _parse_mu_ladder(text):
-    """Either a comma list or a dyadic range like 2^0..2^12."""
+    """Either a comma list or a dyadic range like 2^0..2^12; never empty."""
     if ".." in text and "^" in text:
         lo, hi = text.split("..")
         base, e0 = lo.split("^")
         _, e1 = hi.split("^")
-        return [float(base) ** k for k in range(int(e0), int(e1) + 1)]
-    return _parse_floats(text)
+        mus = [float(base) ** k for k in range(int(e0), int(e1) + 1)]
+    else:
+        mus = _parse_floats(text)
+    if not mus:
+        raise InvalidInput(f"mu ladder {text!r} has no members")
+    return mus
 
 
 def cmd_halflap(args):
@@ -141,17 +143,21 @@ def cmd_rotation_index(args):
     return EXIT_OK
 
 
+def _print_contraction(res):
+    print(f"contracts: {res.contracted} ({res.order})")
+    for step in res.steps:
+        removed = " ".join(str(l) for l in step.removed)
+        left = " ".join(str(l) for l in step.word_after) or "(empty)"
+        print(f"  - remove [{removed}] -> {left}")
+
+
 def cmd_blank_word(args):
     c = _load_curve(args.infile)
     rec = blank_word(c, seed=args.seed)
     res = contract(rec.word)
     print(f"word: {rec.word}")
     print(f"canonical: {rec.word.canonical()}")
-    print(f"contracts: {res.contracted} ({res.order})")
-    for step in res.steps:
-        removed = " ".join(str(l) for l in step.removed)
-        left = " ".join(str(l) for l in step.word_after) or "(empty)"
-        print(f"  - remove [{removed}] -> {left}")
+    _print_contraction(res)
     if args.out:
         payload = {
             "meta": _meta(args),
@@ -178,11 +184,7 @@ def cmd_contract(args):
     else:
         raise InvalidInput("contract needs a word: pass --word or --in")
     res = contract(w)
-    print(f"contracts: {res.contracted} ({res.order})")
-    for step in res.steps:
-        removed = " ".join(str(l) for l in step.removed)
-        left = " ".join(str(l) for l in step.word_after) or "(empty)"
-        print(f"  - remove [{removed}] -> {left}")
+    _print_contraction(res)
     if args.out:
         _write_json(
             args.out,

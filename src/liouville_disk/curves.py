@@ -42,7 +42,6 @@ class PolyCurve:
 
     vertices: np.ndarray
     corners: dict = field(default_factory=dict)
-    orientation: str = "ccw"
 
     def __post_init__(self):
         v = snap(np.asarray(self.vertices, dtype=float))
@@ -88,7 +87,6 @@ class PolyCurve:
             "vertices": [[float(x), float(y)] for x, y in self.vertices],
             "closed": True,
             "corners": sorted(self.corners),
-            "orientation": self.orientation,
         }
         tangents = {
             str(k): [float(t[0]), float(t[1])]
@@ -104,11 +102,7 @@ class PolyCurve:
         corners = {int(k): None for k in obj.get("corners", [])}
         for k, pair in obj.get("corner_tangents", {}).items():
             corners[int(k)] = (float(pair[0]), float(pair[1]))
-        return cls(
-            vertices=np.asarray(obj["vertices"], dtype=float),
-            corners=corners,
-            orientation=obj.get("orientation", "ccw"),
-        )
+        return cls(vertices=np.asarray(obj["vertices"], dtype=float), corners=corners)
 
 
 @dataclass(frozen=True)
@@ -131,8 +125,8 @@ def _tie_break_pi(c: PolyCurve, k: int, tin: float) -> float:
     return np.pi if side > 0 else -np.pi
 
 
-def rotation_index(c: PolyCurve, guard: float = 0.05) -> RotationReport:
-    """Total turning / 2*pi, asserted integral within the rounding guard.
+def rotation_index(c: PolyCurve) -> RotationReport:
+    """Total turning / 2*pi, asserted integral within the 0.05 rounding guard.
 
     Recorded corner tangents take precedence over incident edge directions;
     at each corner the arc turning is corrected to end at tangent_in and
@@ -156,9 +150,9 @@ def rotation_index(c: PolyCurve, guard: float = 0.05) -> RotationReport:
     total = float(np.add.accumulate(terms)[-1])
     value = total / TWO_PI
     nearest = round(value)
-    if abs(value - nearest) >= guard:
+    if abs(value - nearest) >= 0.05:
         raise NumericalInconsistency(
-            f"total turning {value:.4f} x 2*pi is not an integer within {guard}"
+            f"total turning {value:.4f} x 2*pi is not an integer within 0.05"
         )
     return RotationReport(index=int(nearest), total_turning=float(total), exterior_angles=exterior)
 
@@ -235,11 +229,11 @@ def jitter(c: PolyCurve, seed: int, magnitude: float) -> PolyCurve:
             f"magnitude {magnitude:.3g} >= 0.1 x min edge length {min_edge:.3g}"
         )
     if magnitude == 0.0:
-        return PolyCurve(c.vertices.copy(), dict(c.corners), c.orientation)
+        return PolyCurve(c.vertices.copy(), dict(c.corners))
     rng = np.random.default_rng(seed)
     moved = c.vertices + rng.uniform(-magnitude, magnitude, size=c.vertices.shape)
     before = rotation_index(c).index
-    out = PolyCurve(moved, dict(c.corners), c.orientation)
+    out = PolyCurve(moved, dict(c.corners))
     after = rotation_index(out).index
     if after != before:
         raise JitterTooLarge(f"rotation index changed {before} -> {after}")
@@ -268,12 +262,6 @@ def turn_blend(p_in, corner, p_out, max_turn: float) -> np.ndarray:
     return (1 - t) ** 2 * p_in + 2 * t * (1 - t) * corner + t**2 * p_out
 
 
-def _bezier_blend(p0, p1, p2, n_pts):
-    """Quadratic Bezier through control points; tangents run p0->p1 and p1->p2."""
-    t = np.linspace(0.0, 1.0, n_pts)[1:-1, None]
-    return (1 - t) ** 2 * p0 + 2 * t * (1 - t) * p1 + t**2 * p2
-
-
 def fillet_corners(c: PolyCurve) -> PolyCurve:
     """Round every corner over FILLET_SPAN edges on each side with a Bezier blend.
 
@@ -284,7 +272,6 @@ def fillet_corners(c: PolyCurve) -> PolyCurve:
     if not c.corners:
         return c
     m = c.m
-    lengths = c.edge_lengths()
     keep = np.ones(m, dtype=bool)
     inserts = {}  # vertex index after which blended points follow
     for k in sorted(c.corners):
@@ -309,18 +296,16 @@ def fillet_corners(c: PolyCurve) -> PolyCurve:
                 p1 = c.vertices[k]
         else:
             p1 = c.vertices[k]
-        eps = abs(float(wrap_angle(np.arctan2(*(p2 - p1)[::-1]) - np.arctan2(*(p1 - p0)[::-1]))))
-        n_pts = max(int(np.ceil(eps / 0.2)) + 2, 4)
         for d in range(FILLET_SPAN):
             keep[(k - 1 - d) % m] = False  # drop points strictly between a_idx and corner
-            keep[(k + d) % m if d > 0 else k] = False
+            keep[(k + d) % m] = False
         keep[a_idx] = True
         keep[b_idx] = True
-        inserts[a_idx] = _bezier_blend(p0, p1, p2, n_pts + 2)
+        inserts[a_idx] = turn_blend(p0, p1, p2, 0.2)[1:-1]
     new_pts = []
     for idx in range(m):
         if keep[idx]:
             new_pts.append(c.vertices[idx])
         if idx in inserts and keep[idx]:
             new_pts.extend(inserts[idx])
-    return PolyCurve(np.asarray(new_pts), {}, c.orientation)
+    return PolyCurve(np.asarray(new_pts))

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInput, NotHolomorphic, UnderResolved
+from .errors import InconclusiveMesh, InvalidInput, NotHolomorphic, UnderResolved
 from .mesh import build_polar_mesh, shortest_path_distance
 from .spectral import (
     BAND_LIMIT_ENERGY,
@@ -265,13 +265,13 @@ def _truncate_with_guard(full_coeffs: np.ndarray, M: int) -> np.ndarray:
     return full_coeffs[: M + 1]
 
 
-def build_phi(bt: BoundaryTrace, M: int | None = None) -> DiskMap:
+def build_phi(bt: BoundaryTrace) -> DiskMap:
     """Integrate the boundary derivative into the disk map.
 
     phi = e^{lambda + i rho} is exponentiated on the trace's own n-point
     grid, its nonnegative modes become the derivative coefficients, and
     term-by-term integration with the constant fixed by Phi(1) = 0 gives the
-    map, truncated to order M (default n/2) under the tail guard.
+    map, truncated to order n/2 under the tail guard.
 
     The grid needs no oversampling.  On n points, modes n/2 .. n-1 of phi
     fold onto the negative frequencies -n/2 .. -1, which the
@@ -284,7 +284,6 @@ def build_phi(bt: BoundaryTrace, M: int | None = None) -> DiskMap:
     grid.
     """
     n = bt.n
-    M = M if M is not None else n // 2
     w = np.real(bt.lam.smooth.values) + 1j * np.real(bt.rho_smooth.values)
     th = grid_angles(n) if bt.anchors else None
     for t0, c in bt.anchors:
@@ -297,7 +296,7 @@ def build_phi(bt: BoundaryTrace, M: int | None = None) -> DiskMap:
     # integrate every available nonnegative mode, then truncate under the guard
     full = np.zeros(n // 2 + 1, dtype=complex)
     full[1:] = s.coeffs[n // 2 :] / np.arange(1, n // 2 + 1)  # modes 0 .. n/2 - 1
-    coeffs = _truncate_with_guard(full, M).copy()
+    coeffs = _truncate_with_guard(full, n // 2).copy()
     neg = negative_frequency_fraction(s)
     if neg > NEG_FREQ_LIMIT:
         raise NotHolomorphic(
@@ -342,16 +341,16 @@ def _check_recentering(a: complex, t: float):
         raise InvalidInput("t must lie in [0, 1)")
 
 
-def mobius_recenter(d: DiskMap, a: complex, t: float, M: int | None = None) -> DiskMap:
+def mobius_recenter(d: DiskMap, a: complex, t: float) -> DiskMap:
     """Precompose with the disk automorphism f(z) = (z - t a)/(1 - t conj(a) z).
 
     t = 0 gives the identity.  Composition happens on a dense boundary grid
-    followed by re-projection; a tripped tail guard (t too close to 1 for the
-    series order) raises UnderResolved.
+    followed by re-projection to the order of d (at least 256); a tripped
+    tail guard (t too close to 1 for the series order) raises UnderResolved.
     """
     a = complex(a)
     _check_recentering(a, t)
-    M = M if M is not None else max(d.coeffs.size - 1, 256)
+    M = max(d.coeffs.size - 1, 256)
     N = 1 << int(np.ceil(np.log2(8 * M)))
     th = grid_angles(N)
     z = np.exp(1j * th)
@@ -370,7 +369,7 @@ def mobius_recenter(d: DiskMap, a: complex, t: float, M: int | None = None) -> D
     return out
 
 
-def blaschke_fixture(zeros, phase: float = 0.0) -> DiskMap:
+def blaschke_fixture(zeros) -> DiskMap:
     """Finite product of disk automorphism factors with the given zeros.
 
     Generates boundary curves of known degree n for the curve-topology
@@ -383,7 +382,7 @@ def blaschke_fixture(zeros, phase: float = 0.0) -> DiskMap:
             raise InvalidInput("Blaschke zeros must lie strictly inside the disk")
     n_grid = 2048
     z = np.exp(1j * grid_angles(n_grid))
-    vals = np.exp(1j * phase) * np.ones_like(z)
+    vals = np.ones_like(z)
     for a in zeros:
         vals = vals * (z - a) / (1 - np.conj(a) * z)
     s = analyze(PeriodicGrid(vals))
@@ -408,7 +407,9 @@ def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256
     |Phi'| is evaluated once per undirected edge, ring by ring on the mesh's
     midpoint rings, so the weights are exactly symmetric, and so is the
     distance: D(p, q) == D(q, p) bit for bit.  Truncated series
-    are finite on the closed disk, so no puncture is needed.
+    are finite on the closed disk, so no puncture is needed.  Distinct
+    endpoints that round to one boundary node raise InconclusiveMesh: the
+    mesh cannot resolve their distance.
     """
     p, q = complex(p), complex(q)
     for z in (p, q):
@@ -417,9 +418,15 @@ def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256
     if abs(p - q) < 1e-12:
         raise InvalidInput("endpoints must be distinct")
     mesh, rings = _mesh_cache(n_boundary)
+    src, dst = mesh.boundary_node(p), mesh.boundary_node(q)
+    if src == dst:
+        raise InconclusiveMesh(
+            f"endpoints {p:.6g} and {q:.6g} share a boundary node of the "
+            f"{n_boundary}-point mesh"
+        )
     speed = _abs_on_rings(d.deriv_coeffs, rings).ravel()[mesh.edge_ring]
     weights = speed * mesh.edge_lengths
-    return shortest_path_distance(mesh, weights, mesh.boundary_node(p), mesh.boundary_node(q))
+    return shortest_path_distance(mesh, weights, src, dst)
 
 
 # --- boundary polyline export ------------------------------------------------
@@ -434,14 +441,13 @@ def boundary_polyline(bt_or_map, n_vertices: int = 512):
     Returns (vertices (n,2), corners dict index -> (tangent_in, tangent_out)).
     """
     if isinstance(bt_or_map, DiskMap):
-        z = bt_or_map(np.exp(1j * grid_angles(n_vertices)))
-        return np.column_stack([z.real, z.imag]), {}
-    bt: BoundaryTrace = bt_or_map
-    if not bt.anchors:
-        d = build_phi(bt)
-        z = d(np.exp(1j * grid_angles(n_vertices)))
-        return np.column_stack([z.real, z.imag]), {}
-    return _singular_boundary_polyline(bt, n_vertices)
+        d = bt_or_map
+    elif bt_or_map.anchors:
+        return _singular_boundary_polyline(bt_or_map, n_vertices)
+    else:
+        d = build_phi(bt_or_map)
+    z = d(np.exp(1j * grid_angles(n_vertices)))
+    return np.column_stack([z.real, z.imag]), {}
 
 
 def _singular_boundary_polyline(bt: BoundaryTrace, n: int):

@@ -49,14 +49,14 @@ POLE_ANGLE = -np.pi / 2
 
 
 def _eval_vec(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, falling back to a scalar loop."""
-    try:
-        out = np.asarray(f(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([float(f(xx)) for xx in x])
+    """Evaluate f once on an array; f must return an array of x's shape."""
+    out = np.asarray(f(x), dtype=float)
+    if out.shape != x.shape:
+        raise InvalidInput(
+            f"line function returned shape {out.shape} for input of shape {x.shape}; "
+            "it must map an array to an array of the same shape"
+        )
+    return out
 
 
 def stereo_project(z):
@@ -167,8 +167,12 @@ class LineField:
 
     @property
     def beta(self) -> float:
-        """Declared defect coefficient: the anchor strength at -i."""
-        return self.field.anchor_coefficient(POLE_ANGLE, tol=1e-9)
+        """Declared defect coefficient: the anchor strength at -i (0 when no
+        anchor lies within 1e-9 of it)."""
+        for t, c in self.field.anchors:
+            if abs((t - POLE_ANGLE + np.pi) % TWO_PI - np.pi) <= 1e-9:
+                return c
+        return 0.0
 
     def lambda_at(self, thetas):
         return self.field.evaluate(thetas)
@@ -445,16 +449,15 @@ class TransferReport:
         }
 
 
-def transfer_equation(
-    lf: LineField, K: CurvatureData, dirac_tol: float = 1e-3, strict_dirac: bool = True
-) -> TransferReport:
+def transfer_equation(lf: LineField, K: CurvatureData, strict_dirac: bool = True) -> TransferReport:
     """Check the pulled-back equation with defect (2*pi - Lambda) at -i.
 
     Lambda is measured by quadrature of kappa e^lambda; the required Dirac
     coefficient 2*pi - Lambda is then compared against the declared anchor.
     The data flow is one-directional: the anchor never feeds Lambda.  With
-    strict_dirac a required-but-undeclared Dirac mass raises SingularMismatch;
-    verification flows that only want the residual report disable it.
+    strict_dirac a required-but-undeclared Dirac mass above 1e-3 raises
+    SingularMismatch; verification flows that only want the residual report
+    disable it.
     """
     n = lf.n
     if K.kappa.n != n:
@@ -470,7 +473,7 @@ def transfer_equation(
 
     beta_required = TWO_PI - Lambda
     beta_declared = lf.beta
-    if strict_dirac and abs(beta_required) > dirac_tol and not field.anchors:
+    if strict_dirac and abs(beta_required) > 1e-3 and not field.anchors:
         raise SingularMismatch(
             f"equation requires a Dirac mass {beta_required:.4g} at -i but the "
             "field declares no anchor"

@@ -53,8 +53,9 @@ MAX_CENTERS = 4
 
 
 @dataclass(frozen=True)
-class BubbleParams:
-    """Scale and center of one member of the explicit solution family."""
+class Bubble:
+    """Closed-form family member of scale mu and center x0: evaluator,
+    measure density, and pullback."""
 
     mu: float
     x0: float = 0.0
@@ -62,21 +63,6 @@ class BubbleParams:
     def __post_init__(self):
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise InvalidInput(f"scale must be positive and finite, got {self.mu}")
-
-
-class Bubble:
-    """Closed-form family member: evaluator, measure density, and pullback."""
-
-    def __init__(self, params: BubbleParams):
-        self.params = params
-
-    @property
-    def mu(self):
-        return self.params.mu
-
-    @property
-    def x0(self):
-        return self.params.x0
 
     def u(self, x):
         x = np.asarray(x, dtype=float)
@@ -121,20 +107,20 @@ class Bubble:
     def pull_back(self, n: int) -> LineField:
         return LineField(SingularField(PeriodicGrid(self.lambda_at(grid_angles(n)))))
 
-    def lambda_bar(self, n: int = 1024) -> float:
-        return float(np.mean(self.lambda_at(grid_angles(n))))
+    def lambda_bar(self) -> float:
+        """Circle mean of the pullback on the 1024-point grid."""
+        return float(np.mean(self.lambda_at(grid_angles(1024))))
 
-    def disk_map(self, n: int | None = None) -> DiskMap:
+    def disk_map(self) -> DiskMap:
         """Map of the disk built from the pullback; the series order scales
         with mu because the boundary modulus concentrates."""
-        if n is None:
-            n = max(256, 1 << int(np.ceil(np.log2(max(256.0, 20.0 * self.mu)))))
+        n = max(256, 1 << int(np.ceil(np.log2(max(256.0, 20.0 * self.mu)))))
         bt = analytic_completion(self.pull_back(n).field)
         return build_phi(bt)
 
 
-def bubble(params: BubbleParams | None = None, mu: float = 1.0, x0: float = 0.0) -> Bubble:
-    return Bubble(params if params is not None else BubbleParams(mu, x0))
+def bubble(mu: float, x0: float = 0.0) -> Bubble:
+    return Bubble(mu, x0)
 
 
 def verify_solution(u, K, n: int = 512, anchor_coeff=None, pole_value=None):
@@ -157,14 +143,10 @@ class ConcentrationProfile:
     radii: np.ndarray  # decreasing
     ks: list
     alpha: np.ndarray  # shape (len(radii), len(ks))
-    absolute: bool = False
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.alpha)):
             raise InvalidInput("profile has non-finite entries")
-        if self.absolute and np.any(np.diff(self.alpha, axis=0) > 1e-9):
-            # radii decrease along axis 0, so mass must not increase
-            warnings.warn("profile not monotone in r despite absolute values")
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -208,7 +190,7 @@ def locate_centers(density):
     return sorted(float(x[p]) for p in ranked)
 
 
-def concentration_scan(members, radii, centers=None, n: int = 1 << 16, absolute: bool = False):
+def concentration_scan(members, radii, centers=None, n: int = 1 << 16):
     """alpha(r, k) tables, one profile per center.
 
     members: sequence of density evaluators (K e^u as a function on the line,
@@ -246,9 +228,7 @@ def concentration_scan(members, radii, centers=None, n: int = 1 << 16, absolute:
                 )
             for i, (ta, tb) in enumerate(arcs):
                 alpha[i, j] = _piecewise_linear_integral(tau, g, ta, tb)
-        profiles.append(
-            ConcentrationProfile(center=center, radii=radii, ks=ks, alpha=alpha, absolute=absolute)
-        )
+        profiles.append(ConcentrationProfile(center=center, radii=radii, ks=ks, alpha=alpha))
     return profiles
 
 
@@ -290,14 +270,12 @@ class SequenceReport:
     lambda_bars: list
     case: int | str  # 1, 2, or "undecided"
     blowup_points: dict = field(default_factory=dict)  # center -> mass
-    defect: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
             "lambda_bars": [float(v) for v in self.lambda_bars],
             "case": self.case,
             "blowup_points": {repr(k): float(v) for k, v in self.blowup_points.items()},
-            "defect": self.defect,
         }
 
 
@@ -460,13 +438,14 @@ class AuditReport:
         }
 
 
-def lambda_audit(members, n: int = 512, residual_tol: float = 1e-4) -> AuditReport:
+def lambda_audit(members) -> AuditReport:
     """Total-curvature lower bound on verified solutions.
 
-    Each member is (label, u, K) or a Bubble; members failing the residual
-    precondition are excluded with a notice (the bound only covers genuine
-    solutions).  For every verified member the measured Lambda must clear
-    pi - 1e-3, and the far-field slope must agree with Lambda/pi within 5%.
+    Each member is (label, u, K) or a Bubble, verified on the 512-point
+    grid; members whose residual reaches 1e-4 are excluded with a notice
+    (the bound only covers genuine solutions).  For every verified member
+    the measured Lambda must clear pi - 1e-3, and the far-field slope must
+    agree with Lambda/pi within 5%.
     """
     entries = []
     for item in members:
@@ -478,14 +457,14 @@ def lambda_audit(members, n: int = 512, residual_tol: float = 1e-4) -> AuditRepo
             label, u, K = item
             kwargs = {}
         try:
-            rep = verify_solution(u, K, n=n, **kwargs)
+            rep = verify_solution(u, K, n=512, **kwargs)
         except Exception as exc:
             entries.append(AuditEntry(label, np.nan, np.nan, np.inf, False, f"verify failed: {exc}"))
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             slope = asymptotic_slope(u)
-        if rep.residual_sup >= residual_tol:
+        if rep.residual_sup >= 1e-4:
             entries.append(
                 AuditEntry(label, rep.Lambda, slope, rep.residual_sup, False,
                            "excluded: residual above tolerance")

@@ -387,11 +387,12 @@ def derivative(g: PeriodicGrid) -> PeriodicGrid:
 
 
 def poisson_extend(g: PeriodicGrid, r: float) -> PeriodicGrid:
-    """Harmonic extension to radius r, multiplier r^{|m|}."""
+    """Harmonic extension to radius r, multiplier r^{|m|} (0^0 = 1, so r = 0
+    keeps the mean)."""
     if not (0.0 <= r < 1.0):
         raise InvalidRadius(f"radius must lie in [0, 1), got {r}")
     m = np.arange(-g.n // 2, g.n // 2)
-    return _apply_multiplier(g, np.power(float(r), np.abs(m)) if r > 0 else (np.abs(m) == 0).astype(float))
+    return _apply_multiplier(g, np.power(float(r), np.abs(m)))
 
 
 def green_convolve(f: PeriodicGrid) -> PeriodicGrid:
@@ -647,12 +648,6 @@ class SingularField(ValueEquality):
         for theta0, c in self.anchors:
             vals = vals + c * log_profile(th, theta0)
         return vals
-
-    def anchor_coefficient(self, theta0: float, tol: float = 1e-12) -> float:
-        for t, c in self.anchors:
-            if abs((t - theta0 + np.pi) % TWO_PI - np.pi) <= tol:
-                return c
-        return 0.0
 
 
 def pv_half_laplacian_circle(u, theta: float, eps_ladder=(1e-2, 5e-3, 2.5e-3)) -> float:

@@ -4,11 +4,15 @@ byte-identical determinism contract.
 
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from liouville_disk.blank import BlankWord
-from liouville_disk.cli import main
+from liouville_disk.cli import build_parser, main
 from liouville_disk.spectral import PeriodicGrid, grid_angles
 
 
@@ -157,6 +161,15 @@ class TestQuantCommands:
         row = obj["table"][0]
         assert all(b < a for a, b in zip(row, row[1:]))
 
+    @pytest.mark.parametrize("command", ["scan", "classify", "pinch", "audit"])
+    def test_empty_mu_ladder_is_an_input_error(self, tmp_path, capsys, command):
+        argv = [command, "--mu-ladder", "2^3..2^1", "--out", str(tmp_path / "out")]
+        if command == "scan":
+            argv += ["--radii", "0.4,0.2,0.1"]
+        assert main(argv) == 1
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -210,3 +223,16 @@ def test_theorem_violation_maps_to_exit_3(tmp_path, monkeypatch):
     code = main(["classify", "--mu-ladder", "1,2,4,8", "--center", "0",
                  "--n", str(1 << 10), "--out", str(out)])
     assert code == 3
+
+
+def test_readme_cli_block_parses():
+    # every liouville-disk line of README's CLI block, continuation lines
+    # joined and trailing comments dropped, is accepted by the parser
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```bash\n(.*?)```", text, re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("liouville-disk ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for argv in lines:
+        assert parser.parse_args(argv[1:]).command == argv[1]

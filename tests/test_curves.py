@@ -256,6 +256,14 @@ def test_polycurve_json_roundtrip():
     assert c2.corners == c.corners
 
 
+def test_polycurve_json_has_no_orientation_and_ignores_it():
+    obj = slit_curve(up=True).to_json()
+    assert "orientation" not in obj
+    # files written with the key still load
+    c = PolyCurve.from_json({**obj, "orientation": "cw"})
+    assert c.to_json() == obj
+
+
 def test_polycurve_rejects_sharp_unmarked():
     pts = [[x, 0.0] for x in np.linspace(0, 1, 5)]
     pts += [[x, 0.3] for x in np.linspace(1, 0, 5)]

@@ -26,7 +26,7 @@ from liouville_disk.disk import (
     make_disk_map,
     mobius_recenter,
 )
-from liouville_disk.errors import InvalidInput, NotHolomorphic, UnderResolved
+from liouville_disk.errors import InconclusiveMesh, InvalidInput, NotHolomorphic, UnderResolved
 from liouville_disk.line import pull_back, stereo_inverse
 from liouville_disk.mesh import build_polar_mesh, shortest_path_distance
 from liouville_disk.spectral import (
@@ -327,6 +327,13 @@ class TestConformalDistance:
             dbc = conformal_distance(d, b, c)
             dac = conformal_distance(d, a, c)
             assert dac <= dab + dbc + 2 * h
+
+    def test_endpoints_on_one_boundary_node_are_inconclusive(self):
+        # 0.001 rad is far below the 2 pi / 256 node spacing: both endpoints
+        # round to the node at theta = 0, where the mesh would report 0
+        d = quant.bubble(mu=4.0).disk_map()
+        with pytest.raises(InconclusiveMesh):
+            conformal_distance(d, 1.0, np.exp(0.001j), n_boundary=256)
 
 
 @lru_cache(maxsize=None)

@@ -226,6 +226,11 @@ class TestTransferEquation:
         rep = transfer_equation(lf, CurvatureData(PeriodicGrid(kappa), float(np.max(np.abs(kappa)))))
         assert rep.residual_sup < 1e-10
 
+    def test_scalar_curvature_evaluator_is_an_input_error(self):
+        # K must map the array of chart points to an array of its shape
+        with pytest.raises(InvalidInput):
+            CurvatureData.from_evaluator(lambda x: 1.0, 64)
+
     def test_singular_mismatch_raised(self):
         # e^u integrates to less than 2*pi but no anchor is declared
         n = 256

@@ -18,7 +18,6 @@ from liouville_disk.line import (
 from liouville_disk.quant import (
     CENTER_GRID_N,
     MAX_CENTERS,
-    BubbleParams,
     _cyclic_peaks,
     bubble,
     classify_case,
@@ -65,7 +64,7 @@ class TestBubble:
 
     def test_invalid_params(self):
         with pytest.raises(InvalidInput):
-            BubbleParams(mu=-1.0)
+            bubble(mu=-1.0)
 
 
 def lambda_reference(mpmath, mu, x0, theta):

@@ -1,11 +1,13 @@
 """Planar arrangement of a closed curve: crossings, arcs, and faces.
 
-The curve is cut at its self-intersections into arcs; faces are traced
-through the half-edge rule "turn clockwise-most from the reversed arrival
-direction", which walks every bounded face counter-clockwise (interior on
-the left) and the unbounded face clockwise.  Each bounded face gets a
-witness point, offset from its boundary into the interior and verified by
-the winding number of the face walk around it.
+The curve is cut at its self-intersections into arcs, all of them one
+gather from the vertices; faces are traced through the half-edge rule "turn
+clockwise-most from the reversed arrival direction", which walks every
+bounded face counter-clockwise (interior on the left) and the unbounded face
+clockwise.  Each bounded face gets a witness point, offset from its boundary
+into the interior and verified by the winding number of the face walk
+around it; the candidates of all faces are placed in rounds, against one
+strand table of the curve.
 """
 
 from __future__ import annotations
@@ -138,38 +140,37 @@ def cut_at_crossings(c: PolyCurve, crossings):
     passage k to passage k + 1: it starts and ends at the crossing points,
     with consecutive points closer than 1e-12 dropped.
     """
-    v = c.vertices
     m = c.m
-    passages = []
-    for cid, x in enumerate(crossings):
-        passages.append((x.param_first, cid))
-        passages.append((x.param_second, cid))
-    passages.sort()
-    n_pass = len(passages)
+    param = np.array([p for x in crossings for p in (x.param_first, x.param_second)])
+    cid = np.repeat(np.arange(len(crossings)), 2)
+    order = np.lexsort((cid, param))
+    param, cid = param[order], cid[order]
+    passages = list(zip(param.tolist(), cid.tolist()))
 
-    arc_pts = []
-    for k in range(n_pass):
-        p_start, cid_start = passages[k]
-        p_end, cid_end = passages[(k + 1) % n_pass]
-        pts = [crossings[cid_start].point]
-        i0 = int(np.floor(p_start))
-        i1 = int(np.floor(p_end)) if p_end > p_start else int(np.floor(p_end)) + m
-        for idx in range(i0 + 1, i1 + 1):
-            pts.append(v[idx % m])
-        pts.append(crossings[cid_end].point)
-        arr = np.asarray(pts)
-        keep = np.ones(len(arr), dtype=bool)
-        keep[1:] = np.hypot(*(arr[1:] - arr[:-1]).T) > 1e-12
-        arc_pts.append(arr[keep])
-    return passages, arc_pts
+    # arc k runs from passage k to passage k + 1 and passes the vertices
+    # i0 + 1 .. i1 (mod m) between its two crossing points; all arcs are one
+    # gather from the vertices followed by the crossing points
+    p_end = np.concatenate([param[1:], param[:1]])
+    cid_end = np.concatenate([cid[1:], cid[:1]])
+    i0 = np.floor(param).astype(np.int64)
+    i1 = np.floor(p_end).astype(np.int64) + np.where(p_end > param, 0, m)
+    size = i1 - i0 + 2
+    start = np.cumsum(size) - size
+    idx = (np.repeat(i0 - start, size) + np.arange(int(size.sum()))) % m
+    idx[start] = m + cid
+    idx[start + size - 1] = m + cid_end
+    pts = np.vstack([c.vertices] + [x.point[None, :] for x in crossings])[idx]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.hypot(*(pts[1:] - pts[:-1]).T) > 1e-12
+    keep[start] = True
+    kept = np.cumsum(keep)[start + size - 1]
+    return passages, np.split(pts[keep], kept[:-1])
 
 
 def build_arrangement(c: PolyCurve, crossings=None) -> Arrangement:
     """Faces of the plane minus the curve, with witnesses and the Euler check."""
     if crossings is None:
         crossings = self_intersections(c)
-    v = c.vertices
-
     if not crossings:
         return _simple_arrangement(c)
 
@@ -205,9 +206,9 @@ def build_arrangement(c: PolyCurve, crossings=None) -> Arrangement:
     bounded = sorted(
         (f for f in faces if f[2] > 0), key=lambda f: (-f[2], f[1][0, 0], f[1][0, 1])
     )
+    witnesses = _find_witnesses([walk for _, walk, _ in bounded], c.vertices)
     face_objs = []
-    for letter_idx, (cyc, walk, area) in enumerate(bounded):
-        witness = _find_witness(walk, v)
+    for letter_idx, ((cyc, walk, area), witness) in enumerate(zip(bounded, witnesses)):
         face_objs.append(
             Face(
                 id=chr(ord("a") + letter_idx),
@@ -232,7 +233,7 @@ def _simple_arrangement(c: PolyCurve) -> Arrangement:
     walk = c.vertices
     area = _signed_area(walk)
     interior_walk = walk if area > 0 else walk[::-1]
-    witness = _find_witness(interior_walk, c.vertices)
+    (witness,) = _find_witnesses([interior_walk], c.vertices)
     faces = [
         Face(id="a", cycle=((0, +1 if area > 0 else -1),), walk=interior_walk,
              area=abs(area), bounded=True, witness=witness),
@@ -244,24 +245,42 @@ def _simple_arrangement(c: PolyCurve) -> Arrangement:
     return Arrangement(curve=c, crossings=[], arcs=[arc], faces=faces, passages=[])
 
 
-def _find_witness(walk: np.ndarray, curve_vertices: np.ndarray) -> np.ndarray:
-    """Interior point of a face: offset left from a long boundary segment,
-    verified by the winding number of the face walk."""
-    seg = np.concatenate([walk[1:], walk[:1]]) - walk
+def _find_witnesses(walks, curve_vertices) -> list:
+    """Interior point of each face: offset left from a long boundary segment,
+    verified by the winding number of the face walk.
+
+    Round r tries the r-th longest segment (of the first 40) of every face
+    that has no witness yet, all such faces at once against one strand table
+    of the curve.
+    """
+    walk = np.vstack(walks)
+    size = np.array([len(w) for w in walks])
+    start = np.cumsum(size) - size
+    nxt = np.arange(1, len(walk) + 1)
+    nxt[start + size - 1] = start
+    seg = walk[nxt] - walk
     lengths = np.hypot(seg[:, 0], seg[:, 1])
-    order = np.argsort(-lengths)
+    orders = [s + np.argsort(-lengths[s : s + n]) for s, n in zip(start.tolist(), size.tolist())]
     strands = _strands(curve_vertices)
-    for k in order[: min(40, len(order))]:
-        if lengths[k] < 1e-12:
-            continue
-        mid = walk[k] + 0.5 * seg[k]
-        normal = np.array([-seg[k, 1], seg[k, 0]]) / lengths[k]  # left of the walk
-        clearance = _other_strand_distance(mid, strands, lengths[k])
-        delta = 0.3 * min(clearance, lengths[k])
-        cand = mid + delta * normal
-        if winding_batch(cand[None, :], walk)[0] == 1:
-            return cand
-    raise ArrangementCorrupt("no witness point found for a bounded face")
+    witnesses = [None] * len(walks)
+    for r in range(40):
+        faces = [f for f, w in enumerate(witnesses) if w is None and r < len(orders[f])]
+        if not faces:
+            break
+        rows = np.array([orders[f][r] for f in faces])
+        live = lengths[rows] >= 1e-12
+        faces, rows = [f for f, ok in zip(faces, live) if ok], rows[live]
+        host = lengths[rows]
+        mid = walk[rows] + 0.5 * seg[rows]
+        normal = np.column_stack([-seg[rows, 1], seg[rows, 0]]) / host[:, None]  # left of the walk
+        clearance = _other_strand_distance(mid, strands, host)
+        cand = mid + (0.3 * np.minimum(clearance, host))[:, None] * normal
+        for f, p in zip(faces, cand):
+            if winding_batch(p[None, :], walks[f])[0] == 1:
+                witnesses[f] = p
+    if any(w is None for w in witnesses):
+        raise ArrangementCorrupt("no witness point found for a bounded face")
+    return witnesses
 
 
 def _strands(vertices):
@@ -272,13 +291,15 @@ def _strands(vertices):
     return vertices, ab, np.vecdot(ab, ab)
 
 
-def _other_strand_distance(p, strands, host_len) -> float:
-    """Distance from a curve point to the nearest strand other than its own
-    immediate neighborhood; strands is _strands of the curve."""
+def _other_strand_distance(points, strands, host_len) -> np.ndarray:
+    """Distance from each curve point to the nearest strand other than its
+    own immediate neighborhood (farther than 0.51 x its host length, else the
+    host length itself); strands is _strands of the curve."""
     a, ab, denom = strands
-    t = np.zeros_like(denom)
-    np.divide(np.vecdot(p - a, ab), denom, out=t, where=denom != 0)
-    proj = a + np.clip(t, 0.0, 1.0)[:, None] * ab
-    d = np.hypot(*(p - proj).T)
-    far = d[d > 0.51 * host_len]
-    return float(np.min(far)) if far.size else host_len
+    t = np.zeros((len(points), len(a)))
+    np.divide(np.vecdot(points[:, None, :] - a, ab), denom, out=t, where=denom != 0)
+    np.clip(t, 0.0, 1.0, out=t)
+    d = np.hypot(points[:, :1] - (a[:, 0] + t * ab[:, 0]),
+                 points[:, 1:] - (a[:, 1] + t * ab[:, 1]))
+    nearest = np.min(np.where(d > 0.51 * host_len[:, None], d, np.inf), axis=1)
+    return np.where(nearest < np.inf, nearest, host_len)

@@ -3,13 +3,14 @@ splitting, and the extendability verdict for closed curves.
 
 Each bounded face of the arrangement sends a ray from its witness point to
 the unbounded region; every transversal hit of the curve contributes a
-letter (face name, index from the face end, sign).  All 64 candidate
-directions of a face are cast together and the admissible one with the
-fewest hits is read.  An angular broadphase sends each edge only to the
-directions inside its angular sweep seen from the witness (padded for the
-edge-parameter margin and rounding), and each guard point to the one
-direction its angular guard window can hold, so a face costs
-O(edges + guard points + candidate pairs).  The sign
+letter (face name, index from the face end, sign).  The 64 candidate
+directions of every face are cast in one pass and, per face, the admissible
+one with the fewest hits is read.  An angular broadphase sends each edge
+only to the directions inside its angular sweep seen from each witness
+(padded for the edge-parameter margin and rounding), and each guard point to
+the one direction its angular guard window can hold, so a curve costs
+O(faces x (edges + guard points) + candidate pairs) in a fixed number of
+array passes.  The sign
 convention is the determinant [ray direction | curve direction]: positive
 means the curve crosses from the right and reads '+'.  Reading the letters
 in curve order gives the cyclic word; full contraction (no minus left)
@@ -129,25 +130,32 @@ class WordRecord:
 
 @dataclass
 class _RayFan:
-    """Rays from one origin in every candidate direction: per direction its
-    guard verdicts and hit count, and the hits as flat (direction, edge)
-    pairs."""
+    """Rays from each of several origins in every candidate direction: per
+    (origin, direction) its guard verdicts and hit count, and the hits as
+    flat (origin, direction, edge) triples, origin-major."""
 
-    admissible: np.ndarray  # no guard point within the angular guard ahead
+    admissible: np.ndarray  # (origins, directions): no guard point within the angular guard ahead
     ok: np.ndarray  # no hit grazes an edge endpoint or is near-tangential
-    n_hits: np.ndarray  # hits per direction
-    d: np.ndarray  # direction index of each hit
+    n_hits: np.ndarray  # hits per origin and direction
+    o: np.ndarray  # origin index of each hit
+    d: np.ndarray  # direction index
     k: np.ndarray  # edge index
     r: np.ndarray  # ray parameter
     t: np.ndarray  # edge parameter
     det: np.ndarray  # [ray direction | unit edge direction]
 
-    def hits(self, d: int) -> list:
-        """(ray_param, edge_index, edge_t, sign) of direction d, sorted."""
-        return sorted(
-            (float(self.r[i]), int(self.k[i]), float(self.t[i]), 1 if self.det[i] > 0 else -1)
-            for i in np.nonzero(self.d == d)[0]
-        )
+    def hits(self, chosen) -> list:
+        """Per origin i, the (ray_param, edge_index, edge_t, sign) of its
+        direction chosen[i], sorted."""
+        sel = np.flatnonzero(self.d == chosen[self.o])
+        # (ray_param, edge) is unique within a ray, so it orders the tuples
+        sel = sel[np.lexsort((self.k[sel], self.r[sel], self.o[sel]))]
+        out = [[] for _ in chosen]
+        for o, r, k, t, det in zip(self.o[sel].tolist(), self.r[sel].tolist(),
+                                   self.k[sel].tolist(), self.t[sel].tolist(),
+                                   self.det[sel].tolist()):
+            out[o].append((r, k, t, 1 if det > 0 else -1))
+        return out
 
 
 def _ray_directions(seed: int) -> np.ndarray:
@@ -171,7 +179,7 @@ class _EdgeFan:
 
 
 def _edge_fan(dirs, vertices) -> _EdgeFan:
-    ex = np.roll(vertices, -1, axis=0) - vertices
+    ex = np.concatenate([vertices[1:], vertices[:1]]) - vertices
     return _EdgeFan(dirs, float(np.arctan2(dirs[0, 1], dirs[0, 0])), vertices, ex,
                     np.hypot(ex[:, 0], ex[:, 1]))
 
@@ -184,24 +192,27 @@ def _grid_span(offset, lo, hi):
     return first.astype(np.int64), (np.floor((hi - offset) / step) - first + 1).astype(np.int64)
 
 
-def _cast_fan(origin, fan: _EdgeFan, span: float, guard_points) -> _RayFan:
-    """Crossings of the rays [origin, origin + span * u], u in fan.dirs, with
-    the edges of the closed polyline fan.vertices, and which directions keep
-    the angular guard off every guard point ahead of the origin.
+def _cast_fan(origins, fan: _EdgeFan, span: float, guard_points) -> _RayFan:
+    """Crossings of the rays [o, o + span * u], o in origins, u in fan.dirs,
+    with the edges of the closed polyline fan.vertices, and which directions
+    keep the angular guard off every guard point ahead of their origin.
 
-    An angular broadphase picks the candidate (direction, edge) pairs: the
-    directions whose angle lies in the edge's angular sweep seen from the
-    origin, padded so that no pair the exact test would keep is missed.  The
-    exact test then runs on the candidates only, with the same elementwise
-    formulas as a full (directions x edges) pass, so every kept hit has the
-    same bits; a face costs O(edges + guard points + candidate pairs).
+    An angular broadphase picks the candidate (origin, direction, edge)
+    triples: the directions whose angle lies in the edge's angular sweep seen
+    from the origin, padded so that no pair the exact test would keep is
+    missed.  The exact test then runs on the candidates of all origins at
+    once, with the same elementwise formulas as a full (directions x edges)
+    pass per origin, so every kept hit has the same bits; the fan costs
+    O(origins x (edges + guard points) + candidate pairs) in a fixed number
+    of array passes.
     """
     n_dirs = N_RAY_DIRECTIONS
-    relx = fan.vertices[:, 0] - origin[0]
-    rely = fan.vertices[:, 1] - origin[1]
+    n_cells = len(origins) * n_dirs
+    relx = fan.vertices[:, 0] - origins[:, :1]
+    rely = fan.vertices[:, 1] - origins[:, 1:]
     ang = np.arctan2(rely, relx)
     rho = np.hypot(relx, rely)
-    sweep = np.concatenate([ang[1:], ang[:1]]) - ang
+    sweep = np.concatenate([ang[:, 1:], ang[:, :1]], axis=1) - ang
     sweep -= TWO_PI * np.rint(sweep / TWO_PI)
     # The t margin of 1e-9 lengthens edge k by 1e-9 |e_k| at each end, and a
     # segment of length L with an end at distance rho subtends at most
@@ -211,23 +222,30 @@ def _cast_fan(origin, fan: _EdgeFan, span: float, guard_points) -> _RayFan:
     # absorbs the rounding of arctan2, of the grid and of the ray vectors.
     # Once the padded sweep reaches pi the origin is near or on the edge
     # (a zero rho gives inf or nan), and the edge is a candidate everywhere.
-    scale = max(float(np.max(np.abs(fan.vertices))), float(np.max(np.abs(origin))))
+    scale = np.maximum(np.max(np.abs(fan.vertices)), np.max(np.abs(origins), axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        pad = (4e-9 * fan.length + 1e-12 * scale) / np.minimum(
-            rho, np.concatenate([rho[1:], rho[:1]])) + 1e-9
+        pad = (4e-9 * fan.length + 1e-12 * scale[:, None]) / np.minimum(
+            rho, np.concatenate([rho[:, 1:], rho[:, :1]], axis=1)) + 1e-9
+        del rho
         width = np.abs(sweep) + 2 * pad
         lo = ang + np.minimum(sweep, 0.0) - pad
+        del ang, sweep, pad
         first, count = _grid_span(fan.offset, lo, lo + width)
     wide = ~(width < np.pi)
     first[wide] = 0
     count[wide] = n_dirs
-    k = np.repeat(np.arange(len(count)), count)
-    start = np.cumsum(count) - count  # where each edge's run of pairs begins
-    d = (first[k] + np.arange(len(k)) - start[k]) % n_dirs
+    first, count = first.ravel(), count.ravel()
+    oe = np.repeat(np.arange(len(count)), count)  # flat (origin, edge) of each pair
+    start = np.cumsum(count) - count  # where each run of pairs begins
+    d = (first[oe] + np.arange(len(oe)) - start[oe]) % n_dirs
+    o, k = np.divmod(oe, len(fan.vertices))
+    rx, ry = relx.ravel()[oe], rely.ravel()[oe]
+    # the pairs are far fewer than the (origins x edges) cells, whose arrays
+    # are done: freed, they do not add to the guard pass's peak
+    del relx, rely, lo, width, wide, first, count, start
 
     ux, uy = fan.dirs[d, 0], fan.dirs[d, 1]
     ex, ey = fan.ex[k, 0], fan.ex[k, 1]
-    rx, ry = relx[k], rely[k]
     denom = ux * ey - uy * ex
     with np.errstate(divide="ignore", invalid="ignore"):
         r = (rx * ey - ry * ex) / denom
@@ -238,39 +256,46 @@ def _cast_fan(origin, fan: _EdgeFan, span: float, guard_points) -> _RayFan:
         & (r > margin) & (r < span)
         & (t >= -margin) & (t <= 1 + margin)
     )
-    d, k, r, t = d[hit], k[hit], r[hit], t[hit]
+    o, d, k, r, t = o[hit], d[hit], k[hit], r[hit], t[hit]
     det = ux[hit] * (ey[hit] / fan.length[k]) - uy[hit] * (ex[hit] / fan.length[k])
+    cell = o * n_dirs + d
     bad = (t < 1e-6) | (t > 1 - 1e-6) | (np.abs(det) < np.sin(0.05))
-    ok = np.bincount(d[bad], minlength=n_dirs) == 0
+    ok = np.bincount(cell[bad], minlength=n_cells) == 0
+    n_hits = np.bincount(cell, minlength=n_cells)
 
     # A guard point blocks direction u when |[u | g]| < ANGULAR_GUARD with
     # g ahead, i.e. when their angles differ by less than asin(ANGULAR_GUARD);
     # that window, padded by 1e-9 for rounding, is far narrower than the grid
     # step, so it holds at most one grid direction, the only one tested.
-    gx = guard_points[:, 0] - origin[0]
-    gy = guard_points[:, 1] - origin[1]
+    gx = guard_points[:, 0] - origins[:, :1]
+    gy = guard_points[:, 1] - origins[:, 1:]
     g_ang = np.arctan2(gy, gx)
     window = np.arcsin(ANGULAR_GUARD) + 1e-9
     g_first, g_count = _grid_span(fan.offset, g_ang - window, g_ang + window)
-    near = np.flatnonzero(g_count > 0)
-    norms = np.hypot(gx[near], gy[near])
+    del g_ang
+    near = np.flatnonzero(g_count > 0)  # flat (origin, guard point)
+    gx, gy = gx.ravel()[near], gy.ravel()[near]
+    norms = np.hypot(gx, gy)
     apart = norms > 1e-12
     near, norms = near[apart], norms[apart]
-    gx, gy = gx[near] / norms, gy[near] / norms
-    g_d = g_first[near] % n_dirs
+    gx, gy = gx[apart] / norms, gy[apart] / norms
+    g_d = g_first.ravel()[near] % n_dirs
     ux, uy = fan.dirs[g_d, 0], fan.dirs[g_d, 1]
     cross = ux * gy - uy * gx
     dot = ux * gx + uy * gy
-    admissible = np.bincount(g_d[(np.abs(cross) < ANGULAR_GUARD) & (dot > 0)],
-                             minlength=n_dirs) == 0
-    return _RayFan(admissible, ok, np.bincount(d, minlength=n_dirs), d, k, r, t, det)
+    g_cell = near // len(guard_points) * n_dirs + g_d
+    admissible = np.bincount(g_cell[(np.abs(cross) < ANGULAR_GUARD) & (dot > 0)],
+                             minlength=n_cells) == 0
+    shape = (len(origins), n_dirs)
+    return _RayFan(admissible.reshape(shape), ok.reshape(shape), n_hits.reshape(shape),
+                   o, d, k, r, t, det)
 
 
 def blank_word(c: PolyCurve, arr: Arrangement | None = None, seed: int = 0) -> WordRecord:
     """Word of Blank for a curve in generic position.
 
-    Per bounded face, all 64 candidate ray directions (rotated by a
-    seed-derived offset) are cast at once; a direction counts when it is
+    All 64 candidate ray directions (rotated by a seed-derived offset) of
+    all bounded faces are cast at once; a direction counts when it is
     admissible, none of its hits is non-generic, and it hits the curve.  The
     one with the fewest hits wins, the lowest direction index breaking ties.
     """
@@ -285,20 +310,22 @@ def blank_word(c: PolyCurve, arr: Arrangement | None = None, seed: int = 0) -> W
     dirs = _ray_directions(seed)
     edges = _edge_fan(dirs, v)
 
-    rays = {}
-    letters = []
-    for face in arr.bounded_faces:
-        fan = _cast_fan(face.witness, edges, span, guard_points)
-        n_hits = fan.n_hits
-        usable = fan.admissible & fan.ok & (n_hits > 0)
-        if not usable.any():
+    faces = arr.bounded_faces
+    fan = _cast_fan(np.array([f.witness for f in faces]), edges, span, guard_points)
+    n_hits = fan.n_hits
+    usable = fan.admissible & fan.ok & (n_hits > 0)
+    for face, ray_ok in zip(faces, usable.any(axis=1)):
+        if not ray_ok:
             raise RayCastFailed(
                 f"no admissible escape ray among {N_RAY_DIRECTIONS} directions "
                 f"for face {face.id}"
             )
-        d = int(np.argmin(np.where(usable, n_hits, n_hits.max() + 1)))
+    best = np.argmin(np.where(usable, n_hits, n_hits.max() + 1), axis=1)
+
+    rays = {}
+    letters = []
+    for face, d, hits in zip(faces, best, fan.hits(best)):
         u = dirs[d]
-        hits = fan.hits(d)
         rays[face.id] = RayRecord(face=face.id, origin=face.witness, direction=u, hits=hits)
         for index, (r, k, t, sign) in enumerate(hits):
             letters.append((k + t, Letter(face.id, index, sign), face.witness + r * u))
@@ -609,5 +636,5 @@ def _loose_rotation_index(pts: np.ndarray) -> int:
     keep = np.hypot(d[:, 0], d[:, 1]) > 1e-12
     d = d[keep]
     ang = np.arctan2(d[:, 1], d[:, 0])
-    turn = wrap_angle(np.roll(ang, -1) - ang)
+    turn = wrap_angle(np.concatenate([ang[1:], ang[:1]]) - ang)
     return int(round(float(np.sum(turn) / TWO_PI)))

@@ -75,8 +75,15 @@ def _load_curve(path) -> PolyCurve:
     return PolyCurve.from_json(_read_json(path))
 
 
-def _parse_floats(text):
-    return [float(tok) for tok in text.split(",") if tok]
+def _nonempty(values, what, text):
+    if not values:
+        raise InvalidInput(f"{what} {text!r} has no members")
+    return values
+
+
+def _parse_floats(text, what):
+    """A comma list of numbers; never empty."""
+    return _nonempty([float(tok) for tok in text.split(",") if tok], what, text)
 
 
 def _parse_mu_ladder(text):
@@ -86,11 +93,8 @@ def _parse_mu_ladder(text):
         base, e0 = lo.split("^")
         _, e1 = hi.split("^")
         mus = [float(base) ** k for k in range(int(e0), int(e1) + 1)]
-    else:
-        mus = _parse_floats(text)
-    if not mus:
-        raise InvalidInput(f"mu ladder {text!r} has no members")
-    return mus
+        return _nonempty(mus, "mu ladder", text)
+    return _parse_floats(text, "mu ladder")
 
 
 def cmd_halflap(args):
@@ -229,7 +233,7 @@ def _family_members(args):
 
 def cmd_scan(args):
     members, mus = _family_members(args)
-    radii = _parse_floats(args.radii)
+    radii = _parse_floats(args.radii, "radius list")
     centers = [args.center] if args.center is not None else None
     profs = concentration_scan(members, radii=radii, centers=centers, n=args.n)
     for i, prof in enumerate(profs):
@@ -242,7 +246,7 @@ def cmd_scan(args):
 
 def cmd_classify(args):
     members, mus = _family_members(args)
-    radii = _parse_floats(args.radii)
+    radii = _parse_floats(args.radii, "radius list")
     centers = [args.center] if args.center is not None else None
     profs = concentration_scan(members, radii=radii, centers=centers, n=args.n)
     blow = detect_blowup(profs, threshold_slack=args.threshold_slack)
@@ -281,7 +285,7 @@ def cmd_pinch(args):
 
 def cmd_audit(args):
     mus = _parse_mu_ladder(args.mu_ladder)
-    x0s = _parse_floats(args.x0_list) if args.x0_list else [0.0]
+    x0s = _parse_floats(args.x0_list, "x0 list")
     members = [bubble(mu=m, x0=x) for m in mus for x in x0s]
     rep = lambda_audit(members)
     payload = {"meta": _meta(args, {"mu": mus, "x0": x0s}), **rep.to_json()}

@@ -47,7 +47,7 @@ class PolyCurve:
         v = snap(np.asarray(self.vertices, dtype=float))
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 8:
             raise InvalidInput("curve needs at least 8 planar vertices")
-        edges = np.roll(v, -1, axis=0) - v
+        edges = np.concatenate([v[1:], v[:1]]) - v
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         if np.any(lengths == 0.0):
             raise InvalidInput("zero-length edge after snapping")
@@ -57,7 +57,7 @@ class PolyCurve:
             if not 0 <= k < v.shape[0]:
                 raise InvalidInput(f"corner index {k} out of range")
         ang = np.arctan2(edges[:, 1], edges[:, 0])
-        turn = wrap_angle(ang - np.roll(ang, 1))
+        turn = wrap_angle(ang - np.concatenate([ang[-1:], ang[:-1]]))
         smooth = np.setdiff1d(np.arange(v.shape[0]), list(self.corners))
         if smooth.size and np.max(np.abs(turn[smooth])) >= MAX_SMOOTH_TURN:
             j = smooth[int(np.argmax(np.abs(turn[smooth])))]
@@ -134,7 +134,7 @@ def rotation_index(c: PolyCurve) -> RotationReport:
     """
     ang = c.edge_angles()
     m = c.m
-    terms = wrap_angle(ang - np.roll(ang, 1))
+    terms = wrap_angle(ang - np.concatenate([ang[-1:], ang[:-1]]))
     exterior = {}
     for k in sorted(c.corners):
         prev_dir = ang[(k - 1) % m]
@@ -184,7 +184,7 @@ def self_intersections(c: PolyCurve):
     NotGenericPosition."""
     v = c.vertices
     a = v
-    b = np.roll(v, -1, axis=0)
+    b = np.concatenate([v[1:], v[:1]])
     ii, jj, ss, tt, flags = segment_hits(a, b, skip_neighbors=1)
     ang = c.edge_angles()
     out = []

@@ -389,7 +389,7 @@ def pinching_probe(maps, pairs, mesh_n: int = 256, kappa_bound: float | None = N
             raise InconclusiveMesh(
                 f"distance trend for pair {i} is within the mesh tolerance"
             )
-        pinched = decreasing and row[-1] < 0.1 * row[0]
+        pinched = decreasing and bool(row[-1] < 0.1 * row[0])  # a Python bool, as printed
         verdicts.append(pinched)
         gap = abs(np.angle(complex(p) / complex(q)))
         gaps.append(gap)

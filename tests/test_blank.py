@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from liouville_disk import blank
-from liouville_disk.arrangement import _other_strand_distance, _strands, build_arrangement
+from liouville_disk._kernels import winding_batch
+from liouville_disk.arrangement import (
+    _other_strand_distance,
+    _strands,
+    build_arrangement,
+    cut_at_crossings,
+)
 from liouville_disk.blank import (
     ANGULAR_GUARD,
     N_RAY_DIRECTIONS,
@@ -23,7 +29,7 @@ from liouville_disk.blank import (
     extendability_check,
     seifert_decompose,
 )
-from liouville_disk.curves import PolyCurve, rotation_index
+from liouville_disk.curves import PolyCurve, fillet_corners, rotation_index, self_intersections
 from liouville_disk.disk import analytic_completion, boundary_polyline, build_phi
 from liouville_disk.errors import InvalidInput, RayCastFailed
 from liouville_disk.fixtures import (
@@ -97,8 +103,9 @@ class TestArrangement:
         # differently from `@` for several points in a hundred
         v = rng.normal(size=(40, 2))
         v = np.insert(v, 5, v[5], axis=0)
-        for p in rng.uniform(-2.0, 2.0, size=(300, 2)):
-            assert _other_strand_distance(p, _strands(v), 0.01) == loop_distance(p, v, 0.01)
+        pts = rng.uniform(-2.0, 2.0, size=(300, 2))
+        got = _other_strand_distance(pts, _strands(v), np.full(len(pts), 0.01))
+        assert got.tolist() == [loop_distance(p, v, 0.01) for p in pts]
 
 
 def loop_ray_curve_hits(origin, direction, vertices, span):
@@ -153,6 +160,10 @@ def ray_setup(c, arr):
     return span, np.vstack(marked)
 
 
+def witnesses(arr):
+    return np.array([f.witness for f in arr.bounded_faces])
+
+
 def loop_blank_word(c, arr, seed):
     """Reference word: the 64 directions of each face tried one by one, the
     first admissible one with the fewest hits kept."""
@@ -190,18 +201,25 @@ def ray_cases():
 
 
 def fan_matches_loop(origin, vertices, guard_points, seed, span=10.0):
-    """Cast the fan and compare every direction with the loop references;
-    returns the fan."""
+    """Cast the fan from one origin and compare every direction with the loop
+    references; returns the fan."""
     dirs = blank._ray_directions(seed)
-    fan = blank._cast_fan(origin, blank._edge_fan(dirs, vertices), span, guard_points)
+    fan = blank._cast_fan(origin[None, :], blank._edge_fan(dirs, vertices), span, guard_points)
     for d, u in enumerate(dirs):
-        assert bool(fan.admissible[d]) == loop_direction_admissible(origin, u, guard_points), d
+        assert bool(fan.admissible[0, d]) == loop_direction_admissible(origin, u, guard_points), d
         ok, hits = loop_ray_curve_hits(origin, u, vertices, span)
-        assert bool(fan.ok[d]) == ok, d
+        assert bool(fan.ok[0, d]) == ok, d
         if ok:
-            assert fan.hits(d) == hits, d
-            assert fan.n_hits[d] == len(hits), d
+            assert fan_hits(fan, 0, d) == hits, d
+            assert fan.n_hits[0, d] == len(hits), d
     return fan
+
+
+def fan_hits(fan, i, d):
+    """The sorted hits of direction d from origin i."""
+    chosen = np.zeros(fan.admissible.shape[0], dtype=np.int64)
+    chosen[i] = d
+    return fan.hits(chosen)[i]
 
 
 def seed_with_offset_below(bound):
@@ -222,15 +240,15 @@ class TestRayFan:
             span, guard_points = ray_setup(c, arr)
             dirs = blank._ray_directions(seed=7)
             edges = blank._edge_fan(dirs, c.vertices)
-            for face in arr.bounded_faces:
-                fan = blank._cast_fan(face.witness, edges, span, guard_points)
+            fan = blank._cast_fan(witnesses(arr), edges, span, guard_points)
+            for i, face in enumerate(arr.bounded_faces):
                 for d, u in enumerate(dirs):
                     adm = loop_direction_admissible(face.witness, u, guard_points)
                     ok, hits = loop_ray_curve_hits(face.witness, u, c.vertices, span)
-                    assert bool(fan.admissible[d]) == adm, (name, face.id, d)
-                    assert bool(fan.ok[d]) == ok, (name, face.id, d)
+                    assert bool(fan.admissible[i, d]) == adm, (name, face.id, d)
+                    assert bool(fan.ok[i, d]) == ok, (name, face.id, d)
                     if ok:
-                        assert fan.hits(d) == hits, (name, face.id, d)
+                        assert fan_hits(fan, i, d) == hits, (name, face.id, d)
                     n_dirs += 1
         assert n_dirs > 40 * N_RAY_DIRECTIONS
 
@@ -256,11 +274,11 @@ class TestRayFan:
             _, far = loop_ray_curve_hits(origin, u, vertices, 3.0)
             at_hit = [far[0][0]] if far else []  # a ray ending exactly at its hit
             for span in [1.5 - 1e-12, 1.5 + 1e-12, 3.0] + at_hit:
-                fan = blank._cast_fan(origin, blank._edge_fan(dirs, vertices), span, vertices)
+                fan = blank._cast_fan(origin[None, :], blank._edge_fan(dirs, vertices), span, vertices)
                 ok, hits = loop_ray_curve_hits(origin, u, vertices, span)
-                assert bool(fan.ok[0]) == ok, (alpha, t, span)
+                assert bool(fan.ok[0, 0]) == ok, (alpha, t, span)
                 if ok:
-                    assert fan.hits(0) == hits, (alpha, t, span)
+                    assert fan_hits(fan, 0, 0) == hits, (alpha, t, span)
                 n_ok.add((ok, len(hits)))
         assert n_ok == {(True, 0), (True, 1), (False, 0)}
 
@@ -271,10 +289,9 @@ class TestRayFan:
         for _name, c, arr in ray_cases():
             span, guard_points = ray_setup(c, arr)
             edges = blank._edge_fan(blank._ray_directions(7), c.vertices)
-            for face in arr.bounded_faces:
-                fan = blank._cast_fan(face.witness, edges, span, guard_points)
-                rejected["admissible"] += int((~fan.admissible).sum())
-                rejected["ok"] += int((~fan.ok).sum())
+            fan = blank._cast_fan(witnesses(arr), edges, span, guard_points)
+            rejected["admissible"] += int((~fan.admissible).sum())
+            rejected["ok"] += int((~fan.ok).sum())
         assert min(rejected.values()) > 0
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -301,7 +318,7 @@ class TestRayFan:
             e = v[k + 1] - v[k]
             origin = v[k] + 0.37 * e + h * np.array([-e[1], e[0]]) / np.hypot(*e)
             fan = fan_matches_loop(origin, v, v, seed=3)
-            near += int(np.sum((fan.k == k) & fan.ok[fan.d]))
+            near += int(np.sum((fan.k == k) & fan.ok[fan.o, fan.d]))
         assert (near > 0) == (h != 0.0)
 
     def test_origin_on_a_vertex(self):
@@ -324,7 +341,7 @@ class TestRayFan:
             v[2] = origin + [-1.0, 0.0]
         for seed in (0, 7, 11):
             fan = fan_matches_loop(origin, v, v[[0, len(arc) - 1]], seed)
-            assert np.any((fan.k == 2) & fan.ok[fan.d])
+            assert np.any((fan.k == 2) & fan.ok[fan.o, fan.d])
 
     def test_hits_across_the_direction_wrap(self):
         # one edge spans the angles of directions 63 and 0
@@ -337,8 +354,8 @@ class TestRayFan:
             far = np.array([a0 + 0.5 * np.pi, a0 - 0.5 * np.pi - step])
             v = origin + np.column_stack([np.cos(np.r_[ends, far]), np.sin(np.r_[ends, far])])
             fan = fan_matches_loop(origin, v, v[2:], seed)
-            assert fan.hits(63) and fan.hits(0)
-            assert {h[1] for h in fan.hits(63)} == {h[1] for h in fan.hits(0)} == {0}
+            assert fan_hits(fan, 0, 63) and fan_hits(fan, 0, 0)
+            assert {h[1] for h in fan_hits(fan, 0, 63)} == {h[1] for h in fan_hits(fan, 0, 0)} == {0}
 
     @pytest.mark.parametrize("f", [0.5, 1 - 1e-6, 1 + 1e-6, 1.5])
     def test_guard_window_across_the_branch_cut(self, f):
@@ -352,7 +369,7 @@ class TestRayFan:
         guards = origin + np.array([[np.cos(ang), np.sin(ang)], [1.0, 0.5]])
         v = origin + np.array([[-2.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-2.0, 1.0]])
         fan = fan_matches_loop(origin, v, guards, seed)
-        assert fan.admissible[32] == (f > 1)
+        assert fan.admissible[0, 32] == (f > 1)
 
 
 def test_cast_fan_memory_is_linear_in_edges():
@@ -363,11 +380,221 @@ def test_cast_fan_memory_is_linear_in_edges():
     edges = blank._edge_fan(blank._ray_directions(3), c.vertices)
     tracemalloc.start()
     try:
-        blank._cast_fan(arr.bounded_faces[0].witness, edges, span, guard_points)
+        blank._cast_fan(arr.bounded_faces[0].witness[None, :], edges, span, guard_points)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_blank_word_memory_stays_bounded():
+    # all six faces of double-pocket in one fan: the (faces x edges) sweep
+    # temporaries are freed before the candidate pairs and the guard pass
+    c = double_pocket()
+    arr = build_arrangement(c)
+    tracemalloc.start()
+    try:
+        blank_word(c, arr, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
+# --- references for the batched topology passes: the per-vertex cut, the
+# --- per-face witness search and the single-origin ray fan they replaced
+
+def loop_cut_at_crossings(c, crossings):
+    """Reference cut: one arc at a time, one vertex at a time."""
+    v = c.vertices
+    m = c.m
+    passages = []
+    for cid, x in enumerate(crossings):
+        passages.append((x.param_first, cid))
+        passages.append((x.param_second, cid))
+    passages.sort()
+    n_pass = len(passages)
+
+    arc_pts = []
+    for k in range(n_pass):
+        p_start, cid_start = passages[k]
+        p_end, cid_end = passages[(k + 1) % n_pass]
+        pts = [crossings[cid_start].point]
+        i0 = int(np.floor(p_start))
+        i1 = int(np.floor(p_end)) if p_end > p_start else int(np.floor(p_end)) + m
+        for idx in range(i0 + 1, i1 + 1):
+            pts.append(v[idx % m])
+        pts.append(crossings[cid_end].point)
+        arr = np.asarray(pts)
+        keep = np.ones(len(arr), dtype=bool)
+        keep[1:] = np.hypot(*(arr[1:] - arr[:-1]).T) > 1e-12
+        arc_pts.append(arr[keep])
+    return passages, arc_pts
+
+
+def single_strand_distance(p, strands, host_len) -> float:
+    """Reference clearance of one point."""
+    a, ab, denom = strands
+    t = np.zeros_like(denom)
+    np.divide(np.vecdot(p - a, ab), denom, out=t, where=denom != 0)
+    proj = a + np.clip(t, 0.0, 1.0)[:, None] * ab
+    d = np.hypot(*(p - proj).T)
+    far = d[d > 0.51 * host_len]
+    return float(np.min(far)) if far.size else host_len
+
+
+def loop_find_witness(walk, curve_vertices):
+    """Reference witness of one face, its candidates tried one at a time."""
+    seg = np.concatenate([walk[1:], walk[:1]]) - walk
+    lengths = np.hypot(seg[:, 0], seg[:, 1])
+    order = np.argsort(-lengths)
+    strands = _strands(curve_vertices)
+    for k in order[: min(40, len(order))]:
+        if lengths[k] < 1e-12:
+            continue
+        mid = walk[k] + 0.5 * seg[k]
+        normal = np.array([-seg[k, 1], seg[k, 0]]) / lengths[k]
+        clearance = single_strand_distance(mid, strands, lengths[k])
+        delta = 0.3 * min(clearance, lengths[k])
+        cand = mid + delta * normal
+        if winding_batch(cand[None, :], walk)[0] == 1:
+            return cand
+    raise AssertionError("no witness")
+
+
+def single_origin_fan(origin, fan, span, guard_points):
+    """Reference fan of one origin: (admissible, ok, n_hits, d, k, r, t, det)."""
+    n_dirs = N_RAY_DIRECTIONS
+    relx = fan.vertices[:, 0] - origin[0]
+    rely = fan.vertices[:, 1] - origin[1]
+    ang = np.arctan2(rely, relx)
+    rho = np.hypot(relx, rely)
+    sweep = np.concatenate([ang[1:], ang[:1]]) - ang
+    sweep -= 2 * np.pi * np.rint(sweep / (2 * np.pi))
+    scale = max(float(np.max(np.abs(fan.vertices))), float(np.max(np.abs(origin))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pad = (4e-9 * fan.length + 1e-12 * scale) / np.minimum(
+            rho, np.concatenate([rho[1:], rho[:1]])) + 1e-9
+        width = np.abs(sweep) + 2 * pad
+        lo = ang + np.minimum(sweep, 0.0) - pad
+        first, count = blank._grid_span(fan.offset, lo, lo + width)
+    wide = ~(width < np.pi)
+    first[wide] = 0
+    count[wide] = n_dirs
+    k = np.repeat(np.arange(len(count)), count)
+    start = np.cumsum(count) - count
+    d = (first[k] + np.arange(len(k)) - start[k]) % n_dirs
+
+    ux, uy = fan.dirs[d, 0], fan.dirs[d, 1]
+    ex, ey = fan.ex[k, 0], fan.ex[k, 1]
+    rx, ry = relx[k], rely[k]
+    denom = ux * ey - uy * ex
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (rx * ey - ry * ex) / denom
+        t = (rx * uy - ry * ux) / denom
+    margin = 1e-9
+    hit = np.flatnonzero(
+        (np.abs(denom) >= 1e-12)
+        & (r > margin) & (r < span)
+        & (t >= -margin) & (t <= 1 + margin)
+    )
+    d, k, r, t = d[hit], k[hit], r[hit], t[hit]
+    det = ux[hit] * (ey[hit] / fan.length[k]) - uy[hit] * (ex[hit] / fan.length[k])
+    bad = (t < 1e-6) | (t > 1 - 1e-6) | (np.abs(det) < np.sin(0.05))
+    ok = np.bincount(d[bad], minlength=n_dirs) == 0
+
+    gx = guard_points[:, 0] - origin[0]
+    gy = guard_points[:, 1] - origin[1]
+    g_ang = np.arctan2(gy, gx)
+    window = np.arcsin(ANGULAR_GUARD) + 1e-9
+    g_first, g_count = blank._grid_span(fan.offset, g_ang - window, g_ang + window)
+    near = np.flatnonzero(g_count > 0)
+    norms = np.hypot(gx[near], gy[near])
+    apart = norms > 1e-12
+    near, norms = near[apart], norms[apart]
+    gx, gy = gx[near] / norms, gy[near] / norms
+    g_d = g_first[near] % n_dirs
+    ux, uy = fan.dirs[g_d, 0], fan.dirs[g_d, 1]
+    cross = ux * gy - uy * gx
+    dot = ux * gx + uy * gy
+    admissible = np.bincount(g_d[(np.abs(cross) < ANGULAR_GUARD) & (dot > 0)],
+                             minlength=n_dirs) == 0
+    return admissible, ok, np.bincount(d, minlength=n_dirs), d, k, r, t, det
+
+
+@lru_cache(maxsize=None)
+def topology_inputs():
+    """The curves of the topology benchmark schedule for seeds 1-3, with
+    their ray seeds: the four figure fixtures (ray seed 7) and, per seed, two
+    glued-loop curves for each m in 2..8 and n_per in (32, 48, 64, 128)."""
+    cases = [(name, FIXTURES[name](), 7)
+             for name in ("fblank-1", "fblank-2", "fseifert", "double-pocket")]
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng([seed, 1])
+        for m in range(2, 9):
+            for n_per in (32, 48, 64, 128):
+                for copy in range(2):
+                    loop_seed, ray_seed = (int(v) for v in rng.integers(0, 1 << 31, size=2))
+                    c, _ = glued_positive_loops(m, loop_seed, n_per)
+                    cases.append((f"{seed}-m{m}-n{n_per}-{copy}", c, ray_seed))
+    return tuple(cases)
+
+
+def oracle_cases():
+    """(name, curve, ray seed) of every ray case and topology input, each
+    curve as the arrangement reads it (corners filleted)."""
+    for name, c, _arr in ray_cases():
+        yield name, fillet_corners(c), 7
+    for name, c, ray_seed in topology_inputs():
+        yield name, fillet_corners(c), ray_seed
+
+
+class TestBatchedTopologyOracles:
+    """The batched cut, witness rounds and ray fan give the bits of the
+    per-vertex, per-face and single-origin references."""
+
+    def test_cut_matches_the_per_vertex_loop(self):
+        n_arcs = 0
+        curves = [(name, c) for name, c, _ in oracle_cases()]
+        curves += [(name, c) for name, c, _ in topology_inputs() if c.corners]
+        for name, c in curves:
+            crossings = self_intersections(c)
+            if not crossings:
+                continue
+            passages, arcs = cut_at_crossings(c, crossings)
+            ref_passages, ref_arcs = loop_cut_at_crossings(c, crossings)
+            assert passages == ref_passages, name
+            assert [type(p) for pair in passages for p in pair] == [float, int] * len(passages)
+            assert len(arcs) == len(ref_arcs), name
+            for a, b in zip(arcs, ref_arcs):
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+            n_arcs += len(arcs)
+        assert n_arcs > 1000
+
+    def test_witnesses_match_the_per_face_search(self):
+        for name, c, _ in oracle_cases():
+            arr = build_arrangement(c)
+            for face in arr.bounded_faces:
+                ref = loop_find_witness(face.walk, c.vertices)
+                assert face.witness.tobytes() == ref.tobytes(), (name, face.id)
+
+    def test_fan_fields_match_the_single_origin_fan(self):
+        names = ("admissible", "ok", "n_hits", "d", "k", "r", "t", "det")
+        for name, c, ray_seed in oracle_cases():
+            arr = build_arrangement(c)
+            span, guard_points = ray_setup(c, arr)
+            edges = blank._edge_fan(blank._ray_directions(ray_seed), c.vertices)
+            fan = blank._cast_fan(witnesses(arr), edges, span, guard_points)
+            for i, face in enumerate(arr.bounded_faces):
+                ref = single_origin_fan(face.witness, edges, span, guard_points)
+                mine = dict(admissible=fan.admissible[i], ok=fan.ok[i], n_hits=fan.n_hits[i],
+                            **{f: getattr(fan, f)[fan.o == i] for f in names[3:]})
+                for field_name, want in zip(names, ref):
+                    got = mine[field_name]
+                    assert got.dtype == want.dtype, (name, face.id, field_name)
+                    assert np.array_equal(got, want), (name, face.id, field_name)
+                    assert got.tobytes() == want.tobytes(), (name, face.id, field_name)
 
 
 class TestBlankWord:

@@ -161,6 +161,23 @@ class TestQuantCommands:
         row = obj["table"][0]
         assert all(b < a for a, b in zip(row, row[1:]))
 
+    def test_pinch_prints_plain_verdicts(self, tmp_path, capsys):
+        out = tmp_path / "pinch.json"
+        code = main(["pinch", "--mu-ladder", "1,16,64", "--mesh", "64", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == "pinched: [True]\n"
+        assert json.loads(out.read_text())["verdicts"] == [True]
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--mu-ladder", "1,2", "--radii", ","],
+        ["classify", "--mu-ladder", "1,2", "--radii", ","],
+        ["audit", "--mu-ladder", "1,2", "--x0-list", ","],
+    ])
+    def test_empty_number_list_is_an_input_error(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert "has no members" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["scan", "classify", "pinch", "audit"])
     def test_empty_mu_ladder_is_an_input_error(self, tmp_path, capsys, command):
         argv = [command, "--mu-ladder", "2^3..2^1", "--out", str(tmp_path / "out")]

@@ -27,8 +27,6 @@ class Arc:
     """Curve piece between consecutive crossing passages (along the curve)."""
 
     id: int
-    start_passage: int
-    end_passage: int
     start_node: int  # crossing id where the arc begins
     end_node: int
     pts: np.ndarray  # polyline, first and last points are crossing points
@@ -37,7 +35,6 @@ class Arc:
 @dataclass
 class Face:
     id: str
-    cycle: tuple  # ((arc_id, direction), ...) with direction +1 along the curve
     walk: np.ndarray  # closed polyline of the boundary walk
     area: float
     bounded: bool
@@ -167,18 +164,16 @@ def cut_at_crossings(c: PolyCurve, crossings):
     return passages, np.split(pts[keep], kept[:-1])
 
 
-def build_arrangement(c: PolyCurve, crossings=None) -> Arrangement:
+def build_arrangement(c: PolyCurve) -> Arrangement:
     """Faces of the plane minus the curve, with witnesses and the Euler check."""
-    if crossings is None:
-        crossings = self_intersections(c)
+    crossings = self_intersections(c)
     if not crossings:
         return _simple_arrangement(c)
 
     passages, arc_pts = cut_at_crossings(c, crossings)
     n_pass = len(passages)
     arcs = [
-        Arc(id=k, start_passage=k, end_passage=(k + 1) % n_pass,
-            start_node=passages[k][1], end_node=passages[(k + 1) % n_pass][1], pts=pts)
+        Arc(id=k, start_node=passages[k][1], end_node=passages[(k + 1) % n_pass][1], pts=pts)
         for k, pts in enumerate(arc_pts)
     ]
 
@@ -191,9 +186,9 @@ def build_arrangement(c: PolyCurve, crossings=None) -> Arrangement:
             pts = arcs[arc_id].pts if d > 0 else arcs[arc_id].pts[::-1]
             walk_pts.append(pts[:-1])
         walk = np.vstack(walk_pts)
-        faces.append((cyc, walk, _signed_area(walk)))
+        faces.append((walk, _signed_area(walk)))
 
-    n_unbounded = sum(1 for _, _, a in faces if a < 0)
+    n_unbounded = sum(1 for _, a in faces if a < 0)
     if n_unbounded != 1:
         raise ArrangementCorrupt(
             f"{n_unbounded} negative-area cycles (expected exactly one unbounded face)"
@@ -204,26 +199,15 @@ def build_arrangement(c: PolyCurve, crossings=None) -> Arrangement:
 
     # letters in deterministic order: by descending area, then witness position
     bounded = sorted(
-        (f for f in faces if f[2] > 0), key=lambda f: (-f[2], f[1][0, 0], f[1][0, 1])
+        (f for f in faces if f[1] > 0), key=lambda f: (-f[1], f[0][0, 0], f[0][0, 1])
     )
-    witnesses = _find_witnesses([walk for _, walk, _ in bounded], c.vertices)
-    face_objs = []
-    for letter_idx, ((cyc, walk, area), witness) in enumerate(zip(bounded, witnesses)):
-        face_objs.append(
-            Face(
-                id=chr(ord("a") + letter_idx),
-                cycle=tuple(cyc),
-                walk=walk,
-                area=area,
-                bounded=True,
-                witness=witness,
-            )
-        )
-    for cyc, walk, area in faces:
-        if area < 0:
-            face_objs.append(
-                Face(id="~", cycle=tuple(cyc), walk=walk, area=area, bounded=False, witness=None)
-            )
+    witnesses = _find_witnesses([walk for walk, _ in bounded], c.vertices)
+    face_objs = [
+        Face(id=chr(ord("a") + letter_idx), walk=walk, area=area, bounded=True, witness=witness)
+        for letter_idx, ((walk, area), witness) in enumerate(zip(bounded, witnesses))
+    ]
+    face_objs += [Face(id="~", walk=walk, area=area, bounded=False, witness=None)
+                  for walk, area in faces if area < 0]
     return Arrangement(curve=c, crossings=list(crossings), arcs=arcs, faces=face_objs, passages=passages)
 
 
@@ -235,13 +219,10 @@ def _simple_arrangement(c: PolyCurve) -> Arrangement:
     interior_walk = walk if area > 0 else walk[::-1]
     (witness,) = _find_witnesses([interior_walk], c.vertices)
     faces = [
-        Face(id="a", cycle=((0, +1 if area > 0 else -1),), walk=interior_walk,
-             area=abs(area), bounded=True, witness=witness),
-        Face(id="~", cycle=((0, -1 if area > 0 else +1),), walk=interior_walk[::-1],
-             area=-abs(area), bounded=False, witness=None),
+        Face(id="a", walk=interior_walk, area=abs(area), bounded=True, witness=witness),
+        Face(id="~", walk=interior_walk[::-1], area=-abs(area), bounded=False, witness=None),
     ]
-    arc = Arc(id=0, start_passage=0, end_passage=0, start_node=0, end_node=0,
-              pts=np.vstack([walk, walk[:1]]))
+    arc = Arc(id=0, start_node=0, end_node=0, pts=np.vstack([walk, walk[:1]]))
     return Arrangement(curve=c, crossings=[], arcs=[arc], faces=faces, passages=[])
 
 

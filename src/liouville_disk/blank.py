@@ -166,24 +166,6 @@ def _ray_directions(seed: int) -> np.ndarray:
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
-@dataclass(frozen=True)
-class _EdgeFan:
-    """What a ray fan needs that does not depend on its origin: the uniform
-    direction grid and the edges of the closed polyline, once per curve."""
-
-    dirs: np.ndarray  # direction d points at offset + d * TWO_PI / N_RAY_DIRECTIONS
-    offset: float
-    vertices: np.ndarray
-    ex: np.ndarray  # edge vectors
-    length: np.ndarray  # edge lengths
-
-
-def _edge_fan(dirs, vertices) -> _EdgeFan:
-    ex = np.concatenate([vertices[1:], vertices[:1]]) - vertices
-    return _EdgeFan(dirs, float(np.arctan2(dirs[0, 1], dirs[0, 0])), vertices, ex,
-                    np.hypot(ex[:, 0], ex[:, 1]))
-
-
 def _grid_span(offset, lo, hi):
     """First index and count of the grid directions whose angle lies in
     [lo, hi] modulo TWO_PI; the first index is not yet reduced mod N."""
@@ -192,10 +174,11 @@ def _grid_span(offset, lo, hi):
     return first.astype(np.int64), (np.floor((hi - offset) / step) - first + 1).astype(np.int64)
 
 
-def _cast_fan(origins, fan: _EdgeFan, span: float, guard_points) -> _RayFan:
-    """Crossings of the rays [o, o + span * u], o in origins, u in fan.dirs,
-    with the edges of the closed polyline fan.vertices, and which directions
-    keep the angular guard off every guard point ahead of their origin.
+def _cast_fan(origins, dirs, vertices, span: float, guard_points) -> _RayFan:
+    """Crossings of the rays [o, o + span * u], o in origins, u in dirs (the
+    uniform grid of _ray_directions), with the edges of the closed polyline
+    vertices, and which directions keep the angular guard off every guard
+    point ahead of their origin.
 
     An angular broadphase picks the candidate (origin, direction, edge)
     triples: the directions whose angle lies in the edge's angular sweep seen
@@ -208,8 +191,11 @@ def _cast_fan(origins, fan: _EdgeFan, span: float, guard_points) -> _RayFan:
     """
     n_dirs = N_RAY_DIRECTIONS
     n_cells = len(origins) * n_dirs
-    relx = fan.vertices[:, 0] - origins[:, :1]
-    rely = fan.vertices[:, 1] - origins[:, 1:]
+    offset = float(np.arctan2(dirs[0, 1], dirs[0, 0]))
+    edge = np.concatenate([vertices[1:], vertices[:1]]) - vertices
+    length = np.hypot(edge[:, 0], edge[:, 1])
+    relx = vertices[:, 0] - origins[:, :1]
+    rely = vertices[:, 1] - origins[:, 1:]
     ang = np.arctan2(rely, relx)
     rho = np.hypot(relx, rely)
     sweep = np.concatenate([ang[:, 1:], ang[:, :1]], axis=1) - ang
@@ -222,15 +208,15 @@ def _cast_fan(origins, fan: _EdgeFan, span: float, guard_points) -> _RayFan:
     # absorbs the rounding of arctan2, of the grid and of the ray vectors.
     # Once the padded sweep reaches pi the origin is near or on the edge
     # (a zero rho gives inf or nan), and the edge is a candidate everywhere.
-    scale = np.maximum(np.max(np.abs(fan.vertices)), np.max(np.abs(origins), axis=1))
+    scale = np.maximum(np.max(np.abs(vertices)), np.max(np.abs(origins), axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        pad = (4e-9 * fan.length + 1e-12 * scale[:, None]) / np.minimum(
+        pad = (4e-9 * length + 1e-12 * scale[:, None]) / np.minimum(
             rho, np.concatenate([rho[:, 1:], rho[:, :1]], axis=1)) + 1e-9
         del rho
         width = np.abs(sweep) + 2 * pad
         lo = ang + np.minimum(sweep, 0.0) - pad
         del ang, sweep, pad
-        first, count = _grid_span(fan.offset, lo, lo + width)
+        first, count = _grid_span(offset, lo, lo + width)
     wide = ~(width < np.pi)
     first[wide] = 0
     count[wide] = n_dirs
@@ -238,14 +224,14 @@ def _cast_fan(origins, fan: _EdgeFan, span: float, guard_points) -> _RayFan:
     oe = np.repeat(np.arange(len(count)), count)  # flat (origin, edge) of each pair
     start = np.cumsum(count) - count  # where each run of pairs begins
     d = (first[oe] + np.arange(len(oe)) - start[oe]) % n_dirs
-    o, k = np.divmod(oe, len(fan.vertices))
+    o, k = np.divmod(oe, len(vertices))
     rx, ry = relx.ravel()[oe], rely.ravel()[oe]
     # the pairs are far fewer than the (origins x edges) cells, whose arrays
     # are done: freed, they do not add to the guard pass's peak
     del relx, rely, lo, width, wide, first, count, start
 
-    ux, uy = fan.dirs[d, 0], fan.dirs[d, 1]
-    ex, ey = fan.ex[k, 0], fan.ex[k, 1]
+    ux, uy = dirs[d, 0], dirs[d, 1]
+    ex, ey = edge[k, 0], edge[k, 1]
     denom = ux * ey - uy * ex
     with np.errstate(divide="ignore", invalid="ignore"):
         r = (rx * ey - ry * ex) / denom
@@ -257,7 +243,7 @@ def _cast_fan(origins, fan: _EdgeFan, span: float, guard_points) -> _RayFan:
         & (t >= -margin) & (t <= 1 + margin)
     )
     o, d, k, r, t = o[hit], d[hit], k[hit], r[hit], t[hit]
-    det = ux[hit] * (ey[hit] / fan.length[k]) - uy[hit] * (ex[hit] / fan.length[k])
+    det = ux[hit] * (ey[hit] / length[k]) - uy[hit] * (ex[hit] / length[k])
     cell = o * n_dirs + d
     bad = (t < 1e-6) | (t > 1 - 1e-6) | (np.abs(det) < np.sin(0.05))
     ok = np.bincount(cell[bad], minlength=n_cells) == 0
@@ -271,7 +257,7 @@ def _cast_fan(origins, fan: _EdgeFan, span: float, guard_points) -> _RayFan:
     gy = guard_points[:, 1] - origins[:, 1:]
     g_ang = np.arctan2(gy, gx)
     window = np.arcsin(ANGULAR_GUARD) + 1e-9
-    g_first, g_count = _grid_span(fan.offset, g_ang - window, g_ang + window)
+    g_first, g_count = _grid_span(offset, g_ang - window, g_ang + window)
     del g_ang
     near = np.flatnonzero(g_count > 0)  # flat (origin, guard point)
     gx, gy = gx.ravel()[near], gy.ravel()[near]
@@ -280,7 +266,7 @@ def _cast_fan(origins, fan: _EdgeFan, span: float, guard_points) -> _RayFan:
     near, norms = near[apart], norms[apart]
     gx, gy = gx[apart] / norms, gy[apart] / norms
     g_d = g_first.ravel()[near] % n_dirs
-    ux, uy = fan.dirs[g_d, 0], fan.dirs[g_d, 1]
+    ux, uy = dirs[g_d, 0], dirs[g_d, 1]
     cross = ux * gy - uy * gx
     dot = ux * gx + uy * gy
     g_cell = near // len(guard_points) * n_dirs + g_d
@@ -308,10 +294,8 @@ def blank_word(c: PolyCurve, arr: Arrangement | None = None, seed: int = 0) -> W
         [v] + [x.point[None, :] for x in arr.crossings] + [v[sorted(c.corners)]]
     )
     dirs = _ray_directions(seed)
-    edges = _edge_fan(dirs, v)
-
     faces = arr.bounded_faces
-    fan = _cast_fan(np.array([f.witness for f in faces]), edges, span, guard_points)
+    fan = _cast_fan(np.array([f.witness for f in faces]), dirs, v, span, guard_points)
     n_hits = fan.n_hits
     usable = fan.admissible & fan.ok & (n_hits > 0)
     for face, ray_ok in zip(faces, usable.any(axis=1)):
@@ -430,15 +414,14 @@ def _round_junction(pts_in, pts_out):
     return turn_blend(p0, corner, p2, 0.2)
 
 
-def seifert_decompose(c: PolyCurve, crossings=None):
+def seifert_decompose(c: PolyCurve):
     """Orientation-respecting smoothing of every crossing.
 
     Returns a list of (vertices, orientation) pairs: simple closed polylines
     with orientation +1 (counter-clockwise) or -1.  The signed orientations
     sum to the rotation index of the input.
     """
-    if crossings is None:
-        crossings = self_intersections(c)
+    crossings = self_intersections(c)
     if not crossings:
         area_sign = 1 if _signed_area(c.vertices) > 0 else -1
         return [(c.vertices.copy(), area_sign)]
@@ -549,84 +532,34 @@ def extendability_check(c: PolyCurve, seed: int = 0) -> ExtendabilityReport:
     )
 
 
-def _resample_segment(a, b, step):
-    n = max(int(np.ceil(np.hypot(*(b - a)) / step)), 2)
-    t = np.linspace(0.0, 1.0, n + 1)[:-1, None]
-    return (1 - t) * a + t * b
-
-
 def _gluing_indices(c: PolyCurve, rec: WordRecord, res: ContractionResult):
     """Rotation indices of the contraction pieces.
 
-    The boundary starts as the full curve with every letter's hit point
-    inserted as a vertex; each contraction step cuts the stretch from the
-    matched plus letter to its minus letter and closes both sides along the
-    escape-segment chord between the two hit points.
+    The boundary is the curve with every letter's hit point inserted into
+    its edge, labelled with the letter's index in the word (-1 on curve
+    vertices).  A hit has edge parameter in [1e-6, 1 - 1e-6], so it lies
+    inside edge floor(position).  A step cuts the boundary at its plus
+    letter a and its minus letter b: the cyclic range a..b is the piece and
+    b..a the remaining boundary.  Both close up along the escape-segment
+    chord between the two hit points, and that chord is the closing edge,
+    last point to first, that `_loose_rotation_index` adds anyway: points
+    along a straight chord would turn the tangent by nothing.
     """
-    step_len = float(np.median(c.edge_lengths()))
-    # boundary polyline with letter hit points as tracked vertices
-    events = sorted(zip(rec.positions, range(len(rec.positions))))
-    pts = []
-    letter_vertex = {}
-    m = c.m
-    ev_idx = 0
-    for i in range(m):
-        pts.append(c.vertices[i])
-        while ev_idx < len(events) and int(np.floor(events[ev_idx][0])) == i:
-            pos, letter_id = events[ev_idx]
-            letter_vertex[letter_id] = len(pts)
-            pts.append(np.asarray(rec.points[letter_id]))
-            ev_idx += 1
-    boundary = np.asarray(pts)
-    # ids of word letters in word order
-    order = [letter_id for _pos, letter_id in events]
-    labels = [None] * len(boundary)
-    for letter_id, vidx in letter_vertex.items():
-        labels[vidx] = letter_id
-
+    at = np.floor(rec.positions).astype(np.int64) + 1
+    boundary = np.insert(c.vertices, at, rec.points, axis=0)
+    labels = np.insert(np.full(c.m, -1), at, np.arange(len(at)))
+    order = tuple(range(len(at)))  # letter ids of the current word
     indices = []
     for st in res.steps:
-        # word positions refer to the current word; recover the letter ids
-        plus_id = order[st.plus_pos]
-        minus_id = order[st.minus_pos]
-        removed_ids = [order[(st.plus_pos + k) % len(order)] for k in range(len(st.removed))]
-        for rid in removed_ids:
-            order.remove(rid)
-        a_idx = _find_label(labels, plus_id)
-        b_idx = _find_label(labels, minus_id)
-        piece_pts = _cyclic_slice(boundary, labels, a_idx, b_idx)
-        A, B = boundary[a_idx], boundary[b_idx]
-        bridge_back = _resample_segment(B, A, step_len)
-        piece = np.vstack([piece_pts["pts"], bridge_back])
-        indices.append(_loose_rotation_index(piece))
-        # remaining boundary: other side plus bridge A -> B
-        bridge_fwd = _resample_segment(A, B, step_len)
-        boundary = np.vstack([piece_pts["rest_pts"], bridge_fwd])
-        labels = piece_pts["rest_labels"] + [None] * len(bridge_fwd)
+        a = int(np.flatnonzero(labels == order[st.plus_pos])[0])
+        b = int(np.flatnonzero(labels == order[st.minus_pos])[0])
+        _, order = _apply_move(order, st.minus_pos, st.plus_pos)
+        n = len(boundary)
+        indices.append(_loose_rotation_index(boundary[(a + np.arange((b - a) % n + 1)) % n]))
+        rest = (b + np.arange((a - b) % n + 1)) % n
+        boundary, labels = boundary[rest], labels[rest]
     indices.append(_loose_rotation_index(boundary))
     return indices
-
-
-def _find_label(labels, letter_id):
-    for k, l in enumerate(labels):
-        if l == letter_id:
-            return k
-    raise KeyError(letter_id)
-
-
-def _cyclic_slice(boundary, labels, a_idx, b_idx):
-    n = len(boundary)
-    if a_idx <= b_idx:
-        sel = list(range(a_idx, b_idx + 1))
-        rest = list(range(b_idx, n)) + list(range(0, a_idx + 1))
-    else:
-        sel = list(range(a_idx, n)) + list(range(0, b_idx + 1))
-        rest = list(range(b_idx, a_idx + 1))
-    return {
-        "pts": boundary[sel],
-        "rest_pts": boundary[[r for r in rest]],
-        "rest_labels": [labels[r] for r in rest],
-    }
 
 
 def _loose_rotation_index(pts: np.ndarray) -> int:

@@ -22,6 +22,10 @@ from .errors import GuardError, InputError, InvalidInput, LiouvilleDiskError, Th
 from .fixtures import FIXTURES
 from .line import LineField
 from .quant import (
+    DRIFT_THRESHOLD,
+    DROP_THRESHOLD,
+    MASS_SLACK,
+    THRESHOLD_SLACK,
     bubble,
     classify_case,
     concentration_scan,
@@ -249,22 +253,14 @@ def cmd_classify(args):
     radii = _parse_floats(args.radii, "radius list")
     centers = [args.center] if args.center is not None else None
     profs = concentration_scan(members, radii=radii, centers=centers, n=args.n)
-    blow = detect_blowup(profs, threshold_slack=args.threshold_slack)
-    bars = [m.lambda_bar() for m in members]
-    rep = classify_case(
-        bars,
-        blow,
-        drop_threshold=args.drop_threshold,
-        drift_threshold=args.drift_threshold,
-        mass_slack=args.mass_slack,
-    )
+    rep = classify_case([m.lambda_bar() for m in members], detect_blowup(profs))
     thresholds = {
         "radii": radii,
         "mu": mus,
-        "drop_threshold": args.drop_threshold,
-        "drift_threshold": args.drift_threshold,
-        "mass_slack": args.mass_slack,
-        "threshold_slack": args.threshold_slack,
+        "drop_threshold": DROP_THRESHOLD,
+        "drift_threshold": DRIFT_THRESHOLD,
+        "mass_slack": MASS_SLACK,
+        "threshold_slack": THRESHOLD_SLACK,
     }
     payload = {"meta": _meta(args, thresholds), **rep.to_json()}
     _write_json(args.out, payload)
@@ -375,7 +371,6 @@ def build_parser():
     sp.set_defaults(func=cmd_extendability)
 
     sp = sub.add_parser("scan", help="concentration profile alpha(r, k) as CSV")
-    sp.add_argument("--family", choices=["bubbles"], default="bubbles")
     sp.add_argument("--mu-ladder", required=True)
     sp.add_argument("--x0", type=float, default=0.0)
     sp.add_argument("--radii", required=True)
@@ -385,16 +380,11 @@ def build_parser():
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("classify", help="case dichotomy with blow-up masses")
-    sp.add_argument("--family", choices=["bubbles"], default="bubbles")
     sp.add_argument("--mu-ladder", required=True)
     sp.add_argument("--x0", type=float, default=0.0)
     sp.add_argument("--radii", default="0.4,0.2,0.1,0.05")
     sp.add_argument("--center", type=float, default=None)
     sp.add_argument("--n", type=int, default=1 << 16)
-    sp.add_argument("--drop-threshold", type=float, default=5.0)
-    sp.add_argument("--drift-threshold", type=float, default=1.0)
-    sp.add_argument("--mass-slack", type=float, default=0.02)
-    sp.add_argument("--threshold-slack", type=float, default=0.05)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_classify)
 

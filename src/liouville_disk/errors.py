@@ -57,10 +57,6 @@ class NotHolomorphic(GuardError):
 class TailError(GuardError):
     """Slow decay detected; quadrature tail estimate exceeds tolerance."""
 
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
-
 
 class SingularMismatch(GuardError):
     """Dirac mass present where none is declared (or vice versa)."""

@@ -216,12 +216,10 @@ class CurvatureData:
             )
 
     @classmethod
-    def from_evaluator(cls, K, n: int, kappa_bound: float | None = None) -> "CurvatureData":
+    def from_evaluator(cls, K, n: int) -> "CurvatureData":
         chart = circle_chart(n)
         vals = _with_pole(chart, _eval_vec(K, chart.x), None)
-        g = PeriodicGrid(vals)
-        bound = kappa_bound if kappa_bound is not None else float(np.max(np.abs(vals)))
-        return cls(g, bound)
+        return cls(PeriodicGrid(vals), float(np.max(np.abs(vals))))
 
     @classmethod
     def constant(cls, value: float, n: int) -> "CurvatureData":
@@ -521,8 +519,7 @@ def pv_half_laplacian_line(u, x: float, eps_ladder=(1e-2, 5e-3, 2.5e-3), tail_to
     tail_bound = (2 * abs(ux) + 2 * uT) / T
     if growth > 0.9 or tail_bound > max(10 * tail_tol, 1e-2):
         raise TailError(
-            f"slow decay: growth exponent {growth:.2f}, tail estimate {tail_bound:.3g}",
-            bound=tail_bound,
+            f"slow decay: growth exponent {growth:.2f}, tail estimate {tail_bound:.3g}"
         )
 
     def sym(t):
@@ -532,9 +529,9 @@ def pv_half_laplacian_line(u, x: float, eps_ladder=(1e-2, 5e-3, 2.5e-3), tail_to
     from scipy.integrate import quad
 
     def integral(a, b):
-        v, err = quad(sym, a, b, limit=400, epsabs=1e-11, epsrel=1e-11)
+        v, _ = quad(sym, a, b, limit=400, epsabs=1e-11, epsrel=1e-11)
         if not np.isfinite(v):
-            raise TailError("quadrature failed to converge", bound=err)
+            raise TailError("quadrature failed to converge")
         return v
 
     # one tail integral from the smallest radius; each larger radius drops

@@ -40,7 +40,6 @@ class PolarMesh:
     mid_centers: np.ndarray
     edge_ring: np.ndarray
     n_boundary: int
-    h_boundary: float
 
     @property
     def n_nodes(self) -> int:
@@ -117,7 +116,6 @@ def build_polar_mesh(n_boundary: int) -> PolarMesh:
         mid_centers=mid_centers,
         edge_ring=ring_point[order],
         n_boundary=n,
-        h_boundary=h,
     )
 
 

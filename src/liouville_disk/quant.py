@@ -48,6 +48,12 @@ from .spectral import TWO_PI, PeriodicGrid, SingularField, SpectralRep, eval_mod
 # pi/2 - float(pi/2): the rounding of the float pi/2, added back to offsets
 _HALF_PI_LO = 6.123233995736766e-17
 
+# thresholds of the blow-up detection and the case dichotomy
+THRESHOLD_SLACK = 0.05  # a blow-up mass must clear pi - THRESHOLD_SLACK
+DROP_THRESHOLD = 5.0  # case 2: the circle means drop by more than this
+DRIFT_THRESHOLD = 1.0  # case 1: the circle means stay within this of the start
+MASS_SLACK = 0.02  # tolerance of the mass checks on a declared case
+
 CENTER_GRID_N = 1 << 14  # grid on which locate_centers samples the density
 MAX_CENTERS = 4
 
@@ -232,14 +238,14 @@ def concentration_scan(members, radii, centers=None, n: int = 1 << 16):
     return profiles
 
 
-def detect_blowup(profiles, threshold_slack: float = 0.05):
+def detect_blowup(profiles):
     """Blow-up points with extrapolated masses.
 
     The nested limit is realized as the limsup of alpha(r, k) over the last
     quartile of k at each radius, followed by a least-squares linear
     extrapolation of the limsup values to r = 0 (the Richardson step over the
     fixed radius ladder).  A center qualifies when the finest-radius limsup
-    clears pi minus the slack.
+    clears pi - THRESHOLD_SLACK.
     """
     if isinstance(profiles, ConcentrationProfile):
         profiles = [profiles]
@@ -256,7 +262,7 @@ def detect_blowup(profiles, threshold_slack: float = 0.05):
                 f"alpha(r_min, k) not monotone over the last quartile at center {prof.center:.4g}"
             )
         limsup = tail_vals.max(axis=1)  # per radius
-        if limsup[-1] >= np.pi - threshold_slack:
+        if limsup[-1] >= np.pi - THRESHOLD_SLACK:
             A = np.column_stack([prof.radii, np.ones_like(prof.radii)])
             coef, *_ = np.linalg.lstsq(A, limsup, rcond=None)
             out[prof.center] = float(coef[1])
@@ -279,38 +285,32 @@ class SequenceReport:
         }
 
 
-def classify_case(
-    lambda_bars,
-    blowup=None,
-    drop_threshold: float = 5.0,
-    drift_threshold: float = 1.0,
-    mass_slack: float = 0.02,
-) -> SequenceReport:
+def classify_case(lambda_bars, blowup=None) -> SequenceReport:
     """Dichotomy of the compactness alternative on threshold proxies.
 
-    Case 2 when the circle means drop by more than `drop_threshold` with a
-    negative trend; case 1 when they stay within `drift_threshold` of the
+    Case 2 when the circle means drop by more than DROP_THRESHOLD with a
+    negative trend; case 1 when they stay within DRIFT_THRESHOLD of the
     start; otherwise undecided.  A declared case 2 whose reported masses dip
     below pi is a TheoremViolation, the highest-severity outcome.
     """
     lb = [float(v) for v in lambda_bars]
     blowup = blowup or {}
     diffs = np.diff(lb)
-    if lb[0] - lb[-1] > drop_threshold and np.mean(diffs) < 0:
+    if lb[0] - lb[-1] > DROP_THRESHOLD and np.mean(diffs) < 0:
         case = 2
-    elif max(abs(v - lb[0]) for v in lb) < drift_threshold:
+    elif max(abs(v - lb[0]) for v in lb) < DRIFT_THRESHOLD:
         case = 1
     else:
         case = "undecided"
     if case == 2:
         for center, mass in blowup.items():
-            if mass < np.pi - mass_slack:
+            if mass < np.pi - MASS_SLACK:
                 raise TheoremViolation(
                     f"case-2 mass {mass:.6f} at {center!r} is below pi"
                 )
     if case == 1:
         for center, mass in blowup.items():
-            if abs(mass - np.pi) > 0.05 + mass_slack:
+            if abs(mass - np.pi) > 0.05 + MASS_SLACK:
                 raise TheoremViolation(
                     f"case-1 interior mass {mass:.6f} at {center!r} is not pi"
                 )

@@ -13,6 +13,7 @@ from liouville_disk import blank
 from liouville_disk._kernels import winding_batch
 from liouville_disk.arrangement import (
     _other_strand_distance,
+    _signed_area,
     _strands,
     build_arrangement,
     cut_at_crossings,
@@ -204,7 +205,7 @@ def fan_matches_loop(origin, vertices, guard_points, seed, span=10.0):
     """Cast the fan from one origin and compare every direction with the loop
     references; returns the fan."""
     dirs = blank._ray_directions(seed)
-    fan = blank._cast_fan(origin[None, :], blank._edge_fan(dirs, vertices), span, guard_points)
+    fan = blank._cast_fan(origin[None, :], dirs, vertices, span, guard_points)
     for d, u in enumerate(dirs):
         assert bool(fan.admissible[0, d]) == loop_direction_admissible(origin, u, guard_points), d
         ok, hits = loop_ray_curve_hits(origin, u, vertices, span)
@@ -239,8 +240,7 @@ class TestRayFan:
         for name, c, arr in ray_cases():
             span, guard_points = ray_setup(c, arr)
             dirs = blank._ray_directions(seed=7)
-            edges = blank._edge_fan(dirs, c.vertices)
-            fan = blank._cast_fan(witnesses(arr), edges, span, guard_points)
+            fan = blank._cast_fan(witnesses(arr), dirs, c.vertices, span, guard_points)
             for i, face in enumerate(arr.bounded_faces):
                 for d, u in enumerate(dirs):
                     adm = loop_direction_admissible(face.witness, u, guard_points)
@@ -274,7 +274,7 @@ class TestRayFan:
             _, far = loop_ray_curve_hits(origin, u, vertices, 3.0)
             at_hit = [far[0][0]] if far else []  # a ray ending exactly at its hit
             for span in [1.5 - 1e-12, 1.5 + 1e-12, 3.0] + at_hit:
-                fan = blank._cast_fan(origin[None, :], blank._edge_fan(dirs, vertices), span, vertices)
+                fan = blank._cast_fan(origin[None, :], dirs, vertices, span, vertices)
                 ok, hits = loop_ray_curve_hits(origin, u, vertices, span)
                 assert bool(fan.ok[0, 0]) == ok, (alpha, t, span)
                 if ok:
@@ -288,8 +288,8 @@ class TestRayFan:
         rejected = {"admissible": 0, "ok": 0}
         for _name, c, arr in ray_cases():
             span, guard_points = ray_setup(c, arr)
-            edges = blank._edge_fan(blank._ray_directions(7), c.vertices)
-            fan = blank._cast_fan(witnesses(arr), edges, span, guard_points)
+            fan = blank._cast_fan(witnesses(arr), blank._ray_directions(7), c.vertices, span,
+                                  guard_points)
             rejected["admissible"] += int((~fan.admissible).sum())
             rejected["ok"] += int((~fan.ok).sum())
         assert min(rejected.values()) > 0
@@ -377,10 +377,10 @@ def test_cast_fan_memory_is_linear_in_edges():
     c = double_pocket()
     arr = build_arrangement(c)
     span, guard_points = ray_setup(c, arr)
-    edges = blank._edge_fan(blank._ray_directions(3), c.vertices)
+    dirs = blank._ray_directions(3)
     tracemalloc.start()
     try:
-        blank._cast_fan(arr.bounded_faces[0].witness[None, :], edges, span, guard_points)
+        blank._cast_fan(arr.bounded_faces[0].witness[None, :], dirs, c.vertices, span, guard_points)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -462,22 +462,25 @@ def loop_find_witness(walk, curve_vertices):
     raise AssertionError("no witness")
 
 
-def single_origin_fan(origin, fan, span, guard_points):
+def single_origin_fan(origin, dirs, vertices, span, guard_points):
     """Reference fan of one origin: (admissible, ok, n_hits, d, k, r, t, det)."""
     n_dirs = N_RAY_DIRECTIONS
-    relx = fan.vertices[:, 0] - origin[0]
-    rely = fan.vertices[:, 1] - origin[1]
+    offset = float(np.arctan2(dirs[0, 1], dirs[0, 0]))
+    edge = np.roll(vertices, -1, axis=0) - vertices
+    length = np.hypot(edge[:, 0], edge[:, 1])
+    relx = vertices[:, 0] - origin[0]
+    rely = vertices[:, 1] - origin[1]
     ang = np.arctan2(rely, relx)
     rho = np.hypot(relx, rely)
     sweep = np.concatenate([ang[1:], ang[:1]]) - ang
     sweep -= 2 * np.pi * np.rint(sweep / (2 * np.pi))
-    scale = max(float(np.max(np.abs(fan.vertices))), float(np.max(np.abs(origin))))
+    scale = max(float(np.max(np.abs(vertices))), float(np.max(np.abs(origin))))
     with np.errstate(divide="ignore", invalid="ignore"):
-        pad = (4e-9 * fan.length + 1e-12 * scale) / np.minimum(
+        pad = (4e-9 * length + 1e-12 * scale) / np.minimum(
             rho, np.concatenate([rho[1:], rho[:1]])) + 1e-9
         width = np.abs(sweep) + 2 * pad
         lo = ang + np.minimum(sweep, 0.0) - pad
-        first, count = blank._grid_span(fan.offset, lo, lo + width)
+        first, count = blank._grid_span(offset, lo, lo + width)
     wide = ~(width < np.pi)
     first[wide] = 0
     count[wide] = n_dirs
@@ -485,8 +488,8 @@ def single_origin_fan(origin, fan, span, guard_points):
     start = np.cumsum(count) - count
     d = (first[k] + np.arange(len(k)) - start[k]) % n_dirs
 
-    ux, uy = fan.dirs[d, 0], fan.dirs[d, 1]
-    ex, ey = fan.ex[k, 0], fan.ex[k, 1]
+    ux, uy = dirs[d, 0], dirs[d, 1]
+    ex, ey = edge[k, 0], edge[k, 1]
     rx, ry = relx[k], rely[k]
     denom = ux * ey - uy * ex
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -499,7 +502,7 @@ def single_origin_fan(origin, fan, span, guard_points):
         & (t >= -margin) & (t <= 1 + margin)
     )
     d, k, r, t = d[hit], k[hit], r[hit], t[hit]
-    det = ux[hit] * (ey[hit] / fan.length[k]) - uy[hit] * (ex[hit] / fan.length[k])
+    det = ux[hit] * (ey[hit] / length[k]) - uy[hit] * (ex[hit] / length[k])
     bad = (t < 1e-6) | (t > 1 - 1e-6) | (np.abs(det) < np.sin(0.05))
     ok = np.bincount(d[bad], minlength=n_dirs) == 0
 
@@ -507,14 +510,14 @@ def single_origin_fan(origin, fan, span, guard_points):
     gy = guard_points[:, 1] - origin[1]
     g_ang = np.arctan2(gy, gx)
     window = np.arcsin(ANGULAR_GUARD) + 1e-9
-    g_first, g_count = blank._grid_span(fan.offset, g_ang - window, g_ang + window)
+    g_first, g_count = blank._grid_span(offset, g_ang - window, g_ang + window)
     near = np.flatnonzero(g_count > 0)
     norms = np.hypot(gx[near], gy[near])
     apart = norms > 1e-12
     near, norms = near[apart], norms[apart]
     gx, gy = gx[near] / norms, gy[near] / norms
     g_d = g_first[near] % n_dirs
-    ux, uy = fan.dirs[g_d, 0], fan.dirs[g_d, 1]
+    ux, uy = dirs[g_d, 0], dirs[g_d, 1]
     cross = ux * gy - uy * gx
     dot = ux * gx + uy * gy
     admissible = np.bincount(g_d[(np.abs(cross) < ANGULAR_GUARD) & (dot > 0)],
@@ -584,10 +587,10 @@ class TestBatchedTopologyOracles:
         for name, c, ray_seed in oracle_cases():
             arr = build_arrangement(c)
             span, guard_points = ray_setup(c, arr)
-            edges = blank._edge_fan(blank._ray_directions(ray_seed), c.vertices)
-            fan = blank._cast_fan(witnesses(arr), edges, span, guard_points)
+            dirs = blank._ray_directions(ray_seed)
+            fan = blank._cast_fan(witnesses(arr), dirs, c.vertices, span, guard_points)
             for i, face in enumerate(arr.bounded_faces):
-                ref = single_origin_fan(face.witness, edges, span, guard_points)
+                ref = single_origin_fan(face.witness, dirs, c.vertices, span, guard_points)
                 mine = dict(admissible=fan.admissible[i], ok=fan.ok[i], n_hits=fan.n_hits[i],
                             **{f: getattr(fan, f)[fan.o == i] for f in names[3:]})
                 for field_name, want in zip(names, ref):
@@ -595,6 +598,105 @@ class TestBatchedTopologyOracles:
                     assert got.dtype == want.dtype, (name, face.id, field_name)
                     assert np.array_equal(got, want), (name, face.id, field_name)
                     assert got.tobytes() == want.tobytes(), (name, face.id, field_name)
+
+
+# --- reference for the gluing report: the boundary rebuilt vertex by vertex,
+# --- letters found by scanning a label list, and every piece and remainder
+# --- closed by a chord resampled at the median edge length
+
+def resample_segment(a, b, step):
+    n = max(int(np.ceil(np.hypot(*(b - a)) / step)), 2)
+    t = np.linspace(0.0, 1.0, n + 1)[:-1, None]
+    return (1 - t) * a + t * b
+
+
+def find_label(labels, letter_id):
+    for k, l in enumerate(labels):
+        if l == letter_id:
+            return k
+    raise KeyError(letter_id)
+
+
+def cyclic_slice(boundary, labels, a_idx, b_idx):
+    n = len(boundary)
+    if a_idx <= b_idx:
+        sel = list(range(a_idx, b_idx + 1))
+        rest = list(range(b_idx, n)) + list(range(0, a_idx + 1))
+    else:
+        sel = list(range(a_idx, n)) + list(range(0, b_idx + 1))
+        rest = list(range(b_idx, a_idx + 1))
+    return boundary[sel], boundary[rest], [labels[r] for r in rest]
+
+
+def chord_gluing_indices(c, rec, res):
+    """Reference piece indices: each step cuts the stretch from the plus
+    letter to its minus letter and closes both sides with a resampled chord."""
+    step_len = float(np.median(c.edge_lengths()))
+    events = sorted(zip(rec.positions, range(len(rec.positions))))
+    pts, letter_vertex, ev_idx = [], {}, 0
+    for i in range(c.m):
+        pts.append(c.vertices[i])
+        while ev_idx < len(events) and int(np.floor(events[ev_idx][0])) == i:
+            letter_vertex[events[ev_idx][1]] = len(pts)
+            pts.append(np.asarray(rec.points[events[ev_idx][1]]))
+            ev_idx += 1
+    boundary = np.asarray(pts)
+    order = [letter_id for _pos, letter_id in events]
+    labels = [None] * len(boundary)
+    for letter_id, vidx in letter_vertex.items():
+        labels[vidx] = letter_id
+
+    indices = []
+    for st in res.steps:
+        plus_id, minus_id = order[st.plus_pos], order[st.minus_pos]
+        removed = [order[(st.plus_pos + k) % len(order)] for k in range(len(st.removed))]
+        for rid in removed:
+            order.remove(rid)
+        a_idx, b_idx = find_label(labels, plus_id), find_label(labels, minus_id)
+        piece_pts, rest_pts, rest_labels = cyclic_slice(boundary, labels, a_idx, b_idx)
+        A, B = boundary[a_idx], boundary[b_idx]
+        indices.append(blank._loose_rotation_index(
+            np.vstack([piece_pts, resample_segment(B, A, step_len)])))
+        bridge = resample_segment(A, B, step_len)
+        boundary = np.vstack([rest_pts, bridge])
+        labels = rest_labels + [None] * len(bridge)
+    indices.append(blank._loose_rotation_index(boundary))
+    return indices
+
+
+def test_gluing_slicing_matches_the_chord_reference(monkeypatch):
+    # every fixture in generic position at five ray seeds, and the topology
+    # benchmark inputs, each as extendability_check reads it.  The indices
+    # are integers that a point more or less at a cut does not move, so the
+    # closed polylines behind them must also agree in signed area and
+    # length, which the points of a straight chord do not change.
+    measured = []
+    loose = blank._loose_rotation_index
+
+    def recording(pts):
+        nxt = np.roll(pts, -1, axis=0)
+        measured.append((_signed_area(pts), float(np.sum(np.hypot(*(nxt - pts).T)))))
+        return loose(pts)
+
+    monkeypatch.setattr(blank, "_loose_rotation_index", recording)
+    cases = [(f"{name}-{seed}", make(), seed) for name, make in FIXTURES.items()
+             if name != "tangent-touch" for seed in (0, 3, 5, 7, 11)]
+    cases += list(topology_inputs())
+    n_steps = []
+    for name, c, seed in cases:
+        work = fillet_corners(c)
+        rec = blank_word(work, build_arrangement(work), seed=seed)
+        res = contract(rec.word)
+        if not res.steps:
+            continue
+        got = blank._gluing_indices(work, rec, res)
+        got_measures = measured[:]
+        measured.clear()
+        assert got == chord_gluing_indices(work, rec, res), name
+        np.testing.assert_allclose(got_measures, measured, rtol=1e-9, err_msg=name)
+        measured.clear()
+        n_steps.append(len(res.steps))
+    assert len(n_steps) >= 15 and max(n_steps) >= 2
 
 
 class TestBlankWord:

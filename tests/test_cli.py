@@ -123,7 +123,7 @@ class TestQuantCommands:
     def test_scan_matches_closed_form(self, tmp_path):
         out = tmp_path / "scan.csv"
         code = main(
-            ["scan", "--family", "bubbles", "--mu-ladder", "2^0..2^6",
+            ["scan", "--mu-ladder", "2^0..2^6",
              "--radii", "0.4,0.2,0.1", "--center", "0", "--n", str(1 << 14),
              "--out", str(out)]
         )
@@ -253,3 +253,34 @@ def test_readme_cli_block_parses():
     parser = build_parser()
     for argv in lines:
         assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+def test_every_subcommand_option_is_read():
+    # an option that no command reads changes nothing; every option added
+    # in cli.py must be read there as args.<dest> or getattr(args, "<dest>")
+    import ast
+
+    import liouville_disk.cli as cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    added, reads = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "args":
+            reads.add(node.attr)
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        kw = {k.arg: k.value.value for k in node.keywords if isinstance(k.value, ast.Constant)}
+        if isinstance(func, ast.Name) and func.id == "getattr" \
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "args":
+            reads.add(node.args[1].value)
+        elif isinstance(func, ast.Attribute) and func.attr == "add_argument" \
+                and kw.get("action") not in ("version", "help"):
+            flags = [a.value for a in node.args]
+            longs = [f for f in flags if f.startswith("--")]
+            dest = kw.get("dest", (longs[0] if longs else flags[0]).lstrip("-").replace("-", "_"))
+            added.append((dest, flags))
+    assert len(added) >= 30
+    unread = [(dest, flags) for dest, flags in added if dest not in reads]
+    assert not unread, unread

@@ -277,8 +277,13 @@ def _other_strand_distance(points, strands, host_len) -> np.ndarray:
     own immediate neighborhood (farther than 0.51 x its host length, else the
     host length itself); strands is _strands of the curve."""
     a, ab, denom = strands
+    # point minus strand start, written column by column: a broadcast whose
+    # innermost axis has length 2 runs several times slower
+    rel = np.empty((len(points), len(a), 2))
+    np.subtract(points[:, None, 0], a[:, 0], out=rel[..., 0])
+    np.subtract(points[:, None, 1], a[:, 1], out=rel[..., 1])
     t = np.zeros((len(points), len(a)))
-    np.divide(np.vecdot(points[:, None, :] - a, ab), denom, out=t, where=denom != 0)
+    np.divide(np.vecdot(rel, ab), denom, out=t, where=denom != 0)
     np.clip(t, 0.0, 1.0, out=t)
     d = np.hypot(points[:, :1] - (a[:, 0] + t * ab[:, 0]),
                  points[:, 1:] - (a[:, 1] + t * ab[:, 1]))

@@ -22,6 +22,14 @@ distance mesh holds another, so a call of either geometry computes powers
 only for a series longer than any before it.  The recentered boundary
 moduli of quant.recentered_lambda_sequence take Phi' at off-grid points of
 the unit circle instead, through spectral.eval_modes.
+
+A disk map costs a fixed number of passes over its n-point grid.  The
+analytic completion reads one real half spectrum for its band-limit guard
+and its Hilbert step; build_phi writes lambda + i rho into one complex
+array, exponentiates it in place and overwrites it with one forward FFT,
+whose first half gives the coefficients and whose second half the
+negative-frequency energy; and a series is measured up to its last nonzero
+coefficient by one argmax, not by listing every nonzero index.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from .spectral import (
     grid_angles,
     log_profile,
     negative_frequency_fraction,
+    real_half_spectrum,
     singular_cell_integrals,
     singular_half_laplacian,
 )
@@ -97,7 +106,9 @@ def analytic_completion(lam) -> BoundaryTrace:
     closed-form sawtooth conjugate of each log anchor.
 
     Raises UnderResolved when the smooth part fails the band-limit guard (the
-    top decile of its spectrum carries over 1% of the energy).
+    top decile of its spectrum carries over 1% of the energy).  The guard
+    and the Hilbert step read one half spectrum, modes 0 .. n/2 of the
+    real smooth part; the full mirrored spectrum is never built.
     """
     if not isinstance(lam, (SingularField, PeriodicGrid)):
         lam = PeriodicGrid(lam)
@@ -105,11 +116,11 @@ def analytic_completion(lam) -> BoundaryTrace:
     if not field.smooth.is_real:
         field = SingularField(PeriodicGrid(np.real(field.smooth.values)), field.anchors)
     smooth = field.smooth
-    s = analyze(smooth)
-    frac = band_limit_fraction(smooth, s=s)
+    half = real_half_spectrum(smooth)
+    frac = band_limit_fraction(smooth, half)
     if frac > BAND_LIMIT_ENERGY:
         raise UnderResolved(f"top decile of boundary spectrum carries {frac:.2%} of energy")
-    rho = _apply_multiplier(smooth, _hilbert_multiplier(smooth.n), s)
+    rho = _apply_multiplier(smooth, _hilbert_multiplier(smooth.n), half)
     return BoundaryTrace(lam=field, rho_smooth=rho)
 
 
@@ -189,6 +200,14 @@ class RingPowers:
         return np.ascontiguousarray(self._V[:, :q_count])
 
 
+def _series_length(coef: np.ndarray) -> int:
+    """Length of a series up to its last nonzero coefficient, 0 when every
+    one is zero: one boolean mask and an argmax, with no index array."""
+    nonzero = coef[::-1] != 0
+    last = int(np.argmax(nonzero))
+    return coef.size - last if nonzero[last] else 0
+
+
 def _abs_on_rings(coef: np.ndarray, rings: RingPowers) -> np.ndarray:
     """|sum_k coef_k (c e^{i theta_j})^k| on the ring of each center c of
     rings at its n grid angles theta_j = -pi + 2 pi j / n, as a
@@ -205,8 +224,7 @@ def _abs_on_rings(coef: np.ndarray, rings: RingPowers) -> np.ndarray:
     Temporaries are O(rings (n + Q) + order), never a (rings x order) array.
     """
     n = rings.n
-    nz = np.flatnonzero(coef)
-    size = nz[-1] + 1 if nz.size else 1
+    size = max(_series_length(coef), 1)
     q_count = -(-size // n)
     block = np.zeros(q_count * n, dtype=complex)
     block[:size] = coef[:size]
@@ -240,9 +258,10 @@ def make_disk_map(coeffs, normalized_at_one: bool = True) -> DiskMap:
     c = np.asarray(coeffs, dtype=complex)
     if c.size < 2:
         raise InvalidInput("a disk map needs at least two coefficients")
-    nz = np.flatnonzero(c)
-    size = nz[-1] + 1 if nz.size else 0
-    c = np.concatenate([c[:size], np.zeros(max(2 * size, 64) - size, dtype=complex)])
+    size = _series_length(c)
+    padded = np.zeros(max(2 * size, 64), dtype=complex)
+    padded[:size] = c[:size]
+    c = padded
     total = float(np.sum(np.abs(c) ** 2))
     if total == 0:
         raise InvalidInput("zero map")
@@ -255,8 +274,9 @@ def make_disk_map(coeffs, normalized_at_one: bool = True) -> DiskMap:
 
 def _truncate_with_guard(full_coeffs: np.ndarray, M: int) -> np.ndarray:
     """Keep orders 0..M after checking that orders above M/2 are negligible."""
-    total = float(np.sum(np.abs(full_coeffs) ** 2))
-    tail = float(np.sum(np.abs(full_coeffs[M // 2 + 1:]) ** 2))
+    energy = np.abs(full_coeffs) ** 2
+    total = float(np.sum(energy))
+    tail = float(np.sum(energy[M // 2 + 1:]))
     if total > 0 and tail > TAIL_ENERGY_LIMIT * total:
         raise UnderResolved(
             f"energy fraction {tail / total:.2e} above order {M // 2} "
@@ -273,6 +293,14 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
     term-by-term integration with the constant fixed by Phi(1) = 0 gives the
     map, truncated to order n/2 under the tail guard.
 
+    One array carries the whole path: lambda and rho are written into its
+    real and imaginary parts, exponentiated in place, checked for finiteness
+    once, and overwritten by one forward FFT.  Position k of that FFT holds
+    mode k for k < n/2, up to the half-period sign (-1)^k, and mode k - n
+    above, so the coefficients are read from the first half, and the
+    negative-frequency energy is the second half's share of the total; no
+    shifted or mirrored spectrum is built.
+
     The grid needs no oversampling.  On n points, modes n/2 .. n-1 of phi
     fold onto the negative frequencies -n/2 .. -1, which the
     negative-frequency guard measures; only modes >= n fold onto kept
@@ -284,23 +312,30 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
     grid.
     """
     n = bt.n
-    w = np.real(bt.lam.smooth.values) + 1j * np.real(bt.rho_smooth.values)
+    w = np.empty(n, dtype=complex)
+    w.real = np.real(bt.lam.smooth.values)
+    w.imag = np.real(bt.rho_smooth.values)
     th = grid_angles(n) if bt.anchors else None
     for t0, c in bt.anchors:
-        w = w + c * log_profile(th, t0) + 1j * (c * conjugate_profile(th, t0))
+        w.real += c * log_profile(th, t0)
+        w.imag += c * conjugate_profile(th, t0)
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.exp(w)
-    if not np.all(np.isfinite(phi)):
+        np.exp(w, out=w)
+    if not np.all(np.isfinite(w)):
         raise UnderResolved("boundary derivative is non-finite on the sampling grid")
-    s = analyze(PeriodicGrid(phi))
+    # modes 0 .. n/2 - 1, then modes -n/2 .. -1
+    pos, neg = np.split(np.fft.fft(w, norm="forward", out=w), 2)
+    pos[1::2] *= -1
     # integrate every available nonnegative mode, then truncate under the guard
     full = np.zeros(n // 2 + 1, dtype=complex)
-    full[1:] = s.coeffs[n // 2 :] / np.arange(1, n // 2 + 1)  # modes 0 .. n/2 - 1
-    coeffs = _truncate_with_guard(full, n // 2).copy()
-    neg = negative_frequency_fraction(s)
-    if neg > NEG_FREQ_LIMIT:
+    np.divide(pos, np.arange(1, n // 2 + 1), out=full[1:])
+    coeffs = _truncate_with_guard(full, n // 2)
+    neg_energy = float(np.sum(np.abs(neg) ** 2))
+    total = neg_energy + float(np.sum(np.abs(pos) ** 2))
+    frac = neg_energy / total if total else 0.0
+    if frac > NEG_FREQ_LIMIT:
         raise NotHolomorphic(
-            f"negative-frequency energy fraction {neg:.2e} of boundary derivative"
+            f"negative-frequency energy fraction {frac:.2e} of boundary derivative"
         )
     coeffs[0] = -np.sum(coeffs[1:])
     return make_disk_map(coeffs)

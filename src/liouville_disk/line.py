@@ -233,18 +233,32 @@ TAIL_POINTS = 64
 TAIL_RESIDUAL = 0.1
 
 
+def _tail_design():
+    """The fixed sample points of asymptotic_slope, both tails, and its
+    least-squares design matrix [-log(1 + |x|), 1]."""
+    tail = np.geomspace(*TAIL_WINDOW, TAIL_POINTS)
+    xs = np.concatenate([tail, -tail])
+    X = -np.log1p(np.abs(xs))
+    design = np.column_stack([X, np.ones_like(X)])
+    xs.setflags(write=False)
+    design.setflags(write=False)
+    return xs, design
+
+
+TAIL_XS, TAIL_DESIGN = _tail_design()
+
+
 def asymptotic_slope(u):
     """Least-squares slope of u(x) against -log(1+|x|) over the far field.
 
     For solutions the slope estimates Lambda/pi.  The additive constant in
     the representation formula is estimated jointly and discarded, so the
-    estimate does not depend on it.
+    estimate does not depend on it.  The sample points TAIL_XS and the
+    design matrix TAIL_DESIGN are fixed, so they are built once, on import;
+    u gets a copy of the points, which it may overwrite.
     """
-    tail = np.geomspace(*TAIL_WINDOW, TAIL_POINTS)
-    xs = np.concatenate([tail, -tail])
-    ys = _eval_vec(u, xs)
-    X = -np.log1p(np.abs(xs))
-    A = np.column_stack([X, np.ones_like(X)])
+    A = TAIL_DESIGN
+    ys = _eval_vec(u, TAIL_XS.copy())
     coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
     slope = float(coef[0])
     resid = float(np.max(np.abs(A @ coef - ys)))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -134,9 +135,15 @@ def verify_solution(u, K, n: int = 512, anchor_coeff=None, pole_value=None):
     pullback and the transferred equation; Lambda and the defect 2*pi - Lambda
     come back in the report.  Non-solutions still get a report (the strict
     Dirac-mismatch guard is for declared-anchor bookkeeping, not testing)."""
+    return _verify(u, n, lambda: CurvatureData.from_evaluator(K, n), anchor_coeff, pole_value)
+
+
+def _verify(u, n: int, curvature, anchor_coeff=None, pole_value=None):
+    """verify_solution with the curvature data from curvature(), which is
+    called once u is pulled back, so that a bad u is reported before a bad
+    K."""
     lf = pull_back(u, n, anchor_coeff=anchor_coeff, pole_value=pole_value)
-    kd = CurvatureData.from_evaluator(K, n)
-    return transfer_equation(lf, kd, strict_dirac=False)
+    return transfer_equation(lf, curvature(), strict_dirac=False)
 
 
 # --- concentration ------------------------------------------------------------
@@ -239,7 +246,8 @@ def concentration_scan(members, radii, centers=None, n: int = 1 << 16):
 
 
 def detect_blowup(profiles):
-    """Blow-up points with extrapolated masses.
+    """Blow-up points with extrapolated masses, from a list of
+    ConcentrationProfile (one per center).
 
     The nested limit is realized as the limsup of alpha(r, k) over the last
     quartile of k at each radius, followed by a least-squares linear
@@ -247,8 +255,6 @@ def detect_blowup(profiles):
     fixed radius ladder).  A center qualifies when the finest-radius limsup
     clears pi - THRESHOLD_SLACK.
     """
-    if isinstance(profiles, ConcentrationProfile):
-        profiles = [profiles]
     out = {}
     for prof in profiles:
         nk = len(prof.ks)
@@ -285,8 +291,9 @@ class SequenceReport:
         }
 
 
-def classify_case(lambda_bars, blowup=None) -> SequenceReport:
-    """Dichotomy of the compactness alternative on threshold proxies.
+def classify_case(lambda_bars, blowup) -> SequenceReport:
+    """Dichotomy of the compactness alternative on threshold proxies;
+    blowup maps each blow-up center to its mass, as detect_blowup returns.
 
     Case 2 when the circle means drop by more than DROP_THRESHOLD with a
     negative trend; case 1 when they stay within DRIFT_THRESHOLD of the
@@ -294,7 +301,6 @@ def classify_case(lambda_bars, blowup=None) -> SequenceReport:
     below pi is a TheoremViolation, the highest-severity outcome.
     """
     lb = [float(v) for v in lambda_bars]
-    blowup = blowup or {}
     diffs = np.diff(lb)
     if lb[0] - lb[-1] > DROP_THRESHOLD and np.mean(diffs) < 0:
         case = 2
@@ -404,6 +410,9 @@ def pinching_probe(maps, pairs, mesh_n: int = 256, kappa_bound: float | None = N
 
 # --- Lambda audit ---------------------------------------------------------------
 
+AUDIT_N = 512  # grid on which lambda_audit verifies each member
+
+
 @dataclass
 class AuditEntry:
     label: str
@@ -445,19 +454,25 @@ def lambda_audit(members) -> AuditReport:
     grid; members whose residual reaches 1e-4 are excluded with a notice
     (the bound only covers genuine solutions).  For every verified member
     the measured Lambda must clear pi - 1e-3, and the far-field slope must
-    agree with Lambda/pi within 5%.
+    agree with Lambda/pi within 5%.  Every Bubble has K = 1, so that
+    curvature is sampled once per call, pole fit included, and serves them
+    all; a (label, u, K) member samples its own K, as verify_solution does.
     """
+    # sampled, not CurvatureData.constant: the pole fit lands one ulp off 1,
+    # and Lambda reads that ulp
+    unit = CurvatureData.from_evaluator(np.ones_like, AUDIT_N)
     entries = []
     for item in members:
         if isinstance(item, Bubble):
             label = f"bubble(mu={item.mu:g}, x0={item.x0:g})"
-            u, K = item.u, (lambda x: np.ones_like(np.asarray(x, dtype=float)))
+            u, curvature = item.u, lambda: unit
             kwargs = {"anchor_coeff": 0.0, "pole_value": -np.log(item.mu)}
         else:
             label, u, K = item
+            curvature = partial(CurvatureData.from_evaluator, K, AUDIT_N)
             kwargs = {}
         try:
-            rep = verify_solution(u, K, n=512, **kwargs)
+            rep = _verify(u, AUDIT_N, curvature, **kwargs)
         except Exception as exc:
             entries.append(AuditEntry(label, np.nan, np.nan, np.inf, False, f"verify failed: {exc}"))
             continue

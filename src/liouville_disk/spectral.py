@@ -9,10 +9,12 @@ for m = -n/2 .. n/2-1.  With this normalization Parseval reads
 mean(|u|^2) = sum |u_hat(m)|^2.
 
 A real grid has a Hermitian spectrum, u_hat(-m) = conj u_hat(m), so real
-grids go through real-input transforms: analyze takes modes 0 .. n/2 from
-np.fft.rfft and mirrors them, and the multiplier operators return
-np.fft.irfft of modes 0 .. n/2, half the work of a complex transform.
-Complex grids take np.fft.fft and np.fft.ifft.
+grids go through real-input transforms: real_half_spectrum takes modes
+0 .. n/2 from np.fft.rfft, analyze mirrors them, and the multiplier
+operators return np.fft.irfft of modes 0 .. n/2, half the work of a complex
+transform.  The band-limit guard and the multiplier operators read a real
+grid's spectrum as that half (see multiplier_spectrum), never the mirror.
+Complex grids take np.fft.fft and np.fft.ifft, and analyze's full spectrum.
 
 Operators are diagonal in this basis, and every multiplier is Hermitian,
 mult(-m) = conj mult(m) with a real Nyquist entry, so that real data stay
@@ -230,11 +232,26 @@ def analyze(g: PeriodicGrid) -> SpectralRep:
         c = np.fft.fftshift(np.fft.fft(g.values, norm="forward"))
         c[1::2] *= -1
         return SpectralRep(c)
-    half = np.fft.rfft(g.values, norm="forward")  # modes 0 .. n/2
-    half[1::2] *= -1
-    half.imag[[0, -1]] = 0.0
+    half = real_half_spectrum(g)
     # ascending: Nyquist (mode -n/2 = n/2), modes -(n/2 - 1) .. -1, modes 0 .. n/2 - 1
     return SpectralRep(np.concatenate((half[-1:], np.conj(half[-2:0:-1]), half[:-1])))
+
+
+def real_half_spectrum(g: PeriodicGrid) -> np.ndarray:
+    """Coefficients u_hat(m) of a real grid for m = 0 .. n/2, the entries
+    that analyze mirrors into the full spectrum: np.fft.rfft with the
+    half-period sign flip, and the mean and Nyquist coefficients made real."""
+    half = np.fft.rfft(g.values, norm="forward")
+    half[1::2] *= -1
+    half.imag[[0, -1]] = 0.0
+    return half
+
+
+def multiplier_spectrum(g: PeriodicGrid):
+    """The spectrum that band_limit_fraction and the multiplier operators
+    read: real_half_spectrum(g) for a real grid, analyze(g) for a complex
+    one."""
+    return real_half_spectrum(g) if g.is_real else analyze(g)
 
 
 def synthesize(s: SpectralRep) -> PeriodicGrid:
@@ -293,28 +310,41 @@ def eval_shifted_grids(s: SpectralRep, offsets, n: int | None = None) -> np.ndar
     return np.fft.ifft(folded, axis=-1) * size
 
 
-def band_limit_fraction(g: PeriodicGrid, s: SpectralRep | None = None) -> float:
+def band_limit_fraction(g: PeriodicGrid, s=None) -> float:
     """Share of the oscillatory spectral energy carried by the top decile of
     modes (|m| >= (1 - BAND_LIMIT_TOP) n/2); 0 when the oscillatory part sits
-    at the rounding floor.  s is analyze(g) when the caller has it already."""
-    c = (analyze(g) if s is None else s).coeffs
-    m = np.abs(np.arange(-g.n // 2, g.n // 2))
-    cutoff = (1.0 - BAND_LIMIT_TOP) * (g.n // 2)
-    total = np.sum(np.abs(c[m > 0]) ** 2)
+    at the rounding floor.  s is multiplier_spectrum(g) when the caller has
+    it already.
+
+    A real grid's spectrum is Hermitian, so only modes 0 .. n/2 are read:
+    every mode but the mean and the Nyquist mode counts twice."""
+    n = g.n
+    cutoff = (1.0 - BAND_LIMIT_TOP) * (n // 2)
+    if s is None:
+        s = multiplier_spectrum(g)
+    if g.is_real:
+        energy = np.abs(s[:-1]) ** 2  # modes 0 .. n/2 - 1
+        edge = abs(s[-1]) ** 2  # the Nyquist mode
+        total = 2.0 * np.sum(energy[1:]) + edge
+        top = 2.0 * np.sum(energy[int(np.ceil(cutoff)) :]) + edge
+    else:
+        m = np.abs(np.arange(-n // 2, n // 2))
+        energy = np.abs(s.coeffs) ** 2
+        total = np.sum(energy[m > 0])
+        top = np.sum(energy[m >= cutoff])
     # ignore grids whose oscillatory part sits at the rounding floor
-    if total <= g.n * (1e-13 * max(1.0, float(np.max(np.abs(g.values))))) ** 2:
+    if total <= n * (1e-13 * max(1.0, float(np.max(np.abs(g.values))))) ** 2:
         return 0.0
-    top = np.sum(np.abs(c[m >= cutoff]) ** 2)
     return float(top / total)
 
 
-def band_limit_guard(g: PeriodicGrid, s: SpectralRep | None = None):
+def band_limit_guard(g: PeriodicGrid, s=None):
     """Warn when the top decile of the spectrum carries more than
     BAND_LIMIT_ENERGY (1%) of the energy.
 
     Spectral differentiation of under-resolved data is silently wrong, so
     every multiplier operator calls this, passing the coefficients s =
-    analyze(g) it goes on to multiply.
+    multiplier_spectrum(g) it goes on to multiply.
     """
     frac = band_limit_fraction(g, s=s)
     if frac > BAND_LIMIT_ENERGY:
@@ -334,9 +364,9 @@ def negative_frequency_fraction(s: SpectralRep) -> float:
     return float(np.sum(energy[: s.n // 2])) / total  # modes -n/2 .. -1
 
 
-def _apply_multiplier(g: PeriodicGrid, mult: np.ndarray, s: SpectralRep | None = None) -> PeriodicGrid:
-    """The grid whose coefficients are mult(m) u_hat(m); s is analyze(g)
-    when the caller has it already.
+def _apply_multiplier(g: PeriodicGrid, mult: np.ndarray, s=None) -> PeriodicGrid:
+    """The grid whose coefficients are mult(m) u_hat(m); s is
+    multiplier_spectrum(g) when the caller has it already.
 
     mult must be Hermitian, mult(-m) = conj mult(m) with a real Nyquist
     entry mult(-n/2).  A real grid then has a real image, computed from
@@ -345,20 +375,20 @@ def _apply_multiplier(g: PeriodicGrid, mult: np.ndarray, s: SpectralRep | None =
     product through :func:`synthesize`.
     """
     if s is None:
-        s = analyze(g)
+        s = multiplier_spectrum(g)
     if not g.is_real:
         return synthesize(SpectralRep(s.coeffs * mult))
     n = g.n
     half = np.empty(n // 2 + 1, dtype=complex)  # modes 0 .. n/2
-    np.multiply(s.coeffs[n // 2 :], mult[n // 2 :], out=half[:-1])
-    half[-1] = s.coeffs[0] * mult[0]
+    np.multiply(s[:-1], mult[n // 2 :], out=half[:-1])
+    half[-1] = s[-1] * mult[0]
     half[1::2] *= -1
     return PeriodicGrid(np.fft.irfft(half, n, norm="forward"))
 
 
 def half_laplacian(g: PeriodicGrid) -> PeriodicGrid:
     """Multiplier |m|; annihilates constants and has zero mean."""
-    s = analyze(g)
+    s = multiplier_spectrum(g)
     band_limit_guard(g, s=s)
     m = np.arange(-g.n // 2, g.n // 2)
     return _apply_multiplier(g, np.abs(m).astype(float), s)
@@ -372,14 +402,14 @@ def _hilbert_multiplier(n: int) -> np.ndarray:
 
 def hilbert(g: PeriodicGrid) -> PeriodicGrid:
     """Conjugation operator, multiplier -i sign(m); output has zero mean."""
-    s = analyze(g)
+    s = multiplier_spectrum(g)
     band_limit_guard(g, s=s)
     return _apply_multiplier(g, _hilbert_multiplier(g.n), s)
 
 
 def derivative(g: PeriodicGrid) -> PeriodicGrid:
     """d/dtheta, multiplier i*m with the Nyquist mode zeroed."""
-    s = analyze(g)
+    s = multiplier_spectrum(g)
     band_limit_guard(g, s=s)
     m = np.arange(-g.n // 2, g.n // 2).astype(float)
     m[0] = 0.0

@@ -90,22 +90,25 @@ class TestAnalyticCompletion:
         assert neg < 1e-10 * np.sum(np.abs(s.coeffs) ** 2)
 
     def test_analyzes_the_spectrum_once(self, monkeypatch):
-        # one forward transform serves the band-limit check and the conjugate
+        # one forward transform, the real half spectrum, serves the band-limit
+        # check and the conjugate: no complex transform and no mirrored
+        # spectrum from analyze
         calls = []
 
-        def counted(g):
-            calls.append(g.n)
-            return original(g)
+        def counted(name, original):
+            return lambda a, *args, **kw: calls.append((name, len(a))) or original(a, *args, **kw)
 
+        for name in ("fft", "rfft"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
         original = spectral.analyze
         for name, mod in list(sys.modules.items()):
             if name.startswith("liouville_disk") and getattr(mod, "analyze", None) is original:
-                monkeypatch.setattr(mod, "analyze", counted)
+                monkeypatch.setattr(mod, "analyze", lambda g: calls.append(("analyze", g.n)) or original(g))
         lam = pull_back(u_bubble(2.0), 256, anchor_coeff=0.0, pole_value=-np.log(2.0)).field
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             analytic_completion(lam)
-        assert calls == [256]
+        assert calls == [("rfft", 256)]
 
     def test_under_resolved_guard(self):
         th = grid_angles(64)
@@ -625,3 +628,205 @@ def test_disk_maps_compare_and_hash_by_value():
     assert a != blaschke_fixture([0.3, -0.2])
     assert a != DiskMap(a.coeffs, a.immersed, a.min_deriv, normalized_at_one=True)
     assert len({a, b, make_disk_map(np.array([0.0, 1.0]), normalized_at_one=False)}) == 2
+
+
+# --- one-FFT build_phi against the analyze-based construction -----------------
+
+def reference_analytic_completion(lam):
+    """analytic_completion with its band-limit guard summed over analyze's
+    full mirrored spectrum and its Hilbert step fed modes 0 .. n/2 read off
+    that spectrum."""
+    field = SingularField.from_grid(lam)
+    n = field.n
+    c = analyze(field.smooth).coeffs
+    m = np.abs(np.arange(-n // 2, n // 2))
+    energy = np.abs(c) ** 2
+    total = np.sum(energy[m > 0])
+    floor = n * (1e-13 * max(1.0, float(np.max(np.abs(field.smooth.values))))) ** 2
+    top = np.sum(energy[m >= (1.0 - spectral.BAND_LIMIT_TOP) * (n // 2)])
+    if total > floor and top / total > spectral.BAND_LIMIT_ENERGY:
+        raise UnderResolved("band limit")
+    half = np.append(c[n // 2 :], c[0])  # modes 0 .. n/2 - 1, then the Nyquist mode
+    rho = spectral._apply_multiplier(field.smooth, spectral._hilbert_multiplier(n), half)
+    return BoundaryTrace(lam=field, rho_smooth=rho)
+
+
+def reference_abs_on_rings(coef, rings):
+    """disk._abs_on_rings with the series length from np.flatnonzero."""
+    n = rings.n
+    nz = np.flatnonzero(coef)
+    size = nz[-1] + 1 if nz.size else 1
+    q_count = -(-size // n)
+    block = np.zeros(q_count * n, dtype=complex)
+    block[:size] = coef[:size]
+    folded = rings.P * (rings.V(q_count) @ block.reshape(q_count, n))
+    return np.abs(np.fft.ifft(folded, axis=-1) * n)
+
+
+def reference_make_disk_map(coeffs, normalized_at_one=True):
+    """make_disk_map padding by np.flatnonzero and np.concatenate."""
+    c = np.asarray(coeffs, dtype=complex)
+    if c.size < 2:
+        raise InvalidInput("short")
+    nz = np.flatnonzero(c)
+    size = nz[-1] + 1 if nz.size else 0
+    c = np.concatenate([c[:size], np.zeros(max(2 * size, 64) - size, dtype=complex)])
+    total = float(np.sum(np.abs(c) ** 2))
+    if total == 0:
+        raise InvalidInput("zero map")
+    if normalized_at_one and abs(np.sum(c)) > 1e-10 * max(1.0, np.sqrt(total)):
+        raise InvalidInput("normalization")
+    vals = reference_abs_on_rings(c[1:] * np.arange(1, c.size), disk._lattice_rings())
+    md, top = float(np.min(vals)), float(np.max(vals))
+    return DiskMap(coeffs=c, immersed=md > 1e-9 * top, min_deriv=md, normalized_at_one=normalized_at_one)
+
+
+def reference_build_phi(bt):
+    """build_phi through a PeriodicGrid of phi, analyze's shifted spectrum,
+    the full-spectrum negative-frequency fraction and the guards' own sums."""
+    n = bt.n
+    w = np.real(bt.lam.smooth.values) + 1j * np.real(bt.rho_smooth.values)
+    th = grid_angles(n) if bt.anchors else None
+    for t0, c in bt.anchors:
+        w = w + c * log_profile(th, t0) + 1j * (c * spectral.conjugate_profile(th, t0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.exp(w)
+    if not np.all(np.isfinite(phi)):
+        raise UnderResolved("non-finite")
+    s = analyze(PeriodicGrid(phi))
+    full = np.zeros(n // 2 + 1, dtype=complex)
+    full[1:] = s.coeffs[n // 2 :] / np.arange(1, n // 2 + 1)
+    total = float(np.sum(np.abs(full) ** 2))
+    tail = float(np.sum(np.abs(full[n // 4 + 1 :]) ** 2))
+    if total > 0 and tail > disk.TAIL_ENERGY_LIMIT * total:
+        raise UnderResolved("tail")
+    coeffs = full.copy()
+    energy = np.abs(s.coeffs) ** 2
+    if np.sum(energy) and np.sum(energy[: n // 2]) / np.sum(energy) > disk.NEG_FREQ_LIMIT:
+        raise NotHolomorphic("negative frequencies")
+    coeffs[0] = -np.sum(coeffs[1:])
+    return reference_make_disk_map(coeffs)
+
+
+def outcome(make, *args):
+    """make(*args), or the class of the exception it raised."""
+    try:
+        return make(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc)
+
+
+def assert_same_map(got, ref):
+    assert np.array_equal(got.coeffs, ref.coeffs)
+    assert got.min_deriv == ref.min_deriv
+    assert got.immersed is ref.immersed
+    assert got == ref
+
+
+@lru_cache(maxsize=None)
+def bubble_field(mu, x0):
+    b = quant.bubble(mu=mu, x0=x0)
+    n = max(256, 1 << int(np.ceil(np.log2(max(256.0, 20.0 * mu)))))  # as Bubble.disk_map
+    return b.pull_back(n).field
+
+
+def anchored_trace(t0, c, n=256):
+    th = grid_angles(n)
+    return SingularField(PeriodicGrid(0.3 * np.cos(th) - 0.2 * np.sin(2 * th)), ((t0, c),))
+
+
+class TestOneFftOracles:
+    @pytest.mark.parametrize("x0", [-0.45, 0.0, 0.3])
+    @pytest.mark.parametrize("j", range(13))
+    def test_bubble_ladder_maps_are_bit_identical(self, j, x0):
+        lam = bubble_field(2.0**j, x0)
+        bt, ref_bt = analytic_completion(lam), reference_analytic_completion(lam)
+        assert np.array_equal(bt.rho_smooth.values, ref_bt.rho_smooth.values)
+        d = build_phi(bt)
+        assert_same_map(d, reference_build_phi(ref_bt))
+        assert d == quant.bubble(2.0**j, x0).disk_map()
+
+    @pytest.mark.parametrize("zeros", [[0.0], [0.5], [0.3j], [0.0, 0.0], [0.3, -0.3], [0.5, 0.2 + 0.4j, -0.6j]])
+    def test_blaschke_fixtures_are_bit_identical(self, zeros):
+        d = blaschke_fixture(zeros)
+        assert_same_map(d, reference_make_disk_map(d.coeffs, normalized_at_one=False))
+        raw = np.ones(2048, dtype=complex)
+        z = np.exp(1j * grid_angles(2048))
+        for a in zeros:
+            raw = raw * (z - a) / (1 - np.conj(a) * z)
+        series = analyze(PeriodicGrid(raw)).coeffs[1024 : 1024 + 513]
+        assert_same_map(make_disk_map(series, normalized_at_one=False),
+                        reference_make_disk_map(series, normalized_at_one=False))
+
+    @pytest.mark.parametrize("size, trailing", [(2, 0), (2, 1), (3, 61), (40, 0), (40, 200), (63, 1), (64, 64), (300, 5)])
+    def test_trailing_zeros_are_bit_identical(self, size, trailing):
+        rng = np.random.default_rng(size + trailing)
+        c = rng.normal(size=size) + 1j * rng.normal(size=size)
+        c[-1] = 0.5 + 0.25j  # the last nonzero is the last entry before the zeros
+        c = np.concatenate([c, np.zeros(trailing)])
+        assert_same_map(make_disk_map(c, normalized_at_one=False),
+                        reference_make_disk_map(c, normalized_at_one=False))
+        c[0] -= np.sum(c)  # Phi(1) = 0
+        assert_same_map(make_disk_map(c), reference_make_disk_map(c))
+        dcoef = c[1:] * np.arange(1, c.size)
+        for rings in (disk._lattice_rings(), disk._mesh_cache(64)[1]):
+            assert np.array_equal(disk._abs_on_rings(dcoef, rings), reference_abs_on_rings(dcoef, rings))
+
+    def test_series_length_of_zero_and_nonzero_vectors(self):
+        assert disk._series_length(np.zeros(5, dtype=complex)) == 0
+        assert disk._series_length(np.array([0, 0, 1j, 0])) == 3
+        assert disk._series_length(np.array([1.0])) == 1
+        for zeros in (np.zeros(2), np.zeros(70, dtype=complex)):
+            assert outcome(make_disk_map, zeros, False) is outcome(reference_make_disk_map, zeros, False) is InvalidInput
+        assert np.array_equal(disk._abs_on_rings(np.zeros(3, dtype=complex), disk._lattice_rings()),
+                              reference_abs_on_rings(np.zeros(3, dtype=complex), disk._lattice_rings()))
+
+    @pytest.mark.parametrize("make", [
+        # non-finite: an anchor on a grid angle gives phi = inf there
+        lambda: BoundaryTrace(anchored_trace(-np.pi / 2, 0.5), hilbert(anchored_trace(-np.pi / 2, 0.5).smooth)),
+        lambda: BoundaryTrace(SingularField(PeriodicGrid(np.full(64, 800.0))), PeriodicGrid.zeros(64)),
+        # under-resolved: the tail guard trips before the negative-frequency one
+        lambda: bubble_trace(4096.0, n=4096),
+        lambda: bubble_trace(256.0, n=512),
+        # not holomorphic: the conjugate with the wrong sign
+        lambda: BoundaryTrace(SingularField(PeriodicGrid(np.cos(grid_angles(128)))),
+                              hilbert(PeriodicGrid(-np.cos(grid_angles(128))))),
+        # anchored traces off the grid, which resolve or not
+        lambda: analytic_completion(anchored_trace(0.1234, -np.pi / 4)),
+        lambda: analytic_completion(anchored_trace(0.1234, np.pi / 4)),
+        lambda: analytic_completion(anchored_trace(1.0001, -np.pi / 2, n=1024)),
+    ])
+    def test_guards_raise_the_same_exception(self, make):
+        bt = make()
+        got, ref = outcome(build_phi, bt), outcome(reference_build_phi, bt)
+        if isinstance(ref, type):
+            assert got is ref
+        else:
+            assert_same_map(got, ref)
+
+    def test_guard_verdicts_cover_every_class(self):
+        # the cases above reach each outcome: a map, and all three exceptions
+        seen = set()
+        for bt in (bubble_trace(4096.0, n=4096), bubble_trace(2.0),
+                   BoundaryTrace(SingularField(PeriodicGrid(np.full(64, 800.0))), PeriodicGrid.zeros(64)),
+                   BoundaryTrace(SingularField(PeriodicGrid(np.cos(grid_angles(128)))),
+                                 hilbert(PeriodicGrid(-np.cos(grid_angles(128)))))):
+            got = outcome(build_phi, bt)
+            seen.add(got if isinstance(got, type) else DiskMap)
+        assert seen == {DiskMap, UnderResolved, NotHolomorphic}
+
+
+def test_disk_map_memory_peak():
+    # one complex array carries exponent, phi and spectrum; through a
+    # PeriodicGrid of phi and analyze's shifted spectrum the peak is 16.6 MB
+    import tracemalloc
+
+    b = quant.bubble(4096.0, 0.3)
+    b.disk_map()  # the lattice power tables grow once, outside the measurement
+    tracemalloc.start()
+    try:
+        b.disk_map()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15.5 * 2**20

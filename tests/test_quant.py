@@ -436,6 +436,146 @@ class TestLambdaAudit:
         assert "excluded" in rep.entries[0].note or "failed" in rep.entries[0].note
 
 
+def reference_asymptotic_slope(u):
+    """line.asymptotic_slope with its tail points and design matrix built on
+    every call, the design before u sees the points."""
+    import warnings
+
+    from liouville_disk.errors import FitWarning
+    from liouville_disk.line import TAIL_POINTS, TAIL_RESIDUAL, TAIL_WINDOW
+
+    tail = np.geomspace(*TAIL_WINDOW, TAIL_POINTS)
+    xs = np.concatenate([tail, -tail])
+    X = -np.log1p(np.abs(xs))
+    A = np.column_stack([X, np.ones_like(X)])
+    ys = np.asarray(u(xs), dtype=float)
+    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
+    slope = float(coef[0])
+    resid = float(np.max(np.abs(A @ coef - ys)))
+    monotone = all(
+        np.all(np.diff(side) <= 1e-9) or np.all(np.diff(side) >= -1e-9)
+        for side in (ys[:TAIL_POINTS], ys[TAIL_POINTS:])
+    )
+    if slope > 0.2 and not monotone:
+        warnings.warn("non-monotone tail", FitWarning)
+    elif resid > TAIL_RESIDUAL:
+        warnings.warn("tail fit residual", FitWarning)
+    return slope
+
+
+def reference_verify_solution(u, K, n=512, anchor_coeff=None, pole_value=None):
+    """verify_solution written out: pull u back, then sample K with its pole
+    fit, then transfer the equation."""
+    from liouville_disk.line import CurvatureData, pull_back, transfer_equation
+
+    lf = pull_back(u, n, anchor_coeff=anchor_coeff, pole_value=pole_value)
+    kd = CurvatureData.from_evaluator(K, n)
+    return transfer_equation(lf, kd, strict_dirac=False)
+
+
+def reference_lambda_audit(members):
+    """lambda_audit with one reference_verify_solution call, and so one
+    sampled K, per member, and the per-call tail fit."""
+    import warnings
+
+    from liouville_disk.quant import AuditEntry, AuditReport, Bubble
+
+    entries = []
+    for item in members:
+        if isinstance(item, Bubble):
+            label = f"bubble(mu={item.mu:g}, x0={item.x0:g})"
+            u, K = item.u, (lambda x: np.ones_like(np.asarray(x, dtype=float)))
+            kwargs = {"anchor_coeff": 0.0, "pole_value": -np.log(item.mu)}
+        else:
+            label, u, K = item
+            kwargs = {}
+        try:
+            rep = reference_verify_solution(u, K, n=512, **kwargs)
+        except Exception as exc:  # noqa: BLE001 - reported, as lambda_audit does
+            entries.append(AuditEntry(label, np.nan, np.nan, np.inf, False, f"verify failed: {exc}"))
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            slope = reference_asymptotic_slope(u)
+        if rep.residual_sup >= 1e-4:
+            entries.append(AuditEntry(label, rep.Lambda, slope, rep.residual_sup, False,
+                                      "excluded: residual above tolerance"))
+            continue
+        note = "slope/Lambda mismatch beyond 5%" if abs(slope - rep.Lambda / np.pi) > 0.05 * abs(rep.Lambda / np.pi) else ""
+        entries.append(AuditEntry(label, rep.Lambda, slope, rep.residual_sup, True, note))
+    return AuditReport(entries=entries)
+
+
+def audit_json(rep):
+    # json text, so that the NaN of a failed verification compares equal
+    import json
+
+    return json.dumps(rep.to_json())
+
+
+class TestAuditAgainstPerMemberReference:
+    def test_bubble_ladder(self):
+        for x0 in (-0.45, 0.0, 0.3):
+            members = [bubble(mu=2.0**j, x0=x0) for j in range(13)]
+            assert audit_json(lambda_audit(members)) == audit_json(reference_lambda_audit(members))
+
+    def test_mixed_members(self):
+        def u_scaled(x):  # a bubble of scale 3 given by hand, with K = 1
+            return np.log(6.0 / (1 + 9.0 * (np.asarray(x, dtype=float) - 0.2) ** 2))
+
+        def k_one(x):
+            return np.ones_like(np.asarray(x, dtype=float))
+
+        def k_fails(x):
+            raise ValueError("curvature sampler failed")
+
+        def u_in_place(x):  # writes to the points it is given
+            x -= 0.2
+            return np.log(2.0 / (1 + x**2))
+
+        decoy = ("decoy", lambda x: -3 * np.log1p(np.abs(np.asarray(x))), k_one)
+        broken = ("broken", lambda x: np.asarray(x)[:1], k_one)  # wrong shape: verify fails
+        # u and K both fail: the note names the error of u, which is pulled back first
+        both = ("both broken", lambda x: np.asarray(x)[:1], k_fails)
+        members = [bubble(mu=4.0, x0=0.1), ("by hand", u_scaled, k_one), decoy, broken,
+                   both, ("bad K", u_scaled, k_fails), ("in place", u_in_place, k_one),
+                   bubble(mu=8.0, x0=-0.3)]
+        rep = lambda_audit(members)
+        assert audit_json(rep) == audit_json(reference_lambda_audit(members))
+        assert [e.included for e in rep.entries] == [True, True, False, False, False, False, False, True]
+        assert rep.entries[2].note.startswith("excluded")
+        assert rep.entries[3].note.startswith("verify failed")
+        assert rep.entries[4].note == rep.entries[3].note
+        assert rep.entries[5].note == "verify failed: curvature sampler failed"
+
+    def test_verify_solution_reports_u_before_k(self):
+        with pytest.raises(InvalidInput, match="shape"):
+            verify_solution(lambda x: np.asarray(x)[:1], lambda x: 1 / 0)
+
+    def test_asymptotic_slope_matches_the_per_call_construction(self):
+        import warnings
+
+        from liouville_disk.line import asymptotic_slope
+
+        cases = [bubble(mu=m, x0=x0).u for m in (0.25, 1.0, 4096.0) for x0 in (0.0, 0.45)]
+        cases += [lambda x: -3 * np.log1p(np.abs(x)), lambda x: np.sin(np.asarray(x)), lambda x: 0.0 * x]
+
+        def shifted_in_place(x):  # writes to the points it is given
+            x -= 0.2
+            return -3 * np.log1p(np.abs(x))
+
+        cases += [shifted_in_place, shifted_in_place]  # the second call sees the points unchanged
+        for u in cases:
+            with warnings.catch_warnings(record=True) as got_w:
+                warnings.simplefilter("always")
+                got = asymptotic_slope(u)
+            with warnings.catch_warnings(record=True) as ref_w:
+                warnings.simplefilter("always")
+                ref = reference_asymptotic_slope(u)
+            assert got == ref
+            assert [w.category for w in got_w] == [w.category for w in ref_w]
+
+
 def test_blaschke_boundary_degree_measured_by_rotation_index():
     # argument-principle oracle: a degree-two product has one interior
     # critical point, so the boundary tangent winds twice

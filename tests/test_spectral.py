@@ -472,12 +472,18 @@ def test_equal_values_compare_and_hash_alike(case):
 
 @pytest.mark.parametrize("op", [half_laplacian, hilbert, derivative])
 def test_multiplier_operator_transforms_once(monkeypatch, op):
-    # the band-limit guard reads the coefficients the multiplier is applied to
+    # the band-limit guard reads the coefficients the multiplier is applied
+    # to: one forward transform, the real half spectrum of a real grid and
+    # the full one of a complex grid
+    grids = [random_bandlimited(64, seed=3), random_bandlimited(64, seed=3, kmax=20, complex_=True)]
     calls = []
-    original = spectral.analyze
-    monkeypatch.setattr(spectral, "analyze", lambda g: calls.append(g) or original(g))
-    op(random_bandlimited(64, seed=3))
-    assert len(calls) == 1
+    for name in ("fft", "rfft"):
+        original = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda a, *args, _f=original, _n=name, **kw:
+                            calls.append(_n) or _f(a, *args, **kw))
+    for g in grids:
+        op(g)
+    assert calls == ["rfft", "fft"]
 
 
 @pytest.mark.parametrize("op", [half_laplacian, hilbert, derivative])
@@ -597,3 +603,86 @@ def test_eval_modes_memory_grows_with_sqrt_n():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# --- half spectra of real grids against the full mirrored spectrum -----------
+
+def full_spectrum_band_limit_fraction(g, s=None):
+    """band_limit_fraction summing |u_hat(m)|^2 over all n modes of
+    analyze's spectrum, the mirrored negative half included."""
+    c = (analyze(g) if s is None else s).coeffs
+    m = np.abs(np.arange(-g.n // 2, g.n // 2))
+    cutoff = (1.0 - spectral.BAND_LIMIT_TOP) * (g.n // 2)
+    total = np.sum(np.abs(c[m > 0]) ** 2)
+    if total <= g.n * (1e-13 * max(1.0, float(np.max(np.abs(g.values))))) ** 2:
+        return 0.0
+    return float(np.sum(np.abs(c[m >= cutoff]) ** 2) / total)
+
+
+def two_mode_grid(n, frac, top):
+    """cos(theta) plus a mode `top` whose share of the oscillatory energy is
+    frac (the Nyquist mode n/2 is a single mode, every other one a pair)."""
+    th = grid_angles(n)
+    share = 1.0 if top == n // 2 else 0.5
+    b = np.sqrt(0.5 * frac / ((1.0 - frac) * share))
+    return PeriodicGrid(np.cos(th) + b * np.cos(top * th))
+
+
+def real_grid_cases():
+    """Band-limited, white noise, top-heavy, rounding-floor and near-threshold
+    real grids."""
+    cases = []
+    for n in (8, 16, 64, 1024, 65536):
+        rng = np.random.default_rng(n)
+        cases += [
+            random_bandlimited(n, seed=n),
+            PeriodicGrid(rng.normal(size=n)),
+            PeriodicGrid(rng.normal(size=n) * np.cos(0.5 * n * grid_angles(n))),
+            PeriodicGrid(np.full(n, 3.0)),
+            PeriodicGrid(np.full(n, 3.0) + 1e-15 * rng.normal(size=n)),
+            PeriodicGrid.zeros(n),
+        ]
+        for top in (n // 2 - 1, n // 2):
+            for frac in spectral.BAND_LIMIT_ENERGY * np.array([1 - 1e-9, 1 + 1e-9, 0.5, 2.0]):
+                cases.append(two_mode_grid(n, frac, top))
+    return cases
+
+
+def test_half_spectrum_is_the_nonnegative_half_of_analyze():
+    for g in real_grid_cases():
+        c = analyze(g).coeffs
+        assert np.array_equal(spectral.real_half_spectrum(g), np.append(c[g.n // 2 :], c[0]))
+
+
+def test_band_limit_fraction_matches_the_full_spectrum():
+    for g in real_grid_cases():
+        ref = full_spectrum_band_limit_fraction(g)
+        got = spectral.band_limit_fraction(g)
+        assert abs(got - ref) <= 1e-13 * ref
+        assert spectral.band_limit_fraction(g, spectral.real_half_spectrum(g)) == got
+    for seed in range(3):
+        # complex grids keep the full-spectrum sum
+        g = random_bandlimited(64, seed=seed, kmax=31, complex_=True)
+        assert spectral.band_limit_fraction(g) == full_spectrum_band_limit_fraction(g)
+
+
+def test_band_limit_guards_decide_as_the_full_spectrum():
+    from liouville_disk.disk import analytic_completion
+    from liouville_disk.errors import UnderResolved
+
+    decided = set()
+    for g in real_grid_cases():
+        trips = full_spectrum_band_limit_fraction(g) > spectral.BAND_LIMIT_ENERGY
+        decided.add(trips)
+        for op in (half_laplacian, hilbert, derivative):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                op(g)
+            assert any(issubclass(w.category, BandLimitWarning) for w in caught) is trips
+        try:
+            analytic_completion(g)
+            raised = False
+        except UnderResolved:
+            raised = True
+        assert raised is trips
+    assert decided == {False, True}

@@ -120,7 +120,7 @@ def analytic_completion(lam) -> BoundaryTrace:
     frac = band_limit_fraction(smooth, half)
     if frac > BAND_LIMIT_ENERGY:
         raise UnderResolved(f"top decile of boundary spectrum carries {frac:.2%} of energy")
-    rho = _apply_multiplier(smooth, _hilbert_multiplier(smooth.n), half)
+    rho = _apply_multiplier(smooth, _hilbert_multiplier(smooth), half)
     return BoundaryTrace(lam=field, rho_smooth=rho)
 
 
@@ -494,9 +494,9 @@ def _singular_boundary_polyline(bt: BoundaryTrace, n: int):
         # every sawtooth takes the branch of the side of its anchor each node lies on
         for t0, c in anchors:
             rho = rho + c * conjugate_profile(nodes, t0)
-        return 1j * np.exp(1j * nodes) * np.exp(lam + 1j * rho)
+        return 1j * np.exp(lam + 1j * (rho + nodes))
 
-    specs = (analyze(bt.lam.smooth), analyze(bt.rho_smooth))
+    specs = (real_half_spectrum(bt.lam.smooth), real_half_spectrum(bt.rho_smooth))
     increments = singular_cell_integrals(n, anchors, specs, dphi)
     verts_c = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
     closure = abs(verts_c[-1] - verts_c[0])

@@ -37,10 +37,10 @@ from .spectral import (
     TWO_PI,
     PeriodicGrid,
     SingularField,
-    analyze,
     circle_trapezoid,
     grid_angles,
     log_profile,
+    real_half_spectrum,
     singular_cell_integrals,
     singular_half_laplacian,
 )
@@ -422,9 +422,9 @@ def integrate_exp_singular(field: SingularField, extra: np.ndarray | None = None
     The sum of the cell integrals of spectral.singular_cell_integrals; extra
     may be sampled on a grid of another size than the field's.
     """
-    specs = [analyze(field.smooth)]
+    specs = [real_half_spectrum(field.smooth)]
     if extra is not None:
-        specs.append(analyze(PeriodicGrid(extra)))
+        specs.append(real_half_spectrum(PeriodicGrid(extra)))
 
     def integrand(nodes, lam, extra_values=1.0):
         return np.exp(lam) * extra_values

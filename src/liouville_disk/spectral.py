@@ -10,11 +10,15 @@ mean(|u|^2) = sum |u_hat(m)|^2.
 
 A real grid has a Hermitian spectrum, u_hat(-m) = conj u_hat(m), so real
 grids go through real-input transforms: real_half_spectrum takes modes
-0 .. n/2 from np.fft.rfft, analyze mirrors them, and the multiplier
-operators return np.fft.irfft of modes 0 .. n/2, half the work of a complex
-transform.  The band-limit guard and the multiplier operators read a real
-grid's spectrum as that half (see multiplier_spectrum), never the mirror.
-Complex grids take np.fft.fft and np.fft.ifft, and analyze's full spectrum.
+0 .. n/2 from np.fft.rfft, and the multiplier operators return np.fft.irfft
+of modes 0 .. n/2, half the work of a complex transform.  The band-limit
+guard, the multiplier operators (whose multipliers are built on those modes
+only) and the anchored cell quadrature read a real grid's spectrum as that
+half (see multiplier_spectrum), never the mirror: eval_shifted_grids takes
+one irfft per shifted grid and eval_modes a one-sided sum with weights
+1, 2, ..., 2, 1.  Of the real grids, analyze mirrors the half into the
+full spectrum only for SingularField.evaluate.  Complex grids take
+np.fft.fft and np.fft.ifft, and analyze's full spectrum.
 
 Operators are diagonal in this basis, and every multiplier is Hermitian,
 mult(-m) = conj mult(m) with a real Nyquist entry, so that real data stay
@@ -50,9 +54,9 @@ from .errors import (
 
 TWO_PI = 2.0 * np.pi
 
-# points of every Gauss rule beside a log anchor (singular_cell_rule and the
-# log-profile cell integrals): 12 to 24 all agree with adaptive quadrature to
-# 1e-14; 16 leaves margin where Legendre error falls like (2 + sqrt 3)^(-2K)
+# points of every Gauss rule beside a log anchor (singular_cell_rule): 12 to
+# 24 all agree with adaptive quadrature to 1e-14; 16 leaves margin where
+# Legendre error falls like (2 + sqrt 3)^(-2K)
 ANCHOR_RULE_POINTS = 16
 _GL_X, _GL_W = leggauss(ANCHOR_RULE_POINTS)
 
@@ -264,50 +268,77 @@ def synthesize(s: SpectralRep) -> PeriodicGrid:
     return PeriodicGrid(vals)
 
 
-def eval_modes(s: SpectralRep, thetas: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolation: sum of u_hat(m) e^{i m theta}.
+def eval_modes(s, thetas: np.ndarray) -> np.ndarray:
+    """Trigonometric interpolation at arbitrary angles.
 
-    The modes are split as m = -n/2 + b q + r with b = 2^(bit_length(n) // 2),
-    about sqrt(n) and a divisor of n, so e^{i m theta} is
-    e^{i (b q - n/2) theta} e^{i r theta}.  Each node costs b + n/b complex
-    exponentials and its share of one (nodes x n/b) @ (n/b x b) matmul, with
-    O(nodes (b + n/b)) temporaries instead of the full nodes x n matrix.  The
-    -n/2 offset stays inside the coarse table: a separate e^{-i n theta/2}
-    factor loses accuracy.
+    s is a SpectralRep, giving the complex sum of u_hat(m) e^{i m theta}
+    over m = -n/2 .. n/2 - 1, or the real_half_spectrum of a real grid,
+    giving the real interpolant Re sum_{m=0}^{n/2} w_m u_hat(m) e^{i m theta}
+    with w = 1, 2, ..., 2, 1 (the real part of the full sum: the mirrored
+    modes are the conjugates, and the Nyquist coefficient is real).
+
+    The modes are split as m = m0 + b q + r, m0 = -n/2 (full) or 0 (half),
+    with b = 2^(bit_length(n) // 2), about sqrt(n) and a divisor of n, so
+    e^{i m theta} is e^{i (b q + m0) theta} e^{i r theta}; the half spectrum
+    is zero-padded to n/2 + b modes.  Each node costs b + n/b (full) or
+    b + n/2b + 1 (half) complex exponentials and its share of one matmul
+    against the (modes/b x b) coefficient block, with O(nodes (b + n/b))
+    temporaries instead of the full nodes x n matrix.  The m0 offset stays
+    inside the coarse table: a separate e^{-i n theta/2} factor loses
+    accuracy.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    n = s.n
+    full = isinstance(s, SpectralRep)
+    n = s.n if full else 2 * (s.size - 1)
     b = 1 << (n.bit_length() // 2)
+    if full:
+        first, coeffs = -n // 2, s.coeffs
+    else:
+        first, coeffs = 0, np.zeros(n // 2 + b, dtype=complex)
+        coeffs[: s.size] = s
+        coeffs[1 : s.size - 1] *= 2.0
     lo = np.exp(1j * np.outer(thetas, np.arange(b)))
-    hi = np.exp(1j * np.outer(thetas, np.arange(-n // 2, n // 2, b)))
-    return ((hi @ s.coeffs.reshape(-1, b)) * lo).sum(axis=1)
+    hi = np.exp(1j * np.outer(thetas, np.arange(first, first + coeffs.size, b)))
+    out = ((hi @ coeffs.reshape(-1, b)) * lo).sum(axis=1)
+    return out if full else out.real
 
 
-def eval_shifted_grids(s: SpectralRep, offsets, n: int | None = None) -> np.ndarray:
-    """Trigonometric interpolant on the shifted grids theta_j + delta_k.
+def eval_shifted_grids(half: np.ndarray, offsets, n: int | None = None) -> np.ndarray:
+    """Real trigonometric interpolant of a real grid on the shifted grids
+    theta_j + delta_k.
 
-    Row k holds eval_modes(s, grid_angles(n) + offsets[k]) on an n-point grid
-    (default: the grid of s), computed as one inverse FFT of
-    u_hat(m) e^{i m delta_k} (same sign and half-period phase as
-    :func:`synthesize`): O(K n log n) for K offsets instead of O(K n^2), with
-    O(K n) temporaries.  Any n >= 1 is exact: e^{i m theta_j} depends on m
-    only through (-1)^m and m mod n, so the phased coefficients are folded
-    into the n bins m mod n before the transform (zero padding when n > s.n).
+    half is the grid's real_half_spectrum (modes 0 .. N/2).  Row k holds
+    eval_modes(half, grid_angles(n) + offsets[k]) on an n-point grid
+    (default N), the one-sided sum Re sum_{m=0}^{N/2} w_m u_hat(m)
+    e^{i m (theta_j + delta_k)} with w = 1, 2, ..., 2, 1.  As
+    e^{i m theta_j} = (-1)^m e^{2 pi i j m / n}, a row is one np.fft.irfft of
+    the phased modes u_hat(m) (-1)^m e^{i m delta_k}, and for n = N irfft's
+    own weights 1, 2, ..., 2, 1 are w: O(K n log n) for K offsets instead of
+    O(K n^2), with O(K n) temporaries.  Any n >= 1 is exact: e^{i m theta_j}
+    depends on m only through (-1)^m and m mod n, so for n != N the weighted
+    modes are folded into the n bins m mod n, bin n - k onto bin k
+    conjugated (a real part does not see the conjugation), and the interior
+    bins halved against irfft's doubling.
     """
-    size = s.n if n is None else int(n)
+    grid_n = 2 * (half.size - 1)
+    size = grid_n if n is None else int(n)
     if size < 1:
         raise InvalidInput("target grid size must be positive")
-    m = s.modes
-    bins = m % size
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    signed = s.coeffs.copy()
-    signed[1::2] *= -1  # (-1)^m: odd modes sit at odd positions, as in analyze
-    shifted = signed * np.exp(1j * np.outer(offsets, m))
-    folded = np.zeros((offsets.size, size), dtype=complex)
-    for start in range(0, s.n, size):
-        # bins are distinct within a run of `size` consecutive modes
-        folded[:, bins[start : start + size]] += shifted[:, start : start + size]
-    return np.fft.ifft(folded, axis=-1) * size
+    signed = half.copy()
+    signed[1::2] *= -1  # (-1)^m, as in real_half_spectrum
+    phased = signed * np.exp(1j * np.outer(offsets, np.arange(half.size)))
+    if size != grid_n:
+        phased[:, 1:-1] *= 2.0  # the weights w
+        folded = np.zeros((offsets.size, size), dtype=complex)
+        for start in range(0, half.size, size):
+            chunk = phased[:, start : start + size]
+            folded[:, : chunk.shape[1]] += chunk
+        interior = slice(1, (size + 1) // 2)
+        phased = folded[:, : size // 2 + 1]
+        phased[:, interior] += np.conj(folded[:, : size // 2 : -1])
+        phased[:, interior] *= 0.5
+    return np.fft.irfft(phased, size, axis=-1, norm="forward")
 
 
 def band_limit_fraction(g: PeriodicGrid, s=None) -> float:
@@ -364,9 +395,22 @@ def negative_frequency_fraction(s: SpectralRep) -> float:
     return float(np.sum(energy[: s.n // 2])) / total  # modes -n/2 .. -1
 
 
+def _multiplier_modes(g: PeriodicGrid) -> np.ndarray:
+    """The modes of multiplier_spectrum(g), in its order: 0 .. n/2 - 1 and
+    then the Nyquist mode as -n/2 for a real grid, -n/2 .. n/2 - 1 for a
+    complex one.  The multiplier operators build mult on these modes only."""
+    n = g.n
+    if not g.is_real:
+        return np.arange(-n // 2, n // 2)
+    m = np.arange(n // 2 + 1)
+    m[-1] = -(n // 2)
+    return m
+
+
 def _apply_multiplier(g: PeriodicGrid, mult: np.ndarray, s=None) -> PeriodicGrid:
-    """The grid whose coefficients are mult(m) u_hat(m); s is
-    multiplier_spectrum(g) when the caller has it already.
+    """The grid whose coefficients are mult(m) u_hat(m), mult given on
+    _multiplier_modes(g); s is multiplier_spectrum(g) when the caller has it
+    already.
 
     mult must be Hermitian, mult(-m) = conj mult(m) with a real Nyquist
     entry mult(-n/2).  A real grid then has a real image, computed from
@@ -378,25 +422,22 @@ def _apply_multiplier(g: PeriodicGrid, mult: np.ndarray, s=None) -> PeriodicGrid
         s = multiplier_spectrum(g)
     if not g.is_real:
         return synthesize(SpectralRep(s.coeffs * mult))
-    n = g.n
-    half = np.empty(n // 2 + 1, dtype=complex)  # modes 0 .. n/2
-    np.multiply(s[:-1], mult[n // 2 :], out=half[:-1])
-    half[-1] = s[-1] * mult[0]
+    half = s * mult  # modes 0 .. n/2
     half[1::2] *= -1
-    return PeriodicGrid(np.fft.irfft(half, n, norm="forward"))
+    return PeriodicGrid(np.fft.irfft(half, g.n, norm="forward"))
 
 
 def half_laplacian(g: PeriodicGrid) -> PeriodicGrid:
     """Multiplier |m|; annihilates constants and has zero mean."""
     s = multiplier_spectrum(g)
     band_limit_guard(g, s=s)
-    m = np.arange(-g.n // 2, g.n // 2)
-    return _apply_multiplier(g, np.abs(m).astype(float), s)
+    return _apply_multiplier(g, np.abs(_multiplier_modes(g)).astype(float), s)
 
 
-def _hilbert_multiplier(n: int) -> np.ndarray:
-    mult = -1j * np.sign(np.arange(-n // 2, n // 2))
-    mult[0] = 0.0  # Nyquist: odd multiplier has no symmetric partner
+def _hilbert_multiplier(g: PeriodicGrid) -> np.ndarray:
+    m = _multiplier_modes(g)
+    mult = -1j * np.sign(m)
+    mult[m == -(g.n // 2)] = 0.0  # Nyquist: odd multiplier has no symmetric partner
     return mult
 
 
@@ -404,15 +445,15 @@ def hilbert(g: PeriodicGrid) -> PeriodicGrid:
     """Conjugation operator, multiplier -i sign(m); output has zero mean."""
     s = multiplier_spectrum(g)
     band_limit_guard(g, s=s)
-    return _apply_multiplier(g, _hilbert_multiplier(g.n), s)
+    return _apply_multiplier(g, _hilbert_multiplier(g), s)
 
 
 def derivative(g: PeriodicGrid) -> PeriodicGrid:
     """d/dtheta, multiplier i*m with the Nyquist mode zeroed."""
     s = multiplier_spectrum(g)
     band_limit_guard(g, s=s)
-    m = np.arange(-g.n // 2, g.n // 2).astype(float)
-    m[0] = 0.0
+    m = _multiplier_modes(g).astype(float)
+    m[m == -(g.n // 2)] = 0.0
     return _apply_multiplier(g, 1j * m, s)
 
 
@@ -421,8 +462,7 @@ def poisson_extend(g: PeriodicGrid, r: float) -> PeriodicGrid:
     keeps the mean)."""
     if not (0.0 <= r < 1.0):
         raise InvalidRadius(f"radius must lie in [0, 1), got {r}")
-    m = np.arange(-g.n // 2, g.n // 2)
-    return _apply_multiplier(g, np.power(float(r), np.abs(m)))
+    return _apply_multiplier(g, np.power(float(r), np.abs(_multiplier_modes(g))))
 
 
 def green_convolve(f: PeriodicGrid) -> PeriodicGrid:
@@ -434,7 +474,7 @@ def green_convolve(f: PeriodicGrid) -> PeriodicGrid:
     mbar = abs(complex(f.mean()))
     if mbar > GREEN_MEAN_TOL:
         raise NotSolvable(f"|mean(f)| = {mbar:.3e} exceeds {GREEN_MEAN_TOL:.1e}")
-    m = np.arange(-f.n // 2, f.n // 2).astype(float)
+    m = _multiplier_modes(f).astype(float)
     inv = np.zeros_like(m)
     nz = m != 0
     inv[nz] = 1.0 / np.abs(m[nz])
@@ -472,51 +512,6 @@ def conjugate_profile(thetas, theta0: float):
     phi = np.mod(thetas - theta0, TWO_PI)
     out = (np.pi - phi) / TWO_PI
     return np.where(phi == 0.0, np.nan, out)
-
-
-def _int_log2sin_0_to(a: float) -> float:
-    # integral of log(2 sin(t/2)) on [0, a], 0 < a <= pi; endpoint log split off
-    t = 0.5 * a * (_GL_X + 1.0)
-    smooth = np.log(2.0 * np.sin(t / 2.0) / t)
-    return a * np.log(a) - a + 0.5 * a * float(_GL_W @ smooth)
-
-
-def _log2sin_antiderivative(x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    return np.sign(x) * _int_log2sin_0_to(abs(x))
-
-
-def log_profile_cell_integral(a: float, b: float, theta0: float = 0.0) -> float:
-    """Exact integral of the log profile over [a, b] (closed form + Gauss split).
-
-    The angular window, shifted by theta0, must fit inside one period around
-    the singularity, i.e. a - theta0, b - theta0 in [-2 pi, 2 pi] after
-    reduction.  Used for cell-integrated sampling of the profile.
-    """
-    lo = a - theta0
-    hi = b - theta0
-    # reduce so the window lies within [-pi, pi] possibly split at the wrap
-    lo = (lo + np.pi) % TWO_PI - np.pi
-    hi = lo + (b - a)
-    if hi <= np.pi:
-        val = _log2sin_antiderivative(hi) - _log2sin_antiderivative(lo)
-    else:
-        val = (_log2sin_antiderivative(np.pi) - _log2sin_antiderivative(lo)) + (
-            _log2sin_antiderivative(hi - TWO_PI) - _log2sin_antiderivative(-np.pi)
-        )
-    # log(2(1-cos t)) = 2 log(2 sin(|t|/2)); profile carries -(1/2pi)
-    return -val / np.pi
-
-
-def cell_averaged_log_profile(n: int, theta0: float = 0.0) -> PeriodicGrid:
-    """Cell averages of the log profile over the n grid cells."""
-    h = TWO_PI / n
-    th = grid_angles(n)
-    vals = np.array(
-        [log_profile_cell_integral(t - h / 2, t + h / 2, theta0) / h for t in th]
-    )
-    return PeriodicGrid(vals)
 
 
 @lru_cache(maxsize=32)
@@ -578,15 +573,18 @@ def singular_cell_integrals(n: int, anchors, specs, integrand) -> np.ndarray:
     """Integrals over the n grid cells [theta_j, theta_j + 2 pi/n] of
     integrand(nodes, lam, *rest), where lam is the real interpolant of
     specs[0] plus c * log_profile of every anchor (theta0, c) and rest are
-    the real interpolants of the other specs.
+    the real interpolants of the other specs.  Each spec is the
+    real_half_spectrum of a real grid, of any size; the mirrored spectrum
+    is never built.
 
     A cell whose midpoint lies within 2.5 cell widths of an anchor takes the
     singular_cell_rule of the first such anchor; its weights carry that
     anchor's power-law factor, so lam leaves out its log part there.  All
-    these nodes go through one eval_modes call per spec, however large n.
-    Every other cell takes a 10-point Gauss rule whose k-th node lies on the
-    grid shifted by a fixed delta_k: one inverse FFT per node and spec
-    (eval_shifted_grids), O(n log n) in all.
+    these nodes go through one eval_modes call per spec, however large n,
+    each a one-sided sum over modes 0 .. n/2.  Every other cell takes a
+    10-point Gauss rule whose k-th node lies on the grid shifted by a fixed
+    delta_k: one real inverse FFT per node and spec (eval_shifted_grids),
+    O(n log n) in all.
     """
     th = grid_angles(n)
     h = TWO_PI / n
@@ -613,10 +611,10 @@ def singular_cell_integrals(n: int, anchors, specs, integrand) -> np.ndarray:
         return integrand(at, lam, *rows[1:])
 
     offsets = 0.5 * h * (CELL_GAUSS_X + 1.0)
-    rows = [np.real(eval_shifted_grids(s, offsets, n))[:, regular] for s in specs]
+    rows = [eval_shifted_grids(s, offsets, n)[:, regular] for s in specs]
     out = np.zeros(n, dtype=complex)
     out[regular] = 0.5 * h * (CELL_GAUSS_W @ values(th[regular] + offsets[:, None], rows, -1))
-    rows = [np.real(eval_modes(s, nodes)) for s in specs]
+    rows = [eval_modes(s, nodes) for s in specs]
     np.add.at(out, cell, weights * values(nodes, rows, owner))
     return out
 

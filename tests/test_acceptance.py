@@ -40,11 +40,11 @@ from liouville_disk.spectral import (
     PeriodicGrid,
     SingularField,
     analyze,
-    cell_averaged_log_profile,
     grid_angles,
     half_laplacian,
     hilbert,
 )
+from test_spectral import cell_averaged_log_profile
 
 TWO_PI = 2 * np.pi
 

@@ -647,7 +647,9 @@ def reference_analytic_completion(lam):
     if total > floor and top / total > spectral.BAND_LIMIT_ENERGY:
         raise UnderResolved("band limit")
     half = np.append(c[n // 2 :], c[0])  # modes 0 .. n/2 - 1, then the Nyquist mode
-    rho = spectral._apply_multiplier(field.smooth, spectral._hilbert_multiplier(n), half)
+    mult = -1j * np.sign(np.arange(n // 2 + 1))
+    mult[-1] = 0.0  # the Nyquist mode
+    rho = spectral._apply_multiplier(field.smooth, mult, half)
     return BoundaryTrace(lam=field, rho_smooth=rho)
 
 

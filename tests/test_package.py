@@ -187,6 +187,20 @@ def test_anchored_cell_quadrature_has_one_home():
     assert callers == {"spectral.singular_cell_integrals"}
 
 
+def test_anchored_cell_quadrature_reads_half_spectra():
+    # the anchored quadrature and its two callers transform their real grids
+    # by real_half_spectrum: no mirrored spectrum from analyze
+    quadrature = ("spectral.singular_cell_integrals", "line.integrate_exp_singular",
+                  "disk._singular_boundary_polyline")
+    callers = {
+        f"{name[:-3]}.{scope}"
+        for name, tree in module_trees()
+        for scope in call_scopes(tree, {"analyze"})
+    }
+    assert not [c for c in callers if c.startswith(quadrature)]
+    assert {"spectral.multiplier_spectrum", "spectral.SingularField._spectrum"} <= callers
+
+
 def test_the_circle_chart_alone_places_the_grid_on_the_line():
     # the pole index and Pi(theta_j) of the grid are computed once per n
     callers = {

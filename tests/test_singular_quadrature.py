@@ -1,13 +1,15 @@
 """Quadrature of anchored traces against brute force and closed forms.
 
 integrate_exp_singular and the anchored boundary_polyline both sum the cell
-integrals of spectral.singular_cell_integrals: regular Gauss cells through
-eval_shifted_grids, anchor-adjacent cells through the fixed Gauss-Jacobi
-rules of spectral.singular_cell_rule.  The oracles kept here are per-cell
-loops: one eval_modes call per cell at its 10 Gauss nodes, and each
-anchor-adjacent cell handed to adaptive QUADPACK quadrature (QAWS, with the
-algebraic endpoint weight split off).  A pure anchor has closed forms for
-both Lambda and the boundary curve.
+integrals of spectral.singular_cell_integrals on real half spectra: regular
+Gauss cells through eval_shifted_grids (one irfft per offset),
+anchor-adjacent cells through the fixed Gauss-Jacobi rules of
+spectral.singular_cell_rule.  The oracles kept here are per-cell loops: one
+eval_modes call per cell at its 10 Gauss nodes, and each anchor-adjacent
+cell handed to adaptive QUADPACK quadrature (QAWS, with the algebraic
+endpoint weight split off); the complex-spectrum path (mirrored spectrum,
+complex inverse FFTs) is kept as the oracle of the half-spectrum path.  A
+pure anchor has closed forms for both Lambda and the boundary curve.
 """
 
 import warnings
@@ -171,51 +173,132 @@ def curvature_extra(n):
 
 # --- tests --------------------------------------------------------------------
 
+def complex_shifted_grids(s, offsets, n=None):
+    """The complex-spectrum shifted grids: one complex inverse FFT per offset
+    of u_hat(m) (-1)^m e^{i m delta_k} over all n modes of a SpectralRep,
+    folded into the bins m mod n."""
+    size = s.n if n is None else n
+    m = s.modes
+    shifted = (s.coeffs * (-1.0) ** m) * np.exp(1j * np.outer(offsets, m))
+    folded = np.zeros((len(offsets), size), dtype=complex)
+    for start in range(0, s.n, size):
+        folded[:, m[start : start + size] % size] += shifted[:, start : start + size]
+    return np.fft.ifft(folded, axis=-1) * size
+
+
+def mirrored(half):
+    """The full spectrum of a real grid from its half (analyze's mirror)."""
+    return spectral.SpectralRep(np.concatenate((half[-1:], np.conj(half[-2:0:-1]), half[:-1])))
+
+
+def real_test_grid(n, seed, nyquist=0.0):
+    """Decaying random real grid of n points plus a Nyquist mode of the given
+    amplitude."""
+    rng = np.random.default_rng(seed)
+    th = grid_angles(n)
+    vals = sum((rng.normal() * np.cos(k * th) + rng.normal() * np.sin(k * th)) / (1.0 + k)
+               for k in range(n // 2))
+    return PeriodicGrid(vals + rng.normal() + nyquist * np.cos(0.5 * n * th))
+
+
 def test_shifted_grids_match_eval_modes():
     rng = np.random.default_rng(5)
     for n in (16, 64, 256):
-        coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
-        s = spectral.SpectralRep(coeffs / (1.0 + np.abs(np.arange(-n // 2, n // 2))))
+        g = real_test_grid(n, seed=n, nyquist=0.3)
+        half = spectral.real_half_spectrum(g)
         offsets = rng.uniform(-TWO_PI, TWO_PI, size=7)
-        rows = eval_shifted_grids(s, offsets)
-        assert rows.shape == (7, n)
+        rows = eval_shifted_grids(half, offsets)
+        assert rows.shape == (7, n) and rows.dtype == float
         th = grid_angles(n)
         for k, delta in enumerate(offsets):
-            ref = eval_modes(s, th + delta)
+            ref = eval_modes(analyze(g), th + delta).real
             assert np.max(np.abs(rows[k] - ref)) < 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(eval_modes(half, th + delta) - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("target", [8, 100, 512])
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_eval_modes_on_a_half_spectrum_is_the_real_part_of_the_full_sum(n):
+    # the one-sided sum with weights 1, 2, ..., 2, 1 against the complex sum
+    # over the mirrored spectrum, Nyquist mode included
+    g = real_test_grid(n, seed=3, nyquist=0.5)
+    th = np.random.default_rng(n).uniform(-10.0, 10.0, size=33)
+    got = eval_modes(spectral.real_half_spectrum(g), th)
+    ref = eval_modes(analyze(g), th)
+    assert got.dtype == float
+    assert np.max(np.abs(got - ref.real)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("target", [8, 100, 512, 64])
 def test_shifted_grids_flip_the_signs_of_the_odd_modes_exactly(target):
-    # (-1)^m is a sign flip, so the phased coefficients match the power form
-    # bit for bit and the anchored quadrature does not move
+    # (-1)^m is a sign flip, so the phased half spectrum matches the power
+    # form bit for bit, and so does the irfft of each offset row (folded
+    # with the weights 2 on the interior modes when target != 64)
     rng = np.random.default_rng(13)
     n = 64
-    s = spectral.SpectralRep(rng.normal(size=n) + 1j * rng.normal(size=n))
+    half = spectral.real_half_spectrum(real_test_grid(n, seed=13, nyquist=0.2))
     offsets = rng.uniform(-TWO_PI, TWO_PI, size=3)
-    m = s.modes
-    shifted = (s.coeffs * (-1.0) ** m) * np.exp(1j * np.outer(offsets, m))
-    folded = np.zeros((offsets.size, target), dtype=complex)
-    for start in range(0, n, target):
-        folded[:, m[start : start + target] % target] += shifted[:, start : start + target]
-    assert np.array_equal(eval_shifted_grids(s, offsets, target), np.fft.ifft(folded, axis=-1) * target)
+    m = np.arange(half.size)
+    phased = (half * (-1.0) ** m) * np.exp(1j * np.outer(offsets, m))
+    if target != n:
+        phased[:, 1:-1] *= 2.0
+        folded = np.zeros((offsets.size, target), dtype=complex)
+        np.add.at(folded, (slice(None), m % target), phased)
+        inner = slice(1, (target + 1) // 2)
+        phased = folded[:, : target // 2 + 1]
+        phased[:, inner] = 0.5 * (phased[:, inner] + np.conj(folded[:, : target // 2 : -1]))
+    expect = np.fft.irfft(phased, target, axis=-1, norm="forward")
+    assert np.array_equal(eval_shifted_grids(half, offsets, target), expect)
 
 
-@pytest.mark.parametrize("target", [8, 32, 100, 128, 512])
+@pytest.mark.parametrize("target", [1, 2, 7, 8, 32, 100, 128, 512])
 def test_shifted_grids_on_another_grid_match_eval_modes(target):
     # coarser targets fold aliased modes together, finer ones zero-pad; both
-    # must reproduce the interpolant of the 64-point data exactly
+    # must reproduce the real interpolant of the 64-point data exactly, its
+    # Nyquist mode a cosine on any target
     rng = np.random.default_rng(11)
     n = 64
-    coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
-    s = spectral.SpectralRep(coeffs / (1.0 + np.abs(np.arange(-n // 2, n // 2))))
     offsets = rng.uniform(-TWO_PI, TWO_PI, size=5)
-    rows = eval_shifted_grids(s, offsets, target)
-    assert rows.shape == (5, target)
     th = grid_angles(target)
-    for k, delta in enumerate(offsets):
-        ref = eval_modes(s, th + delta)
-        assert np.max(np.abs(rows[k] - ref)) < 1e-12 * np.max(np.abs(ref))
+    for nyquist in (0.0, 0.4):
+        g = real_test_grid(n, seed=11, nyquist=nyquist)
+        rows = eval_shifted_grids(spectral.real_half_spectrum(g), offsets, target)
+        assert rows.shape == (5, target)
+        complex_rows = complex_shifted_grids(analyze(g), offsets, target)
+        for k, delta in enumerate(offsets):
+            ref = eval_modes(analyze(g), th + delta)
+            assert np.max(np.abs(rows[k] - ref.real)) < 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(rows[k] - complex_rows[k].real)) < 1e-12 * np.max(np.abs(ref))
+
+
+def complex_spectrum_path(monkeypatch, fn):
+    """fn() with the anchored quadrature run on the mirrored complex
+    spectrum, as before the half-spectrum path: complex shifted grids and
+    complex point sums, each reduced to its real part."""
+    original = spectral.eval_modes
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral, "eval_shifted_grids",
+                   lambda half, offsets, n: complex_shifted_grids(mirrored(half), offsets, n).real)
+        mp.setattr(spectral, "eval_modes", lambda half, th: original(mirrored(half), th).real)
+        return fn()
+
+
+def pure_anchor_field(n):
+    return SingularField(PeriodicGrid(np.zeros(n)), ((POLE_ANGLE, 0.6 * np.pi),))
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024])
+@pytest.mark.parametrize("make_field", [two_anchor_field, pure_anchor_field])
+def test_half_spectrum_quadrature_matches_the_complex_path(monkeypatch, make_field, n):
+    sf = make_field(n)
+    for extra in (None, curvature_extra(n)):
+        val = integrate_exp_singular(sf, extra)
+        ref = complex_spectrum_path(monkeypatch, lambda: integrate_exp_singular(sf, extra))
+        assert abs(val - ref) <= 1e-13 * abs(ref)
+    bt = analytic_completion(sf)
+    verts, corners = boundary_polyline(bt, n)
+    ref, ref_corners = complex_spectrum_path(monkeypatch, lambda: boundary_polyline(bt, n))
+    assert np.max(np.abs(verts - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert sorted(corners) == sorted(ref_corners)
 
 
 @pytest.mark.parametrize("n", [64, 256])

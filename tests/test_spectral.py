@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from liouville_disk import spectral
@@ -22,7 +23,6 @@ from liouville_disk.spectral import (
     SpectralRep,
     analyze,
     band_limit_guard,
-    cell_averaged_log_profile,
     circle_trapezoid,
     derivative,
     eval_modes,
@@ -239,7 +239,9 @@ def test_real_multipliers_match_the_complex_inverse(n):
 def test_every_module_multiplier_is_hermitian(monkeypatch):
     # the irfft route is the operator only for mult(-m) = conj mult(m) with a
     # real Nyquist entry.  The five operators are every call site in the
-    # module (disk.analytic_completion reuses the Hilbert multiplier)
+    # module (disk.analytic_completion reuses the Hilbert multiplier).  A
+    # complex grid gets the full multiplier; a real grid only the entries
+    # the irfft route reads, modes 0 .. n/2 - 1 and then the Nyquist mode
     tree = ast.parse(inspect.getsource(spectral))
     sites = [
         node for node in ast.walk(tree)
@@ -257,10 +259,12 @@ def test_every_module_multiplier_is_hermitian(monkeypatch):
     g = random_bandlimited(n, seed=1)
     g = g - g.mean()
     for op, expect in ops:
-        op(g)
+        op(g + 0j)
         assert np.array_equal(seen[-1], expect)
         assert np.array_equal(seen[-1][1 : n // 2], np.conj(seen[-1][: n // 2 : -1]))
         assert np.imag(seen[-1][0]) == 0.0
+        op(g)
+        assert np.array_equal(seen[-1], np.append(expect[n // 2 :], expect[0]))
 
 
 class TestHalfLaplacian:
@@ -370,6 +374,42 @@ class TestGreenConvolve:
     def test_not_solvable(self):
         with pytest.raises(NotSolvable):
             green_convolve(PeriodicGrid(np.full(32, 1.0)))
+
+
+def _int_log2sin_0_to(a):
+    # integral of log(2 sin(t/2)) on [0, a], 0 < a <= pi; endpoint log split off
+    x, w = leggauss(16)
+    t = 0.5 * a * (x + 1.0)
+    smooth = np.log(2.0 * np.sin(t / 2.0) / t)
+    return a * np.log(a) - a + 0.5 * a * float(w @ smooth)
+
+
+def _log2sin_antiderivative(x):
+    return 0.0 if x == 0.0 else np.sign(x) * _int_log2sin_0_to(abs(x))
+
+
+def log_profile_cell_integral(a, b, theta0=0.0):
+    """Integral of the log profile over [a, b], b - a <= 2 pi, in closed form
+    plus a Gauss rule for the smooth factor."""
+    lo = (a - theta0 + np.pi) % TWO_PI - np.pi  # the window starts in [-pi, pi)
+    hi = lo + (b - a)
+    if hi <= np.pi:
+        val = _log2sin_antiderivative(hi) - _log2sin_antiderivative(lo)
+    else:  # split at the wrap
+        val = (_log2sin_antiderivative(np.pi) - _log2sin_antiderivative(lo)) + (
+            _log2sin_antiderivative(hi - TWO_PI) - _log2sin_antiderivative(-np.pi)
+        )
+    # log(2(1-cos t)) = 2 log(2 sin(|t|/2)); the profile carries -(1/2pi)
+    return -val / np.pi
+
+
+def cell_averaged_log_profile(n, theta0=0.0):
+    """Cell averages of the log profile over the n grid cells: sampling data
+    whose spectrum is the profile's times the box window."""
+    h = TWO_PI / n
+    return PeriodicGrid(np.array(
+        [log_profile_cell_integral(t - h / 2, t + h / 2, theta0) / h for t in grid_angles(n)]
+    ))
 
 
 class TestCellIntegratedProfile:

@@ -12,24 +12,24 @@ polylines are built by per-cell quadrature of the boundary derivative
 which would trip the resolution guard.
 
 Inside the disk |Phi'| is only needed on uniform polar rings: the 64 x 256
-lattice of the immersion certificate and the edge-midpoint rings of the
-distance mesh.  All rings of a call fold the coefficients at once, through
+lattice of the immersion test and the edge-midpoint rings of the distance
+mesh.  All rings of a call fold the coefficients at once, through
 one matrix product, and share one batched inverse FFT (_abs_on_rings), so
 series orders of 10^5 stay cheap.  The powers of the ring centers that the
 fold multiplies by belong to the ring geometry, not to the series
-(RingPowers): the certificate lattice holds one table and each cached
+(RingPowers): the test lattice holds one table and each cached
 distance mesh holds another, so a call of either geometry computes powers
 only for a series longer than any before it.  The recentered boundary
 moduli of quant.recentered_lambda_sequence take Phi' at off-grid points of
-the unit circle instead, through spectral.eval_modes.
+the unit circle instead: spectral.eval_modes sums its one-sided series.
 
 A disk map costs a fixed number of passes over its n-point grid.  The
 analytic completion reads one real half spectrum for its band-limit guard
-and its Hilbert step; build_phi writes lambda + i rho into one complex
-array, exponentiates it in place and overwrites it with one forward FFT,
-whose first half gives the coefficients and whose second half the
-negative-frequency energy; and a series is measured up to its last nonzero
-coefficient by one argmax, not by listing every nonzero index.
+and its Hilbert step.  Boundary samples become series in one place,
+_boundary_modes (one in-place forward FFT): build_phi, mobius_recenter and
+blaschke_fixture each truncate its modes under their own tail guard, and
+the first two then check its negative-frequency share.  A series is measured up to its
+last nonzero coefficient by one argmax, not by listing every nonzero index.
 """
 
 from __future__ import annotations
@@ -49,13 +49,11 @@ from .spectral import (
     ValueEquality,
     _apply_multiplier,
     _hilbert_multiplier,
-    analyze,
     band_limit_fraction,
     circle_trapezoid,
     conjugate_profile,
     grid_angles,
     log_profile,
-    negative_frequency_fraction,
     real_half_spectrum,
     singular_cell_integrals,
     singular_half_laplacian,
@@ -86,10 +84,10 @@ class BoundaryTrace:
         return self.lam.anchors
 
     def lambda_grid(self) -> np.ndarray:
-        return np.real(self.lam.grid_values())
+        return self.lam.grid_values()
 
     def rho_grid(self) -> np.ndarray:
-        vals = np.real(np.asarray(self.rho_smooth.values, dtype=float)).copy()
+        vals = self.rho_smooth.values.copy()
         th = grid_angles(self.n)
         for t0, c in self.anchors:
             vals += c * conjugate_profile(th, t0)
@@ -106,15 +104,14 @@ def analytic_completion(lam) -> BoundaryTrace:
     closed-form sawtooth conjugate of each log anchor.
 
     Raises UnderResolved when the smooth part fails the band-limit guard (the
-    top decile of its spectrum carries over 1% of the energy).  The guard
-    and the Hilbert step read one half spectrum, modes 0 .. n/2 of the
-    real smooth part; the full mirrored spectrum is never built.
+    top decile of its spectrum carries over 1% of the energy), and
+    InvalidInput when it is complex: lambda is real.  The guard and the
+    Hilbert step read one half spectrum, modes 0 .. n/2 of the smooth part;
+    the full mirrored spectrum is never built.
     """
     if not isinstance(lam, (SingularField, PeriodicGrid)):
         lam = PeriodicGrid(lam)
     field = SingularField.from_grid(lam)
-    if not field.smooth.is_real:
-        field = SingularField(PeriodicGrid(np.real(field.smooth.values)), field.anchors)
     smooth = field.smooth
     half = real_half_spectrum(smooth)
     frac = band_limit_fraction(smooth, half)
@@ -129,8 +126,8 @@ class DiskMap(ValueEquality):
     """Power-series map of the closed unit disk.
 
     coeffs are ascending powers; deriv evaluation uses the differentiated
-    series.  immersed is a numerical certificate: min |Phi'| over a 64 x 256
-    polar lattice was strictly positive.
+    series.  immersed is a 64 x 256 polar lattice test, no certificate: it
+    misses a zero of Phi' between nodes (Phi'(z) = z - 0.5 e^{0.01 i}).
     """
 
     coeffs: np.ndarray
@@ -219,7 +216,7 @@ def _abs_on_rings(coef: np.ndarray, rings: RingPowers) -> np.ndarray:
     k = q n + b and the coefficients as a (Q x n) block A[q, b] = coef_k,
     the bins of ring i are P[i, b] (V @ A)[i, b], and one batched inverse
     FFT takes every ring.  P and V come from the tables of the geometry
-    (the certificate lattice, or the distance mesh of conformal_distance),
+    (the test lattice, or the distance mesh of conformal_distance),
     so a call computes no powers unless its Q is the largest yet.
     Temporaries are O(rings (n + Q) + order), never a (rings x order) array.
     """
@@ -234,7 +231,7 @@ def _abs_on_rings(coef: np.ndarray, rings: RingPowers) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _lattice_rings() -> RingPowers:
-    """The 64 x 256 polar test lattice of the immersion certificate."""
+    """The 64 x 256 polar test lattice of the immersion test."""
     return RingPowers(np.linspace(0.0, 1.0, 64), 256)
 
 
@@ -252,8 +249,8 @@ def make_disk_map(coeffs, normalized_at_one: bool = True) -> DiskMap:
     satisfies the tail-energy invariant (the spectral constructors enforce
     the guard on the discarded modes before truncating) and a stored vector
     is stored unchanged.  Checks the Phi(1) = 0 normalization when tagged,
-    and evaluates the immersion certificate on the 64 x 256 polar test
-    lattice.
+    and tests immersion on the 64 x 256 polar lattice, which can miss a zero
+    of Phi' between nodes (see DiskMap).
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.size < 2:
@@ -285,6 +282,21 @@ def _truncate_with_guard(full_coeffs: np.ndarray, M: int) -> np.ndarray:
     return full_coeffs[: M + 1]
 
 
+def _boundary_modes(w: np.ndarray):
+    """Modes 0 .. n/2 - 1 of finite complex samples w on the n grid angles,
+    and the energy share of modes -n/2 .. -1.  One forward FFT overwrites w:
+    position k holds mode k for k < n/2, up to the half-period sign (-1)^k,
+    and mode k - n above; no shifted or mirrored spectrum is built.
+    """
+    if not np.all(np.isfinite(w)):
+        raise UnderResolved("boundary samples are non-finite on the sampling grid")
+    pos, neg = np.split(np.fft.fft(w, norm="forward", out=w), 2)
+    pos[1::2] *= -1
+    neg_energy = float(np.sum(np.abs(neg) ** 2))
+    total = neg_energy + float(np.sum(np.abs(pos) ** 2))
+    return pos, neg_energy / total if total else 0.0
+
+
 def build_phi(bt: BoundaryTrace) -> DiskMap:
     """Integrate the boundary derivative into the disk map.
 
@@ -294,12 +306,8 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
     map, truncated to order n/2 under the tail guard.
 
     One array carries the whole path: lambda and rho are written into its
-    real and imaginary parts, exponentiated in place, checked for finiteness
-    once, and overwritten by one forward FFT.  Position k of that FFT holds
-    mode k for k < n/2, up to the half-period sign (-1)^k, and mode k - n
-    above, so the coefficients are read from the first half, and the
-    negative-frequency energy is the second half's share of the total; no
-    shifted or mirrored spectrum is built.
+    real and imaginary parts, exponentiated in place, and overwritten by the
+    FFT of _boundary_modes.
 
     The grid needs no oversampling.  On n points, modes n/2 .. n-1 of phi
     fold onto the negative frequencies -n/2 .. -1, which the
@@ -313,26 +321,19 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
     """
     n = bt.n
     w = np.empty(n, dtype=complex)
-    w.real = np.real(bt.lam.smooth.values)
-    w.imag = np.real(bt.rho_smooth.values)
+    w.real = bt.lam.smooth.values
+    w.imag = bt.rho_smooth.values
     th = grid_angles(n) if bt.anchors else None
     for t0, c in bt.anchors:
         w.real += c * log_profile(th, t0)
         w.imag += c * conjugate_profile(th, t0)
     with np.errstate(over="ignore", invalid="ignore"):
         np.exp(w, out=w)
-    if not np.all(np.isfinite(w)):
-        raise UnderResolved("boundary derivative is non-finite on the sampling grid")
-    # modes 0 .. n/2 - 1, then modes -n/2 .. -1
-    pos, neg = np.split(np.fft.fft(w, norm="forward", out=w), 2)
-    pos[1::2] *= -1
+    pos, frac = _boundary_modes(w)
     # integrate every available nonnegative mode, then truncate under the guard
     full = np.zeros(n // 2 + 1, dtype=complex)
     np.divide(pos, np.arange(1, n // 2 + 1), out=full[1:])
     coeffs = _truncate_with_guard(full, n // 2)
-    neg_energy = float(np.sum(np.abs(neg) ** 2))
-    total = neg_energy + float(np.sum(np.abs(pos) ** 2))
-    frac = neg_energy / total if total else 0.0
     if frac > NEG_FREQ_LIMIT:
         raise NotHolomorphic(
             f"negative-frequency energy fraction {frac:.2e} of boundary derivative"
@@ -380,8 +381,9 @@ def mobius_recenter(d: DiskMap, a: complex, t: float) -> DiskMap:
     """Precompose with the disk automorphism f(z) = (z - t a)/(1 - t conj(a) z).
 
     t = 0 gives the identity.  Composition happens on a dense boundary grid
-    followed by re-projection to the order of d (at least 256); a tripped
-    tail guard (t too close to 1 for the series order) raises UnderResolved.
+    followed by re-projection to the order of d (at least 256); the tail
+    guard (t too close to 1 for the series order) raises UnderResolved
+    before the negative-frequency guard raises NotHolomorphic.
     """
     a = complex(a)
     _check_recentering(a, t)
@@ -390,12 +392,10 @@ def mobius_recenter(d: DiskMap, a: complex, t: float) -> DiskMap:
     th = grid_angles(N)
     z = np.exp(1j * th)
     w = (z - t * a) / (1 - t * np.conj(a) * z)
-    vals = d(w)
-    s = analyze(PeriodicGrid(vals))
-    if negative_frequency_fraction(s) > NEG_FREQ_LIMIT:
+    pos, frac = _boundary_modes(d(w))
+    coeffs = _truncate_with_guard(pos, M)
+    if frac > NEG_FREQ_LIMIT:
         raise NotHolomorphic("recentered map lost holomorphy (sampling artifact)")
-    full = s.coeffs[N // 2 :]
-    coeffs = _truncate_with_guard(full, M).copy()
     coeffs[0] -= np.sum(coeffs)
     out = make_disk_map(coeffs)
     if d.immersed and not out.immersed:
@@ -409,7 +409,7 @@ def blaschke_fixture(zeros) -> DiskMap:
 
     Generates boundary curves of known degree n for the curve-topology
     machinery; for n >= 2 the derivative vanishes inside the disk, so the
-    immersion certificate fails (as it must).
+    lattice immersion test fails (as it must).
     """
     zeros = [complex(a) for a in zeros]
     for a in zeros:
@@ -420,9 +420,8 @@ def blaschke_fixture(zeros) -> DiskMap:
     vals = np.ones_like(z)
     for a in zeros:
         vals = vals * (z - a) / (1 - np.conj(a) * z)
-    s = analyze(PeriodicGrid(vals))
-    full = s.coeffs[n_grid // 2 :]
-    coeffs = _truncate_with_guard(full, n_grid // 4)
+    pos, _ = _boundary_modes(vals)
+    coeffs = _truncate_with_guard(pos, n_grid // 4)
     return make_disk_map(coeffs, normalized_at_one=False)
 
 

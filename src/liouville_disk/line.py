@@ -184,7 +184,7 @@ class LineField:
         """Evaluate u(x) = lambda(theta(x)) + log(2/(1+x^2))."""
         x = np.asarray(x, dtype=float)
         th = angle_of_x(x)
-        lam = np.real(self.field.evaluate(th))
+        lam = self.field.evaluate(th)
         out = lam + np.log(2.0 / (1.0 + x**2))
         return float(out[0]) if np.ndim(x) == 0 else out
 
@@ -480,7 +480,7 @@ def transfer_equation(lf: LineField, K: CurvatureData, strict_dirac: bool = True
     if field.anchors:
         Lambda = integrate_exp_singular(field, extra=kap)
     else:
-        lam = np.real(field.smooth.values)
+        lam = field.smooth.values
         Lambda = float(circle_trapezoid(PeriodicGrid(kap * np.exp(lam))))
 
     beta_required = TWO_PI - Lambda
@@ -492,9 +492,9 @@ def transfer_equation(lf: LineField, K: CurvatureData, strict_dirac: bool = True
         )
 
     hl_smooth, _ = singular_half_laplacian(field)
-    lam_grid = np.real(lf.lambda_grid())
+    lam_grid = lf.lambda_grid()
     with np.errstate(over="ignore"):
-        residual = np.real(hl_smooth.values) - (kap * np.exp(lam_grid) - 1.0)
+        residual = hl_smooth.values - (kap * np.exp(lam_grid) - 1.0)
 
     # exclude anchor grid points and immediate neighbors, where e^lambda blows up
     mask = np.ones(n, dtype=bool)

@@ -3,10 +3,13 @@
 The mesh carries the pulled-back boundary metric |Phi'| |dz|: edge weights
 are |Phi'(midpoint)| times Euclidean edge length, and distances between
 boundary points are Dijkstra shortest paths.  Ring spacing starts at the
-boundary grid spacing 2*pi/n and grows inward by a fixed ratio, so the
-metric-graph error is O(h) with a bounded node count.  The mesh lists its
-edge midpoints as uniform polar rings, one per edge family, so a metric that
-is cheap to evaluate ring by ring needs one value per undirected edge.
+boundary grid spacing 2*pi/n and grows inward by a fixed ratio, which
+bounds the node count.  Paths on a fixed stencil carry a metrication error
+that does not vanish with h: for Phi(z) = z - 1 the distance from 1 to i
+reads 6.8% long at n = 256 and 10.5% at n = 4096; only the diameter, which
+the radial edges trace, is exact.  The mesh lists its edge midpoints as
+uniform polar rings, one per edge family, so a metric that is cheap to
+evaluate ring by ring needs one value per undirected edge.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ from .line import (
     transfer_equation,
     window_samples,
 )
-from .spectral import TWO_PI, PeriodicGrid, SingularField, SpectralRep, eval_modes, grid_angles
+from .spectral import TWO_PI, PeriodicGrid, SingularField, eval_modes, grid_angles
 
 # pi/2 - float(pi/2): the rounding of the float pi/2, added back to offsets
 _HALF_PI_LO = 6.123233995736766e-17
@@ -329,19 +329,14 @@ def recentered_lambda_sequence(d: DiskMap, a: complex, ts, n: int = 1024):
 
     By the chain rule log|(Phi o f_t)'(z)| = log|Phi'(f_t(z))| + log|f_t'(z)|,
     with f_t'(z) = (1 - t^2)/(1 - t conj(a) z)^2.  f_t maps the unit circle
-    onto itself, so Phi' is the trigonometric sum of its coefficients (modes
-    0 .. size - 1 of a SpectralRep of length max(8, 2^ceil(log2 2 size)))
-    at the angles of the n points f_t(z_j): one spectral.eval_modes call per
-    t.  No recentered series is built or truncated, so the moduli carry only
-    the error of Phi' itself, whatever t and the series order.
+    onto itself, so Phi' at the n points f_t(z_j) is the one-sided sum of
+    its coefficients (trailing zeros trimmed) at their angles: one
+    spectral.eval_modes call per t.  No recentered series is built or
+    truncated, so the moduli carry only the error of Phi' itself, whatever
+    t and the series order.
     """
     a = complex(a)
     dcoef = np.trim_zeros(d.deriv_coeffs, "b")
-    size = max(dcoef.size, 1)
-    length = max(8, 1 << (2 * size - 1).bit_length())
-    coeffs = np.zeros(length, dtype=complex)
-    coeffs[length // 2 : length // 2 + dcoef.size] = dcoef
-    deriv = SpectralRep(coeffs)
     z = np.exp(1j * grid_angles(n))
     out = []
     for t in ts:
@@ -349,7 +344,7 @@ def recentered_lambda_sequence(d: DiskMap, a: complex, ts, n: int = 1024):
         _check_recentering(a, t)
         den = 1.0 - t * np.conj(a) * z
         w = (z - t * a) / den
-        speed = np.abs(eval_modes(deriv, np.angle(w)))
+        speed = np.abs(eval_modes(dcoef, np.angle(w)))
         out.append(PeriodicGrid(np.log(speed) + np.log1p(-t * t) - 2.0 * np.log(np.abs(den))))
     return out
 

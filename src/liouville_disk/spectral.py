@@ -12,13 +12,16 @@ A real grid has a Hermitian spectrum, u_hat(-m) = conj u_hat(m), so real
 grids go through real-input transforms: real_half_spectrum takes modes
 0 .. n/2 from np.fft.rfft, and the multiplier operators return np.fft.irfft
 of modes 0 .. n/2, half the work of a complex transform.  The band-limit
-guard, the multiplier operators (whose multipliers are built on those modes
-only) and the anchored cell quadrature read a real grid's spectrum as that
-half (see multiplier_spectrum), never the mirror: eval_shifted_grids takes
-one irfft per shifted grid and eval_modes a one-sided sum with weights
-1, 2, ..., 2, 1.  Of the real grids, analyze mirrors the half into the
-full spectrum only for SingularField.evaluate.  Complex grids take
-np.fft.fft and np.fft.ifft, and analyze's full spectrum.
+guard and the multiplier operators (whose multipliers are built on those
+modes only) read a real grid's spectrum as that half (see
+multiplier_spectrum), never the mirror.
+
+Off the grid a series is a one-sided row c, summed as sum_{k >= 0}
+c_k e^{i k theta} by eval_modes: a disk map's derivative series, or a real
+grid's half spectrum weighted 1, 2, ..., 2, 1 (one_sided), whose sum has
+the interpolant as its real part.  analyze's full ascending spectrum
+(SpectralRep) serves complex grids alone, through np.fft.fft and
+np.fft.ifft.
 
 Operators are diagonal in this basis, and every multiplier is Hermitian,
 mult(-m) = conj mult(m) with a real Nyquist entry, so that real data stay
@@ -268,39 +271,34 @@ def synthesize(s: SpectralRep) -> PeriodicGrid:
     return PeriodicGrid(vals)
 
 
-def eval_modes(s, thetas: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolation at arbitrary angles.
+def one_sided(half: np.ndarray) -> np.ndarray:
+    """A real grid's real_half_spectrum weighted 1, 2, ..., 2, 1: the row
+    whose eval_modes sum has the grid's interpolant as its real part."""
+    row = half.copy()
+    row[1:-1] *= 2.0
+    return row
 
-    s is a SpectralRep, giving the complex sum of u_hat(m) e^{i m theta}
-    over m = -n/2 .. n/2 - 1, or the real_half_spectrum of a real grid,
-    giving the real interpolant Re sum_{m=0}^{n/2} w_m u_hat(m) e^{i m theta}
-    with w = 1, 2, ..., 2, 1 (the real part of the full sum: the mirrored
-    modes are the conjugates, and the Nyquist coefficient is real).
 
-    The modes are split as m = m0 + b q + r, m0 = -n/2 (full) or 0 (half),
-    with b = 2^(bit_length(n) // 2), about sqrt(n) and a divisor of n, so
-    e^{i m theta} is e^{i (b q + m0) theta} e^{i r theta}; the half spectrum
-    is zero-padded to n/2 + b modes.  Each node costs b + n/b (full) or
-    b + n/2b + 1 (half) complex exponentials and its share of one matmul
-    against the (modes/b x b) coefficient block, with O(nodes (b + n/b))
-    temporaries instead of the full nodes x n matrix.  The m0 offset stays
-    inside the coarse table: a separate e^{-i n theta/2} factor loses
-    accuracy.
+def eval_modes(coeffs, thetas: np.ndarray) -> np.ndarray:
+    """sum_{k >= 0} c[..., k] e^{i k theta} at arbitrary angles, for one
+    coefficient row c or a stack of rows (leading axes, kept in the result).
+
+    The K modes are split as k = b q + r, b = 2^(bit_length(K) // 2) about
+    sqrt(K), so e^{i k theta} = e^{i b q theta} e^{i r theta}: every row
+    shares the two tables, and each angle costs b + K/b exponentials and a
+    share of one matmul, with O(angles (b + K/b)) temporaries per row
+    instead of the angles x K matrix.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    full = isinstance(s, SpectralRep)
-    n = s.n if full else 2 * (s.size - 1)
-    b = 1 << (n.bit_length() // 2)
-    if full:
-        first, coeffs = -n // 2, s.coeffs
-    else:
-        first, coeffs = 0, np.zeros(n // 2 + b, dtype=complex)
-        coeffs[: s.size] = s
-        coeffs[1 : s.size - 1] *= 2.0
+    coeffs = np.asarray(coeffs)
+    *lead, size = coeffs.shape
+    b = 1 << (size.bit_length() // 2)
+    q = -(-size // b)
+    block = np.zeros((*lead, q * b), dtype=complex)
+    block[..., :size] = coeffs
     lo = np.exp(1j * np.outer(thetas, np.arange(b)))
-    hi = np.exp(1j * np.outer(thetas, np.arange(first, first + coeffs.size, b)))
-    out = ((hi @ coeffs.reshape(-1, b)) * lo).sum(axis=1)
-    return out if full else out.real
+    hi = np.exp(1j * np.outer(thetas, np.arange(0, q * b, b)))
+    return ((hi @ block.reshape(*lead, q, b)) * lo).sum(axis=-1)
 
 
 def eval_shifted_grids(half: np.ndarray, offsets, n: int | None = None) -> np.ndarray:
@@ -308,8 +306,8 @@ def eval_shifted_grids(half: np.ndarray, offsets, n: int | None = None) -> np.nd
     theta_j + delta_k.
 
     half is the grid's real_half_spectrum (modes 0 .. N/2).  Row k holds
-    eval_modes(half, grid_angles(n) + offsets[k]) on an n-point grid
-    (default N), the one-sided sum Re sum_{m=0}^{N/2} w_m u_hat(m)
+    eval_modes(one_sided(half), grid_angles(n) + offsets[k]).real on an
+    n-point grid (default N), Re sum_{m=0}^{N/2} w_m u_hat(m)
     e^{i m (theta_j + delta_k)} with w = 1, 2, ..., 2, 1.  As
     e^{i m theta_j} = (-1)^m e^{2 pi i j m / n}, a row is one np.fft.irfft of
     the phased modes u_hat(m) (-1)^m e^{i m delta_k}, and for n = N irfft's
@@ -384,15 +382,6 @@ def band_limit_guard(g: PeriodicGrid, s=None):
             BandLimitWarning,
             stacklevel=3,
         )
-
-
-def negative_frequency_fraction(s: SpectralRep) -> float:
-    """Fraction of spectral energy in strictly negative modes (0 for zero data)."""
-    energy = np.abs(s.coeffs) ** 2
-    total = float(np.sum(energy))
-    if total == 0:
-        return 0.0
-    return float(np.sum(energy[: s.n // 2])) / total  # modes -n/2 .. -1
 
 
 def _multiplier_modes(g: PeriodicGrid) -> np.ndarray:
@@ -580,11 +569,11 @@ def singular_cell_integrals(n: int, anchors, specs, integrand) -> np.ndarray:
     A cell whose midpoint lies within 2.5 cell widths of an anchor takes the
     singular_cell_rule of the first such anchor; its weights carry that
     anchor's power-law factor, so lam leaves out its log part there.  All
-    these nodes go through one eval_modes call per spec, however large n,
-    each a one-sided sum over modes 0 .. n/2.  Every other cell takes a
-    10-point Gauss rule whose k-th node lies on the grid shifted by a fixed
-    delta_k: one real inverse FFT per node and spec (eval_shifted_grids),
-    O(n log n) in all.
+    these nodes go through one eval_modes call on the stacked one_sided
+    specs (zero-padded to the longest), however large n.  Every other cell
+    takes a 10-point Gauss rule whose k-th node lies on the grid shifted by a
+    fixed delta_k: one real inverse FFT per node and spec
+    (eval_shifted_grids), O(n log n) in all.
     """
     th = grid_angles(n)
     h = TWO_PI / n
@@ -614,7 +603,10 @@ def singular_cell_integrals(n: int, anchors, specs, integrand) -> np.ndarray:
     rows = [eval_shifted_grids(s, offsets, n)[:, regular] for s in specs]
     out = np.zeros(n, dtype=complex)
     out[regular] = 0.5 * h * (CELL_GAUSS_W @ values(th[regular] + offsets[:, None], rows, -1))
-    rows = [eval_modes(s, nodes) for s in specs]
+    rows = np.zeros((len(specs), max(s.size for s in specs)), dtype=complex)
+    for row, s in zip(rows, specs):
+        row[: s.size] = one_sided(s)
+    rows = eval_modes(rows, nodes).real
     np.add.at(out, cell, weights * values(nodes, rows, owner))
     return out
 
@@ -623,6 +615,7 @@ def singular_cell_integrals(n: int, anchors, specs, integrand) -> np.ndarray:
 class SingularField(ValueEquality):
     """Circle function split as a smooth grid plus log-singular anchors.
 
+    smooth must be a real PeriodicGrid (lambda = log|Phi'| is real).
     anchors is a tuple of (theta0, coefficient) pairs; evaluation away from
     every anchor is smooth(theta) + sum of c * log_profile(theta, theta0).
     """
@@ -631,6 +624,8 @@ class SingularField(ValueEquality):
     anchors: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not (isinstance(self.smooth, PeriodicGrid) and self.smooth.is_real):
+            raise InvalidInput("the smooth part of a field must be a real PeriodicGrid")
         anchors = tuple((float(t), float(c)) for t, c in self.anchors)
         object.__setattr__(self, "anchors", anchors)
         h = TWO_PI / self.smooth.n
@@ -655,23 +650,21 @@ class SingularField(ValueEquality):
         return cls(g, ())
 
     @cached_property
-    def _spectrum(self) -> SpectralRep:
-        """Coefficients of the smooth part, transformed once per field."""
-        return analyze(self.smooth)
+    def _one_sided(self) -> np.ndarray:
+        """one_sided row of the smooth part, transformed once per field."""
+        return one_sided(real_half_spectrum(self.smooth))
 
     def evaluate(self, thetas) -> np.ndarray:
         """Value at arbitrary angles; smooth part by trigonometric interpolation."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        out = eval_modes(self._spectrum, thetas)
-        if self.smooth.is_real:
-            out = out.real
+        out = eval_modes(self._one_sided, thetas).real
         for theta0, c in self.anchors:
             out = out + c * log_profile(thetas, theta0)
         return out
 
     def grid_values(self) -> np.ndarray:
         """Values at the grid angles (inf at anchor points that sit on the grid)."""
-        vals = np.array(self.smooth.values, dtype=float if self.smooth.is_real else complex)
+        vals = self.smooth.values.copy()
         th = self.smooth.thetas
         for theta0, c in self.anchors:
             vals = vals + c * log_profile(th, theta0)

@@ -56,6 +56,16 @@ class TestSpectralCommands:
         out = json.loads(dst.read_text())
         assert abs(out["curvature_mass"] - (2 * np.pi - beta)) < 1e-8
 
+    def test_curvature_of_a_complex_field_is_input_error(self, tmp_path, capsys):
+        # lambda is real: a complex field is refused, not cut to its real part
+        src, dst = tmp_path / "f.json", tmp_path / "o.json"
+        obj = PeriodicGrid(0.1j * np.cos(grid_angles(64)) + 0.2).to_json()
+        obj["anchors"] = [[-np.pi / 2, 0.5]]
+        src.write_text(json.dumps(obj))
+        assert main(["curvature", "--in", str(src), "--out", str(dst)]) == 1
+        assert "InvalidInput" in capsys.readouterr().err
+        assert not dst.exists()
+
 
 class TestCurveCommands:
     def test_fixtures_and_rotation_index(self, tmp_path, capsys):

@@ -110,6 +110,13 @@ class TestAnalyticCompletion:
             analytic_completion(lam)
         assert calls == [("rfft", 256)]
 
+    @pytest.mark.parametrize("make", [PeriodicGrid, np.asarray])
+    def test_complex_boundary_data_is_invalid(self, make):
+        # lambda is real: its imaginary part is refused, not dropped
+        th = grid_angles(64)
+        with pytest.raises(InvalidInput, match="real"):
+            analytic_completion(make(np.cos(th) + 1e-3j * np.sin(th)))
+
     def test_under_resolved_guard(self):
         th = grid_angles(64)
         with pytest.raises(UnderResolved):
@@ -241,6 +248,19 @@ class TestMobiusRecenter:
             d2 = mobius_recenter(d, 1j, t)
             new_len = np.abs(d2.derivative(z)).mean() * TWO_PI
             assert abs(new_len - base_len) < 1e-6 * base_len
+
+    def test_tail_guard_runs_before_the_holomorphy_guard(self):
+        # at t = 0.999 the composed samples alias onto the negative modes and
+        # the kept series has a heavy tail: both guards trip, and the tail
+        # guard speaks first, as in build_phi
+        d = quant.bubble(1.0).disk_map()
+        t, a = 0.999, 1j
+        N = 1 << int(np.ceil(np.log2(8 * max(d.order, 256))))
+        z = np.exp(1j * grid_angles(N))
+        _, share = disk._boundary_modes(d((z - t * a) / (1 - t * np.conj(a) * z)))
+        assert share > disk.NEG_FREQ_LIMIT
+        with pytest.raises(UnderResolved, match="energy fraction"):
+            mobius_recenter(d, a, t)
 
     def test_invalid_inputs(self):
         d = build_phi(bubble_trace(1.0))
@@ -710,6 +730,34 @@ def reference_build_phi(bt):
     return reference_make_disk_map(coeffs)
 
 
+def reference_boundary_series(vals, M):
+    """Modes 0 .. M of complex boundary samples through a PeriodicGrid and
+    analyze's shifted spectrum, under the tail guard."""
+    s = analyze(PeriodicGrid(vals))
+    full = s.coeffs[s.n // 2 :]
+    energy = np.abs(full) ** 2
+    if np.sum(energy) > 0 and np.sum(energy[M // 2 + 1 :]) > disk.TAIL_ENERGY_LIMIT * np.sum(energy):
+        raise UnderResolved("tail")
+    return full[: M + 1].copy()
+
+
+def reference_mobius_recenter(d, a, t):
+    M = max(d.coeffs.size - 1, 256)
+    N = 1 << int(np.ceil(np.log2(8 * M)))
+    z = np.exp(1j * grid_angles(N))
+    coeffs = reference_boundary_series(d((z - t * a) / (1 - t * np.conj(a) * z)), M)
+    coeffs[0] -= np.sum(coeffs)
+    return make_disk_map(coeffs)
+
+
+def reference_blaschke_fixture(zeros):
+    z = np.exp(1j * grid_angles(2048))
+    vals = np.ones_like(z)
+    for a in zeros:
+        vals = vals * (z - a) / (1 - np.conj(a) * z)
+    return make_disk_map(reference_boundary_series(vals, 512), normalized_at_one=False)
+
+
 def outcome(make, *args):
     """make(*args), or the class of the exception it raised."""
     try:
@@ -759,6 +807,23 @@ class TestOneFftOracles:
         series = analyze(PeriodicGrid(raw)).coeffs[1024 : 1024 + 513]
         assert_same_map(make_disk_map(series, normalized_at_one=False),
                         reference_make_disk_map(series, normalized_at_one=False))
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.7])
+    def test_recentered_and_blaschke_maps_are_bit_identical(self, t):
+        # the one boundary-modes helper reads the same coefficients as
+        # analyze's shifted spectrum of a PeriodicGrid
+        seen = set()
+        for mu, x0 in ((4.0, 0.0), (64.0, 0.3)):
+            d = quant.bubble(mu, x0).disk_map()
+            got, ref = outcome(mobius_recenter, d, 1j, t), outcome(reference_mobius_recenter, d, 1j, t)
+            if isinstance(ref, type):
+                assert got is ref
+            else:
+                assert_same_map(got, ref)
+            seen.add(ref if isinstance(ref, type) else DiskMap)
+        assert DiskMap in seen
+        zeros = [t, 0.2 + 0.4j * t, -0.6j]
+        assert_same_map(blaschke_fixture(zeros), reference_blaschke_fixture(zeros))
 
     @pytest.mark.parametrize("size, trailing", [(2, 0), (2, 1), (3, 61), (40, 0), (40, 200), (63, 1), (64, 64), (300, 5)])
     def test_trailing_zeros_are_bit_identical(self, size, trailing):

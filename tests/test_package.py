@@ -189,16 +189,46 @@ def test_anchored_cell_quadrature_has_one_home():
 
 def test_anchored_cell_quadrature_reads_half_spectra():
     # the anchored quadrature and its two callers transform their real grids
-    # by real_half_spectrum: no mirrored spectrum from analyze
-    quadrature = ("spectral.singular_cell_integrals", "line.integrate_exp_singular",
-                  "disk._singular_boundary_polyline")
+    # by real_half_spectrum: no mirrored spectrum from analyze, whose one
+    # caller is the multiplier operators' complex-grid branch
     callers = {
         f"{name[:-3]}.{scope}"
         for name, tree in module_trees()
         for scope in call_scopes(tree, {"analyze"})
     }
-    assert not [c for c in callers if c.startswith(quadrature)]
-    assert {"spectral.multiplier_spectrum", "spectral.SingularField._spectrum"} <= callers
+    assert callers == {"spectral.multiplier_spectrum"}
+
+
+FULL_SPECTRUM = {"analyze", "SpectralRep"}
+
+
+def test_only_spectral_names_the_full_spectrum():
+    # every other module evaluates one-sided rows; the package __init__
+    # only re-exports the public names
+    offenders = []
+    for name, tree in module_trees():
+        if name in ("spectral.py", "__init__.py"):
+            continue
+        for node in ast.walk(tree):
+            named = (
+                (isinstance(node, ast.Name) and node.id)
+                or (isinstance(node, ast.Attribute) and node.attr)
+                or (isinstance(node, ast.alias) and node.name)
+            )
+            if named in FULL_SPECTRUM:
+                offenders.append(f"{name}:{getattr(node, 'lineno', '?')} {named}")
+    assert offenders == []
+
+
+def test_eval_modes_has_one_code_path():
+    # one sum over one-sided rows: no format test and no format or offset
+    # parameter
+    path = PACKAGE_DIR / "spectral.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "eval_modes"]
+    assert [a.arg for a in fn.args.args] == ["coeffs", "thetas"]
+    assert not (fn.args.defaults or fn.args.kwonlyargs or fn.args.vararg or fn.args.kwarg)
+    assert call_scopes(fn, {"isinstance"}) == []
 
 
 def test_the_circle_chart_alone_places_the_grid_on_the_line():

@@ -4,12 +4,14 @@ integrate_exp_singular and the anchored boundary_polyline both sum the cell
 integrals of spectral.singular_cell_integrals on real half spectra: regular
 Gauss cells through eval_shifted_grids (one irfft per offset),
 anchor-adjacent cells through the fixed Gauss-Jacobi rules of
-spectral.singular_cell_rule.  The oracles kept here are per-cell loops: one
-eval_modes call per cell at its 10 Gauss nodes, and each anchor-adjacent
-cell handed to adaptive QUADPACK quadrature (QAWS, with the algebraic
-endpoint weight split off); the complex-spectrum path (mirrored spectrum,
-complex inverse FFTs) is kept as the oracle of the half-spectrum path.  A
-pure anchor has closed forms for both Lambda and the boundary curve.
+spectral.singular_cell_rule and one eval_modes call on the stacked
+one-sided rows.  The oracles kept here are per-cell loops: one full-spectrum
+mode sum per cell at its 10 Gauss nodes, and each anchor-adjacent cell
+handed to adaptive QUADPACK quadrature (QAWS, with the algebraic endpoint
+weight split off); the complex-spectrum path (mirrored spectrum, complex
+inverse FFTs, complex sums over the full Hermitian spectrum) is kept as the
+oracle of the half-spectrum path.  A pure anchor has closed forms for both
+Lambda and the boundary curve.
 """
 
 import warnings
@@ -32,13 +34,20 @@ from liouville_disk.spectral import (
     eval_shifted_grids,
     grid_angles,
     log_profile,
+    one_sided,
 )
 
 TWO_PI = 2 * np.pi
 GL_X, GL_W = leggauss(10)
 
 
-# --- brute-force oracle: one eval_modes call per cell --------------------------
+# --- brute-force oracle: one full-spectrum mode sum per cell -------------------
+
+def full_mode_sum(s, thetas):
+    """The complex sum of u_hat(m) e^{i m theta} over the modes
+    -n/2 .. n/2 - 1 of a SpectralRep, by the full exponential matrix."""
+    return np.exp(1j * np.outer(np.atleast_1d(thetas), s.modes)) @ s.coeffs
+
 
 def _oracle_quad(f, a, b, **kw):
     with warnings.catch_warnings():
@@ -77,13 +86,13 @@ def oracle_integrate_exp_singular(field, extra=None):
 
     def integrand(t, skip=None):
         t = np.atleast_1d(t)
-        lam = np.real(eval_modes(spec, t))
+        lam = full_mode_sum(spec, t).real
         for t0, c in field.anchors:
             if t0 != skip:
                 lam = lam + c * log_profile(t, t0)
         out = np.exp(lam)
         if extra_spec is not None:
-            out = out * np.real(eval_modes(extra_spec, t))
+            out = out * full_mode_sum(extra_spec, t).real
         return out
 
     total = 0.0
@@ -113,8 +122,8 @@ def oracle_polyline_vertices(bt, n):
 
     def dphi(t, skip=None, side=+1):
         tt = np.atleast_1d(t)
-        lam = np.real(eval_modes(lam_spec, tt))
-        rho = np.real(eval_modes(rho_spec, tt))
+        lam = full_mode_sum(lam_spec, tt).real
+        rho = full_mode_sum(rho_spec, tt).real
         for t0, c in bt.anchors:
             if t0 == skip:
                 phi_arg = (tt - t0) % TWO_PI
@@ -211,21 +220,28 @@ def test_shifted_grids_match_eval_modes():
         assert rows.shape == (7, n) and rows.dtype == float
         th = grid_angles(n)
         for k, delta in enumerate(offsets):
-            ref = eval_modes(analyze(g), th + delta).real
+            ref = full_mode_sum(analyze(g), th + delta).real
             assert np.max(np.abs(rows[k] - ref)) < 1e-12 * np.max(np.abs(ref))
-            assert np.max(np.abs(eval_modes(half, th + delta) - ref)) < 1e-12 * np.max(np.abs(ref))
+            got = eval_modes(one_sided(half), th + delta).real
+            assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [8, 64, 1024])
 def test_eval_modes_on_a_half_spectrum_is_the_real_part_of_the_full_sum(n):
     # the one-sided sum with weights 1, 2, ..., 2, 1 against the complex sum
-    # over the mirrored spectrum, Nyquist mode included
+    # over the mirrored spectrum, Nyquist mode included; stacked with a
+    # coarser grid's row (at least 8 points) zero-padded to n/2 + 1 modes,
+    # as the anchored quadrature stacks its specs
     g = real_test_grid(n, seed=3, nyquist=0.5)
+    coarse = real_test_grid(max(8, n // 2), seed=4, nyquist=0.5)
     th = np.random.default_rng(n).uniform(-10.0, 10.0, size=33)
-    got = eval_modes(spectral.real_half_spectrum(g), th)
-    ref = eval_modes(analyze(g), th)
-    assert got.dtype == float
-    assert np.max(np.abs(got - ref.real)) < 1e-12 * np.max(np.abs(ref))
+    rows = np.zeros((2, n // 2 + 1), dtype=complex)
+    for row, grid in zip(rows, (g, coarse)):
+        row[: grid.n // 2 + 1] = one_sided(spectral.real_half_spectrum(grid))
+    got = eval_modes(rows, th).real
+    for k, grid in enumerate((g, coarse)):
+        ref = full_mode_sum(analyze(grid), th)
+        assert np.max(np.abs(got[k] - ref.real)) < 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("target", [8, 100, 512, 64])
@@ -265,20 +281,27 @@ def test_shifted_grids_on_another_grid_match_eval_modes(target):
         assert rows.shape == (5, target)
         complex_rows = complex_shifted_grids(analyze(g), offsets, target)
         for k, delta in enumerate(offsets):
-            ref = eval_modes(analyze(g), th + delta)
+            ref = full_mode_sum(analyze(g), th + delta)
             assert np.max(np.abs(rows[k] - ref.real)) < 1e-12 * np.max(np.abs(ref))
             assert np.max(np.abs(rows[k] - complex_rows[k].real)) < 1e-12 * np.max(np.abs(ref))
 
 
+def hermitian_mode_sum(rows, thetas):
+    """The complex sum over the full Hermitian spectrum of each one-sided
+    row c: c_0 at mode 0, and c_k / 2 and conj(c_k) / 2 at modes k and -k.
+    Its real part is that of the one-sided sum."""
+    e = np.exp(1j * np.outer(np.arange(1, rows.shape[-1]), thetas))
+    return rows[..., :1] + 0.5 * (rows[..., 1:] @ e + np.conj(rows[..., 1:]) @ np.conj(e))
+
+
 def complex_spectrum_path(monkeypatch, fn):
-    """fn() with the anchored quadrature run on the mirrored complex
-    spectrum, as before the half-spectrum path: complex shifted grids and
-    complex point sums, each reduced to its real part."""
-    original = spectral.eval_modes
+    """fn() with the anchored quadrature run on complex spectra, as before
+    the half-spectrum path: complex shifted grids of the mirrored spectrum,
+    and complex point sums over the full Hermitian spectrum of each row."""
     with monkeypatch.context() as mp:
         mp.setattr(spectral, "eval_shifted_grids",
                    lambda half, offsets, n: complex_shifted_grids(mirrored(half), offsets, n).real)
-        mp.setattr(spectral, "eval_modes", lambda half, th: original(mirrored(half), th).real)
+        mp.setattr(spectral, "eval_modes", hermitian_mode_sum)
         return fn()
 
 
@@ -452,8 +475,8 @@ def _eval_modes_calls(monkeypatch, fn):
 
 def test_point_evaluations_do_not_grow_with_n(monkeypatch):
     # the nodes of all anchor-adjacent cells go through one eval_modes call
-    # per interpolated function (lambda and extra, or lambda and rho) at any
-    # n; every other cell goes through the shifted FFTs
+    # on the stacked interpolated functions (lambda and extra, or lambda and
+    # rho) at any n; every other cell goes through the shifted FFTs
     def lambda_calls(n):
         sf = two_anchor_field(n)
         return _eval_modes_calls(monkeypatch, lambda: integrate_exp_singular(sf, curvature_extra(n)))
@@ -463,7 +486,7 @@ def test_point_evaluations_do_not_grow_with_n(monkeypatch):
         return _eval_modes_calls(monkeypatch, lambda: boundary_polyline(bt, n))
 
     for count in (lambda_calls, polyline_calls):
-        assert count(256) == count(2048) == 2
+        assert count(256) == count(2048) == 1
 
 
 @pytest.mark.parametrize("s", np.linspace(-0.95, 3.0, 17))

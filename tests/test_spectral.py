@@ -433,6 +433,15 @@ class TestCellIntegratedProfile:
 
 
 class TestSingularField:
+    @pytest.mark.parametrize("anchors", [(), ((0.5, 2.0),)])
+    def test_complex_smooth_part_is_invalid(self, anchors):
+        # fields carry real boundary data, lambda = log|Phi'|
+        g = PeriodicGrid(np.exp(1j * grid_angles(64)))
+        with pytest.raises(InvalidInput, match="real"):
+            SingularField(g, anchors)
+        with pytest.raises(InvalidInput):
+            SingularField(np.cos(grid_angles(64)), anchors)
+
     def test_dirac_at_origin(self):
         sf = SingularField(PeriodicGrid.zeros(64), ((0.0, 1.0),))
         smooth, masses = singular_half_laplacian(sf)
@@ -461,8 +470,8 @@ class TestSingularField:
 
     def test_evaluate_transforms_once_per_field(self, monkeypatch):
         calls = []
-        original = spectral.analyze
-        monkeypatch.setattr(spectral, "analyze", lambda g: calls.append(g.n) or original(g))
+        original = spectral.real_half_spectrum
+        monkeypatch.setattr(spectral, "real_half_spectrum", lambda g: calls.append(g.n) or original(g))
         sf = SingularField(PeriodicGrid.from_function(np.cos, 128), ((0.5, 2.0),))
         before = LineField(sf).to_json()
         for t in (np.array([0.3, 1.1]), 0.3, 1.1):
@@ -562,37 +571,43 @@ def test_pv_circle_oracle_agrees_with_multiplier_route():
 
 
 def test_eval_modes_interpolates():
+    # a real grid's interpolant is the real part of the sum over its
+    # one-sided half spectrum, and it passes through the samples
     g = random_bandlimited(64, seed=41, kmax=8)
     s = analyze(g)
+    row = spectral.one_sided(spectral.real_half_spectrum(g))
     th = np.linspace(-np.pi, np.pi, 11)
-    direct = eval_modes(s, th)
-    # reference: explicit mode sum
+    direct = eval_modes(row, th).real
+    # reference: explicit mode sum over the full spectrum
     ref = sum(s[m] * np.exp(1j * m * th) for m in range(-32, 32))
     assert np.max(np.abs(direct - ref)) < 1e-12
+    assert np.max(np.abs(eval_modes(row, g.thetas).real - g.values)) < 1e-12
 
 
 # --- eval_modes against the direct mode sum ---------------------------------
 
 
-def direct_mode_sum(s, thetas):
-    """The full (nodes x n) exponential matrix times the coefficients."""
-    return np.exp(1j * np.outer(thetas, s.modes)) @ s.coeffs
+def direct_mode_sum(c, thetas):
+    """The full (modes x nodes) exponential matrix times the coefficient
+    row, or rows."""
+    return c @ np.exp(1j * np.outer(np.arange(c.shape[-1]), thetas))
 
 
-def longdouble_mode_sum(s, thetas, block=64):
+def longdouble_mode_sum(c, thetas, block=64):
     """The same sum with phases, exponentials and products in clongdouble."""
-    m = s.modes.astype(np.longdouble)
-    c = s.coeffs.astype(np.clongdouble)
-    out = np.empty(thetas.size, dtype=np.clongdouble)
+    k = np.arange(c.shape[-1]).astype(np.longdouble)
+    c = c.astype(np.clongdouble)
+    out = np.empty(c.shape[:-1] + thetas.shape, dtype=np.clongdouble)
     for i in range(0, thetas.size, block):
         t = thetas[i : i + block].astype(np.longdouble)
-        out[i : i + block] = np.exp(1j * np.outer(t, m)) @ c
+        out[..., i : i + block] = c @ np.exp(1j * np.outer(k, t))
     return out
 
 
-def random_spectrum(n, seed):
+def random_row(n, seed):
+    """A random one-sided coefficient row of n modes."""
     rng = np.random.default_rng(seed)
-    return SpectralRep(rng.normal(size=n) + 1j * rng.normal(size=n))
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
 EVAL_SIZES = (8, 16, 64, 512, 2048, 8192)
@@ -601,44 +616,58 @@ EVAL_SIZES = (8, 16, 64, 512, 2048, 8192)
 @pytest.mark.parametrize("n", EVAL_SIZES)
 @pytest.mark.parametrize("nodes", [0, 1, 96, 4096])
 def test_eval_modes_matches_the_exact_mode_sum(n, nodes):
-    s = random_spectrum(n, seed=n + nodes)
+    row = random_row(n, seed=n + nodes)
     th = np.random.default_rng(nodes).uniform(-np.pi / 2 - 0.1, 1.5 * np.pi, nodes)
-    got = eval_modes(s, th)
+    got = eval_modes(row, th)
     assert got.shape == (nodes,) and got.dtype == complex
-    tol = 1e-13 * np.sum(np.abs(s.coeffs))
+    tol = 1e-13 * np.sum(np.abs(row))
     # the long-double oracle on at most 256 of the nodes keeps the test fast
     pick = slice(None, None, max(1, nodes // 256))
-    assert np.all(np.abs(got[pick] - longdouble_mode_sum(s, th[pick])) <= tol)
+    assert np.all(np.abs(got[pick] - longdouble_mode_sum(row, th[pick])) <= tol)
     for i in range(0, nodes, 256):
-        assert np.all(np.abs(got[i : i + 256] - direct_mode_sum(s, th[i : i + 256])) <= tol)
+        assert np.all(np.abs(got[i : i + 256] - direct_mode_sum(row, th[i : i + 256])) <= tol)
+
+
+@pytest.mark.parametrize("n", EVAL_SIZES)
+def test_eval_modes_sums_a_stack_of_rows(n):
+    # two rows, the second zero-padded from n/2 modes, share one call
+    rows = np.zeros((2, n), dtype=complex)
+    rows[0] = random_row(n, seed=n)
+    rows[1, : n // 2] = random_row(n // 2, seed=n + 1)
+    th = np.random.default_rng(n).uniform(-np.pi / 2 - 0.1, 1.5 * np.pi, 200)
+    got = eval_modes(rows, th)
+    assert got.shape == (2, th.size) and got.dtype == complex
+    ref = longdouble_mode_sum(rows, th)
+    for k in range(2):
+        assert np.all(np.abs(got[k] - ref[k]) <= 1e-13 * np.sum(np.abs(rows[k])))
+        assert np.all(np.abs(got[k] - eval_modes(rows[k], th)) <= 1e-13 * np.sum(np.abs(rows[k])))
 
 
 @pytest.mark.parametrize("n", EVAL_SIZES)
 def test_eval_modes_far_from_the_base_period(n):
-    s = random_spectrum(n, seed=n)
+    row = random_row(n, seed=n)
     th = np.array([20 * np.pi, -20 * np.pi, 20 * np.pi + 0.3, -20 * np.pi - 1.7])
-    got = eval_modes(s, th)
-    # any double evaluation rounds the phases m theta, by up to |m theta| ulp,
-    # so the bound of the base period [-pi/2 - 0.1, 3 pi/2] grows with |theta|:
-    # at n = 8192 the direct sum misses the unscaled bound here (1.4e-13)
-    tol = 1e-13 * np.sum(np.abs(s.coeffs)) * np.abs(th) / (1.5 * np.pi)
-    assert np.all(np.abs(got - longdouble_mode_sum(s, th)) <= tol)
+    got = eval_modes(row, th)
+    # any double evaluation rounds the phases k theta, by up to |k theta| ulp,
+    # so the bound of the base period [-pi/2 - 0.1, 3 pi/2] grows with |theta|
+    tol = 1e-13 * np.sum(np.abs(row)) * np.abs(th) / (1.5 * np.pi)
+    assert np.all(np.abs(got - longdouble_mode_sum(row, th)) <= tol)
 
 
 def test_eval_modes_takes_a_scalar():
-    s = random_spectrum(64, seed=5)
-    got = eval_modes(s, 0.7)
+    row = random_row(64, seed=5)
+    got = eval_modes(row, 0.7)
     assert got.shape == (1,)
-    assert got[0] == eval_modes(s, np.array([0.7]))[0]
+    assert got[0] == eval_modes(row, np.array([0.7]))[0]
 
 
 def test_eval_modes_memory_grows_with_sqrt_n():
     # the full 256 x 8192 complex exponential matrix alone is 32 MB
-    s = random_spectrum(8192, seed=3)
+    row = random_row(8192, seed=3)
     th = np.random.default_rng(3).uniform(-np.pi, np.pi, 256)
     tracemalloc.start()
     try:
-        eval_modes(s, th)
+        eval_modes(row, th)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -11,31 +11,49 @@ polylines are built by per-cell quadrature of the boundary derivative
 (spectral.singular_cell_integrals) rather than through the truncated series,
 which would trip the resolution guard.
 
-Inside the disk |Phi'| is only needed on uniform polar rings: the 64 x 256
-lattice of the immersion test and the edge-midpoint rings of the distance
-mesh.  All rings of a call fold the coefficients at once, through
-one matrix product, and share one batched inverse FFT (_abs_on_rings), so
-series orders of 10^5 stay cheap.  The powers of the ring centers that the
-fold multiplies by belong to the ring geometry, not to the series
-(RingPowers): the test lattice holds one table and each cached
-distance mesh holds another, so a call of either geometry computes powers
-only for a series longer than any before it.  The recentered boundary
-moduli of quant.recentered_lambda_sequence take Phi' at off-grid points of
-the unit circle instead: spectral.eval_modes sums its one-sided series.
+Immersion is decided by a zero count, not sampled on a lattice.
+build_phi has Phi' from the samples of the zero-free F = e^{lambda + i rho},
+and Rouche's theorem certifies the truncated series from its own spectrum,
+under a decay assumption on the modes above n/2 and with the grid minimum
+of e^lambda standing for its minimum on the circle (see build_phi).  When
+that test fails, and for maps from other sources (make_disk_map on given
+coefficients: DiskMap.from_json, mobius_recenter, blaschke_fixture), the
+zeros of Phi' are counted by the argument principle on a sampled circle
+with a Taylor guard between samples (_zero_count), which costs a few FFTs
+of about four times the series order, so it stays off the bubble path.  min_deriv is |Phi'|
+on the r = 1 ring of BOUNDARY_RING_N angles: by the minimum principle the
+minimum over the closed disk of a zero-free Phi'.
 
-A disk map costs a fixed number of passes over its n-point grid.  The
-analytic completion reads one real half spectrum for its band-limit guard
-and its Hilbert step.  Boundary samples become series in one place,
-_boundary_modes (one in-place forward FFT): build_phi, mobius_recenter and
-blaschke_fixture each truncate its modes under their own tail guard, and
-the first two then check its negative-frequency share.  A series is measured up to its
-last nonzero coefficient by one argmax, not by listing every nonzero index.
+Inside the disk |Phi'| is only needed on uniform polar rings: the
+edge-midpoint rings of the distance mesh.  All rings of a call fold the
+coefficients at once, through one matrix product, and share one batched
+inverse FFT (_abs_on_rings), so series orders of 10^5 stay cheap.  The
+powers of the ring centers that the fold multiplies by belong to the ring
+geometry, not to the series (RingPowers): the boundary ring holds one
+table and each cached distance mesh holds another, so a call of either
+geometry computes powers only for a series longer than any before it.  The
+recentered boundary moduli of quant.recentered_lambda_sequence take Phi' at
+off-grid points of the unit circle instead: spectral.eval_modes sums its
+one-sided series.
+
+A disk map costs a fixed number of passes over its n-point grid: one real
+FFT, one real inverse FFT, one complex FFT and one complex exponential,
+plus one pass per guard.  The analytic completion reads the rfft of lambda
+for its band-limit guard and its Hilbert step.  Boundary samples become
+series in one place, _boundary_modes (one in-place forward FFT):
+build_phi, mobius_recenter and blaschke_fixture each truncate its modes
+under their own tail guard, and the first two then check its
+negative-frequency share.  make_disk_map measures a series up to its last
+nonzero coefficient once, and the DiskMap keeps the derivative
+coefficients up to that order for every later reader.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +65,8 @@ from .spectral import (
     PeriodicGrid,
     SingularField,
     ValueEquality,
-    _apply_multiplier,
-    _hilbert_multiplier,
+    _energy,
+    _real_conjugate,
     band_limit_fraction,
     circle_trapezoid,
     conjugate_profile,
@@ -61,6 +79,10 @@ from .spectral import (
 
 TAIL_ENERGY_LIMIT = 1e-6
 NEG_FREQ_LIMIT = 1e-6
+BOUNDARY_RING_N = 256  # angles of the r = 1 ring on which min_deriv is read
+# Taylor terms of the argument-principle guard, and its largest sample count
+ZERO_COUNT_TERMS = 8
+ZERO_COUNT_MAX_SAMPLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -70,10 +92,16 @@ class BoundaryTrace:
     The smooth part of lam is real.  rho_smooth is its Hilbert transform;
     each anchor contributes its closed-form sawtooth conjugate on evaluation.
     The boundary derivative of the map is phi = e^{lambda + i rho}.
+    completed marks a trace from analytic_completion, whose rho_smooth is
+    the discrete conjugate of lam.smooth by construction: build_phi's
+    Rouche test needs it, and a trace assembled from other data is
+    certified by the argument principle instead.  It is no constructor
+    argument: only analytic_completion sets it.
     """
 
     lam: SingularField
     rho_smooth: PeriodicGrid
+    completed: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -93,11 +121,6 @@ class BoundaryTrace:
             vals += c * conjugate_profile(th, t0)
         return vals
 
-    def phi_grid(self) -> np.ndarray:
-        """Boundary derivative samples e^{lambda + i rho} (non-finite at anchors)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(self.lambda_grid() + 1j * self.rho_grid())
-
 
 def analytic_completion(lam) -> BoundaryTrace:
     """Harmonic conjugate of the boundary data: rho = H(lambda_smooth) plus the
@@ -106,48 +129,70 @@ def analytic_completion(lam) -> BoundaryTrace:
     Raises UnderResolved when the smooth part fails the band-limit guard (the
     top decile of its spectrum carries over 1% of the energy), and
     InvalidInput when it is complex: lambda is real.  The guard and the
-    Hilbert step read one half spectrum, modes 0 .. n/2 of the smooth part;
-    the full mirrored spectrum is never built.
+    Hilbert step read one np.fft.rfft of the smooth part, modes 0 .. n/2,
+    and rho is one np.fft.irfft of it (spectral._real_conjugate).
     """
     if not isinstance(lam, (SingularField, PeriodicGrid)):
         lam = PeriodicGrid(lam)
-    field = SingularField.from_grid(lam)
-    smooth = field.smooth
-    half = real_half_spectrum(smooth)
-    frac = band_limit_fraction(smooth, half)
+    sf = SingularField.from_grid(lam)
+    raw = np.fft.rfft(sf.smooth.values, norm="forward")
+    frac = band_limit_fraction(sf.smooth, raw)
     if frac > BAND_LIMIT_ENERGY:
         raise UnderResolved(f"top decile of boundary spectrum carries {frac:.2%} of energy")
-    rho = _apply_multiplier(smooth, _hilbert_multiplier(smooth), half)
-    return BoundaryTrace(lam=field, rho_smooth=rho)
+    bt = BoundaryTrace(lam=sf, rho_smooth=_real_conjugate(sf.smooth, raw))
+    object.__setattr__(bt, "completed", True)
+    return bt
 
 
 @dataclass(frozen=True, eq=False)
 class DiskMap(ValueEquality):
     """Power-series map of the closed unit disk.
 
-    coeffs are ascending powers; deriv evaluation uses the differentiated
-    series.  immersed is a 64 x 256 polar lattice test, no certificate: it
-    misses a zero of Phi' between nodes (Phi'(z) = z - 0.5 e^{0.01 i}).
+    coeffs are ascending powers, a read-only copy of what the constructor
+    is given.  deriv_coeffs are the coefficients of Phi' up to its last
+    nonzero one, derived from coeffs once (no constructor argument); they
+    take no part in ==.
+
+    immersed says that Phi' has no zero in the closed disk.  For maps from
+    boundary data it is Rouche's theorem on build_phi's own spectrum when
+    that test passes; the test rests on two premises it does not check, a
+    geometric decay of the modes above n/2 and the grid minimum of
+    e^lambda standing for its minimum on the circle (see build_phi).  For
+    any other coefficients, and when the Rouche test fails, it is the
+    argument principle with a sampling guard (see make_disk_map).
+    min_deriv is the minimum of |Phi'| over the r = 1 ring of
+    BOUNDARY_RING_N angles; for an immersed map the minimum principle makes
+    it the minimum over the closed disk, up to the ring's sampling.
     """
 
     coeffs: np.ndarray
     immersed: bool
     min_deriv: float
     normalized_at_one: bool = True
+    deriv_coeffs: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex).copy()
+        c = np.array(self.coeffs, dtype=complex)  # a copy: no caller can write it
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "deriv_coeffs", _derivative(c, _series_length(c)))
+
+    @classmethod
+    def _adopt(cls, coeffs, immersed, min_deriv, normalized_at_one, deriv_coeffs) -> "DiskMap":
+        """The map of read-only coefficients that make_disk_map allocated or
+        build_phi handed over, which no caller holds, with the derivative
+        coefficients computed from them: without the constructor's copy and
+        derivative pass."""
+        d = object.__new__(cls)
+        for name, value in (("coeffs", coeffs), ("immersed", immersed), ("min_deriv", min_deriv),
+                            ("normalized_at_one", normalized_at_one),
+                            ("deriv_coeffs", deriv_coeffs)):
+            object.__setattr__(d, name, value)
+        return d
 
     @property
     def order(self) -> int:
         return self.coeffs.size - 1
-
-    @property
-    def deriv_coeffs(self) -> np.ndarray:
-        k = np.arange(1, self.coeffs.size)
-        return self.coeffs[1:] * k
 
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.coeffs)
@@ -163,6 +208,8 @@ class DiskMap(ValueEquality):
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiskMap":
+        """The map of stored coefficients; immersion is certified anew, by
+        the argument principle (make_disk_map)."""
         c = np.array([complex(re, im) for re, im in obj["coeffs"]])
         return make_disk_map(c, normalized_at_one=bool(obj.get("normalized_at_one", True)))
 
@@ -205,10 +252,18 @@ def _series_length(coef: np.ndarray) -> int:
     return coef.size - last if nonzero[last] else 0
 
 
+def _derivative(coeffs: np.ndarray, size: int) -> np.ndarray:
+    """Read-only coefficients k c_k of Phi' for the series coeffs[:size]."""
+    d = coeffs[1:size] * np.arange(1, size)
+    d.setflags(write=False)
+    return d
+
+
 def _abs_on_rings(coef: np.ndarray, rings: RingPowers) -> np.ndarray:
     """|sum_k coef_k (c e^{i theta_j})^k| on the ring of each center c of
     rings at its n grid angles theta_j = -pi + 2 pi j / n, as a
-    (len(centers), n) array.
+    (len(centers), n) array.  coef ends at its last nonzero entry, as
+    DiskMap.deriv_coeffs does: trailing zeros would cost folds.
 
     Since e^{i k theta_j} = (-1)^k e^{2 pi i jk/n}, the coefficients times
     (-c)^k fold into n bins and one inverse FFT per ring gives all n values,
@@ -216,29 +271,75 @@ def _abs_on_rings(coef: np.ndarray, rings: RingPowers) -> np.ndarray:
     k = q n + b and the coefficients as a (Q x n) block A[q, b] = coef_k,
     the bins of ring i are P[i, b] (V @ A)[i, b], and one batched inverse
     FFT takes every ring.  P and V come from the tables of the geometry
-    (the test lattice, or the distance mesh of conformal_distance),
+    (the boundary ring, or the distance mesh of conformal_distance),
     so a call computes no powers unless its Q is the largest yet.
     Temporaries are O(rings (n + Q) + order), never a (rings x order) array.
     """
     n = rings.n
-    size = max(_series_length(coef), 1)
-    q_count = -(-size // n)
+    q_count = max(-(-coef.size // n), 1)
     block = np.zeros(q_count * n, dtype=complex)
-    block[:size] = coef[:size]
+    block[: coef.size] = coef
     folded = rings.P * (rings.V(q_count) @ block.reshape(q_count, n))
     return np.abs(np.fft.ifft(folded, axis=-1) * n)
 
 
 @lru_cache(maxsize=1)
-def _lattice_rings() -> RingPowers:
-    """The 64 x 256 polar test lattice of the immersion test."""
-    return RingPowers(np.linspace(0.0, 1.0, 64), 256)
+def _boundary_ring() -> RingPowers:
+    """The r = 1 ring of BOUNDARY_RING_N angles on which min_deriv is read."""
+    return RingPowers(np.ones(1), BOUNDARY_RING_N)
 
 
-def _lattice_min_deriv(coeffs: np.ndarray):
-    dcoef = coeffs[1:] * np.arange(1, coeffs.size)
-    vals = _abs_on_rings(dcoef, _lattice_rings())
-    return float(np.min(vals)), float(np.max(vals))
+def _zero_count(dcoef: np.ndarray) -> int | None:
+    """Zeros of p(z) = sum_k dcoef_k z^k in the open unit disk, by the
+    argument principle; None when the sampling guard cannot certify the
+    count (p vanishes on or too near the circle, or is zero).
+
+    p is sampled at the m-th roots of unity z_j by one inverse FFT, m >= 4
+    deg p a power of two, and the count is the winding number of the
+    samples: the sum of the principal arguments of p(z_{j+1})/p(z_j) over
+    2 pi.  That sum is exact when no step turns by pi or more.  The guard:
+    with h = pi/m, every angle lies within h of a sample angle theta_j, and
+    by Taylor's theorem in theta with R = ZERO_COUNT_TERMS terms
+
+        |p(theta) - p(theta_j)| <= sum_{i<R} |p^(i)(theta_j)| h^i/i!
+                                   + h^R/R! sum_k k^R |dcoef_k|,
+
+    where p^(i)(theta_j) = sum_k (ik)^i dcoef_k z_j^k is one more inverse
+    FFT.  If that radius stays below |p(theta_j)| at every sample, p keeps
+    to a disk about p(theta_j) that excludes 0 on each half step, so each
+    step turns by less than pi, and no zero lies on the circle.  m doubles
+    while the guard fails, up to ZERO_COUNT_MAX_SAMPLES.
+    """
+    size = dcoef.size
+    if not np.any(dcoef):
+        return None
+    k = np.arange(size, dtype=float)
+    reach = float(np.abs(dcoef) @ k**ZERO_COUNT_TERMS) / factorial(ZERO_COUNT_TERMS)
+    m = max(64, 1 << (4 * size - 1).bit_length())
+    while m <= ZERO_COUNT_MAX_SAMPLES:
+        h = np.pi / m
+        vals = np.fft.ifft(dcoef, m) * m
+        if not np.all(vals):
+            return None  # a zero on a sample: no finer grid helps
+        radius = np.full(m, reach * h**ZERO_COUNT_TERMS)
+        term = dcoef
+        for i in range(1, ZERO_COUNT_TERMS):
+            term = term * k
+            radius += np.abs(np.fft.ifft(term, m) * m) * (h**i / factorial(i))
+        if np.all(np.abs(vals) > radius):
+            turns = np.angle(np.roll(vals, -1) / vals)
+            return int(round(float(np.sum(turns)) / TWO_PI))
+        m *= 2
+    return None
+
+
+class _PhiSeries(NamedTuple):
+    """What build_phi hands make_disk_map: its read-only coefficient
+    buffer, which no caller holds, and whether its Rouche test certified
+    immersion."""
+
+    buf: np.ndarray
+    certified: bool
 
 
 def make_disk_map(coeffs, normalized_at_one: bool = True) -> DiskMap:
@@ -248,32 +349,47 @@ def make_disk_map(coeffs, normalized_at_one: bool = True) -> DiskMap:
     to twice that length (at least 64), so the stored vector always
     satisfies the tail-energy invariant (the spectral constructors enforce
     the guard on the discarded modes before truncating) and a stored vector
-    is stored unchanged.  Checks the Phi(1) = 0 normalization when tagged,
-    and tests immersion on the 64 x 256 polar lattice, which can miss a zero
-    of Phi' between nodes (see DiskMap).
+    is stored unchanged.  A caller's array is copied once, sliced to that
+    length when it is long enough; build_phi's own buffer is kept as it is.
+    Checks the Phi(1) = 0 normalization when tagged, and reads min_deriv on
+    the r = 1 ring (one fold, see DiskMap).
+
+    Immersed when build_phi's Rouche test certified it, and otherwise when
+    the argument principle counts no zero of Phi' in the disk and its
+    sampling guard holds (_zero_count).
     """
+    own, certified = isinstance(coeffs, _PhiSeries), False
+    if own:
+        coeffs, certified = coeffs
     c = np.asarray(coeffs, dtype=complex)
     if c.size < 2:
         raise InvalidInput("a disk map needs at least two coefficients")
     size = _series_length(c)
-    padded = np.zeros(max(2 * size, 64), dtype=complex)
-    padded[:size] = c[:size]
-    c = padded
-    total = float(np.sum(np.abs(c) ** 2))
-    if total == 0:
+    if size == 0:
         raise InvalidInput("zero map")
-    if normalized_at_one and abs(np.sum(c)) > 1e-10 * max(1.0, np.sqrt(total)):
-        raise InvalidInput(f"normalization Phi(1) = 0 violated: |Phi(1)| = {abs(np.sum(c)):.2e}")
-    md, top = _lattice_min_deriv(c)
-    # strictly positive up to rounding noise relative to the derivative scale
-    return DiskMap(coeffs=c, immersed=md > 1e-9 * top, min_deriv=md, normalized_at_one=normalized_at_one)
+    stored = max(2 * size, 64)
+    if c.size >= stored:
+        # zeros beyond size: the padding is there already
+        c = c[:stored] if own else c[:stored].copy()
+    else:
+        padded = np.zeros(stored, dtype=complex)
+        padded[:size] = c[:size]
+        c = padded
+    c.setflags(write=False)
+    series = c[:size]
+    total = _energy(series)
+    if normalized_at_one and abs(np.sum(series)) > 1e-10 * max(1.0, np.sqrt(total)):
+        raise InvalidInput(f"normalization Phi(1) = 0 violated: |Phi(1)| = {abs(np.sum(series)):.2e}")
+    dcoef = _derivative(c, size)
+    min_deriv = float(np.min(_abs_on_rings(dcoef, _boundary_ring())))
+    immersed = certified or _zero_count(dcoef) == 0
+    return DiskMap._adopt(c, immersed, min_deriv, normalized_at_one, dcoef)
 
 
 def _truncate_with_guard(full_coeffs: np.ndarray, M: int) -> np.ndarray:
     """Keep orders 0..M after checking that orders above M/2 are negligible."""
-    energy = np.abs(full_coeffs) ** 2
-    total = float(np.sum(energy))
-    tail = float(np.sum(energy[M // 2 + 1:]))
+    total = _energy(full_coeffs)
+    tail = _energy(full_coeffs[M // 2 + 1:])
     if total > 0 and tail > TAIL_ENERGY_LIMIT * total:
         raise UnderResolved(
             f"energy fraction {tail / total:.2e} above order {M // 2} "
@@ -283,18 +399,22 @@ def _truncate_with_guard(full_coeffs: np.ndarray, M: int) -> np.ndarray:
 
 
 def _boundary_modes(w: np.ndarray):
-    """Modes 0 .. n/2 - 1 of finite complex samples w on the n grid angles,
-    and the energy share of modes -n/2 .. -1.  One forward FFT overwrites w:
-    position k holds mode k for k < n/2, up to the half-period sign (-1)^k,
-    and mode k - n above; no shifted or mirrored spectrum is built.
+    """Modes 0 .. n/2 - 1 of complex samples w on the n grid angles, the l1
+    norm of the bins of modes -n/2 .. -1, and their energy share.  One
+    forward FFT overwrites w: position k holds mode k for k < n/2, up to the
+    half-period sign (-1)^k, and mode k - n above; no shifted or mirrored
+    spectrum is built.  A non-finite sample spreads to every bin, so the l1
+    norm shows it without a pass over the samples: UnderResolved.
     """
-    if not np.all(np.isfinite(w)):
-        raise UnderResolved("boundary samples are non-finite on the sampling grid")
     pos, neg = np.split(np.fft.fft(w, norm="forward", out=w), 2)
     pos[1::2] *= -1
-    neg_energy = float(np.sum(np.abs(neg) ** 2))
-    total = neg_energy + float(np.sum(np.abs(pos) ** 2))
-    return pos, neg_energy / total if total else 0.0
+    neg_abs = np.abs(neg)
+    neg_l1 = float(np.sum(neg_abs))
+    if not np.isfinite(neg_l1):
+        raise UnderResolved("boundary samples are non-finite on the sampling grid")
+    neg_energy = float(neg_abs @ neg_abs)
+    total = neg_energy + _energy(pos)
+    return pos, neg_l1, neg_energy / total if total else 0.0
 
 
 def build_phi(bt: BoundaryTrace) -> DiskMap:
@@ -307,7 +427,9 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
 
     One array carries the whole path: lambda and rho are written into its
     real and imaginary parts, exponentiated in place, and overwritten by the
-    FFT of _boundary_modes.
+    FFT of _boundary_modes.  The coefficients are written into a buffer
+    already as long as make_disk_map's padding, which keeps a view of it:
+    build_phi hands it over (_PhiSeries) and holds no other reference.
 
     The grid needs no oversampling.  On n points, modes n/2 .. n-1 of phi
     fold onto the negative frequencies -n/2 .. -1, which the
@@ -318,6 +440,41 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
     under-resolved holomorphic map raises UnderResolved, and NotHolomorphic
     is left to phi with significant negative-frequency energy on a resolved
     grid.
+
+    Immersion certificate (Rouche).  Let G be the polynomial whose real
+    part interpolates lambda and imaginary part rho on the grid (rho is the
+    discrete conjugate, so G has modes 0 .. n/2 only), and F = e^G: F is
+    holomorphic and zero-free on the closed disk, |F| = e^lambda and F =
+    phi at the grid points.  Its FFT bins b_k are the sums of its modes
+    F_k congruent to k mod n, so the kept series Phi'_N = sum_{k < n/2} b_k
+    z^k obeys on the unit circle
+
+        |Phi'_N - F| <= sum_{k >= n/2} |F_k| + sum_{k >= n} |F_k| =: E,
+
+    the modes cut off plus their aliases on the kept coefficients.
+
+    Decay assumption: from mode n/2 on, |F_{k+1}| <= r |F_k| with s =
+    r^(n/2) <= 1/4 (the tail guard, at most 1e-6 of the energy above order
+    n/4, presumes far faster decay).  The bins of modes -n/2 .. -1 hold
+    modes n/2 .. n - 1 of F and their aliases, so |b_k| >= |F_k| (1 - 2
+    s^2)/(1 - s^2) there, and E <= (1 - s^2)(1 + s) / ((1 - 2 s^2)(1 - s))
+    ||negative bins||_1 < 2 ||negative bins||_1.  The certificate is
+
+        2 ||negative bins||_1 < min_j e^{lambda_j},
+
+    the grid minimum standing for min |F| on the circle.  By Rouche's
+    theorem Phi'_N then has as many zeros in the closed disk as F: none.
+    Neither premise is checked: the decay ratio is not measured, and
+    e^{Re G} may dip between grid nodes.  The factor 2 leaves room for
+    the bound 1.79 ||negative bins||_1 and a dip of about 0.11 in log |F|;
+    on the bubble ladder (mu = 2^0 .. 2^12, x0 = 0, 0.3, 0.45) the left side
+    is at most 3.7e-3 of the right, far inside that room.
+
+    The test only ever certifies: when it fails, or when G is not known to
+    be holomorphic (a trace not from analytic_completion,
+    BoundaryTrace.completed False), make_disk_map counts the zeros of
+    Phi'_N by the argument principle instead.  It reads the l1 norm that
+    the negative-frequency guard's pass over the bins yields.
     """
     n = bt.n
     w = np.empty(n, dtype=complex)
@@ -327,19 +484,22 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
     for t0, c in bt.anchors:
         w.real += c * log_profile(th, t0)
         w.imag += c * conjugate_profile(th, t0)
+    floor = float(np.exp(np.min(w.real)))  # min |F| = min e^lambda on the grid
     with np.errstate(over="ignore", invalid="ignore"):
         np.exp(w, out=w)
-    pos, frac = _boundary_modes(w)
+    pos, neg_l1, frac = _boundary_modes(w)
     # integrate every available nonnegative mode, then truncate under the guard
-    full = np.zeros(n // 2 + 1, dtype=complex)
-    np.divide(pos, np.arange(1, n // 2 + 1), out=full[1:])
-    coeffs = _truncate_with_guard(full, n // 2)
+    buf = np.zeros(max(n + 2, 64), dtype=complex)
+    coeffs = buf[: n // 2 + 1]
+    np.divide(pos, np.arange(1, n // 2 + 1), out=coeffs[1:])
+    _truncate_with_guard(coeffs, n // 2)
     if frac > NEG_FREQ_LIMIT:
         raise NotHolomorphic(
             f"negative-frequency energy fraction {frac:.2e} of boundary derivative"
         )
     coeffs[0] = -np.sum(coeffs[1:])
-    return make_disk_map(coeffs)
+    buf.setflags(write=False)
+    return make_disk_map(_PhiSeries(buf, bt.completed and 2.0 * neg_l1 < floor))
 
 
 def boundary_curvature(bt: BoundaryTrace) -> PeriodicGrid:
@@ -383,7 +543,10 @@ def mobius_recenter(d: DiskMap, a: complex, t: float) -> DiskMap:
     t = 0 gives the identity.  Composition happens on a dense boundary grid
     followed by re-projection to the order of d (at least 256); the tail
     guard (t too close to 1 for the series order) raises UnderResolved
-    before the negative-frequency guard raises NotHolomorphic.
+    before the negative-frequency guard raises NotHolomorphic.  The
+    recentered map is certified by the argument principle (make_disk_map):
+    f is a diffeomorphism of the closed disk, so losing d's immersion can
+    only mean under-resolution, UnderResolved.
     """
     a = complex(a)
     _check_recentering(a, t)
@@ -392,14 +555,13 @@ def mobius_recenter(d: DiskMap, a: complex, t: float) -> DiskMap:
     th = grid_angles(N)
     z = np.exp(1j * th)
     w = (z - t * a) / (1 - t * np.conj(a) * z)
-    pos, frac = _boundary_modes(d(w))
+    pos, _, frac = _boundary_modes(d(w))
     coeffs = _truncate_with_guard(pos, M)
     if frac > NEG_FREQ_LIMIT:
         raise NotHolomorphic("recentered map lost holomorphy (sampling artifact)")
     coeffs[0] -= np.sum(coeffs)
     out = make_disk_map(coeffs)
     if d.immersed and not out.immersed:
-        # f is a diffeomorphism of the closed disk; only resolution can break this
         raise UnderResolved("immersion certificate lost under recentering")
     return out
 
@@ -408,8 +570,9 @@ def blaschke_fixture(zeros) -> DiskMap:
     """Finite product of disk automorphism factors with the given zeros.
 
     Generates boundary curves of known degree n for the curve-topology
-    machinery; for n >= 2 the derivative vanishes inside the disk, so the
-    lattice immersion test fails (as it must).
+    machinery; for n >= 2 the derivative vanishes inside the disk, at n - 1
+    points counted with multiplicity, so the argument principle of
+    make_disk_map finds them and the map is not immersed (as it must).
     """
     zeros = [complex(a) for a in zeros]
     for a in zeros:
@@ -420,7 +583,7 @@ def blaschke_fixture(zeros) -> DiskMap:
     vals = np.ones_like(z)
     for a in zeros:
         vals = vals * (z - a) / (1 - np.conj(a) * z)
-    pos, _ = _boundary_modes(vals)
+    pos, _, _ = _boundary_modes(vals)
     coeffs = _truncate_with_guard(pos, n_grid // 4)
     return make_disk_map(coeffs, normalized_at_one=False)
 

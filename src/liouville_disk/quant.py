@@ -80,10 +80,6 @@ class Bubble:
         x = np.asarray(x, dtype=float)
         return 2 * self.mu / (1 + self.mu**2 * (x - self.x0) ** 2)
 
-    def mass_in(self, r: float) -> float:
-        """Closed-form concentrated mass: 4 arctan(mu r) around the center."""
-        return 4.0 * np.arctan(self.mu * r)
-
     def lambda_at(self, thetas):
         """Stable pullback at angles in [-pi, pi], in two real charts.
 
@@ -112,7 +108,8 @@ class Bubble:
         return out
 
     def pull_back(self, n: int) -> LineField:
-        return LineField(SingularField(PeriodicGrid(self.lambda_at(grid_angles(n)))))
+        # lambda_at returns a new array: the grid takes it without a copy
+        return LineField(SingularField(PeriodicGrid._adopt(self.lambda_at(grid_angles(n)))))
 
     def lambda_bar(self) -> float:
         """Circle mean of the pullback on the 1024-point grid."""
@@ -330,13 +327,13 @@ def recentered_lambda_sequence(d: DiskMap, a: complex, ts, n: int = 1024):
     By the chain rule log|(Phi o f_t)'(z)| = log|Phi'(f_t(z))| + log|f_t'(z)|,
     with f_t'(z) = (1 - t^2)/(1 - t conj(a) z)^2.  f_t maps the unit circle
     onto itself, so Phi' at the n points f_t(z_j) is the one-sided sum of
-    its coefficients (trailing zeros trimmed) at their angles: one
-    spectral.eval_modes call per t.  No recentered series is built or
-    truncated, so the moduli carry only the error of Phi' itself, whatever
-    t and the series order.
+    its coefficients (DiskMap.deriv_coeffs, which end at the last nonzero
+    one) at their angles: one spectral.eval_modes call per t.  No
+    recentered series is built or truncated, so the moduli carry only the
+    error of Phi' itself, whatever t and the series order.
     """
     a = complex(a)
-    dcoef = np.trim_zeros(d.deriv_coeffs, "b")
+    dcoef = d.deriv_coeffs
     z = np.exp(1j * grid_angles(n))
     out = []
     for t in ts:

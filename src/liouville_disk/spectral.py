@@ -14,7 +14,10 @@ grids go through real-input transforms: real_half_spectrum takes modes
 of modes 0 .. n/2, half the work of a complex transform.  The band-limit
 guard and the multiplier operators (whose multipliers are built on those
 modes only) read a real grid's spectrum as that half (see
-multiplier_spectrum), never the mirror.
+multiplier_spectrum), never the mirror.  The Hilbert transform of a real
+grid, which disk.analytic_completion shares, multiplies the plain rfft
+by -i (_real_conjugate): its multiplier is odd, so the half-period sign
+flips would cancel around it.
 
 Off the grid a series is a one-sided row c, summed as sum_{k >= 0}
 c_k e^{i k theta} by eval_modes: a disk map's derivative series, or a real
@@ -86,10 +89,10 @@ class ValueEquality:
     array fields, whose generated methods raise on arrays.  Arrays match by
     dtype kind and np.array_equal and hash by the bytes of their float64 or
     complex128 values plus 0.0, so -0.0 hashes as 0.0.  Only dataclass fields
-    count, not cached properties."""
+    with compare=True count, not cached properties or derived fields."""
 
     def _fields(self):
-        return [getattr(self, f.name) for f in fields(self)]
+        return [getattr(self, f.name) for f in fields(self) if f.compare]
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -131,6 +134,22 @@ class PeriodicGrid(ValueEquality):
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, check_finite: bool = True) -> "PeriodicGrid":
+        """A grid over a new float or complex array that the caller hands
+        over and no longer writes, without the copy.  check_finite=False
+        for values computed from a checked grid of the same length."""
+        if values.ndim != 1 or not _check_power_of_two(values.size):
+            raise InvalidInput(
+                f"grid length must be a power of two >= 8, got shape {values.shape}"
+            )
+        if check_finite and not np.all(np.isfinite(values)):
+            raise InvalidInput("grid contains non-finite samples")
+        values.setflags(write=False)
+        g = object.__new__(cls)
+        object.__setattr__(g, "values", values)
+        return g
 
     @property
     def n(self) -> int:
@@ -343,7 +362,8 @@ def band_limit_fraction(g: PeriodicGrid, s=None) -> float:
     """Share of the oscillatory spectral energy carried by the top decile of
     modes (|m| >= (1 - BAND_LIMIT_TOP) n/2); 0 when the oscillatory part sits
     at the rounding floor.  s is multiplier_spectrum(g) when the caller has
-    it already.
+    it already; for a real grid only the moduli of s are read, so the plain
+    np.fft.rfft of its values (no half-period sign flip) serves as well.
 
     A real grid's spectrum is Hermitian, so only modes 0 .. n/2 are read:
     every mode but the mean and the Nyquist mode counts twice."""
@@ -352,19 +372,31 @@ def band_limit_fraction(g: PeriodicGrid, s=None) -> float:
     if s is None:
         s = multiplier_spectrum(g)
     if g.is_real:
-        energy = np.abs(s[:-1]) ** 2  # modes 0 .. n/2 - 1
         edge = abs(s[-1]) ** 2  # the Nyquist mode
-        total = 2.0 * np.sum(energy[1:]) + edge
-        top = 2.0 * np.sum(energy[int(np.ceil(cutoff)) :]) + edge
+        split = int(np.ceil(cutoff))
+        top = 2.0 * _energy(s[split:-1]) + edge
+        total = 2.0 * _energy(s[1:split]) + top
+        everything = total + abs(s[0]) ** 2
     else:
         m = np.abs(np.arange(-n // 2, n // 2))
         energy = np.abs(s.coeffs) ** 2
         total = np.sum(energy[m > 0])
         top = np.sum(energy[m >= cutoff])
-    # ignore grids whose oscillatory part sits at the rounding floor
-    if total <= n * (1e-13 * max(1.0, float(np.max(np.abs(g.values))))) ** 2:
+        everything = np.sum(energy)
+    # ignore grids whose oscillatory part sits at the rounding floor; by
+    # Parseval max|g| <= sqrt(n * everything), so the maximum is only taken
+    # when that bound does not clear the floor already
+    floor = n * 1e-26
+    if total <= floor * max(1.0, n * everything) and total <= floor * max(
+        1.0, float(np.max(np.abs(g.values)))
+    ) ** 2:
         return 0.0
     return float(top / total)
+
+
+def _energy(c: np.ndarray) -> float:
+    """sum |c_k|^2 in one pass."""
+    return float(np.vdot(c, c).real)
 
 
 def band_limit_guard(g: PeriodicGrid, s=None):
@@ -413,7 +445,7 @@ def _apply_multiplier(g: PeriodicGrid, mult: np.ndarray, s=None) -> PeriodicGrid
         return synthesize(SpectralRep(s.coeffs * mult))
     half = s * mult  # modes 0 .. n/2
     half[1::2] *= -1
-    return PeriodicGrid(np.fft.irfft(half, g.n, norm="forward"))
+    return PeriodicGrid._adopt(np.fft.irfft(half, g.n, norm="forward"))
 
 
 def half_laplacian(g: PeriodicGrid) -> PeriodicGrid:
@@ -432,9 +464,28 @@ def _hilbert_multiplier(g: PeriodicGrid) -> np.ndarray:
 
 def hilbert(g: PeriodicGrid) -> PeriodicGrid:
     """Conjugation operator, multiplier -i sign(m); output has zero mean."""
+    if g.is_real:
+        raw = np.fft.rfft(g.values, norm="forward")
+        band_limit_guard(g, s=raw)
+        return _real_conjugate(g, raw)
     s = multiplier_spectrum(g)
     band_limit_guard(g, s=s)
     return _apply_multiplier(g, _hilbert_multiplier(g), s)
+
+
+def _real_conjugate(g: PeriodicGrid, raw: np.ndarray) -> PeriodicGrid:
+    """Hilbert transform of a real grid g from raw = np.fft.rfft(g.values,
+    norm="forward"), which it overwrites.
+
+    The multiplier -i sign(m) is odd, so the half-period sign (-1)^m of
+    real_half_spectrum would be applied and undone around it: raw is
+    multiplied by -i as it stands, and one np.fft.irfft gives the
+    conjugate, computed from checked samples.  The mean and Nyquist bins of
+    an rfft are real, so times -i they are imaginary, which irfft discards:
+    the multiplier's zeros there come with no extra step.
+    """
+    raw *= -1j
+    return PeriodicGrid._adopt(np.fft.irfft(raw, g.n, norm="forward"), check_finite=False)
 
 
 def derivative(g: PeriodicGrid) -> PeriodicGrid:

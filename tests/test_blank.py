@@ -582,6 +582,22 @@ class TestBatchedTopologyOracles:
                 ref = loop_find_witness(face.walk, c.vertices)
                 assert face.witness.tobytes() == ref.tobytes(), (name, face.id)
 
+    def test_rejected_candidates_fall_through_to_later_rounds(self):
+        # a thin rectangle with the curve far away: the clearance is the host
+        # length, so the candidates off the two long sides land outside the
+        # face and their windings reject them; a short side's candidate holds
+        from liouville_disk.arrangement import _find_witnesses
+
+        thin = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.01], [0.0, 0.01]])
+        far = 100.0 + np.column_stack([np.cos(np.arange(8)), np.sin(np.arange(8))])
+        (got,) = _find_witnesses([thin], far)
+        assert winding_batch(got[None, :], thin)[0] == 1
+        assert got.tobytes() == loop_find_witness(thin, far).tobytes()
+        # two faces rejected in the same rounds
+        faces = [thin, thin + [0.0, 2.0]]
+        assert [w.tobytes() for w in _find_witnesses(faces, far)] == [
+            loop_find_witness(f, far).tobytes() for f in faces]
+
     def test_fan_fields_match_the_single_origin_fan(self):
         names = ("admissible", "ok", "n_hits", "d", "k", "r", "t", "det")
         for name, c, ray_seed in oracle_cases():

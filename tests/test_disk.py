@@ -53,6 +53,12 @@ def bubble_trace(mu, n=256, x0=0.0):
     return analytic_completion(lf.field)
 
 
+def phi_grid(bt):
+    """Boundary derivative samples e^{lambda + i rho} (non-finite at anchors)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(bt.lambda_grid() + 1j * bt.rho_grid())
+
+
 def mobius_oracle_coeffs(mu, M=96):
     """Closed form of the map built from the centered bubble: the disk
     automorphism (z - i t)/(1 + i t z) shifted to vanish at 1, t = (mu-1)/(mu+1).
@@ -70,14 +76,14 @@ class TestAnalyticCompletion:
     def test_zero_gives_zero(self):
         bt = analytic_completion(PeriodicGrid.zeros(128))
         assert np.max(np.abs(bt.rho_grid())) < 1e-13
-        assert np.max(np.abs(bt.phi_grid() - 1.0)) < 1e-13
+        assert np.max(np.abs(phi_grid(bt) - 1.0)) < 1e-13
 
     def test_cosine_conjugate(self):
         th = grid_angles(128)
         bt = analytic_completion(PeriodicGrid(np.cos(th)))
         assert np.max(np.abs(bt.rho_grid() - np.sin(th))) < 1e-12
         expect = np.exp(np.cos(th) + 1j * np.sin(th))
-        assert np.max(np.abs(bt.phi_grid() - expect)) < 1e-11
+        assert np.max(np.abs(phi_grid(bt) - expect)) < 1e-11
 
     def test_pair_has_no_negative_frequencies(self):
         rng = np.random.default_rng(9)
@@ -140,7 +146,7 @@ class TestAnalyticCompletion:
     def test_modulus_identity(self):
         bt = bubble_trace(4.0)
         away = np.abs(grid_angles(256) + np.pi / 2) > 1e-9
-        assert np.max(np.abs(np.abs(bt.phi_grid()[away]) - np.exp(bt.lambda_grid()[away]))) < 1e-10
+        assert np.max(np.abs(np.abs(phi_grid(bt)[away]) - np.exp(bt.lambda_grid()[away]))) < 1e-10
 
 
 class TestBuildPhi:
@@ -257,7 +263,7 @@ class TestMobiusRecenter:
         t, a = 0.999, 1j
         N = 1 << int(np.ceil(np.log2(8 * max(d.order, 256))))
         z = np.exp(1j * grid_angles(N))
-        _, share = disk._boundary_modes(d((z - t * a) / (1 - t * np.conj(a) * z)))
+        _, _, share = disk._boundary_modes(d((z - t * a) / (1 - t * np.conj(a) * z)))
         assert share > disk.NEG_FREQ_LIMIT
         with pytest.raises(UnderResolved, match="energy fraction"):
             mobius_recenter(d, a, t)
@@ -397,12 +403,15 @@ class TestRingEvaluation:
         ref = horner_abs(dcoef, ring_points(mesh))
         assert np.all(np.abs(vals - ref) <= 1e-9 * np.max(ref, axis=1, keepdims=True))
 
-    def test_lattice_matches_horner(self):
-        dcoef = bubble_map(16.0).deriv_coeffs
-        radii = np.linspace(0.0, 1.0, 64)
-        vals = disk._abs_on_rings(dcoef, disk.RingPowers(radii, 256))
-        ref = horner_abs(dcoef, np.outer(radii, np.exp(1j * grid_angles(256))))
-        assert np.all(np.abs(vals - ref) <= 1e-12 * np.max(ref, axis=1, keepdims=True))
+    @pytest.mark.parametrize("mu, bound", [(16.0, 1e-12), (4096.0, 1e-9)])
+    def test_boundary_ring_matches_horner(self, mu, bound):
+        # min_deriv's ring, r = 1 at the 256 grid angles, against Horner
+        dcoef = bubble_map(mu).deriv_coeffs
+        vals = disk._abs_on_rings(dcoef, disk._boundary_ring())
+        ref = horner_abs(dcoef, np.exp(1j * grid_angles(disk.BOUNDARY_RING_N)))
+        assert vals.shape == (1, disk.BOUNDARY_RING_N)
+        assert np.all(np.abs(vals - ref) <= bound * np.max(ref))
+        assert bubble_map(mu).min_deriv == np.min(vals)
 
     @pytest.mark.parametrize("mu", [16.0, 4096.0])
     def test_distance_matches_horner_weighted_dijkstra(self, mu):
@@ -450,19 +459,19 @@ class TestRingEvaluation:
                 assert np.array_equal(disk._abs_on_rings(coef, cached), fresh)
 
     def test_one_table_per_geometry(self):
-        disk._lattice_rings.cache_clear()
+        disk._boundary_ring.cache_clear()
         disk._mesh_cache.cache_clear()
         for mu in (1.0, 16.0, 4096.0, 16.0):
             d = make_disk_map(bubble_map(mu).coeffs)
             conformal_distance(d, 1.0, -1.0, n_boundary=64)
             conformal_distance(d, 1j, -1.0, n_boundary=64)
-        assert disk._lattice_rings.cache_info().currsize == 1
+        assert disk._boundary_ring.cache_info().currsize == 1
         assert disk._mesh_cache.cache_info().currsize == 1
-        lattice = disk._lattice_rings()
+        ring = disk._boundary_ring()
         _, rings = disk._mesh_cache(64)
         # grown to the largest Q, not kept once per size
         top = np.flatnonzero(bubble_map(4096.0).deriv_coeffs)[-1] + 1  # trailing zeros fold nowhere
-        assert lattice._V.shape == (64, -(-top // 256))
+        assert ring._V.shape == (1, -(-top // disk.BOUNDARY_RING_N))
         assert rings._V.shape == (rings.P.shape[0], -(-top // 64))
 
     @pytest.mark.parametrize("make, immersed", [
@@ -478,6 +487,96 @@ class TestRingEvaluation:
     ])
     def test_immersion_verdicts(self, make, immersed):
         assert make().immersed is immersed
+
+
+class TestImmersionCertificate:
+    """immersed certifies that Phi' has no zero in the closed disk: by
+    Rouche's theorem for build_phi, by the argument principle otherwise."""
+
+    @pytest.mark.parametrize("a", [0.5 * np.exp(0.01j), 0.3 + 0.2j, 0.9 * np.exp(0.7j)])
+    def test_one_critical_point_between_lattice_nodes(self, a):
+        # Phi'(z) = z - a; the 64 x 256 lattice test called these immersed
+        d = make_disk_map(np.array([0.0, -a, 0.5]), normalized_at_one=False)
+        assert not d.immersed
+        assert disk._zero_count(d.deriv_coeffs) == 1
+
+    def test_branched_map_is_not_immersed(self):
+        # Phi(z) = z + z^2 branches at z = -1/2
+        d = make_disk_map(np.array([0.0, 1.0, 1.0]), normalized_at_one=False)
+        assert not d.immersed
+        assert disk._zero_count(d.deriv_coeffs) == 1
+
+    @pytest.mark.parametrize("zeros", [[0.5], [0.3j], [0.0, 0.0], [0.3, -0.3], [0.5, 0.2 + 0.4j, -0.6j], [0.7, -0.5j, 0.1 - 0.2j]])
+    def test_critical_points_are_the_rotation_index_minus_one(self, zeros):
+        # a degree-m product winds its boundary tangent m times and has
+        # m - 1 critical points in the disk (Riemann-Hurwitz)
+        from liouville_disk.curves import PolyCurve, rotation_index
+
+        d = blaschke_fixture(zeros)
+        verts, _ = boundary_polyline(d, 1024)
+        index = rotation_index(PolyCurve(verts)).index
+        assert index == len(zeros)
+        assert disk._zero_count(d.deriv_coeffs) == index - 1
+        assert d.immersed is (index == 1)
+
+    @pytest.mark.parametrize("r, count", [(1.0 - 1e-3, 1), (1.0 + 1e-3, 0)])
+    def test_zeros_next_to_the_circle_fall_on_their_side(self, r, count):
+        # a zero midway between two of the first 64 samples turns that step
+        # by more than pi when it lies inside: those samples alone count it
+        # on the wrong side, and the guard doubles them until no step can
+        a = r * np.exp(1j * 7 * np.pi / 64)
+        z = np.exp(2j * np.pi * np.arange(64) / 64)
+        naive = np.sum(np.angle(np.roll(z - a, -1) / (z - a))) / (2 * np.pi)
+        assert round(naive) == 0
+        d = make_disk_map(np.array([0.0, -a, 0.5]), normalized_at_one=False)
+        assert disk._zero_count(d.deriv_coeffs) == count
+        assert d.immersed is (count == 0)
+
+    def test_a_zero_on_the_circle_is_not_certified(self):
+        d = make_disk_map(np.array([0.0, -1.0, 0.5]), normalized_at_one=False)
+        assert disk._zero_count(d.deriv_coeffs) is None
+        assert not d.immersed and d.min_deriv == 0.0
+
+    @pytest.mark.parametrize("x0", [0.0, 0.45, -0.45])
+    @pytest.mark.parametrize("j", range(13))
+    def test_bubble_ladder_is_immersed(self, j, x0):
+        assert quant.bubble(2.0**j, x0).disk_map().immersed
+
+    def test_a_failed_rouche_test_falls_back_to_the_zero_count(self, monkeypatch):
+        # lambda = 12 log|1 - z/1.5|: Phi' = (1 - z/1.5)^12 has no zero, but
+        # on 64 points its aliased spectrum cannot show it (|Phi'| spans
+        # 1.9e-6 to 1), so the argument principle decides; on 128 points
+        # the Rouche test holds and nothing is counted
+        counted = []
+        original = disk._zero_count
+        monkeypatch.setattr(disk, "_zero_count", lambda c: counted.append(c.size) or original(c))
+        verdicts = []
+        for n in (64, 128):
+            th = grid_angles(n)
+            d = build_phi(analytic_completion(PeriodicGrid(12.0 * np.log(np.abs(1.0 - np.exp(1j * th) / 1.5)))))
+            assert original(d.deriv_coeffs) == 0
+            verdicts.append((d.immersed, len(counted)))
+        assert verdicts == [(True, 1), (True, 1)]
+
+    def test_a_trace_not_from_the_completion_is_counted(self, monkeypatch):
+        # rho = arg(z - a) is no conjugate of lambda = log|z - a|, yet
+        # e^{lambda + i rho} = z - a has no negative modes: the Rouche test
+        # would pass it, so such a trace takes the argument principle
+        z = np.exp(1j * grid_angles(256))
+        a = 0.4 + 0.1j
+        bt = BoundaryTrace(SingularField(PeriodicGrid(np.log(np.abs(z - a)))), PeriodicGrid(np.angle(z - a)))
+        d = build_phi(bt)
+        assert np.allclose(d.deriv_coeffs[:2], [-a, 1.0]) and not d.immersed
+        counted = []
+        original = disk._zero_count
+        monkeypatch.setattr(disk, "_zero_count", lambda c: counted.append(c.size) or original(c))
+        assert build_phi(bubble_trace(4.0)).immersed and counted == []
+        assert not build_phi(bt).immersed and len(counted) == 1
+
+    def test_json_round_trip_recounts_the_zeros(self):
+        for d in (quant.bubble(mu=16.0, x0=0.3).disk_map(), blaschke_fixture([0.3, -0.3])):
+            back = DiskMap.from_json(d.to_json())
+            assert back == d and back.immersed is d.immersed
 
 
 @lru_cache(maxsize=None)
@@ -506,8 +605,13 @@ class TestExactBubbleMaps:
     @pytest.mark.parametrize("mu, x0", LADDER)
     def test_immersion_certificate(self, mu, x0):
         d, q, C = exact_bubble(mu, x0)
-        z = np.outer(np.linspace(0.0, 1.0, 64), np.exp(1j * grid_angles(256)))
-        exact = np.min(C / np.abs(1 - q * z) ** 2)
+        ring = np.exp(1j * grid_angles(disk.BOUNDARY_RING_N))
+        exact = np.min(C / np.abs(1 - q * ring) ** 2)
+        # Phi' = C (1 - q z)^-2 has no zero and |1 - q z| peaks on the
+        # circle: the minimum over a 64 x 256 polar lattice sits on its r = 1
+        # ring, the ring min_deriv is read on
+        lattice = np.outer(np.linspace(0.0, 1.0, 64), ring)
+        assert np.min(C / np.abs(1 - q * lattice) ** 2) == exact
         assert d.immersed
         # the derivative multiplies the truncated tail by its order k, and
         # the minimum sits ~mu^2 below the peak of |Phi'|: 3.4e-7 at mu = 4096, x0 = 0.45
@@ -633,7 +737,45 @@ def test_make_disk_map_pads_to_twice_the_last_nonzero_order():
     assert make_disk_map(np.r_[-1.0, 1.0, np.zeros(500)]).coeffs.size == 64
     c = np.zeros(100, dtype=complex)
     c[[0, 70]] = -1.0, 1.0
-    assert make_disk_map(c).coeffs.size == 142
+    d = make_disk_map(c)
+    assert d.coeffs.size == 142
+    # Phi' up to its last nonzero coefficient, order 69
+    assert d.deriv_coeffs.size == 70 and d.deriv_coeffs[-1] == 70.0
+    assert np.array_equal(d.deriv_coeffs, DiskMap(d.coeffs, d.immersed, d.min_deriv).deriv_coeffs)
+
+
+def test_disk_maps_keep_no_view_of_their_callers_arrays():
+    # a caller's array is copied, read-only or not: its owner can make it
+    # writable again
+    c = np.zeros(200, dtype=complex)
+    c[[0, 1, 2]] = -1.5, 1.0, 0.5
+    view = c[:]
+    view.setflags(write=False)  # read-only, but c writes through
+    frozen = c.copy()
+    frozen.setflags(write=False)
+    maps = [make(a) for a in (c, view, frozen) for make in (make_disk_map, lambda a: DiskMap(a, True, 1.0))]
+    assert not any(np.shares_memory(d.coeffs, a) for d in maps for a in (c, frozen))
+    c[1] = 7.0
+    frozen.setflags(write=True)
+    frozen[1] = 7.0
+    assert all(d.coeffs[1] == 1.0 and not d.coeffs.flags.writeable for d in maps)
+    assert all(d.deriv_coeffs[0] == 1.0 for d in maps)
+    # build_phi's own buffer, which no caller holds, is kept as a view
+    assert build_phi(bubble_trace(4.0)).coeffs.base is not None
+
+
+def test_derived_fields_are_no_constructor_arguments():
+    # deriv_coeffs follows coeffs, and completed marks analytic_completion's
+    # traces only
+    c = np.array([-1.0, 1.0])
+    with pytest.raises(TypeError):
+        DiskMap(c, True, 1.0, deriv_coeffs=np.array([5.0]))
+    assert np.array_equal(DiskMap(c, True, 1.0).deriv_coeffs, [1.0])
+    lam = SingularField(PeriodicGrid.zeros(64))
+    with pytest.raises(TypeError):
+        BoundaryTrace(lam, PeriodicGrid.zeros(64), completed=True)
+    assert not BoundaryTrace(lam, PeriodicGrid.zeros(64)).completed
+    assert analytic_completion(lam).completed
 
 
 def test_make_disk_map_rejects_bad_normalization():
@@ -685,8 +827,43 @@ def reference_abs_on_rings(coef, rings):
     return np.abs(np.fft.ifft(folded, axis=-1) * n)
 
 
-def reference_make_disk_map(coeffs, normalized_at_one=True):
-    """make_disk_map padding by np.flatnonzero and np.concatenate."""
+def longdouble_horner(c, w):
+    """sum_k c_k w^k by Horner's rule in clongdouble."""
+    acc = np.zeros(w.shape, dtype=np.clongdouble)
+    for ck in np.asarray(c)[::-1].astype(np.clongdouble):
+        acc = acc * w + ck
+    return acc
+
+
+def horner_boundary_min(dcoef):
+    """min |Phi'| over the r = 1 ring of disk.BOUNDARY_RING_N grid angles,
+    summed in long double."""
+    th = grid_angles(disk.BOUNDARY_RING_N).astype(np.longdouble)
+    return float(np.min(np.abs(longdouble_horner(dcoef, np.cos(th) + 1j * np.sin(th)))))
+
+
+def roots_inside(dcoef):
+    """Zeros of p(z) = sum_k dcoef_k z^k in the open unit disk, from the
+    eigenvalues of the companion matrix (None for the zero polynomial).
+
+    Coefficients below 1e-13 of the largest are dropped first, so that the
+    rounding noise of a decayed series adds no spurious roots; by Rouche's
+    theorem that keeps the count when their l1 norm stays below min |p| on
+    the circle, which is asserted."""
+    big = np.flatnonzero(np.abs(dcoef) > 1e-13 * np.max(np.abs(dcoef), initial=0.0))
+    if not big.size:
+        return None
+    kept = dcoef[: big[-1] + 1]
+    dropped = np.sum(np.abs(dcoef[big[-1] + 1 :]))
+    th = grid_angles(4096)
+    assert dropped < np.min(np.abs(np.polynomial.polynomial.polyval(np.exp(1j * th), kept))) or dropped == 0
+    return int(np.sum(np.abs(np.roots(kept[::-1])) < 1.0))
+
+
+def reference_make_disk_map(coeffs, normalized_at_one=True, immersed=None):
+    """make_disk_map padding by np.flatnonzero and np.concatenate, min_deriv
+    on the r = 1 ring through reference_abs_on_rings, and, unless given,
+    immersion by the companion-matrix roots of Phi'."""
     c = np.asarray(coeffs, dtype=complex)
     if c.size < 2:
         raise InvalidInput("short")
@@ -698,14 +875,18 @@ def reference_make_disk_map(coeffs, normalized_at_one=True):
         raise InvalidInput("zero map")
     if normalized_at_one and abs(np.sum(c)) > 1e-10 * max(1.0, np.sqrt(total)):
         raise InvalidInput("normalization")
-    vals = reference_abs_on_rings(c[1:] * np.arange(1, c.size), disk._lattice_rings())
-    md, top = float(np.min(vals)), float(np.max(vals))
-    return DiskMap(coeffs=c, immersed=md > 1e-9 * top, min_deriv=md, normalized_at_one=normalized_at_one)
+    dcoef = c[1:] * np.arange(1, c.size)
+    md = float(np.min(reference_abs_on_rings(dcoef, disk.RingPowers(np.ones(1), disk.BOUNDARY_RING_N))))
+    if immersed is None:
+        immersed = roots_inside(dcoef) == 0
+    return DiskMap(coeffs=c, immersed=bool(immersed), min_deriv=md, normalized_at_one=normalized_at_one)
 
 
 def reference_build_phi(bt):
     """build_phi through a PeriodicGrid of phi, analyze's shifted spectrum,
-    the full-spectrum negative-frequency fraction and the guards' own sums."""
+    the full-spectrum negative-frequency fraction and the guards' own sums;
+    its Rouche test sums the negative modes of that spectrum, and bt is
+    taken as a trace of analytic_completion."""
     n = bt.n
     w = np.real(bt.lam.smooth.values) + 1j * np.real(bt.rho_smooth.values)
     th = grid_angles(n) if bt.anchors else None
@@ -727,7 +908,10 @@ def reference_build_phi(bt):
     if np.sum(energy) and np.sum(energy[: n // 2]) / np.sum(energy) > disk.NEG_FREQ_LIMIT:
         raise NotHolomorphic("negative frequencies")
     coeffs[0] = -np.sum(coeffs[1:])
-    return reference_make_disk_map(coeffs)
+    rouche = 2.0 * np.sum(np.abs(s.coeffs[: n // 2])) < np.min(np.abs(phi))
+    # bt stands for a trace of the completion, whose test certifies or
+    # leaves the verdict to the zero count
+    return reference_make_disk_map(coeffs, immersed=True if rouche else None)
 
 
 def reference_boundary_series(vals, M):
@@ -771,6 +955,9 @@ def assert_same_map(got, ref):
     assert got.min_deriv == ref.min_deriv
     assert got.immersed is ref.immersed
     assert got == ref
+    # the boundary minimum of |Phi'|, against a long-double Horner sum
+    exact = horner_boundary_min(got.deriv_coeffs)
+    assert abs(got.min_deriv - exact) <= 1e-9 * max(exact, 1e-300) + 1e-15 * np.sum(np.abs(got.deriv_coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -836,8 +1023,9 @@ class TestOneFftOracles:
         c[0] -= np.sum(c)  # Phi(1) = 0
         assert_same_map(make_disk_map(c), reference_make_disk_map(c))
         dcoef = c[1:] * np.arange(1, c.size)
-        for rings in (disk._lattice_rings(), disk._mesh_cache(64)[1]):
-            assert np.array_equal(disk._abs_on_rings(dcoef, rings), reference_abs_on_rings(dcoef, rings))
+        trimmed = np.trim_zeros(dcoef, "b")  # as DiskMap.deriv_coeffs ends
+        for rings in (disk._boundary_ring(), disk._mesh_cache(64)[1]):
+            assert np.array_equal(disk._abs_on_rings(trimmed, rings), reference_abs_on_rings(dcoef, rings))
 
     def test_series_length_of_zero_and_nonzero_vectors(self):
         assert disk._series_length(np.zeros(5, dtype=complex)) == 0
@@ -845,8 +1033,9 @@ class TestOneFftOracles:
         assert disk._series_length(np.array([1.0])) == 1
         for zeros in (np.zeros(2), np.zeros(70, dtype=complex)):
             assert outcome(make_disk_map, zeros, False) is outcome(reference_make_disk_map, zeros, False) is InvalidInput
-        assert np.array_equal(disk._abs_on_rings(np.zeros(3, dtype=complex), disk._lattice_rings()),
-                              reference_abs_on_rings(np.zeros(3, dtype=complex), disk._lattice_rings()))
+        for coef in (np.zeros(3, dtype=complex), np.zeros(0, dtype=complex)):
+            assert np.array_equal(disk._abs_on_rings(coef, disk._boundary_ring()),
+                                  reference_abs_on_rings(np.zeros(3, dtype=complex), disk._boundary_ring()))
 
     @pytest.mark.parametrize("make", [
         # non-finite: an anchor on a grid angle gives phi = inf there
@@ -889,7 +1078,7 @@ def test_disk_map_memory_peak():
     import tracemalloc
 
     b = quant.bubble(4096.0, 0.3)
-    b.disk_map()  # the lattice power tables grow once, outside the measurement
+    b.disk_map()  # the boundary ring's power table grows once, outside the measurement
     tracemalloc.start()
     try:
         b.disk_map()

@@ -242,7 +242,8 @@ def test_the_circle_chart_alone_places_the_grid_on_the_line():
 
 
 # point evaluation of a series: the map, its derivative and the corner
-# tangent fit; |Phi'| on rings (certificate lattice, distance mesh) is folded
+# tangent fit; |Phi'| on rings (min_deriv's boundary ring, distance mesh) is
+# folded
 POLYVAL_CALLERS = {"DiskMap.__call__", "DiskMap.derivative", "_one_sided_tangent"}
 
 
@@ -264,3 +265,45 @@ def test_conformal_distance_makes_no_polyval_call(monkeypatch):
     monkeypatch.setattr(np.polynomial.polynomial, "polyval", counted)
     assert disk.conformal_distance(d, 1.0, -1.0) > 0
     assert calls[0] == 0
+
+
+def test_a_bubble_disk_map_runs_three_transforms_of_its_length(monkeypatch):
+    # one rfft of lambda (band-limit guard and conjugate), one irfft (rho)
+    # and one complex fft of phi; the only other transform is the inverse
+    # FFT of min_deriv's boundary ring
+    calls = []
+
+    def counted(name, original):
+        def transform(a, *args, **kw):
+            out = original(a, *args, **kw)
+            # the length of the grid side: the output of an inverse real FFT
+            calls.append((name, (out if name.startswith("ir") else np.asarray(a)).shape[-1]))
+            return out
+
+        return transform
+
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    quant.bubble(mu=64.0, x0=0.3).disk_map()
+    n = 2048  # the smallest power of two of at least 20 mu points
+    assert calls == [("rfft", n), ("irfft", n), ("fft", n), ("ifft", disk.BOUNDARY_RING_N)]
+
+
+def test_build_phi_folds_at_most_one_ring(monkeypatch):
+    folded = []
+    original = disk._abs_on_rings
+    monkeypatch.setattr(disk, "_abs_on_rings",
+                        lambda coef, rings: folded.append(rings.P.shape) or original(coef, rings))
+    for mu in (1.0, 256.0, 4096.0):
+        quant.bubble(mu=mu, x0=0.3).disk_map()
+    disk.make_disk_map(np.array([0.0, -0.5, 0.5]), normalized_at_one=False)
+    assert folded == [(1, disk.BOUNDARY_RING_N)] * 4
+
+
+def test_disk_has_no_lattice():
+    path = PACKAGE_DIR / "disk.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in sorted(names) if name.startswith("_lattice")] == []
+    assert [name for name in vars(disk) if name.startswith("_lattice")] == []

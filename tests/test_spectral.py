@@ -239,9 +239,11 @@ def test_real_multipliers_match_the_complex_inverse(n):
 def test_every_module_multiplier_is_hermitian(monkeypatch):
     # the irfft route is the operator only for mult(-m) = conj mult(m) with a
     # real Nyquist entry.  The five operators are every call site in the
-    # module (disk.analytic_completion reuses the Hilbert multiplier).  A
-    # complex grid gets the full multiplier; a real grid only the entries
-    # the irfft route reads, modes 0 .. n/2 - 1 and then the Nyquist mode
+    # module.  A complex grid gets the full multiplier; a real grid only the
+    # entries the irfft route reads, modes 0 .. n/2 - 1 and then the Nyquist
+    # mode.  The real Hilbert transform (shared with
+    # disk.analytic_completion) multiplies the plain rfft by -i with no
+    # multiplier array, and gives the bits of the multiplier route
     tree = ast.parse(inspect.getsource(spectral))
     sites = [
         node for node in ast.walk(tree)
@@ -263,8 +265,14 @@ def test_every_module_multiplier_is_hermitian(monkeypatch):
         assert np.array_equal(seen[-1], expect)
         assert np.array_equal(seen[-1][1 : n // 2], np.conj(seen[-1][: n // 2 : -1]))
         assert np.imag(seen[-1][0]) == 0.0
-        op(g)
-        assert np.array_equal(seen[-1], np.append(expect[n // 2 :], expect[0]))
+        half = np.append(expect[n // 2 :], expect[0])
+        count = len(seen)
+        out = op(g)
+        if op is hilbert:
+            assert len(seen) == count
+            assert np.array_equal(out.values, original(g, half).values)
+        else:
+            assert np.array_equal(seen[-1], half)
 
 
 class TestHalfLaplacian:

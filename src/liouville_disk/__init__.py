@@ -15,7 +15,6 @@ from .spectral import (  # noqa: F401
     SingularField,
     SpectralRep,
     analyze,
-    green_convolve,
     grid_angles,
     half_laplacian,
     hilbert,
@@ -27,9 +26,7 @@ from .line import (  # noqa: F401
     CurvatureData,
     LineField,
     asymptotic_slope,
-    line_integral,
     pull_back,
-    pv_half_laplacian_line,
     stereo_inverse,
     stereo_project,
     transfer_equation,
@@ -38,7 +35,6 @@ from .disk import (  # noqa: F401
     BoundaryTrace,
     DiskMap,
     analytic_completion,
-    blaschke_fixture,
     boundary_curvature,
     boundary_polyline,
     build_phi,
@@ -48,7 +44,6 @@ from .disk import (  # noqa: F401
 )
 from .curves import (  # noqa: F401
     PolyCurve,
-    corner_angle_check,
     jitter,
     rotation_index,
     self_intersections,

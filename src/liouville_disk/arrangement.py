@@ -53,18 +53,6 @@ class Arrangement:
     def bounded_faces(self):
         return [f for f in self.faces if f.bounded]
 
-    def face_of_point(self, p) -> Face:
-        """Locate a point: the bounded face whose walk winds once around it,
-        else the unbounded face."""
-        p = np.asarray(p, dtype=float)
-        for f in self.faces:
-            if not f.bounded:
-                continue
-            w = winding_batch(p[None, :], f.walk)
-            if w[0] == 1:
-                return f
-        return next(f for f in self.faces if not f.bounded)
-
 
 def _signed_area(pts: np.ndarray) -> float:
     x, y = pts[:, 0], pts[:, 1]

@@ -63,8 +63,13 @@ def _write_csv(path, meta, body):
 
 
 def _read_json(path):
+    """The JSON object in the file; any other top-level value is an input
+    error."""
     with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _load_grid(path) -> PeriodicGrid:

@@ -20,7 +20,6 @@ from .errors import (
     NotGenericPosition,
     NumericalInconsistency,
     TieBreakAmbiguous,
-    WrongArity,
 )
 from .predicates import orient2d, segment_verdict, snap
 from .spectral import TWO_PI
@@ -238,18 +237,6 @@ def jitter(c: PolyCurve, seed: int, magnitude: float) -> PolyCurve:
     if after != before:
         raise JitterTooLarge(f"rotation index changed {before} -> {after}")
     return out
-
-
-def corner_angle_check(c: PolyCurve) -> float:
-    """Smooth-turning total across the single corner: phi(b^-) - phi(b^+).
-
-    Equals 2*pi*r minus the exterior angle; callers assert >= pi for curves
-    bounding singular immersions."""
-    if len(c.corners) != 1:
-        raise WrongArity(f"expected exactly one corner, got {len(c.corners)}")
-    rep = rotation_index(c)
-    (k, eps), = rep.exterior_angles.items()
-    return float(TWO_PI * rep.index - eps)
 
 
 def turn_blend(p_in, corner, p_out, max_turn: float) -> np.ndarray:

@@ -3,8 +3,8 @@
 From boundary data lambda (smooth grid plus optional log anchors) the
 analytic completion supplies the conjugate rho, the boundary derivative
 phi = e^{lambda + i rho}, and the map itself as a power series with the
-normalization Phi(1) = 0.  Boundary curvature, Moebius recentering, the
-conformal boundary distance, and Blaschke test fixtures live here too.
+normalization Phi(1) = 0.  Boundary curvature, Moebius recentering and the
+conformal boundary distance live here too.
 
 Anchored traces have a power-law boundary singularity; their boundary
 polylines are built by per-cell quadrature of the boundary derivative
@@ -17,11 +17,11 @@ and Rouche's theorem certifies the truncated series from its own spectrum,
 under a decay assumption on the modes above n/2 and with the grid minimum
 of e^lambda standing for its minimum on the circle (see build_phi).  When
 that test fails, and for maps from other sources (make_disk_map on given
-coefficients: DiskMap.from_json, mobius_recenter, blaschke_fixture), the
-zeros of Phi' are counted by the argument principle on a sampled circle
-with a Taylor guard between samples (_zero_count), which costs a few FFTs
-of about four times the series order, so it stays off the bubble path.  min_deriv is |Phi'|
-on the r = 1 ring of BOUNDARY_RING_N angles: by the minimum principle the
+coefficients, as mobius_recenter builds its maps), the zeros of Phi' are
+counted by the argument principle on a sampled circle with a Taylor guard
+between samples (_zero_count), which costs a few FFTs of about four times
+the series order, so it stays off the bubble path.  min_deriv is |Phi'| on
+the r = 1 ring of BOUNDARY_RING_N angles: by the minimum principle the
 minimum over the closed disk of a zero-free Phi'.
 
 Inside the disk |Phi'| is only needed on uniform polar rings: the
@@ -41,11 +41,10 @@ FFT, one real inverse FFT, one complex FFT and one complex exponential,
 plus one pass per guard.  The analytic completion reads the rfft of lambda
 for its band-limit guard and its Hilbert step.  Boundary samples become
 series in one place, _boundary_modes (one in-place forward FFT):
-build_phi, mobius_recenter and blaschke_fixture each truncate its modes
-under their own tail guard, and the first two then check its
-negative-frequency share.  make_disk_map measures a series up to its last
-nonzero coefficient once, and the DiskMap keeps the derivative
-coefficients up to that order for every later reader.
+build_phi and mobius_recenter each truncate its modes under their own tail
+guard and then check its negative-frequency share.  make_disk_map measures
+a series up to its last nonzero coefficient once, and the DiskMap keeps the
+derivative coefficients up to that order for every later reader.
 """
 
 from __future__ import annotations
@@ -113,13 +112,6 @@ class BoundaryTrace:
 
     def lambda_grid(self) -> np.ndarray:
         return self.lam.grid_values()
-
-    def rho_grid(self) -> np.ndarray:
-        vals = self.rho_smooth.values.copy()
-        th = grid_angles(self.n)
-        for t0, c in self.anchors:
-            vals += c * conjugate_profile(th, t0)
-        return vals
 
 
 def analytic_completion(lam) -> BoundaryTrace:
@@ -199,19 +191,6 @@ class DiskMap(ValueEquality):
 
     def derivative(self, z):
         return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.deriv_coeffs)
-
-    def to_json(self) -> dict:
-        return {
-            "coeffs": [[z.real, z.imag] for z in self.coeffs],
-            "normalized_at_one": bool(self.normalized_at_one),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DiskMap":
-        """The map of stored coefficients; immersion is certified anew, by
-        the argument principle (make_disk_map)."""
-        c = np.array([complex(re, im) for re, im in obj["coeffs"]])
-        return make_disk_map(c, normalized_at_one=bool(obj.get("normalized_at_one", True)))
 
 
 class RingPowers:
@@ -564,28 +543,6 @@ def mobius_recenter(d: DiskMap, a: complex, t: float) -> DiskMap:
     if d.immersed and not out.immersed:
         raise UnderResolved("immersion certificate lost under recentering")
     return out
-
-
-def blaschke_fixture(zeros) -> DiskMap:
-    """Finite product of disk automorphism factors with the given zeros.
-
-    Generates boundary curves of known degree n for the curve-topology
-    machinery; for n >= 2 the derivative vanishes inside the disk, at n - 1
-    points counted with multiplicity, so the argument principle of
-    make_disk_map finds them and the map is not immersed (as it must).
-    """
-    zeros = [complex(a) for a in zeros]
-    for a in zeros:
-        if abs(a) >= 1.0 - 1e-12:
-            raise InvalidInput("Blaschke zeros must lie strictly inside the disk")
-    n_grid = 2048
-    z = np.exp(1j * grid_angles(n_grid))
-    vals = np.ones_like(z)
-    for a in zeros:
-        vals = vals * (z - a) / (1 - np.conj(a) * z)
-    pos, _, _ = _boundary_modes(vals)
-    coeffs = _truncate_with_guard(pos, n_grid // 4)
-    return make_disk_map(coeffs, normalized_at_one=False)
 
 
 @lru_cache(maxsize=8)

@@ -32,15 +32,7 @@ class PoleOfProjection(InputError):
     """Stereographic projection evaluated at -i."""
 
 
-class NotSolvable(InputError):
-    """Zero-mean solvability condition violated."""
-
-
 class NotIntegrable(InputError):
-    pass
-
-
-class WrongArity(InputError):
     pass
 
 
@@ -52,10 +44,6 @@ class UnderResolved(GuardError):
 
 class NotHolomorphic(GuardError):
     """Boundary data has significant negative-frequency content."""
-
-
-class TailError(GuardError):
-    """Slow decay detected; quadrature tail estimate exceeds tolerance."""
 
 
 class SingularMismatch(GuardError):

@@ -31,7 +31,6 @@ from .errors import (
     NotIntegrable,
     PoleOfProjection,
     SingularMismatch,
-    TailError,
 )
 from .spectral import (
     TWO_PI,
@@ -88,6 +87,8 @@ def angle_of_x(x):
 
 def _pole_index(n: int) -> int:
     # theta_j = 2 pi j / n - pi hits -pi/2 at j = n/4
+    if n <= 0:
+        raise InvalidInput(f"grid size must be positive, got {n}")
     if n % 4:
         raise InvalidInput("grid size must be divisible by 4 so -i is a grid point")
     return n // 4
@@ -179,14 +180,6 @@ class LineField:
 
     def lambda_grid(self) -> np.ndarray:
         return self.field.grid_values()
-
-    def u_at(self, x):
-        """Evaluate u(x) = lambda(theta(x)) + log(2/(1+x^2))."""
-        x = np.asarray(x, dtype=float)
-        th = angle_of_x(x)
-        lam = self.field.evaluate(th)
-        out = lam + np.log(2.0 / (1.0 + x**2))
-        return float(out[0]) if np.ndim(x) == 0 else out
 
     def to_json(self) -> dict:
         obj = {"kind": "grid"}
@@ -303,28 +296,6 @@ def pull_back(u, n: int, anchor_coeff: float | None = None, pole_value: float | 
     return LineField(SingularField(smooth, anchors))
 
 
-def line_integral(f, n: int = 4096, restrict=None, pole_value: float | None = None) -> float:
-    """Integrate f over the line through the circle substitution.
-
-    \\int f dx = \\int f(Pi(theta)) (1+sin theta)^{-1} dtheta on the grid;
-    no truncated improper integrals, no tail cutoff.  pole_value is the limit
-    of f(x)(1+x^2)/2 as |x| -> infinity (defaults to extrapolation from
-    neighbors).  restrict=(a, b) integrates over x in [a, b] only, with the
-    cut points located exactly on the circle.
-    """
-    if restrict is None:
-        g, _, _ = circle_samples(f, n, pole_value)
-        return float(g.sum() * TWO_PI / n)
-
-    a, b = restrict
-    if not a < b:
-        raise InvalidInput("restrict interval must satisfy a < b")
-    # x decreases as theta increases: the window [a, b] is the arc
-    # [theta(b), theta(a)] in the unwrapped coordinate (-pi/2, 3pi/2)
-    ta, tb = angle_of_x(b), angle_of_x(a)
-    return _piecewise_linear_integral(*window_samples(f, n, ta, tb, pole_value), ta, tb)
-
-
 def _integrand(f, x, sin) -> np.ndarray:
     """g = f(x) / (1 + sin theta) at chart points off the pole, all of them
     checked to be finite."""
@@ -339,33 +310,19 @@ def _check_pole(g) -> None:
         raise NotIntegrable("circle-side integrand diverges at -i")
 
 
-def circle_samples(f, n: int, pole_value: float | None = None):
-    """Samples g = f(Pi(theta)) / (1 + sin theta) of a line integrand on the
-    circle grid, the value at -i being pole_value or extrapolated.
-
-    Returns (g, tau_ext, g_ext): g in grid order, and the same samples
-    ordered by the unwrapped angle tau in [-pi/2, 3pi/2) (the rotation of the
-    grid that starts at the pole) with the first one repeated at tau + 2 pi,
-    ready for :func:`_piecewise_linear_integral`.
-    """
-    chart = circle_chart(n)
-    g = _with_pole(chart, _integrand(f, chart.x, chart.sin), pole_value)
-    _check_pole(g[chart.pole])
-    return g, chart.tau, _close_period(g, chart.pole)
-
-
 def window_samples(f, n: int, ta: float, tb: float, pole_value: float | None = None):
-    """The samples (tau, g) of circle_samples(f, n)[1:] that an integral over
-    the arc [ta, tb] of the unwrapped angle reads, and only those.
+    """The samples (tau, g) that an integral over the arc [ta, tb] of the
+    unwrapped angle reads, and only those: g = f(Pi(theta)) / (1 + sin theta)
+    at the angles tau of circle_chart(n).tau, which rise from the pole.
 
     They are the slice of circle_chart(n).tau from the last angle at or below
     ta to the first at or above tb: every angle inside the arc and one
     neighbour beyond each end.  _piecewise_linear_integral over [ta, tb], or
-    over any arc inside it, gives on the slice the same bits as on the whole
-    circle.  f is evaluated at the slice's points only, and each of its
-    samples is checked as circle_samples checks it.  A slice that reaches
-    the pole (either end of tau) takes pole_value there, or else the
-    _with_pole rule applied to f at the pole's 8 neighbours.
+    over any arc inside it, gives on the slice the same bits as on the
+    samples of the whole circle.  f is evaluated at the slice's points only,
+    and a non-finite sample raises NotIntegrable.  A slice that reaches the
+    pole (either end of tau) takes pole_value there, or else the _with_pole
+    rule applied to f at the pole's 8 neighbours.
     """
     chart = circle_chart(n)
     lo = min(max(int(np.searchsorted(chart.tau, ta, side="right")) - 1, 0), n - 1)
@@ -512,47 +469,3 @@ def transfer_equation(lf: LineField, K: CurvatureData, strict_dirac: bool = True
         n=n,
         excluded=int(n - mask.sum()),
     )
-
-
-def pv_half_laplacian_line(u, x: float, eps_ladder=(1e-2, 5e-3, 2.5e-3), tail_tol: float = 1e-4):
-    """Principal-value half-Laplacian on the line at a point.
-
-    Symmetric pairing around the singularity gives the even integrand
-    (2u(x) - u(x+t) - u(x-t))/t^2 on [eps, inf); the excision error is
-    I(eps) = I(0) + a*eps + b*eps^3, removed by two Richardson stages over
-    the halving ladder.  This is the cross-validation oracle; the production
-    path for half-Laplacians is the spectral circle route.
-    """
-    ux = float(u(x))
-    # tail of the paired integrand is ~ |u(T)|/T; reject near-linear growth of
-    # u, for which the principal value diverges
-    T = 1e6
-    uT = max(abs(float(u(x + T))), abs(float(u(x - T))), 1e-12)
-    uT2 = max(abs(float(u(x + 100 * T))), abs(float(u(x - 100 * T))), 1e-12)
-    growth = np.log(uT2 / uT) / np.log(100.0)
-    tail_bound = (2 * abs(ux) + 2 * uT) / T
-    if growth > 0.9 or tail_bound > max(10 * tail_tol, 1e-2):
-        raise TailError(
-            f"slow decay: growth exponent {growth:.2f}, tail estimate {tail_bound:.3g}"
-        )
-
-    def sym(t):
-        return (2.0 * ux - float(u(x + t)) - float(u(x - t))) / (t * t)
-
-    # imported here: scipy.integrate costs ~0.25 s of import and only the oracles use it
-    from scipy.integrate import quad
-
-    def integral(a, b):
-        v, _ = quad(sym, a, b, limit=400, epsabs=1e-11, epsrel=1e-11)
-        if not np.isfinite(v):
-            raise TailError("quadrature failed to converge")
-        return v
-
-    # one tail integral from the smallest radius; each larger radius drops
-    # the short strip up to it
-    e_min = min(eps_ladder)
-    tail = integral(e_min, np.inf)
-    vals = [(tail - (integral(e_min, e) if e > e_min else 0.0)) / np.pi for e in eps_ladder]
-    r1a = 2 * vals[1] - vals[0]
-    r1b = 2 * vals[2] - vals[1]
-    return (8 * r1b - r1a) / 7.0

@@ -30,6 +30,7 @@ from .errors import (
     InconclusiveLimit,
     InconclusiveMesh,
     InvalidInput,
+    InvalidRadius,
     TheoremViolation,
 )
 from .line import (
@@ -70,6 +71,8 @@ class Bubble:
     def __post_init__(self):
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise InvalidInput(f"scale must be positive and finite, got {self.mu}")
+        if not np.isfinite(self.x0):
+            raise InvalidInput(f"center must be finite, got {self.x0}")
 
     def u(self, x):
         x = np.asarray(x, dtype=float)
@@ -204,12 +207,13 @@ def concentration_scan(members, radii, centers=None, n: int = 1 << 16):
     """alpha(r, k) tables, one profile per center.
 
     members: sequence of density evaluators (K e^u as a function on the line,
-    or objects with a .density method).  Centers are auto-located at the peaks
+    or objects with a .density method).  Every radius must be finite and
+    positive (InvalidRadius).  Centers are auto-located at the peaks
     of the last member's density when not supplied; the per-member argmax near
     each center must not drift beyond the finest radius (CenterUnstable).
 
     Each member is sampled once per center, on the n-point circle chart
-    (n divisible by 4, so that -i is a grid point) and only on the arc of
+    (n > 0 divisible by 4, so that -i is a grid point) and only on the arc of
     the widest radius: line.window_samples evaluates the density there, one
     chart point beyond each end included, and raises NotIntegrable if any
     of those samples is non-finite.  Every radius integrates that slice, so
@@ -217,6 +221,8 @@ def concentration_scan(members, radii, centers=None, n: int = 1 << 16):
     """
     dens = [m.density if hasattr(m, "density") else m for m in members]
     radii = np.asarray(sorted(radii, reverse=True), dtype=float)
+    if not np.all(np.isfinite(radii) & (radii > 0)):
+        raise InvalidRadius(f"radii must be finite and positive, got {radii.tolist()}")
     if centers is None:
         centers = locate_centers(dens[-1])
     ks = list(range(len(dens)))
@@ -370,14 +376,17 @@ def pinching_probe(maps, pairs, mesh_n: int = 256, kappa_bound: float | None = N
     """Conformal distances D_k(p, q) per map, with a pinched verdict when the
     tail decreases monotonically below 0.1 x the initial value.
 
-    When a curvature bound is supplied, declared pinched pairs are audited
-    against the arc-separation lower bound pi / kappa_bound (up to the mesh
-    tolerance)."""
-    h = TWO_PI / mesh_n
+    When a curvature bound is supplied, which must be finite and positive,
+    declared pinched pairs are audited against the arc-separation lower
+    bound pi / kappa_bound (up to the mesh tolerance)."""
+    if kappa_bound is not None and not (np.isfinite(kappa_bound) and kappa_bound > 0):
+        raise InvalidInput(f"curvature bound must be finite and positive, got {kappa_bound}")
     table = np.empty((len(pairs), len(maps)))
     for i, (p, q) in enumerate(pairs):
         for k, d in enumerate(maps):
             table[i, k] = conformal_distance(d, p, q, n_boundary=mesh_n)
+    # after the distances, whose mesh rejects mesh_n < 8
+    h = TWO_PI / mesh_n
     verdicts = []
     gaps = []
     for i, (p, q) in enumerate(pairs):

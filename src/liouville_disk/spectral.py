@@ -34,7 +34,6 @@ real and the half spectrum of a real grid determines the result:
     Hilbert transform   -i sign(m)      (Nyquist mode zeroed: odd multiplier)
     d/dtheta            i m             (Nyquist mode zeroed)
     harmonic extension  r^{|m|}
-    Green inverse       1/|m|, zero mean
 
 Log-singular anchors (the fundamental-solution profile translated to an
 anchor angle) are carried symbolically: their half-Laplacian is the exact
@@ -55,7 +54,6 @@ from .errors import (
     IllConditioned,
     InvalidInput,
     InvalidRadius,
-    NotSolvable,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -69,7 +67,6 @@ _GL_X, _GL_W = leggauss(ANCHOR_RULE_POINTS)
 # largest share of oscillatory energy the top decile (|m| >= 0.9 n/2) may carry
 BAND_LIMIT_ENERGY = 0.01
 BAND_LIMIT_TOP = 0.1
-GREEN_MEAN_TOL = 1e-8  # largest |mean(f)| that green_convolve accepts
 
 # 10-point Gauss-Legendre rule on [-1, 1] for composite quadrature over grid cells
 CELL_GAUSS_X, CELL_GAUSS_W = leggauss(10)
@@ -163,14 +160,6 @@ class PeriodicGrid(ValueEquality):
     def is_real(self) -> bool:
         return self.values.dtype.kind == "f"
 
-    @classmethod
-    def from_function(cls, f, n: int) -> "PeriodicGrid":
-        return cls(np.asarray(f(grid_angles(n))))
-
-    @classmethod
-    def zeros(cls, n: int) -> "PeriodicGrid":
-        return cls(np.zeros(n))
-
     def mean(self) -> float | complex:
         return self.values.mean()
 
@@ -227,19 +216,8 @@ class SpectralRep(ValueEquality):
     def n(self) -> int:
         return self.coeffs.size
 
-    @property
-    def modes(self) -> np.ndarray:
-        return np.arange(-self.n // 2, self.n // 2)
-
     def __getitem__(self, m: int):
         return self.coeffs[m + self.n // 2]
-
-    def to_json(self) -> dict:
-        return {"coeffs": [[z.real, z.imag] for z in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SpectralRep":
-        return cls(np.array([complex(re, im) for re, im in obj["coeffs"]]))
 
 
 def analyze(g: PeriodicGrid) -> SpectralRep:
@@ -505,22 +483,6 @@ def poisson_extend(g: PeriodicGrid, r: float) -> PeriodicGrid:
     return _apply_multiplier(g, np.power(float(r), np.abs(_multiplier_modes(g))))
 
 
-def green_convolve(f: PeriodicGrid) -> PeriodicGrid:
-    """Solve the half-Laplacian equation on the zero-mean subspace.
-
-    Coefficient division u_hat(m) = f_hat(m)/|m| with u_hat(0) = 0; requires
-    |mean(f)| <= GREEN_MEAN_TOL (solvability).
-    """
-    mbar = abs(complex(f.mean()))
-    if mbar > GREEN_MEAN_TOL:
-        raise NotSolvable(f"|mean(f)| = {mbar:.3e} exceeds {GREEN_MEAN_TOL:.1e}")
-    m = _multiplier_modes(f).astype(float)
-    inv = np.zeros_like(m)
-    nz = m != 0
-    inv[nz] = 1.0 / np.abs(m[nz])
-    return _apply_multiplier(f, inv)
-
-
 def circle_trapezoid(g: PeriodicGrid) -> float | complex:
     """Uniform-grid trapezoid rule, spectrally accurate for smooth periodic data."""
     return g.values.sum() * TWO_PI / g.n
@@ -720,31 +682,6 @@ class SingularField(ValueEquality):
         for theta0, c in self.anchors:
             vals = vals + c * log_profile(th, theta0)
         return vals
-
-
-def pv_half_laplacian_circle(u, theta: float, eps_ladder=(1e-2, 5e-3, 2.5e-3)) -> float:
-    """Principal-value half-Laplacian on the circle at one angle.
-
-    (1/pi) PV of (u(theta) - u(t)) / (2 - 2 cos(theta - t)); cross-validation
-    oracle for the Fourier-multiplier route, not a production path (its
-    discrete convergence for rough data is unspecified).  Symmetric pairing
-    around the singularity plus two Richardson stages in the excision radius.
-    """
-    # imported here: scipy.integrate costs ~0.25 s of import and only the oracles use it
-    from scipy.integrate import quad
-
-    u0 = float(u(theta))
-
-    def sym(t):
-        return (2 * u0 - float(u(theta + t)) - float(u(theta - t))) / (2 - 2 * np.cos(t))
-
-    vals = []
-    for e in eps_ladder:
-        v, _ = quad(sym, e, np.pi, limit=200, epsabs=1e-12, epsrel=1e-12)
-        vals.append(v / np.pi)
-    r1a = 2 * vals[1] - vals[0]
-    r1b = 2 * vals[2] - vals[1]
-    return (8 * r1b - r1a) / 7.0
 
 
 def singular_half_laplacian(sf: SingularField):

@@ -29,7 +29,7 @@ from liouville_disk.fixtures import (
     limacon,
     marked_square,
 )
-from liouville_disk.line import CurvatureData, line_integral, transfer_equation
+from liouville_disk.line import CurvatureData, transfer_equation
 from liouville_disk.quant import (
     bubble,
     classify_case,
@@ -44,7 +44,8 @@ from liouville_disk.spectral import (
     half_laplacian,
     hilbert,
 )
-from test_spectral import cell_averaged_log_profile
+from test_line import line_integral
+from test_spectral import cell_averaged_log_profile, green_convolve
 
 TWO_PI = 2 * np.pi
 
@@ -87,8 +88,6 @@ def test_criterion_2_fundamental_solution():
     th = grid_angles(256)
     f = PeriodicGrid(sum(rng.normal() * np.cos(k * th) + rng.normal() * np.sin(k * th)
                          for k in range(1, 17)))
-    from liouville_disk.spectral import green_convolve
-
     back = green_convolve(half_laplacian(f))
     inv = float(np.max(np.abs(back.values - (f.values - f.mean()))))
     ok = worst < 1e-5 and inv < 1e-9
@@ -148,7 +147,7 @@ def test_criterion_5_singular_corner_family():
     worst_gb, worst_eps = 0.0, 0.0
     indices = []
     for beta in (np.pi / 4, np.pi / 2, 3 * np.pi / 4):
-        sf = SingularField(PeriodicGrid.zeros(n), ((-np.pi / 2, beta),))
+        sf = SingularField(PeriodicGrid(np.zeros(n)), ((-np.pi / 2, beta),))
         bt = analytic_completion(sf)
         worst_gb = max(worst_gb, abs(curvature_mass(bt) + beta - TWO_PI))
         verts, corners = boundary_polyline(bt, n)

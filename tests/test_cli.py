@@ -129,6 +129,32 @@ class TestCurveCommands:
         assert code == 2  # non-generic position trips a numerical guard
 
 
+# every command that reads --in, with the options it needs besides
+IN_COMMANDS = [
+    ["halflap", "--out", "{out}"],
+    ["hilbert", "--out", "{out}"],
+    ["extend", "--r", "0.5", "--out", "{out}"],
+    ["curvature", "--out", "{out}"],
+    ["rotation-index", "--out", "{out}"],
+    ["blank-word", "--out", "{out}"],
+    ["contract", "--out", "{out}"],
+    ["seifert", "--out", "{out}"],
+    ["extendability", "--out", "{out}"],
+]
+
+
+@pytest.mark.parametrize("argv", IN_COMMANDS, ids=lambda argv: argv[0])
+def test_json_that_is_not_an_object_is_an_input_error(tmp_path, capsys, argv):
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    for doc in ([1, 2, 3], "a string", 3.5, None):
+        src.write_text(json.dumps(doc))
+        args = [a.format(out=out) for a in argv]
+        assert main(args[:1] + ["--in", str(src)] + args[1:]) == 1, doc
+        assert "input error: InvalidInput" in capsys.readouterr().err
+        assert not out.exists()
+
+
+
 class TestQuantCommands:
     def test_scan_matches_closed_form(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -187,6 +213,33 @@ class TestQuantCommands:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert "has no members" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        # radii must be finite and positive: a negative one found no blow-up
+        # point, a zero one wrote alpha = 0 rows
+        ["classify", "--mu-ladder", "2^0..2^12", "--radii", "0.1,0.05,-0.025"],
+        ["scan", "--mu-ladder", "1,2", "--radii", "0.1,0"],
+        ["scan", "--mu-ladder", "1,2", "--radii", "0.1,nan"],
+        ["scan", "--mu-ladder", "1,2", "--radii", "inf,0.1"],
+        # the circle grid needs n > 0
+        ["scan", "--mu-ladder", "1,2", "--radii", "0.1", "--n", "0"],
+        ["scan", "--mu-ladder", "1,2", "--radii", "0.1", "--n", "-4"],
+        ["scan", "--mu-ladder", "1,2", "--radii", "0.1", "--x0", "nan"],
+        # the mesh needs 8 boundary nodes, the curvature bound must be > 0
+        ["pinch", "--mu-ladder", "1,16", "--mesh", "0"],
+        ["pinch", "--mu-ladder", "1,16", "--mesh", "64", "--kappa-bound", "0"],
+        ["pinch", "--mu-ladder", "1,16", "--mesh", "64", "--kappa-bound", "-1"],
+        ["pinch", "--mu-ladder", "1,16", "--mesh", "64", "--kappa-bound", "nan"],
+        ["pinch", "--mu-ladder", "1,16", "--mesh", "64", "--kappa-bound", "inf"],
+        # a bubble's center must be finite
+        ["audit", "--mu-ladder", "1,4", "--x0-list", "nan"],
+        ["audit", "--mu-ladder", "1,4", "--x0-list", "0,inf"],
+    ])
+    def test_out_of_range_lab_input_is_an_input_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["scan", "classify", "pinch", "audit"])
     def test_empty_mu_ladder_is_an_input_error(self, tmp_path, capsys, command):

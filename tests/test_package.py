@@ -1,13 +1,15 @@
 """Package-wide checks: one code path per kernel, one quadrature path,
-one series-evaluation path per use and no runtime options.
+one series-evaluation path per use, no runtime options and no definition
+without a caller.
 
-The package must run without numba, read no environment variables, call
-adaptive quadrature only in its documented oracles, assemble anchored cell
-quadrature only in spectral.singular_cell_integrals, place the circle grid
-on the line only in line.circle_chart, evaluate |Phi'| on
-rings only through the folded FFT and import nothing it does not use, so a
-second kernel implementation, a second quadrature path, a per-point
-fallback, a new knob or the leftovers of a removed path cannot come back
+The package must run without numba, read no environment variables, import
+no adaptive quadrature (the principal-value oracles live in the tests),
+assemble anchored cell quadrature only in spectral.singular_cell_integrals,
+place the circle grid on the line only in line.circle_chart, evaluate
+|Phi'| on rings only through the folded FFT, import nothing it does not use
+and define nothing that only the tests call, so a second kernel
+implementation, a second quadrature path, a per-point fallback, a new knob,
+a test oracle or the leftovers of a removed path cannot come back
 unnoticed.
 """
 
@@ -87,9 +89,9 @@ def test_unused_import_check_sees_a_leftover():
 
 
 def test_import_loads_no_scipy_signal_integrate_or_special():
-    # scipy.integrate is imported inside the PV oracles, no module needs
-    # scipy.signal, and the Gauss-Jacobi rule is built by Golub-Welsch rather
-    # than scipy.special.roots_jacobi, so importing the package loads none
+    # no module needs scipy.signal or scipy.integrate, and the Gauss-Jacobi
+    # rule is built by Golub-Welsch rather than scipy.special.roots_jacobi,
+    # so importing the package loads none
     code = (
         "import sys, liouville_disk; "
         "print([m for m in ('scipy.signal', 'scipy.integrate', 'scipy.special') if m in sys.modules])"
@@ -115,46 +117,100 @@ def test_kernels_expose_one_function_per_kernel():
     assert public == ["dijkstra", "segment_hits", "winding_batch"]
 
 
-# the documented cross-validation oracles; production quadrature uses fixed rules
-QUAD_ORACLES = {"pv_half_laplacian_circle", "pv_half_laplacian_line"}
-
-
-def quad_calls(tree):
-    """(line, enclosing function names) of every call to scipy.integrate.quad."""
-    aliases = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate"
-        for alias in node.names
-        if alias.name == "quad"
-    }
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = scope + (node.name,)
-        if isinstance(node, ast.Call):
-            f = node.func
-            if (isinstance(f, ast.Name) and f.id in aliases) or (
-                isinstance(f, ast.Attribute) and f.attr == "quad"
-            ):
-                yield node.lineno, scope
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, scope)
-
-    return list(visit(tree, ()))
-
-
-def test_quad_is_called_only_by_the_pv_oracles():
+def test_src_imports_no_scipy_integrate():
+    # production quadrature uses fixed rules; the adaptive principal-value
+    # oracles that cross-check them live in the tests
     offenders = []
-    found = set()
     for name, tree in module_trees():
-        for lineno, scope in quad_calls(tree):
-            hits = QUAD_ORACLES.intersection(scope)
-            found |= hits
-            if not hits:
-                offenders.append(f"{name}:{lineno} in {'.'.join(scope) or '<module>'}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(m == "scipy.integrate" or m.startswith("scipy.integrate.") for m in modules):
+                offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
-    assert found == QUAD_ORACLES
+
+
+REPO_DIR = Path(__file__).resolve().parents[1]
+
+# public remedies that users call and no module of the package does
+CALLER_ALLOWED = {
+    # the NotGenericPosition error of self_intersections tells the user to
+    # jitter the curve
+    "curves.jitter",
+    # the README's route for checking a claimed solution
+    "quant.verify_solution",
+}
+
+
+def tracing_targets():
+    """perfbench/tracing.py's TARGETS, read from its source: the tracer
+    looks those functions up by name."""
+    tree = ast.parse((REPO_DIR / "perfbench" / "tracing.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    return set(ast.literal_eval(value))
+
+
+def loaded_names(paths):
+    """Every name that the given files load, bare or as an attribute."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def definitions(name, tree):
+    """(name, module.qualified.name) of each top-level function and class of
+    a module and each method of its classes, dunder methods aside."""
+    module = name[:-3]
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, f"{module}.{node.name}"
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield item.name, f"{module}.{node.name}.{item.name}"
+
+
+def uncalled_definitions(paths, trees, targets):
+    """Definitions of trees whose name no file of paths loads and that
+    targets does not name."""
+    loaded = loaded_names(paths)
+    return sorted(
+        qualified
+        for name, tree in trees
+        for short, qualified in definitions(name, tree)
+        if short not in loaded and qualified not in targets
+    )
+
+
+def test_every_src_definition_has_a_caller():
+    # the package, its command line and the benchmark are the callers; a
+    # definition that only the tests call is a test helper and lives there
+    callers = sorted(PACKAGE_DIR.glob("*.py")) + [
+        path for path in sorted((REPO_DIR / "perfbench").glob("*.py")) if path.name != "test_bench.py"
+    ]
+    uncalled = uncalled_definitions(callers, module_trees(), tracing_targets())
+    assert uncalled == sorted(CALLER_ALLOWED)
+
+
+def test_caller_check_sees_an_uncalled_definition(tmp_path):
+    caller = tmp_path / "caller.py"
+    caller.write_text("from mod import used\nused(Box().size)\n")
+    tree = ast.parse(
+        "def used(): pass\ndef unused(): pass\ndef traced(): pass\n"
+        "class Box:\n    def __init__(self): pass\n    size = 1\n    def grow(self): pass\n"
+    )
+    assert uncalled_definitions([caller], [("mod.py", tree)], {"mod.traced"}) == ["mod.Box.grow", "mod.unused"]
 
 
 def call_scopes(tree, names):

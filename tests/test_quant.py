@@ -12,7 +12,6 @@ from liouville_disk.line import (
     _piecewise_linear_integral,
     angle_of_x,
     circle_chart,
-    circle_samples,
     stereo_inverse,
     window_samples,
 )
@@ -31,6 +30,8 @@ from liouville_disk.quant import (
     verify_solution,
 )
 from liouville_disk.spectral import PeriodicGrid, grid_angles
+from test_disk import blaschke_fixture
+from test_line import circle_samples, line_integral, u_at
 
 TWO_PI = 2 * np.pi
 
@@ -54,11 +55,9 @@ class TestBubble:
     def test_pull_back_reproduces_u_on_the_line(self, mu, x0):
         b = bubble(mu=mu, x0=x0)
         xs = np.array([-3.0, -1.0, 0.0, 0.5, 3.0])
-        assert np.max(np.abs(b.pull_back(256).u_at(xs) - b.u(xs))) < 1e-9
+        assert np.max(np.abs(u_at(b.pull_back(256), xs) - b.u(xs))) < 1e-9
 
     def test_mass_closed_form(self):
-        from liouville_disk.line import line_integral
-
         b = bubble(mu=4.0, x0=1.0)
         val = line_integral(b.density, n=4096)
         assert abs(val - TWO_PI) < 1e-8
@@ -625,7 +624,7 @@ def test_blaschke_boundary_degree_measured_by_rotation_index():
     # argument-principle oracle: a degree-two product has one interior
     # critical point, so the boundary tangent winds twice
     from liouville_disk.curves import PolyCurve, rotation_index
-    from liouville_disk.disk import blaschke_fixture, boundary_polyline
+    from liouville_disk.disk import boundary_polyline
 
     d = blaschke_fixture([0.3, -0.3])
     verts, _ = boundary_polyline(d, 512)

@@ -46,7 +46,8 @@ GL_X, GL_W = leggauss(10)
 def full_mode_sum(s, thetas):
     """The complex sum of u_hat(m) e^{i m theta} over the modes
     -n/2 .. n/2 - 1 of a SpectralRep, by the full exponential matrix."""
-    return np.exp(1j * np.outer(np.atleast_1d(thetas), s.modes)) @ s.coeffs
+    m = np.arange(-s.n // 2, s.n // 2)
+    return np.exp(1j * np.outer(np.atleast_1d(thetas), m)) @ s.coeffs
 
 
 def _oracle_quad(f, a, b, **kw):
@@ -187,7 +188,7 @@ def complex_shifted_grids(s, offsets, n=None):
     of u_hat(m) (-1)^m e^{i m delta_k} over all n modes of a SpectralRep,
     folded into the bins m mod n."""
     size = s.n if n is None else n
-    m = s.modes
+    m = np.arange(-s.n // 2, s.n // 2)
     shifted = (s.coeffs * (-1.0) ** m) * np.exp(1j * np.outer(offsets, m))
     folded = np.zeros((len(offsets), size), dtype=complex)
     for start in range(0, s.n, size):

@@ -20,7 +20,6 @@ from .spectral import (  # noqa: F401
     hilbert,
     poisson_extend,
     singular_half_laplacian,
-    synthesize,
 )
 from .line import (  # noqa: F401
     CurvatureData,

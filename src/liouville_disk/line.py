@@ -175,9 +175,6 @@ class LineField:
                 return c
         return 0.0
 
-    def lambda_at(self, thetas):
-        return self.field.evaluate(thetas)
-
     def lambda_grid(self) -> np.ndarray:
         return self.field.grid_values()
 

@@ -8,31 +8,35 @@ Fourier convention: u_hat(m) = (1/2pi) \\int u(theta) e^{-i m theta} dtheta,
 for m = -n/2 .. n/2-1.  With this normalization Parseval reads
 mean(|u|^2) = sum |u_hat(m)|^2.
 
-A real grid has a Hermitian spectrum, u_hat(-m) = conj u_hat(m), so real
-grids go through real-input transforms: real_half_spectrum takes modes
+A real grid has a Hermitian spectrum, u_hat(-m) = conj u_hat(m), so it
+goes through real-input transforms: real_half_spectrum takes modes
 0 .. n/2 from np.fft.rfft, and the multiplier operators return np.fft.irfft
 of modes 0 .. n/2, half the work of a complex transform.  The band-limit
 guard and the multiplier operators (whose multipliers are built on those
-modes only) read a real grid's spectrum as that half (see
-multiplier_spectrum), never the mirror.  The Hilbert transform of a real
-grid, which disk.analytic_completion shares, multiplies the plain rfft
-by -i (_real_conjugate): its multiplier is odd, so the half-period sign
-flips would cancel around it.
+modes only) read that half, never the mirror.  The Hilbert transform,
+which disk.analytic_completion shares, multiplies the plain rfft by -i
+(_real_conjugate): its multiplier is odd, so the half-period sign flips
+would cancel around it.
+
+A complex grid is read as the two real rows of its real and imaginary
+parts (_rows), which the same transforms take along the last axis; the
+result is put back together once as row 0 + i row 1.  Every multiplier is
+Hermitian, so each operator commutes with taking real and imaginary parts,
+and the band-limit energies of the two rows add up to the full-spectrum
+sum (the cross terms cancel between modes m and -m).
 
 Off the grid a series is a one-sided row c, summed as sum_{k >= 0}
 c_k e^{i k theta} by eval_modes: a disk map's derivative series, or a real
 grid's half spectrum weighted 1, 2, ..., 2, 1 (one_sided), whose sum has
 the interpolant as its real part.  analyze's full ascending spectrum
-(SpectralRep) serves complex grids alone, through np.fft.fft and
-np.fft.ifft.
+(SpectralRep) is the public view of every mode; no operator reads it.
 
 Operators are diagonal in this basis, and every multiplier is Hermitian,
 mult(-m) = conj mult(m) with a real Nyquist entry, so that real data stay
-real and the half spectrum of a real grid determines the result:
+real and the half spectrum of a real row determines the result:
 
     half-Laplacian      |m|
     Hilbert transform   -i sign(m)      (Nyquist mode zeroed: odd multiplier)
-    d/dtheta            i m             (Nyquist mode zeroed)
     harmonic extension  r^{|m|}
 
 Log-singular anchors (the fundamental-solution profile translated to an
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -160,9 +164,6 @@ class PeriodicGrid(ValueEquality):
     def is_real(self) -> bool:
         return self.values.dtype.kind == "f"
 
-    def mean(self) -> float | complex:
-        return self.values.mean()
-
     def __add__(self, other):
         if isinstance(other, PeriodicGrid):
             return PeriodicGrid(self.values + other.values)
@@ -172,13 +173,6 @@ class PeriodicGrid(ValueEquality):
         if isinstance(other, PeriodicGrid):
             return PeriodicGrid(self.values - other.values)
         return PeriodicGrid(self.values - other)
-
-    def __mul__(self, other):
-        if isinstance(other, PeriodicGrid):
-            return PeriodicGrid(self.values * other.values)
-        return PeriodicGrid(self.values * other)
-
-    __rmul__ = __mul__
 
     def to_json(self) -> dict:
         if self.is_real:
@@ -216,9 +210,6 @@ class SpectralRep(ValueEquality):
     def n(self) -> int:
         return self.coeffs.size
 
-    def __getitem__(self, m: int):
-        return self.coeffs[m + self.n // 2]
-
 
 def analyze(g: PeriodicGrid) -> SpectralRep:
     """Forward transform of a grid to Fourier coefficients.
@@ -241,31 +232,33 @@ def analyze(g: PeriodicGrid) -> SpectralRep:
     return SpectralRep(np.concatenate((half[-1:], np.conj(half[-2:0:-1]), half[:-1])))
 
 
+def _rows(g: PeriodicGrid) -> np.ndarray:
+    """The real rows that the transforms read along the last axis: a real
+    grid's values, or the two rows (real part, imaginary part) of a complex
+    grid."""
+    v = g.values
+    return v if g.is_real else np.stack((v.real, v.imag))
+
+
+def _grid_of_rows(rows: np.ndarray, check_finite: bool = True) -> PeriodicGrid:
+    """The grid whose _rows are rows, new arrays that it adopts: one real
+    row, or row 0 + i row 1 with both parts copied exactly."""
+    if rows.ndim == 2:
+        values = np.empty(rows.shape[-1], dtype=complex)
+        values.real, values.imag = rows
+        rows = values
+    return PeriodicGrid._adopt(rows, check_finite)
+
+
 def real_half_spectrum(g: PeriodicGrid) -> np.ndarray:
     """Coefficients u_hat(m) of a real grid for m = 0 .. n/2, the entries
     that analyze mirrors into the full spectrum: np.fft.rfft with the
-    half-period sign flip, and the mean and Nyquist coefficients made real."""
-    half = np.fft.rfft(g.values, norm="forward")
-    half[1::2] *= -1
-    half.imag[[0, -1]] = 0.0
+    half-period sign flip, and the mean and Nyquist coefficients made real.
+    A complex grid gives one such row for each of its _rows."""
+    half = np.fft.rfft(_rows(g), norm="forward")
+    half[..., 1::2] *= -1
+    half.imag[..., [0, -1]] = 0.0
     return half
-
-
-def multiplier_spectrum(g: PeriodicGrid):
-    """The spectrum that band_limit_fraction and the multiplier operators
-    read: real_half_spectrum(g) for a real grid, analyze(g) for a complex
-    one."""
-    return real_half_spectrum(g) if g.is_real else analyze(g)
-
-
-def synthesize(s: SpectralRep) -> PeriodicGrid:
-    """Inverse of :func:`analyze`; returns a real grid when symmetry allows."""
-    c = np.fft.ifftshift(s.coeffs)  # a new array, position k holding mode k mod n
-    c[1::2] *= -1
-    vals = np.fft.ifft(c) * s.n
-    if np.max(np.abs(vals.imag)) <= 1e-12 * max(1.0, np.max(np.abs(vals.real))):
-        vals = vals.real
-    return PeriodicGrid(vals)
 
 
 def one_sided(half: np.ndarray) -> np.ndarray:
@@ -339,28 +332,22 @@ def eval_shifted_grids(half: np.ndarray, offsets, n: int | None = None) -> np.nd
 def band_limit_fraction(g: PeriodicGrid, s=None) -> float:
     """Share of the oscillatory spectral energy carried by the top decile of
     modes (|m| >= (1 - BAND_LIMIT_TOP) n/2); 0 when the oscillatory part sits
-    at the rounding floor.  s is multiplier_spectrum(g) when the caller has
-    it already; for a real grid only the moduli of s are read, so the plain
-    np.fft.rfft of its values (no half-period sign flip) serves as well.
+    at the rounding floor.  s is real_half_spectrum(g) when the caller has
+    it already; only the moduli of s are read, so the plain np.fft.rfft of
+    _rows(g) (no half-period sign flip) serves as well.
 
-    A real grid's spectrum is Hermitian, so only modes 0 .. n/2 are read:
-    every mode but the mean and the Nyquist mode counts twice."""
+    A real row's spectrum is Hermitian, so only modes 0 .. n/2 are read:
+    every mode but the mean and the Nyquist mode counts twice.  The energies
+    of a complex grid's two rows add up to those of its full spectrum."""
     n = g.n
     cutoff = (1.0 - BAND_LIMIT_TOP) * (n // 2)
     if s is None:
-        s = multiplier_spectrum(g)
-    if g.is_real:
-        edge = abs(s[-1]) ** 2  # the Nyquist mode
-        split = int(np.ceil(cutoff))
-        top = 2.0 * _energy(s[split:-1]) + edge
-        total = 2.0 * _energy(s[1:split]) + top
-        everything = total + abs(s[0]) ** 2
-    else:
-        m = np.abs(np.arange(-n // 2, n // 2))
-        energy = np.abs(s.coeffs) ** 2
-        total = np.sum(energy[m > 0])
-        top = np.sum(energy[m >= cutoff])
-        everything = np.sum(energy)
+        s = real_half_spectrum(g)
+    edge = np.sum(np.abs(s[..., -1]) ** 2)  # the Nyquist mode
+    split = int(np.ceil(cutoff))
+    top = 2.0 * _energy(s[..., split:-1]) + edge
+    total = 2.0 * _energy(s[..., 1:split]) + top
+    everything = total + np.sum(np.abs(s[..., 0]) ** 2)
     # ignore grids whose oscillatory part sits at the rounding floor; by
     # Parseval max|g| <= sqrt(n * everything), so the maximum is only taken
     # when that bound does not clear the floor already
@@ -373,7 +360,7 @@ def band_limit_fraction(g: PeriodicGrid, s=None) -> float:
 
 
 def _energy(c: np.ndarray) -> float:
-    """sum |c_k|^2 in one pass."""
+    """sum |c_k|^2 in one pass, over every row."""
     return float(np.vdot(c, c).real)
 
 
@@ -383,7 +370,7 @@ def band_limit_guard(g: PeriodicGrid, s=None):
 
     Spectral differentiation of under-resolved data is silently wrong, so
     every multiplier operator calls this, passing the coefficients s =
-    multiplier_spectrum(g) it goes on to multiply.
+    real_half_spectrum(g) it goes on to multiply.
     """
     frac = band_limit_fraction(g, s=s)
     if frac > BAND_LIMIT_ENERGY:
@@ -395,64 +382,47 @@ def band_limit_guard(g: PeriodicGrid, s=None):
 
 
 def _multiplier_modes(g: PeriodicGrid) -> np.ndarray:
-    """The modes of multiplier_spectrum(g), in its order: 0 .. n/2 - 1 and
-    then the Nyquist mode as -n/2 for a real grid, -n/2 .. n/2 - 1 for a
-    complex one.  The multiplier operators build mult on these modes only."""
-    n = g.n
-    if not g.is_real:
-        return np.arange(-n // 2, n // 2)
-    m = np.arange(n // 2 + 1)
-    m[-1] = -(n // 2)
+    """The modes of real_half_spectrum(g), in its order: 0 .. n/2 - 1 and
+    then the Nyquist mode as -n/2.  The multiplier operators build mult on
+    these modes only."""
+    m = np.arange(g.n // 2 + 1)
+    m[-1] = -(g.n // 2)
     return m
 
 
 def _apply_multiplier(g: PeriodicGrid, mult: np.ndarray, s=None) -> PeriodicGrid:
     """The grid whose coefficients are mult(m) u_hat(m), mult given on
-    _multiplier_modes(g); s is multiplier_spectrum(g) when the caller has it
+    _multiplier_modes(g); s is real_half_spectrum(g) when the caller has it
     already.
 
     mult must be Hermitian, mult(-m) = conj mult(m) with a real Nyquist
-    entry mult(-n/2).  A real grid then has a real image, computed from
+    entry mult(-n/2).  A real row then has a real image, computed from
     modes 0 .. n/2 alone by np.fft.irfft: the same operator as the real part
-    of the full complex inverse transform.  A complex grid takes the full
-    product through :func:`synthesize`.
+    of the full complex inverse transform.
     """
     if s is None:
-        s = multiplier_spectrum(g)
-    if not g.is_real:
-        return synthesize(SpectralRep(s.coeffs * mult))
+        s = real_half_spectrum(g)
     half = s * mult  # modes 0 .. n/2
-    half[1::2] *= -1
-    return PeriodicGrid._adopt(np.fft.irfft(half, g.n, norm="forward"))
+    half[..., 1::2] *= -1
+    return _grid_of_rows(np.fft.irfft(half, g.n, norm="forward"))
 
 
 def half_laplacian(g: PeriodicGrid) -> PeriodicGrid:
     """Multiplier |m|; annihilates constants and has zero mean."""
-    s = multiplier_spectrum(g)
+    s = real_half_spectrum(g)
     band_limit_guard(g, s=s)
     return _apply_multiplier(g, np.abs(_multiplier_modes(g)).astype(float), s)
 
 
-def _hilbert_multiplier(g: PeriodicGrid) -> np.ndarray:
-    m = _multiplier_modes(g)
-    mult = -1j * np.sign(m)
-    mult[m == -(g.n // 2)] = 0.0  # Nyquist: odd multiplier has no symmetric partner
-    return mult
-
-
 def hilbert(g: PeriodicGrid) -> PeriodicGrid:
     """Conjugation operator, multiplier -i sign(m); output has zero mean."""
-    if g.is_real:
-        raw = np.fft.rfft(g.values, norm="forward")
-        band_limit_guard(g, s=raw)
-        return _real_conjugate(g, raw)
-    s = multiplier_spectrum(g)
-    band_limit_guard(g, s=s)
-    return _apply_multiplier(g, _hilbert_multiplier(g), s)
+    raw = np.fft.rfft(_rows(g), norm="forward")
+    band_limit_guard(g, s=raw)
+    return _real_conjugate(g, raw)
 
 
 def _real_conjugate(g: PeriodicGrid, raw: np.ndarray) -> PeriodicGrid:
-    """Hilbert transform of a real grid g from raw = np.fft.rfft(g.values,
+    """Hilbert transform of g from raw = np.fft.rfft(_rows(g),
     norm="forward"), which it overwrites.
 
     The multiplier -i sign(m) is odd, so the half-period sign (-1)^m of
@@ -463,16 +433,7 @@ def _real_conjugate(g: PeriodicGrid, raw: np.ndarray) -> PeriodicGrid:
     the multiplier's zeros there come with no extra step.
     """
     raw *= -1j
-    return PeriodicGrid._adopt(np.fft.irfft(raw, g.n, norm="forward"), check_finite=False)
-
-
-def derivative(g: PeriodicGrid) -> PeriodicGrid:
-    """d/dtheta, multiplier i*m with the Nyquist mode zeroed."""
-    s = multiplier_spectrum(g)
-    band_limit_guard(g, s=s)
-    m = _multiplier_modes(g).astype(float)
-    m[m == -(g.n // 2)] = 0.0
-    return _apply_multiplier(g, 1j * m, s)
+    return _grid_of_rows(np.fft.irfft(raw, g.n, norm="forward"), check_finite=False)
 
 
 def poisson_extend(g: PeriodicGrid, r: float) -> PeriodicGrid:
@@ -661,19 +622,6 @@ class SingularField(ValueEquality):
         if isinstance(g, SingularField):
             return g
         return cls(g, ())
-
-    @cached_property
-    def _one_sided(self) -> np.ndarray:
-        """one_sided row of the smooth part, transformed once per field."""
-        return one_sided(real_half_spectrum(self.smooth))
-
-    def evaluate(self, thetas) -> np.ndarray:
-        """Value at arbitrary angles; smooth part by trigonometric interpolation."""
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        out = eval_modes(self._one_sided, thetas).real
-        for theta0, c in self.anchors:
-            out = out + c * log_profile(thetas, theta0)
-        return out
 
     def grid_values(self) -> np.ndarray:
         """Values at the grid angles (inf at anchor points that sit on the grid)."""

@@ -13,7 +13,7 @@ import pytest
 
 from liouville_disk.blank import BlankWord
 from liouville_disk.cli import build_parser, main
-from liouville_disk.spectral import PeriodicGrid, grid_angles
+from liouville_disk.spectral import PeriodicGrid, grid_angles, half_laplacian, hilbert, poisson_extend
 
 
 def write_grid(path, values):
@@ -40,6 +40,23 @@ class TestSpectralCommands:
         assert main(["hilbert", "--in", str(src), "--out", str(dst)]) == 0
         out = PeriodicGrid.from_json(json.loads(dst.read_text()))
         assert np.max(np.abs(out.values - np.sin(th))) < 1e-12
+
+    @pytest.mark.parametrize("command", [["halflap"], ["hilbert"], ["extend", "--r", "0.5"]])
+    def test_complex_grid_runs_the_operator_on_each_part(self, tmp_path, command):
+        # [re, im] pairs in, pairs out: the real and imaginary grids run the
+        # operator apart, bit for bit, and a constant imaginary part still
+        # gives pairs
+        op = {"halflap": half_laplacian, "hilbert": hilbert, "extend": lambda g: poisson_extend(g, 0.5)}
+        th = grid_angles(64)
+        src, dst = tmp_path / "g.json", tmp_path / "o.json"
+        for imag in (np.sin(2 * th) - 0.25 * np.cos(5 * th), np.full(th.size, 0.5)):
+            v = np.cos(th) + 0.3 * np.sin(3 * th) + 1j * imag
+            write_grid(src, v)
+            assert main([command[0], "--in", str(src), *command[1:], "--out", str(dst)]) == 0
+            values = json.loads(dst.read_text())["values"]
+            assert all(isinstance(pair, list) and len(pair) == 2 for pair in values)
+            parts = [op[command[0]](PeriodicGrid(part)).values for part in (v.real, v.imag)]
+            assert np.array(values).tobytes() == np.stack(parts, axis=1).tobytes()
 
     def test_extend_invalid_radius_is_input_error(self, tmp_path):
         src, dst = tmp_path / "g.json", tmp_path / "o.json"

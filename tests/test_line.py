@@ -39,6 +39,7 @@ from liouville_disk.spectral import (
     grid_angles,
     half_laplacian,
 )
+from test_spectral import evaluate
 
 TWO_PI = 2 * np.pi
 
@@ -97,7 +98,7 @@ def line_integral(f, n: int = 4096, restrict=None, pole_value: float | None = No
 def u_at(lf, x):
     """u(x) = lambda(theta(x)) + log(2/(1+x^2)) of a LineField lf."""
     x = np.asarray(x, dtype=float)
-    lam = lf.field.evaluate(angle_of_x(x))
+    lam = evaluate(lf.field, angle_of_x(x))
     out = lam + np.log(2.0 / (1.0 + x**2))
     return float(out[0]) if np.ndim(x) == 0 else out
 

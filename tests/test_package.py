@@ -155,16 +155,70 @@ def tracing_targets():
     return set(ast.literal_eval(value))
 
 
-def loaded_names(paths):
-    """Every name that the given files load, bare or as an attribute."""
-    names = set()
+PACKAGE = liouville_disk.__name__
+
+
+def module_name(dotted, level=0):
+    """A module as the definitions name it: a module of the package without
+    the package prefix, PACKAGE for the package itself."""
+    if level:
+        return dotted or PACKAGE
+    return dotted.removeprefix(PACKAGE + ".")
+
+
+def import_bindings(tree):
+    """name -> (module, attribute) for every name that the file's imports
+    bind, with attribute None for a name bound to a module."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bound[alias.asname] = (module_name(alias.name), None)
+                else:
+                    first = alias.name.split(".")[0]
+                    bound[first] = (module_name(first), None)
+        elif isinstance(node, ast.ImportFrom):
+            module = module_name(node.module, node.level)
+            for alias in node.names:
+                name = alias.asname or alias.name
+                # from the package itself, a name is one of its modules
+                bound[name] = (alias.name, None) if module == PACKAGE else (module, alias.name)
+    return bound
+
+
+def bound_module(node, bound):
+    """The module that an expression names: a name bound to a module, or a
+    module of the package as an attribute of the package."""
+    if isinstance(node, ast.Name) and node.id in bound and bound[node.id][1] is None:
+        return bound[node.id][0]
+    if isinstance(node, ast.Attribute) and bound_module(node.value, bound) == PACKAGE:
+        return node.attr
+    return None
+
+
+def references(paths):
+    """(qualified, attributes) that the given files load.  qualified holds
+    module.name for a bare name that the file defines (module = the file's
+    own) or imports from that module, and for an attribute of a name bound
+    to that module; attributes holds every attribute name loaded."""
+    qualified, attributes = set(), set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = import_bindings(tree)
+        own = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
+                if bound.get(node.id, (None, None))[1] is not None:
+                    qualified.add(".".join(bound[node.id]))
+                elif node.id in own:
+                    qualified.add(f"{path.stem}.{node.id}")
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
-    return names
+                attributes.add(node.attr)
+                module = bound_module(node.value, bound)
+                if module is not None:
+                    qualified.add(f"{module}.{node.attr}")
+    return qualified, attributes
 
 
 def definitions(name, tree):
@@ -182,14 +236,18 @@ def definitions(name, tree):
 
 
 def uncalled_definitions(paths, trees, targets):
-    """Definitions of trees whose name no file of paths loads and that
-    targets does not name."""
-    loaded = loaded_names(paths)
+    """Definitions of trees that no file of paths loads and that targets
+    does not name.  A top-level function or class counts by its qualified
+    name (see references), so a method or a name of another module that
+    shares its short name does not call it; a method counts by its
+    attribute name."""
+    qualified, attributes = references(paths)
     return sorted(
-        qualified
-        for name, tree in trees
-        for short, qualified in definitions(name, tree)
-        if short not in loaded and qualified not in targets
+        name
+        for module, tree in trees
+        for short, name in definitions(module, tree)
+        if name not in targets
+        and not (short in attributes if name.count(".") == 2 else name in qualified)
     )
 
 
@@ -204,13 +262,39 @@ def test_every_src_definition_has_a_caller():
 
 
 def test_caller_check_sees_an_uncalled_definition(tmp_path):
+    # shrink is loaded only as the method Box.shrink and unused only as a
+    # name of the caller's own, so neither calls the function of mod
     caller = tmp_path / "caller.py"
-    caller.write_text("from mod import used\nused(Box().size)\n")
-    tree = ast.parse(
-        "def used(): pass\ndef unused(): pass\ndef traced(): pass\n"
-        "class Box:\n    def __init__(self): pass\n    size = 1\n    def grow(self): pass\n"
+    caller.write_text(
+        "import mod\nfrom mod import used\nunused = 1\n"
+        "used(mod.Box().size, mod.Box().shrink, unused)\n"
     )
-    assert uncalled_definitions([caller], [("mod.py", tree)], {"mod.traced"}) == ["mod.Box.grow", "mod.unused"]
+    tree = ast.parse(
+        "def used(): pass\ndef unused(): pass\ndef traced(): pass\ndef shrink(): pass\n"
+        "class Box:\n    def __init__(self): pass\n    size = 1\n"
+        "    def grow(self): pass\n    def shrink(self): pass\n"
+    )
+    assert uncalled_definitions([caller], [("mod.py", tree)], {"mod.traced"}) == [
+        "mod.Box.grow", "mod.shrink", "mod.unused",
+    ]
+
+
+def test_caller_check_reads_module_bindings(tmp_path):
+    # a package module is called through a relative import, an absolute one,
+    # an alias, an attribute of the module or of the package, or by its own
+    # file
+    sources = {
+        "relative.py": "from .mod import a\na()\n",
+        "aliased.py": f"from {PACKAGE}.mod import b as bee\nbee()\n",
+        "module.py": f"from {PACKAGE} import mod\nmod.c()\n",
+        "package.py": f"import {PACKAGE}\n{PACKAGE}.mod.d()\n",
+        "mod.py": "def e(): pass\ndef f(): e()\n",
+    }
+    callers = [tmp_path / name for name in sources]
+    for path in callers:
+        path.write_text(sources[path.name])
+    tree = ast.parse("".join(f"def {name}(): pass\n" for name in "abcdefg"))
+    assert uncalled_definitions(callers, [("mod.py", tree)], set()) == ["mod.f", "mod.g"]
 
 
 def call_scopes(tree, names):
@@ -245,14 +329,24 @@ def test_anchored_cell_quadrature_has_one_home():
 
 def test_anchored_cell_quadrature_reads_half_spectra():
     # the anchored quadrature and its two callers transform their real grids
-    # by real_half_spectrum: no mirrored spectrum from analyze, whose one
-    # caller is the multiplier operators' complex-grid branch
+    # by real_half_spectrum: no mirrored spectrum from analyze, which no
+    # module of the package calls
     callers = {
         f"{name[:-3]}.{scope}"
         for name, tree in module_trees()
         for scope in call_scopes(tree, {"analyze"})
     }
-    assert callers == {"spectral.multiplier_spectrum"}
+    assert callers == set()
+
+
+def test_spectral_runs_complex_transforms_only_in_analyze():
+    # the operators read real rows by rfft and irfft; the full complex
+    # forward transform serves analyze's public view alone, and no inverse
+    # complex transform is left
+    path = PACKAGE_DIR / "spectral.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert call_scopes(tree, {"fft"}) == ["analyze"]
+    assert call_scopes(tree, {"ifft", "ifftshift"}) == []
 
 
 FULL_SPECTRUM = {"analyze", "SpectralRep"}

@@ -14,10 +14,16 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as cs_dijkstra
 
 
-def dijkstra(indptr, indices, weights, source: int, n: int) -> np.ndarray:
-    """Distances from source over a CSR digraph with nonnegative weights."""
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
+def dijkstra(indptr, indices, weights, source: int) -> np.ndarray:
+    """Distances from source over the CSR digraph of len(indptr) - 1 nodes
+    with nonnegative weights.
+
+    The structure is read as given: a graph built once with int32 indptr
+    and indices, scipy.sparse.csgraph's own index type, as mesh.PolarMesh
+    holds them read-only, passes without a copy or a conversion, so a call
+    pays only for its weights and the search.
+    """
+    n = len(indptr) - 1
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     mat = csr_matrix((weights, indices, indptr), shape=(n, n))
     return cs_dijkstra(mat, directed=True, indices=source)

@@ -200,7 +200,8 @@ class RingPowers:
     asked for.  Entry (i, q) does not depend on how many columns there are,
     so a slice of a grown table is bit for bit the table built to that size.
     Powers of -c are an exact sign times |c|^k and e^{ik arg c}, which is 1
-    on real rings.
+    on real rings.  Every table is read-only: the cached geometries
+    (_boundary_ring, _mesh_cache) hand the same one to every caller.
     """
 
     def __init__(self, centers, n: int):
@@ -209,6 +210,8 @@ class RingPowers:
         self._r, self._arg = np.abs(c), np.angle(c)
         self.P = self._powers(np.arange(n))
         self._V = self._powers(np.zeros(0, dtype=int))
+        for a in (self._r, self._arg, self.P, self._V):
+            a.setflags(write=False)
 
     def _powers(self, k):  # (-c)^k for every center, k a row of exponents
         with np.errstate(under="ignore"):
@@ -219,6 +222,7 @@ class RingPowers:
         if q_count > have:
             grown = self._powers(self.n * np.arange(have, q_count))
             self._V = np.concatenate([self._V, grown], axis=1)
+            self._V.setflags(write=False)
         # contiguous, as a table built to q_count columns would be
         return np.ascontiguousarray(self._V[:, :q_count])
 
@@ -396,6 +400,16 @@ def _boundary_modes(w: np.ndarray):
     return pos, neg_l1, neg_energy / total if total else 0.0
 
 
+@lru_cache(maxsize=16)
+def _mode_orders(m: int) -> np.ndarray:
+    """The read-only orders 1 .. m by which build_phi divides the modes of
+    an n = 2m point grid, built once per grid size (int64, as np.arange
+    gives them, so the quotients keep their bits)."""
+    k = np.arange(1, m + 1)
+    k.setflags(write=False)
+    return k
+
+
 def build_phi(bt: BoundaryTrace) -> DiskMap:
     """Integrate the boundary derivative into the disk map.
 
@@ -470,7 +484,7 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
     # integrate every available nonnegative mode, then truncate under the guard
     buf = np.zeros(max(n + 2, 64), dtype=complex)
     coeffs = buf[: n // 2 + 1]
-    np.divide(pos, np.arange(1, n // 2 + 1), out=coeffs[1:])
+    np.divide(pos, _mode_orders(n // 2), out=coeffs[1:])
     _truncate_with_guard(coeffs, n // 2)
     if frac > NEG_FREQ_LIMIT:
         raise NotHolomorphic(

@@ -122,7 +122,7 @@ def circle_chart(n: int) -> CircleChart:
 
 def _close_period(values, start: int) -> np.ndarray:
     """values rotated to begin at index start, closed by repeating the first
-    one: the order _piecewise_linear_integral takes, once the last angle is
+    one: the order nested_window_integrals takes, once the last angle is
     moved on by a period."""
     return np.concatenate([values[start:], values[: start + 1]])
 
@@ -314,8 +314,8 @@ def window_samples(f, n: int, ta: float, tb: float, pole_value: float | None = N
 
     They are the slice of circle_chart(n).tau from the last angle at or below
     ta to the first at or above tb: every angle inside the arc and one
-    neighbour beyond each end.  _piecewise_linear_integral over [ta, tb], or
-    over any arc inside it, gives on the slice the same bits as on the
+    neighbour beyond each end.  nested_window_integrals over [ta, tb], or
+    over any arcs inside it, gives on the slice the same bits as on the
     samples of the whole circle.  f is evaluated at the slice's points only,
     and a non-finite sample raises NotIntegrable.  A slice that reaches the
     pole (either end of tau) takes pole_value there, or else the _with_pole
@@ -353,20 +353,35 @@ def _cyclic_slice(values: np.ndarray, start: int, stop: int) -> np.ndarray:
     return np.concatenate([values[start:], values[: stop - values.size]])
 
 
-def _piecewise_linear_integral(xs, ys, a, b) -> float:
-    """Integral over [a, b] of the piecewise-linear interpolant through
-    (xs, ys), xs ascending.  The samples strictly inside the window are a
-    slice found by two binary searches, and only the two ends are
-    interpolated, so a call costs O(log n + window)."""
-    a = max(a, xs[0])
-    b = min(b, xs[-1])
-    if b <= a:
-        return 0.0
-    lo, hi = np.searchsorted(xs, a, side="right"), np.searchsorted(xs, b, side="left")
-    ya, yb = np.interp((a, b), xs, ys)
-    grid = np.concatenate([[a], xs[lo:hi], [b]])
-    vals = np.concatenate([[ya], ys[lo:hi], [yb]])
-    return float(np.trapezoid(vals, grid))
+def nested_window_integrals(xs, ys, windows) -> np.ndarray:
+    """Integral over each window [a, b] of the piecewise-linear interpolant
+    through (xs, ys), xs ascending; 0.0 for a window that is empty once
+    clipped to [xs[0], xs[-1]].
+
+    The trapezoid terms of the cells, (xs[k+1] - xs[k]) (ys[k] + ys[k+1]) /
+    2, are formed once for every window.  A window clipped to [xs[0],
+    xs[-1]] covers the cells between its first and last knot, lo .. hi - 1,
+    whole, and its two ends take the interpolated values np.interp gives:
+    the terms summed are [first, cells[lo:hi - 1], last], the array that
+    np.trapezoid forms over the knots a, xs[lo:hi], b and sums pairwise.
+    So each integral is bit for bit np.trapezoid's, though a window costs
+    O(log n) plus one sum over its own cells.
+    """
+    cells = np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0
+    out = np.zeros(len(windows))
+    for i, (a, b) in enumerate(windows):
+        a, b = max(a, xs[0]), min(b, xs[-1])
+        if b <= a:
+            continue
+        lo, hi = np.searchsorted(xs, a, side="right"), np.searchsorted(xs, b, side="left")
+        ya, yb = np.interp((a, b), xs, ys)
+        if lo == hi:  # no knot inside: one cell from a to b
+            out[i] = (b - a) * (yb + ya) / 2.0
+            continue
+        first = (xs[lo] - a) * (ys[lo] + ya) / 2.0
+        last = (b - xs[hi - 1]) * (yb + ys[hi - 1]) / 2.0
+        out[i] = np.concatenate([[first], cells[lo : hi - 1], [last]]).sum()
+    return out
 
 
 def integrate_exp_singular(field: SingularField, extra: np.ndarray | None = None) -> float:

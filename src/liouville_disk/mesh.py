@@ -10,6 +10,11 @@ reads 6.8% long at n = 256 and 10.5% at n = 4096; only the diameter, which
 the radial edges trace, is exact.  The mesh lists its edge midpoints as
 uniform polar rings, one per edge family, so a metric that is cheap to
 evaluate ring by ring needs one value per undirected edge.
+
+A mesh is built once per boundary size (disk caches it) and every array it
+holds is read-only, the graph's int32 CSR structure included: a distance
+call supplies only its edge weights, and no caller can write into the
+lengths or the adjacency that every later distance reads.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ MESH_GRADING = 1.15
 @dataclass(frozen=True)
 class PolarMesh:
     """Nodes (complex, inside the closed disk), CSR adjacency, boundary ring.
+
+    indptr and indices are int32, scipy.sparse.csgraph's index type, so
+    _kernels.dijkstra reads them without a conversion; every array is
+    read-only.
 
     Every edge midpoint lies on a uniform polar ring: undirected edge j of
     family f has its midpoint at mid_centers[f] * e^{i theta_j}, theta_j =
@@ -109,15 +118,18 @@ def build_polar_mesh(n_boundary: int) -> PolarMesh:
     order = np.lexsort((v, u))
     u, v = u[order], v[order]
     n_nodes = nodes.size
-    indptr = np.searchsorted(u, np.arange(n_nodes + 1))
+    indptr = np.searchsorted(u, np.arange(n_nodes + 1)).astype(np.int32)
     lengths = np.abs(nodes[u] - nodes[v])
+    indices, edge_ring = v.astype(np.int32), ring_point[order]
+    for a in (nodes, indptr, indices, lengths, mid_centers, edge_ring):
+        a.setflags(write=False)
     return PolarMesh(
         nodes=nodes,
         indptr=indptr,
-        indices=v,
+        indices=indices,
         edge_lengths=lengths,
         mid_centers=mid_centers,
-        edge_ring=ring_point[order],
+        edge_ring=edge_ring,
         n_boundary=n,
     )
 
@@ -128,5 +140,5 @@ def shortest_path_distance(mesh: PolarMesh, weights: np.ndarray, a: int, b: int)
     the weights along a path from its source, and a sum taken from the other
     end can round differently."""
     a, b = min(a, b), max(a, b)
-    dist = dijkstra(mesh.indptr, mesh.indices, weights, a, mesh.n_nodes)
+    dist = dijkstra(mesh.indptr, mesh.indices, weights, a)
     return float(dist[b])

@@ -37,10 +37,10 @@ from .line import (
     POLE_ANGLE,
     CurvatureData,
     LineField,
-    _piecewise_linear_integral,
     angle_of_x,
     asymptotic_slope,
     circle_chart,
+    nested_window_integrals,
     pull_back,
     transfer_equation,
     window_samples,
@@ -217,7 +217,10 @@ def concentration_scan(members, radii, centers=None, n: int = 1 << 16):
     the widest radius: line.window_samples evaluates the density there, one
     chart point beyond each end included, and raises NotIntegrable if any
     of those samples is non-finite.  Every radius integrates that slice, so
-    alpha is bit for bit what the whole-circle samples give.
+    alpha is bit for bit what the whole-circle samples give.  The nested
+    windows share one table of the slice's trapezoid cells per member
+    (line.nested_window_integrals): a radius sums its own cells and two
+    interpolated end terms, with the bits of a trapezoid over its window.
     """
     dens = [m.density if hasattr(m, "density") else m for m in members]
     radii = np.asarray(sorted(radii, reverse=True), dtype=float)
@@ -242,8 +245,7 @@ def concentration_scan(members, radii, centers=None, n: int = 1 << 16):
                 raise CenterUnstable(
                     f"member {j}: peak at {xloc:.4g} drifted from center {center:.4g}"
                 )
-            for i, (ta, tb) in enumerate(arcs):
-                alpha[i, j] = _piecewise_linear_integral(tau, g, ta, tb)
+            alpha[:, j] = nested_window_integrals(tau, g, arcs)
         profiles.append(ConcentrationProfile(center=center, radii=radii, ks=ks, alpha=alpha))
     return profiles
 

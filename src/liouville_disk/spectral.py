@@ -80,9 +80,14 @@ def _check_power_of_two(n: int) -> bool:
     return n >= 8 and (n & (n - 1)) == 0
 
 
+@lru_cache(maxsize=16)
 def grid_angles(n: int) -> np.ndarray:
-    """Sample angles theta_j = 2*pi*j/n - pi."""
-    return TWO_PI * np.arange(n) / n - np.pi
+    """Sample angles theta_j = 2*pi*j/n - pi: one read-only table per n,
+    built once and cached for the last 16 sizes (the bubble ladder's
+    256 .. 131072 and the smaller grids fit)."""
+    th = TWO_PI * np.arange(n) / n - np.pi
+    th.setflags(write=False)
+    return th
 
 
 class ValueEquality:

@@ -10,6 +10,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as cs_dijkstra
 
 from liouville_disk import disk, quant, spectral
 
@@ -416,6 +418,16 @@ def directed_midpoints(mesh):
     return 0.5 * (mesh.nodes[src] + mesh.nodes[mesh.indices])
 
 
+def int64_dijkstra(indptr, indices, weights, source, n):
+    """_kernels.dijkstra as it was before the mesh held its graph in int32:
+    the structure converted to int64 on every call."""
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    mat = csr_matrix((weights, indices, indptr), shape=(n, n))
+    return cs_dijkstra(mat, directed=True, indices=source)
+
+
 def ring_points(mesh):
     return np.outer(mesh.mid_centers, np.exp(1j * grid_angles(mesh.n_boundary)))
 
@@ -456,6 +468,19 @@ class TestRingEvaluation:
             ref = shortest_path_distance(mesh, weights, mesh.boundary_node(p), mesh.boundary_node(q))
             assert abs(conformal_distance(d, p, q, n_boundary=64) - ref) <= 1e-7 * ref
 
+    @pytest.mark.parametrize("x0", [0.0, 0.3])
+    def test_distance_equals_the_int64_graph_route(self, x0):
+        # the quant-ladder's picks of a k = 12 bubble ladder, on the
+        # pinching probe's 256-point mesh
+        mesh, rings = disk._mesh_cache(256)
+        for k in (0, 4, 8, 12):
+            d = quant.bubble(mu=2.0**k, x0=x0).disk_map()
+            weights = disk._abs_on_rings(d.deriv_coeffs, rings).ravel()[mesh.edge_ring] * mesh.edge_lengths
+            for p, q in [(1.0, -1.0), (1j, np.exp(0.3j)), (-1.0, 1.0)]:
+                a, b = sorted((mesh.boundary_node(p), mesh.boundary_node(q)))
+                ref = int64_dijkstra(mesh.indptr, mesh.indices, weights, a, mesh.n_nodes)[b]
+                assert conformal_distance(d, p, q) == ref
+
     def test_weights_are_exactly_symmetric(self, monkeypatch):
         seen = []
 
@@ -491,6 +516,15 @@ class TestRingEvaluation:
                 coef = rng.normal(size=size) + 1j * rng.normal(size=size)
                 fresh = disk._abs_on_rings(coef, disk.RingPowers(centers, n))
                 assert np.array_equal(disk._abs_on_rings(coef, cached), fresh)
+
+    @pytest.mark.parametrize("n", [8, 12, 256, 65536, 131072])
+    def test_mode_orders_equal_the_formula(self, n):
+        fresh = np.arange(1, n // 2 + 1)
+        orders = disk._mode_orders(n // 2)
+        assert orders.dtype == fresh.dtype and orders.tobytes() == fresh.tobytes()
+        assert disk._mode_orders(n // 2) is orders
+        with pytest.raises(ValueError):
+            orders[0] = 2
 
     def test_one_table_per_geometry(self):
         disk._boundary_ring.cache_clear()

@@ -105,7 +105,7 @@ class TestDijkstraParity:
     def test_matches_heapq_oracle(self):
         n = 300
         indptr, cols, w = random_graph(n, seed=4)
-        d_fast = K.dijkstra(indptr, cols, w, 0, n)
+        d_fast = K.dijkstra(indptr, cols, w, 0)
         d_ref = heap_dijkstra(indptr, cols, w, 0, n)
         assert np.isfinite(d_ref).sum() > n // 2
         assert np.max(np.abs(d_fast - d_ref)) < 1e-12
@@ -114,8 +114,8 @@ class TestDijkstraParity:
         indptr = np.array([0, 1, 1, 1], dtype=np.int64)
         cols = np.array([1], dtype=np.int64)
         w = np.array([1.0])
-        d = K.dijkstra(indptr, cols, w, 0, 3)
-        assert d[1] == 1.0 and np.isinf(d[2])
+        d = K.dijkstra(indptr, cols, w, 0)
+        assert d.shape == (3,) and d[1] == 1.0 and np.isinf(d[2])
 
 
 def grid_polyline(n, seed):
@@ -233,6 +233,12 @@ class TestMesh:
         weights = mesh.edge_lengths  # unit speed
         d = shortest_path_distance(mesh, weights, mesh.boundary_node(1.0), mesh.boundary_node(-1.0))
         assert abs(d - 2.0) <= 2 * (2 * np.pi / 128)
+
+    def test_graph_is_scipys_int32_csr(self):
+        # read without a conversion by every distance call
+        mesh = build_polar_mesh(64)
+        assert mesh.indptr.dtype == mesh.indices.dtype == np.int32
+        assert mesh.indptr.size == mesh.n_nodes + 1
 
     def test_grading_reaches_center(self):
         mesh = build_polar_mesh(256)

@@ -19,7 +19,6 @@ from liouville_disk.line import (
     _check_pole,
     _close_period,
     _integrand,
-    _piecewise_linear_integral,
     _with_pole,
     CurvatureData,
     LineField,
@@ -27,6 +26,7 @@ from liouville_disk.line import (
     asymptotic_slope,
     circle_chart,
     integrate_exp_singular,
+    nested_window_integrals,
     pull_back,
     stereo_inverse,
     stereo_project,
@@ -53,6 +53,23 @@ def u_bubble(mu, x0=0.0):
 
 # --- references the tests compare against -------------------------------------
 
+def _piecewise_linear_integral(xs, ys, a, b) -> float:
+    """Integral over [a, b] of the piecewise-linear interpolant through
+    (xs, ys), xs ascending, by one np.trapezoid per window: the samples
+    strictly inside the window are a slice found by two binary searches,
+    and only the two ends are interpolated.  The per-window route that
+    line.nested_window_integrals replaced in concentration_scan."""
+    a = max(a, xs[0])
+    b = min(b, xs[-1])
+    if b <= a:
+        return 0.0
+    lo, hi = np.searchsorted(xs, a, side="right"), np.searchsorted(xs, b, side="left")
+    ya, yb = np.interp((a, b), xs, ys)
+    grid = np.concatenate([[a], xs[lo:hi], [b]])
+    vals = np.concatenate([[ya], ys[lo:hi], [yb]])
+    return float(np.trapezoid(vals, grid))
+
+
 class TailError(Exception):
     """Slow decay: the PV oracle's tail estimate exceeds its tolerance."""
 
@@ -64,7 +81,7 @@ def circle_samples(f, n: int, pole_value: float | None = None):
     Returns (g, tau_ext, g_ext): g in grid order, and the same samples
     ordered by the unwrapped angle tau in [-pi/2, 3pi/2) (the rotation of the
     grid that starts at the pole) with the first one repeated at tau + 2 pi,
-    ready for _piecewise_linear_integral.  line.window_samples reads a slice
+    ready for nested_window_integrals.  line.window_samples reads a slice
     of tau_ext and g_ext.
     """
     chart = circle_chart(n)
@@ -488,8 +505,11 @@ class TestPiecewiseLinearIntegral:
         rng = np.random.default_rng(seed)
         xs = np.cumsum(rng.uniform(1e-3, 1.0, size=200))
         ys = rng.standard_normal(200)
-        for a, b in self.windows(xs, rng):
+        windows = self.windows(xs, rng)
+        for a, b in windows:
             assert _piecewise_linear_integral(xs, ys, a, b) == mask_interp_integral(xs, ys, a, b)
+        expected = [_piecewise_linear_integral(xs, ys, a, b) for a, b in windows]
+        assert nested_window_integrals(xs, ys, windows).tolist() == expected
 
     @pytest.mark.parametrize("n", [8, 64, 65536])
     def test_matches_on_circle_windows(self, n):
@@ -501,11 +521,22 @@ class TestPiecewiseLinearIntegral:
             assert _piecewise_linear_integral(tau_ext, g_ext, a, b) == mask_interp_integral(
                 tau_ext, g_ext, a, b
             )
+        expected = [_piecewise_linear_integral(tau_ext, g_ext, a, b) for a, b in windows]
+        assert nested_window_integrals(tau_ext, g_ext, windows).tolist() == expected
 
-    def test_scan_alpha_tables_are_unchanged(self, monkeypatch):
-        members = [quant.bubble(mu=2.0**k, x0=-0.37) for k in range(8)]
-        radii = [0.4, 0.2, 0.1, 0.05]
-        [prof] = quant.concentration_scan(members, radii=radii, centers=[-0.37], n=1 << 14)
-        monkeypatch.setattr(quant, "_piecewise_linear_integral", mask_interp_integral)
-        [ref] = quant.concentration_scan(members, radii=radii, centers=[-0.37], n=1 << 14)
-        assert np.array_equal(prof.alpha, ref.alpha)
+    @pytest.mark.parametrize("n", [1 << 12, 1 << 14])
+    @pytest.mark.parametrize("center", [-0.37, 1.9])
+    def test_scan_alpha_tables_are_unchanged(self, n, center):
+        # the scan sums one cell table per member; the reference integrates
+        # every radius on its own, one trapezoid over window_samples each
+        members = [quant.bubble(mu=2.0**k, x0=center) for k in range(8)]
+        radii = [0.4, 0.2, 0.1, 0.05, 1e-3]
+        [prof] = quant.concentration_scan(members, radii=radii, centers=[center], n=n)
+        arcs = [(angle_of_x(center + r), angle_of_x(center - r)) for r in radii]
+        widest = (min(ta for ta, _ in arcs), max(tb for _, tb in arcs))
+        ref = np.empty((len(radii), len(members)))
+        for j, m in enumerate(members):
+            tau, g = window_samples(m.density, n, *widest)
+            for i, (ta, tb) in enumerate(arcs):
+                ref[i, j] = _piecewise_linear_integral(tau, g, ta, tb)
+        assert np.array_equal(prof.alpha, ref)

@@ -6,10 +6,11 @@ The package must run without numba, read no environment variables, import
 no adaptive quadrature (the principal-value oracles live in the tests),
 assemble anchored cell quadrature only in spectral.singular_cell_integrals,
 place the circle grid on the line only in line.circle_chart, evaluate
-|Phi'| on rings only through the folded FFT, import nothing it does not use
-and define nothing that only the tests call, so a second kernel
-implementation, a second quadrature path, a per-point fallback, a new knob,
-a test oracle or the leftovers of a removed path cannot come back
+|Phi'| on rings only through the folded FFT, hand out only read-only arrays
+from its caches, import nothing it does not use and define nothing that
+only the tests call, so a second kernel implementation, a second
+quadrature path, a per-point fallback, a new knob, a writable cached
+table, a test oracle or the leftovers of a removed path cannot come back
 unnoticed.
 """
 
@@ -457,3 +458,77 @@ def test_disk_has_no_lattice():
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in sorted(names) if name.startswith("_lattice")] == []
     assert [name for name in vars(disk) if name.startswith("_lattice")] == []
+
+
+# arguments the read-only guard calls each cached definition of the package
+# with; a cached definition without an entry fails the guard
+CACHE_ARGS = {
+    "spectral.grid_angles": [(8,), (12,), (256,)],
+    "spectral._jacobi_rule": [(-0.5,), (0.75,)],
+    "line.circle_chart": [(8,), (64,)],
+    "disk._mode_orders": [(4,), (128,)],
+    "disk._boundary_ring": [()],
+    "disk._mesh_cache": [(64,)],
+}
+
+
+def cached_definitions(trees):
+    """module.name of every function decorated with lru_cache or cache,
+    bare, called or read from functools."""
+    found = []
+    for name, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                ident = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if ident in ("lru_cache", "cache"):
+                    found.append(f"{name[:-3]}.{node.name}")
+    return sorted(found)
+
+
+def reachable_arrays(value, seen=None):
+    """Every ndarray in value: the value itself, the items of tuples and
+    lists (named tuples too) and the attributes of other objects (dataclass
+    fields included), followed to any depth."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from reachable_arrays(item, seen)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            yield from reachable_arrays(item, seen)
+
+
+def test_cached_definitions_are_found():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=4)\ndef a(n): pass\n@functools.cache\ndef b(): pass\n"
+        "@cache\ndef c(): pass\n@functools.lru_cache\ndef d(): pass\ndef e(): pass\n"
+    )
+    assert cached_definitions([("mod.py", tree)]) == ["mod.a", "mod.b", "mod.c", "mod.d"]
+
+
+def test_every_cache_hands_out_read_only_arrays():
+    # a cached value goes to every later caller: one that writes into it
+    # would change what all of them read
+    cached = cached_definitions(module_trees())
+    assert sorted(CACHE_ARGS) == cached
+    for dotted, arg_sets in CACHE_ARGS.items():
+        module, name = dotted.split(".")
+        fn = getattr(getattr(liouville_disk, module), name)
+        for args in arg_sets:
+            value = fn(*args)
+            for rings in [v for v in (value if isinstance(value, tuple) else (value,))
+                          if isinstance(v, disk.RingPowers)]:
+                rings.V(rings._V.shape[1] + 2)  # a grown table too
+            arrays = list(reachable_arrays(value))
+            assert arrays, dotted
+            writable = [a.shape for a in arrays if a.flags.writeable]
+            assert writable == [], (dotted, args, writable)

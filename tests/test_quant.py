@@ -9,7 +9,6 @@ from scipy.signal import find_peaks
 from liouville_disk.disk import boundary_curvature, analytic_completion
 from liouville_disk.errors import CenterUnstable, InvalidInput, NotIntegrable, TheoremViolation
 from liouville_disk.line import (
-    _piecewise_linear_integral,
     angle_of_x,
     circle_chart,
     stereo_inverse,
@@ -31,7 +30,7 @@ from liouville_disk.quant import (
 )
 from liouville_disk.spectral import PeriodicGrid, grid_angles
 from test_disk import blaschke_fixture
-from test_line import circle_samples, line_integral, u_at
+from test_line import _piecewise_linear_integral, circle_samples, line_integral, u_at
 
 TWO_PI = 2 * np.pi
 

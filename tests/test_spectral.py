@@ -35,6 +35,23 @@ from liouville_disk.spectral import (
 TWO_PI = 2 * np.pi
 
 
+class TestGridAngles:
+    @pytest.mark.parametrize("n", [8, 12, 256, 65536, 131072])
+    def test_cached_table_equals_the_formula(self, n):
+        fresh = 2.0 * np.pi * np.arange(n) / n - np.pi
+        th = grid_angles(n)
+        assert th.dtype == fresh.dtype and th.tobytes() == fresh.tobytes()
+        assert grid_angles(n) is th
+
+    def test_writing_into_the_table_raises(self):
+        th = grid_angles(256)
+        with pytest.raises(ValueError):
+            th[0] = 0.0
+        with pytest.raises(ValueError):
+            th += 1.0
+        assert grid_angles(256)[0] == -np.pi
+
+
 def synthesize(s: SpectralRep) -> PeriodicGrid:
     """Inverse of analyze; returns a real grid when the imaginary part is
     at most 1e-12 of the real part's size."""

@@ -10,8 +10,6 @@ Kernels:
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as cs_dijkstra
 
 
 def dijkstra(indptr, indices, weights, source: int) -> np.ndarray:
@@ -21,8 +19,13 @@ def dijkstra(indptr, indices, weights, source: int) -> np.ndarray:
     The structure is read as given: a graph built once with int32 indptr
     and indices, scipy.sparse.csgraph's own index type, as mesh.PolarMesh
     holds them read-only, passes without a copy or a conversion, so a call
-    pays only for its weights and the search.
+    pays only for its weights and the search.  scipy is imported here, not
+    at module load, so only the commands that reach a mesh distance pay
+    for its import.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra as cs_dijkstra
+
     n = len(indptr) - 1
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     mat = csr_matrix((weights, indices, indptr), shape=(n, n))

@@ -42,9 +42,11 @@ plus one pass per guard.  The analytic completion reads the rfft of lambda
 for its band-limit guard and its Hilbert step.  Boundary samples become
 series in one place, _boundary_modes (one in-place forward FFT):
 build_phi and mobius_recenter each truncate its modes under their own tail
-guard and then check its negative-frequency share.  make_disk_map measures
-a series up to its last nonzero coefficient once, and the DiskMap keeps the
-derivative coefficients up to that order for every later reader.
+guard and then check its negative-frequency share.  A DiskMap is its
+series up to the last nonzero coefficient, with the derivative coefficients
+for every later reader; make_disk_map and build_phi both end in one
+finishing step (_finish_disk_map) that checks the series, reads min_deriv
+and decides immersion before calling the DiskMap constructor.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -140,10 +141,11 @@ def analytic_completion(lam) -> BoundaryTrace:
 class DiskMap(ValueEquality):
     """Power-series map of the closed unit disk.
 
-    coeffs are ascending powers, a read-only copy of what the constructor
-    is given.  deriv_coeffs are the coefficients of Phi' up to its last
-    nonzero one, derived from coeffs once (no constructor argument); they
-    take no part in ==.
+    coeffs are ascending powers up to the last nonzero one (the constant
+    term at least): a read-only copy of what the constructor is given,
+    trailing zeros dropped, so order is the degree of the series.  deriv_coeffs are the coefficients of
+    Phi', derived from coeffs once (no constructor argument); they take no
+    part in ==.
 
     immersed says that Phi' has no zero in the closed disk.  For maps from
     boundary data it is Rouche's theorem on build_phi's own spectrum when
@@ -164,23 +166,11 @@ class DiskMap(ValueEquality):
     deriv_coeffs: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)  # a copy: no caller can write it
+        c = np.asarray(self.coeffs)
+        c = np.array(c[: max(_series_length(c), 1)], dtype=complex)  # a copy: no caller can write it
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "deriv_coeffs", _derivative(c, _series_length(c)))
-
-    @classmethod
-    def _adopt(cls, coeffs, immersed, min_deriv, normalized_at_one, deriv_coeffs) -> "DiskMap":
-        """The map of read-only coefficients that make_disk_map allocated or
-        build_phi handed over, which no caller holds, with the derivative
-        coefficients computed from them: without the constructor's copy and
-        derivative pass."""
-        d = object.__new__(cls)
-        for name, value in (("coeffs", coeffs), ("immersed", immersed), ("min_deriv", min_deriv),
-                            ("normalized_at_one", normalized_at_one),
-                            ("deriv_coeffs", deriv_coeffs)):
-            object.__setattr__(d, name, value)
-        return d
+        object.__setattr__(self, "deriv_coeffs", _derivative(c))
 
     @property
     def order(self) -> int:
@@ -229,15 +219,18 @@ class RingPowers:
 
 def _series_length(coef: np.ndarray) -> int:
     """Length of a series up to its last nonzero coefficient, 0 when every
-    one is zero: one boolean mask and an argmax, with no index array."""
+    one is zero: no pass when the last one is nonzero, as in a DiskMap's
+    coeffs, and otherwise one boolean mask and an argmax."""
+    if coef.size and coef[-1] != 0:
+        return coef.size
     nonzero = coef[::-1] != 0
     last = int(np.argmax(nonzero))
     return coef.size - last if nonzero[last] else 0
 
 
-def _derivative(coeffs: np.ndarray, size: int) -> np.ndarray:
-    """Read-only coefficients k c_k of Phi' for the series coeffs[:size]."""
-    d = coeffs[1:size] * np.arange(1, size)
+def _derivative(coeffs: np.ndarray) -> np.ndarray:
+    """Read-only coefficients k c_k of Phi' for the series coeffs."""
+    d = coeffs[1:] * np.arange(1, coeffs.size)
     d.setflags(write=False)
     return d
 
@@ -316,57 +309,38 @@ def _zero_count(dcoef: np.ndarray) -> int | None:
     return None
 
 
-class _PhiSeries(NamedTuple):
-    """What build_phi hands make_disk_map: its read-only coefficient
-    buffer, which no caller holds, and whether its Rouche test certified
-    immersion."""
-
-    buf: np.ndarray
-    certified: bool
-
-
 def make_disk_map(coeffs, normalized_at_one: bool = True) -> DiskMap:
     """Validate and certify a coefficient vector as a DiskMap.
 
-    Stores the series up to its last nonzero coefficient, padded with zeros
-    to twice that length (at least 64), so the stored vector always
-    satisfies the tail-energy invariant (the spectral constructors enforce
-    the guard on the discarded modes before truncating) and a stored vector
-    is stored unchanged.  A caller's array is copied once, sliced to that
-    length when it is long enough; build_phi's own buffer is kept as it is.
-    Checks the Phi(1) = 0 normalization when tagged, and reads min_deriv on
-    the r = 1 ring (one fold, see DiskMap).
-
-    Immersed when build_phi's Rouche test certified it, and otherwise when
-    the argument principle counts no zero of Phi' in the disk and its
-    sampling guard holds (_zero_count).
+    The map keeps the series up to its last nonzero coefficient (DiskMap),
+    so a vector with trailing zeros gives the map of the vector without
+    them.  Raises InvalidInput for fewer than two coefficients, the zero
+    map, a non-finite coefficient, and, when tagged, a violated Phi(1) = 0
+    normalization.  min_deriv is read on the r = 1 ring (one fold, see
+    DiskMap).  Immersed when the argument principle counts no zero of Phi'
+    in the disk and its sampling guard holds (_zero_count).
     """
-    own, certified = isinstance(coeffs, _PhiSeries), False
-    if own:
-        coeffs, certified = coeffs
-    c = np.asarray(coeffs, dtype=complex)
+    return _finish_disk_map(np.asarray(coeffs, dtype=complex), normalized_at_one)
+
+
+def _finish_disk_map(c: np.ndarray, normalized_at_one: bool, certified: bool = False) -> DiskMap:
+    """The checks, min_deriv and immersion verdict of make_disk_map for
+    the complex coefficients c, and the DiskMap they make.  certified is
+    build_phi's Rouche verdict: when True the zero count is skipped."""
     if c.size < 2:
         raise InvalidInput("a disk map needs at least two coefficients")
-    size = _series_length(c)
-    if size == 0:
+    series = c[: _series_length(c)]
+    if series.size == 0:
         raise InvalidInput("zero map")
-    stored = max(2 * size, 64)
-    if c.size >= stored:
-        # zeros beyond size: the padding is there already
-        c = c[:stored] if own else c[:stored].copy()
-    else:
-        padded = np.zeros(stored, dtype=complex)
-        padded[:size] = c[:size]
-        c = padded
-    c.setflags(write=False)
-    series = c[:size]
+    if not np.all(np.isfinite(series)):
+        raise InvalidInput("a disk map needs finite coefficients")
     total = _energy(series)
     if normalized_at_one and abs(np.sum(series)) > 1e-10 * max(1.0, np.sqrt(total)):
         raise InvalidInput(f"normalization Phi(1) = 0 violated: |Phi(1)| = {abs(np.sum(series)):.2e}")
-    dcoef = _derivative(c, size)
+    dcoef = _derivative(series)
     min_deriv = float(np.min(_abs_on_rings(dcoef, _boundary_ring())))
     immersed = certified or _zero_count(dcoef) == 0
-    return DiskMap._adopt(c, immersed, min_deriv, normalized_at_one, dcoef)
+    return DiskMap(series, immersed, min_deriv, normalized_at_one)
 
 
 def _truncate_with_guard(full_coeffs: np.ndarray, M: int) -> np.ndarray:
@@ -420,9 +394,9 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
 
     One array carries the whole path: lambda and rho are written into its
     real and imaginary parts, exponentiated in place, and overwritten by the
-    FFT of _boundary_modes.  The coefficients are written into a buffer
-    already as long as make_disk_map's padding, which keeps a view of it:
-    build_phi hands it over (_PhiSeries) and holds no other reference.
+    FFT of _boundary_modes.  The integrated modes go through the checks of
+    make_disk_map (_finish_disk_map), with the Rouche verdict below in place
+    of the zero count when it certifies.
 
     The grid needs no oversampling.  On n points, modes n/2 .. n-1 of phi
     fold onto the negative frequencies -n/2 .. -1, which the
@@ -465,9 +439,10 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
 
     The test only ever certifies: when it fails, or when G is not known to
     be holomorphic (a trace not from analytic_completion,
-    BoundaryTrace.completed False), make_disk_map counts the zeros of
-    Phi'_N by the argument principle instead.  It reads the l1 norm that
-    the negative-frequency guard's pass over the bins yields.
+    BoundaryTrace.completed False), the zeros of Phi'_N are counted by the
+    argument principle instead, as make_disk_map counts them.  It reads
+    the l1 norm that the negative-frequency guard's pass over the bins
+    yields.
     """
     n = bt.n
     w = np.empty(n, dtype=complex)
@@ -482,8 +457,7 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
         np.exp(w, out=w)
     pos, neg_l1, frac = _boundary_modes(w)
     # integrate every available nonnegative mode, then truncate under the guard
-    buf = np.zeros(max(n + 2, 64), dtype=complex)
-    coeffs = buf[: n // 2 + 1]
+    coeffs = np.empty(n // 2 + 1, dtype=complex)
     np.divide(pos, _mode_orders(n // 2), out=coeffs[1:])
     _truncate_with_guard(coeffs, n // 2)
     if frac > NEG_FREQ_LIMIT:
@@ -491,8 +465,7 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
             f"negative-frequency energy fraction {frac:.2e} of boundary derivative"
         )
     coeffs[0] = -np.sum(coeffs[1:])
-    buf.setflags(write=False)
-    return make_disk_map(_PhiSeries(buf, bt.completed and 2.0 * neg_l1 < floor))
+    return _finish_disk_map(coeffs, True, bt.completed and 2.0 * neg_l1 < floor)
 
 
 def boundary_curvature(bt: BoundaryTrace) -> PeriodicGrid:
@@ -534,7 +507,8 @@ def mobius_recenter(d: DiskMap, a: complex, t: float) -> DiskMap:
     """Precompose with the disk automorphism f(z) = (z - t a)/(1 - t conj(a) z).
 
     t = 0 gives the identity.  Composition happens on a dense boundary grid
-    followed by re-projection to the order of d (at least 256); the tail
+    followed by re-projection to order M = max(2 * d.coeffs.size - 1, 256),
+    about twice the degree of d, as f stretches the boundary near a; the tail
     guard (t too close to 1 for the series order) raises UnderResolved
     before the negative-frequency guard raises NotHolomorphic.  The
     recentered map is certified by the argument principle (make_disk_map):
@@ -543,7 +517,7 @@ def mobius_recenter(d: DiskMap, a: complex, t: float) -> DiskMap:
     """
     a = complex(a)
     _check_recentering(a, t)
-    M = max(d.coeffs.size - 1, 256)
+    M = max(2 * d.coeffs.size - 1, 256)
     N = 1 << int(np.ceil(np.log2(8 * M)))
     th = grid_angles(N)
     z = np.exp(1j * th)

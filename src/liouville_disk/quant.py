@@ -111,8 +111,7 @@ class Bubble:
         return out
 
     def pull_back(self, n: int) -> LineField:
-        # lambda_at returns a new array: the grid takes it without a copy
-        return LineField(SingularField(PeriodicGrid._adopt(self.lambda_at(grid_angles(n)))))
+        return LineField(SingularField(PeriodicGrid(self.lambda_at(grid_angles(n)))))
 
     def lambda_bar(self) -> float:
         """Circle mean of the pullback on the 1024-point grid."""

@@ -141,22 +141,6 @@ class PeriodicGrid(ValueEquality):
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def _adopt(cls, values: np.ndarray, check_finite: bool = True) -> "PeriodicGrid":
-        """A grid over a new float or complex array that the caller hands
-        over and no longer writes, without the copy.  check_finite=False
-        for values computed from a checked grid of the same length."""
-        if values.ndim != 1 or not _check_power_of_two(values.size):
-            raise InvalidInput(
-                f"grid length must be a power of two >= 8, got shape {values.shape}"
-            )
-        if check_finite and not np.all(np.isfinite(values)):
-            raise InvalidInput("grid contains non-finite samples")
-        values.setflags(write=False)
-        g = object.__new__(cls)
-        object.__setattr__(g, "values", values)
-        return g
-
     @property
     def n(self) -> int:
         return self.values.size
@@ -245,14 +229,14 @@ def _rows(g: PeriodicGrid) -> np.ndarray:
     return v if g.is_real else np.stack((v.real, v.imag))
 
 
-def _grid_of_rows(rows: np.ndarray, check_finite: bool = True) -> PeriodicGrid:
-    """The grid whose _rows are rows, new arrays that it adopts: one real
-    row, or row 0 + i row 1 with both parts copied exactly."""
+def _grid_of_rows(rows: np.ndarray) -> PeriodicGrid:
+    """The grid whose _rows are rows: one real row, or row 0 + i row 1 with
+    both parts copied exactly."""
     if rows.ndim == 2:
         values = np.empty(rows.shape[-1], dtype=complex)
         values.real, values.imag = rows
         rows = values
-    return PeriodicGrid._adopt(rows, check_finite)
+    return PeriodicGrid(rows)
 
 
 def real_half_spectrum(g: PeriodicGrid) -> np.ndarray:
@@ -433,12 +417,12 @@ def _real_conjugate(g: PeriodicGrid, raw: np.ndarray) -> PeriodicGrid:
     The multiplier -i sign(m) is odd, so the half-period sign (-1)^m of
     real_half_spectrum would be applied and undone around it: raw is
     multiplied by -i as it stands, and one np.fft.irfft gives the
-    conjugate, computed from checked samples.  The mean and Nyquist bins of
-    an rfft are real, so times -i they are imaginary, which irfft discards:
-    the multiplier's zeros there come with no extra step.
+    conjugate.  The mean and Nyquist bins of an rfft are real, so times -i
+    they are imaginary, which irfft discards: the multiplier's zeros there
+    come with no extra step.
     """
     raw *= -1j
-    return _grid_of_rows(np.fft.irfft(raw, g.n, norm="forward"), check_finite=False)
+    return _grid_of_rows(np.fft.irfft(raw, g.n, norm="forward"))
 
 
 def poisson_extend(g: PeriodicGrid, r: float) -> PeriodicGrid:

@@ -732,9 +732,9 @@ class TestExactBubbleMaps:
         [err] = self.recentering_errors(16.0, -0.3, complex(stereo_inverse(-0.3)), [0.5])
         assert err <= 1e-9
 
-    def test_recentering_a_series_of_order_131073(self):
+    def test_recentering_a_series_of_order_65536(self):
         d, _, _ = exact_bubble(4096.0, -0.3)
-        assert d.order == 131073
+        assert d.order == 65536
         at_zero, *errs = self.recentering_errors(4096.0, -0.3, complex(stereo_inverse(-0.3)), [0.0, 0.25, 0.5, 0.9])
         assert all(e <= 2 * at_zero + 1e-12 for e in errs)
         assert max(errs) <= 1e-7
@@ -795,15 +795,23 @@ def test_disk_maps_are_fixed_points_of_make_disk_map(make):
     assert make_disk_map(padded, normalized_at_one=d.normalized_at_one) == d
 
 
-def test_make_disk_map_pads_to_twice_the_last_nonzero_order():
-    assert make_disk_map(np.r_[-1.0, 1.0, np.zeros(500)]).coeffs.size == 64
+def test_make_disk_map_stores_the_series_to_its_last_nonzero_coefficient():
+    assert make_disk_map(np.r_[-1.0, 1.0, np.zeros(500)]).coeffs.size == 2
     c = np.zeros(100, dtype=complex)
     c[[0, 70]] = -1.0, 1.0
     d = make_disk_map(c)
-    assert d.coeffs.size == 142
+    assert d.coeffs.size == 71 and d.order == 70 and d.coeffs[-1] != 0
+    assert make_disk_map(d.coeffs) == d
+    # the constructor keeps the constant term of the zero series
+    zero = DiskMap(np.zeros(3), False, 0.0)
+    assert zero.order == 0 and zero(0.5) == 0 and zero.deriv_coeffs.size == 0
     # Phi' up to its last nonzero coefficient, order 69
     assert d.deriv_coeffs.size == 70 and d.deriv_coeffs[-1] == 70.0
     assert np.array_equal(d.deriv_coeffs, DiskMap(d.coeffs, d.immersed, d.min_deriv).deriv_coeffs)
+    for make in (lambda: build_phi(bubble_trace(4.0)), lambda: blaschke_fixture([0.3, -0.3]),
+                 lambda: mobius_recenter(quant.bubble(4.0).disk_map(), 1j, 0.3)):
+        m = make()
+        assert m.coeffs[-1] != 0 and make_disk_map(m.coeffs, normalized_at_one=m.normalized_at_one) == m
 
 
 def test_disk_maps_keep_no_view_of_their_callers_arrays():
@@ -822,8 +830,6 @@ def test_disk_maps_keep_no_view_of_their_callers_arrays():
     frozen[1] = 7.0
     assert all(d.coeffs[1] == 1.0 and not d.coeffs.flags.writeable for d in maps)
     assert all(d.deriv_coeffs[0] == 1.0 for d in maps)
-    # build_phi's own buffer, which no caller holds, is kept as a view
-    assert build_phi(bubble_trace(4.0)).coeffs.base is not None
 
 
 def test_derived_fields_are_no_constructor_arguments():
@@ -843,6 +849,18 @@ def test_derived_fields_are_no_constructor_arguments():
 def test_make_disk_map_rejects_bad_normalization():
     with pytest.raises(InvalidInput):
         make_disk_map(np.array([1.0, 1.0]), normalized_at_one=True)
+
+
+@pytest.mark.parametrize("coeffs, normalized_at_one", [
+    ([-1.0, 1.0, np.inf], False),
+    ([-1.0, 1.0, np.inf, 0.0], True),
+    # NaN compares False, so it would pass the Phi(1) = 0 check
+    ([np.nan, 1.0], True),
+    ([-1.0, 1.0j * np.nan, 1.0], False),
+])
+def test_make_disk_map_rejects_non_finite_coefficients(coeffs, normalized_at_one):
+    with pytest.raises(InvalidInput, match="finite"):
+        make_disk_map(np.array(coeffs), normalized_at_one=normalized_at_one)
 
 
 def test_disk_maps_compare_and_hash_by_value():
@@ -923,7 +941,7 @@ def roots_inside(dcoef):
 
 
 def reference_make_disk_map(coeffs, normalized_at_one=True, immersed=None):
-    """make_disk_map padding by np.flatnonzero and np.concatenate, min_deriv
+    """make_disk_map trimming by np.flatnonzero, min_deriv
     on the r = 1 ring through reference_abs_on_rings, and, unless given,
     immersion by the companion-matrix roots of Phi'."""
     c = np.asarray(coeffs, dtype=complex)
@@ -931,7 +949,7 @@ def reference_make_disk_map(coeffs, normalized_at_one=True, immersed=None):
         raise InvalidInput("short")
     nz = np.flatnonzero(c)
     size = nz[-1] + 1 if nz.size else 0
-    c = np.concatenate([c[:size], np.zeros(max(2 * size, 64) - size, dtype=complex)])
+    c = c[:size].copy()
     total = float(np.sum(np.abs(c) ** 2))
     if total == 0:
         raise InvalidInput("zero map")
@@ -988,7 +1006,7 @@ def reference_boundary_series(vals, M):
 
 
 def reference_mobius_recenter(d, a, t):
-    M = max(d.coeffs.size - 1, 256)
+    M = max(2 * d.coeffs.size - 1, 256)
     N = 1 << int(np.ceil(np.log2(8 * M)))
     z = np.exp(1j * grid_angles(N))
     coeffs = reference_boundary_series(d((z - t * a) / (1 - t * np.conj(a) * z)), M)

@@ -7,10 +7,11 @@ no adaptive quadrature (the principal-value oracles live in the tests),
 assemble anchored cell quadrature only in spectral.singular_cell_integrals,
 place the circle grid on the line only in line.circle_chart, evaluate
 |Phi'| on rings only through the folded FFT, hand out only read-only arrays
-from its caches, import nothing it does not use and define nothing that
-only the tests call, so a second kernel implementation, a second
-quadrature path, a per-point fallback, a new knob, a writable cached
-table, a test oracle or the leftovers of a removed path cannot come back
+from its caches, build every value through its constructor, import
+nothing it does not use and define nothing that only the tests call, so a
+second kernel implementation, a second quadrature path, a per-point
+fallback, a new knob, a writable cached table, a constructor bypass, a
+test oracle or the leftovers of a removed path cannot come back
 unnoticed.
 """
 
@@ -90,12 +91,13 @@ def test_unused_import_check_sees_a_leftover():
 
 
 def test_import_loads_no_scipy_signal_integrate_or_special():
-    # no module needs scipy.signal or scipy.integrate, and the Gauss-Jacobi
+    # no module needs scipy.signal or scipy.integrate, the Gauss-Jacobi
     # rule is built by Golub-Welsch rather than scipy.special.roots_jacobi,
-    # so importing the package loads none
+    # and _kernels.dijkstra imports scipy.sparse when it runs, so importing
+    # the package loads no scipy module at all
     code = (
         "import sys, liouville_disk; "
-        "print([m for m in ('scipy.signal', 'scipy.integrate', 'scipy.special') if m in sys.modules])"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
     path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -107,6 +109,36 @@ def test_import_loads_no_scipy_signal_integrate_or_special():
         timeout=120,
     )
     assert done.stdout.strip() == "[]"
+
+
+def constructor_bypasses(tree):
+    """object.__new__ calls and _adopt definitions: ways to make a value
+    without its constructor, which checks and copies what it is given."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if node.func.attr == "__new__" and isinstance(owner, ast.Name) and owner.id == "object":
+                found.append(f"object.__new__ (line {node.lineno})")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_adopt":
+            found.append(f"_adopt (line {node.lineno})")
+    return found
+
+
+def test_every_value_type_has_one_constructor():
+    offenders = {name: found for name, tree in module_trees() if (found := constructor_bypasses(tree))}
+    assert offenders == {}
+
+
+def test_constructor_bypass_check_sees_both_forms():
+    tree = ast.parse(
+        "class Grid:\n"
+        "    @classmethod\n"
+        "    def _adopt(cls, values):\n"
+        "        g = object.__new__(cls)\n"
+        "        return g\n"
+    )
+    assert constructor_bypasses(tree) == ["_adopt (line 3)", "object.__new__ (line 4)"]
 
 
 def test_kernels_expose_one_function_per_kernel():

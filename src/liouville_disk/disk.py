@@ -42,11 +42,11 @@ plus one pass per guard.  The analytic completion reads the rfft of lambda
 for its band-limit guard and its Hilbert step.  Boundary samples become
 series in one place, _boundary_modes (one in-place forward FFT):
 build_phi and mobius_recenter each truncate its modes under their own tail
-guard and then check its negative-frequency share.  A DiskMap is its
-series up to the last nonzero coefficient, with the derivative coefficients
-for every later reader; make_disk_map and build_phi both end in one
-finishing step (_finish_disk_map) that checks the series, reads min_deriv
-and decides immersion before calling the DiskMap constructor.
+guard and then check its negative-frequency share.  make_disk_map and
+build_phi both end in one finishing step (_finish_disk_map): it cuts the
+series at its last nonzero coefficient, checks it, reads min_deriv and
+decides immersion, and the DiskMap constructor keeps that series with its
+derivative coefficients for every later reader.
 """
 
 from __future__ import annotations
@@ -141,11 +141,11 @@ def analytic_completion(lam) -> BoundaryTrace:
 class DiskMap(ValueEquality):
     """Power-series map of the closed unit disk.
 
-    coeffs are ascending powers up to the last nonzero one (the constant
-    term at least): a read-only copy of what the constructor is given,
-    trailing zeros dropped, so order is the degree of the series.  deriv_coeffs are the coefficients of
-    Phi', derived from coeffs once (no constructor argument); they take no
-    part in ==.
+    coeffs are ascending powers, a read-only copy of what the constructor
+    is given.  make_disk_map and build_phi give it the series up to its
+    last nonzero coefficient, so the order of their maps is the degree.
+    deriv_coeffs are the coefficients of Phi', derived from coeffs once (no
+    constructor argument); they take no part in ==.
 
     immersed says that Phi' has no zero in the closed disk.  For maps from
     boundary data it is Rouche's theorem on build_phi's own spectrum when
@@ -166,8 +166,7 @@ class DiskMap(ValueEquality):
     deriv_coeffs: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs)
-        c = np.array(c[: max(_series_length(c), 1)], dtype=complex)  # a copy: no caller can write it
+        c = np.array(self.coeffs, dtype=complex)  # a copy: no caller can write it
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "deriv_coeffs", _derivative(c))
@@ -219,10 +218,7 @@ class RingPowers:
 
 def _series_length(coef: np.ndarray) -> int:
     """Length of a series up to its last nonzero coefficient, 0 when every
-    one is zero: no pass when the last one is nonzero, as in a DiskMap's
-    coeffs, and otherwise one boolean mask and an argmax."""
-    if coef.size and coef[-1] != 0:
-        return coef.size
+    one is zero: one boolean mask and an argmax, with no index array."""
     nonzero = coef[::-1] != 0
     last = int(np.argmax(nonzero))
     return coef.size - last if nonzero[last] else 0
@@ -324,9 +320,10 @@ def make_disk_map(coeffs, normalized_at_one: bool = True) -> DiskMap:
 
 
 def _finish_disk_map(c: np.ndarray, normalized_at_one: bool, certified: bool = False) -> DiskMap:
-    """The checks, min_deriv and immersion verdict of make_disk_map for
-    the complex coefficients c, and the DiskMap they make.  certified is
-    build_phi's Rouche verdict: when True the zero count is skipped."""
+    """The DiskMap of the complex coefficients c up to their last nonzero
+    one, after the checks, min_deriv and immersion verdict of
+    make_disk_map.  certified is build_phi's Rouche verdict: when True the
+    zero count is skipped."""
     if c.size < 2:
         raise InvalidInput("a disk map needs at least two coefficients")
     series = c[: _series_length(c)]
@@ -457,7 +454,7 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
         np.exp(w, out=w)
     pos, neg_l1, frac = _boundary_modes(w)
     # integrate every available nonnegative mode, then truncate under the guard
-    coeffs = np.empty(n // 2 + 1, dtype=complex)
+    coeffs = np.zeros(n // 2 + 1, dtype=complex)  # mode 0 is zero under the guard
     np.divide(pos, _mode_orders(n // 2), out=coeffs[1:])
     _truncate_with_guard(coeffs, n // 2)
     if frac > NEG_FREQ_LIMIT:

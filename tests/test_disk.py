@@ -229,6 +229,24 @@ class TestBuildPhi:
         with pytest.raises(UnderResolved):
             build_phi(bubble_trace(mu, n=n))
 
+    @pytest.mark.parametrize("leftover", [np.nan, 1e300])
+    def test_tail_guard_reads_no_leftover_memory(self, monkeypatch, leftover):
+        # mode 0 enters the guard's total energy: a leftover NaN there would
+        # skip the guard, and a huge value would dilute the tail below it
+        bt = bubble_trace(64.0, n=256)
+
+        class Leftover:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(shape, dtype=float):
+                return np.full(shape, leftover, dtype=dtype)
+
+        monkeypatch.setattr(disk, "np", Leftover())
+        with pytest.raises(UnderResolved, match="energy fraction"):
+            build_phi(bt)
+
 
 class TestBoundaryCurvature:
     def test_flat_is_unit(self):
@@ -802,9 +820,8 @@ def test_make_disk_map_stores_the_series_to_its_last_nonzero_coefficient():
     d = make_disk_map(c)
     assert d.coeffs.size == 71 and d.order == 70 and d.coeffs[-1] != 0
     assert make_disk_map(d.coeffs) == d
-    # the constructor keeps the constant term of the zero series
-    zero = DiskMap(np.zeros(3), False, 0.0)
-    assert zero.order == 0 and zero(0.5) == 0 and zero.deriv_coeffs.size == 0
+    # the constructor keeps what it is given; make_disk_map cuts the series
+    assert DiskMap(c, d.immersed, d.min_deriv).order == 99
     # Phi' up to its last nonzero coefficient, order 69
     assert d.deriv_coeffs.size == 70 and d.deriv_coeffs[-1] == 70.0
     assert np.array_equal(d.deriv_coeffs, DiskMap(d.coeffs, d.immersed, d.min_deriv).deriv_coeffs)

@@ -15,14 +15,15 @@ Immersion is decided by a zero count, not sampled on a lattice.
 build_phi has Phi' from the samples of the zero-free F = e^{lambda + i rho},
 and Rouche's theorem certifies the truncated series from its own spectrum,
 under a decay assumption on the modes above n/2 and with the grid minimum
-of e^lambda standing for its minimum on the circle (see build_phi).  When
-that test fails, and for maps from other sources (make_disk_map on given
-coefficients, as mobius_recenter builds its maps), the zeros of Phi' are
-counted by the argument principle on a sampled circle with a Taylor guard
-between samples (_zero_count), which costs a few FFTs of about four times
-the series order, so it stays off the bubble path.  min_deriv is |Phi'| on
-the r = 1 ring of BOUNDARY_RING_N angles: by the minimum principle the
-minimum over the closed disk of a zero-free Phi'.
+of e^lambda standing for its minimum on the circle (see build_phi); it
+hands that verdict to the DiskMap constructor as certified.  When that
+test fails, and for maps from other sources (make_disk_map on given
+coefficients, as mobius_recenter builds its maps), the constructor counts
+the zeros of Phi' by the argument principle on a sampled circle with a
+Taylor guard between samples (_zero_count), which costs a few FFTs of about
+four times the series order, so it stays off the bubble path.  min_deriv is
+|Phi'| on the r = 1 ring of BOUNDARY_RING_N angles: by the minimum
+principle the minimum over the closed disk of a zero-free Phi'.
 
 Inside the disk |Phi'| is only needed on uniform polar rings: the
 edge-midpoint rings of the distance mesh.  All rings of a call fold the
@@ -42,16 +43,16 @@ plus one pass per guard.  The analytic completion reads the rfft of lambda
 for its band-limit guard and its Hilbert step.  Boundary samples become
 series in one place, _boundary_modes (one in-place forward FFT):
 build_phi and mobius_recenter each truncate its modes under their own tail
-guard and then check its negative-frequency share.  make_disk_map and
-build_phi both end in one finishing step (_finish_disk_map): it cuts the
-series at its last nonzero coefficient, checks it, reads min_deriv and
-decides immersion, and the DiskMap constructor keeps that series with its
-derivative coefficients for every later reader.
+guard and then check its negative-frequency share.  Every series becomes a
+map through the DiskMap constructor alone: it cuts the series at its last
+nonzero coefficient, checks it, takes the coefficients of Phi' once, reads
+min_deriv and decides immersion, and keeps the series with its derivative
+coefficients for every later reader.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import lru_cache
 from math import factorial
 
@@ -139,37 +140,56 @@ def analytic_completion(lam) -> BoundaryTrace:
 
 @dataclass(frozen=True, eq=False)
 class DiskMap(ValueEquality):
-    """Power-series map of the closed unit disk.
+    """Power-series map of the closed unit disk, built from its series.
 
-    coeffs are ascending powers, a read-only copy of what the constructor
-    is given.  make_disk_map and build_phi give it the series up to its
-    last nonzero coefficient, so the order of their maps is the degree.
-    deriv_coeffs are the coefficients of Phi', derived from coeffs once (no
-    constructor argument); they take no part in ==.
+    The constructor is the one place that turns coefficients (ascending
+    powers) into a map.  coeffs become a read-only copy of the series up to
+    its last nonzero coefficient, so the order of a map is its degree and a
+    vector with trailing zeros gives the map of the vector without them.
+    The constructor raises InvalidInput for fewer than two coefficients, the
+    zero map, a non-finite coefficient, and, when normalized_at_one, a
+    violated Phi(1) = 0 normalization.  The other fields are derived, no
+    constructor arguments: deriv_coeffs, the coefficients of Phi' (taken
+    once; they take no part in ==), min_deriv and immersed.
 
-    immersed says that Phi' has no zero in the closed disk.  For maps from
-    boundary data it is Rouche's theorem on build_phi's own spectrum when
-    that test passes; the test rests on two premises it does not check, a
-    geometric decay of the modes above n/2 and the grid minimum of
-    e^lambda standing for its minimum on the circle (see build_phi).  For
-    any other coefficients, and when the Rouche test fails, it is the
-    argument principle with a sampling guard (see make_disk_map).
     min_deriv is the minimum of |Phi'| over the r = 1 ring of
-    BOUNDARY_RING_N angles; for an immersed map the minimum principle makes
-    it the minimum over the closed disk, up to the ring's sampling.
+    BOUNDARY_RING_N angles (one fold, _abs_on_rings); for an immersed map
+    the minimum principle makes it the minimum over the closed disk, up to
+    the ring's sampling.  immersed says that Phi' has no zero in the closed
+    disk.  certified is build_phi's Rouche verdict on its own spectrum, and
+    only build_phi passes it; that test rests on two premises it does not
+    check, a geometric decay of the modes above n/2 and the grid minimum of
+    e^lambda standing for its minimum on the circle (see build_phi).
+    Without it, immersion is the argument principle with a sampling guard:
+    no zero of Phi' counted in the disk (_zero_count).
     """
 
     coeffs: np.ndarray
-    immersed: bool
-    min_deriv: float
+    immersed: bool = field(init=False)
+    min_deriv: float = field(init=False)
     normalized_at_one: bool = True
     deriv_coeffs: np.ndarray = field(init=False, compare=False, repr=False)
+    _: KW_ONLY
+    certified: InitVar[bool] = False
 
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)  # a copy: no caller can write it
+    def __post_init__(self, certified):
+        c = np.asarray(self.coeffs, dtype=complex)
+        if c.size < 2:
+            raise InvalidInput("a disk map needs at least two coefficients")
+        c = np.array(c[: _series_length(c)])  # a copy: no caller can write it
         c.setflags(write=False)
+        if c.size == 0:
+            raise InvalidInput("zero map")
+        if not np.all(np.isfinite(c)):
+            raise InvalidInput("a disk map needs finite coefficients")
+        total = _energy(c)
+        if self.normalized_at_one and abs(np.sum(c)) > 1e-10 * max(1.0, np.sqrt(total)):
+            raise InvalidInput(f"normalization Phi(1) = 0 violated: |Phi(1)| = {abs(np.sum(c)):.2e}")
+        dcoef = _derivative(c)
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "deriv_coeffs", _derivative(c))
+        object.__setattr__(self, "deriv_coeffs", dcoef)
+        object.__setattr__(self, "min_deriv", float(np.min(_abs_on_rings(dcoef, _boundary_ring()))))
+        object.__setattr__(self, "immersed", certified or _zero_count(dcoef) == 0)
 
     @property
     def order(self) -> int:
@@ -306,38 +326,10 @@ def _zero_count(dcoef: np.ndarray) -> int | None:
 
 
 def make_disk_map(coeffs, normalized_at_one: bool = True) -> DiskMap:
-    """Validate and certify a coefficient vector as a DiskMap.
-
-    The map keeps the series up to its last nonzero coefficient (DiskMap),
-    so a vector with trailing zeros gives the map of the vector without
-    them.  Raises InvalidInput for fewer than two coefficients, the zero
-    map, a non-finite coefficient, and, when tagged, a violated Phi(1) = 0
-    normalization.  min_deriv is read on the r = 1 ring (one fold, see
-    DiskMap).  Immersed when the argument principle counts no zero of Phi'
-    in the disk and its sampling guard holds (_zero_count).
-    """
-    return _finish_disk_map(np.asarray(coeffs, dtype=complex), normalized_at_one)
-
-
-def _finish_disk_map(c: np.ndarray, normalized_at_one: bool, certified: bool = False) -> DiskMap:
-    """The DiskMap of the complex coefficients c up to their last nonzero
-    one, after the checks, min_deriv and immersion verdict of
-    make_disk_map.  certified is build_phi's Rouche verdict: when True the
-    zero count is skipped."""
-    if c.size < 2:
-        raise InvalidInput("a disk map needs at least two coefficients")
-    series = c[: _series_length(c)]
-    if series.size == 0:
-        raise InvalidInput("zero map")
-    if not np.all(np.isfinite(series)):
-        raise InvalidInput("a disk map needs finite coefficients")
-    total = _energy(series)
-    if normalized_at_one and abs(np.sum(series)) > 1e-10 * max(1.0, np.sqrt(total)):
-        raise InvalidInput(f"normalization Phi(1) = 0 violated: |Phi(1)| = {abs(np.sum(series)):.2e}")
-    dcoef = _derivative(series)
-    min_deriv = float(np.min(_abs_on_rings(dcoef, _boundary_ring())))
-    immersed = certified or _zero_count(dcoef) == 0
-    return DiskMap(series, immersed, min_deriv, normalized_at_one)
+    """The DiskMap of a coefficient vector: the constructor's checks, its
+    min_deriv and its immersion verdict by the argument principle (see
+    DiskMap)."""
+    return DiskMap(coeffs, normalized_at_one)
 
 
 def _truncate_with_guard(full_coeffs: np.ndarray, M: int) -> np.ndarray:
@@ -360,8 +352,9 @@ def _boundary_modes(w: np.ndarray):
     spectrum is built.  A non-finite sample spreads to every bin, so the l1
     norm shows it without a pass over the samples: UnderResolved.
     """
-    pos, neg = np.split(np.fft.fft(w, norm="forward", out=w), 2)
-    pos[1::2] *= -1
+    with np.errstate(invalid="ignore"):  # non-finite samples: raised below
+        pos, neg = np.split(np.fft.fft(w, norm="forward", out=w), 2)
+        pos[1::2] *= -1
     neg_abs = np.abs(neg)
     neg_l1 = float(np.sum(neg_abs))
     if not np.isfinite(neg_l1):
@@ -392,7 +385,7 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
     One array carries the whole path: lambda and rho are written into its
     real and imaginary parts, exponentiated in place, and overwritten by the
     FFT of _boundary_modes.  The integrated modes go through the checks of
-    make_disk_map (_finish_disk_map), with the Rouche verdict below in place
+    the DiskMap constructor, which takes the Rouche verdict below in place
     of the zero count when it certifies.
 
     The grid needs no oversampling.  On n points, modes n/2 .. n-1 of phi
@@ -449,8 +442,8 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
     for t0, c in bt.anchors:
         w.real += c * log_profile(th, t0)
         w.imag += c * conjugate_profile(th, t0)
-    floor = float(np.exp(np.min(w.real)))  # min |F| = min e^lambda on the grid
     with np.errstate(over="ignore", invalid="ignore"):
+        floor = float(np.exp(np.min(w.real)))  # min |F| = min e^lambda on the grid
         np.exp(w, out=w)
     pos, neg_l1, frac = _boundary_modes(w)
     # integrate every available nonnegative mode, then truncate under the guard
@@ -462,7 +455,7 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
             f"negative-frequency energy fraction {frac:.2e} of boundary derivative"
         )
     coeffs[0] = -np.sum(coeffs[1:])
-    return _finish_disk_map(coeffs, True, bt.completed and 2.0 * neg_l1 < floor)
+    return DiskMap(coeffs, True, certified=bt.completed and 2.0 * neg_l1 < floor)
 
 
 def boundary_curvature(bt: BoundaryTrace) -> PeriodicGrid:

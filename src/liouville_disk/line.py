@@ -196,24 +196,15 @@ class CurvatureData:
     """Line-side curvature K stored as kappa = K o Pi on the circle grid."""
 
     kappa: PeriodicGrid
-    kappa_bound: float
-
-    def __post_init__(self):
-        sup = float(np.max(np.abs(self.kappa.values)))
-        if sup > self.kappa_bound + 1e-12:
-            raise InvalidInput(
-                f"sup|kappa| = {sup:.6g} exceeds declared bound {self.kappa_bound:.6g}"
-            )
 
     @classmethod
     def from_evaluator(cls, K, n: int) -> "CurvatureData":
         chart = circle_chart(n)
-        vals = _with_pole(chart, _eval_vec(K, chart.x), None)
-        return cls(PeriodicGrid(vals), float(np.max(np.abs(vals))))
+        return cls(PeriodicGrid(_with_pole(chart, _eval_vec(K, chart.x), None)))
 
     @classmethod
     def constant(cls, value: float, n: int) -> "CurvatureData":
-        return cls(PeriodicGrid(np.full(n, float(value))), abs(float(value)))
+        return cls(PeriodicGrid(np.full(n, float(value))))
 
 
 # asymptotic_slope fits TAIL_POINTS samples of each tail over TAIL_WINDOW

@@ -5,6 +5,7 @@ conformal distance on the graded mesh, and Blaschke fixtures.
 
 import sys
 import warnings
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -820,11 +821,11 @@ def test_make_disk_map_stores_the_series_to_its_last_nonzero_coefficient():
     d = make_disk_map(c)
     assert d.coeffs.size == 71 and d.order == 70 and d.coeffs[-1] != 0
     assert make_disk_map(d.coeffs) == d
-    # the constructor keeps what it is given; make_disk_map cuts the series
-    assert DiskMap(c, d.immersed, d.min_deriv).order == 99
+    # the constructor cuts the series itself: make_disk_map adds nothing
+    assert DiskMap(c).order == 70 and DiskMap(c) == d
     # Phi' up to its last nonzero coefficient, order 69
     assert d.deriv_coeffs.size == 70 and d.deriv_coeffs[-1] == 70.0
-    assert np.array_equal(d.deriv_coeffs, DiskMap(d.coeffs, d.immersed, d.min_deriv).deriv_coeffs)
+    assert np.array_equal(d.deriv_coeffs, DiskMap(d.coeffs).deriv_coeffs)
     for make in (lambda: build_phi(bubble_trace(4.0)), lambda: blaschke_fixture([0.3, -0.3]),
                  lambda: mobius_recenter(quant.bubble(4.0).disk_map(), 1j, 0.3)):
         m = make()
@@ -840,7 +841,7 @@ def test_disk_maps_keep_no_view_of_their_callers_arrays():
     view.setflags(write=False)  # read-only, but c writes through
     frozen = c.copy()
     frozen.setflags(write=False)
-    maps = [make(a) for a in (c, view, frozen) for make in (make_disk_map, lambda a: DiskMap(a, True, 1.0))]
+    maps = [make(a) for a in (c, view, frozen) for make in (make_disk_map, DiskMap)]
     assert not any(np.shares_memory(d.coeffs, a) for d in maps for a in (c, frozen))
     c[1] = 7.0
     frozen.setflags(write=True)
@@ -850,12 +851,16 @@ def test_disk_maps_keep_no_view_of_their_callers_arrays():
 
 
 def test_derived_fields_are_no_constructor_arguments():
-    # deriv_coeffs follows coeffs, and completed marks analytic_completion's
-    # traces only
+    # deriv_coeffs, min_deriv and immersed follow coeffs, and completed
+    # marks analytic_completion's traces only
     c = np.array([-1.0, 1.0])
+    for derived in ({"deriv_coeffs": np.array([5.0])}, {"immersed": False}, {"min_deriv": 123.0}):
+        with pytest.raises(TypeError):
+            DiskMap(c, **derived)
     with pytest.raises(TypeError):
-        DiskMap(c, True, 1.0, deriv_coeffs=np.array([5.0]))
-    assert np.array_equal(DiskMap(c, True, 1.0).deriv_coeffs, [1.0])
+        DiskMap(c, True, True)  # certified is keyword-only
+    d = DiskMap(c)
+    assert np.array_equal(d.deriv_coeffs, [1.0]) and d.min_deriv == 1.0 and d.immersed
     lam = SingularField(PeriodicGrid(np.zeros(64)))
     with pytest.raises(TypeError):
         BoundaryTrace(lam, PeriodicGrid(np.zeros(64)), completed=True)
@@ -863,9 +868,25 @@ def test_derived_fields_are_no_constructor_arguments():
     assert analytic_completion(lam).completed
 
 
-def test_make_disk_map_rejects_bad_normalization():
-    with pytest.raises(InvalidInput):
-        make_disk_map(np.array([1.0, 1.0]), normalized_at_one=True)
+@pytest.mark.parametrize("make", [make_disk_map, DiskMap])
+def test_make_disk_map_rejects_bad_normalization(make):
+    with pytest.raises(InvalidInput, match="normalization"):
+        make(np.array([1.0, 1.0]), normalized_at_one=True)
+    # Phi(1) = 1 for z, padded to order 3
+    with pytest.raises(InvalidInput, match="normalization"):
+        make(np.array([0.0, 1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("make", [make_disk_map, DiskMap])
+@pytest.mark.parametrize("coeffs, message", [
+    ([], "two coefficients"),
+    ([1.0], "two coefficients"),
+    (np.zeros(5, dtype=complex), "zero map"),
+])
+def test_make_disk_map_rejects_short_and_zero_series(make, coeffs, message):
+    for normalized_at_one in (True, False):
+        with pytest.raises(InvalidInput, match=message):
+            make(np.array(coeffs), normalized_at_one=normalized_at_one)
 
 
 @pytest.mark.parametrize("coeffs, normalized_at_one", [
@@ -875,9 +896,22 @@ def test_make_disk_map_rejects_bad_normalization():
     ([np.nan, 1.0], True),
     ([-1.0, 1.0j * np.nan, 1.0], False),
 ])
-def test_make_disk_map_rejects_non_finite_coefficients(coeffs, normalized_at_one):
+@pytest.mark.parametrize("make", [make_disk_map, DiskMap])
+def test_make_disk_map_rejects_non_finite_coefficients(make, coeffs, normalized_at_one):
     with pytest.raises(InvalidInput, match="finite"):
-        make_disk_map(np.array(coeffs), normalized_at_one=normalized_at_one)
+        make(np.array(coeffs), normalized_at_one=normalized_at_one)
+
+
+def test_a_bubble_map_takes_its_derivative_coefficients_once(monkeypatch):
+    calls, derivative = [], disk._derivative
+
+    def counted(coeffs):
+        calls.append(coeffs.size)
+        return derivative(coeffs)
+
+    monkeypatch.setattr(disk, "_derivative", counted)
+    d = quant.bubble(mu=4.0).disk_map()
+    assert calls == [d.coeffs.size]
 
 
 def test_disk_maps_compare_and_hash_by_value():
@@ -885,7 +919,9 @@ def test_disk_maps_compare_and_hash_by_value():
     assert a is not b and a.coeffs is not b.coeffs
     assert a == b and hash(a) == hash(b)
     assert a != blaschke_fixture([0.3, -0.2])
-    assert a != DiskMap(a.coeffs, a.immersed, a.min_deriv, normalized_at_one=True)
+    # the same series, verdict and minimum under another normalization tag
+    m = make_disk_map(np.array([-1.0, 1.0]))
+    assert m != DiskMap(m.coeffs, normalized_at_one=False)
     assert len({a, b, make_disk_map(np.array([0.0, 1.0]), normalized_at_one=False)}) == 2
 
 
@@ -957,6 +993,16 @@ def roots_inside(dcoef):
     return int(np.sum(np.abs(np.roots(kept[::-1])) < 1.0))
 
 
+@dataclass(frozen=True)
+class ReferenceMap:
+    """The fields of a DiskMap that reference_make_disk_map computes."""
+
+    coeffs: np.ndarray
+    immersed: bool
+    min_deriv: float
+    normalized_at_one: bool
+
+
 def reference_make_disk_map(coeffs, normalized_at_one=True, immersed=None):
     """make_disk_map trimming by np.flatnonzero, min_deriv
     on the r = 1 ring through reference_abs_on_rings, and, unless given,
@@ -976,7 +1022,7 @@ def reference_make_disk_map(coeffs, normalized_at_one=True, immersed=None):
     md = float(np.min(reference_abs_on_rings(dcoef, disk.RingPowers(np.ones(1), disk.BOUNDARY_RING_N))))
     if immersed is None:
         immersed = roots_inside(dcoef) == 0
-    return DiskMap(coeffs=c, immersed=bool(immersed), min_deriv=md, normalized_at_one=normalized_at_one)
+    return ReferenceMap(c, bool(immersed), md, normalized_at_one)
 
 
 def reference_build_phi(bt):
@@ -1048,10 +1094,10 @@ def outcome(make, *args):
 
 
 def assert_same_map(got, ref):
-    assert np.array_equal(got.coeffs, ref.coeffs)
+    assert got.coeffs.dtype == ref.coeffs.dtype and np.array_equal(got.coeffs, ref.coeffs)
     assert got.min_deriv == ref.min_deriv
     assert got.immersed is ref.immersed
-    assert got == ref
+    assert got.normalized_at_one is ref.normalized_at_one
     # the boundary minimum of |Phi'|, against a long-double Horner sum
     exact = horner_boundary_min(got.deriv_coeffs)
     assert abs(got.min_deriv - exact) <= 1e-9 * max(exact, 1e-300) + 1e-15 * np.sum(np.abs(got.deriv_coeffs))

@@ -336,7 +336,7 @@ class TestTransferEquation:
         lam = PeriodicGrid(np.real(base.lambda_grid()) + bump)
         lf = LineField(SingularField(lam))
         kappa = (half_laplacian(lam).values + 1.0) * np.exp(-lam.values)
-        rep = transfer_equation(lf, CurvatureData(PeriodicGrid(kappa), float(np.max(np.abs(kappa)))))
+        rep = transfer_equation(lf, CurvatureData(PeriodicGrid(kappa)))
         assert rep.residual_sup < 1e-10
 
     def test_scalar_curvature_evaluator_is_an_input_error(self):

@@ -7,12 +7,13 @@ no adaptive quadrature (the principal-value oracles live in the tests),
 assemble anchored cell quadrature only in spectral.singular_cell_integrals,
 place the circle grid on the line only in line.circle_chart, evaluate
 |Phi'| on rings only through the folded FFT, hand out only read-only arrays
-from its caches, build every value through its constructor, import
-nothing it does not use and define nothing that only the tests call, so a
-second kernel implementation, a second quadrature path, a per-point
-fallback, a new knob, a writable cached table, a constructor bypass, a
-test oracle or the leftovers of a removed path cannot come back
-unnoticed.
+from its caches, build every value through its constructor, hand a disk
+map a Rouche certificate only from build_phi, import nothing it does not
+use and define nothing that only the tests call, so a second kernel
+implementation, a second quadrature path, a per-point fallback, a new
+knob, a writable cached table, a constructor bypass, an unchecked
+immersion verdict, a test oracle or the leftovers of a removed path cannot
+come back unnoticed.
 """
 
 import ast
@@ -139,6 +140,54 @@ def test_constructor_bypass_check_sees_both_forms():
         "        return g\n"
     )
     assert constructor_bypasses(tree) == ["_adopt (line 3)", "object.__new__ (line 4)"]
+
+
+def _passes_certified(call):
+    for kw in call.keywords:
+        if kw.arg == "certified":
+            return True
+        if kw.arg is None and isinstance(kw.value, ast.Dict):  # **{"certified": ...}
+            if any(isinstance(k, ast.Constant) and k.value == "certified" for k in kw.value.keys):
+                return True
+    return False
+
+
+def certificate_passers(tree):
+    """(qualified name of the enclosing function or class, line) of every
+    call that passes certified, by keyword or in a ** dict literal: the
+    Rouche verdict with which a DiskMap skips its zero count."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            elif isinstance(child, ast.Call) and _passes_certified(child):
+                found.append((owner or "<module>", child.lineno))
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_build_phi_hands_a_disk_map_its_certificate():
+    # build_phi alone has the Rouche test behind the verdict; every other
+    # map is certified by the constructor's own zero count
+    passers = [(name, owner) for name, tree in module_trees() for owner, _ in certificate_passers(tree)]
+    assert passers == [("disk.py", "build_phi")]
+
+
+def test_certificate_check_sees_every_caller():
+    tree = ast.parse(
+        "def build_phi(bt):\n"
+        "    return DiskMap(c, True, certified=rouche)\n"
+        "class Fixture:\n"
+        "    def make(self, d):\n"
+        "        return DiskMap(d.coeffs, **{'certified': d.immersed})\n"
+        "UNIT = DiskMap([-1.0, 1.0], certified=True)\n"
+    )
+    assert certificate_passers(tree) == [("build_phi", 2), ("Fixture.make", 5), ("<module>", 6)]
 
 
 def test_kernels_expose_one_function_per_kernel():

@@ -1,9 +1,12 @@
 """Hot numeric kernels, one numpy/scipy implementation each.
 
 Kernels:
-  - dijkstra: single-source shortest path over a CSR graph (mesh metric)
+  - dijkstra: single-source shortest path over a CSR graph (mesh metric,
+    the fallback route of the conformal distance)
   - segment_hits: proper intersections among polyline edges, candidate
     pairs from a sort-and-sweep on x-intervals
+  - segment_meets: which segments of a set meet one given segment,
+    touching included
   - winding_batch: winding numbers of a closed polyline around query points
 """
 
@@ -116,6 +119,40 @@ def segment_hits(a: np.ndarray, b: np.ndarray, skip_neighbors: int = 1):
     order = np.lexsort((j, i))
     return (i[order], j[order], np.concatenate(res_s)[order],
             np.concatenate(res_t)[order], np.concatenate(res_f)[order])
+
+
+def segment_meets(p, q, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each segment a[k] -> b[k] meets the segment p -> q, touching
+    included, as a boolean array.
+
+    The test errs only towards meeting.  A pair counts as apart when the
+    line of one segment has both ends of the other strictly on one side,
+    by more than the margin m = 1e-12 max|coordinate|, or when the bounding
+    boxes are more than m apart.  A side is the cross product of a segment
+    with the offset of the point from its start, |segment| times the
+    distance, and is compared with m (|dx| + |dy|) >= m |segment| for the
+    segment (dx, dy).  Each difference rounds to within eps of itself, so
+    a side errs by at most about 6 eps (|dx| + |dy|) max|coordinate|, some
+    700 times inside that threshold: no pair that meets is called apart.
+    The margin covers this arithmetic only; the points are taken as given.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    m = 1e-12 * max(np.max(np.abs(a)), np.max(np.abs(b)), np.max(np.abs(p)), np.max(np.abs(q)))
+
+    def apart(start, seg, u, v):
+        # u and v strictly on one side of the line of seg from start
+        su = seg[..., 0] * (u[..., 1] - start[..., 1]) - seg[..., 1] * (u[..., 0] - start[..., 0])
+        sv = seg[..., 0] * (v[..., 1] - start[..., 1]) - seg[..., 1] * (v[..., 0] - start[..., 0])
+        tol = m * (np.abs(seg[..., 0]) + np.abs(seg[..., 1]))
+        return ((su > tol) & (sv > tol)) | ((su < -tol) & (sv < -tol))
+
+    boxes_apart = np.any(
+        (np.minimum(a, b) > np.maximum(p, q) + m) | (np.maximum(a, b) < np.minimum(p, q) - m), axis=1
+    )
+    return ~(boxes_apart | apart(p, q - p, a, b) | apart(a, b - a, p, q))
 
 
 def winding_batch(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:

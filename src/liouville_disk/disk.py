@@ -25,17 +25,20 @@ four times the series order, so it stays off the bubble path.  min_deriv is
 |Phi'| on the r = 1 ring of BOUNDARY_RING_N angles: by the minimum
 principle the minimum over the closed disk of a zero-free Phi'.
 
-Inside the disk |Phi'| is only needed on uniform polar rings: the
-edge-midpoint rings of the distance mesh.  All rings of a call fold the
-coefficients at once, through one matrix product, and share one batched
-inverse FFT (_abs_on_rings), so series orders of 10^5 stay cheap.  The
-powers of the ring centers that the fold multiplies by belong to the ring
-geometry, not to the series (RingPowers): the boundary ring holds one
-table and each cached distance mesh holds another, so a call of either
-geometry computes powers only for a series longer than any before it.  The
-recentered boundary moduli of quant.recentered_lambda_sequence take Phi' at
-off-grid points of the unit circle instead: spectral.eval_modes sums its
-one-sided series.
+Series are summed on uniform polar rings, all rings of a call folding the
+coefficients at once, through one matrix product, and sharing one batched
+inverse FFT (_on_rings), so series orders of 10^5 stay cheap.  The r = 1
+ring of n grid angles carries |Phi'| for min_deriv and Phi itself for
+boundary_polyline and conformal_distance, whose exact route, a chord
+certified to lie in an embedded image, needs nothing inside the disk.
+|Phi'| inside the disk is needed only on the fallback route, on the
+edge-midpoint rings of the distance mesh.  The powers of the ring centers
+that the fold multiplies by belong to the ring geometry, not to the series
+(RingPowers): each boundary ring holds one table and each cached distance
+mesh holds another, so a call of either geometry computes powers only for
+a series longer than any before it.  The recentered boundary moduli of
+quant.recentered_lambda_sequence take Phi' at off-grid points of the unit
+circle instead: spectral.eval_modes sums its one-sided series.
 
 A disk map costs a fixed number of passes over its n-point grid: one real
 FFT, one real inverse FFT, one complex FFT and one complex exponential,
@@ -58,8 +61,9 @@ from math import factorial
 
 import numpy as np
 
+from ._kernels import segment_hits, segment_meets, winding_batch
 from .errors import InconclusiveMesh, InvalidInput, NotHolomorphic, UnderResolved
-from .mesh import build_polar_mesh, shortest_path_distance
+from .mesh import boundary_node, build_polar_mesh, check_boundary_size, shortest_path_distance
 from .spectral import (
     BAND_LIMIT_ENERGY,
     TWO_PI,
@@ -188,7 +192,8 @@ class DiskMap(ValueEquality):
         dcoef = _derivative(c)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "deriv_coeffs", dcoef)
-        object.__setattr__(self, "min_deriv", float(np.min(_abs_on_rings(dcoef, _boundary_ring()))))
+        ring = _boundary_ring(BOUNDARY_RING_N)
+        object.__setattr__(self, "min_deriv", float(np.min(_abs_on_rings(dcoef, ring))))
         object.__setattr__(self, "immersed", certified or _zero_count(dcoef) == 0)
 
     @property
@@ -251,11 +256,11 @@ def _derivative(coeffs: np.ndarray) -> np.ndarray:
     return d
 
 
-def _abs_on_rings(coef: np.ndarray, rings: RingPowers) -> np.ndarray:
-    """|sum_k coef_k (c e^{i theta_j})^k| on the ring of each center c of
-    rings at its n grid angles theta_j = -pi + 2 pi j / n, as a
+def _on_rings(coef: np.ndarray, rings: RingPowers) -> np.ndarray:
+    """sum_k coef_k (c e^{i theta_j})^k on the ring of each center c of
+    rings at its n grid angles theta_j = -pi + 2 pi j / n, as a complex
     (len(centers), n) array.  coef ends at its last nonzero entry, as
-    DiskMap.deriv_coeffs does: trailing zeros would cost folds.
+    DiskMap.coeffs and deriv_coeffs do: trailing zeros would cost folds.
 
     Since e^{i k theta_j} = (-1)^k e^{2 pi i jk/n}, the coefficients times
     (-c)^k fold into n bins and one inverse FFT per ring gives all n values,
@@ -263,7 +268,7 @@ def _abs_on_rings(coef: np.ndarray, rings: RingPowers) -> np.ndarray:
     k = q n + b and the coefficients as a (Q x n) block A[q, b] = coef_k,
     the bins of ring i are P[i, b] (V @ A)[i, b], and one batched inverse
     FFT takes every ring.  P and V come from the tables of the geometry
-    (the boundary ring, or the distance mesh of conformal_distance),
+    (a boundary ring, or the distance mesh of conformal_distance),
     so a call computes no powers unless its Q is the largest yet.
     Temporaries are O(rings (n + Q) + order), never a (rings x order) array.
     """
@@ -272,13 +277,24 @@ def _abs_on_rings(coef: np.ndarray, rings: RingPowers) -> np.ndarray:
     block = np.zeros(q_count * n, dtype=complex)
     block[: coef.size] = coef
     folded = rings.P * (rings.V(q_count) @ block.reshape(q_count, n))
-    return np.abs(np.fft.ifft(folded, axis=-1) * n)
+    return np.fft.ifft(folded, axis=-1) * n
 
 
-@lru_cache(maxsize=1)
-def _boundary_ring() -> RingPowers:
-    """The r = 1 ring of BOUNDARY_RING_N angles on which min_deriv is read."""
-    return RingPowers(np.ones(1), BOUNDARY_RING_N)
+def _abs_on_rings(coef: np.ndarray, rings: RingPowers) -> np.ndarray:
+    """|_on_rings(coef, rings)|: the modulus of the series on each ring."""
+    return np.abs(_on_rings(coef, rings))
+
+
+@lru_cache(maxsize=16)
+def _boundary_ring(n: int) -> RingPowers:
+    """The r = 1 ring of n grid angles: min_deriv's (n = BOUNDARY_RING_N),
+    and the boundary grids of boundary_polyline and conformal_distance."""
+    return RingPowers(np.ones(1), n)
+
+
+def _boundary_values(coef: np.ndarray, n: int) -> np.ndarray:
+    """The series coef at the n grid angles of the unit circle, one fold."""
+    return _on_rings(coef, _boundary_ring(n))[0]
 
 
 def _zero_count(dcoef: np.ndarray) -> int | None:
@@ -531,17 +547,67 @@ def _mesh_cache(n_boundary: int):
     return mesh, RingPowers(mesh.mid_centers, n_boundary)
 
 
-def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256) -> float:
-    """Shortest-path length between boundary points in the metric |Phi'| |dz|.
+def _chord_in_image(w: np.ndarray, a: int, b: int) -> bool:
+    """Whether the polygon w is simple and the chord w[a] -> w[b] between
+    two of its vertices lies in the closed region it bounds.
 
-    Graded polar triangulation with boundary spacing 2*pi/n, edge weight
-    |Phi'(midpoint)| times edge length, nonnegative-weights shortest path.
-    |Phi'| is evaluated once per undirected edge, ring by ring on the mesh's
-    midpoint rings, so the weights are exactly symmetric, and so is the
-    distance: D(p, q) == D(q, p) bit for bit.  Truncated series
-    are finite on the closed disk, so no puncture is needed.  Distinct
-    endpoints that round to one boundary node raise InconclusiveMesh: the
-    mesh cannot resolve their distance.
+    Three tests, each erring only towards False: segment_hits finds no
+    pair of edges that cross or come near (clean or suspect); no edge
+    that is not incident to w[a] or w[b] meets the chord, touching
+    included (segment_meets); the chord's midpoint has winding number 1.
+    The open chord then meets the polygon, if at all, along the edges
+    incident to its ends, collinearly; no other edge can join those to
+    the rest of the chord.  So the rest lies on one side, and the
+    midpoint's winding number puts it inside: the chord lies in the
+    closed region.  A chord between neighbouring vertices is an edge of
+    the simple polygon and needs no more (its midpoint lies on the
+    polygon, where a winding number is undecided).  Edge k runs from w[k]
+    to w[k + 1]; a < b.
+    """
+    verts = np.column_stack([w.real, w.imag])
+    ends = np.roll(verts, -1, axis=0)
+    if segment_hits(verts, ends)[0].size:
+        return False
+    if b - a in (1, w.size - 1):
+        return True
+    others = np.ones(w.size, dtype=bool)
+    others[[a - 1, a, b - 1, b]] = False  # a - 1 = -1 wraps to the last edge
+    if np.any(segment_meets(verts[a], verts[b], verts[others], ends[others])):
+        return False
+    return bool(winding_batch(0.5 * (verts[a] + verts[b])[None, :], verts)[0] == 1)
+
+
+def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256) -> float:
+    """Distance between boundary points in the metric |Phi'| |dz|.
+
+    p and q round to their nearest of the n_boundary grid angles, the
+    boundary nodes (n_boundary >= 8, else InvalidInput); distinct endpoints
+    that round to one node raise InconclusiveMesh, since the grid cannot
+    resolve their distance.
+
+    Exact route.  Phi at the boundary nodes is one fold of d.coeffs on the
+    r = 1 ring (_boundary_values), and the chord between the two endpoint
+    nodes is certified when d is immersed and _chord_in_image holds: the
+    image polygon is simple, and the chord lies in the region it bounds.  An immersion of the closed disk whose boundary
+    curve is simple is an embedding, so the image is that region, a path in
+    the metric is a curve in it of the same Euclidean length, and the chord
+    is the shortest: the distance is |Phi(node q) - Phi(node p)|.  Two
+    premises are not checked.  immersed rests on build_phi's Rouche test
+    for its maps (see build_phi), and the polygon through the n_boundary
+    nodes stands in for the true boundary curve, so an image that turns
+    between two nodes is judged by its polygon.  Every map the quantization
+    lab builds is a bubble, a Moebius map with a round image: each of its
+    chords is certified.
+
+    Mesh route, wherever the certificate fails: a graded polar
+    triangulation with boundary spacing 2*pi/n, edge weight |Phi'(midpoint)|
+    times edge length, and a nonnegative-weights shortest path.  |Phi'| is
+    evaluated once per undirected edge, ring by ring on the mesh's midpoint
+    rings, so the weights are exactly symmetric.  Truncated series are
+    finite on the closed disk, so no puncture is needed.
+
+    Both routes take the endpoint nodes in ascending order, so D(p, q) ==
+    D(q, p) bit for bit.
     """
     p, q = complex(p), complex(q)
     for z in (p, q):
@@ -549,16 +615,21 @@ def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256
             raise InvalidInput("distance endpoints must lie on the unit circle")
     if abs(p - q) < 1e-12:
         raise InvalidInput("endpoints must be distinct")
-    mesh, rings = _mesh_cache(n_boundary)
-    src, dst = mesh.boundary_node(p), mesh.boundary_node(q)
-    if src == dst:
+    check_boundary_size(n_boundary)
+    a, b = sorted((boundary_node(p, n_boundary), boundary_node(q, n_boundary)))
+    if a == b:
         raise InconclusiveMesh(
             f"endpoints {p:.6g} and {q:.6g} share a boundary node of the "
             f"{n_boundary}-point mesh"
         )
+    if d.immersed:
+        w = _boundary_values(d.coeffs, n_boundary)
+        if _chord_in_image(w, a, b):
+            return float(abs(w[b] - w[a]))
+    mesh, rings = _mesh_cache(n_boundary)
     speed = _abs_on_rings(d.deriv_coeffs, rings).ravel()[mesh.edge_ring]
     weights = speed * mesh.edge_lengths
-    return shortest_path_distance(mesh, weights, src, dst)
+    return shortest_path_distance(mesh, weights, a, b)
 
 
 # --- boundary polyline export ------------------------------------------------
@@ -566,7 +637,9 @@ def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256
 def boundary_polyline(bt_or_map, n_vertices: int = 512):
     """Vertices of the boundary image curve at the grid angles.
 
-    For a DiskMap this is direct series evaluation.  For an anchored
+    For a DiskMap this is one fold of its series on the r = 1 ring of
+    n_vertices grid angles (_boundary_values), the values the exact route
+    of conformal_distance reads.  For an anchored
     BoundaryTrace the vertices are cumulative sums of the integrals of the
     boundary derivative i e^{i theta} phi(theta) over the grid cells
     [theta_j, theta_j + h], taken by spectral.singular_cell_integrals.
@@ -578,7 +651,7 @@ def boundary_polyline(bt_or_map, n_vertices: int = 512):
         return _singular_boundary_polyline(bt_or_map, n_vertices)
     else:
         d = build_phi(bt_or_map)
-    z = d(np.exp(1j * grid_angles(n_vertices)))
+    z = _boundary_values(d.coeffs, n_vertices)
     return np.column_stack([z.real, z.imag]), {}
 
 

@@ -1,5 +1,9 @@
 """Graded polar triangulation of the unit disk and metric shortest paths.
 
+The mesh is the fallback route of disk.conformal_distance: the route for
+maps whose boundary image is not certified embedded, and for chords that
+leave the image.  A certified chord needs no mesh (see conformal_distance).
+
 The mesh carries the pulled-back boundary metric |Phi'| |dz|: edge weights
 are |Phi'(midpoint)| times Euclidean edge length, and distances between
 boundary points are Dijkstra shortest paths.  Ring spacing starts at the
@@ -14,7 +18,9 @@ evaluate ring by ring needs one value per undirected edge.
 A mesh is built once per boundary size (disk caches it) and every array it
 holds is read-only, the graph's int32 CSR structure included: a distance
 call supplies only its edge weights, and no caller can write into the
-lengths or the adjacency that every later distance reads.
+lengths or the adjacency that every later distance reads.  Boundary node j
+sits at the grid angle theta_j = -pi + 2 pi j / n (boundary_node), on both
+routes.
 """
 
 from __future__ import annotations
@@ -29,6 +35,21 @@ from .spectral import TWO_PI, grid_angles
 
 # ratio by which the ring spacing grows from the boundary inward
 MESH_GRADING = 1.15
+MIN_BOUNDARY_NODES = 8
+
+
+def check_boundary_size(n_boundary: int):
+    """Raise InvalidInput unless a boundary of n_boundary nodes can carry a
+    mesh: at least MIN_BOUNDARY_NODES."""
+    if n_boundary < MIN_BOUNDARY_NODES:
+        raise InvalidInput(f"mesh needs at least {MIN_BOUNDARY_NODES} boundary nodes")
+
+
+def boundary_node(z: complex, n_boundary: int) -> int:
+    """Index of the grid angle nearest to a unit-circle point: its node on
+    the boundary of n_boundary nodes."""
+    theta = np.angle(complex(z))
+    return int(np.round((theta + np.pi) * n_boundary / TWO_PI)) % n_boundary
 
 
 @dataclass(frozen=True)
@@ -57,19 +78,12 @@ class PolarMesh:
     def n_nodes(self) -> int:
         return self.nodes.size
 
-    def boundary_node(self, z: complex) -> int:
-        """Index of the boundary node nearest to a unit-circle point."""
-        theta = np.angle(complex(z))
-        j = int(np.round((theta + np.pi) * self.n_boundary / TWO_PI)) % self.n_boundary
-        return j
-
 
 def build_polar_mesh(n_boundary: int) -> PolarMesh:
     """Rings at radii 1 = r_0 > r_1 > ... with spacing h, h*g, h*g^2, ...
     (h = 2*pi/n, g = MESH_GRADING), a center node, ring/radial/diagonal
     connectivity."""
-    if n_boundary < 8:
-        raise InvalidInput("mesh needs at least 8 boundary nodes")
+    check_boundary_size(n_boundary)
     n = n_boundary
     h = TWO_PI / n
     radii = [1.0]

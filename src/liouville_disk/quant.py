@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -60,6 +60,29 @@ CENTER_GRID_N = 1 << 14  # grid on which locate_centers samples the density
 MAX_CENTERS = 4
 
 
+def _bubble_chart(thetas: np.ndarray):
+    """The two real charts of Bubble.lambda_at at angles in [-pi, pi]: the
+    mask of the near-pole chart, |t| < pi/2 for the offset t = theta + pi/2,
+    its coordinates q = tan(t/2), and the far chart's Pi = tan(s/2) with
+    s = pi/2 - theta.  Both offsets carry the digits of pi/2 that the float
+    pi/2 drops."""
+    t = thetas - POLE_ANGLE
+    near_pole = np.abs(t) < np.pi / 2
+    q = np.tan((t[near_pole] + _HALF_PI_LO) / 2.0)
+    Pi = np.tan((np.pi / 2 - thetas[~near_pole] + _HALF_PI_LO) / 2.0)
+    return near_pole, q, Pi
+
+
+@lru_cache(maxsize=16)
+def _grid_chart(n: int):
+    """_bubble_chart on the n grid angles: read-only, built once per n and
+    cached for the last 16 sizes, like grid_angles (9 bytes a point)."""
+    chart = _bubble_chart(grid_angles(n))
+    for a in chart:
+        a.setflags(write=False)
+    return chart
+
+
 @dataclass(frozen=True)
 class Bubble:
     """Closed-form family member of scale mu and center x0: evaluator,
@@ -91,31 +114,29 @@ class Bubble:
         Elsewhere Pi = tan(s/2) with s = pi/2 - theta, which equals
         Re z/(1 + Im z) for z = e^{i theta} with no complex exponential.  On
         [-pi, pi] neither offset needs wrapping: t >= pi lies in the far chart
-        either way, and tan(s/2) has period 2 pi in s.  Both offsets carry
-        the digits of pi/2 that the float pi/2 drops.
+        either way, and tan(s/2) has period 2 pi in s.  The charts depend on
+        the angles alone (_bubble_chart); on the n grid angles they are
+        built once per n (_grid_chart), the same bits.
         """
-        thetas = np.asarray(thetas, dtype=float)
-        out = np.empty_like(thetas)
+        return self._lambda_on(*_bubble_chart(np.asarray(thetas, dtype=float)))
+
+    def _lambda_on(self, near_pole, q, Pi):
+        out = np.empty(near_pole.shape)
         log_mu = np.log(self.mu)
-        t = thetas - POLE_ANGLE
-        near_pole = np.abs(t) < np.pi / 2
-        q = np.tan((t[near_pole] + _HALF_PI_LO) / 2.0)
         out[near_pole] = log_mu + np.log(
             (1 + q**2) / (q**2 + self.mu**2 * (1 - self.x0 * q) ** 2)
         )
-        far = ~near_pole
-        Pi = np.tan((np.pi / 2 - thetas[far] + _HALF_PI_LO) / 2.0)
-        out[far] = log_mu + np.log(
+        out[~near_pole] = log_mu + np.log(
             (1 + Pi**2) / (1 + self.mu**2 * (Pi - self.x0) ** 2)
         )
         return out
 
     def pull_back(self, n: int) -> LineField:
-        return LineField(SingularField(PeriodicGrid(self.lambda_at(grid_angles(n)))))
+        return LineField(SingularField(PeriodicGrid(self._lambda_on(*_grid_chart(n)))))
 
     def lambda_bar(self) -> float:
         """Circle mean of the pullback on the 1024-point grid."""
-        return float(np.mean(self.lambda_at(grid_angles(1024))))
+        return float(np.mean(self._lambda_on(*_grid_chart(1024))))
 
     def disk_map(self) -> DiskMap:
         """Map of the disk built from the pullback; the series order scales
@@ -375,18 +396,29 @@ class PinchReport:
 
 def pinching_probe(maps, pairs, mesh_n: int = 256, kappa_bound: float | None = None) -> PinchReport:
     """Conformal distances D_k(p, q) per map, with a pinched verdict when the
-    tail decreases monotonically below 0.1 x the initial value.
+    tail decreases monotonically below 0.1 x the initial value.  A trend
+    needs at least two maps (InvalidInput otherwise).
+
+    Each distance is disk.conformal_distance on the mesh_n boundary nodes:
+    the chord |Phi(q) - Phi(p)| where it certifies that chord as the
+    geodesic (an immersed map whose boundary polygon is simple and holds the
+    chord; immersed rests on build_phi's Rouche test, and the polygon
+    through the nodes stands in for the boundary curve), and the mesh
+    shortest path elsewhere.  Every bubble map is Moebius with a round
+    image, so the bubble ladders take the chord.
 
     When a curvature bound is supplied, which must be finite and positive,
     declared pinched pairs are audited against the arc-separation lower
     bound pi / kappa_bound (up to the mesh tolerance)."""
     if kappa_bound is not None and not (np.isfinite(kappa_bound) and kappa_bound > 0):
         raise InvalidInput(f"curvature bound must be finite and positive, got {kappa_bound}")
+    if len(maps) < 2:
+        raise InvalidInput(f"a distance trend needs at least two maps, got {len(maps)}")
     table = np.empty((len(pairs), len(maps)))
     for i, (p, q) in enumerate(pairs):
         for k, d in enumerate(maps):
             table[i, k] = conformal_distance(d, p, q, n_boundary=mesh_n)
-    # after the distances, whose mesh rejects mesh_n < 8
+    # after the distances, which reject mesh_n < 8
     h = TWO_PI / mesh_n
     verdicts = []
     gaps = []

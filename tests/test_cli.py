@@ -248,6 +248,8 @@ class TestQuantCommands:
         ["pinch", "--mu-ladder", "1,16", "--mesh", "64", "--kappa-bound", "-1"],
         ["pinch", "--mu-ladder", "1,16", "--mesh", "64", "--kappa-bound", "nan"],
         ["pinch", "--mu-ladder", "1,16", "--mesh", "64", "--kappa-bound", "inf"],
+        # a distance trend needs two maps
+        ["pinch", "--mu-ladder", "4", "--mesh", "64"],
         # a bubble's center must be finite
         ["audit", "--mu-ladder", "1,4", "--x0-list", "nan"],
         ["audit", "--mu-ladder", "1,4", "--x0-list", "0,inf"],

@@ -1,6 +1,7 @@
 """Disk-map construction checks: analytic completion, the explicit solution
 family against its closed Moebius form, boundary curvature, recentering,
-conformal distance on the graded mesh, and Blaschke fixtures.
+conformal distance (certified chords, and the graded mesh where the
+certificate fails), and Blaschke fixtures.
 """
 
 import sys
@@ -14,7 +15,7 @@ from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as cs_dijkstra
 
-from liouville_disk import disk, quant, spectral
+from liouville_disk import _kernels, disk, quant, spectral
 
 from liouville_disk.disk import (
     BoundaryTrace,
@@ -30,7 +31,7 @@ from liouville_disk.disk import (
 )
 from liouville_disk.errors import InconclusiveMesh, InvalidInput, NotHolomorphic, UnderResolved
 from liouville_disk.line import pull_back, stereo_inverse
-from liouville_disk.mesh import build_polar_mesh, shortest_path_distance
+from liouville_disk.mesh import boundary_node, build_polar_mesh, shortest_path_distance
 from liouville_disk.spectral import (
     PeriodicGrid,
     SingularField,
@@ -353,7 +354,97 @@ class TestBlaschke:
             blaschke_fixture([1.0])
 
 
+def exp_cubic_map(c):
+    """Phi' = e^{c z^3} through make_disk_map: Phi(z) = sum_m c^m
+    z^(3m+1) / (m! (3m + 1)) - Phi(1), to m = 79.  Phi' has no zero, so the
+    map is immersed; for c = 4 its boundary curve crosses itself."""
+    m = np.arange(80)
+    coeffs = np.zeros(3 * m.size + 2)
+    coeffs[3 * m + 1] = np.cumprod(np.r_[1.0, c / m[1:]]) / (3 * m + 1)
+    coeffs[0] = -np.sum(coeffs)
+    return make_disk_map(coeffs)
+
+
+def dented_map():
+    """Phi(z) = z + 0.4 z^2 - 1.4: Phi' = 1 + 0.8 z has no zero in the closed
+    disk and the map is univalent (|0.4| <= 1/2), but its image is not
+    convex: the boundary bends inward around Phi(-1)."""
+    return make_disk_map(np.array([-1.4, 1.0, 0.4]))
+
+
+def lips(t):
+    """The boundary points e^{+-i(pi - t)} on either side of the dent."""
+    return np.exp(1j * (np.pi - t)), np.exp(-1j * (np.pi - t))
+
+
+# maps and endpoint pairs whose chord the certificate rejects, keyed by the
+# first of its tests that fails
+REJECTED = {
+    "not-immersed": (lambda: blaschke_fixture([0.0, 0.0]), [(1.0, -1.0), (1j, np.exp(0.3j))]),
+    "not-embedded": (lambda: exp_cubic_map(4.0), [(1.0, -1.0), (1.0, 1j)]),
+    "chord-crosses": (dented_map, [lips(1.0)]),
+    "chord-outside": (dented_map, [lips(0.6)]),
+}
+
+
+@pytest.fixture
+def no_mesh(monkeypatch):
+    """Fail any distance that takes the mesh route."""
+    def refuse(n_boundary):
+        raise AssertionError(f"mesh route taken ({n_boundary} nodes)")
+
+    monkeypatch.setattr(disk, "_mesh_cache", refuse)
+
+
+def node_point(z, n):
+    """The grid point of the boundary node that z rounds to."""
+    return np.exp(1j * grid_angles(n)[boundary_node(z, n)])
+
+
 class TestConformalDistance:
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_flat_map_is_exact_at_every_node_pair(self, n, no_mesh):
+        # Phi(z) = z - 1 maps the disk onto a disk: every chord is certified
+        d = build_phi(analytic_completion(PeriodicGrid(np.zeros(256))))
+        z = np.exp(1j * grid_angles(n))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        if n > 64:
+            rng = np.random.default_rng(5)
+            pairs = [pairs[i] for i in rng.choice(len(pairs), 400, replace=False)]
+            pairs += [(0, 1), (0, n - 1), (0, n // 2)]
+        for a, b in pairs:
+            exact = abs(z[a] - z[b])
+            got = conformal_distance(d, z[a], z[b], n_boundary=n)
+            assert abs(got - exact) <= 1e-13 * exact
+            assert got == conformal_distance(d, z[b], z[a], n_boundary=n)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_each_rejected_case_fails_its_own_test(self, n):
+        for case, (make, pairs) in REJECTED.items():
+            d = make()
+            w = disk._boundary_values(d.coeffs, n)
+            verts = np.column_stack([w.real, w.imag])
+            ends = np.roll(verts, -1, axis=0)
+            simple = _kernels.segment_hits(verts, ends)[0].size == 0
+            for p, q in pairs:
+                a, b = sorted((boundary_node(p, n), boundary_node(q, n)))
+                others = np.ones(n, dtype=bool)
+                others[[a - 1, a, b - 1, b]] = False
+                meets = np.any(_kernels.segment_meets(verts[a], verts[b], verts[others], ends[others]))
+                inside = _kernels.winding_batch(0.5 * (verts[a] + verts[b])[None, :], verts)[0] == 1
+                tests = [("not-immersed", d.immersed), ("not-embedded", simple),
+                         ("chord-crosses", not meets), ("chord-outside", inside)]
+                assert [name for name, ok in tests if not ok][0] == case
+                assert not (d.immersed and disk._chord_in_image(w, a, b))
+
+    def test_a_dented_image_takes_the_chord_where_it_lies_inside(self, no_mesh):
+        # the dented map is embedded: chords away from the dent are certified
+        d = dented_map()
+        for p, q in [(1.0, 1j), (1.0, -1.0), (np.exp(2.5j), np.exp(-0.3j)), lips(1.6)]:
+            z, w = node_point(p, 256), node_point(q, 256)
+            exact = abs(z - w) * abs(1.0 + 0.4 * (z + w))
+            assert abs(conformal_distance(d, p, q) - exact) <= 1e-13 * exact
+
     def test_flat_chord(self):
         d = build_phi(analytic_completion(PeriodicGrid(np.zeros(256))))
         h = TWO_PI / 256
@@ -472,33 +563,35 @@ class TestRingEvaluation:
     def test_boundary_ring_matches_horner(self, mu, bound):
         # min_deriv's ring, r = 1 at the 256 grid angles, against Horner
         dcoef = bubble_map(mu).deriv_coeffs
-        vals = disk._abs_on_rings(dcoef, disk._boundary_ring())
+        vals = disk._abs_on_rings(dcoef, disk._boundary_ring(disk.BOUNDARY_RING_N))
         ref = horner_abs(dcoef, np.exp(1j * grid_angles(disk.BOUNDARY_RING_N)))
         assert vals.shape == (1, disk.BOUNDARY_RING_N)
         assert np.all(np.abs(vals - ref) <= bound * np.max(ref))
         assert bubble_map(mu).min_deriv == np.min(vals)
 
-    @pytest.mark.parametrize("mu", [16.0, 4096.0])
-    def test_distance_matches_horner_weighted_dijkstra(self, mu):
-        d = bubble_map(mu)
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_distance_matches_horner_weighted_dijkstra(self, case):
+        make, pairs = REJECTED[case]
+        d = make()
         mesh = build_polar_mesh(64)
         weights = horner_abs(d.deriv_coeffs, directed_midpoints(mesh)) * mesh.edge_lengths
-        for p, q in [(1.0, -1.0), (1j, np.exp(0.3j))]:
-            ref = shortest_path_distance(mesh, weights, mesh.boundary_node(p), mesh.boundary_node(q))
+        for p, q in pairs:
+            ref = shortest_path_distance(mesh, weights, boundary_node(p, 64), boundary_node(q, 64))
             assert abs(conformal_distance(d, p, q, n_boundary=64) - ref) <= 1e-7 * ref
 
-    @pytest.mark.parametrize("x0", [0.0, 0.3])
-    def test_distance_equals_the_int64_graph_route(self, x0):
-        # the quant-ladder's picks of a k = 12 bubble ladder, on the
-        # pinching probe's 256-point mesh
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_distance_equals_the_int64_graph_route(self, case):
+        # every chord the certificate rejects takes the mesh route as it
+        # stood before the certificate, bit for bit, on the pinching
+        # probe's 256-point mesh
+        make, pairs = REJECTED[case]
+        d = make()
         mesh, rings = disk._mesh_cache(256)
-        for k in (0, 4, 8, 12):
-            d = quant.bubble(mu=2.0**k, x0=x0).disk_map()
-            weights = disk._abs_on_rings(d.deriv_coeffs, rings).ravel()[mesh.edge_ring] * mesh.edge_lengths
-            for p, q in [(1.0, -1.0), (1j, np.exp(0.3j)), (-1.0, 1.0)]:
-                a, b = sorted((mesh.boundary_node(p), mesh.boundary_node(q)))
-                ref = int64_dijkstra(mesh.indptr, mesh.indices, weights, a, mesh.n_nodes)[b]
-                assert conformal_distance(d, p, q) == ref
+        weights = disk._abs_on_rings(d.deriv_coeffs, rings).ravel()[mesh.edge_ring] * mesh.edge_lengths
+        for p, q in pairs:
+            a, b = sorted((boundary_node(p, 256), boundary_node(q, 256)))
+            ref = int64_dijkstra(mesh.indptr, mesh.indices, weights, a, mesh.n_nodes)[b]
+            assert conformal_distance(d, p, q) == ref == conformal_distance(d, q, p)
 
     def test_weights_are_exactly_symmetric(self, monkeypatch):
         seen = []
@@ -508,7 +601,7 @@ class TestRingEvaluation:
             return shortest_path_distance(mesh, weights, a, b)
 
         monkeypatch.setattr(disk, "shortest_path_distance", recorded)
-        d = bubble_map(4096.0)
+        d = exp_cubic_map(4.0)  # not embedded: the mesh route
         pq = conformal_distance(d, 1.0, -1.0)
         qp = conformal_distance(d, -1.0, 1.0)
         mesh, w = seen[0]
@@ -548,17 +641,29 @@ class TestRingEvaluation:
     def test_one_table_per_geometry(self):
         disk._boundary_ring.cache_clear()
         disk._mesh_cache.cache_clear()
+        # bubbles take the chord: Phi folds on the r = 1 ring of 64 angles
+        # and no mesh is built; min_deriv reads its own ring of 256
         for mu in (1.0, 16.0, 4096.0, 16.0):
             d = make_disk_map(bubble_map(mu).coeffs)
             conformal_distance(d, 1.0, -1.0, n_boundary=64)
             conformal_distance(d, 1j, -1.0, n_boundary=64)
-        assert disk._boundary_ring.cache_info().currsize == 1
+        assert disk._boundary_ring.cache_info().currsize == 2
+        assert disk._mesh_cache.cache_info().currsize == 0
+        # rejected chords take the mesh, whose rings keep one table too
+        rejected = [exp_cubic_map(c) for c in (4.0, 8.0, 6.0)] + [blaschke_fixture([0.0, 0.0])]
+        for d in rejected:
+            assert not (d.immersed and disk._chord_in_image(disk._boundary_values(d.coeffs, 64), 0, 32))
+            conformal_distance(d, 1.0, -1.0, n_boundary=64)
         assert disk._mesh_cache.cache_info().currsize == 1
-        ring = disk._boundary_ring()
+        ring = disk._boundary_ring(disk.BOUNDARY_RING_N)
+        chords = disk._boundary_ring(64)
         _, rings = disk._mesh_cache(64)
-        # grown to the largest Q, not kept once per size
-        top = np.flatnonzero(bubble_map(4096.0).deriv_coeffs)[-1] + 1  # trailing zeros fold nowhere
+        # grown to the largest Q, not kept once per size; the series end at
+        # their last nonzero coefficient, and trailing zeros fold nowhere
+        top = bubble_map(4096.0).deriv_coeffs.size
         assert ring._V.shape == (1, -(-top // disk.BOUNDARY_RING_N))
+        assert chords._V.shape == (1, -(-bubble_map(4096.0).coeffs.size // 64))
+        top = max(d.deriv_coeffs.size for d in rejected)
         assert rings._V.shape == (rings.P.shape[0], -(-top // 64))
 
     @pytest.mark.parametrize("make, immersed", [
@@ -705,12 +810,17 @@ class TestExactBubbleMaps:
         assert abs(d.min_deriv - exact) <= 1e-6 * exact
 
     @pytest.mark.parametrize("mu, x0", LADDER)
-    def test_conformal_distance(self, mu, x0):
+    def test_conformal_distance(self, mu, x0, no_mesh):
+        # a Moebius image is a round disk, so the distance between two
+        # boundary nodes z, w is the chord Phi(z) - Phi(w) =
+        # C (z - w) / ((1 - q z)(1 - q w)), on and off the diameter
         d, q, C = exact_bubble(mu, x0)
-        mesh = build_polar_mesh(256)
-        weights = C / np.abs(1 - q * directed_midpoints(mesh)) ** 2 * mesh.edge_lengths
-        ref = shortest_path_distance(mesh, weights, mesh.boundary_node(1.0), mesh.boundary_node(-1.0))
-        assert abs(conformal_distance(d, 1.0, -1.0) - ref) <= 1e-7 * ref
+        for a, b in [(1.0, -1.0), (1.0, 1j), (1.0, np.exp(2.5j)), (1j, np.exp(2.5j))]:
+            z, w = node_point(a, 256), node_point(b, 256)
+            exact = C * abs(z - w) / (abs(1 - q * z) * abs(1 - q * w))
+            got = conformal_distance(d, a, b)
+            assert abs(got - exact) <= 1e-9 * exact
+            assert got == conformal_distance(d, b, a)
 
     @pytest.mark.parametrize("mu, x0", [(mu, x0) for mu, x0 in LADDER if mu <= 16.0])
     def test_recentering_at_zero_gives_the_exact_moduli(self, mu, x0):
@@ -1167,7 +1277,7 @@ class TestOneFftOracles:
         assert_same_map(make_disk_map(c), reference_make_disk_map(c))
         dcoef = c[1:] * np.arange(1, c.size)
         trimmed = np.trim_zeros(dcoef, "b")  # as DiskMap.deriv_coeffs ends
-        for rings in (disk._boundary_ring(), disk._mesh_cache(64)[1]):
+        for rings in (disk._boundary_ring(disk.BOUNDARY_RING_N), disk._mesh_cache(64)[1]):
             assert np.array_equal(disk._abs_on_rings(trimmed, rings), reference_abs_on_rings(dcoef, rings))
 
     def test_series_length_of_zero_and_nonzero_vectors(self):
@@ -1176,9 +1286,10 @@ class TestOneFftOracles:
         assert disk._series_length(np.array([1.0])) == 1
         for zeros in (np.zeros(2), np.zeros(70, dtype=complex)):
             assert outcome(make_disk_map, zeros, False) is outcome(reference_make_disk_map, zeros, False) is InvalidInput
+        ring = disk._boundary_ring(disk.BOUNDARY_RING_N)
         for coef in (np.zeros(3, dtype=complex), np.zeros(0, dtype=complex)):
-            assert np.array_equal(disk._abs_on_rings(coef, disk._boundary_ring()),
-                                  reference_abs_on_rings(np.zeros(3, dtype=complex), disk._boundary_ring()))
+            assert np.array_equal(disk._abs_on_rings(coef, ring),
+                                  reference_abs_on_rings(np.zeros(3, dtype=complex), ring))
 
     @pytest.mark.parametrize("make", [
         # non-finite: an anchor on a grid angle gives phi = inf there

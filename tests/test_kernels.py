@@ -8,7 +8,7 @@ import numpy as np
 
 from liouville_disk import _kernels as K
 from liouville_disk.fixtures import FIXTURES
-from liouville_disk.mesh import build_polar_mesh, shortest_path_distance
+from liouville_disk.mesh import boundary_node, build_polar_mesh, shortest_path_distance
 from liouville_disk.predicates import orient2d
 
 
@@ -207,6 +207,57 @@ class TestSegmentHitsParity:
             assert n_pairs < 20 * len(v)
 
 
+def segments_meet(p1, p2, q1, q2):
+    """Whether the closed segments p1 -> p2 and q1 -> q2 share a point, by
+    exact orientation."""
+    o1, o2 = orient2d(q1, q2, p1), orient2d(q1, q2, p2)
+    o3, o4 = orient2d(p1, p2, q1), orient2d(p1, p2, q2)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    return ((o1 == 0 and on_segment(q1, q2, p1)) or (o2 == 0 and on_segment(q1, q2, p2))
+            or (o3 == 0 and on_segment(p1, p2, q1)) or (o4 == 0 and on_segment(p1, p2, q2)))
+
+
+def check_meets(pts, chords):
+    ends = np.roll(pts, -1, axis=0)
+    met = 0
+    for a, b in chords:
+        got = K.segment_meets(pts[a], pts[b], pts, ends)
+        ref = [segments_meet(pts[a], pts[b], u, v) for u, v in zip(pts, ends)]
+        assert got.tolist() == ref
+        met += sum(ref)
+    return met
+
+
+class TestSegmentMeets:
+    def test_grid_polylines_against_orient2d(self):
+        # on the 1/8 grid, touches, T-junctions and collinear overlaps are
+        # exact, and pairs that do not meet are far apart beside the margin
+        rng = np.random.default_rng(21)
+        met = 0
+        for seed in range(20):
+            pts = grid_polyline(40, seed)
+            chords = rng.integers(0, 40, size=(10, 2))
+            met += check_meets(pts, chords)
+            # translation does not move the verdicts
+            check_meets(pts + 1e6, chords)
+        assert met > 1000
+
+    def test_random_polygons_against_orient2d(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            pts = rng.normal(size=(int(rng.integers(4, 60)), 2))
+            check_meets(pts, rng.integers(0, len(pts), size=(5, 2)))
+
+    def test_cases(self):
+        p, q = np.array([0.0, 0.0]), np.array([1.0, 0.0])
+        a = np.array([[0.5, -1.0], [1.0, 0.0], [2.0, 0.0], [0.5, 1e-9], [0.5, 1e-14], [0.0, 1.0]])
+        b = np.array([[0.5, 1.0], [1.0, 1.0], [3.0, 0.0], [0.7, 1e-9], [0.7, 1e-14], [1.0, 1.0]])
+        # crossing, touching at an end, collinear apart, parallel apart,
+        # parallel within the margin (counted as meeting), apart
+        assert K.segment_meets(p, q, a, b).tolist() == [True, True, False, False, True, False]
+
+
 class TestWindingParity:
     def test_matches_crossing_number_oracle(self):
         t = np.linspace(0, 2 * np.pi, 129)[:-1]
@@ -228,10 +279,10 @@ class TestWindingParity:
 class TestMesh:
     def test_boundary_nodes_and_flat_distance(self):
         mesh = build_polar_mesh(128)
-        j = mesh.boundary_node(1.0)
+        j = boundary_node(1.0, 128)
         assert abs(mesh.nodes[j] - 1.0) < 1e-12
         weights = mesh.edge_lengths  # unit speed
-        d = shortest_path_distance(mesh, weights, mesh.boundary_node(1.0), mesh.boundary_node(-1.0))
+        d = shortest_path_distance(mesh, weights, boundary_node(1.0, 128), boundary_node(-1.0, 128))
         assert abs(d - 2.0) <= 2 * (2 * np.pi / 128)
 
     def test_graph_is_scipys_int32_csr(self):

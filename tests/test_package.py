@@ -112,6 +112,52 @@ def test_import_loads_no_scipy_signal_integrate_or_special():
     assert done.stdout.strip() == "[]"
 
 
+def test_the_readme_pinch_ladder_loads_no_scipy(tmp_path):
+    # every bubble chord is certified, so no distance reaches the mesh's
+    # Dijkstra, the one user of scipy
+    code = (
+        "import sys; from liouville_disk.cli import main; "
+        f"code = main(['pinch', '--mu-ladder', '1,16,256,4096', '--mesh', '256', '--out', {str(tmp_path / 'p.json')!r}]); "
+        "print(code, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_pinching_bubbles_builds_no_mesh_and_runs_no_dijkstra(monkeypatch):
+    from liouville_disk import mesh
+
+    calls = []
+
+    def counted(name, original):
+        def fn(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return fn
+
+    disk._mesh_cache.cache_clear()  # a cached mesh would hide a build
+    monkeypatch.setattr(disk, "build_polar_mesh", counted("build_polar_mesh", mesh.build_polar_mesh))
+    monkeypatch.setattr(mesh, "dijkstra", counted("dijkstra", mesh.dijkstra))
+    for x0 in (0.0, 0.3, -0.45):
+        maps = [quant.bubble(mu=mu, x0=x0).disk_map() for mu in (1.0, 16.0, 256.0, 4096.0)]
+        rep = quant.pinching_probe(maps, [(1.0, -1.0), (1j, np.exp(2.5j))], mesh_n=256)
+        assert rep.verdicts[0]
+    assert calls == []
+    # the counters see the mesh route where the certificate fails
+    z2 = disk.make_disk_map(np.array([0.0, 0.0, 1.0]), normalized_at_one=False)
+    disk.conformal_distance(z2, 1.0, 1j)
+    assert calls == ["build_polar_mesh", "dijkstra"]
+
+
 def constructor_bypasses(tree):
     """object.__new__ calls and _adopt definitions: ways to make a value
     without its constructor, which checks and copies what it is given."""
@@ -196,7 +242,7 @@ def test_kernels_expose_one_function_per_kernel():
         for name, obj in vars(_kernels).items()
         if callable(obj) and not name.startswith("_") and obj.__module__ == _kernels.__name__
     )
-    assert public == ["dijkstra", "segment_hits", "winding_batch"]
+    assert public == ["dijkstra", "segment_hits", "segment_meets", "winding_batch"]
 
 
 def test_src_imports_no_scipy_integrate():
@@ -225,6 +271,9 @@ CALLER_ALLOWED = {
     "curves.jitter",
     # the README's route for checking a claimed solution
     "quant.verify_solution",
+    # a bubble's pullback at any angles; pull_back and lambda_bar read the
+    # same formula on the chart cached per grid size
+    "quant.Bubble.lambda_at",
 }
 
 
@@ -548,8 +597,9 @@ CACHE_ARGS = {
     "spectral._jacobi_rule": [(-0.5,), (0.75,)],
     "line.circle_chart": [(8,), (64,)],
     "disk._mode_orders": [(4,), (128,)],
-    "disk._boundary_ring": [()],
+    "disk._boundary_ring": [(256,), (64,)],
     "disk._mesh_cache": [(64,)],
+    "quant._grid_chart": [(8,), (1024,)],
 }
 
 

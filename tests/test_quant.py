@@ -452,6 +452,14 @@ class TestPinching:
         assert rep.verdicts == [True]
         assert rep.arc_gaps[0] >= np.pi / 1.0 - 2 * (TWO_PI / 256)
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_maps_is_an_input_error(self, count):
+        # no trend exists: no IndexError for none, no mesh-tolerance verdict
+        # (InconclusiveMesh) for one
+        maps = [bubble(mu=4.0).disk_map()] * count
+        with pytest.raises(InvalidInput, match="at least two maps"):
+            pinching_probe(maps, [(1.0, -1.0)], mesh_n=256)
+
     def test_fixed_map_not_pinched(self):
         maps = [bubble(mu=1.0).disk_map()] * 4
         rep = pinching_probe(maps, [(1.0, -1.0)], mesh_n=256)

@@ -1,9 +1,12 @@
 """Planar arrangement of a closed curve: crossings, arcs, and faces.
 
 The curve is cut at its self-intersections into arcs, all of them one
-gather from the vertices; faces are traced through the half-edge rule "turn
-clockwise-most from the reversed arrival direction", which walks every
-bounded face counter-clockwise (interior on the left) and the unbounded face
+gather from the vertices.  Faces are the cycles of a permutation of the
+half-edges (a doubly connected edge list): half-edge 2k runs along arc k and
+2k + 1 against it, and the walk goes on from h to the half-edge clockwise
+next to h's twin around the crossing where h ends.  One sort on (crossing,
+departure angle) gives that order, and one cycle walk every face, bounded
+faces counter-clockwise (interior on the left) and the unbounded face
 clockwise.  Each bounded face gets a witness point, offset from its boundary
 into the interior and verified by the winding number of the face walk
 around it; the candidates of all faces are placed in rounds, against one
@@ -19,17 +22,6 @@ import numpy as np
 from ._kernels import winding_batch
 from .errors import ArrangementCorrupt
 from .curves import PolyCurve, self_intersections
-from .spectral import TWO_PI
-
-
-@dataclass
-class Arc:
-    """Curve piece between consecutive crossing passages (along the curve)."""
-
-    id: int
-    start_node: int  # crossing id where the arc begins
-    end_node: int
-    pts: np.ndarray  # polyline, first and last points are crossing points
 
 
 @dataclass
@@ -43,9 +35,8 @@ class Face:
 
 @dataclass
 class Arrangement:
-    curve: PolyCurve
     crossings: list
-    arcs: list
+    arcs: list  # polylines: arc k runs from passage k to passage k + 1, or is the closed curve
     faces: list
     passages: list = field(default_factory=list)  # (param, crossing_id) sorted
 
@@ -60,59 +51,19 @@ def _signed_area(pts: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * y2 - x2 * y))
 
 
-def _trace_faces(arcs, crossings):
-    """Half-edge face tracing.  A half-edge is (arc_id, dir); dir +1 walks the
-    arc along the curve, -1 reversed."""
-    # incident ends at each crossing: (angle_away, arc_id, dir_leaving)
-    outgoing = {i: [] for i in range(len(crossings))}
-    for arc in arcs:
-        d0 = arc.pts[1] - arc.pts[0]
-        outgoing[arc.start_node].append((float(np.arctan2(d0[1], d0[0])), arc.id, +1))
-        d1 = arc.pts[-2] - arc.pts[-1]
-        outgoing[arc.end_node].append((float(np.arctan2(d1[1], d1[0])), arc.id, -1))
-    for node in outgoing:
-        outgoing[node].sort()
-
-    def head(h):
-        arc_id, d = h
-        return arcs[arc_id].end_node if d > 0 else arcs[arc_id].start_node
-
-    def arrival_angle(h):
-        arc_id, d = h
-        pts = arcs[arc_id].pts
-        v = pts[-1] - pts[-2] if d > 0 else pts[0] - pts[1]
-        return float(np.arctan2(v[1], v[0]))
-
-    def next_halfedge(h):
-        node = head(h)
-        back = (arrival_angle(h) + np.pi) % TWO_PI
-        cands = outgoing[node]
-        # first outgoing direction clockwise from the reversed arrival; the
-        # exact reverse (key ~ 0) is a dead-end fallback only
-        best = None
-        best_key = np.inf
-        for ang, arc_id, d in cands:
-            key = (back - ang) % TWO_PI
-            if key < 1e-12:
-                key = TWO_PI
-            if key < best_key:
-                best_key = key
-                best = (arc_id, d)
-        return best
-
-    seen = set()
+def _cycles(nxt) -> list:
+    """Cycles of the permutation nxt (a list of indices) in the order of their
+    lowest element, each starting at that element."""
+    seen = [False] * len(nxt)
     cycles = []
-    for arc in arcs:
-        for d in (+1, -1):
-            h = (arc.id, d)
-            if h in seen:
-                continue
-            cycle = []
-            cur = h
-            while cur not in seen:
-                seen.add(cur)
-                cycle.append(cur)
-                cur = next_halfedge(cur)
+    for start in range(len(nxt)):
+        cycle = []
+        h = start
+        while not seen[h]:
+            seen[h] = True
+            cycle.append(h)
+            h = nxt[h]
+        if cycle:
             cycles.append(cycle)
     return cycles
 
@@ -158,22 +109,23 @@ def build_arrangement(c: PolyCurve) -> Arrangement:
     if not crossings:
         return _simple_arrangement(c)
 
-    passages, arc_pts = cut_at_crossings(c, crossings)
-    n_pass = len(passages)
-    arcs = [
-        Arc(id=k, start_node=passages[k][1], end_node=passages[(k + 1) % n_pass][1], pts=pts)
-        for k, pts in enumerate(arc_pts)
-    ]
-
-    cycles = _trace_faces(arcs, crossings)
+    passages, arcs = cut_at_crossings(c, crossings)
+    # half-edge 2k runs along arc k and 2k + 1 against it, so the twin of h
+    # is h ^ 1; sorting on (tail crossing, departure angle) puts the four
+    # half-edges that leave each crossing in one row, counter-clockwise
+    cid = np.array([x for _, x in passages])
+    tail = np.column_stack([cid, np.concatenate([cid[1:], cid[:1]])]).ravel()
+    ends = np.array([(p[1] - p[0], p[-2] - p[-1]) for p in arcs]).reshape(-1, 2)
+    ring = np.lexsort((np.arctan2(ends[:, 1], ends[:, 0]), tail)).reshape(-1, 4)
+    # cw[h] is the half-edge clockwise next to h; a face walk goes on from h
+    # to cw[twin(h)]
+    cw = np.empty_like(tail)
+    cw[ring] = ring[:, [3, 0, 1, 2]]
+    nxt = cw[np.arange(len(cw)) ^ 1].tolist()
 
     faces = []
-    for cyc in cycles:
-        walk_pts = []
-        for arc_id, d in cyc:
-            pts = arcs[arc_id].pts if d > 0 else arcs[arc_id].pts[::-1]
-            walk_pts.append(pts[:-1])
-        walk = np.vstack(walk_pts)
+    for cycle in _cycles(nxt):
+        walk = np.vstack([(arcs[h >> 1] if h % 2 == 0 else arcs[h >> 1][::-1])[:-1] for h in cycle])
         faces.append((walk, _signed_area(walk)))
 
     n_unbounded = sum(1 for _, a in faces if a < 0)
@@ -196,7 +148,7 @@ def build_arrangement(c: PolyCurve) -> Arrangement:
     ]
     face_objs += [Face(id="~", walk=walk, area=area, bounded=False, witness=None)
                   for walk, area in faces if area < 0]
-    return Arrangement(curve=c, crossings=list(crossings), arcs=arcs, faces=face_objs, passages=passages)
+    return Arrangement(crossings=list(crossings), arcs=arcs, faces=face_objs, passages=passages)
 
 
 def _simple_arrangement(c: PolyCurve) -> Arrangement:
@@ -210,8 +162,7 @@ def _simple_arrangement(c: PolyCurve) -> Arrangement:
         Face(id="a", walk=interior_walk, area=abs(area), bounded=True, witness=witness),
         Face(id="~", walk=interior_walk[::-1], area=-abs(area), bounded=False, witness=None),
     ]
-    arc = Arc(id=0, start_node=0, end_node=0, pts=np.vstack([walk, walk[:1]]))
-    return Arrangement(curve=c, crossings=[], arcs=[arc], faces=faces, passages=[])
+    return Arrangement(crossings=[], arcs=[np.vstack([walk, walk[:1]])], faces=faces, passages=[])
 
 
 def _find_witnesses(walks, curve_vertices) -> list:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import Arrangement, _signed_area, build_arrangement, cut_at_crossings
+from .arrangement import Arrangement, _cycles, _signed_area, build_arrangement, cut_at_crossings
 from .curves import (
     PolyCurve,
     fillet_corners,
@@ -425,32 +425,15 @@ def seifert_decompose(c: PolyCurve):
     if not crossings:
         area_sign = 1 if _signed_area(c.vertices) > 0 else -1
         return [(c.vertices.copy(), area_sign)]
-    # strand k runs from passage k to passage k+1
+    # strand k runs from passage k to passage k + 1; smoothing sends it on to
+    # the strand that leaves the other passage of that crossing
     passages, strands = cut_at_crossings(c, crossings)
-    n_pass = len(passages)
+    pair = np.argsort([x for _, x in passages], kind="stable").reshape(-1, 2)
+    partner = np.empty(len(passages), dtype=np.int64)
+    partner[pair] = pair[:, ::-1]
 
-    # passages of each crossing; smoothing rewires in1->out2, in2->out1
-    by_crossing = {}
-    for k, (_p, cid) in enumerate(passages):
-        by_crossing.setdefault(cid, []).append(k)
-    succ = {}
-    for cid, (k1, k2) in by_crossing.items():
-        succ[(k1 - 1) % n_pass] = k2
-        succ[(k2 - 1) % n_pass] = k1
-
-    seen = set()
     pieces = []
-    for start in range(n_pass):
-        if start in seen:
-            continue
-        chain = []
-        k = start
-        while k not in seen:
-            seen.add(k)
-            chain.append(k)
-            k = succ.get(k)
-            if k is None:
-                raise DecompositionCorrupt("open strand after reconnection")
+    for chain in _cycles(np.concatenate([partner[1:], partner[:1]]).tolist()):
         pts_parts = []
         for idx, k in enumerate(chain):
             nxt = strands[chain[(idx + 1) % len(chain)]]

@@ -298,6 +298,9 @@ def cmd_audit(args):
 
 def cmd_fixtures(args):
     name = args.name
+    if name != "bubble" and name not in FIXTURES:
+        print(f"unknown fixture {name!r}; available: {', '.join(sorted(FIXTURES))}, bubble")
+        return EXIT_INPUT
     os.makedirs(args.out_dir, exist_ok=True)
     if name == "bubble":
         b = bubble(mu=args.mu, x0=args.x0)
@@ -307,9 +310,6 @@ def cmd_fixtures(args):
         _write_json(path, payload)
         print(f"wrote {path}")
         return EXIT_OK
-    if name not in FIXTURES:
-        print(f"unknown fixture {name!r}; available: {', '.join(sorted(FIXTURES))}, bubble")
-        return EXIT_INPUT
     c = FIXTURES[name]()
     path = os.path.join(args.out_dir, f"{name}.json")
     _write_json(path, {"meta": _meta(args), **c.to_json()})

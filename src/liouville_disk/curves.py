@@ -254,14 +254,22 @@ def fillet_corners(c: PolyCurve) -> PolyCurve:
 
     Total turning across the blend equals the corner's exterior angle, so the
     rotation index is preserved; words of Blank are built on the flattened
-    curve.
+    curve.  Corners fewer than 2 FILLET_SPAN edges apart (cyclically) would
+    blend over each other's trims and raise InvalidInput.
     """
     if not c.corners:
         return c
     m = c.m
+    ks = sorted(c.corners)
+    for a, b in zip(ks, ks[1:] + [ks[0] + m]):
+        if b - a < 2 * FILLET_SPAN:
+            raise InvalidInput(
+                f"corners {a} and {b % m} are {b - a} edges apart; "
+                f"filleting needs at least {2 * FILLET_SPAN}"
+            )
     keep = np.ones(m, dtype=bool)
     inserts = {}  # vertex index after which blended points follow
-    for k in sorted(c.corners):
+    for k in ks:
         # trim points: FILLET_SPAN edges back and forward from the corner
         a_idx = (k - FILLET_SPAN) % m
         b_idx = (k + FILLET_SPAN) % m

@@ -67,7 +67,7 @@ class RayCastFailed(GuardError):
 
 
 class DecompositionCorrupt(GuardError):
-    """Crossing reconnection produced an open strand."""
+    """Seifert pieces' signed orientations do not sum to the rotation index."""
 
 
 class NumericalInconsistency(GuardError):

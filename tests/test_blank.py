@@ -3,13 +3,14 @@ extendability verdict on the reference and figure fixtures.
 """
 
 import dataclasses
+import json
 import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from liouville_disk import blank
+from liouville_disk import arrangement, blank
 from liouville_disk._kernels import winding_batch
 from liouville_disk.arrangement import (
     _other_strand_distance,
@@ -30,9 +31,15 @@ from liouville_disk.blank import (
     extendability_check,
     seifert_decompose,
 )
+from liouville_disk.cli import main
 from liouville_disk.curves import PolyCurve, fillet_corners, rotation_index, self_intersections
 from liouville_disk.disk import analytic_completion, boundary_polyline, build_phi
-from liouville_disk.errors import InvalidInput, RayCastFailed
+from liouville_disk.errors import (
+    ArrangementCorrupt,
+    DecompositionCorrupt,
+    InvalidInput,
+    RayCastFailed,
+)
 from liouville_disk.fixtures import (
     FIXTURES,
     circle,
@@ -46,6 +53,7 @@ from liouville_disk.fixtures import (
     marked_square,
 )
 from liouville_disk.line import pull_back
+from liouville_disk.spectral import TWO_PI
 
 PAPER_WORD = BlankWord.parse("a0- b1+ c0+ a1+ b0+")
 INFINITY_WORD = BlankWord.parse("a0+ b0-")
@@ -624,6 +632,158 @@ class TestBatchedTopologyOracles:
                     assert got.dtype == want.dtype, (name, face.id, field_name)
                     assert np.array_equal(got, want), (name, face.id, field_name)
                     assert got.tobytes() == want.tobytes(), (name, face.id, field_name)
+
+
+# --- the clockwise-search face tracer and the dict-built Seifert successor
+# --- that the two permutations replaced
+
+def loop_trace_faces(arcs, passages):
+    """Reference face tracer: a half-edge is (arc, dir), dir +1 along the
+    curve and -1 against it; from each half-edge a linear search of the
+    outgoing ends at its head takes the first direction clockwise from the
+    reversed arrival.  Faces in the order of their first half-edge."""
+    n = len(passages)
+    start_node = [passages[k][1] for k in range(n)]
+    end_node = [passages[(k + 1) % n][1] for k in range(n)]
+    # incident ends at each crossing: (angle_away, arc_id, dir_leaving)
+    outgoing = {}
+    for k, pts in enumerate(arcs):
+        d0 = pts[1] - pts[0]
+        outgoing.setdefault(start_node[k], []).append((float(np.arctan2(d0[1], d0[0])), k, +1))
+        d1 = pts[-2] - pts[-1]
+        outgoing.setdefault(end_node[k], []).append((float(np.arctan2(d1[1], d1[0])), k, -1))
+    for ends in outgoing.values():
+        ends.sort()
+
+    def next_halfedge(h):
+        k, d = h
+        pts = arcs[k]
+        v = pts[-1] - pts[-2] if d > 0 else pts[0] - pts[1]
+        back = (float(np.arctan2(v[1], v[0])) + np.pi) % TWO_PI
+        best, best_key = None, np.inf
+        for ang, k2, d2 in outgoing[end_node[k] if d > 0 else start_node[k]]:
+            key = (back - ang) % TWO_PI
+            if key < 1e-12:
+                key = TWO_PI
+            if key < best_key:
+                best, best_key = (k2, d2), key
+        return best
+
+    seen = set()
+    cycles = []
+    for k in range(len(arcs)):
+        for d in (+1, -1):
+            cycle = []
+            cur = (k, d)
+            while cur not in seen:
+                seen.add(cur)
+                cycle.append(cur)
+                cur = next_halfedge(cur)
+            if cycle:
+                cycles.append(cycle)
+    return cycles
+
+
+def loop_seifert_successor(passages):
+    """Reference smoothing: strand k runs from passage k to passage k + 1, and
+    at a crossing with passages k1, k2 the strand ending at k1 goes on from k2
+    and the strand ending at k2 from k1."""
+    n = len(passages)
+    by_crossing = {}
+    for k, (_p, cid) in enumerate(passages):
+        by_crossing.setdefault(cid, []).append(k)
+    succ = {}
+    for k1, k2 in by_crossing.values():
+        succ[(k1 - 1) % n] = k2
+        succ[(k2 - 1) % n] = k1
+    return [succ[k] for k in range(n)]
+
+
+def spy_cycles(monkeypatch):
+    """Record (permutation, cycles) of every call of the cycle helper."""
+    calls = []
+    real = arrangement._cycles
+
+    def spy(nxt):
+        calls.append((list(nxt), real(nxt)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(arrangement, "_cycles", spy)
+    monkeypatch.setattr(blank, "_cycles", spy)
+    return calls
+
+
+def walk_of(arcs, cycle):
+    """Closed walk along the half-edges of a cycle, 2k along arc k and 2k + 1
+    against it."""
+    return np.vstack([(arcs[h >> 1] if h % 2 == 0 else arcs[h >> 1][::-1])[:-1] for h in cycle])
+
+
+class TestCyclePermutations:
+    def test_cycles_start_at_their_lowest_element(self):
+        assert arrangement._cycles([2, 0, 1, 3, 5, 4]) == [[0, 2, 1], [3], [4, 5]]
+        assert arrangement._cycles([]) == []
+
+    def test_face_cycles_match_the_clockwise_search(self, monkeypatch):
+        calls = spy_cycles(monkeypatch)
+        n_faces = 0
+        for name, c, _ in oracle_cases():
+            crossings = self_intersections(c)
+            if not crossings:
+                continue
+            calls.clear()
+            arr = build_arrangement(c)
+            ((_, cycles),) = calls
+            passages, arcs = cut_at_crossings(c, crossings)
+            want = loop_trace_faces(arcs, passages)
+            assert [[(h >> 1, 1 - 2 * (h % 2)) for h in cyc] for cyc in cycles] == want, name
+            walks = sorted(walk_of(arcs, cyc).tobytes() for cyc in cycles)
+            assert walks == sorted(f.walk.tobytes() for f in arr.faces), name
+            assert len(arr.arcs) == len(arcs), name
+            n_faces += len(cycles)
+        assert n_faces > 500
+
+    def test_seifert_successor_matches_the_dict_rewiring(self, monkeypatch):
+        calls = spy_cycles(monkeypatch)
+        n_strands = 0
+        for name, c, _ in oracle_cases():
+            crossings = self_intersections(c)
+            if not crossings:
+                continue
+            calls.clear()
+            pieces = seifert_decompose(c)
+            ((nxt, cycles),) = calls
+            passages, _ = cut_at_crossings(c, crossings)
+            assert nxt == loop_seifert_successor(passages), name
+            assert len(pieces) == len(cycles), name
+            n_strands += len(nxt)
+        assert n_strands > 1000
+
+    def test_merged_face_cycles_trip_the_euler_check(self, monkeypatch):
+        # two bounded faces walked as one keep one unbounded face, so only
+        # V - E + F = 2 can catch it
+        c = limacon()
+        _, arcs = cut_at_crossings(c, self_intersections(c))
+        real = arrangement._cycles
+
+        def merged(nxt):
+            cycles = real(nxt)
+            i, j = [k for k, cyc in enumerate(cycles) if _signed_area(walk_of(arcs, cyc)) > 0]
+            return [cyc for k, cyc in enumerate(cycles) if k != j and k != i] + [cycles[i] + cycles[j]]
+
+        monkeypatch.setattr(arrangement, "_cycles", merged)
+        with pytest.raises(ArrangementCorrupt, match="Euler check failed: V-E\\+F = 1-2\\+2"):
+            build_arrangement(c)
+
+    def test_wrong_rotation_index_trips_the_orientation_sum(self, monkeypatch, tmp_path):
+        real = blank.rotation_index
+        monkeypatch.setattr(
+            blank, "rotation_index", lambda c: dataclasses.replace(real(c), index=real(c).index + 1))
+        with pytest.raises(DecompositionCorrupt, match="sum to 1, rotation index is 2"):
+            seifert_decompose(fseifert())
+        path = tmp_path / "fseifert.json"
+        path.write_text(json.dumps(fseifert().to_json()))
+        assert main(["seifert", "--in", str(path)]) == 2
 
 
 # --- reference for the gluing report: the boundary rebuilt vertex by vertex,

@@ -93,8 +93,10 @@ class TestCurveCommands:
         assert "rotation index: 2" in capsys.readouterr().out
 
     def test_unknown_fixture_lists_and_fails(self, tmp_path, capsys):
-        assert main(["fixtures", "nope", "--out-dir", str(tmp_path)]) == 1
+        out_dir = tmp_path / "D"
+        assert main(["fixtures", "nope", "--out-dir", str(out_dir)]) == 1
         assert "available" in capsys.readouterr().out
+        assert not out_dir.exists()
 
     def test_blank_word_on_figure_fixture(self, tmp_path, capsys):
         assert main(["fixtures", "fblank-1", "--out-dir", str(tmp_path)]) == 0

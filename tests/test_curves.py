@@ -239,6 +239,20 @@ class TestFillet:
         f = fillet_corners(one_corner_square())
         assert rotation_index(f).index == 1
 
+    def test_corners_closer_than_two_spans_are_rejected(self):
+        # each corner is rounded over FILLET_SPAN = 4 edges on each side, so
+        # corners 7 edges apart would blend over each other's trims; the
+        # error names the two corners, not a vertex of the filleted copy
+        with pytest.raises(InvalidInput, match="corners 0 and 7 are 7 edges apart"):
+            extendability_check(marked_square(points_per_side=7))
+        rep = extendability_check(marked_square(points_per_side=8))
+        assert (rep.index, str(rep.word), rep.word_contracts) == (1, "a0+", True)
+
+    def test_corner_gap_is_counted_cyclically(self):
+        c = PolyCurve(circle(256).vertices, corners={0: None, 250: None})
+        with pytest.raises(InvalidInput, match="corners 250 and 0 are 6 edges apart"):
+            fillet_corners(c)
+
 
 def test_polycurve_json_roundtrip():
     c = slit_curve(up=True)

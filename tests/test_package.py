@@ -5,6 +5,7 @@ without a caller.
 The package must run without numba, read no environment variables, import
 no adaptive quadrature (the principal-value oracles live in the tests),
 assemble anchored cell quadrature only in spectral.singular_cell_integrals,
+walk faces and Seifert circles only through arrangement._cycles,
 place the circle grid on the line only in line.circle_chart, evaluate
 |Phi'| on rings only through the folded FFT, hand out only read-only arrays
 from its caches, build every value through its constructor, hand a disk
@@ -456,6 +457,24 @@ def test_anchored_cell_quadrature_has_one_home():
         for scope in call_scopes(tree, {"singular_cell_rule", "eval_shifted_grids"})
     }
     assert callers == {"spectral.singular_cell_integrals"}
+
+
+def test_crossing_permutations_have_one_cycle_walk():
+    # faces and Seifert circles are both cycles of a permutation of crossing
+    # passages, walked by arrangement._cycles; no second tracer comes back
+    callers = {
+        f"{name[:-3]}.{scope}"
+        for name, tree in module_trees()
+        for scope in call_scopes(tree, {"_cycles"})
+    }
+    assert callers == {"arrangement.build_arrangement", "blank.seifert_decompose"}
+    path = PACKAGE_DIR / "arrangement.py"
+    defined = {
+        node.name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+    assert defined.isdisjoint({"Arc", "_trace_faces"})
 
 
 def test_anchored_cell_quadrature_reads_half_spectra():

@@ -28,6 +28,7 @@ import numpy as np
 from .arrangement import Arrangement, _cycles, _signed_area, build_arrangement, cut_at_crossings
 from .curves import (
     PolyCurve,
+    _turning_index,
     fillet_corners,
     rotation_index,
     self_intersections,
@@ -547,10 +548,11 @@ def _gluing_indices(c: PolyCurve, rec: WordRecord, res: ContractionResult):
 
 def _loose_rotation_index(pts: np.ndarray) -> int:
     """Turning number of a closed polyline allowing sharp (transversal)
-    junction corners; no C1 proxy enforcement."""
+    junction corners; no C1 proxy enforcement, but the rounding guard of
+    rotation_index."""
     d = np.diff(np.vstack([pts, pts[:1]]), axis=0)
     keep = np.hypot(d[:, 0], d[:, 1]) > 1e-12
     d = d[keep]
     ang = np.arctan2(d[:, 1], d[:, 0])
     turn = wrap_angle(np.concatenate([ang[1:], ang[:1]]) - ang)
-    return int(round(float(np.sum(turn) / TWO_PI)))
+    return _turning_index(float(np.sum(turn)))

@@ -96,11 +96,14 @@ def _parse_floats(text, what):
 
 
 def _parse_mu_ladder(text):
-    """Either a comma list or a dyadic range like 2^0..2^12; never empty."""
+    """Either a comma list or a geometric range like 2^0..2^12 of one base;
+    never empty."""
     if ".." in text and "^" in text:
         lo, hi = text.split("..")
         base, e0 = lo.split("^")
-        _, e1 = hi.split("^")
+        hi_base, e1 = hi.split("^")
+        if float(hi_base) != float(base):
+            raise InvalidInput(f"mu ladder {text!r} has two bases")
         mus = [float(base) ** k for k in range(int(e0), int(e1) + 1)]
         return _nonempty(mus, "mu ladder", text)
     return _parse_floats(text, "mu ladder")
@@ -348,13 +351,11 @@ def build_parser():
     sp.set_defaults(func=cmd_curvature)
 
     sp = sub.add_parser("rotation-index", help="rotation index of a closed curve")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out")
+    add_io(sp, out_required=False)
     sp.set_defaults(func=cmd_rotation_index)
 
     sp = sub.add_parser("blank-word", help="word of Blank with contraction trace")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out")
+    add_io(sp, out_required=False)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_blank_word)
 
@@ -365,13 +366,11 @@ def build_parser():
     sp.set_defaults(func=cmd_contract)
 
     sp = sub.add_parser("seifert", help="orientation-respecting crossing smoothing")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out")
+    add_io(sp, out_required=False)
     sp.set_defaults(func=cmd_seifert)
 
     sp = sub.add_parser("extendability", help="necessary conditions for bounding a disk")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out")
+    add_io(sp, out_required=False)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_extendability)
 
@@ -412,7 +411,6 @@ def build_parser():
     sp.add_argument("--mu", type=float, default=1.0)
     sp.add_argument("--x0", type=float, default=0.0)
     sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_fixtures)
 
     return p

@@ -147,13 +147,20 @@ def rotation_index(c: PolyCurve) -> RotationReport:
         terms[k] = wrap_angle(tin - prev_dir) + eps + wrap_angle(next_dir - tout)
     # left-to-right accumulation, as a running sum would add them
     total = float(np.add.accumulate(terms)[-1])
+    return RotationReport(index=_turning_index(total), total_turning=total,
+                          exterior_angles=exterior)
+
+
+def _turning_index(total: float) -> int:
+    """The integer that a closed curve's total turning divided by 2*pi
+    rounds to, within the 0.05 rounding guard (NumericalInconsistency)."""
     value = total / TWO_PI
     nearest = round(value)
     if abs(value - nearest) >= 0.05:
         raise NumericalInconsistency(
             f"total turning {value:.4f} x 2*pi is not an integer within 0.05"
         )
-    return RotationReport(index=int(nearest), total_turning=float(total), exterior_angles=exterior)
+    return int(nearest)
 
 
 @dataclass(frozen=True)

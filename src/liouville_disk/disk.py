@@ -44,13 +44,13 @@ A disk map costs a fixed number of passes over its n-point grid: one real
 FFT, one real inverse FFT, one complex FFT and one complex exponential,
 plus one pass per guard.  The analytic completion reads the rfft of lambda
 for its band-limit guard and its Hilbert step.  Boundary samples become
-series in one place, _boundary_modes (one in-place forward FFT):
-build_phi and mobius_recenter each truncate its modes under their own tail
-guard and then check its negative-frequency share.  Every series becomes a
-map through the DiskMap constructor alone: it cuts the series at its last
-nonzero coefficient, checks it, takes the coefficients of Phi' once, reads
-min_deriv and decides immersion, and keeps the series with its derivative
-coefficients for every later reader.
+series in one place, _boundary_modes (one in-place forward FFT), and are
+truncated in one step, _truncate_with_guard (the tail guard, then the
+negative-frequency guard), for build_phi and mobius_recenter alike.  Every
+series becomes a map through the DiskMap constructor alone: it cuts the
+series at its last nonzero coefficient, checks it, takes the coefficients
+of Phi' once, reads min_deriv and decides immersion, and keeps the series
+with its derivative coefficients for every later reader.
 """
 
 from __future__ import annotations
@@ -348,14 +348,21 @@ def make_disk_map(coeffs, normalized_at_one: bool = True) -> DiskMap:
     return DiskMap(coeffs, normalized_at_one)
 
 
-def _truncate_with_guard(full_coeffs: np.ndarray, M: int) -> np.ndarray:
-    """Keep orders 0..M after checking that orders above M/2 are negligible."""
+def _truncate_with_guard(full_coeffs: np.ndarray, M: int, neg_frac: float) -> np.ndarray:
+    """Keep orders 0..M of a series from boundary samples after both
+    guards, in this order: orders above M/2 must be negligible
+    (UnderResolved), and so must neg_frac, the samples' negative-frequency
+    energy share (NotHolomorphic)."""
     total = _energy(full_coeffs)
     tail = _energy(full_coeffs[M // 2 + 1:])
     if total > 0 and tail > TAIL_ENERGY_LIMIT * total:
         raise UnderResolved(
             f"energy fraction {tail / total:.2e} above order {M // 2} "
             f"(series order {M} cannot represent the map)"
+        )
+    if neg_frac > NEG_FREQ_LIMIT:
+        raise NotHolomorphic(
+            f"negative-frequency energy fraction {neg_frac:.2e} of boundary derivative"
         )
     return full_coeffs[: M + 1]
 
@@ -409,10 +416,10 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
     negative-frequency guard measures; only modes >= n fold onto kept
     coefficients, and those are smaller than the tail above order n/4 that
     the truncation guard already bounds.  So a finer grid changes nothing
-    above the truncation floor.  The tail guard runs first: an
-    under-resolved holomorphic map raises UnderResolved, and NotHolomorphic
-    is left to phi with significant negative-frequency energy on a resolved
-    grid.
+    above the truncation floor.  _truncate_with_guard runs the tail guard
+    before the negative-frequency guard: an under-resolved holomorphic map
+    raises UnderResolved, and NotHolomorphic is left to phi with significant
+    negative-frequency energy on a resolved grid.
 
     Immersion certificate (Rouche).  Let G be the polynomial whose real
     part interpolates lambda and imaginary part rho on the grid (rho is the
@@ -465,11 +472,7 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
     # integrate every available nonnegative mode, then truncate under the guard
     coeffs = np.zeros(n // 2 + 1, dtype=complex)  # mode 0 is zero under the guard
     np.divide(pos, _mode_orders(n // 2), out=coeffs[1:])
-    _truncate_with_guard(coeffs, n // 2)
-    if frac > NEG_FREQ_LIMIT:
-        raise NotHolomorphic(
-            f"negative-frequency energy fraction {frac:.2e} of boundary derivative"
-        )
+    _truncate_with_guard(coeffs, n // 2, frac)
     coeffs[0] = -np.sum(coeffs[1:])
     return DiskMap(coeffs, True, certified=bt.completed and 2.0 * neg_l1 < floor)
 
@@ -514,9 +517,9 @@ def mobius_recenter(d: DiskMap, a: complex, t: float) -> DiskMap:
 
     t = 0 gives the identity.  Composition happens on a dense boundary grid
     followed by re-projection to order M = max(2 * d.coeffs.size - 1, 256),
-    about twice the degree of d, as f stretches the boundary near a; the tail
-    guard (t too close to 1 for the series order) raises UnderResolved
-    before the negative-frequency guard raises NotHolomorphic.  The
+    about twice the degree of d, as f stretches the boundary near a; as in
+    build_phi, _truncate_with_guard raises UnderResolved (t too close to 1
+    for the series order) before NotHolomorphic.  The
     recentered map is certified by the argument principle (make_disk_map):
     f is a diffeomorphism of the closed disk, so losing d's immersion can
     only mean under-resolution, UnderResolved.
@@ -529,9 +532,7 @@ def mobius_recenter(d: DiskMap, a: complex, t: float) -> DiskMap:
     z = np.exp(1j * th)
     w = (z - t * a) / (1 - t * np.conj(a) * z)
     pos, _, frac = _boundary_modes(d(w))
-    coeffs = _truncate_with_guard(pos, M)
-    if frac > NEG_FREQ_LIMIT:
-        raise NotHolomorphic("recentered map lost holomorphy (sampling artifact)")
+    coeffs = _truncate_with_guard(pos, M, frac)
     coeffs[0] -= np.sum(coeffs)
     out = make_disk_map(coeffs)
     if d.immersed and not out.immersed:

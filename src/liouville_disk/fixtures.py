@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import _candidate_pairs
+from ._kernels import segment_hits
 from .curves import PolyCurve, turn_blend
 from .spectral import TWO_PI
 
@@ -144,26 +144,15 @@ def _two_polyline_intersections(A: np.ndarray, B: np.ndarray):
     """Proper intersections between closed polylines A and B:
     (edge_a, s, edge_b, t, point) tuples in row-major (edge_a, edge_b) order.
 
-    Candidate pairs come from the x-interval sweep of _kernels on the edges
-    of A and B together, of which only pairs of an A edge and a B edge are
-    tested; a proper intersection lies in both x-intervals.
+    They are the clean hits of _kernels.segment_hits on the edges of A and B
+    stacked, with no neighbour skipped, between an A edge and a B edge.
     """
     a0, a1 = A, np.roll(A, -1, axis=0)
-    b0, b1 = B, np.roll(B, -1, axis=0)
-    r = a1 - a0
-    s = b1 - b0
-    p, q = (np.concatenate(c) for c in zip(*_candidate_pairs(np.vstack([a0, b0]), np.vstack([a1, b1]))))
-    cross = (p < len(A)) & (q >= len(A))  # p < q in every pair
-    order = np.lexsort((q[cross], p[cross]))
-    i, j = p[cross][order], q[cross][order] - len(A)
-    denom = r[i, 0] * s[j, 1] - r[i, 1] * s[j, 0]
-    rel = b0[j] - a0[i]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = (rel[:, 0] * s[j, 1] - rel[:, 1] * s[j, 0]) / denom
-        v = (rel[:, 0] * r[i, 1] - rel[:, 1] * r[i, 0]) / denom
-    hit = (np.abs(denom) > 1e-12) & (u > 1e-9) & (u < 1 - 1e-9) & (v > 1e-9) & (v < 1 - 1e-9)
-    return [(int(i[k]), float(u[k]), int(j[k]), float(v[k]), a0[i[k]] + u[k] * r[i[k]])
-            for k in np.flatnonzero(hit)]
+    ends = np.vstack([a1, np.roll(B, -1, axis=0)])
+    i, j, u, v, suspect = segment_hits(np.vstack([a0, B]), ends, skip_neighbors=0)
+    keep = (i < len(A)) & (j >= len(A)) & (suspect == 0)  # i < j in every pair
+    return [(int(ia), float(s), int(jb) - len(A), float(t), a0[ia] + s * (a1[ia] - a0[ia]))
+            for ia, s, jb, t in zip(i[keep], u[keep], j[keep], v[keep])]
 
 
 def splice_curves(chain: np.ndarray, B: np.ndarray, d_trim: float) -> np.ndarray:

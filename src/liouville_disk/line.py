@@ -131,22 +131,27 @@ def _close_period(values, start: int) -> np.ndarray:
 POLE_NEIGHBORS = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
 
 
-def _pole_fit(neighbors) -> float:
-    """Value at offset 0 of the degree-7 polynomial through the samples at
-    offsets POLE_NEIGHBORS from the pole."""
+def _fitted_pole(chart: CircleChart, values_at) -> float:
+    """Value at the pole of the degree-7 polynomial through the samples at
+    offsets POLE_NEIGHBORS from it; values_at(points) gives the samples at
+    chart points (indices into chart.x).  The pole itself, its own
+    neighbour on grids of fewer than 9 points, enters the fit as 0."""
+    n = chart.thetas.size
+    near = (chart.pole + POLE_NEIGHBORS) % n
+    off = near != chart.pole
+    neighbors = np.zeros(near.size)
+    neighbors[off] = values_at(near[off] - (near[off] > chart.pole))
     coef = np.polynomial.polynomial.polyfit(POLE_NEIGHBORS.astype(float), neighbors, 7)
     return float(np.polynomial.polynomial.polyval(0.0, coef))
 
 
 def _with_pole(chart: CircleChart, off_values, pole_value: float | None) -> np.ndarray:
-    """Grid samples from their values off the pole.  The pole takes pole_value,
-    or else the value there of the degree-7 polynomial through its 4
-    neighbors on each side."""
-    n = chart.thetas.size
-    out = np.zeros(n)
+    """Grid samples from off_values, a float array at the chart points.  The
+    pole takes pole_value, or else the _fitted_pole value."""
+    out = np.zeros(chart.thetas.size)
     out[chart.off_pole] = off_values
     if pole_value is None:
-        pole_value = _pole_fit(out[(chart.pole + POLE_NEIGHBORS) % n])
+        pole_value = _fitted_pole(chart, lambda at: off_values[at])
     out[chart.pole] = pole_value
     return out
 
@@ -309,8 +314,8 @@ def window_samples(f, n: int, ta: float, tb: float, pole_value: float | None = N
     over any arcs inside it, gives on the slice the same bits as on the
     samples of the whole circle.  f is evaluated at the slice's points only,
     and a non-finite sample raises NotIntegrable.  A slice that reaches the
-    pole (either end of tau) takes pole_value there, or else the _with_pole
-    rule applied to f at the pole's 8 neighbours.
+    pole (either end of tau) takes pole_value there, or else the _fitted_pole
+    value of f at the pole's 8 neighbours.
     """
     chart = circle_chart(n)
     lo = min(max(int(np.searchsorted(chart.tau, ta, side="right")) - 1, 0), n - 1)
@@ -322,14 +327,7 @@ def window_samples(f, n: int, ta: float, tb: float, pole_value: float | None = N
     g = _integrand(f, _cyclic_slice(chart.x, start, stop), _cyclic_slice(chart.sin, start, stop))
     if lo == 0 or hi == n:
         if pole_value is None:
-            # as in _with_pole, the pole itself (its own neighbour on grids
-            # of fewer than 9 points) enters the fit as 0
-            near = (chart.pole + POLE_NEIGHBORS) % n
-            off = near != chart.pole
-            at = near[off] - (near[off] > chart.pole)  # their chart points
-            fit_values = np.zeros(near.size)
-            fit_values[off] = _integrand(f, chart.x[at], chart.sin[at])
-            pole_value = _pole_fit(fit_values)
+            pole_value = _fitted_pole(chart, lambda at: _integrand(f, chart.x[at], chart.sin[at]))
         pole_value = float(pole_value)
         _check_pole(pole_value)
         g = np.concatenate([[pole_value] * (lo == 0), g, [pole_value] * (hi == n)])

@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,16 +154,11 @@ def verify_solution(u, K, n: int = 512, anchor_coeff=None, pole_value=None):
     """Residual report for a claimed solution: routes through the circle
     pullback and the transferred equation; Lambda and the defect 2*pi - Lambda
     come back in the report.  Non-solutions still get a report (the strict
-    Dirac-mismatch guard is for declared-anchor bookkeeping, not testing)."""
-    return _verify(u, n, lambda: CurvatureData.from_evaluator(K, n), anchor_coeff, pole_value)
-
-
-def _verify(u, n: int, curvature, anchor_coeff=None, pole_value=None):
-    """verify_solution with the curvature data from curvature(), which is
-    called once u is pulled back, so that a bad u is reported before a bad
-    K."""
+    Dirac-mismatch guard is for declared-anchor bookkeeping, not testing).
+    u is pulled back before K is sampled, so a bad u is reported before a
+    bad K."""
     lf = pull_back(u, n, anchor_coeff=anchor_coeff, pole_value=pole_value)
-    return transfer_equation(lf, curvature(), strict_dirac=False)
+    return transfer_equation(lf, CurvatureData.from_evaluator(K, n), strict_dirac=False)
 
 
 # --- concentration ------------------------------------------------------------
@@ -488,25 +483,27 @@ def lambda_audit(members) -> AuditReport:
     grid; members whose residual reaches 1e-4 are excluded with a notice
     (the bound only covers genuine solutions).  For every verified member
     the measured Lambda must clear pi - 1e-3, and the far-field slope must
-    agree with Lambda/pi within 5%.  Every Bubble has K = 1, so that
-    curvature is sampled once per call, pole fit included, and serves them
-    all; a (label, u, K) member samples its own K, as verify_solution does.
+    agree with Lambda/pi within 5%.  A (label, u, K) member goes through
+    verify_solution.  A Bubble is pulled back with its exact value at the
+    pole, and as every Bubble has K = 1, that curvature is sampled once per
+    call, pole fit included, and serves them all.
     """
     # sampled, not CurvatureData.constant: the pole fit lands one ulp off 1,
     # and Lambda reads that ulp
     unit = CurvatureData.from_evaluator(np.ones_like, AUDIT_N)
     entries = []
     for item in members:
-        if isinstance(item, Bubble):
-            label = f"bubble(mu={item.mu:g}, x0={item.x0:g})"
-            u, curvature = item.u, lambda: unit
-            kwargs = {"anchor_coeff": 0.0, "pole_value": -np.log(item.mu)}
+        is_bubble = isinstance(item, Bubble)
+        if is_bubble:
+            label, u = f"bubble(mu={item.mu:g}, x0={item.x0:g})", item.u
         else:
             label, u, K = item
-            curvature = partial(CurvatureData.from_evaluator, K, AUDIT_N)
-            kwargs = {}
         try:
-            rep = _verify(u, AUDIT_N, curvature, **kwargs)
+            if is_bubble:
+                lf = pull_back(u, AUDIT_N, anchor_coeff=0.0, pole_value=-np.log(item.mu))
+                rep = transfer_equation(lf, unit, strict_dirac=False)
+            else:
+                rep = verify_solution(u, K, AUDIT_N)
         except Exception as exc:
             entries.append(AuditEntry(label, np.nan, np.nan, np.inf, False, f"verify failed: {exc}"))
             continue

@@ -278,9 +278,9 @@ def test_criterion_9_randomized_suites():
 
 def test_criterion_10_determinism(tmp_path):
     suite = [
-        lambda d: ["fixtures", "limacon", "--out-dir", d, "--seed", "9"],
-        lambda d: ["fixtures", "fblank-1", "--out-dir", d, "--seed", "9"],
-        lambda d: ["fixtures", "bubble", "--mu", "4", "--out-dir", d, "--seed", "9"],
+        lambda d: ["fixtures", "limacon", "--out-dir", d],
+        lambda d: ["fixtures", "fblank-1", "--out-dir", d],
+        lambda d: ["fixtures", "bubble", "--mu", "4", "--out-dir", d],
         lambda d: ["scan", "--mu-ladder", "2^0..2^6", "--radii", "0.4,0.2,0.1",
                    "--center", "0", "--n", str(1 << 14),
                    "--out", os.path.join(d, "scan.csv")],

@@ -885,6 +885,29 @@ def test_gluing_slicing_matches_the_chord_reference(monkeypatch):
     assert len(n_steps) >= 15 and max(n_steps) >= 2
 
 
+def test_gluing_piece_of_non_integral_turning_is_reported(monkeypatch):
+    # the first piece turns 0.2 of a full turn too far, well outside the
+    # 0.05 rounding guard (0.05 x 2 pi is about 0.31 rad): its index is not
+    # rounded away but lands in the report, and the verdict stands
+    base = extendability_check(fblank_first())
+    assert len(base.gluing["piece_indices"]) >= 2
+    wrap = blank.wrap_angle
+    calls = []
+
+    def off_on_first_piece(x):
+        out = wrap(x)
+        if not calls:
+            out[0] += 0.2 * TWO_PI
+        calls.append(out.size)
+        return out
+
+    monkeypatch.setattr(blank, "wrap_angle", off_on_first_piece)
+    rep = extendability_check(fblank_first())
+    assert calls and set(rep.gluing) == {"error"}
+    assert rep.gluing["error"].startswith("NumericalInconsistency: ")
+    assert (rep.index, rep.word, rep.word_contracts) == (base.index, base.word, base.word_contracts)
+
+
 class TestBlankWord:
     def test_circle_single_positive_letter(self):
         rec = blank_word(circle(256), seed=7)

@@ -271,12 +271,28 @@ class TestQuantCommands:
         assert "input error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["scan", "classify", "pinch", "audit"])
+    def test_mu_ladder_of_two_bases_is_an_input_error(self, tmp_path, capsys, command):
+        # 2^0..3^3 would run 2^0 .. 2^3 under the base of its lower end
+        argv = [command, "--mu-ladder", "2^0..3^3", "--out", str(tmp_path / "out")]
+        if command == "scan":
+            argv += ["--radii", "0.4,0.2,0.1"]
+        assert main(argv) == 1
+        assert "two bases" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_fixtures_take_no_seed(self, tmp_path, capsys):
+        assert main(["fixtures", "circle", "--out-dir", str(tmp_path), "--seed", "5"]) == 2
+        capsys.readouterr()
+        assert main(["fixtures", "circle", "--out-dir", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "circle.json").read_text())["meta"]["seed"] is None
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         suite = [
-            lambda d: ["fixtures", "limacon", "--out-dir", d, "--seed", "5"],
-            lambda d: ["fixtures", "fblank-1", "--out-dir", d, "--seed", "5"],
+            lambda d: ["fixtures", "limacon", "--out-dir", d],
+            lambda d: ["fixtures", "fblank-1", "--out-dir", d],
             lambda d: ["scan", "--mu-ladder", "2^0..2^4", "--radii", "0.4,0.2",
                        "--center", "0", "--n", str(1 << 12),
                        "--out", os.path.join(d, "scan.csv")],

@@ -81,7 +81,7 @@ def blaschke_fixture(zeros):
     with multiplicity, so the argument principle of make_disk_map finds
     them and the map is not immersed (as it must).  The boundary samples
     become a series as in disk.mobius_recenter: _boundary_modes, then
-    _truncate_with_guard.
+    _truncate_with_guard with their negative-frequency share.
     """
     zeros = [complex(a) for a in zeros]
     for a in zeros:
@@ -92,8 +92,8 @@ def blaschke_fixture(zeros):
     vals = np.ones_like(z)
     for a in zeros:
         vals = vals * (z - a) / (1 - np.conj(a) * z)
-    pos, _, _ = disk._boundary_modes(vals)
-    coeffs = disk._truncate_with_guard(pos, n_grid // 4)
+    pos, _, neg_frac = disk._boundary_modes(vals)
+    coeffs = disk._truncate_with_guard(pos, n_grid // 4, neg_frac)
     return make_disk_map(coeffs, normalized_at_one=False)
 
 

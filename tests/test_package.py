@@ -6,7 +6,10 @@ The package must run without numba, read no environment variables, import
 no adaptive quadrature (the principal-value oracles live in the tests),
 assemble anchored cell quadrature only in spectral.singular_cell_integrals,
 walk faces and Seifert circles only through arrangement._cycles,
-place the circle grid on the line only in line.circle_chart, evaluate
+place the circle grid on the line only in line.circle_chart, fit the value
+at the pole only in line._fitted_pole, raise NotHolomorphic only in disk's
+guard step and NumericalInconsistency only in curves._turning_index,
+intersect segments only in _kernels, evaluate
 |Phi'| on rings only through the folded FFT, hand out only read-only arrays
 from its caches, build every value through its constructor, hand a disk
 map a Rouche certificate only from build_phi, import nothing it does not
@@ -270,8 +273,6 @@ CALLER_ALLOWED = {
     # the NotGenericPosition error of self_intersections tells the user to
     # jitter the curve
     "curves.jitter",
-    # the README's route for checking a claimed solution
-    "quant.verify_solution",
     # a bubble's pullback at any angles; pull_back and lambda_bar read the
     # same formula on the chart cached per grid size
     "quant.Bubble.lambda_at",
@@ -448,26 +449,29 @@ def call_scopes(tree, names):
     return list(visit(tree, ()))
 
 
+def package_call_scopes(names):
+    """module.scope of every call in the package to one of names."""
+    return {
+        f"{name[:-3]}.{scope}"
+        for name, tree in module_trees()
+        for scope in call_scopes(tree, names)
+    }
+
+
 def test_anchored_cell_quadrature_has_one_home():
     # the fixed rules beside anchors and the shifted-grid Gauss cells are
     # assembled in one function, which line and disk both call
-    callers = {
-        f"{name[:-3]}.{scope}"
-        for name, tree in module_trees()
-        for scope in call_scopes(tree, {"singular_cell_rule", "eval_shifted_grids"})
+    assert package_call_scopes({"singular_cell_rule", "eval_shifted_grids"}) == {
+        "spectral.singular_cell_integrals"
     }
-    assert callers == {"spectral.singular_cell_integrals"}
 
 
 def test_crossing_permutations_have_one_cycle_walk():
     # faces and Seifert circles are both cycles of a permutation of crossing
     # passages, walked by arrangement._cycles; no second tracer comes back
-    callers = {
-        f"{name[:-3]}.{scope}"
-        for name, tree in module_trees()
-        for scope in call_scopes(tree, {"_cycles"})
+    assert package_call_scopes({"_cycles"}) == {
+        "arrangement.build_arrangement", "blank.seifert_decompose",
     }
-    assert callers == {"arrangement.build_arrangement", "blank.seifert_decompose"}
     path = PACKAGE_DIR / "arrangement.py"
     defined = {
         node.name
@@ -477,16 +481,41 @@ def test_crossing_permutations_have_one_cycle_walk():
     assert defined.isdisjoint({"Arc", "_trace_faces"})
 
 
+def test_each_guard_raises_in_one_home():
+    # the tail and negative-frequency guards run as one step, in that order,
+    # and a turning number is rounded under one integrality guard
+    assert package_call_scopes({"NotHolomorphic"}) == {"disk._truncate_with_guard"}
+    assert package_call_scopes({"NumericalInconsistency"}) == {"curves._turning_index"}
+    assert package_call_scopes({"_turning_index"}) == {
+        "curves.rotation_index", "blank._loose_rotation_index",
+    }
+
+
+def test_the_pole_fit_has_one_home():
+    # the value at -i of the curvature, of lambda and of a window integrand
+    # all come from line._fitted_pole
+    path = PACKAGE_DIR / "line.py"
+    assert set(call_scopes(ast.parse(path.read_text(), filename=str(path)), {"polyfit"})) == {
+        "_fitted_pole"
+    }
+    assert package_call_scopes({"_fitted_pole"}) == {
+        "line._with_pole", "line.window_samples",
+    }
+
+
+def test_segment_intersection_has_one_home():
+    # the splice of the fixtures finds its crossings through segment_hits;
+    # the sweep's candidate pairs stay inside _kernels
+    assert package_call_scopes({"_candidate_pairs"}) == {"_kernels.segment_hits"}
+    bound = import_bindings(ast.parse((PACKAGE_DIR / "fixtures.py").read_text()))
+    assert bound.get("segment_hits") == ("_kernels", "segment_hits")
+
+
 def test_anchored_cell_quadrature_reads_half_spectra():
     # the anchored quadrature and its two callers transform their real grids
     # by real_half_spectrum: no mirrored spectrum from analyze, which no
     # module of the package calls
-    callers = {
-        f"{name[:-3]}.{scope}"
-        for name, tree in module_trees()
-        for scope in call_scopes(tree, {"analyze"})
-    }
-    assert callers == set()
+    assert package_call_scopes({"analyze"}) == set()
 
 
 def test_spectral_runs_complex_transforms_only_in_analyze():
@@ -533,12 +562,7 @@ def test_eval_modes_has_one_code_path():
 
 def test_the_circle_chart_alone_places_the_grid_on_the_line():
     # the pole index and Pi(theta_j) of the grid are computed once per n
-    callers = {
-        f"{name[:-3]}.{scope}"
-        for name, tree in module_trees()
-        for scope in call_scopes(tree, {"_pole_index", "stereo_project"})
-    }
-    assert callers == {"line.circle_chart"}
+    assert package_call_scopes({"_pole_index", "stereo_project"}) == {"line.circle_chart"}
 
 
 # point evaluation of a series: the map, its derivative and the corner

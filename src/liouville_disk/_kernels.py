@@ -67,6 +67,12 @@ def _candidate_pairs(a: np.ndarray, b: np.ndarray):
         p0 = p1
 
 
+def _cross_solve(rx, ry, sx, sy, qx, qy):
+    """Cramer's rule for a + u r = b + v s, q = b - a, elementwise: the
+    determinant r x s and the numerators q x s of u and q x r of v."""
+    return rx * sy - ry * sx, qx * sy - qy * sx, qx * ry - qy * rx
+
+
 def segment_hits(a: np.ndarray, b: np.ndarray, skip_neighbors: int = 1):
     """Proper pairwise intersections among segments a[k] -> b[k].
 
@@ -90,10 +96,7 @@ def segment_hits(a: np.ndarray, b: np.ndarray, skip_neighbors: int = 1):
         aix, aiy, bix, biy = ax[i], ay[i], bx[i], by[i]
         rx, ry = bix - aix, biy - aiy
         sx, sy = bx[j] - ax[j], by[j] - ay[j]
-        denom = rx * sy - ry * sx
-        qpx, qpy = ax[j] - aix, ay[j] - aiy
-        num_s = qpx * sy - qpy * sx
-        num_t = qpx * ry - qpy * rx
+        denom, num_s, num_t = _cross_solve(rx, ry, sx, sy, ax[j] - aix, ay[j] - aiy)
         scale = (np.abs(rx) + np.abs(ry)) * (np.abs(sx) + np.abs(sy)) + 1e-300
         small = np.abs(denom) < 1e-9 * scale
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -25,15 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _cross_solve
 from .arrangement import Arrangement, _cycles, _signed_area, build_arrangement, cut_at_crossings
 from .curves import (
     PolyCurve,
     _turning_index,
+    _vertex_turns,
     fillet_corners,
     rotation_index,
     self_intersections,
     turn_blend,
-    wrap_angle,
 )
 from .errors import DecompositionCorrupt, InvalidInput, RayCastFailed
 from .spectral import TWO_PI
@@ -233,10 +234,9 @@ def _cast_fan(origins, dirs, vertices, span: float, guard_points) -> _RayFan:
 
     ux, uy = dirs[d, 0], dirs[d, 1]
     ex, ey = edge[k, 0], edge[k, 1]
-    denom = ux * ey - uy * ex
+    denom, num_r, num_t = _cross_solve(ux, uy, ex, ey, rx, ry)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = (rx * ey - ry * ex) / denom
-        t = (rx * uy - ry * ux) / denom
+        r, t = num_r / denom, num_t / denom
     margin = 1e-9
     hit = np.flatnonzero(
         (np.abs(denom) >= 1e-12)
@@ -554,5 +554,5 @@ def _loose_rotation_index(pts: np.ndarray) -> int:
     keep = np.hypot(d[:, 0], d[:, 1]) > 1e-12
     d = d[keep]
     ang = np.arctan2(d[:, 1], d[:, 0])
-    turn = wrap_angle(np.concatenate([ang[1:], ang[:1]]) - ang)
-    return _turning_index(float(np.sum(turn)))
+    # turn k runs from edge k to edge k + 1
+    return _turning_index(float(np.sum(_vertex_turns(np.roll(ang, -1)))))

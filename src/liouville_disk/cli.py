@@ -33,7 +33,7 @@ from .quant import (
     lambda_audit,
     pinching_probe,
 )
-from .spectral import PeriodicGrid, SingularField, half_laplacian, hilbert, poisson_extend
+from .spectral import PeriodicGrid, half_laplacian, hilbert, poisson_extend
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -62,26 +62,18 @@ def _write_csv(path, meta, body):
         fh.write(body)
 
 
-def _read_json(path):
-    """The JSON object in the file; any other top-level value is an input
-    error."""
+def _load(path, from_json):
+    """from_json of the JSON object in the file.  Any other top-level value
+    is an input error, and so is a value of the wrong JSON type inside the
+    object (the TypeError that from_json raises on it)."""
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise InvalidInput(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    return obj
-
-
-def _load_grid(path) -> PeriodicGrid:
-    return PeriodicGrid.from_json(_read_json(path))
-
-
-def _load_field(path) -> SingularField:
-    return LineField.from_json(_read_json(path)).field
-
-
-def _load_curve(path) -> PolyCurve:
-    return PolyCurve.from_json(_read_json(path))
+    try:
+        return from_json(obj)
+    except TypeError as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
 
 
 def _nonempty(values, what, text):
@@ -110,28 +102,28 @@ def _parse_mu_ladder(text):
 
 
 def cmd_halflap(args):
-    g = _load_grid(args.infile)
+    g = _load(args.infile, PeriodicGrid.from_json)
     out = half_laplacian(g)
     _write_json(args.out, {"meta": _meta(args), **out.to_json()})
     return EXIT_OK
 
 
 def cmd_hilbert(args):
-    g = _load_grid(args.infile)
+    g = _load(args.infile, PeriodicGrid.from_json)
     out = hilbert(g)
     _write_json(args.out, {"meta": _meta(args), **out.to_json()})
     return EXIT_OK
 
 
 def cmd_extend(args):
-    g = _load_grid(args.infile)
+    g = _load(args.infile, PeriodicGrid.from_json)
     out = poisson_extend(g, args.radius)
     _write_json(args.out, {"meta": _meta(args, {"radius": args.radius}), **out.to_json()})
     return EXIT_OK
 
 
 def cmd_curvature(args):
-    field = _load_field(args.infile)
+    field = _load(args.infile, LineField.from_json).field
     bt = analytic_completion(field)
     kappa = boundary_curvature(bt)
     payload = {
@@ -145,7 +137,7 @@ def cmd_curvature(args):
 
 
 def cmd_rotation_index(args):
-    c = _load_curve(args.infile)
+    c = _load(args.infile, PolyCurve.from_json)
     rep = rotation_index(c)
     payload = {
         "meta": _meta(args),
@@ -168,7 +160,7 @@ def _print_contraction(res):
 
 
 def cmd_blank_word(args):
-    c = _load_curve(args.infile)
+    c = _load(args.infile, PolyCurve.from_json)
     rec = blank_word(c, seed=args.seed)
     res = contract(rec.word)
     print(f"word: {rec.word}")
@@ -196,7 +188,7 @@ def cmd_contract(args):
     if args.word:
         w = BlankWord.parse(args.word)
     elif args.infile:
-        w = BlankWord.from_json(_read_json(args.infile))
+        w = _load(args.infile, BlankWord.from_json)
     else:
         raise InvalidInput("contract needs a word: pass --word or --in")
     res = contract(w)
@@ -215,7 +207,7 @@ def cmd_contract(args):
 
 
 def cmd_seifert(args):
-    c = _load_curve(args.infile)
+    c = _load(args.infile, PolyCurve.from_json)
     pieces = seifert_decompose(c)
     print(f"pieces: {len(pieces)}, orientations: {[o for _, o in pieces]}")
     if args.out:
@@ -230,7 +222,7 @@ def cmd_seifert(args):
 
 
 def cmd_extendability(args):
-    c = _load_curve(args.infile)
+    c = _load(args.infile, PolyCurve.from_json)
     rep = extendability_check(c, seed=args.seed)
     print(f"index: {rep.index} (ok: {rep.index_ok}), word contracts: {rep.word_contracts}")
     if args.out:

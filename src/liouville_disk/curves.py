@@ -1,6 +1,9 @@
 """Closed planar polylines with corner markers: the discrete stand-in for
 piecewise-C1 curves.
 
+A PolyCurve is a read-only value: its constructor derives the edge frame
+once, and rotation_index, self_intersections and jitter read it from there.
+
 Rotation index = (smooth turning along arcs + exterior angles at corners) /
 2*pi, asserted to land on an integer within the 0.05 rounding guard.  The
 exterior angle at a corner lives in [-pi, pi]; exactly reversed tangents are
@@ -9,11 +12,13 @@ resolved by a side probe three edges out (left turn gets +pi).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
-from ._kernels import segment_hits
+from ._kernels import _cross_solve, segment_hits
 from .errors import (
     InvalidInput,
     JitterTooLarge,
@@ -34,13 +39,27 @@ def wrap_angle(x):
     return np.angle(np.exp(1j * np.asarray(x, dtype=float)))
 
 
-@dataclass
+def _vertex_turns(angles: np.ndarray) -> np.ndarray:
+    """The wrapped turn at each vertex of a closed polyline whose edge k has
+    direction angles[k]: angles[k] - angles[k - 1], in (-pi, pi]."""
+    return wrap_angle(angles - np.concatenate([angles[-1:], angles[:-1]]))
+
+
+@dataclass(frozen=True)
 class PolyCurve:
-    """Closed polyline; corners maps vertex index -> (tangent_in, tangent_out)
-    angles or None when the incident edge directions stand in for them."""
+    """Closed polyline, a read-only value.  corners maps vertex index ->
+    (tangent_in, tangent_out) angles, or None where the incident edge
+    directions stand in for them.  The constructor derives the edge frame
+    once, read-only: edges[k] = vertices[k + 1] - vertices[k] (cyclically),
+    their lengths and direction angles, and turns[k], the wrapped turn at
+    vertex k from edge k - 1 to edge k."""
 
     vertices: np.ndarray
-    corners: dict = field(default_factory=dict)
+    corners: Mapping = field(default_factory=dict)
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    angles: np.ndarray = field(init=False, repr=False, compare=False)
+    turns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = snap(np.asarray(self.vertices, dtype=float))
@@ -50,36 +69,28 @@ class PolyCurve:
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         if np.any(lengths == 0.0):
             raise InvalidInput("zero-length edge after snapping")
-        self.vertices = v
-        self.corners = {int(k): t for k, t in self.corners.items()}
-        for k in self.corners:
+        corners = {int(k): t for k, t in self.corners.items()}
+        for k in corners:
             if not 0 <= k < v.shape[0]:
                 raise InvalidInput(f"corner index {k} out of range")
-        ang = np.arctan2(edges[:, 1], edges[:, 0])
-        turn = wrap_angle(ang - np.concatenate([ang[-1:], ang[:-1]]))
-        smooth = np.setdiff1d(np.arange(v.shape[0]), list(self.corners))
+        angles = np.arctan2(edges[:, 1], edges[:, 0])
+        turn = _vertex_turns(angles)
+        smooth = np.setdiff1d(np.arange(v.shape[0]), list(corners))
         if smooth.size and np.max(np.abs(turn[smooth])) >= MAX_SMOOTH_TURN:
             j = smooth[int(np.argmax(np.abs(turn[smooth])))]
             raise InvalidInput(
                 f"turning {abs(turn[j]):.3f} rad at non-corner vertex {j} "
                 f"(discrete C1 proxy is {MAX_SMOOTH_TURN})"
             )
+        frame = {"vertices": v, "edges": edges, "lengths": lengths, "angles": angles, "turns": turn}
+        for name, value in frame.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "corners", MappingProxyType(corners))
 
     @property
     def m(self) -> int:
         return self.vertices.shape[0]
-
-    def edge_vectors(self) -> np.ndarray:
-        v = self.vertices
-        return np.concatenate([v[1:], v[:1]]) - v
-
-    def edge_angles(self) -> np.ndarray:
-        e = self.edge_vectors()
-        return np.arctan2(e[:, 1], e[:, 0])
-
-    def edge_lengths(self) -> np.ndarray:
-        e = self.edge_vectors()
-        return np.hypot(e[:, 0], e[:, 1])
 
     def to_json(self) -> dict:
         obj = {
@@ -131,9 +142,9 @@ def rotation_index(c: PolyCurve) -> RotationReport:
     at each corner the arc turning is corrected to end at tangent_in and
     restart at tangent_out, and the exterior angle is their wrapped gap.
     """
-    ang = c.edge_angles()
+    ang = c.angles
     m = c.m
-    terms = wrap_angle(ang - np.concatenate([ang[-1:], ang[:-1]]))
+    terms = c.turns.copy()
     exterior = {}
     for k in sorted(c.corners):
         prev_dir = ang[(k - 1) % m]
@@ -192,7 +203,7 @@ def self_intersections(c: PolyCurve):
     a = v
     b = np.concatenate([v[1:], v[:1]])
     ii, jj, ss, tt, flags = segment_hits(a, b, skip_neighbors=1)
-    ang = c.edge_angles()
+    ang = c.angles
     out = []
     for i, j, s, t, flag in zip(ii, jj, ss, tt, flags):
         i, j = int(i), int(j)
@@ -229,17 +240,17 @@ def self_intersections(c: PolyCurve):
 def jitter(c: PolyCurve, seed: int, magnitude: float) -> PolyCurve:
     """Deterministic pseudo-random vertex perturbation; the rotation index must
     survive, otherwise JitterTooLarge."""
-    min_edge = float(np.min(c.edge_lengths()))
+    min_edge = float(np.min(c.lengths))
     if magnitude >= 0.1 * min_edge:
         raise InvalidInput(
             f"magnitude {magnitude:.3g} >= 0.1 x min edge length {min_edge:.3g}"
         )
     if magnitude == 0.0:
-        return PolyCurve(c.vertices.copy(), dict(c.corners))
+        return c
     rng = np.random.default_rng(seed)
     moved = c.vertices + rng.uniform(-magnitude, magnitude, size=c.vertices.shape)
     before = rotation_index(c).index
-    out = PolyCurve(moved, dict(c.corners))
+    out = PolyCurve(moved, c.corners)
     after = rotation_index(out).index
     if after != before:
         raise JitterTooLarge(f"rotation index changed {before} -> {after}")
@@ -288,12 +299,10 @@ def fillet_corners(c: PolyCurve) -> PolyCurve:
             # control point at the intersection of the tangent lines; fall back
             # to the corner vertex when nearly parallel
             d_in = np.array([np.cos(tin), np.sin(tin)])
-            d_out = np.array([np.cos(tout), np.sin(tout)])
-            denom = d_in[0] * (-d_out[1]) - d_in[1] * (-d_out[0])
+            denom, num, _ = _cross_solve(d_in[0], d_in[1], -np.cos(tout), -np.sin(tout),
+                                         *(p2 - p0))
             if abs(denom) > 1e-9:
-                rhs = p2 - p0
-                s = (rhs[0] * (-d_out[1]) - rhs[1] * (-d_out[0])) / denom
-                p1 = p0 + s * d_in
+                p1 = p0 + num / denom * d_in
             else:
                 p1 = c.vertices[k]
         else:

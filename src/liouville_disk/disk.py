@@ -63,7 +63,7 @@ import numpy as np
 
 from ._kernels import segment_hits, segment_meets, winding_batch
 from .errors import InconclusiveMesh, InvalidInput, NotHolomorphic, UnderResolved
-from .mesh import boundary_node, build_polar_mesh, check_boundary_size, shortest_path_distance
+from .mesh import build_polar_mesh, check_boundary_size, shortest_path_distance
 from .spectral import (
     BAND_LIMIT_ENERGY,
     TWO_PI,
@@ -76,6 +76,7 @@ from .spectral import (
     circle_trapezoid,
     conjugate_profile,
     grid_angles,
+    grid_node,
     log_profile,
     real_half_spectrum,
     singular_cell_integrals,
@@ -362,7 +363,7 @@ def _truncate_with_guard(full_coeffs: np.ndarray, M: int, neg_frac: float) -> np
         )
     if neg_frac > NEG_FREQ_LIMIT:
         raise NotHolomorphic(
-            f"negative-frequency energy fraction {neg_frac:.2e} of boundary derivative"
+            f"negative-frequency energy fraction {neg_frac:.2e} of the boundary samples"
         )
     return full_coeffs[: M + 1]
 
@@ -385,16 +386,6 @@ def _boundary_modes(w: np.ndarray):
     neg_energy = float(neg_abs @ neg_abs)
     total = neg_energy + _energy(pos)
     return pos, neg_l1, neg_energy / total if total else 0.0
-
-
-@lru_cache(maxsize=16)
-def _mode_orders(m: int) -> np.ndarray:
-    """The read-only orders 1 .. m by which build_phi divides the modes of
-    an n = 2m point grid, built once per grid size (int64, as np.arange
-    gives them, so the quotients keep their bits)."""
-    k = np.arange(1, m + 1)
-    k.setflags(write=False)
-    return k
 
 
 def build_phi(bt: BoundaryTrace) -> DiskMap:
@@ -471,7 +462,7 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
     pos, neg_l1, frac = _boundary_modes(w)
     # integrate every available nonnegative mode, then truncate under the guard
     coeffs = np.zeros(n // 2 + 1, dtype=complex)  # mode 0 is zero under the guard
-    np.divide(pos, _mode_orders(n // 2), out=coeffs[1:])
+    np.divide(pos, np.arange(1, n // 2 + 1), out=coeffs[1:])
     _truncate_with_guard(coeffs, n // 2, frac)
     coeffs[0] = -np.sum(coeffs[1:])
     return DiskMap(coeffs, True, certified=bt.completed and 2.0 * neg_l1 < floor)
@@ -617,7 +608,7 @@ def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256
     if abs(p - q) < 1e-12:
         raise InvalidInput("endpoints must be distinct")
     check_boundary_size(n_boundary)
-    a, b = sorted((boundary_node(p, n_boundary), boundary_node(q, n_boundary)))
+    a, b = sorted((grid_node(np.angle(p), n_boundary), grid_node(np.angle(q), n_boundary)))
     if a == b:
         raise InconclusiveMesh(
             f"endpoints {p:.6g} and {q:.6g} share a boundary node of the "
@@ -658,7 +649,6 @@ def boundary_polyline(bt_or_map, n_vertices: int = 512):
 
 def _singular_boundary_polyline(bt: BoundaryTrace, n: int):
     th = grid_angles(n)
-    h = TWO_PI / n
     anchors = bt.anchors
 
     def dphi(nodes, lam, rho):
@@ -681,7 +671,7 @@ def _singular_boundary_polyline(bt: BoundaryTrace, n: int):
 
     corners = {}
     for t0, c in anchors:
-        jc = int(np.round((t0 + np.pi) / h)) % n
+        jc = grid_node(t0, n)
         tin = _one_sided_tangent(verts_c, th, jc, side=-1)
         tout = _one_sided_tangent(verts_c, th, jc, side=+1)
         corners[jc] = (tin, tout)

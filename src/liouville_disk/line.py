@@ -36,6 +36,7 @@ from .spectral import (
     TWO_PI,
     PeriodicGrid,
     SingularField,
+    angular_gap,
     circle_trapezoid,
     grid_angles,
     log_profile,
@@ -176,7 +177,7 @@ class LineField:
         """Declared defect coefficient: the anchor strength at -i (0 when no
         anchor lies within 1e-9 of it)."""
         for t, c in self.field.anchors:
-            if abs((t - POLE_ANGLE + np.pi) % TWO_PI - np.pi) <= 1e-9:
+            if angular_gap(t, POLE_ANGLE) <= 1e-9:
                 return c
         return 0.0
 
@@ -458,8 +459,7 @@ def transfer_equation(lf: LineField, K: CurvatureData, strict_dirac: bool = True
     mask = np.ones(n, dtype=bool)
     th = grid_angles(n)
     for t0, _c in field.anchors:
-        d = np.abs((th - t0 + np.pi) % TWO_PI - np.pi)
-        mask &= d > 2.5 * TWO_PI / n
+        mask &= angular_gap(th, t0) > 2.5 * TWO_PI / n
     res = residual[mask]
     return TransferReport(
         Lambda=float(Lambda),

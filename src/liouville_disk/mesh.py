@@ -19,8 +19,8 @@ A mesh is built once per boundary size (disk caches it) and every array it
 holds is read-only, the graph's int32 CSR structure included: a distance
 call supplies only its edge weights, and no caller can write into the
 lengths or the adjacency that every later distance reads.  Boundary node j
-sits at the grid angle theta_j = -pi + 2 pi j / n (boundary_node), on both
-routes.
+sits at the grid angle theta_j = -pi + 2 pi j / n (spectral.grid_node), on
+both routes.
 """
 
 from __future__ import annotations
@@ -43,13 +43,6 @@ def check_boundary_size(n_boundary: int):
     mesh: at least MIN_BOUNDARY_NODES."""
     if n_boundary < MIN_BOUNDARY_NODES:
         raise InvalidInput(f"mesh needs at least {MIN_BOUNDARY_NODES} boundary nodes")
-
-
-def boundary_node(z: complex, n_boundary: int) -> int:
-    """Index of the grid angle nearest to a unit-circle point: its node on
-    the boundary of n_boundary nodes."""
-    theta = np.angle(complex(z))
-    return int(np.round((theta + np.pi) * n_boundary / TWO_PI)) % n_boundary
 
 
 @dataclass(frozen=True)

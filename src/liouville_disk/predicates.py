@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import _cross_solve
+
 SNAP = 2.0**-40
 _EPS = np.finfo(float).eps
 
@@ -57,12 +59,9 @@ def segment_verdict(p1, p2, q1, q2):
     d3 = orient2d(p1, p2, q1)
     d4 = orient2d(p1, p2, q2)
     if d1 * d2 < 0 and d3 * d4 < 0:
-        rx, ry = p2[0] - p1[0], p2[1] - p1[1]
-        sx, sy = q2[0] - q1[0], q2[1] - q1[1]
-        denom = rx * sy - ry * sx
-        s = ((q1[0] - p1[0]) * sy - (q1[1] - p1[1]) * sx) / denom
-        t = ((q1[0] - p1[0]) * ry - (q1[1] - p1[1]) * rx) / denom
-        return ("proper", float(s), float(t))
+        denom, num_s, num_t = _cross_solve(p2[0] - p1[0], p2[1] - p1[1], q2[0] - q1[0],
+                                           q2[1] - q1[1], q1[0] - p1[0], q1[1] - p1[1])
+        return ("proper", float(num_s / denom), float(num_t / denom))
     if d1 == 0 or d2 == 0 or d3 == 0 or d4 == 0:
         # a zero orientation only matters if the configurations overlap
         if (

@@ -90,6 +90,16 @@ def grid_angles(n: int) -> np.ndarray:
     return th
 
 
+def grid_node(theta: float, n: int) -> int:
+    """Index of the grid angle of grid_angles(n) nearest to theta."""
+    return int(np.round((theta + np.pi) * n / TWO_PI)) % n
+
+
+def angular_gap(a, b):
+    """Distance of angle a from angle b on the circle, in [0, pi]."""
+    return np.abs((a - b + np.pi) % TWO_PI - np.pi)
+
+
 class ValueEquality:
     """== and hash() by value for frozen dataclasses (eq=False) with read-only
     array fields, whose generated methods raise on arrays.  Arrays match by
@@ -594,7 +604,7 @@ class SingularField(ValueEquality):
         h = TWO_PI / self.smooth.n
         for i in range(len(anchors)):
             for j in range(i + 1, len(anchors)):
-                gap = abs((anchors[i][0] - anchors[j][0] + np.pi) % TWO_PI - np.pi)
+                gap = angular_gap(anchors[i][0], anchors[j][0])
                 if gap < 2 * h:
                     warnings.warn(
                         f"anchors {i} and {j} are {gap:.2e} apart (< 2 grid cells)",

@@ -250,7 +250,7 @@ def test_criterion_9_randomized_suites():
     rng = np.random.default_rng(3)
     for trial in range(50):
         c, expect = cases[trial % 3]
-        h = float(np.min(c.edge_lengths()))
+        h = float(np.min(c.lengths))
         j = jitter(c, seed=int(rng.integers(1 << 31)), magnitude=0.02 * h)
         jitter_ok += rotation_index(j).index == expect
     # 100 random words: verdict invariant under rotation and renaming

@@ -817,7 +817,7 @@ def cyclic_slice(boundary, labels, a_idx, b_idx):
 def chord_gluing_indices(c, rec, res):
     """Reference piece indices: each step cuts the stretch from the plus
     letter to its minus letter and closes both sides with a resampled chord."""
-    step_len = float(np.median(c.edge_lengths()))
+    step_len = float(np.median(c.lengths))
     events = sorted(zip(rec.positions, range(len(rec.positions))))
     pts, letter_vertex, ev_idx = [], {}, 0
     for i in range(c.m):
@@ -891,17 +891,17 @@ def test_gluing_piece_of_non_integral_turning_is_reported(monkeypatch):
     # rounded away but lands in the report, and the verdict stands
     base = extendability_check(fblank_first())
     assert len(base.gluing["piece_indices"]) >= 2
-    wrap = blank.wrap_angle
+    turns = blank._vertex_turns
     calls = []
 
     def off_on_first_piece(x):
-        out = wrap(x)
+        out = turns(x)
         if not calls:
             out[0] += 0.2 * TWO_PI
         calls.append(out.size)
         return out
 
-    monkeypatch.setattr(blank, "wrap_angle", off_on_first_piece)
+    monkeypatch.setattr(blank, "_vertex_turns", off_on_first_piece)
     rep = extendability_check(fblank_first())
     assert calls and set(rep.gluing) == {"error"}
     assert rep.gluing["error"].startswith("NumericalInconsistency: ")

@@ -174,6 +174,25 @@ def test_json_that_is_not_an_object_is_an_input_error(tmp_path, capsys, argv):
 
 
 
+CIRCLE_16 = [[float(np.cos(t)), float(np.sin(t))] for t in np.linspace(0, 2 * np.pi, 16, endpoint=False)]
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["halflap", "--out", "{out}"], {"n": 3, "values": [[1, 2], 3, 4]}),
+    (["curvature", "--out", "{out}"], {"n": 8, "values": [0.0] * 8, "anchors": 5}),
+    (["rotation-index", "--out", "{out}"], {"vertices": CIRCLE_16, "corners": 5}),
+    (["contract", "--out", "{out}"], {"letters": 5}),
+], ids=["grid", "field", "curve", "word"])
+def test_a_value_of_the_wrong_type_is_an_input_error(tmp_path, capsys, argv, doc):
+    # the object is well formed, a value inside it is not
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps(doc))
+    args = [a.format(out=out) for a in argv]
+    assert main(args[:1] + ["--in", str(src)] + args[1:]) == 1
+    assert "input error: InvalidInput" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestQuantCommands:
     def test_scan_matches_closed_form(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -2,6 +2,8 @@
 against closed-form and dense-sampling oracles.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,7 +107,7 @@ class TestRotationIndex:
         trials = 0
         while trials < 50:
             c, idx = cases[trials % 3]
-            h = float(np.min(c.edge_lengths()))
+            h = float(np.min(c.lengths))
             j = jitter(c, seed=int(rng.integers(1 << 31)), magnitude=0.02 * h)
             assert rotation_index(j).index == idx
             trials += 1
@@ -183,7 +185,7 @@ class TestJitter:
 
     def test_tangential_resolves_both_ways(self):
         tt = tangent_touch()
-        h = float(np.min(tt.edge_lengths()))
+        h = float(np.min(tt.lengths))
         seen = set()
         for seed in range(1, 30):
             try:
@@ -276,9 +278,37 @@ def test_polycurve_rejects_sharp_unmarked():
         PolyCurve(np.asarray(pts))
 
 
+def test_a_curve_and_its_edge_frame_are_read_only():
+    # moving a vertex in place would leave the checked frame behind it:
+    # vertex 10 of circle(256) on vertex 200 is no C1 curve, yet the old
+    # turns would still give index 1
+    c = circle(256)
+    with pytest.raises(ValueError):
+        c.vertices[10] = c.vertices[200]
+    assert rotation_index(c).index == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.vertices = c.vertices[::-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.turns = np.zeros(c.m)
+    for name in ("vertices", "edges", "lengths", "angles", "turns"):
+        with pytest.raises(ValueError):
+            getattr(c, name)[0] = 0.0
+    marked = PolyCurve(c.vertices, corners={40: None})
+    with pytest.raises(TypeError):
+        marked.corners[7] = None
+    assert dict(marked.corners) == {40: None}
+    # the frame is what the constructor checked
+    v = c.vertices
+    edges = np.roll(v, -1, axis=0) - v
+    assert np.array_equal(c.edges, edges)
+    assert np.array_equal(c.lengths, np.hypot(edges[:, 0], edges[:, 1]))
+    assert np.array_equal(c.angles, np.arctan2(edges[:, 1], edges[:, 0]))
+    assert np.array_equal(c.turns, wrap_angle(c.angles - np.roll(c.angles, 1)))
+
+
 def loop_turning(c):
     """Reference: the turning sum vertex by vertex, corners in place."""
-    ang = c.edge_angles()
+    ang = c.angles
     m = c.m
     total = 0.0
     exterior = {}
@@ -315,7 +345,7 @@ def turning_cases():
                     ("figure-eight", figure_eight(256))):
         yield name, c
         for seed in range(3):
-            yield f"{name}-jitter{seed}", jitter(c, seed, 0.05 * float(np.min(c.edge_lengths())))
+            yield f"{name}-jitter{seed}", jitter(c, seed, 0.05 * float(np.min(c.lengths)))
     for k, beta in enumerate(np.pi * np.array([0.05, 0.5, 0.95, -0.5])):
         yield f"corner-{beta:.3f}", singular_corner_curve(beta, 128, 0.05 * (k % 2))
     # corners listed out of order, one with a recorded tangent and a zero

@@ -31,13 +31,14 @@ from liouville_disk.disk import (
 )
 from liouville_disk.errors import InconclusiveMesh, InvalidInput, NotHolomorphic, UnderResolved
 from liouville_disk.line import pull_back, stereo_inverse
-from liouville_disk.mesh import boundary_node, build_polar_mesh, shortest_path_distance
+from liouville_disk.mesh import build_polar_mesh, shortest_path_distance
 from liouville_disk.spectral import (
     PeriodicGrid,
     SingularField,
     analyze,
     conjugate_profile,
     grid_angles,
+    grid_node,
     hilbert,
     log_profile,
 )
@@ -398,7 +399,7 @@ def no_mesh(monkeypatch):
 
 def node_point(z, n):
     """The grid point of the boundary node that z rounds to."""
-    return np.exp(1j * grid_angles(n)[boundary_node(z, n)])
+    return np.exp(1j * grid_angles(n)[grid_node(np.angle(z), n)])
 
 
 class TestConformalDistance:
@@ -427,7 +428,7 @@ class TestConformalDistance:
             ends = np.roll(verts, -1, axis=0)
             simple = _kernels.segment_hits(verts, ends)[0].size == 0
             for p, q in pairs:
-                a, b = sorted((boundary_node(p, n), boundary_node(q, n)))
+                a, b = sorted((grid_node(np.angle(p), n), grid_node(np.angle(q), n)))
                 others = np.ones(n, dtype=bool)
                 others[[a - 1, a, b - 1, b]] = False
                 meets = np.any(_kernels.segment_meets(verts[a], verts[b], verts[others], ends[others]))
@@ -576,7 +577,8 @@ class TestRingEvaluation:
         mesh = build_polar_mesh(64)
         weights = horner_abs(d.deriv_coeffs, directed_midpoints(mesh)) * mesh.edge_lengths
         for p, q in pairs:
-            ref = shortest_path_distance(mesh, weights, boundary_node(p, 64), boundary_node(q, 64))
+            ref = shortest_path_distance(mesh, weights, grid_node(np.angle(p), 64),
+                                         grid_node(np.angle(q), 64))
             assert abs(conformal_distance(d, p, q, n_boundary=64) - ref) <= 1e-7 * ref
 
     @pytest.mark.parametrize("case", sorted(REJECTED))
@@ -589,7 +591,7 @@ class TestRingEvaluation:
         mesh, rings = disk._mesh_cache(256)
         weights = disk._abs_on_rings(d.deriv_coeffs, rings).ravel()[mesh.edge_ring] * mesh.edge_lengths
         for p, q in pairs:
-            a, b = sorted((boundary_node(p, 256), boundary_node(q, 256)))
+            a, b = sorted((grid_node(np.angle(p), 256), grid_node(np.angle(q), 256)))
             ref = int64_dijkstra(mesh.indptr, mesh.indices, weights, a, mesh.n_nodes)[b]
             assert conformal_distance(d, p, q) == ref == conformal_distance(d, q, p)
 
@@ -628,15 +630,6 @@ class TestRingEvaluation:
                 coef = rng.normal(size=size) + 1j * rng.normal(size=size)
                 fresh = disk._abs_on_rings(coef, disk.RingPowers(centers, n))
                 assert np.array_equal(disk._abs_on_rings(coef, cached), fresh)
-
-    @pytest.mark.parametrize("n", [8, 12, 256, 65536, 131072])
-    def test_mode_orders_equal_the_formula(self, n):
-        fresh = np.arange(1, n // 2 + 1)
-        orders = disk._mode_orders(n // 2)
-        assert orders.dtype == fresh.dtype and orders.tobytes() == fresh.tobytes()
-        assert disk._mode_orders(n // 2) is orders
-        with pytest.raises(ValueError):
-            orders[0] = 2
 
     def test_one_table_per_geometry(self):
         disk._boundary_ring.cache_clear()

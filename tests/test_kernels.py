@@ -8,8 +8,9 @@ import numpy as np
 
 from liouville_disk import _kernels as K
 from liouville_disk.fixtures import FIXTURES
-from liouville_disk.mesh import boundary_node, build_polar_mesh, shortest_path_distance
+from liouville_disk.mesh import build_polar_mesh, shortest_path_distance
 from liouville_disk.predicates import orient2d
+from liouville_disk.spectral import grid_node
 
 
 def random_graph(n, seed):
@@ -279,10 +280,10 @@ class TestWindingParity:
 class TestMesh:
     def test_boundary_nodes_and_flat_distance(self):
         mesh = build_polar_mesh(128)
-        j = boundary_node(1.0, 128)
+        j = grid_node(np.angle(1.0), 128)
         assert abs(mesh.nodes[j] - 1.0) < 1e-12
         weights = mesh.edge_lengths  # unit speed
-        d = shortest_path_distance(mesh, weights, boundary_node(1.0, 128), boundary_node(-1.0, 128))
+        d = shortest_path_distance(mesh, weights, j, grid_node(np.angle(-1.0), 128))
         assert abs(d - 2.0) <= 2 * (2 * np.pi / 128)
 
     def test_graph_is_scipys_int32_csr(self):

@@ -511,6 +511,43 @@ def test_segment_intersection_has_one_home():
     assert bound.get("segment_hits") == ("_kernels", "segment_hits")
 
 
+def test_the_line_solve_and_the_vertex_turn_have_one_home_each():
+    # the Cramer solve of a + u r = b + v s serves the segment sweep, the
+    # exact segment verdict, the ray fan and the fillet's tangent lines; the
+    # wrapped turn at a vertex serves the curve's constructor and the loose
+    # index of a gluing piece
+    assert package_call_scopes({"_cross_solve"}) == {
+        "_kernels.segment_hits", "predicates.segment_verdict",
+        "blank._cast_fan", "curves.fillet_corners",
+    }
+    assert package_call_scopes({"_vertex_turns"}) == {
+        "curves.PolyCurve.__post_init__", "blank._loose_rotation_index",
+    }
+
+
+def test_circle_formulas_have_one_home_each():
+    # the gap between two angles and the grid node nearest to an angle are
+    # written once, in spectral; the chord route takes its nodes from there
+    assert package_call_scopes({"angular_gap"}) == {
+        "spectral.SingularField.__post_init__", "line.LineField.beta", "line.transfer_equation",
+    }
+    assert package_call_scopes({"grid_node"}) == {
+        "disk.conformal_distance", "disk._singular_boundary_polyline",
+    }
+
+
+def test_a_curve_keeps_its_frame_in_fields():
+    # edges, lengths, angles and turns are fields that the constructor
+    # fills once: no method recomputes them, and mesh numbers no nodes
+    trees = dict(module_trees())
+    (curve,) = [node for node in trees["curves.py"].body
+                if isinstance(node, ast.ClassDef) and node.name == "PolyCurve"]
+    methods = [item.name for item in curve.body if isinstance(item, ast.FunctionDef)]
+    assert methods and [name for name in methods if name.startswith("edge_")] == []
+    assert "boundary_node" not in {node.name for node in trees["mesh.py"].body
+                                   if isinstance(node, ast.FunctionDef)}
+
+
 def test_anchored_cell_quadrature_reads_half_spectra():
     # the anchored quadrature and its two callers transform their real grids
     # by real_half_spectrum: no mirrored spectrum from analyze, which no
@@ -639,7 +676,6 @@ CACHE_ARGS = {
     "spectral.grid_angles": [(8,), (12,), (256,)],
     "spectral._jacobi_rule": [(-0.5,), (0.75,)],
     "line.circle_chart": [(8,), (64,)],
-    "disk._mode_orders": [(4,), (128,)],
     "disk._boundary_ring": [(256,), (64,)],
     "disk._mesh_cache": [(64,)],
     "quant._grid_chart": [(8,), (1024,)],

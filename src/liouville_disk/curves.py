@@ -27,7 +27,7 @@ from .errors import (
     TieBreakAmbiguous,
 )
 from .predicates import orient2d, segment_verdict, snap
-from .spectral import TWO_PI
+from .spectral import TWO_PI, ValueEquality
 
 MAX_SMOOTH_TURN = 0.3
 TRANSVERSALITY_ANGLE = 0.05
@@ -45,14 +45,16 @@ def _vertex_turns(angles: np.ndarray) -> np.ndarray:
     return wrap_angle(angles - np.concatenate([angles[-1:], angles[:-1]]))
 
 
-@dataclass(frozen=True)
-class PolyCurve:
+@dataclass(frozen=True, eq=False)
+class PolyCurve(ValueEquality):
     """Closed polyline, a read-only value.  corners maps vertex index ->
     (tangent_in, tangent_out) angles, or None where the incident edge
     directions stand in for them.  The constructor derives the edge frame
     once, read-only: edges[k] = vertices[k + 1] - vertices[k] (cyclically),
     their lengths and direction angles, and turns[k], the wrapped turn at
-    vertex k from edge k - 1 to edge k."""
+    vertex k from edge k - 1 to edge k.  Two curves are equal, and hash
+    alike, when their snapped vertices and their corners are
+    (spectral.ValueEquality); the frame takes no part."""
 
     vertices: np.ndarray
     corners: Mapping = field(default_factory=dict)

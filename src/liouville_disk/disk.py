@@ -38,7 +38,24 @@ that the fold multiplies by belong to the ring geometry, not to the series
 mesh holds another, so a call of either geometry computes powers only for
 a series longer than any before it.  The recentered boundary moduli of
 quant.recentered_lambda_sequence take Phi' at off-grid points of the unit
-circle instead: spectral.eval_modes sums its one-sided series.
+circle instead: spectral.eval_modes sums its one-sided series.  Every
+reading of a map on the circle goes through one reader, _on_circle.
+
+Blow-up charts.  A map may hold its series in a chart: a disk automorphism
+m(w) = e^{i theta0} (w + r)/(1 + r w), 0 <= r < 1, with coeffs the series
+of S = Phi o m.  m puts the uniform w-grid's nodes densely at theta0, node
+density (1 + r)/(1 - r) there, so a map whose boundary modulus concentrates
+at theta0 (a bubble of scale mu, quant.Bubble.disk_map) has a short S where
+Phi itself needs a degree of about 10 mu.  The trace of S is lambda o m +
+log|m'| on the w-grid (analytic_completion's chart), build_phi builds S
+from it unchanged and pins it so that Phi(1) = 0 and arg Phi'(0) = 0, the
+normalization that the identity chart (0, 0) meets by construction, so a
+chart map and the uniform map of the same data are the same function.  S
+is immersed exactly when Phi is, m being a diffeomorphism of the closed
+disk.  Every reader pulls its points back by m^-1 and its derivatives by
+the chain rule (_chart_pull on the circle, _chart_inverse elsewhere); only
+the mesh route reads Phi's own series inside the disk, and a chart map
+whose chord is not certified is undecided (InconclusiveMesh).
 
 A disk map costs a fixed number of passes over its n-point grid: one real
 FFT, one real inverse FFT, one complex FFT and one complex exponential,
@@ -75,6 +92,7 @@ from .spectral import (
     band_limit_fraction,
     circle_trapezoid,
     conjugate_profile,
+    eval_modes,
     grid_angles,
     grid_node,
     log_profile,
@@ -89,6 +107,49 @@ BOUNDARY_RING_N = 256  # angles of the r = 1 ring on which min_deriv is read
 # Taylor terms of the argument-principle guard, and its largest sample count
 ZERO_COUNT_TERMS = 8
 ZERO_COUNT_MAX_SAMPLES = 1 << 20
+IDENTITY_CHART = (0.0, 0.0)  # (theta0, r) of the chart m(w) = w
+
+
+def _check_chart(chart) -> tuple:
+    """(theta0, r) as floats; InvalidInput unless theta0 is finite and
+    0 <= r < 1, so that m(w) = e^{i theta0} (w + r)/(1 + r w) is a disk
+    automorphism."""
+    t0, r = (float(v) for v in chart)
+    if not (np.isfinite(t0) and 0.0 <= r < 1.0):
+        raise InvalidInput(f"a chart needs a finite angle and 0 <= r < 1, got {chart!r}")
+    return t0, r
+
+
+def _chart_push(chart, phis: np.ndarray):
+    """Angles in [-pi, pi] of m(e^{i phi}) and log|m'(e^{i phi})| for the
+    chart m(w) = e^{i theta0} (w + r)/(1 + r w): tan(psi/2) = (1 - r)/(1 + r)
+    tan(phi/2) about theta0, and |m'| = (1 - r^2)/((1 - r)^2 + 4 r
+    cos^2(phi/2)), both free of cancellation as r -> 1."""
+    t0, r = chart
+    s, c = np.sin(0.5 * phis), np.cos(0.5 * phis)
+    theta = t0 + 2.0 * np.arctan2((1.0 - r) * s, (1.0 + r) * c)
+    theta = np.where(theta > np.pi, theta - TWO_PI, np.where(theta < -np.pi, theta + TWO_PI, theta))
+    return theta, np.log((1.0 - r) * (1.0 + r)) - np.log((1.0 - r) ** 2 + 4.0 * r * c * c)
+
+
+def _chart_pull(chart, thetas: np.ndarray):
+    """Angles of m^-1(e^{i theta}) and log|(m^-1)'(e^{i theta})|, the
+    inverse of _chart_push: tan(phi/2) = (1 + r)/(1 - r) tan(psi/2) for
+    psi = theta - theta0, and |(m^-1)'| = (1 - r^2)/((1 - r)^2 + 4 r
+    sin^2(psi/2))."""
+    t0, r = chart
+    half = 0.5 * (np.asarray(thetas, dtype=float) - t0)
+    s, c = np.sin(half), np.cos(half)
+    phi = 2.0 * np.arctan2((1.0 + r) * s, (1.0 - r) * c)
+    return phi, np.log((1.0 - r) * (1.0 + r)) - np.log((1.0 - r) ** 2 + 4.0 * r * s * s)
+
+
+def _chart_inverse(chart, z: np.ndarray):
+    """m^-1(z) and (m^-1)'(z) at points z of the closed disk."""
+    t0, r = chart
+    turn = np.exp(-1j * t0)
+    den = 1.0 - r * turn * z
+    return (turn * z - r) / den, turn * ((1.0 - r) * (1.0 + r)) / den**2
 
 
 @dataclass(frozen=True)
@@ -98,6 +159,11 @@ class BoundaryTrace:
     The smooth part of lam is real.  rho_smooth is its Hilbert transform;
     each anchor contributes its closed-form sawtooth conjugate on evaluation.
     The boundary derivative of the map is phi = e^{lambda + i rho}.
+    chart (theta0, r) says on which grid lam lives: the identity chart (0,
+    0) samples the circle itself, any other the w-grid of the chart m (see
+    the module docstring), where lam is lambda o m + log|m'|, the data of S
+    = Phi o m; build_phi hands it to the map.  Anchored data takes no chart
+    (InvalidInput), as its polyline is drawn on the circle itself.
     completed marks a trace from analytic_completion, whose rho_smooth is
     the discrete conjugate of lam.smooth by construction: build_phi's
     Rouche test needs it, and a trace assembled from other data is
@@ -107,7 +173,13 @@ class BoundaryTrace:
 
     lam: SingularField
     rho_smooth: PeriodicGrid
+    chart: tuple = IDENTITY_CHART
     completed: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "chart", _check_chart(self.chart))
+        if self.lam.anchors and self.chart != IDENTITY_CHART:
+            raise InvalidInput("anchored boundary data takes no chart")
 
     @property
     def n(self) -> int:
@@ -121,7 +193,7 @@ class BoundaryTrace:
         return self.lam.grid_values()
 
 
-def analytic_completion(lam) -> BoundaryTrace:
+def analytic_completion(lam, chart=IDENTITY_CHART) -> BoundaryTrace:
     """Harmonic conjugate of the boundary data: rho = H(lambda_smooth) plus the
     closed-form sawtooth conjugate of each log anchor.
 
@@ -129,7 +201,8 @@ def analytic_completion(lam) -> BoundaryTrace:
     top decile of its spectrum carries over 1% of the energy), and
     InvalidInput when it is complex: lambda is real.  The guard and the
     Hilbert step read one np.fft.rfft of the smooth part, modes 0 .. n/2,
-    and rho is one np.fft.irfft of it (spectral._real_conjugate).
+    and rho is one np.fft.irfft of it (spectral._real_conjugate).  chart
+    says which grid lam samples (BoundaryTrace.chart).
     """
     if not isinstance(lam, (SingularField, PeriodicGrid)):
         lam = PeriodicGrid(lam)
@@ -138,7 +211,7 @@ def analytic_completion(lam) -> BoundaryTrace:
     frac = band_limit_fraction(sf.smooth, raw)
     if frac > BAND_LIMIT_ENERGY:
         raise UnderResolved(f"top decile of boundary spectrum carries {frac:.2%} of energy")
-    bt = BoundaryTrace(lam=sf, rho_smooth=_real_conjugate(sf.smooth, raw))
+    bt = BoundaryTrace(lam=sf, rho_smooth=_real_conjugate(sf.smooth, raw), chart=chart)
     object.__setattr__(bt, "completed", True)
     return bt
 
@@ -152,21 +225,32 @@ class DiskMap(ValueEquality):
     its last nonzero coefficient, so the order of a map is its degree and a
     vector with trailing zeros gives the map of the vector without them.
     The constructor raises InvalidInput for fewer than two coefficients, the
-    zero map, a non-finite coefficient, and, when normalized_at_one, a
-    violated Phi(1) = 0 normalization.  The other fields are derived, no
-    constructor arguments: deriv_coeffs, the coefficients of Phi' (taken
-    once; they take no part in ==), min_deriv and immersed.
+    zero map, a non-finite coefficient, a chart that is no disk
+    automorphism, and, when normalized_at_one, a violated Phi(1) = 0
+    normalization.  The other fields are derived, no constructor arguments:
+    deriv_coeffs, the coefficients of the series' derivative (taken once;
+    they take no part in ==), min_deriv and immersed.
 
-    min_deriv is the minimum of |Phi'| over the r = 1 ring of
-    BOUNDARY_RING_N angles (one fold, _abs_on_rings); for an immersed map
-    the minimum principle makes it the minimum over the closed disk, up to
-    the ring's sampling.  immersed says that Phi' has no zero in the closed
-    disk.  certified is build_phi's Rouche verdict on its own spectrum, and
-    only build_phi passes it; that test rests on two premises it does not
-    check, a geometric decay of the modes above n/2 and the grid minimum of
-    e^lambda standing for its minimum on the circle (see build_phi).
-    Without it, immersion is the argument principle with a sampling guard:
-    no zero of Phi' counted in the disk (_zero_count).
+    chart (theta0, r), a keyword, is the blow-up chart m of the series (see
+    the module docstring): coeffs and deriv_coeffs are those of S = Phi o m
+    and S', and the map is Phi = S o m^-1.  The identity chart (0, 0), the
+    default, makes coeffs Phi's own series.  Nothing but the map's own
+    methods and the circle reader _on_circle reads the series, and each
+    pulls its points back through the chart, so every reader sees Phi; the
+    mesh route of conformal_distance reads Phi's own series inside the
+    disk, so it takes maps in the identity chart only.
+
+    min_deriv is the minimum of |Phi'| at the BOUNDARY_RING_N grid angles of
+    the unit circle (_on_circle: one fold on the r = 1 ring in the identity
+    chart); for an immersed map the minimum principle makes it the minimum
+    over the closed disk, up to the ring's sampling.  immersed says that
+    Phi' has no zero in the closed disk.  certified is build_phi's Rouche
+    verdict on its own spectrum, and only build_phi passes it; that test
+    rests on two premises it does not check, a geometric decay of the modes
+    above n/2 and the grid minimum of e^lambda standing for its minimum on
+    the circle (see build_phi).  Without it, immersion is the argument
+    principle with a sampling guard: no zero of S' counted in the disk
+    (_zero_count), which holds exactly when Phi' has none.
     """
 
     coeffs: np.ndarray
@@ -175,6 +259,7 @@ class DiskMap(ValueEquality):
     normalized_at_one: bool = True
     deriv_coeffs: np.ndarray = field(init=False, compare=False, repr=False)
     _: KW_ONLY
+    chart: tuple = IDENTITY_CHART
     certified: InitVar[bool] = False
 
     def __post_init__(self, certified):
@@ -187,14 +272,17 @@ class DiskMap(ValueEquality):
             raise InvalidInput("zero map")
         if not np.all(np.isfinite(c)):
             raise InvalidInput("a disk map needs finite coefficients")
+        chart = _check_chart(self.chart)
         total = _energy(c)
-        if self.normalized_at_one and abs(np.sum(c)) > 1e-10 * max(1.0, np.sqrt(total)):
-            raise InvalidInput(f"normalization Phi(1) = 0 violated: |Phi(1)| = {abs(np.sum(c)):.2e}")
+        at_one = np.sum(c) if chart == IDENTITY_CHART else _at_one(c, chart)
+        if self.normalized_at_one and abs(at_one) > 1e-10 * max(1.0, np.sqrt(total)):
+            raise InvalidInput(f"normalization Phi(1) = 0 violated: |Phi(1)| = {abs(at_one):.2e}")
         dcoef = _derivative(c)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "deriv_coeffs", dcoef)
-        ring = _boundary_ring(BOUNDARY_RING_N)
-        object.__setattr__(self, "min_deriv", float(np.min(_abs_on_rings(dcoef, ring))))
+        object.__setattr__(self, "chart", chart)
+        speed = _on_circle(self, BOUNDARY_RING_N, speed=True)
+        object.__setattr__(self, "min_deriv", float(np.min(speed)))
         object.__setattr__(self, "immersed", certified or _zero_count(dcoef) == 0)
 
     @property
@@ -202,10 +290,23 @@ class DiskMap(ValueEquality):
         return self.coeffs.size - 1
 
     def __call__(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.coeffs)
+        z = np.asarray(z, dtype=complex)
+        if self.chart != IDENTITY_CHART:
+            z, _ = _chart_inverse(self.chart, z)
+        return np.polynomial.polynomial.polyval(z, self.coeffs)
 
     def derivative(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.deriv_coeffs)
+        z = np.asarray(z, dtype=complex)
+        if self.chart == IDENTITY_CHART:
+            return np.polynomial.polynomial.polyval(z, self.deriv_coeffs)
+        w, dw = _chart_inverse(self.chart, z)
+        return np.polynomial.polynomial.polyval(w, self.deriv_coeffs) * dw
+
+
+def _at_one(coef: np.ndarray, chart) -> complex:
+    """S(m^-1(1)) for the series coef of S in the chart: Phi(1)."""
+    (phi,), _ = _chart_pull(chart, np.zeros(1))
+    return complex(coef @ np.exp(1j * phi * np.arange(coef.size)))
 
 
 class RingPowers:
@@ -293,9 +394,25 @@ def _boundary_ring(n: int) -> RingPowers:
     return RingPowers(np.ones(1), n)
 
 
-def _boundary_values(coef: np.ndarray, n: int) -> np.ndarray:
-    """The series coef at the n grid angles of the unit circle, one fold."""
-    return _on_rings(coef, _boundary_ring(n))[0]
+def _on_circle(d: DiskMap, at, speed: bool = False) -> np.ndarray:
+    """Phi, or |Phi'| when speed, on the unit circle: at the n grid angles
+    when at is an integer n, else at the angles at.  The one reader of a
+    map's series on the circle.  In the identity chart the grid takes one
+    fold on the r = 1 ring, other angles the one-sided sum of
+    spectral.eval_modes; in a chart m the angles are pulled back to those
+    of w = m^-1(z), where eval_modes sums S or S', and |Phi'(z)| = |S'(w)|
+    |(m^-1)'(z)| by the chain rule."""
+    coef = d.deriv_coeffs if speed else d.coeffs
+    grid = isinstance(at, (int, np.integer))
+    if d.chart == IDENTITY_CHART:
+        if grid:
+            ring = _boundary_ring(int(at))
+            return _abs_on_rings(coef, ring)[0] if speed else _on_rings(coef, ring)[0]
+        values = eval_modes(coef, at)
+        return np.abs(values) if speed else values
+    phi, log_jac = _chart_pull(d.chart, grid_angles(int(at)) if grid else at)
+    values = eval_modes(coef, phi)
+    return np.abs(values) * np.exp(log_jac) if speed else values
 
 
 def _zero_count(dcoef: np.ndarray) -> int | None:
@@ -342,11 +459,11 @@ def _zero_count(dcoef: np.ndarray) -> int | None:
     return None
 
 
-def make_disk_map(coeffs, normalized_at_one: bool = True) -> DiskMap:
-    """The DiskMap of a coefficient vector: the constructor's checks, its
-    min_deriv and its immersion verdict by the argument principle (see
-    DiskMap)."""
-    return DiskMap(coeffs, normalized_at_one)
+def make_disk_map(coeffs, normalized_at_one: bool = True, chart=IDENTITY_CHART) -> DiskMap:
+    """The DiskMap of a coefficient vector, in the given chart: the
+    constructor's checks, its min_deriv and its immersion verdict by the
+    argument principle (see DiskMap)."""
+    return DiskMap(coeffs, normalized_at_one, chart=chart)
 
 
 def _truncate_with_guard(full_coeffs: np.ndarray, M: int, neg_frac: float) -> np.ndarray:
@@ -447,6 +564,13 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
     argument principle instead, as make_disk_map counts them.  It reads
     the l1 norm that the negative-frequency guard's pass over the bins
     yields.
+
+    A trace in a chart m (BoundaryTrace.chart) gives S = Phi o m by the same
+    steps, up to a rotation and a translation, which _pin_chart_map fixes:
+    the map it hands on has Phi(1) = 0 and arg Phi'(0) = 0.  The identity
+    chart meets both as built, the second up to rounding, since rho has zero
+    circle mean and Phi'(0) = e^{mean lambda}.  The certificate reads the
+    grid of S alone, and S' vanishes in the closed disk where Phi' does.
     """
     n = bt.n
     w = np.empty(n, dtype=complex)
@@ -465,7 +589,23 @@ def build_phi(bt: BoundaryTrace) -> DiskMap:
     np.divide(pos, np.arange(1, n // 2 + 1), out=coeffs[1:])
     _truncate_with_guard(coeffs, n // 2, frac)
     coeffs[0] = -np.sum(coeffs[1:])
-    return DiskMap(coeffs, True, certified=bt.completed and 2.0 * neg_l1 < floor)
+    if bt.chart != IDENTITY_CHART:
+        _pin_chart_map(coeffs, bt.chart)
+    return DiskMap(coeffs, True, chart=bt.chart, certified=bt.completed and 2.0 * neg_l1 < floor)
+
+
+def _pin_chart_map(coeffs: np.ndarray, chart):
+    """Rotate and translate the series of S in place so that Phi = S o m^-1
+    has arg Phi'(0) = 0 and Phi(1) = 0.  Phi'(0) = S'(-r) (m^-1)'(0) with
+    (m^-1)'(0) = e^{-i theta0} (1 - r^2), so the rotation is e^{i theta0}
+    conj(S'(-r))/|S'(-r)|; the constant then puts the zero of S at the
+    pulled-back point m^-1(1)."""
+    t0, r = chart
+    k = np.arange(1, coeffs.size)
+    slope = complex(np.dot(coeffs[1:] * k, (-r) ** (k - 1)))  # S'(-r)
+    coeffs[1:] *= np.exp(1j * t0) * slope.conjugate() / abs(slope)
+    coeffs[0] = 0.0
+    coeffs[0] = -_at_one(coeffs, chart)
 
 
 def boundary_curvature(bt: BoundaryTrace) -> PeriodicGrid:
@@ -507,17 +647,21 @@ def mobius_recenter(d: DiskMap, a: complex, t: float) -> DiskMap:
     """Precompose with the disk automorphism f(z) = (z - t a)/(1 - t conj(a) z).
 
     t = 0 gives the identity.  Composition happens on a dense boundary grid
-    followed by re-projection to order M = max(2 * d.coeffs.size - 1, 256),
-    about twice the degree of d, as f stretches the boundary near a; as in
+    followed by re-projection to order M = max(2 L - 1, 256), with L =
+    d.order + 1 times the node density (1 + r)/(1 - r) of d's chart, about
+    twice the degree of Phi, as f stretches the boundary near a; as in
     build_phi, _truncate_with_guard raises UnderResolved (t too close to 1
     for the series order) before NotHolomorphic.  The
     recentered map is certified by the argument principle (make_disk_map):
     f is a diffeomorphism of the closed disk, so losing d's immersion can
-    only mean under-resolution, UnderResolved.
+    only mean under-resolution, UnderResolved.  The result is always in the
+    identity chart: for a chart map at t = 0 it is the projection of Phi
+    itself, its own series.
     """
     a = complex(a)
     _check_recentering(a, t)
-    M = max(2 * d.coeffs.size - 1, 256)
+    _, r = d.chart
+    M = max(2 * int(np.ceil((d.order + 1) * (1.0 + r) / (1.0 - r))) - 1, 256)
     N = 1 << int(np.ceil(np.log2(8 * M)))
     th = grid_angles(N)
     z = np.exp(1j * th)
@@ -539,68 +683,50 @@ def _mesh_cache(n_boundary: int):
     return mesh, RingPowers(mesh.mid_centers, n_boundary)
 
 
-def _chord_in_image(w: np.ndarray, a: int, b: int) -> bool:
-    """Whether the polygon w is simple and the chord w[a] -> w[b] between
-    two of its vertices lies in the closed region it bounds.
-
-    Three tests, each erring only towards False: segment_hits finds no
-    pair of edges that cross or come near (clean or suspect); no edge
-    that is not incident to w[a] or w[b] meets the chord, touching
-    included (segment_meets); the chord's midpoint has winding number 1.
-    The open chord then meets the polygon, if at all, along the edges
-    incident to its ends, collinearly; no other edge can join those to
-    the rest of the chord.  So the rest lies on one side, and the
-    midpoint's winding number puts it inside: the chord lies in the
-    closed region.  A chord between neighbouring vertices is an edge of
-    the simple polygon and needs no more (its midpoint lies on the
-    polygon, where a winding number is undecided).  Edge k runs from w[k]
-    to w[k + 1]; a < b.
-    """
+def _simple_image(d: DiskMap, n_boundary: int):
+    """Phi at the n_boundary boundary nodes, with the vertices and edge
+    ends of the polygon through them, when d is immersed and segment_hits
+    finds no pair of edges that cross or come near (clean or suspect): the
+    polygon is simple.  None otherwise.  Edge k runs from vertex k to
+    vertex k + 1."""
+    if not d.immersed:
+        return None
+    w = _on_circle(d, n_boundary)
     verts = np.column_stack([w.real, w.imag])
     ends = np.roll(verts, -1, axis=0)
     if segment_hits(verts, ends)[0].size:
-        return False
-    if b - a in (1, w.size - 1):
+        return None
+    return w, verts, ends
+
+
+def _chord_in_image(verts: np.ndarray, ends: np.ndarray, a: int, b: int) -> bool:
+    """Whether the chord verts[a] -> verts[b] between two vertices of a
+    simple polygon (_simple_image) lies in the closed region it bounds.
+
+    Two tests, each erring only towards False: no edge that is not
+    incident to verts[a] or verts[b] meets the chord, touching included
+    (segment_meets); the chord's midpoint has winding number 1.  The open
+    chord then meets the polygon, if at all, along the edges incident to
+    its ends, collinearly; no other edge can join those to the rest of the
+    chord.  So the rest lies on one side, and the midpoint's winding number
+    puts it inside: the chord lies in the closed region.  A chord between
+    neighbouring vertices is an edge of the simple polygon and needs no
+    more (its midpoint lies on the polygon, where a winding number is
+    undecided).  a < b.
+    """
+    size = verts.shape[0]
+    if b - a in (1, size - 1):
         return True
-    others = np.ones(w.size, dtype=bool)
+    others = np.ones(size, dtype=bool)
     others[[a - 1, a, b - 1, b]] = False  # a - 1 = -1 wraps to the last edge
     if np.any(segment_meets(verts[a], verts[b], verts[others], ends[others])):
         return False
     return bool(winding_batch(0.5 * (verts[a] + verts[b])[None, :], verts)[0] == 1)
 
 
-def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256) -> float:
-    """Distance between boundary points in the metric |Phi'| |dz|.
-
-    p and q round to their nearest of the n_boundary grid angles, the
-    boundary nodes (n_boundary >= 8, else InvalidInput); distinct endpoints
-    that round to one node raise InconclusiveMesh, since the grid cannot
-    resolve their distance.
-
-    Exact route.  Phi at the boundary nodes is one fold of d.coeffs on the
-    r = 1 ring (_boundary_values), and the chord between the two endpoint
-    nodes is certified when d is immersed and _chord_in_image holds: the
-    image polygon is simple, and the chord lies in the region it bounds.  An immersion of the closed disk whose boundary
-    curve is simple is an embedding, so the image is that region, a path in
-    the metric is a curve in it of the same Euclidean length, and the chord
-    is the shortest: the distance is |Phi(node q) - Phi(node p)|.  Two
-    premises are not checked.  immersed rests on build_phi's Rouche test
-    for its maps (see build_phi), and the polygon through the n_boundary
-    nodes stands in for the true boundary curve, so an image that turns
-    between two nodes is judged by its polygon.  Every map the quantization
-    lab builds is a bubble, a Moebius map with a round image: each of its
-    chords is certified.
-
-    Mesh route, wherever the certificate fails: a graded polar
-    triangulation with boundary spacing 2*pi/n, edge weight |Phi'(midpoint)|
-    times edge length, and a nonnegative-weights shortest path.  |Phi'| is
-    evaluated once per undirected edge, ring by ring on the mesh's midpoint
-    rings, so the weights are exactly symmetric.  Truncated series are
-    finite on the closed disk, so no puncture is needed.
-
-    Both routes take the endpoint nodes in ascending order, so D(p, q) ==
-    D(q, p) bit for bit.
-    """
+def _boundary_nodes(p: complex, q: complex, n_boundary: int):
+    """The nodes (a, b), a < b, of the n_boundary grid angles nearest to the
+    distance endpoints p and q, after their checks (see conformal_distance)."""
     p, q = complex(p), complex(q)
     for z in (p, q):
         if abs(abs(z) - 1.0) > 1e-9:
@@ -614,14 +740,78 @@ def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256
             f"endpoints {p:.6g} and {q:.6g} share a boundary node of the "
             f"{n_boundary}-point mesh"
         )
-    if d.immersed:
-        w = _boundary_values(d.coeffs, n_boundary)
-        if _chord_in_image(w, a, b):
-            return float(abs(w[b] - w[a]))
+    return a, b
+
+
+def _mesh_weights(d: DiskMap, n_boundary: int):
+    """The distance mesh of n_boundary points and its edge weights
+    |Phi'(midpoint)| times edge length, read from Phi's own series on the
+    mesh's midpoint rings: the identity chart only."""
     mesh, rings = _mesh_cache(n_boundary)
     speed = _abs_on_rings(d.deriv_coeffs, rings).ravel()[mesh.edge_ring]
-    weights = speed * mesh.edge_lengths
-    return shortest_path_distance(mesh, weights, a, b)
+    return mesh, speed * mesh.edge_lengths
+
+
+def conformal_distances(d: DiskMap, pairs, n_boundary: int = 256) -> np.ndarray:
+    """conformal_distance(d, p, q, n_boundary) for each (p, q) of pairs,
+    bit for bit, with the endpoints of every pair checked first.  The map's
+    boundary is read and its polygon tested for simplicity once
+    (_simple_image); each pair adds only its chord tests, and the mesh
+    weights are built at most once."""
+    nodes = [_boundary_nodes(p, q, n_boundary) for p, q in pairs]
+    image = _simple_image(d, n_boundary)
+    out = np.empty(len(nodes))
+    weighted = None
+    for i, (a, b) in enumerate(nodes):
+        if image is not None and _chord_in_image(image[1], image[2], a, b):
+            out[i] = abs(image[0][b] - image[0][a])
+            continue
+        if d.chart != IDENTITY_CHART:
+            raise InconclusiveMesh(
+                f"the chord between boundary nodes {a} and {b} is not certified, "
+                "and a chart map has no mesh route"
+            )
+        if weighted is None:
+            weighted = _mesh_weights(d, n_boundary)
+        out[i] = shortest_path_distance(*weighted, a, b)
+    return out
+
+
+def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256) -> float:
+    """Distance between boundary points in the metric |Phi'| |dz|.
+
+    p and q round to their nearest of the n_boundary grid angles, the
+    boundary nodes (n_boundary >= 8, else InvalidInput); distinct endpoints
+    that round to one node raise InconclusiveMesh, since the grid cannot
+    resolve their distance.
+
+    Exact route.  Phi at the boundary nodes is read once (_on_circle), and
+    the chord between the two endpoint nodes is certified when d is
+    immersed, its image polygon is simple (_simple_image) and the chord
+    lies in the region that polygon bounds (_chord_in_image).  An immersion
+    of the closed disk whose boundary curve is simple is an embedding, so
+    the image is that region, a path in the metric is a curve in it of the
+    same Euclidean length, and the chord is the shortest: the distance is
+    |Phi(node q) - Phi(node p)|.  Two premises are not checked.  immersed
+    rests on build_phi's Rouche test for its maps (see build_phi), and the
+    polygon through the n_boundary nodes stands in for the true boundary
+    curve, so an image that turns between two nodes is judged by its
+    polygon.  Every map the quantization lab builds is a bubble, a Moebius
+    map with a round image: each of its chords is certified.
+
+    Mesh route, wherever the certificate fails on a map in the identity
+    chart: a graded polar triangulation with boundary spacing 2*pi/n, edge
+    weight |Phi'(midpoint)| times edge length, and a nonnegative-weights
+    shortest path.  |Phi'| is evaluated once per undirected edge, ring by
+    ring on the mesh's midpoint rings, so the weights are exactly
+    symmetric.  Truncated series are finite on the closed disk, so no
+    puncture is needed.  A chart map has no mesh route: its uncertified
+    distance is undecided, InconclusiveMesh.
+
+    Both routes take the endpoint nodes in ascending order, so D(p, q) ==
+    D(q, p) bit for bit.
+    """
+    return float(conformal_distances(d, [(p, q)], n_boundary)[0])
 
 
 # --- boundary polyline export ------------------------------------------------
@@ -629,8 +819,8 @@ def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256
 def boundary_polyline(bt_or_map, n_vertices: int = 512):
     """Vertices of the boundary image curve at the grid angles.
 
-    For a DiskMap this is one fold of its series on the r = 1 ring of
-    n_vertices grid angles (_boundary_values), the values the exact route
+    For a DiskMap these are Phi's values at the n_vertices grid angles
+    (_on_circle, which honours the map's chart), the values the exact route
     of conformal_distance reads.  For an anchored
     BoundaryTrace the vertices are cumulative sums of the integrals of the
     boundary derivative i e^{i theta} phi(theta) over the grid cells
@@ -643,7 +833,7 @@ def boundary_polyline(bt_or_map, n_vertices: int = 512):
         return _singular_boundary_polyline(bt_or_map, n_vertices)
     else:
         d = build_phi(bt_or_map)
-    z = _boundary_values(d.coeffs, n_vertices)
+    z = _on_circle(d, n_vertices)
     return np.column_stack([z.real, z.imag]), {}
 
 

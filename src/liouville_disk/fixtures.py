@@ -11,7 +11,7 @@ import numpy as np
 
 from ._kernels import segment_hits
 from .curves import PolyCurve, turn_blend
-from .spectral import TWO_PI
+from .spectral import TWO_PI, angular_gap
 
 
 def _catmull_rom_closed(ctrl, samples_per_seg=40):
@@ -88,7 +88,7 @@ def tangent_touch(n: int = 1536) -> PolyCurve:
     w = 0.5
     t = TWO_PI * np.arange(8 * n) / (8 * n) - np.pi + 0.0123
     x = np.cos(t)
-    y = np.sin(t) - 2.0 * np.exp(-(((np.mod(t - np.pi / 2 + np.pi, TWO_PI) - np.pi) / w) ** 2))
+    y = np.sin(t) - 2.0 * np.exp(-((angular_gap(t, np.pi / 2) / w) ** 2))
     return PolyCurve(_resample_arclength(np.column_stack([x, y]), n))
 
 

@@ -19,11 +19,14 @@ from functools import lru_cache
 import numpy as np
 
 from .disk import (
+    IDENTITY_CHART,
     DiskMap,
+    _chart_push,
     _check_recentering,
+    _on_circle,
     analytic_completion,
     build_phi,
-    conformal_distance,
+    conformal_distances,
 )
 from .errors import (
     CenterUnstable,
@@ -31,7 +34,9 @@ from .errors import (
     InconclusiveMesh,
     InvalidInput,
     InvalidRadius,
+    NotHolomorphic,
     TheoremViolation,
+    UnderResolved,
 )
 from .line import (
     POLE_ANGLE,
@@ -45,7 +50,7 @@ from .line import (
     transfer_equation,
     window_samples,
 )
-from .spectral import TWO_PI, PeriodicGrid, SingularField, eval_modes, grid_angles
+from .spectral import TWO_PI, PeriodicGrid, SingularField, grid_angles
 
 # pi/2 - float(pi/2): the rounding of the float pi/2, added back to offsets
 _HALF_PI_LO = 6.123233995736766e-17
@@ -58,6 +63,11 @@ MASS_SLACK = 0.02  # tolerance of the mass checks on a declared case
 
 CENTER_GRID_N = 1 << 14  # grid on which locate_centers samples the density
 MAX_CENTERS = 4
+
+# the w-grids on which Bubble.disk_map tries its blow-up chart, in order, and
+# the grid on which it reads the first mode of e^-lambda that places the chart
+CHART_GRIDS = (64, 128, 256, 512, 1024)
+PEAK_GRID_N = 8
 
 
 def _bubble_chart(thetas: np.ndarray):
@@ -139,11 +149,49 @@ class Bubble:
         return float(np.mean(self._lambda_on(*_grid_chart(1024))))
 
     def disk_map(self) -> DiskMap:
-        """Map of the disk built from the pullback; the series order scales
-        with mu because the boundary modulus concentrates."""
+        """Map of the disk built from the pullback, in a blow-up chart that
+        undoes all but a factor 2 of the concentration (disk module
+        docstring).
+
+        The chart reads the member's own data.  For a K = 1 bubble e^lambda
+        = (1 - |q|^2)/|1 - q z|^2 on the circle, |Phi'| of its Moebius map,
+        so e^-lambda has modes -1, 0 and 1 alone, and its first mode c1 =
+        -q/(1 - |q|^2), read exactly on PEAK_GRID_N grid angles, puts the
+        peak of e^lambda at theta0 = arg(-conj c1).  (angle_of_x(x0) is that
+        peak only as mu grows: 1.1 rad away at mu = 1, x0 = 0.3, and for mu
+        (1 + x0^2) < 1 the mass gathers towards the pole.)  rho =
+        e^{lambda(theta0)} over the circle mean of e^lambda, which is 1 (the
+        mass is 2 pi), is the peak-to-mean ratio (1 + |q|)/(1 - |q|).
+
+        The chart takes r = (rho - 2)/(rho + 2), the node density rho/2 at
+        theta0, not r = |q|, which would make S = Phi o m linear: then
+        lambda o m + log|m'| is flat up to the rounding of lambda near the
+        peak (about 1e-16 mu), and the band-limit guard reads that noise.
+        With rho/2, S is Phi o m_|q| composed with the automorphism of
+        parameter (|q| - r)/(1 - |q| r) = 1/3, whatever mu: its modes decay
+        as 3^-k, below rounding by order 32, and its data keeps a profile
+        of order 1.  Up to rho = 2 (|q| <= 1/3) the identity chart serves.
+
+        S is build_phi of lambda o m + log|m'| on the first w-grid of
+        CHART_GRIDS that passes the guards, 64 points (degree 32) on every
+        bubble measured, mu = 2^-4 .. 2^16 and |x0| <= 5.  Where none does,
+        the map falls back to the identity chart on the uniform grid of
+        2^ceil(log2 20 mu) points, at least 256, whose series order scales
+        with mu.
+        """
+        th = grid_angles(PEAK_GRID_N)
+        c1 = np.mean(np.exp(-self.lambda_at(th) - 1j * th))
+        theta0 = float(np.angle(-np.conj(c1)))
+        rho = float(np.exp(self.lambda_at(np.array([theta0]))[0]))
+        chart = (theta0, (rho - 2.0) / (rho + 2.0)) if rho > 2.0 else IDENTITY_CHART
+        for n in CHART_GRIDS:
+            theta, log_jac = _chart_push(chart, grid_angles(n))
+            try:
+                return build_phi(analytic_completion(PeriodicGrid(self.lambda_at(theta) + log_jac), chart))
+            except (UnderResolved, NotHolomorphic):
+                continue
         n = max(256, 1 << int(np.ceil(np.log2(max(256.0, 20.0 * self.mu)))))
-        bt = analytic_completion(self.pull_back(n).field)
-        return build_phi(bt)
+        return build_phi(analytic_completion(self.pull_back(n).field))
 
 
 def bubble(mu: float, x0: float = 0.0) -> Bubble:
@@ -349,14 +397,14 @@ def recentered_lambda_sequence(d: DiskMap, a: complex, ts, n: int = 1024):
 
     By the chain rule log|(Phi o f_t)'(z)| = log|Phi'(f_t(z))| + log|f_t'(z)|,
     with f_t'(z) = (1 - t^2)/(1 - t conj(a) z)^2.  f_t maps the unit circle
-    onto itself, so Phi' at the n points f_t(z_j) is the one-sided sum of
-    its coefficients (DiskMap.deriv_coeffs, which end at the last nonzero
-    one) at their angles: one spectral.eval_modes call per t.  No
-    recentered series is built or truncated, so the moduli carry only the
-    error of Phi' itself, whatever t and the series order.
+    onto itself, so |Phi'| at the n points f_t(z_j) is one read of the map
+    on the circle at their angles (disk._on_circle), which for a chart map
+    applies the chain rule once more, through m^-1: both are automorphisms,
+    so nothing is resampled.  No recentered series is built or truncated,
+    so the moduli carry only the error of Phi' itself, whatever t and the
+    series order.
     """
     a = complex(a)
-    dcoef = d.deriv_coeffs
     z = np.exp(1j * grid_angles(n))
     out = []
     for t in ts:
@@ -364,7 +412,7 @@ def recentered_lambda_sequence(d: DiskMap, a: complex, ts, n: int = 1024):
         _check_recentering(a, t)
         den = 1.0 - t * np.conj(a) * z
         w = (z - t * a) / den
-        speed = np.abs(eval_modes(dcoef, np.angle(w)))
+        speed = _on_circle(d, np.angle(w), speed=True)
         out.append(PeriodicGrid(np.log(speed) + np.log1p(-t * t) - 2.0 * np.log(np.abs(den))))
     return out
 
@@ -399,7 +447,9 @@ def pinching_probe(maps, pairs, mesh_n: int = 256, kappa_bound: float | None = N
     geodesic (an immersed map whose boundary polygon is simple and holds the
     chord; immersed rests on build_phi's Rouche test, and the polygon
     through the nodes stands in for the boundary curve), and the mesh
-    shortest path elsewhere.  Every bubble map is Moebius with a round
+    shortest path elsewhere.  One disk.conformal_distances call per map
+    reads its boundary and tests its polygon once for all pairs, with the
+    bits of separate calls.  Every bubble map is Moebius with a round
     image, so the bubble ladders take the chord.
 
     When a curvature bound is supplied, which must be finite and positive,
@@ -410,9 +460,8 @@ def pinching_probe(maps, pairs, mesh_n: int = 256, kappa_bound: float | None = N
     if len(maps) < 2:
         raise InvalidInput(f"a distance trend needs at least two maps, got {len(maps)}")
     table = np.empty((len(pairs), len(maps)))
-    for i, (p, q) in enumerate(pairs):
-        for k, d in enumerate(maps):
-            table[i, k] = conformal_distance(d, p, q, n_boundary=mesh_n)
+    for k, d in enumerate(maps):
+        table[:, k] = conformal_distances(d, pairs, n_boundary=mesh_n)
     # after the distances, which reject mesh_n < 8
     h = TWO_PI / mesh_n
     verdicts = []

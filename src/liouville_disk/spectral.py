@@ -47,6 +47,7 @@ Dirac-minus-mean pair, never a finite difference of the singularity.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -104,11 +105,16 @@ class ValueEquality:
     """== and hash() by value for frozen dataclasses (eq=False) with read-only
     array fields, whose generated methods raise on arrays.  Arrays match by
     dtype kind and np.array_equal and hash by the bytes of their float64 or
-    complex128 values plus 0.0, so -0.0 hashes as 0.0.  Only dataclass fields
-    with compare=True count, not cached properties or derived fields."""
+    complex128 values plus 0.0, so -0.0 hashes as 0.0.  A mapping field
+    (a read-only mapping proxy has no hash) compares and hashes as its
+    sorted items.  Only dataclass fields with compare=True count, not
+    cached properties or derived fields."""
 
     def _fields(self):
-        return [getattr(self, f.name) for f in fields(self) if f.compare]
+        return [
+            tuple(sorted(v.items())) if isinstance(v, Mapping) else v
+            for v in (getattr(self, f.name) for f in fields(self) if f.compare)
+        ]
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -271,6 +271,20 @@ def test_polycurve_json_has_no_orientation_and_ignores_it():
     assert c.to_json() == obj
 
 
+def test_curves_are_equal_and_hash_alike_by_value():
+    assert circle(64) == circle(64) and hash(circle(64)) == hash(circle(64))
+    assert circle(64) != circle(128) and circle(64) != PolyCurve(2.0 * circle(64).vertices)
+    # corners compare as sorted items, whatever order they were given in
+    v = circle(64).vertices
+    a = PolyCurve(v, corners={40: (0.1, 0.2), 3: None})
+    b = PolyCurve(v.copy(), corners={3: None, 40: (0.1, 0.2)})
+    assert a == b and hash(a) == hash(b) and len({a, b, circle(64)}) == 2
+    assert a != PolyCurve(v, corners={40: (0.1, 0.25), 3: None})
+    assert a != PolyCurve(v, corners={40: (0.1, 0.2)})
+    # another type is not equal
+    assert (a == "curve") is False
+
+
 def test_polycurve_rejects_sharp_unmarked():
     pts = [[x, 0.0] for x in np.linspace(0, 1, 5)]
     pts += [[x, 0.3] for x in np.linspace(1, 0, 5)]

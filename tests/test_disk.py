@@ -423,7 +423,7 @@ class TestConformalDistance:
     def test_each_rejected_case_fails_its_own_test(self, n):
         for case, (make, pairs) in REJECTED.items():
             d = make()
-            w = disk._boundary_values(d.coeffs, n)
+            w = disk._on_circle(d, n)
             verts = np.column_stack([w.real, w.imag])
             ends = np.roll(verts, -1, axis=0)
             simple = _kernels.segment_hits(verts, ends)[0].size == 0
@@ -436,7 +436,8 @@ class TestConformalDistance:
                 tests = [("not-immersed", d.immersed), ("not-embedded", simple),
                          ("chord-crosses", not meets), ("chord-outside", inside)]
                 assert [name for name, ok in tests if not ok][0] == case
-                assert not (d.immersed and disk._chord_in_image(w, a, b))
+                image = disk._simple_image(d, n)
+                assert image is None or not disk._chord_in_image(image[1], image[2], a, b)
 
     def test_a_dented_image_takes_the_chord_where_it_lies_inside(self, no_mesh):
         # the dented map is embedded: chords away from the dent are certified
@@ -514,7 +515,8 @@ class TestConformalDistance:
 
 @lru_cache(maxsize=None)
 def bubble_map(mu):
-    # series order about 20 mu, as quant.Bubble.disk_map picks it
+    # a uniform grid of about 20 mu points, as quant.Bubble.disk_map picks it
+    # when it falls back to the identity chart
     n = max(256, 1 << int(np.ceil(np.log2(20 * mu))))
     return build_phi(bubble_trace(mu, n=n, x0=0.1))
 
@@ -645,7 +647,8 @@ class TestRingEvaluation:
         # rejected chords take the mesh, whose rings keep one table too
         rejected = [exp_cubic_map(c) for c in (4.0, 8.0, 6.0)] + [blaschke_fixture([0.0, 0.0])]
         for d in rejected:
-            assert not (d.immersed and disk._chord_in_image(disk._boundary_values(d.coeffs, 64), 0, 32))
+            image = disk._simple_image(d, 64)
+            assert image is None or not disk._chord_in_image(image[1], image[2], 0, 32)
             conformal_distance(d, 1.0, -1.0, n_boundary=64)
         assert disk._mesh_cache.cache_info().currsize == 1
         ring = disk._boundary_ring(disk.BOUNDARY_RING_N)
@@ -760,7 +763,7 @@ class TestImmersionCertificate:
 
     def test_a_map_rebuilt_from_its_coefficients_recounts_the_zeros(self):
         for d in (quant.bubble(mu=16.0, x0=0.3).disk_map(), blaschke_fixture([0.3, -0.3])):
-            back = make_disk_map(d.coeffs, normalized_at_one=d.normalized_at_one)
+            back = make_disk_map(d.coeffs, normalized_at_one=d.normalized_at_one, chart=d.chart)
             assert back == d and back.immersed is d.immersed
 
 
@@ -768,26 +771,40 @@ class TestImmersionCertificate:
 def exact_bubble(mu, x0):
     """Phi' = C (1 - q z)^-2 for the map quant.Bubble.disk_map builds, with
     A = 1 + mu - i mu x0, B = i (mu - 1) - mu x0, q = -B/A, C = 4 mu/|A|^2:
-    Phi_k = C q^(k-1) for k >= 1 and Phi_0 = -C/(1 - q), so Phi(1) = 0."""
+    Phi_k = C q^(k-1) for k >= 1 and Phi_0 = -C/(1 - q), so Phi(1) = 0.
+    The map holds the series of its blow-up chart, not these: only
+    uniform_bubble's coefficients are Phi's own."""
     a = 1 + mu - 1j * mu * x0
     b = 1j * (mu - 1) - mu * x0
     return quant.bubble(mu=mu, x0=x0).disk_map(), -b / a, 4 * mu / abs(a) ** 2
 
 
+@lru_cache(maxsize=None)
+def uniform_bubble(mu, x0):
+    """The bubble's map in the identity chart: build_phi on the uniform grid
+    of bubble_field, where Bubble.disk_map falls back to."""
+    return build_phi(analytic_completion(bubble_field(mu, x0)))
+
+
 LADDER = [(mu, x0) for mu in (1.0, 16.0, 256.0, 4096.0) for x0 in (0.0, 0.3, -0.3, 0.45)]
+# rungs whose uniform grid would take 2^19 .. 2^21 points: chart maps only
+HIGH = [(2.0**14, 0.0), (2.0**15, 0.3), (2.0**16, 0.0), (2.0**16, -0.45)]
+# spread members, mu (1 + x0^2) < 1, whose mass gathers away from angle_of_x(x0)
+LOW = [(0.25, 0.0), (0.25, 1.0), (0.5, -0.45), (0.9, 0.3)]
 
 
 class TestExactBubbleMaps:
     @pytest.mark.parametrize("mu, x0", LADDER)
     def test_coefficients(self, mu, x0):
-        d, q, C = exact_bubble(mu, x0)
+        _, q, C = exact_bubble(mu, x0)
+        d = uniform_bubble(mu, x0)
         k = np.arange(d.coeffs.size)
         exact = C * q ** np.maximum(k - 1, 0)
         exact[0] = -C / (1 - q)
         # the series stops at order n/2, where |q|^(n/2) is at most ~3e-12
         assert np.max(np.abs(d.coeffs - exact)) <= 1e-11 * np.max(np.abs(exact))
 
-    @pytest.mark.parametrize("mu, x0", LADDER)
+    @pytest.mark.parametrize("mu, x0", LADDER + HIGH)
     def test_immersion_certificate(self, mu, x0):
         d, q, C = exact_bubble(mu, x0)
         ring = np.exp(1j * grid_angles(disk.BOUNDARY_RING_N))
@@ -802,7 +819,7 @@ class TestExactBubbleMaps:
         # the minimum sits ~mu^2 below the peak of |Phi'|: 3.4e-7 at mu = 4096, x0 = 0.45
         assert abs(d.min_deriv - exact) <= 1e-6 * exact
 
-    @pytest.mark.parametrize("mu, x0", LADDER)
+    @pytest.mark.parametrize("mu, x0", LADDER + HIGH)
     def test_conformal_distance(self, mu, x0, no_mesh):
         # a Moebius image is a round disk, so the distance between two
         # boundary nodes z, w is the chord Phi(z) - Phi(w) =
@@ -823,10 +840,13 @@ class TestExactBubbleMaps:
         assert np.max(np.abs(lam.values - (np.log(C) - 2 * np.log(np.abs(1 - q * z))))) <= 1e-8
 
     @staticmethod
-    def recentering_errors(mu, x0, a, ts, n=256):
+    def recentering_errors(mu, x0, a, ts, n=256, uniform=False):
         """Largest deviation of recentered_lambda_sequence from the exact
-        moduli log C - 2 log|1 - q f_t(z)| + log|f_t'(z)|, one per t."""
+        moduli log C - 2 log|1 - q f_t(z)| + log|f_t'(z)|, one per t, for
+        the bubble's map (uniform: its map in the identity chart)."""
         d, q, C = exact_bubble(mu, x0)
+        if uniform:
+            d = uniform_bubble(mu, x0)
         z = np.exp(1j * grid_angles(n))
         errs = []
         for t, lam in zip(ts, quant.recentered_lambda_sequence(d, a, ts, n=n)):
@@ -855,11 +875,107 @@ class TestExactBubbleMaps:
         assert err <= 1e-9
 
     def test_recentering_a_series_of_order_65536(self):
-        d, _, _ = exact_bubble(4096.0, -0.3)
+        d = uniform_bubble(4096.0, -0.3)
         assert d.order == 65536
-        at_zero, *errs = self.recentering_errors(4096.0, -0.3, complex(stereo_inverse(-0.3)), [0.0, 0.25, 0.5, 0.9])
+        at_zero, *errs = self.recentering_errors(4096.0, -0.3, complex(stereo_inverse(-0.3)), [0.0, 0.25, 0.5, 0.9],
+                                                 uniform=True)
         assert all(e <= 2 * at_zero + 1e-12 for e in errs)
         assert max(errs) <= 1e-7
+
+
+def assert_chart_matches_uniform(chart_map, uniform, mu, x0):
+    """The chart map and the uniform map of one bubble are one function:
+    Phi at the 256 grid angles agrees to 1e-12 of max |Phi| beyond the
+    uniform series' own truncation |q|^order, which sets the difference at
+    x0 = -0.45 (2.8e-12 for mu >= 8; the chart map is within 6e-14 of the
+    closed form there)."""
+    _, q, _ = exact_bubble(mu, x0)
+    got, ref = boundary_polyline(chart_map, 256)[0], boundary_polyline(uniform, 256)[0]
+    scale = np.max(np.hypot(ref[:, 0], ref[:, 1]))
+    assert np.max(np.hypot(*(got - ref).T)) <= (1e-12 + abs(q) ** uniform.order) * scale
+
+
+class TestBlowUpCharts:
+    @pytest.mark.parametrize("mu, x0", LADDER + HIGH + LOW)
+    def test_phi_and_its_derivative_on_the_circle(self, mu, x0):
+        # against the closed form, whose own 1 - q z loses about 1e-16 mu
+        # near the peak: worst 1.4e-12 (boundary values and the point
+        # evaluator) and 1.5e-12 (Phi'), at mu = 2^16
+        d, q, C = exact_bubble(mu, x0)
+        z = np.exp(1j * grid_angles(256))
+        exact = C * (z - 1) / ((1 - q * z) * (1 - q))
+        scale = np.max(np.abs(exact))
+        verts, _ = boundary_polyline(d, 256)
+        assert np.max(np.abs(verts[:, 0] + 1j * verts[:, 1] - exact)) <= 5e-12 * scale
+        assert np.max(np.abs(d(z) - exact)) <= 5e-12 * scale
+        assert np.max(np.abs(d.derivative(z) * (1 - q * z) ** 2 / C - 1)) <= 5e-12
+
+    @pytest.mark.parametrize("mu, x0", LADDER + HIGH + LOW)
+    def test_the_map_is_pinned_at_one_and_at_the_centre(self, mu, x0):
+        # Phi(1) = 0 and arg Phi'(0) = 0, as the uniform build has them,
+        # so Phi'(0) is the closed form's C
+        d, _, C = exact_bubble(mu, x0)
+        assert abs(d(1.0)) <= 1e-15 * np.sum(np.abs(d.coeffs))
+        slope = complex(d.derivative(0.0))
+        assert abs(np.angle(slope)) <= 1e-15
+        assert abs(slope - C) <= 5e-12 * C  # worst 3.1e-13
+
+    @pytest.mark.parametrize("mu, x0", LADDER + HIGH + LOW + [(2.0**14, -0.45), (2.0**16, 0.3), (16.0, 5.0)])
+    def test_every_member_is_a_rouche_certified_series_of_degree_32(self, mu, x0, monkeypatch):
+        # a 64-point grid passes the guards and build_phi's certificate
+        # holds, so no zero is counted; the chart has node density rho/2 at
+        # the peak, or is the identity up to rho = 2
+        def refuse(dcoef):
+            raise AssertionError("zero count run")
+
+        monkeypatch.setattr(disk, "_zero_count", refuse)
+        d = quant.bubble(mu, x0).disk_map()
+        assert d.immersed and d.order <= 32
+        _, q, _ = exact_bubble(mu, x0)
+        rho = (1 + abs(q)) / (1 - abs(q))
+        if rho <= 2.0:
+            assert d.chart == disk.IDENTITY_CHART
+            return
+        theta0, r = d.chart
+        assert abs(np.angle(np.exp(1j * theta0) * q)) <= 1e-12  # the peak sits at conj(q)/|q|
+        assert abs((1 + r) / (1 - r) - rho / 2) <= 1e-9 * rho
+
+    @pytest.mark.parametrize("mu, x0", [(1.0, -0.45), (0.25, 0.3), (16.0, 0.0), (4096.0, -0.45)])
+    def test_a_member_no_chart_grid_passes_takes_the_uniform_grid(self, mu, x0, monkeypatch):
+        # an 8-point w-grid fails the guards on all of these
+        monkeypatch.setattr(quant, "CHART_GRIDS", (8,))
+        d = quant.bubble(mu, x0).disk_map()
+        assert d.chart == disk.IDENTITY_CHART and d == uniform_bubble(mu, x0)
+
+    def test_the_chart_pull_back_inverts_the_push(self):
+        th = grid_angles(512)
+        for chart in [(0.3, 0.0), (2.0, 0.5), (-1.0, 0.999), (np.pi, 0.99999)]:
+            phi, log_jac = disk._chart_push(chart, th)
+            back, log_back = disk._chart_pull(chart, phi)
+            assert np.max(np.abs(np.angle(np.exp(1j * (back - th))))) <= 1e-9
+            assert np.max(np.abs(log_jac + log_back)) <= 1e-9
+            w, dw = disk._chart_inverse(chart, np.exp(1j * phi))
+            assert np.max(np.abs(w - np.exp(1j * th))) <= 1e-9
+            assert np.max(np.abs(np.log(np.abs(dw)) - log_back)) <= 1e-9
+
+    @pytest.mark.parametrize("chart", [(0.0, 1.0), (0.0, -0.1), (np.nan, 0.5), (np.inf, 0.0)])
+    def test_a_chart_must_be_an_automorphism(self, chart):
+        with pytest.raises(InvalidInput):
+            make_disk_map(np.array([0.0, 1.0]), normalized_at_one=False, chart=chart)
+        with pytest.raises(InvalidInput):
+            analytic_completion(PeriodicGrid(np.zeros(64)), chart)
+
+    def test_anchored_data_takes_no_chart(self):
+        with pytest.raises(InvalidInput):
+            analytic_completion(anchored_trace(-np.pi / 2, 0.5), (0.3, 0.5))
+
+    def test_an_uncertified_chord_of_a_chart_map_is_undecided(self, no_mesh):
+        # no mesh route: the not-immersed and the not-embedded rejected maps,
+        # read in a chart, raise InconclusiveMesh without building a mesh
+        for make in (lambda: blaschke_fixture([0.0, 0.0]), lambda: exp_cubic_map(4.0)):
+            d = make_disk_map(make().coeffs, normalized_at_one=False, chart=(0.4, 0.3))
+            with pytest.raises(InconclusiveMesh):
+                conformal_distance(d, 1.0, -1.0)
 
 
 class TestBoundaryPolyline:
@@ -910,11 +1026,11 @@ class TestBoundaryPolyline:
 ])
 def test_disk_maps_are_fixed_points_of_make_disk_map(make):
     d = make()
-    once = make_disk_map(d.coeffs, normalized_at_one=d.normalized_at_one)
-    twice = make_disk_map(once.coeffs, normalized_at_one=once.normalized_at_one)
+    once = make_disk_map(d.coeffs, normalized_at_one=d.normalized_at_one, chart=d.chart)
+    twice = make_disk_map(once.coeffs, normalized_at_one=once.normalized_at_one, chart=once.chart)
     assert once == d and twice == d
     padded = np.concatenate([d.coeffs, np.zeros(100)])
-    assert make_disk_map(padded, normalized_at_one=d.normalized_at_one) == d
+    assert make_disk_map(padded, normalized_at_one=d.normalized_at_one, chart=d.chart) == d
 
 
 def test_make_disk_map_stores_the_series_to_its_last_nonzero_coefficient():
@@ -1227,7 +1343,8 @@ class TestOneFftOracles:
         assert np.array_equal(bt.rho_smooth.values, ref_bt.rho_smooth.values)
         d = build_phi(bt)
         assert_same_map(d, reference_build_phi(ref_bt))
-        assert d == quant.bubble(2.0**j, x0).disk_map()
+        # the bubble's own map, in its blow-up chart, is the same function
+        assert_chart_matches_uniform(quant.bubble(2.0**j, x0).disk_map(), d, 2.0**j, x0)
 
     @pytest.mark.parametrize("zeros", [[0.0], [0.5], [0.3j], [0.0, 0.0], [0.3, -0.3], [0.5, 0.2 + 0.4j, -0.6j]])
     def test_blaschke_fixtures_are_bit_identical(self, zeros):
@@ -1247,7 +1364,7 @@ class TestOneFftOracles:
         # analyze's shifted spectrum of a PeriodicGrid
         seen = set()
         for mu, x0 in ((4.0, 0.0), (64.0, 0.3)):
-            d = quant.bubble(mu, x0).disk_map()
+            d = uniform_bubble(mu, x0)
             got, ref = outcome(mobius_recenter, d, 1j, t), outcome(reference_mobius_recenter, d, 1j, t)
             if isinstance(ref, type):
                 assert got is ref

@@ -273,9 +273,6 @@ CALLER_ALLOWED = {
     # the NotGenericPosition error of self_intersections tells the user to
     # jitter the curve
     "curves.jitter",
-    # a bubble's pullback at any angles; pull_back and lambda_bar read the
-    # same formula on the chart cached per grid size
-    "quant.Bubble.lambda_at",
 }
 
 
@@ -525,15 +522,80 @@ def test_the_line_solve_and_the_vertex_turn_have_one_home_each():
     }
 
 
+def circle_wraps(tree):
+    """Line numbers of the angles a module wraps by hand: x % TWO_PI and
+    np.mod or np.remainder of x by TWO_PI."""
+    def by_two_pi(node):
+        return isinstance(node, ast.Name) and node.id == "TWO_PI"
+
+    return [
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) and by_two_pi(node.right))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("mod", "remainder") and len(node.args) == 2 and by_two_pi(node.args[1]))
+    ]
+
+
 def test_circle_formulas_have_one_home_each():
     # the gap between two angles and the grid node nearest to an angle are
-    # written once, in spectral; the chord route takes its nodes from there
+    # written once, in spectral; the chord route and the fixtures take them
+    # from there, and no other module wraps an angle by 2 pi itself
     assert package_call_scopes({"angular_gap"}) == {
         "spectral.SingularField.__post_init__", "line.LineField.beta", "line.transfer_equation",
+        "fixtures.tangent_touch",
     }
     assert package_call_scopes({"grid_node"}) == {
-        "disk.conformal_distance", "disk._singular_boundary_polyline",
+        "disk._boundary_nodes", "disk._singular_boundary_polyline",
     }
+    assert {name: circle_wraps(tree) for name, tree in module_trees() if circle_wraps(tree)}.keys() == {
+        "spectral.py",
+    }
+
+
+def test_circle_wrap_check_sees_both_forms():
+    tree = ast.parse("a = (t + 1) % TWO_PI\nb = np.mod(t - 1, TWO_PI)\nc = t % n\n")
+    assert circle_wraps(tree) == [1, 2]
+
+
+# the readers of a disk map's series: the map's constructor and point
+# evaluators, the circle reader and the mesh route, which takes maps in the
+# identity chart only; no other reader may take coeffs for Phi's own series
+SERIES_READERS = {
+    "disk.DiskMap.__post_init__", "disk.DiskMap.order", "disk.DiskMap.__call__",
+    "disk.DiskMap.derivative", "disk._on_circle", "disk._mesh_weights",
+}
+
+
+def attribute_scopes(tree, names):
+    """Enclosing class and function names, joined, of every read of an
+    attribute in names."""
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Attribute) and node.attr in names and isinstance(node.ctx, ast.Load):
+            yield ".".join(scope)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return list(visit(tree, ()))
+
+
+def test_a_map_is_read_on_the_circle_in_one_home():
+    # a map in a blow-up chart holds the series of S = Phi o m: every reader
+    # outside these pulls its points back through the chart
+    scopes = {
+        f"{name[:-3]}.{scope}"
+        for name, tree in module_trees()
+        for scope in attribute_scopes(tree, {"coeffs", "deriv_coeffs"})
+    }
+    # SpectralRep's coeffs are Fourier modes of its own
+    assert {scope for scope in scopes if not scope.startswith("spectral.SpectralRep.")} == SERIES_READERS
+
+
+def test_series_reader_check_sees_a_reader():
+    tree = ast.parse("def f(d):\n    return d.coeffs[0]\nclass A:\n    def g(self, d):\n        d.coeffs = 1\n")
+    assert attribute_scopes(tree, {"coeffs"}) == ["f"]
 
 
 def test_a_curve_keeps_its_frame_in_fields():
@@ -630,8 +692,9 @@ def test_conformal_distance_makes_no_polyval_call(monkeypatch):
 
 def test_a_bubble_disk_map_runs_three_transforms_of_its_length(monkeypatch):
     # one rfft of lambda (band-limit guard and conjugate), one irfft (rho)
-    # and one complex fft of phi; the only other transform is the inverse
-    # FFT of min_deriv's boundary ring
+    # and one complex fft of phi, on the 64-point grid of its blow-up
+    # chart; min_deriv sums the short series at the pulled-back angles,
+    # with no transform
     calls = []
 
     def counted(name, original):
@@ -646,8 +709,13 @@ def test_a_bubble_disk_map_runs_three_transforms_of_its_length(monkeypatch):
     for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     quant.bubble(mu=64.0, x0=0.3).disk_map()
-    n = 2048  # the smallest power of two of at least 20 mu points
-    assert calls == [("rfft", n), ("irfft", n), ("fft", n), ("ifft", disk.BOUNDARY_RING_N)]
+    n = quant.CHART_GRIDS[0]
+    assert calls == [("rfft", n), ("irfft", n), ("fft", n)]
+    # in the identity chart, on the uniform grid of at least 20 mu points,
+    # min_deriv adds the inverse FFT of its boundary ring
+    calls.clear()
+    disk.build_phi(disk.analytic_completion(quant.bubble(mu=64.0, x0=0.3).pull_back(2048).field))
+    assert calls == [("rfft", 2048), ("irfft", 2048), ("fft", 2048), ("ifft", disk.BOUNDARY_RING_N)]
 
 
 def test_build_phi_folds_at_most_one_ring(monkeypatch):
@@ -655,10 +723,13 @@ def test_build_phi_folds_at_most_one_ring(monkeypatch):
     original = disk._abs_on_rings
     monkeypatch.setattr(disk, "_abs_on_rings",
                         lambda coef, rings: folded.append(rings.P.shape) or original(coef, rings))
-    for mu in (1.0, 256.0, 4096.0):
+    for mu in (16.0, 256.0, 4096.0):
         quant.bubble(mu=mu, x0=0.3).disk_map()
+    assert folded == []  # chart maps read min_deriv at pulled-back angles
+    quant.bubble(mu=1.0, x0=0.3).disk_map()  # |q| < 1/3: the identity chart
+    disk.build_phi(disk.analytic_completion(quant.bubble(mu=256.0, x0=0.3).pull_back(8192).field))
     disk.make_disk_map(np.array([0.0, -0.5, 0.5]), normalized_at_one=False)
-    assert folded == [(1, disk.BOUNDARY_RING_N)] * 4
+    assert folded == [(1, disk.BOUNDARY_RING_N)] * 3
 
 
 def test_disk_has_no_lattice():

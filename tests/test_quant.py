@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
-from liouville_disk.disk import boundary_curvature, analytic_completion
+from liouville_disk import disk
+from liouville_disk.disk import analytic_completion, boundary_curvature, build_phi, conformal_distance
 from liouville_disk.errors import CenterUnstable, InvalidInput, NotIntegrable, TheoremViolation
 from liouville_disk.line import (
     angle_of_x,
@@ -415,8 +416,11 @@ def recentered_speed_errors(mu, x0, ts, n):
     """Relative errors of |Phi'(f_t(z_j))| read off the recentered moduli
     of the bubble (mu, x0), recentered towards its concentration point, at
     the n grid angles for each t, against a long-double Horner sum of the
-    same derivative coefficients at the same angles; one row per t."""
-    d = bubble(mu=mu, x0=x0).disk_map()
+    same derivative coefficients at the same angles; one row per t.  The
+    map is the bubble's in the identity chart, built on the uniform grid of
+    2^ceil(log2 20 mu) points, so its series is Phi's own, of order 10 mu."""
+    b = bubble(mu=mu, x0=x0)
+    d = build_phi(analytic_completion(b.pull_back(1 << int(np.ceil(np.log2(20.0 * mu)))).field))
     a = complex(stereo_inverse(x0))
     z = np.exp(1j * grid_angles(n))
     lams = recentered_lambda_sequence(d, a, ts, n=n)
@@ -465,6 +469,21 @@ class TestPinching:
         rep = pinching_probe(maps, [(1.0, -1.0)], mesh_n=256)
         assert rep.verdicts == [False]
         assert np.allclose(rep.table[0], rep.table[0][0])
+
+    @pytest.mark.parametrize("pair_count", [1, 2, 4])
+    def test_each_map_is_folded_and_tested_once(self, pair_count, monkeypatch):
+        # the simplicity test runs once per map, whatever the number of
+        # pairs, and the table has the bits of separate distance calls
+        maps = [bubble(mu=m, x0=0.3).disk_map() for m in (1.0, 16.0, 256.0, 4096.0)]
+        pairs = [(1.0, -1.0), (1j, np.exp(2.5j)), (np.exp(0.4j), np.exp(-2.0j)), (-1j, np.exp(1.2j))]
+        pairs = pairs[:pair_count]
+        separate = [[conformal_distance(d, p, q) for d in maps] for p, q in pairs]
+        calls = []
+        original = disk.segment_hits
+        monkeypatch.setattr(disk, "segment_hits", lambda *a: calls.append(1) or original(*a))
+        rep = pinching_probe(maps, pairs, mesh_n=256)
+        assert len(calls) == len(maps)
+        assert np.array_equal(rep.table, np.array(separate))
 
 
 class TestLambdaAudit:

@@ -4,8 +4,8 @@ from boundary data, and the curve-topology machinery (rotation index, words
 of Blank, Seifert splitting) behind curvature-quantization checks.
 
 Hot kernels (segment intersection by a sort-and-sweep broadphase on
-x-intervals, mesh shortest paths, winding counts) have one numpy/scipy
-implementation each; the package reads no environment variables.
+x-intervals, winding counts) have one numpy implementation each; the
+package reads no environment variables.
 """
 
 __version__ = "0.1.0"

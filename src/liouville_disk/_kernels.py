@@ -1,8 +1,8 @@
 """Hot numeric kernels, one numpy/scipy implementation each.
 
 Kernels:
-  - dijkstra: single-source shortest path over a CSR graph (mesh metric,
-    the fallback route of the conformal distance)
+  - dijkstra: single-source shortest path over a CSR graph (the mesh
+    metric of mesh.shortest_path_distance, which no package code calls)
   - segment_hits: proper intersections among polyline edges, candidate
     pairs from a sort-and-sweep on x-intervals
   - segment_meets: which segments of a set meet one given segment,
@@ -23,8 +23,7 @@ def dijkstra(indptr, indices, weights, source: int) -> np.ndarray:
     and indices, scipy.sparse.csgraph's own index type, as mesh.PolarMesh
     holds them read-only, passes without a copy or a conversion, so a call
     pays only for its weights and the search.  scipy is imported here, not
-    at module load, so only the commands that reach a mesh distance pay
-    for its import.
+    at module load, so no command of the package loads it.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra as cs_dijkstra

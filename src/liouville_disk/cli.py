@@ -386,7 +386,8 @@ def build_parser():
 
     sp = sub.add_parser("pinch", help="conformal-distance pinching over a ladder")
     sp.add_argument("--mu-ladder", required=True)
-    sp.add_argument("--mesh", type=int, default=256)
+    sp.add_argument("--mesh", type=int, default=256,
+                    help="boundary nodes of the polygon whose chords give the distances (at least 8)")
     sp.add_argument("--kappa-bound", type=float, default=None)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_pinch)

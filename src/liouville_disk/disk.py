@@ -22,24 +22,18 @@ coefficients, as mobius_recenter builds its maps), the constructor counts
 the zeros of Phi' by the argument principle on a sampled circle with a
 Taylor guard between samples (_zero_count), which costs a few FFTs of about
 four times the series order, so it stays off the bubble path.  min_deriv is
-|Phi'| on the r = 1 ring of BOUNDARY_RING_N angles: by the minimum
-principle the minimum over the closed disk of a zero-free Phi'.
+|Phi'| at the BOUNDARY_RING_N grid angles of the unit circle: by the
+minimum principle the minimum over the closed disk of a zero-free Phi'.
 
-Series are summed on uniform polar rings, all rings of a call folding the
-coefficients at once, through one matrix product, and sharing one batched
-inverse FFT (_on_rings), so series orders of 10^5 stay cheap.  The r = 1
-ring of n grid angles carries |Phi'| for min_deriv and Phi itself for
-boundary_polyline and conformal_distance, whose exact route, a chord
-certified to lie in an embedded image, needs nothing inside the disk.
-|Phi'| inside the disk is needed only on the fallback route, on the
-edge-midpoint rings of the distance mesh.  The powers of the ring centers
-that the fold multiplies by belong to the ring geometry, not to the series
-(RingPowers): each boundary ring holds one table and each cached distance
-mesh holds another, so a call of either geometry computes powers only for
-a series longer than any before it.  The recentered boundary moduli of
-quant.recentered_lambda_sequence take Phi' at off-grid points of the unit
-circle instead: spectral.eval_modes sums its one-sided series.  Every
-reading of a map on the circle goes through one reader, _on_circle.
+Every reading of a map on the circle goes through one reader, _on_circle.
+In the identity chart the n grid angles take one fold (_on_grid: the
+signed coefficients summed into n bins, then one inverse FFT): |Phi'| for
+min_deriv, Phi for boundary_polyline and conformal_distance.
+Nothing reads a map inside the disk: a conformal distance is the chord of
+an embedded image or undecided (InconclusiveMesh).  Other angles, and
+every angle of a map in a blow-up chart, take the one-sided sum of
+spectral.eval_modes; the recentered boundary moduli of
+quant.recentered_lambda_sequence read Phi' there.
 
 Blow-up charts.  A map may hold its series in a chart: a disk automorphism
 m(w) = e^{i theta0} (w + r)/(1 + r w), 0 <= r < 1, with coeffs the series
@@ -53,9 +47,8 @@ normalization that the identity chart (0, 0) meets by construction, so a
 chart map and the uniform map of the same data are the same function.  S
 is immersed exactly when Phi is, m being a diffeomorphism of the closed
 disk.  Every reader pulls its points back by m^-1 and its derivatives by
-the chain rule (_chart_pull on the circle, _chart_inverse elsewhere); only
-the mesh route reads Phi's own series inside the disk, and a chart map
-whose chord is not certified is undecided (InconclusiveMesh).
+the chain rule (_chart_pull on the circle, _chart_inverse elsewhere, which
+returns z and 1 exactly in the identity chart).
 
 A disk map costs a fixed number of passes over its n-point grid: one real
 FFT, one real inverse FFT, one complex FFT and one complex exponential,
@@ -73,14 +66,13 @@ with its derivative coefficients for every later reader.
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, InitVar, dataclass, field
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
 from ._kernels import segment_hits, segment_meets, winding_batch
 from .errors import InconclusiveMesh, InvalidInput, NotHolomorphic, UnderResolved
-from .mesh import build_polar_mesh, check_boundary_size, shortest_path_distance
+from .mesh import check_boundary_size
 from .spectral import (
     BAND_LIMIT_ENERGY,
     TWO_PI,
@@ -236,14 +228,12 @@ class DiskMap(ValueEquality):
     and S', and the map is Phi = S o m^-1.  The identity chart (0, 0), the
     default, makes coeffs Phi's own series.  Nothing but the map's own
     methods and the circle reader _on_circle reads the series, and each
-    pulls its points back through the chart, so every reader sees Phi; the
-    mesh route of conformal_distance reads Phi's own series inside the
-    disk, so it takes maps in the identity chart only.
+    pulls its points back through the chart, so every reader sees Phi.
 
     min_deriv is the minimum of |Phi'| at the BOUNDARY_RING_N grid angles of
-    the unit circle (_on_circle: one fold on the r = 1 ring in the identity
-    chart); for an immersed map the minimum principle makes it the minimum
-    over the closed disk, up to the ring's sampling.  immersed says that
+    the unit circle (_on_circle: one grid fold in the identity chart); for
+    an immersed map the minimum principle makes it the minimum over the
+    closed disk, up to the circle's sampling.  immersed says that
     Phi' has no zero in the closed disk.  certified is build_phi's Rouche
     verdict on its own spectrum, and only build_phi passes it; that test
     rests on two premises it does not check, a geometric decay of the modes
@@ -273,10 +263,10 @@ class DiskMap(ValueEquality):
         if not np.all(np.isfinite(c)):
             raise InvalidInput("a disk map needs finite coefficients")
         chart = _check_chart(self.chart)
-        total = _energy(c)
-        at_one = np.sum(c) if chart == IDENTITY_CHART else _at_one(c, chart)
-        if self.normalized_at_one and abs(at_one) > 1e-10 * max(1.0, np.sqrt(total)):
-            raise InvalidInput(f"normalization Phi(1) = 0 violated: |Phi(1)| = {abs(at_one):.2e}")
+        if self.normalized_at_one:
+            at_one = abs(_at_one(c, chart))
+            if at_one > 1e-10 * max(1.0, np.sqrt(_energy(c))):
+                raise InvalidInput(f"normalization Phi(1) = 0 violated: |Phi(1)| = {at_one:.2e}")
         dcoef = _derivative(c)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "deriv_coeffs", dcoef)
@@ -290,16 +280,11 @@ class DiskMap(ValueEquality):
         return self.coeffs.size - 1
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self.chart != IDENTITY_CHART:
-            z, _ = _chart_inverse(self.chart, z)
-        return np.polynomial.polynomial.polyval(z, self.coeffs)
+        w, _ = _chart_inverse(self.chart, np.asarray(z, dtype=complex))
+        return np.polynomial.polynomial.polyval(w, self.coeffs)
 
     def derivative(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self.chart == IDENTITY_CHART:
-            return np.polynomial.polynomial.polyval(z, self.deriv_coeffs)
-        w, dw = _chart_inverse(self.chart, z)
+        w, dw = _chart_inverse(self.chart, np.asarray(z, dtype=complex))
         return np.polynomial.polynomial.polyval(w, self.deriv_coeffs) * dw
 
 
@@ -307,40 +292,6 @@ def _at_one(coef: np.ndarray, chart) -> complex:
     """S(m^-1(1)) for the series coef of S in the chart: Phi(1)."""
     (phi,), _ = _chart_pull(chart, np.zeros(1))
     return complex(coef @ np.exp(1j * phi * np.arange(coef.size)))
-
-
-class RingPowers:
-    """Power tables of one ring geometry: rings of the given centers c_i, each
-    sampled at the n grid angles.  P[i, b] = (-c_i)^b for b < n is built
-    once; V[i, q] = (-c_i)^(qn) grows to the most columns any series has
-    asked for.  Entry (i, q) does not depend on how many columns there are,
-    so a slice of a grown table is bit for bit the table built to that size.
-    Powers of -c are an exact sign times |c|^k and e^{ik arg c}, which is 1
-    on real rings.  Every table is read-only: the cached geometries
-    (_boundary_ring, _mesh_cache) hand the same one to every caller.
-    """
-
-    def __init__(self, centers, n: int):
-        c = np.asarray(centers, dtype=complex)[:, None]
-        self.n = n
-        self._r, self._arg = np.abs(c), np.angle(c)
-        self.P = self._powers(np.arange(n))
-        self._V = self._powers(np.zeros(0, dtype=int))
-        for a in (self._r, self._arg, self.P, self._V):
-            a.setflags(write=False)
-
-    def _powers(self, k):  # (-c)^k for every center, k a row of exponents
-        with np.errstate(under="ignore"):
-            return np.where(k & 1, -1.0, 1.0) * np.power(self._r, k) * np.exp(1j * self._arg * k)
-
-    def V(self, q_count: int) -> np.ndarray:
-        have = self._V.shape[1]
-        if q_count > have:
-            grown = self._powers(self.n * np.arange(have, q_count))
-            self._V = np.concatenate([self._V, grown], axis=1)
-            self._V.setflags(write=False)
-        # contiguous, as a table built to q_count columns would be
-        return np.ascontiguousarray(self._V[:, :q_count])
 
 
 def _series_length(coef: np.ndarray) -> int:
@@ -358,40 +309,17 @@ def _derivative(coeffs: np.ndarray) -> np.ndarray:
     return d
 
 
-def _on_rings(coef: np.ndarray, rings: RingPowers) -> np.ndarray:
-    """sum_k coef_k (c e^{i theta_j})^k on the ring of each center c of
-    rings at its n grid angles theta_j = -pi + 2 pi j / n, as a complex
-    (len(centers), n) array.  coef ends at its last nonzero entry, as
-    DiskMap.coeffs and deriv_coeffs do: trailing zeros would cost folds.
-
-    Since e^{i k theta_j} = (-1)^k e^{2 pi i jk/n}, the coefficients times
-    (-c)^k fold into n bins and one inverse FFT per ring gives all n values,
-    so very high series orders stay cheap.  All rings fold at once: with
-    k = q n + b and the coefficients as a (Q x n) block A[q, b] = coef_k,
-    the bins of ring i are P[i, b] (V @ A)[i, b], and one batched inverse
-    FFT takes every ring.  P and V come from the tables of the geometry
-    (a boundary ring, or the distance mesh of conformal_distance),
-    so a call computes no powers unless its Q is the largest yet.
-    Temporaries are O(rings (n + Q) + order), never a (rings x order) array.
-    """
-    n = rings.n
-    q_count = max(-(-coef.size // n), 1)
-    block = np.zeros(q_count * n, dtype=complex)
+def _on_grid(coef: np.ndarray, n: int) -> np.ndarray:
+    """sum_k coef_k e^{i k theta_j} at the n grid angles theta_j = -pi +
+    2 pi j / n.  Since e^{i k theta_j} = (-1)^k e^{2 pi i jk/n}, the
+    coefficients signed by (-1)^k fold into n bins, the sum of the rows of
+    their (Q, n) block (k = q n + b), and one inverse FFT gives all n
+    values.  coef ends at its last nonzero entry, as DiskMap.coeffs and
+    deriv_coeffs do: trailing zeros would cost rows."""
+    block = np.zeros(max(-(-coef.size // n), 1) * n, dtype=complex)
     block[: coef.size] = coef
-    folded = rings.P * (rings.V(q_count) @ block.reshape(q_count, n))
-    return np.fft.ifft(folded, axis=-1) * n
-
-
-def _abs_on_rings(coef: np.ndarray, rings: RingPowers) -> np.ndarray:
-    """|_on_rings(coef, rings)|: the modulus of the series on each ring."""
-    return np.abs(_on_rings(coef, rings))
-
-
-@lru_cache(maxsize=16)
-def _boundary_ring(n: int) -> RingPowers:
-    """The r = 1 ring of n grid angles: min_deriv's (n = BOUNDARY_RING_N),
-    and the boundary grids of boundary_polyline and conformal_distance."""
-    return RingPowers(np.ones(1), n)
+    block[1::2] *= -1
+    return np.fft.ifft(block.reshape(-1, n).sum(axis=0)) * n
 
 
 def _on_circle(d: DiskMap, at, speed: bool = False) -> np.ndarray:
@@ -405,10 +333,7 @@ def _on_circle(d: DiskMap, at, speed: bool = False) -> np.ndarray:
     coef = d.deriv_coeffs if speed else d.coeffs
     grid = isinstance(at, (int, np.integer))
     if d.chart == IDENTITY_CHART:
-        if grid:
-            ring = _boundary_ring(int(at))
-            return _abs_on_rings(coef, ring)[0] if speed else _on_rings(coef, ring)[0]
-        values = eval_modes(coef, at)
+        values = _on_grid(coef, int(at)) if grid else eval_modes(coef, at)
         return np.abs(values) if speed else values
     phi, log_jac = _chart_pull(d.chart, grid_angles(int(at)) if grid else at)
     values = eval_modes(coef, phi)
@@ -675,35 +600,30 @@ def mobius_recenter(d: DiskMap, a: complex, t: float) -> DiskMap:
     return out
 
 
-@lru_cache(maxsize=8)
-def _mesh_cache(n_boundary: int):
-    """The distance mesh of n_boundary points with the power tables of its
-    edge-midpoint rings."""
-    mesh = build_polar_mesh(n_boundary)
-    return mesh, RingPowers(mesh.mid_centers, n_boundary)
-
-
 def _simple_image(d: DiskMap, n_boundary: int):
     """Phi at the n_boundary boundary nodes, with the vertices and edge
-    ends of the polygon through them, when d is immersed and segment_hits
-    finds no pair of edges that cross or come near (clean or suspect): the
-    polygon is simple.  None otherwise.  Edge k runs from vertex k to
-    vertex k + 1."""
+    ends of the polygon through them; edge k runs from vertex k to vertex
+    k + 1.  InconclusiveMesh names the premise that fails: d is not
+    immersed, or segment_hits finds a pair of edges that cross or come near
+    (clean or suspect), so the polygon is not simple."""
     if not d.immersed:
-        return None
+        raise InconclusiveMesh("distance undecided: the map is not immersed")
     w = _on_circle(d, n_boundary)
     verts = np.column_stack([w.real, w.imag])
     ends = np.roll(verts, -1, axis=0)
     if segment_hits(verts, ends)[0].size:
-        return None
+        raise InconclusiveMesh(
+            f"distance undecided: the boundary polygon through {n_boundary} nodes is not simple"
+        )
     return w, verts, ends
 
 
-def _chord_in_image(verts: np.ndarray, ends: np.ndarray, a: int, b: int) -> bool:
-    """Whether the chord verts[a] -> verts[b] between two vertices of a
-    simple polygon (_simple_image) lies in the closed region it bounds.
+def _check_chord(verts: np.ndarray, ends: np.ndarray, a: int, b: int):
+    """Certify that the chord verts[a] -> verts[b] between two vertices of
+    a simple polygon (_simple_image) lies in the closed region it bounds,
+    or raise InconclusiveMesh naming the test that fails.
 
-    Two tests, each erring only towards False: no edge that is not
+    Two tests, each erring only towards failure: no edge that is not
     incident to verts[a] or verts[b] meets the chord, touching included
     (segment_meets); the chord's midpoint has winding number 1.  The open
     chord then meets the polygon, if at all, along the edges incident to
@@ -716,12 +636,14 @@ def _chord_in_image(verts: np.ndarray, ends: np.ndarray, a: int, b: int) -> bool
     """
     size = verts.shape[0]
     if b - a in (1, size - 1):
-        return True
+        return
     others = np.ones(size, dtype=bool)
     others[[a - 1, a, b - 1, b]] = False  # a - 1 = -1 wraps to the last edge
+    chord = f"distance undecided: the chord between boundary nodes {a} and {b}"
     if np.any(segment_meets(verts[a], verts[b], verts[others], ends[others])):
-        return False
-    return bool(winding_batch(0.5 * (verts[a] + verts[b])[None, :], verts)[0] == 1)
+        raise InconclusiveMesh(f"{chord} meets the boundary polygon")
+    if winding_batch(0.5 * (verts[a] + verts[b])[None, :], verts)[0] != 1:
+        raise InconclusiveMesh(f"{chord} has its midpoint outside the boundary polygon")
 
 
 def _boundary_nodes(p: complex, q: complex, n_boundary: int):
@@ -737,44 +659,21 @@ def _boundary_nodes(p: complex, q: complex, n_boundary: int):
     a, b = sorted((grid_node(np.angle(p), n_boundary), grid_node(np.angle(q), n_boundary)))
     if a == b:
         raise InconclusiveMesh(
-            f"endpoints {p:.6g} and {q:.6g} share a boundary node of the "
-            f"{n_boundary}-point mesh"
+            f"endpoints {p:.6g} and {q:.6g} share one of the {n_boundary} boundary nodes"
         )
     return a, b
-
-
-def _mesh_weights(d: DiskMap, n_boundary: int):
-    """The distance mesh of n_boundary points and its edge weights
-    |Phi'(midpoint)| times edge length, read from Phi's own series on the
-    mesh's midpoint rings: the identity chart only."""
-    mesh, rings = _mesh_cache(n_boundary)
-    speed = _abs_on_rings(d.deriv_coeffs, rings).ravel()[mesh.edge_ring]
-    return mesh, speed * mesh.edge_lengths
 
 
 def conformal_distances(d: DiskMap, pairs, n_boundary: int = 256) -> np.ndarray:
     """conformal_distance(d, p, q, n_boundary) for each (p, q) of pairs,
     bit for bit, with the endpoints of every pair checked first.  The map's
     boundary is read and its polygon tested for simplicity once
-    (_simple_image); each pair adds only its chord tests, and the mesh
-    weights are built at most once."""
+    (_simple_image); each pair adds only its chord tests."""
     nodes = [_boundary_nodes(p, q, n_boundary) for p, q in pairs]
-    image = _simple_image(d, n_boundary)
-    out = np.empty(len(nodes))
-    weighted = None
-    for i, (a, b) in enumerate(nodes):
-        if image is not None and _chord_in_image(image[1], image[2], a, b):
-            out[i] = abs(image[0][b] - image[0][a])
-            continue
-        if d.chart != IDENTITY_CHART:
-            raise InconclusiveMesh(
-                f"the chord between boundary nodes {a} and {b} is not certified, "
-                "and a chart map has no mesh route"
-            )
-        if weighted is None:
-            weighted = _mesh_weights(d, n_boundary)
-        out[i] = shortest_path_distance(*weighted, a, b)
-    return out
+    w, verts, ends = _simple_image(d, n_boundary)
+    for a, b in nodes:
+        _check_chord(verts, ends, a, b)
+    return np.array([abs(w[b] - w[a]) for a, b in nodes], dtype=float)
 
 
 def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256) -> float:
@@ -785,13 +684,13 @@ def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256
     that round to one node raise InconclusiveMesh, since the grid cannot
     resolve their distance.
 
-    Exact route.  Phi at the boundary nodes is read once (_on_circle), and
-    the chord between the two endpoint nodes is certified when d is
-    immersed, its image polygon is simple (_simple_image) and the chord
-    lies in the region that polygon bounds (_chord_in_image).  An immersion
-    of the closed disk whose boundary curve is simple is an embedding, so
-    the image is that region, a path in the metric is a curve in it of the
-    same Euclidean length, and the chord is the shortest: the distance is
+    Phi at the boundary nodes is read once (_on_circle), and the chord
+    between the two endpoint nodes is certified when d is immersed, its
+    image polygon is simple (_simple_image) and the chord lies in the
+    region that polygon bounds (_check_chord).  An immersion of the closed
+    disk whose boundary curve is simple is an embedding, so the image is
+    that region, a path in the metric is a curve in it of the same
+    Euclidean length, and the chord is the shortest: the distance is
     |Phi(node q) - Phi(node p)|.  Two premises are not checked.  immersed
     rests on build_phi's Rouche test for its maps (see build_phi), and the
     polygon through the n_boundary nodes stands in for the true boundary
@@ -799,17 +698,11 @@ def conformal_distance(d: DiskMap, p: complex, q: complex, n_boundary: int = 256
     polygon.  Every map the quantization lab builds is a bubble, a Moebius
     map with a round image: each of its chords is certified.
 
-    Mesh route, wherever the certificate fails on a map in the identity
-    chart: a graded polar triangulation with boundary spacing 2*pi/n, edge
-    weight |Phi'(midpoint)| times edge length, and a nonnegative-weights
-    shortest path.  |Phi'| is evaluated once per undirected edge, ring by
-    ring on the mesh's midpoint rings, so the weights are exactly
-    symmetric.  Truncated series are finite on the closed disk, so no
-    puncture is needed.  A chart map has no mesh route: its uncertified
-    distance is undecided, InconclusiveMesh.
-
-    Both routes take the endpoint nodes in ascending order, so D(p, q) ==
-    D(q, p) bit for bit.
+    Where the certificate fails the distance is undecided: InconclusiveMesh
+    names the premise that failed (the map is not immersed, its boundary
+    polygon is not simple, the chord meets the polygon, or the chord's
+    midpoint lies outside it), in every chart.  The endpoint nodes are
+    taken in ascending order, so D(p, q) == D(q, p) bit for bit.
     """
     return float(conformal_distances(d, [(p, q)], n_boundary)[0])
 

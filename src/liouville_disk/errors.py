@@ -87,7 +87,10 @@ class InconclusiveLimit(GuardError):
 
 
 class InconclusiveMesh(GuardError):
-    """Mesh tolerance exceeds the distance gap being measured."""
+    """A boundary distance the grid cannot decide: endpoints that share a
+    boundary node, a chord the embedding certificate rejects (the message
+    names the failed premise), or a distance trend within the node
+    spacing."""
 
 
 # --- highest severity -----------------------------------------------------

@@ -1,26 +1,28 @@
 """Graded polar triangulation of the unit disk and metric shortest paths.
 
-The mesh is the fallback route of disk.conformal_distance: the route for
-maps whose boundary image is not certified embedded, and for chords that
-leave the image.  A certified chord needs no mesh (see conformal_distance).
+No code path of the package builds a mesh or runs a shortest path: a
+conformal distance is the certified chord of an embedded image, or
+undecided (disk.conformal_distance).  disk imports check_boundary_size, the
+lower bound on the boundary nodes of a distance, from here.
+build_polar_mesh and shortest_path_distance stay for the benchmark's
+tracer, which looks this module up by name and rebinds them, until the
+benchmark drops those targets; the module and _kernels.dijkstra go then.
 
-The mesh carries the pulled-back boundary metric |Phi'| |dz|: edge weights
-are |Phi'(midpoint)| times Euclidean edge length, and distances between
+The mesh carries a pulled-back metric |Phi'| |dz|: edge weights are
+|Phi'(midpoint)| times Euclidean edge length, and distances between
 boundary points are Dijkstra shortest paths.  Ring spacing starts at the
 boundary grid spacing 2*pi/n and grows inward by a fixed ratio, which
 bounds the node count.  Paths on a fixed stencil carry a metrication error
 that does not vanish with h: for Phi(z) = z - 1 the distance from 1 to i
 reads 6.8% long at n = 256 and 10.5% at n = 4096; only the diameter, which
-the radial edges trace, is exact.  The mesh lists its edge midpoints as
-uniform polar rings, one per edge family, so a metric that is cheap to
-evaluate ring by ring needs one value per undirected edge.
+the radial edges trace, is exact.  That error is why the package no longer
+falls back to the mesh.  The mesh lists its edge midpoints as uniform polar
+rings, one per edge family, so a metric that is cheap to evaluate ring by
+ring needs one value per undirected edge.
 
-A mesh is built once per boundary size (disk caches it) and every array it
-holds is read-only, the graph's int32 CSR structure included: a distance
-call supplies only its edge weights, and no caller can write into the
-lengths or the adjacency that every later distance reads.  Boundary node j
-sits at the grid angle theta_j = -pi + 2 pi j / n (spectral.grid_node), on
-both routes.
+Every array a mesh holds is read-only, the graph's int32 CSR structure
+included.  Boundary node j sits at the grid angle theta_j = -pi + 2 pi j / n
+(spectral.grid_node).
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ MIN_BOUNDARY_NODES = 8
 
 
 def check_boundary_size(n_boundary: int):
-    """Raise InvalidInput unless a boundary of n_boundary nodes can carry a
-    mesh: at least MIN_BOUNDARY_NODES."""
+    """Raise InvalidInput unless a distance may take n_boundary boundary
+    nodes: at least MIN_BOUNDARY_NODES."""
     if n_boundary < MIN_BOUNDARY_NODES:
         raise InvalidInput(f"mesh needs at least {MIN_BOUNDARY_NODES} boundary nodes")
 

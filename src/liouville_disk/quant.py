@@ -34,9 +34,7 @@ from .errors import (
     InconclusiveMesh,
     InvalidInput,
     InvalidRadius,
-    NotHolomorphic,
     TheoremViolation,
-    UnderResolved,
 )
 from .line import (
     POLE_ANGLE,
@@ -64,9 +62,9 @@ MASS_SLACK = 0.02  # tolerance of the mass checks on a declared case
 CENTER_GRID_N = 1 << 14  # grid on which locate_centers samples the density
 MAX_CENTERS = 4
 
-# the w-grids on which Bubble.disk_map tries its blow-up chart, in order, and
-# the grid on which it reads the first mode of e^-lambda that places the chart
-CHART_GRIDS = (64, 128, 256, 512, 1024)
+# the w-grid of Bubble.disk_map's blow-up chart, and the grid on which it
+# reads the first mode of e^-lambda that places the chart
+CHART_N = 64
 PEAK_GRID_N = 8
 
 
@@ -172,26 +170,20 @@ class Bubble:
         as 3^-k, below rounding by order 32, and its data keeps a profile
         of order 1.  Up to rho = 2 (|q| <= 1/3) the identity chart serves.
 
-        S is build_phi of lambda o m + log|m'| on the first w-grid of
-        CHART_GRIDS that passes the guards, 64 points (degree 32) on every
-        bubble measured, mu = 2^-4 .. 2^16 and |x0| <= 5.  Where none does,
-        the map falls back to the identity chart on the uniform grid of
-        2^ceil(log2 20 mu) points, at least 256, whose series order scales
-        with mu.
+        S is build_phi of lambda o m + log|m'| on the CHART_N = 64 w-grid
+        (degree 32), which passes the guards on every member measured, mu
+        = 2^-8 .. 2^22 and x0 in {0, 0.3, -0.45, 1, -2, 5, -10, 30}, where
+        the uniform grid of the identity chart would need about 20 mu
+        points.  A member on which it fails raises the guard's error
+        (UnderResolved or NotHolomorphic).
         """
         th = grid_angles(PEAK_GRID_N)
         c1 = np.mean(np.exp(-self.lambda_at(th) - 1j * th))
         theta0 = float(np.angle(-np.conj(c1)))
         rho = float(np.exp(self.lambda_at(np.array([theta0]))[0]))
         chart = (theta0, (rho - 2.0) / (rho + 2.0)) if rho > 2.0 else IDENTITY_CHART
-        for n in CHART_GRIDS:
-            theta, log_jac = _chart_push(chart, grid_angles(n))
-            try:
-                return build_phi(analytic_completion(PeriodicGrid(self.lambda_at(theta) + log_jac), chart))
-            except (UnderResolved, NotHolomorphic):
-                continue
-        n = max(256, 1 << int(np.ceil(np.log2(max(256.0, 20.0 * self.mu)))))
-        return build_phi(analytic_completion(self.pull_back(n).field))
+        theta, log_jac = _chart_push(chart, grid_angles(CHART_N))
+        return build_phi(analytic_completion(PeriodicGrid(self.lambda_at(theta) + log_jac), chart))
 
 
 def bubble(mu: float, x0: float = 0.0) -> Bubble:
@@ -446,15 +438,18 @@ def pinching_probe(maps, pairs, mesh_n: int = 256, kappa_bound: float | None = N
     the chord |Phi(q) - Phi(p)| where it certifies that chord as the
     geodesic (an immersed map whose boundary polygon is simple and holds the
     chord; immersed rests on build_phi's Rouche test, and the polygon
-    through the nodes stands in for the boundary curve), and the mesh
-    shortest path elsewhere.  One disk.conformal_distances call per map
-    reads its boundary and tests its polygon once for all pairs, with the
-    bits of separate calls.  Every bubble map is Moebius with a round
-    image, so the bubble ladders take the chord.
+    through the nodes stands in for the boundary curve).  Elsewhere the
+    distance is undecided, and the InconclusiveMesh that names the failed
+    premise propagates.  One disk.conformal_distances call per map reads
+    its boundary and tests its polygon once for all pairs, with the bits
+    of separate calls.  Every bubble map is Moebius with a round image, so
+    the bubble ladders take the chord.
 
-    When a curvature bound is supplied, which must be finite and positive,
+    A trend that moves by less than twice the node spacing h = 2 pi/mesh_n
+    (relative to its start) is undecided too, InconclusiveMesh.  When a
+    curvature bound is supplied, which must be finite and positive,
     declared pinched pairs are audited against the arc-separation lower
-    bound pi / kappa_bound (up to the mesh tolerance)."""
+    bound pi / kappa_bound, up to 2 h."""
     if kappa_bound is not None and not (np.isfinite(kappa_bound) and kappa_bound > 0):
         raise InvalidInput(f"curvature bound must be finite and positive, got {kappa_bound}")
     if len(maps) < 2:
@@ -471,7 +466,7 @@ def pinching_probe(maps, pairs, mesh_n: int = 256, kappa_bound: float | None = N
         decreasing = bool(np.all(np.diff(row) < 0))
         if decreasing and abs(row[0] - row[-1]) < 2 * h * max(row[0], 1e-300):
             raise InconclusiveMesh(
-                f"distance trend for pair {i} is within the mesh tolerance"
+                f"distance trend for pair {i} is within twice the node spacing"
             )
         pinched = decreasing and bool(row[-1] < 0.1 * row[0])  # a Python bool, as printed
         verdicts.append(pinched)

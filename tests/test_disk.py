@@ -1,6 +1,6 @@
 """Disk-map construction checks: analytic completion, the explicit solution
 family against its closed Moebius form, boundary curvature, recentering,
-conformal distance (certified chords, and the graded mesh where the
+conformal distance (certified chords, and undecided distances where the
 certificate fails), and Blaschke fixtures.
 """
 
@@ -12,8 +12,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as cs_dijkstra
 
 from liouville_disk import _kernels, disk, quant, spectral
 
@@ -31,7 +29,7 @@ from liouville_disk.disk import (
 )
 from liouville_disk.errors import InconclusiveMesh, InvalidInput, NotHolomorphic, UnderResolved
 from liouville_disk.line import pull_back, stereo_inverse
-from liouville_disk.mesh import build_polar_mesh, shortest_path_distance
+from liouville_disk.mesh import build_polar_mesh
 from liouville_disk.spectral import (
     PeriodicGrid,
     SingularField,
@@ -386,15 +384,13 @@ REJECTED = {
     "chord-crosses": (dented_map, [lips(1.0)]),
     "chord-outside": (dented_map, [lips(0.6)]),
 }
-
-
-@pytest.fixture
-def no_mesh(monkeypatch):
-    """Fail any distance that takes the mesh route."""
-    def refuse(n_boundary):
-        raise AssertionError(f"mesh route taken ({n_boundary} nodes)")
-
-    monkeypatch.setattr(disk, "_mesh_cache", refuse)
+# the premise that InconclusiveMesh names for each rejected case
+PREMISES = {
+    "not-immersed": "the map is not immersed",
+    "not-embedded": "is not simple",
+    "chord-crosses": "meets the boundary polygon",
+    "chord-outside": "has its midpoint outside the boundary polygon",
+}
 
 
 def node_point(z, n):
@@ -404,7 +400,7 @@ def node_point(z, n):
 
 class TestConformalDistance:
     @pytest.mark.parametrize("n", [64, 256])
-    def test_flat_map_is_exact_at_every_node_pair(self, n, no_mesh):
+    def test_flat_map_is_exact_at_every_node_pair(self, n):
         # Phi(z) = z - 1 maps the disk onto a disk: every chord is certified
         d = build_phi(analytic_completion(PeriodicGrid(np.zeros(256))))
         z = np.exp(1j * grid_angles(n))
@@ -419,10 +415,13 @@ class TestConformalDistance:
             assert abs(got - exact) <= 1e-13 * exact
             assert got == conformal_distance(d, z[b], z[a], n_boundary=n)
 
+    @pytest.mark.parametrize("chart", [disk.IDENTITY_CHART, (0.4, 0.3)])
     @pytest.mark.parametrize("n", [64, 256])
-    def test_each_rejected_case_fails_its_own_test(self, n):
+    def test_each_rejected_case_fails_its_own_test(self, n, chart):
+        # the same series read in a chart is another map with the same
+        # image, whose rejected chords fail the same premise
         for case, (make, pairs) in REJECTED.items():
-            d = make()
+            d = make_disk_map(make().coeffs, normalized_at_one=False, chart=chart)
             w = disk._on_circle(d, n)
             verts = np.column_stack([w.real, w.imag])
             ends = np.roll(verts, -1, axis=0)
@@ -436,16 +435,28 @@ class TestConformalDistance:
                 tests = [("not-immersed", d.immersed), ("not-embedded", simple),
                          ("chord-crosses", not meets), ("chord-outside", inside)]
                 assert [name for name, ok in tests if not ok][0] == case
-                image = disk._simple_image(d, n)
-                assert image is None or not disk._chord_in_image(image[1], image[2], a, b)
+                # undecided, naming its premise, in both endpoint orders
+                for order in ((p, q), (q, p)):
+                    with pytest.raises(InconclusiveMesh, match=PREMISES[case]):
+                        conformal_distance(d, *order, n_boundary=n)
 
-    def test_a_dented_image_takes_the_chord_where_it_lies_inside(self, no_mesh):
+    def test_a_dented_image_takes_the_chord_where_it_lies_inside(self):
         # the dented map is embedded: chords away from the dent are certified
         d = dented_map()
         for p, q in [(1.0, 1j), (1.0, -1.0), (np.exp(2.5j), np.exp(-0.3j)), lips(1.6)]:
             z, w = node_point(p, 256), node_point(q, 256)
             exact = abs(z - w) * abs(1.0 + 0.4 * (z + w))
             assert abs(conformal_distance(d, p, q) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("chart", [disk.IDENTITY_CHART, (0.4, 0.3)])
+    def test_the_first_rejected_pair_is_named(self, chart):
+        # certified pairs before it change nothing: the call is undecided,
+        # and names the chord of the pair that failed
+        d = make_disk_map(dented_map().coeffs, normalized_at_one=False, chart=chart)
+        p, q = lips(1.0)
+        a, b = sorted((grid_node(np.angle(p), 256), grid_node(np.angle(q), 256)))
+        with pytest.raises(InconclusiveMesh, match=f"nodes {a} and {b} meets the boundary polygon"):
+            disk.conformal_distances(d, [(1.0, 1j), (p, q), lips(0.6)])
 
     def test_flat_chord(self):
         d = build_phi(analytic_completion(PeriodicGrid(np.zeros(256))))
@@ -478,15 +489,15 @@ class TestConformalDistance:
             ) < 1e-12
 
     def test_exactly_symmetric_on_the_concentrated_bubble(self):
-        # Dijkstra adds a path's weights from its source, so the two search
-        # directions could round differently; both start at the lower node
+        # both endpoint orders take the nodes in ascending order, so the
+        # chord is the same difference of the same two values
         n = 1 << int(np.ceil(np.log2(20 * 4096.0)))
         d = build_phi(bubble_trace(4096.0, n=n))
         for p, q in [(1.0, -1.0), (1j, np.exp(0.3j)), (np.exp(2j), np.exp(-0.4j))]:
             assert conformal_distance(d, p, q) == conformal_distance(d, q, p)
 
     def test_monotone_under_refinement(self):
-        # finer meshes admit every coarse path up to O(h) deviations
+        # the endpoint nodes move by O(h) as the boundary polygon refines
         d = build_phi(bubble_trace(4.0))
         vals = {n: conformal_distance(d, 1.0, -1.0, n_boundary=n) for n in (128, 256, 512)}
         assert vals[256] <= vals[128] + 2 * (TWO_PI / 128)
@@ -507,16 +518,16 @@ class TestConformalDistance:
 
     def test_endpoints_on_one_boundary_node_are_inconclusive(self):
         # 0.001 rad is far below the 2 pi / 256 node spacing: both endpoints
-        # round to the node at theta = 0, where the mesh would report 0
+        # round to the node at theta = 0, where the chord would read 0
         d = quant.bubble(mu=4.0).disk_map()
-        with pytest.raises(InconclusiveMesh):
+        with pytest.raises(InconclusiveMesh, match="share one of the 256 boundary nodes"):
             conformal_distance(d, 1.0, np.exp(0.001j), n_boundary=256)
 
 
 @lru_cache(maxsize=None)
 def bubble_map(mu):
-    # a uniform grid of about 20 mu points, as quant.Bubble.disk_map picks it
-    # when it falls back to the identity chart
+    # the identity chart's map on a uniform grid of about 20 mu points, so
+    # its series is Phi's own, of degree up to 65536
     n = max(256, 1 << int(np.ceil(np.log2(20 * mu))))
     return build_phi(bubble_trace(mu, n=n, x0=0.1))
 
@@ -529,16 +540,6 @@ def horner_abs(coef, z):
 def directed_midpoints(mesh):
     src = np.repeat(np.arange(mesh.n_nodes), np.diff(mesh.indptr))
     return 0.5 * (mesh.nodes[src] + mesh.nodes[mesh.indices])
-
-
-def int64_dijkstra(indptr, indices, weights, source, n):
-    """_kernels.dijkstra as it was before the mesh held its graph in int32:
-    the structure converted to int64 on every call."""
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    mat = csr_matrix((weights, indices, indptr), shape=(n, n))
-    return cs_dijkstra(mat, directed=True, indices=source)
 
 
 def ring_points(mesh):
@@ -554,113 +555,21 @@ class TestRingEvaluation:
         # both directions of every undirected edge share one ring point
         assert np.array_equal(np.bincount(mesh.edge_ring), np.full(mesh.mid_centers.size * n, 2))
 
-    @pytest.mark.parametrize("mu", [1.0, 16.0, 4096.0])
-    def test_rings_match_horner(self, mu):
-        dcoef = bubble_map(mu).deriv_coeffs
-        mesh = build_polar_mesh(64)
-        vals = disk._abs_on_rings(dcoef, disk.RingPowers(mesh.mid_centers, 64))
-        ref = horner_abs(dcoef, ring_points(mesh))
-        assert np.all(np.abs(vals - ref) <= 1e-9 * np.max(ref, axis=1, keepdims=True))
-
-    @pytest.mark.parametrize("mu, bound", [(16.0, 1e-12), (4096.0, 1e-9)])
-    def test_boundary_ring_matches_horner(self, mu, bound):
-        # min_deriv's ring, r = 1 at the 256 grid angles, against Horner
-        dcoef = bubble_map(mu).deriv_coeffs
-        vals = disk._abs_on_rings(dcoef, disk._boundary_ring(disk.BOUNDARY_RING_N))
-        ref = horner_abs(dcoef, np.exp(1j * grid_angles(disk.BOUNDARY_RING_N)))
-        assert vals.shape == (1, disk.BOUNDARY_RING_N)
-        assert np.all(np.abs(vals - ref) <= bound * np.max(ref))
-        assert bubble_map(mu).min_deriv == np.min(vals)
-
-    @pytest.mark.parametrize("case", sorted(REJECTED))
-    def test_distance_matches_horner_weighted_dijkstra(self, case):
-        make, pairs = REJECTED[case]
-        d = make()
-        mesh = build_polar_mesh(64)
-        weights = horner_abs(d.deriv_coeffs, directed_midpoints(mesh)) * mesh.edge_lengths
-        for p, q in pairs:
-            ref = shortest_path_distance(mesh, weights, grid_node(np.angle(p), 64),
-                                         grid_node(np.angle(q), 64))
-            assert abs(conformal_distance(d, p, q, n_boundary=64) - ref) <= 1e-7 * ref
-
-    @pytest.mark.parametrize("case", sorted(REJECTED))
-    def test_distance_equals_the_int64_graph_route(self, case):
-        # every chord the certificate rejects takes the mesh route as it
-        # stood before the certificate, bit for bit, on the pinching
-        # probe's 256-point mesh
-        make, pairs = REJECTED[case]
-        d = make()
-        mesh, rings = disk._mesh_cache(256)
-        weights = disk._abs_on_rings(d.deriv_coeffs, rings).ravel()[mesh.edge_ring] * mesh.edge_lengths
-        for p, q in pairs:
-            a, b = sorted((grid_node(np.angle(p), 256), grid_node(np.angle(q), 256)))
-            ref = int64_dijkstra(mesh.indptr, mesh.indices, weights, a, mesh.n_nodes)[b]
-            assert conformal_distance(d, p, q) == ref == conformal_distance(d, q, p)
-
-    def test_weights_are_exactly_symmetric(self, monkeypatch):
-        seen = []
-
-        def recorded(mesh, weights, a, b):
-            seen.append((mesh, weights))
-            return shortest_path_distance(mesh, weights, a, b)
-
-        monkeypatch.setattr(disk, "shortest_path_distance", recorded)
-        d = exp_cubic_map(4.0)  # not embedded: the mesh route
-        pq = conformal_distance(d, 1.0, -1.0)
-        qp = conformal_distance(d, -1.0, 1.0)
-        mesh, w = seen[0]
-        src = np.repeat(np.arange(mesh.n_nodes), np.diff(mesh.indptr))
-        forward = dict(zip(zip(src.tolist(), mesh.indices.tolist()), w.tolist()))
-        assert all(forward[v, u] == wt for (u, v), wt in forward.items())
-        assert pq == qp
-
-    @pytest.mark.parametrize("first", ["small", "large"])
-    def test_cached_tables_equal_fresh_ones(self, first):
-        # V is grown to the largest Q seen and sliced: over a Q ladder, in
-        # either order, the cached tables must give what fresh tables give
-        rng = np.random.default_rng(7)
-        geometries = [(np.linspace(0.0, 1.0, 64), 256),
-                      (build_polar_mesh(64).mid_centers, 64),
-                      (0.9 * np.exp(1j * rng.uniform(-np.pi, np.pi, 5)), 32)]
-        for centers, n in geometries:
-            ladder = [1, 2, 5, 17, 64]  # Q = ceil(size / n)
-            if first == "large":
-                ladder = ladder[::-1]
-            cached = disk.RingPowers(centers, n)
-            for q in ladder + ladder[::-1]:
-                size = (q - 1) * n + int(rng.integers(1, n + 1))
-                coef = rng.normal(size=size) + 1j * rng.normal(size=size)
-                fresh = disk._abs_on_rings(coef, disk.RingPowers(centers, n))
-                assert np.array_equal(disk._abs_on_rings(coef, cached), fresh)
-
-    def test_one_table_per_geometry(self):
-        disk._boundary_ring.cache_clear()
-        disk._mesh_cache.cache_clear()
-        # bubbles take the chord: Phi folds on the r = 1 ring of 64 angles
-        # and no mesh is built; min_deriv reads its own ring of 256
-        for mu in (1.0, 16.0, 4096.0, 16.0):
-            d = make_disk_map(bubble_map(mu).coeffs)
-            conformal_distance(d, 1.0, -1.0, n_boundary=64)
-            conformal_distance(d, 1j, -1.0, n_boundary=64)
-        assert disk._boundary_ring.cache_info().currsize == 2
-        assert disk._mesh_cache.cache_info().currsize == 0
-        # rejected chords take the mesh, whose rings keep one table too
-        rejected = [exp_cubic_map(c) for c in (4.0, 8.0, 6.0)] + [blaschke_fixture([0.0, 0.0])]
-        for d in rejected:
-            image = disk._simple_image(d, 64)
-            assert image is None or not disk._chord_in_image(image[1], image[2], 0, 32)
-            conformal_distance(d, 1.0, -1.0, n_boundary=64)
-        assert disk._mesh_cache.cache_info().currsize == 1
-        ring = disk._boundary_ring(disk.BOUNDARY_RING_N)
-        chords = disk._boundary_ring(64)
-        _, rings = disk._mesh_cache(64)
-        # grown to the largest Q, not kept once per size; the series end at
-        # their last nonzero coefficient, and trailing zeros fold nowhere
-        top = bubble_map(4096.0).deriv_coeffs.size
-        assert ring._V.shape == (1, -(-top // disk.BOUNDARY_RING_N))
-        assert chords._V.shape == (1, -(-bubble_map(4096.0).coeffs.size // 64))
-        top = max(d.deriv_coeffs.size for d in rejected)
-        assert rings._V.shape == (rings.P.shape[0], -(-top // 64))
+    @pytest.mark.parametrize("n", [disk.BOUNDARY_RING_N, 64, 63])
+    @pytest.mark.parametrize("mu, bound", [(1.0, 1e-12), (16.0, 1e-12), (4096.0, 1e-9)])
+    def test_grid_fold_matches_horner(self, mu, bound, n):
+        # Phi and Phi' against Horner at the n grid angles, from one block
+        # of bins (mu = 1 and 16 at n = 256) to 1041 (mu = 4096 at n = 63,
+        # an odd n); min_deriv is the fold's minimum on the BOUNDARY_RING_N
+        # angles
+        d = bubble_map(mu)
+        for coef in (d.deriv_coeffs, d.coeffs):
+            vals = disk._on_grid(coef, n)
+            ref = np.polynomial.polynomial.polyval(np.exp(1j * grid_angles(n)), coef)
+            assert vals.shape == (n,)
+            assert np.all(np.abs(vals - ref) <= bound * np.max(np.abs(ref)))
+        if n == disk.BOUNDARY_RING_N:
+            assert d.min_deriv == np.min(np.abs(disk._on_grid(d.deriv_coeffs, n)))
 
     @pytest.mark.parametrize("make, immersed", [
         (lambda: build_phi(analytic_completion(PeriodicGrid(np.zeros(256)))), True),
@@ -782,7 +691,7 @@ def exact_bubble(mu, x0):
 @lru_cache(maxsize=None)
 def uniform_bubble(mu, x0):
     """The bubble's map in the identity chart: build_phi on the uniform grid
-    of bubble_field, where Bubble.disk_map falls back to."""
+    of bubble_field, so its coefficients are Phi's own."""
     return build_phi(analytic_completion(bubble_field(mu, x0)))
 
 
@@ -820,7 +729,7 @@ class TestExactBubbleMaps:
         assert abs(d.min_deriv - exact) <= 1e-6 * exact
 
     @pytest.mark.parametrize("mu, x0", LADDER + HIGH)
-    def test_conformal_distance(self, mu, x0, no_mesh):
+    def test_conformal_distance(self, mu, x0):
         # a Moebius image is a round disk, so the distance between two
         # boundary nodes z, w is the chord Phi(z) - Phi(w) =
         # C (z - w) / ((1 - q z)(1 - q w)), on and off the diameter
@@ -941,11 +850,26 @@ class TestBlowUpCharts:
         assert abs((1 + r) / (1 - r) - rho / 2) <= 1e-9 * rho
 
     @pytest.mark.parametrize("mu, x0", [(1.0, -0.45), (0.25, 0.3), (16.0, 0.0), (4096.0, -0.45)])
-    def test_a_member_no_chart_grid_passes_takes_the_uniform_grid(self, mu, x0, monkeypatch):
-        # an 8-point w-grid fails the guards on all of these
-        monkeypatch.setattr(quant, "CHART_GRIDS", (8,))
-        d = quant.bubble(mu, x0).disk_map()
-        assert d.chart == disk.IDENTITY_CHART and d == uniform_bubble(mu, x0)
+    def test_a_member_whose_chart_grid_fails_raises_the_guards_error(self, mu, x0, monkeypatch):
+        # an 8-point w-grid fails the guards on all of these, and the
+        # guard's error propagates (the tail guard, series order 4), and no other grid is tried
+        monkeypatch.setattr(quant, "CHART_N", 8)
+        with pytest.raises(UnderResolved, match="series order 4 cannot represent the map"):
+            quant.bubble(mu, x0).disk_map()
+
+    @pytest.mark.parametrize("make", [dented_map, lambda: blaschke_fixture([0.3, -0.3]), lambda: bubble_map(16.0)])
+    def test_the_identity_chart_reads_points_unchanged(self, make):
+        # the point readers pull back through the chart in every chart:
+        # the identity's pull-back returns z and 1 exactly, so the values
+        # are Horner's at z itself, bit for bit
+        d = make()
+        rng = np.random.default_rng(6)
+        z = np.sqrt(rng.uniform(0.0, 1.0, 400)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 400))
+        z = np.concatenate([z, np.exp(1j * grid_angles(64)), [0.0, 1.0, -1.0, 1j]])
+        w, dw = disk._chart_inverse(disk.IDENTITY_CHART, z)
+        assert np.array_equal(w, z) and np.all(dw == 1.0)
+        assert np.array_equal(d(z), np.polynomial.polynomial.polyval(z, d.coeffs))
+        assert np.array_equal(d.derivative(z), np.polynomial.polynomial.polyval(z, d.deriv_coeffs))
 
     def test_the_chart_pull_back_inverts_the_push(self):
         th = grid_angles(512)
@@ -968,14 +892,6 @@ class TestBlowUpCharts:
     def test_anchored_data_takes_no_chart(self):
         with pytest.raises(InvalidInput):
             analytic_completion(anchored_trace(-np.pi / 2, 0.5), (0.3, 0.5))
-
-    def test_an_uncertified_chord_of_a_chart_map_is_undecided(self, no_mesh):
-        # no mesh route: the not-immersed and the not-embedded rejected maps,
-        # read in a chart, raise InconclusiveMesh without building a mesh
-        for make in (lambda: blaschke_fixture([0.0, 0.0]), lambda: exp_cubic_map(4.0)):
-            d = make_disk_map(make().coeffs, normalized_at_one=False, chart=(0.4, 0.3))
-            with pytest.raises(InconclusiveMesh):
-                conformal_distance(d, 1.0, -1.0)
 
 
 class TestBoundaryPolyline:
@@ -1167,16 +1083,18 @@ def reference_analytic_completion(lam):
     return BoundaryTrace(lam=field, rho_smooth=rho)
 
 
-def reference_abs_on_rings(coef, rings):
-    """disk._abs_on_rings with the series length from np.flatnonzero."""
-    n = rings.n
+def reference_abs_on_grid(coef, n):
+    """|disk._on_grid(coef, n)| with the series length from np.flatnonzero,
+    the signs (-1)^k as powers and the rows of the (Q, n) block added to
+    the bins one at a time."""
     nz = np.flatnonzero(coef)
-    size = nz[-1] + 1 if nz.size else 1
-    q_count = -(-size // n)
-    block = np.zeros(q_count * n, dtype=complex)
-    block[:size] = coef[:size]
-    folded = rings.P * (rings.V(q_count) @ block.reshape(q_count, n))
-    return np.abs(np.fft.ifft(folded, axis=-1) * n)
+    size = nz[-1] + 1 if nz.size else 0
+    signed = coef[:size] * (-1.0) ** np.arange(size)
+    bins = np.zeros(n, dtype=complex)
+    for q in range(0, size, n):
+        row = signed[q : q + n]
+        bins[: row.size] += row
+    return np.abs(np.fft.ifft(bins) * n)
 
 
 def longdouble_horner(c, w):
@@ -1224,7 +1142,7 @@ class ReferenceMap:
 
 def reference_make_disk_map(coeffs, normalized_at_one=True, immersed=None):
     """make_disk_map trimming by np.flatnonzero, min_deriv
-    on the r = 1 ring through reference_abs_on_rings, and, unless given,
+    on the BOUNDARY_RING_N grid angles through reference_abs_on_grid, and, unless given,
     immersion by the companion-matrix roots of Phi'."""
     c = np.asarray(coeffs, dtype=complex)
     if c.size < 2:
@@ -1238,7 +1156,7 @@ def reference_make_disk_map(coeffs, normalized_at_one=True, immersed=None):
     if normalized_at_one and abs(np.sum(c)) > 1e-10 * max(1.0, np.sqrt(total)):
         raise InvalidInput("normalization")
     dcoef = c[1:] * np.arange(1, c.size)
-    md = float(np.min(reference_abs_on_rings(dcoef, disk.RingPowers(np.ones(1), disk.BOUNDARY_RING_N))))
+    md = float(np.min(reference_abs_on_grid(dcoef, disk.BOUNDARY_RING_N)))
     if immersed is None:
         immersed = roots_inside(dcoef) == 0
     return ReferenceMap(c, bool(immersed), md, normalized_at_one)
@@ -1325,7 +1243,7 @@ def assert_same_map(got, ref):
 @lru_cache(maxsize=None)
 def bubble_field(mu, x0):
     b = quant.bubble(mu=mu, x0=x0)
-    n = max(256, 1 << int(np.ceil(np.log2(max(256.0, 20.0 * mu)))))  # as Bubble.disk_map
+    n = max(256, 1 << int(np.ceil(np.log2(max(256.0, 20.0 * mu)))))  # about 20 mu points
     return b.pull_back(n).field
 
 
@@ -1387,8 +1305,8 @@ class TestOneFftOracles:
         assert_same_map(make_disk_map(c), reference_make_disk_map(c))
         dcoef = c[1:] * np.arange(1, c.size)
         trimmed = np.trim_zeros(dcoef, "b")  # as DiskMap.deriv_coeffs ends
-        for rings in (disk._boundary_ring(disk.BOUNDARY_RING_N), disk._mesh_cache(64)[1]):
-            assert np.array_equal(disk._abs_on_rings(trimmed, rings), reference_abs_on_rings(dcoef, rings))
+        for n in (disk.BOUNDARY_RING_N, 64):
+            assert np.array_equal(np.abs(disk._on_grid(trimmed, n)), reference_abs_on_grid(dcoef, n))
 
     def test_series_length_of_zero_and_nonzero_vectors(self):
         assert disk._series_length(np.zeros(5, dtype=complex)) == 0
@@ -1396,10 +1314,9 @@ class TestOneFftOracles:
         assert disk._series_length(np.array([1.0])) == 1
         for zeros in (np.zeros(2), np.zeros(70, dtype=complex)):
             assert outcome(make_disk_map, zeros, False) is outcome(reference_make_disk_map, zeros, False) is InvalidInput
-        ring = disk._boundary_ring(disk.BOUNDARY_RING_N)
         for coef in (np.zeros(3, dtype=complex), np.zeros(0, dtype=complex)):
-            assert np.array_equal(disk._abs_on_rings(coef, ring),
-                                  reference_abs_on_rings(np.zeros(3, dtype=complex), ring))
+            assert np.array_equal(np.abs(disk._on_grid(coef, disk.BOUNDARY_RING_N)),
+                                  reference_abs_on_grid(np.zeros(3, dtype=complex), disk.BOUNDARY_RING_N))
 
     @pytest.mark.parametrize("make", [
         # non-finite: an anchor on a grid angle gives phi = inf there

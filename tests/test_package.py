@@ -9,8 +9,8 @@ walk faces and Seifert circles only through arrangement._cycles,
 place the circle grid on the line only in line.circle_chart, fit the value
 at the pole only in line._fitted_pole, raise NotHolomorphic only in disk's
 guard step and NumericalInconsistency only in curves._turning_index,
-intersect segments only in _kernels, evaluate
-|Phi'| on rings only through the folded FFT, hand out only read-only arrays
+intersect segments only in _kernels, read a
+map's series on the grid only through one fold, hand out only read-only arrays
 from its caches, build every value through its constructor, hand a disk
 map a Rouche certificate only from build_phi, import nothing it does not
 use and define nothing that only the tests call, so a second kernel
@@ -21,15 +21,20 @@ come back unnoticed.
 """
 
 import ast
+import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import liouville_disk
 from liouville_disk import _kernels, disk, quant
+from liouville_disk.errors import InconclusiveMesh
+from liouville_disk.spectral import grid_angles
 
 PACKAGE_DIR = Path(liouville_disk.__file__).parent
 
@@ -98,8 +103,9 @@ def test_unused_import_check_sees_a_leftover():
 def test_import_loads_no_scipy_signal_integrate_or_special():
     # no module needs scipy.signal or scipy.integrate, the Gauss-Jacobi
     # rule is built by Golub-Welsch rather than scipy.special.roots_jacobi,
-    # and _kernels.dijkstra imports scipy.sparse when it runs, so importing
-    # the package loads no scipy module at all
+    # and _kernels.dijkstra, which no package code calls, imports
+    # scipy.sparse when it runs, so importing the package loads no scipy
+    # module at all
     code = (
         "import sys, liouville_disk; "
         "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
@@ -116,13 +122,28 @@ def test_import_loads_no_scipy_signal_integrate_or_special():
     assert done.stdout.strip() == "[]"
 
 
-def test_the_readme_pinch_ladder_loads_no_scipy(tmp_path):
-    # every bubble chord is certified, so no distance reaches the mesh's
-    # Dijkstra, the one user of scipy
+def readme_cli_commands():
+    """The argument lists of the liouville-disk commands in the README's CLI
+    block, comments and line continuations removed."""
+    text = (REPO_DIR / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("liouville-disk ")]
+
+
+def test_no_readme_cli_command_loads_scipy(tmp_path):
+    # every bubble chord is certified and no distance reaches a mesh, so no
+    # command loads scipy; all of them run in one interpreter, each with
+    # its /tmp paths moved into tmp_path and its input files written there
+    commands = [[arg.replace("/tmp/", f"{tmp_path}/") for arg in argv] for argv in readme_cli_commands()]
+    assert {argv[0] for argv in commands} >= {"fixtures", "pinch", "scan", "classify", "audit", "curvature"}
+    grid = {"n": 16, "values": np.cos(grid_angles(16)).tolist()}
+    for name in ("grid.json", "field.json"):
+        (tmp_path / name).write_text(json.dumps(grid))
     code = (
         "import sys; from liouville_disk.cli import main; "
-        f"code = main(['pinch', '--mu-ladder', '1,16,256,4096', '--mesh', '256', '--out', {str(tmp_path / 'p.json')!r}]); "
-        "print(code, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        f"codes = [main(argv) for argv in {commands!r}]; "
+        "print(codes, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
     path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -130,36 +151,35 @@ def test_the_readme_pinch_ladder_loads_no_scipy(tmp_path):
         capture_output=True,
         text=True,
         check=True,
+        cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
+        timeout=300,
     )
-    assert done.stdout.splitlines()[-1] == "0 []"
+    assert done.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
 
 
-def test_pinching_bubbles_builds_no_mesh_and_runs_no_dijkstra(monkeypatch):
+def test_no_distance_builds_a_mesh_or_runs_dijkstra(monkeypatch):
+    # the bubble ladders take certified chords and every rejected chord is
+    # undecided: no map reaches a function of the mesh module or Dijkstra
     from liouville_disk import mesh
 
-    calls = []
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mesh function was called")
 
-    def counted(name, original):
-        def fn(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        return fn
-
-    disk._mesh_cache.cache_clear()  # a cached mesh would hide a build
-    monkeypatch.setattr(disk, "build_polar_mesh", counted("build_polar_mesh", mesh.build_polar_mesh))
-    monkeypatch.setattr(mesh, "dijkstra", counted("dijkstra", mesh.dijkstra))
+    for owner, name in [(mesh, "build_polar_mesh"), (mesh, "shortest_path_distance"),
+                        (mesh, "dijkstra"), (_kernels, "dijkstra")]:
+        monkeypatch.setattr(owner, name, refuse)
     for x0 in (0.0, 0.3, -0.45):
         maps = [quant.bubble(mu=mu, x0=x0).disk_map() for mu in (1.0, 16.0, 256.0, 4096.0)]
         rep = quant.pinching_probe(maps, [(1.0, -1.0), (1j, np.exp(2.5j))], mesh_n=256)
         assert rep.verdicts[0]
-    assert calls == []
-    # the counters see the mesh route where the certificate fails
     z2 = disk.make_disk_map(np.array([0.0, 0.0, 1.0]), normalized_at_one=False)
-    disk.conformal_distance(z2, 1.0, 1j)
-    assert calls == ["build_polar_mesh", "dijkstra"]
+    with pytest.raises(InconclusiveMesh, match="not immersed"):
+        disk.conformal_distance(z2, 1.0, 1j)
+    # disk keeps nothing of the mesh module but the boundary-size check
+    assert [name for name in vars(disk) if getattr(vars(disk)[name], "__module__", None) == mesh.__name__] == [
+        "check_boundary_size"
+    ]
 
 
 def constructor_bypasses(tree):
@@ -276,6 +296,17 @@ CALLER_ALLOWED = {
 }
 
 
+# definitions whose only caller is the benchmark's tracer, which looks them
+# up by name: kept until the benchmark drops those targets
+TRACER_HELD = {
+    "disk.conformal_distance",
+    "disk.mobius_recenter",
+    "spectral.analyze",
+    "mesh.build_polar_mesh",
+    "mesh.shortest_path_distance",
+}
+
+
 def tracing_targets():
     """perfbench/tracing.py's TARGETS, read from its source: the tracer
     looks those functions up by name."""
@@ -383,12 +414,15 @@ def uncalled_definitions(paths, trees, targets):
 
 def test_every_src_definition_has_a_caller():
     # the package, its command line and the benchmark are the callers; a
-    # definition that only the tests call is a test helper and lives there
+    # definition that only the tests call is a test helper and lives there.
+    # The tracer's TARGETS count as callers only for TRACER_HELD: the set
+    # grows only in a reviewed diff
     callers = sorted(PACKAGE_DIR.glob("*.py")) + [
         path for path in sorted((REPO_DIR / "perfbench").glob("*.py")) if path.name != "test_bench.py"
     ]
-    uncalled = uncalled_definitions(callers, module_trees(), tracing_targets())
-    assert uncalled == sorted(CALLER_ALLOWED)
+    assert uncalled_definitions(callers, module_trees(), tracing_targets()) == sorted(CALLER_ALLOWED)
+    assert uncalled_definitions(callers, module_trees(), set()) == sorted(CALLER_ALLOWED | TRACER_HELD)
+    assert TRACER_HELD <= tracing_targets()
 
 
 def test_caller_check_sees_an_uncalled_definition(tmp_path):
@@ -558,11 +592,11 @@ def test_circle_wrap_check_sees_both_forms():
 
 
 # the readers of a disk map's series: the map's constructor and point
-# evaluators, the circle reader and the mesh route, which takes maps in the
-# identity chart only; no other reader may take coeffs for Phi's own series
+# evaluators and the circle reader; no other reader may take coeffs for
+# Phi's own series
 SERIES_READERS = {
     "disk.DiskMap.__post_init__", "disk.DiskMap.order", "disk.DiskMap.__call__",
-    "disk.DiskMap.derivative", "disk._on_circle", "disk._mesh_weights",
+    "disk.DiskMap.derivative", "disk._on_circle",
 }
 
 
@@ -665,8 +699,7 @@ def test_the_circle_chart_alone_places_the_grid_on_the_line():
 
 
 # point evaluation of a series: the map, its derivative and the corner
-# tangent fit; |Phi'| on rings (min_deriv's boundary ring, distance mesh) is
-# folded
+# tangent fit; the grid angles (min_deriv, the boundary polygon) are folded
 POLYVAL_CALLERS = {"DiskMap.__call__", "DiskMap.derivative", "_one_sided_tangent"}
 
 
@@ -709,7 +742,7 @@ def test_a_bubble_disk_map_runs_three_transforms_of_its_length(monkeypatch):
     for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     quant.bubble(mu=64.0, x0=0.3).disk_map()
-    n = quant.CHART_GRIDS[0]
+    n = quant.CHART_N
     assert calls == [("rfft", n), ("irfft", n), ("fft", n)]
     # in the identity chart, on the uniform grid of at least 20 mu points,
     # min_deriv adds the inverse FFT of its boundary ring
@@ -720,16 +753,15 @@ def test_a_bubble_disk_map_runs_three_transforms_of_its_length(monkeypatch):
 
 def test_build_phi_folds_at_most_one_ring(monkeypatch):
     folded = []
-    original = disk._abs_on_rings
-    monkeypatch.setattr(disk, "_abs_on_rings",
-                        lambda coef, rings: folded.append(rings.P.shape) or original(coef, rings))
+    original = disk._on_grid
+    monkeypatch.setattr(disk, "_on_grid", lambda coef, n: folded.append(n) or original(coef, n))
     for mu in (16.0, 256.0, 4096.0):
         quant.bubble(mu=mu, x0=0.3).disk_map()
     assert folded == []  # chart maps read min_deriv at pulled-back angles
     quant.bubble(mu=1.0, x0=0.3).disk_map()  # |q| < 1/3: the identity chart
     disk.build_phi(disk.analytic_completion(quant.bubble(mu=256.0, x0=0.3).pull_back(8192).field))
     disk.make_disk_map(np.array([0.0, -0.5, 0.5]), normalized_at_one=False)
-    assert folded == [(1, disk.BOUNDARY_RING_N)] * 3
+    assert folded == [disk.BOUNDARY_RING_N] * 3
 
 
 def test_disk_has_no_lattice():
@@ -747,8 +779,6 @@ CACHE_ARGS = {
     "spectral.grid_angles": [(8,), (12,), (256,)],
     "spectral._jacobi_rule": [(-0.5,), (0.75,)],
     "line.circle_chart": [(8,), (64,)],
-    "disk._boundary_ring": [(256,), (64,)],
-    "disk._mesh_cache": [(64,)],
     "quant._grid_chart": [(8,), (1024,)],
 }
 
@@ -806,9 +836,6 @@ def test_every_cache_hands_out_read_only_arrays():
         fn = getattr(getattr(liouville_disk, module), name)
         for args in arg_sets:
             value = fn(*args)
-            for rings in [v for v in (value if isinstance(value, tuple) else (value,))
-                          if isinstance(v, disk.RingPowers)]:
-                rings.V(rings._V.shape[1] + 2)  # a grown table too
             arrays = list(reachable_arrays(value))
             assert arrays, dotted
             writable = [a.shape for a in arrays if a.flags.writeable]

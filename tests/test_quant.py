@@ -8,7 +8,7 @@ from scipy.signal import find_peaks
 
 from liouville_disk import disk
 from liouville_disk.disk import analytic_completion, boundary_curvature, build_phi, conformal_distance
-from liouville_disk.errors import CenterUnstable, InvalidInput, NotIntegrable, TheoremViolation
+from liouville_disk.errors import CenterUnstable, InconclusiveMesh, InvalidInput, NotIntegrable, TheoremViolation
 from liouville_disk.line import (
     angle_of_x,
     circle_chart,
@@ -30,7 +30,7 @@ from liouville_disk.quant import (
     verify_solution,
 )
 from liouville_disk.spectral import PeriodicGrid, grid_angles
-from test_disk import blaschke_fixture
+from test_disk import PREMISES, REJECTED, blaschke_fixture
 from test_line import _piecewise_linear_integral, circle_samples, line_integral, u_at
 
 TWO_PI = 2 * np.pi
@@ -469,6 +469,15 @@ class TestPinching:
         rep = pinching_probe(maps, [(1.0, -1.0)], mesh_n=256)
         assert rep.verdicts == [False]
         assert np.allclose(rep.table[0], rep.table[0][0])
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_an_undecided_distance_propagates(self, case):
+        # a map whose chord is not certified has no distance: the probe
+        # passes on the InconclusiveMesh that names the failed premise
+        make, pairs = REJECTED[case]
+        maps = [bubble(mu=1.0).disk_map(), make(), bubble(mu=16.0).disk_map()]
+        with pytest.raises(InconclusiveMesh, match=PREMISES[case]):
+            pinching_probe(maps, pairs, mesh_n=256)
 
     @pytest.mark.parametrize("pair_count", [1, 2, 4])
     def test_each_map_is_folded_and_tested_once(self, pair_count, monkeypatch):
